@@ -49,12 +49,41 @@ pub fn steal_pct(before: CpuSample, after: CpuSample) -> f64 {
 
 /// Peak resident set size of this process (`VmHWM`), in MB.
 pub fn peak_rss_mb() -> Result<f64, String> {
+    status_mb("VmHWM")
+}
+
+/// Current resident set size of this process (`VmRSS`), in MB.
+pub fn rss_mb() -> Result<f64, String> {
+    status_mb("VmRSS")
+}
+
+/// A `kB` line of `/proc/self/status`, in MB.
+fn status_mb(field: &str) -> Result<f64, String> {
     let status = std::fs::read_to_string("/proc/self/status")
         .map_err(|e| format!("cannot read /proc/self/status: {e}"))?;
     let kb: f64 = status
         .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
-        .ok_or("no VmHWM line in /proc/self/status")?;
+        .ok_or(format!("no {field} line in /proc/self/status"))?;
     Ok(kb / 1024.0)
+}
+
+/// Restarts the peak-RSS mark (`VmHWM`) at the current resident size, after
+/// handing the memory the allocator holds free back to the system, so a
+/// later `peak_rss_mb` covers only what runs from here on.
+pub fn reset_peak_rss() -> Result<(), String> {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: glibc's `malloc_trim` takes no pointers and is safe to
+        // call at any time from any thread.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+    std::fs::write("/proc/self/clear_refs", "5")
+        .map_err(|e| format!("cannot reset the peak RSS mark: {e}"))
 }

@@ -55,15 +55,28 @@ pub struct Opts {
 /// Sets `peak_rss_mb` once the first set-up repetition has finished: the
 /// peak of one whole set-up (for `mine_batch` one cold batch, as a fresh
 /// `lesm snapshot` process sees it). Later repetitions only re-time
-/// set-up; the memory they free and reuse fragments the heap (and, for
-/// `serve_cold`, per-thread malloc arenas), which made the end-of-run
-/// peak vary by up to a fifth between identical runs. Workloads that never
-/// call this report the peak at the end of the run.
+/// set-up; the memory they free and reuse fragments the heap, which made
+/// the end-of-run peak vary by up to a fifth between identical runs.
+/// Workloads that neither call this nor set the metric themselves report
+/// the peak at the end of the run.
 pub fn record_first_setup_rss(out: &mut Outcome, setups_done: usize) -> Result<(), String> {
     if setups_done == 1 {
         out.set("peak_rss_mb", host::peak_rss_mb()?);
     }
     Ok(())
+}
+
+/// Sets `setup_s`, the median of the set-up repetitions, and notes them all.
+pub fn set_setup(out: &mut Outcome, setup_secs: &[f64]) {
+    out.set("setup_s", report::quantile(setup_secs, 0.5));
+    out.note(format!(
+        "set-up repetitions: {}",
+        setup_secs
+            .iter()
+            .map(|s| format!("{s:.3} s"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    ));
 }
 
 /// Sets per-layer time metrics from the trace: `<span>_ms` (or `_us`) is

@@ -195,7 +195,7 @@ pub fn mine_batch(opts: &Opts) -> Result<Outcome, String> {
         fnv64(&reference),
         reference.len()
     ));
-    out.set("setup_s", crate::report::quantile(&setup_secs, 0.5));
+    crate::set_setup(&mut out, &setup_secs);
     out.set("serve.artifact_mb", reference.len() as f64 / 1e6);
 
     let mut tracer = Tracer::new();
@@ -522,7 +522,7 @@ pub fn update_stream(opts: &Opts) -> Result<Outcome, String> {
         );
     }
     let chain = chain.ok_or("no set-up ran")?;
-    out.set("setup_s", crate::report::quantile(&setup_secs, 0.5));
+    crate::set_setup(&mut out, &setup_secs);
 
     let mut tracer = Tracer::new();
     let mut untraced = Vec::new();

@@ -5,9 +5,11 @@
 //! model. A single client on the benchmark's main thread runs a closed
 //! loop: it sends the next request only after the previous response has
 //! been read in full, one connection per request (the server answers
-//! `Connection: close`). Requests are mostly two-word searches over the
+//! `Connection: close`). The timed requests are two-word searches over the
 //! whole vocabulary and parameter-varied query programs, far more keys
 //! than the cache holds, so the workload times search and query execution.
+//! There is no traffic data to copy a mix from; the blend is an assumption
+//! stated in `Fixture::session` and README.md.
 //!
 //! After the timed phase, traced requests are replayed in-process in the
 //! order they were sent, through the same public functions the server
@@ -20,7 +22,7 @@ use crate::{Opts, SETUP_REPS};
 use lesm_core::export::json_string;
 use lesm_serve::http::{parse_request, Response};
 use lesm_serve::{Model, ServerConfig, ShardedLruCache};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -31,13 +33,22 @@ pub const WORKERS: usize = 2;
 pub const CLIENTS: usize = 1;
 /// Top-N of `/search`, `/topics/{id}` and `/hierarchy` (the server default).
 const TOP: usize = 10;
-/// Requests per operation: one client session of sequential requests.
-/// Hypervisor steal stalls single requests for milliseconds; summed over a
-/// session those stalls average out, where per request they made the
-/// 90th percentile swing by a third between runs.
-const SESSION: usize = 10;
-/// Untimed requests sent before the timed phase.
-const WARMUP: usize = 20;
+/// One operation is a client session of sequential requests with a fixed
+/// blend: `SEARCHES` searches and `PER_FAMILY` programs of each of the four
+/// query families. Hypervisor steal stalls single requests for
+/// milliseconds; summed over a session those stalls average out, where per
+/// request they made the 90th percentile swing by a third between runs.
+/// A fixed blend keeps the session's cost from depending on how many
+/// heavy requests the draw happened to put in it.
+const SEARCHES: usize = 8;
+const PER_FAMILY: usize = 2;
+const FAMILIES: [&str; 4] = ["query.filter", "query.traverse", "query.path", "query.rank"];
+const SESSION: usize = SEARCHES + FAMILIES.len() * PER_FAMILY;
+/// `/hierarchy` requests sent before the timed phase, so its render is
+/// timed more than once in the traced run.
+const HIERARCHY_REPS: usize = 5;
+/// Set-up loads and index builds of the traced run's in-process replay.
+const REPLAY_BUILDS: usize = 3;
 
 #[derive(Debug, Clone, Copy)]
 enum Kind {
@@ -47,28 +58,32 @@ enum Kind {
     Query,
 }
 
-/// One request of a mix: what it exercises and its exact bytes.
+/// One request: what it exercises, its family for the per-kind report,
+/// and its exact bytes.
 #[derive(Debug)]
 struct Key {
     kind: Kind,
+    label: &'static str,
     request: Vec<u8>,
 }
 
-fn get(kind: Kind, target: &str) -> Key {
+fn get(kind: Kind, label: &'static str, target: &str) -> Key {
     let request = format!("GET {target} HTTP/1.1\r\nHost: perfbench\r\nConnection: close\r\n\r\n");
     Key {
         kind,
+        label,
         request: request.into_bytes(),
     }
 }
 
-fn post_query(body: &str) -> Key {
+fn post_query(label: &'static str, body: &str) -> Key {
     let request = format!(
         "POST /query HTTP/1.1\r\nHost: perfbench\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
     Key {
         kind: Kind::Query,
+        label,
         request: request.into_bytes(),
     }
 }
@@ -155,13 +170,13 @@ impl Fixture {
 
     fn search(&self, rng: &mut Rng) -> Key {
         let q = format!("{} {}", rng.pick(&self.words), rng.pick(&self.words));
-        get(Kind::Search, &format!("/search?q={}", encode(&q)))
+        get(Kind::Search, "search", &format!("/search?q={}", encode(&q)))
     }
 
-    /// One of the four `bench_query` program families, parameters drawn
-    /// from `rng` (filter-only, 2-hop traverse, path, rank + paginate).
-    fn query(&self, rng: &mut Rng) -> Key {
-        let body = match rng.below(4) {
+    /// A program of `bench_query` family `family` (filter-only, 2-hop
+    /// traverse, path, rank + paginate), parameters drawn from `rng`.
+    fn query(&self, family: usize, rng: &mut Rng) -> Key {
+        let body = match family {
             0 => {
                 let span = (self.years.1 - self.years.0 + 1) as usize;
                 let min = self.years.0 + rng.below(span) as i32;
@@ -197,20 +212,34 @@ impl Fixture {
                 )
             }
         };
-        post_query(&body)
+        post_query(FAMILIES[family], &body)
     }
-}
 
-impl Fixture {
-    /// The next request: 60% two-word searches, 35% query programs, and
-    /// 5% topic and hierarchy renders (few keys, so mostly cache hits).
-    fn next_key(&self, rng: &mut Rng) -> Key {
-        match rng.below(100) {
-            0..=59 => self.search(rng),
-            60..=94 => self.query(rng),
-            95..=98 => get(Kind::Topic, &format!("/topics/{}", rng.below(self.topics))),
-            _ => get(Kind::Hierarchy, "/hierarchy"),
+    /// One session's requests in a seeded order. The blend is an
+    /// assumption, not measured traffic: the workload exists to time
+    /// execution on cache misses, and only `/search` and `/query` have more
+    /// keys than the cache holds, so they get equal shares, and the four
+    /// query families split the `/query` half evenly.
+    fn session(&self, rng: &mut Rng) -> Vec<Key> {
+        let mut keys: Vec<Key> = (0..SEARCHES).map(|_| self.search(rng)).collect();
+        for family in 0..FAMILIES.len() {
+            keys.extend((0..PER_FAMILY).map(|_| self.query(family, rng)));
         }
+        for i in (1..keys.len()).rev() {
+            keys.swap(i, rng.below(i + 1));
+        }
+        keys
+    }
+
+    /// The render endpoints, sent once before the timed phase (the
+    /// hierarchy `HIERARCHY_REPS` times): they have a few dozen keys, which
+    /// the cache answers after first use, so they stay out of the timed
+    /// blend but are checked on every run and timed in the traced one.
+    fn render_keys(&self) -> Vec<Key> {
+        (0..HIERARCHY_REPS)
+            .map(|_| get(Kind::Hierarchy, "hierarchy", "/hierarchy"))
+            .chain((0..self.topics).map(|id| get(Kind::Topic, "topic", &format!("/topics/{id}"))))
+            .collect()
     }
 }
 
@@ -260,7 +289,7 @@ struct Counters {
 }
 
 fn scrape(addr: SocketAddr) -> Result<Counters, String> {
-    let raw = send(addr, &get(Kind::Search, "/metrics").request)?;
+    let raw = send(addr, &get(Kind::Search, "metrics", "/metrics").request)?;
     let body = String::from_utf8_lossy(body_of(&raw)?).into_owned();
     let mut c = Counters::default();
     for line in body.lines() {
@@ -444,67 +473,106 @@ fn check_response(seen: &mut HashMap<Vec<u8>, u64>, key: &Key, raw: &[u8]) -> Re
     Ok(())
 }
 
-pub fn serve_cold(opts: &Opts) -> Result<Outcome, String> {
+/// A started server and what its set-up produced.
+struct Started {
+    server: lesm_serve::ServerHandle,
+    fixture: Fixture,
+    artifact: String,
+    digest: u64,
+    artifact_mb: f64,
+    secs: f64,
+}
+
+/// One set-up repetition: generate the model and write its v2 artifact,
+/// then load it, start the server, and build its query index with a first
+/// /query. The generated corpus and structure are gone before the load, as
+/// they would be for a server started on the artifact.
+fn set_up(
+    opts: &Opts,
+    rep: usize,
+    config: &ServerConfig,
+    first_query: &Key,
+    tracer: &mut Tracer,
+    out: &mut Outcome,
+) -> Result<Started, String> {
     let docs = if opts.tiny { 2_000 } else { 50_000 };
-    let artifact = opts.work.join("model.lesm");
-    let artifact_str = artifact.to_str().ok_or("non-UTF-8 work path")?.to_string();
+    let artifact = opts.work.join(format!("model-{rep}.lesm"));
+    let artifact = artifact.to_str().ok_or("non-UTF-8 work path")?.to_string();
+    tracer.begin_op();
+    let start = Instant::now();
+    let (fixture, bytes) = {
+        let (corpus, mined) = lesm_bench::datasets::replay_model(docs, opts.seed);
+        let bytes = lesm_serve::save_snapshot_v2(&corpus, &mined).map_err(|e| e.to_string())?;
+        (Fixture::new(&corpus, &mined)?, bytes)
+    };
+    std::fs::write(&artifact, &bytes).map_err(|e| e.to_string())?;
+    let (digest, artifact_mb) = (fnv64(&bytes), bytes.len() as f64 / 1e6);
+    drop(bytes);
+    let model = tracer
+        .span("serve.load", |_| lesm_serve::load_model_file(&artifact))
+        .map_err(|e| e.to_string())?;
+    let server =
+        lesm_serve::Server::start_model(model, config.clone()).map_err(|e| e.to_string())?;
+    let first = send(server.addr(), &first_query.request);
+    let secs = start.elapsed().as_secs_f64();
+    out.record(first.and_then(|raw| body_of(&raw).map(drop)));
+    Ok(Started {
+        server,
+        fixture,
+        artifact,
+        digest,
+        artifact_mb,
+        secs,
+    })
+}
+
+pub fn serve_cold(opts: &Opts) -> Result<Outcome, String> {
     let config = ServerConfig {
         workers: WORKERS,
         ..ServerConfig::default()
     };
-    let first_query = post_query(r#"{"steps":[{"filter":{"type":"author"}}],"page":1}"#);
+    let first_query = post_query(
+        "query.filter",
+        r#"{"steps":[{"filter":{"type":"author"}}],"page":1}"#,
+    );
     let mut out = Outcome::default();
     let mut tracer = Tracer::new();
+    tracer.set_enabled(opts.trace);
 
-    // Set-up: generate the model, write and load its v2 artifact, start
-    // the server, and build its query index with a first /query.
-    let mut setup_secs = Vec::with_capacity(SETUP_REPS);
-    let mut server = None;
-    let mut fixture = None;
-    let mut digest = 0;
-    for _ in 0..SETUP_REPS {
-        if let Some(old) = server.take() {
-            lesm_serve::ServerHandle::shutdown(old);
-        }
-        let start = Instant::now();
-        let (corpus, mined) = lesm_bench::datasets::replay_model(docs, opts.seed);
-        let bytes = lesm_serve::save_snapshot_v2(&corpus, &mined).map_err(|e| e.to_string())?;
-        std::fs::write(&artifact, &bytes).map_err(|e| e.to_string())?;
-        let model = lesm_serve::load_model_file(&artifact_str).map_err(|e| e.to_string())?;
-        let handle =
-            lesm_serve::Server::start_model(model, config.clone()).map_err(|e| e.to_string())?;
-        let first = send(handle.addr(), &first_query.request);
-        setup_secs.push(start.elapsed().as_secs_f64());
-        crate::record_first_setup_rss(&mut out, setup_secs.len())?;
-        out.record(first.and_then(|raw| body_of(&raw).map(drop)));
-        if fixture.is_none() {
-            fixture = Some(Fixture::new(&corpus, &mined)?);
-            digest = fnv64(&bytes);
-            out.set("serve.artifact_mb", bytes.len() as f64 / 1e6);
-        } else if fnv64(&bytes) != digest {
-            out.record(Err(
-                "model artifact differs between set-up repetitions".into()
-            ));
-        }
-        server = Some(handle);
-    }
-    let server = server.ok_or("no set-up ran")?;
-    let fixture = fixture.ok_or("no set-up ran")?;
+    // The timed phase follows the first set-up; the other repetitions run
+    // after it, so the serving memory peak is that of a process that set
+    // up once (repeated set-ups leave the heap fragmented by a varying
+    // amount).
+    let Started {
+        server,
+        fixture,
+        artifact,
+        digest,
+        artifact_mb,
+        secs,
+    } = set_up(opts, 0, &config, &first_query, &mut tracer, &mut out)?;
+    let mut setup_secs = vec![secs];
     let addr = server.addr();
-    out.set("setup_s", quantile(&setup_secs, 0.5));
+    out.set("serve.artifact_mb", artifact_mb);
     out.set("hier.topics", fixture.topics as f64);
     out.note(format!("digest: model artifact {digest:016x}"));
 
     let mut replay = if opts.trace {
-        tracer.set_enabled(true);
-        tracer.begin_op();
-        let model = tracer
-            .span("serve.load", |_| lesm_serve::load_model_file(&artifact_str))
-            .map_err(|e| e.to_string())?;
-        let index = tracer.span("query.index_build", |_| {
-            let parts = model.query_parts()?;
-            lesm_query::QueryIndex::build(parts).map_err(|e| e.to_string())
-        })?;
+        // The replay's own model and index, loaded and built as the server
+        // does, several times so that their rows are medians.
+        let mut built = None;
+        for _ in 0..REPLAY_BUILDS {
+            tracer.begin_op();
+            let model = tracer
+                .span("serve.load", |_| lesm_serve::load_model_file(&artifact))
+                .map_err(|e| e.to_string())?;
+            let index = tracer.span("query.index_build", |_| {
+                let parts = model.query_parts()?;
+                lesm_query::QueryIndex::build(parts).map_err(|e| e.to_string())
+            })?;
+            built = Some((model, index));
+        }
+        let (model, index) = built.ok_or("no index built")?;
         let cache = ShardedLruCache::new(config.cache_capacity, config.cache_shards);
         let mut replay = Replay {
             model,
@@ -519,15 +587,42 @@ pub fn serve_cold(opts: &Opts) -> Result<Outcome, String> {
         None
     };
 
+    // Untimed: every render endpoint and one session. In the traced run all
+    // of them are replayed in-process, which times the topic and
+    // hierarchy renders.
     let mut rng = Rng::new(opts.seed);
     let mut seen: HashMap<Vec<u8>, u64> = HashMap::new();
-    for _ in 0..WARMUP {
-        let key = fixture.next_key(&mut rng);
+    let mut sent = Vec::new();
+    let warmup = fixture
+        .render_keys()
+        .into_iter()
+        .chain(fixture.session(&mut rng));
+    for key in warmup {
+        tracer.begin_op();
         let result = send(addr, &key.request).and_then(|raw| {
             check_response(&mut seen, &key, &raw)?;
-            replay.as_mut().map_or(Ok(()), |r| r.observe(&key))
+            if opts.trace {
+                let digest = fnv64(&raw);
+                sent.push(Sent {
+                    op: tracer.op(),
+                    key,
+                    digest,
+                    traced: true,
+                });
+            }
+            Ok(())
         });
         out.record(result);
+    }
+
+    // `peak_rss_mb` is the serving peak: the high-water mark restarts here,
+    // at the loaded model, its index and the running server.
+    match crate::host::reset_peak_rss() {
+        Ok(()) => out.note(format!(
+            "peak RSS mark restarted at {:.1} MB before the timed phase",
+            crate::host::rss_mb()?
+        )),
+        Err(e) => out.note(format!("{e}; peak_rss_mb includes set-up")),
     }
 
     // The timed phase only sends, checks and records round trips; traced
@@ -535,7 +630,7 @@ pub fn serve_cold(opts: &Opts) -> Result<Outcome, String> {
     // stay comparable. The in-process replays run after it.
     let mut untraced = Vec::new();
     let mut traced = Vec::new();
-    let mut sent = Vec::new();
+    let mut per_kind: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
     let mut corrupted = false;
     let before = scrape(addr)?;
     let cpu = crate::host::cpu_sample();
@@ -548,12 +643,13 @@ pub fn serve_cold(opts: &Opts) -> Result<Outcome, String> {
         let window = start.elapsed().as_secs();
         let mut secs = 0.0;
         let mut all_ok = true;
-        for _ in 0..SESSION {
-            let key = fixture.next_key(&mut rng);
+        for key in fixture.session(&mut rng) {
             tracer.begin_op();
             let t = Instant::now();
             let raw = tracer.span("serve.rtt", |_| send(addr, &key.request));
-            secs += t.elapsed().as_secs_f64();
+            let rtt = t.elapsed().as_secs_f64();
+            secs += rtt;
+            per_kind.entry(key.label).or_default().push(rtt);
             let result = raw.and_then(|mut raw| {
                 // Self-test fault: corrupt the first response that a check
                 // can compare, a repeated request or a traced (replayed) one.
@@ -587,8 +683,20 @@ pub fn serve_cold(opts: &Opts) -> Result<Outcome, String> {
         }
     }
     let steal = crate::host::steal_pct(cpu, crate::host::cpu_sample());
+    out.set("peak_rss_mb", crate::host::peak_rss_mb()?);
     let after = scrape(addr)?;
     server.shutdown();
+    for rep in 1..SETUP_REPS {
+        let again = set_up(opts, rep, &config, &first_query, &mut tracer, &mut out)?;
+        again.server.shutdown();
+        setup_secs.push(again.secs);
+        if again.digest != digest {
+            out.record(Err(
+                "model artifact differs between set-up repetitions".into()
+            ));
+        }
+    }
+    crate::set_setup(&mut out, &setup_secs);
 
     let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
     let hit_ratio = hits / (hits + misses).max(1.0);
@@ -600,6 +708,18 @@ pub fn serve_cold(opts: &Opts) -> Result<Outcome, String> {
         "server: {hits} cache hits, {misses} misses (hit ratio {hit_ratio:.4}), {} errors, {} shed",
         after.errors, after.shed
     ));
+    out.note(format!(
+        "timed requests by family: {}",
+        per_kind
+            .iter()
+            .map(|(label, secs)| format!(
+                "{label} {} (p50 {:.3} ms)",
+                secs.len(),
+                quantile(secs, 0.5) * 1e3
+            ))
+            .collect::<Vec<_>>()
+            .join(", ")
+    ));
     if after.errors > 0.0 || after.shed > 0.0 {
         out.record(Err(format!(
             "server counted {} errors and {} shed connections",
@@ -608,7 +728,7 @@ pub fn serve_cold(opts: &Opts) -> Result<Outcome, String> {
     }
     out.set_op_metrics(&untraced, SESSION as f64);
     if let Some(replay) = replay.as_mut() {
-        // Replay the timed requests in order, so the cache mirror sees the
+        // Replay the sent requests in order, so the cache mirror sees the
         // server's key sequence; traced ones run the full request path
         // until the replay has used as long as the timed phase.
         let replay_start = Instant::now();
@@ -625,7 +745,7 @@ pub fn serve_cold(opts: &Opts) -> Result<Outcome, String> {
         }
         out.note(format!(
             "replayed {replayed} of {} traced requests in-process",
-            traced.len()
+            sent.iter().filter(|s| s.traced).count()
         ));
         replay.report(&mut out, &tracer);
         crate::finish_trace(&mut out, &tracer, &untraced, &traced, opts)?;
