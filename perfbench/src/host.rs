@@ -1,4 +1,5 @@
-//! Host context read from `/proc`: core count, steal share, peak RSS.
+//! Host context read from `/proc`: core count, steal share, peak RSS,
+//! and the process CPU clock the operation metrics are measured on.
 //!
 //! The benchmark runs on shared virtual machines whose neighbours steal
 //! CPU time; the steal share over the timed phase travels with every run
@@ -86,4 +87,27 @@ pub fn reset_peak_rss() -> Result<(), String> {
     }
     std::fs::write("/proc/self/clear_refs", "5")
         .map_err(|e| format!("cannot reset the peak RSS mark: {e}"))
+}
+
+/// CPU time used so far by all threads of this process, in seconds
+/// (`CLOCK_PROCESS_CPUTIME_ID`). The kernel's task clock leaves out time
+/// the hypervisor stole from the vCPU, so this moves with the work the
+/// program does and not with its neighbours' load.
+pub fn process_cpu_secs() -> Result<f64, String> {
+    #[repr(C)]
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `ts` is a valid, writable timespec for the call's duration.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    if rc != 0 {
+        return Err("clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed".into());
+    }
+    Ok(ts.sec as f64 + ts.nsec as f64 * 1e-9)
 }

@@ -25,12 +25,11 @@ pub const SETUP_REPS: usize = 3;
 
 const USAGE: &str = "usage: lesm-perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
        lesm-perfbench --selftest
-workloads: mine_batch update_stream serve_cold";
+workloads: update_stream serve_cold";
 
 type Workload = fn(&Opts) -> Result<Outcome, String>;
 
 const WORKLOADS: &[(&str, Workload)] = &[
-    ("mine_batch", mining::mine_batch),
     ("update_stream", mining::update_stream),
     ("serve_cold", serving::serve_cold),
 ];
@@ -52,28 +51,16 @@ pub struct Opts {
     pub trace_path: PathBuf,
 }
 
-/// Sets `peak_rss_mb` once the first set-up repetition has finished: the
-/// peak of one whole set-up (for `mine_batch` one cold batch, as a fresh
-/// `lesm snapshot` process sees it). Later repetitions only re-time
-/// set-up; the memory they free and reuse fragments the heap, which made
-/// the end-of-run peak vary by up to a fifth between identical runs.
-/// Workloads that neither call this nor set the metric themselves report
-/// the peak at the end of the run.
-pub fn record_first_setup_rss(out: &mut Outcome, setups_done: usize) -> Result<(), String> {
-    if setups_done == 1 {
-        out.set("peak_rss_mb", host::peak_rss_mb()?);
-    }
-    Ok(())
-}
-
-/// Sets `setup_s`, the median of the set-up repetitions, and notes them all.
-pub fn set_setup(out: &mut Outcome, setup_secs: &[f64]) {
-    out.set("setup_s", report::quantile(setup_secs, 0.5));
+/// Sets `setup_s`, the median CPU time of the set-up repetitions (the
+/// clock of the operation metrics, see `report::Outcome::set_op_metrics`),
+/// and notes every repetition on both clocks.
+pub fn set_setup(out: &mut Outcome, reps: &[report::Op]) {
+    let cpu: Vec<f64> = reps.iter().map(|rep| rep.cpu).collect();
+    out.set("setup_s", report::quantile(&cpu, 0.5));
     out.note(format!(
-        "set-up repetitions: {}",
-        setup_secs
-            .iter()
-            .map(|s| format!("{s:.3} s"))
+        "set-up repetitions (CPU / wall clock): {}",
+        reps.iter()
+            .map(|rep| format!("{:.3} / {:.3} s", rep.cpu, rep.secs))
             .collect::<Vec<_>>()
             .join(", ")
     ));

@@ -1,13 +1,14 @@
-//! The mining workloads: `mine_batch` (cold `lesm snapshot`) and
-//! `update_stream` (`lesm update` chains on a snapshot store).
+//! The mining workload: `update_stream` (`lesm update` chains on a
+//! snapshot store), whose set-up is a cold `lesm snapshot` of the base.
 //!
-//! Untraced operations call the CLI library entry points users run
-//! (`lesm_cli::run_snapshot`, `lesm_cli::run_update`). Traced operations
-//! make the same calls layer by layer, each inside a span, and then
-//! re-run the mining stages one by one (a "probe") so that the stage rows
-//! can be summed against the whole mine or update call.
+//! Untraced operations call the CLI library entry point users run
+//! (`lesm_cli::run_update`). Traced operations make the same calls layer
+//! by layer, each inside a span, and then re-run the mining stages one by
+//! one (a "probe") so that the stage rows can be summed against the whole
+//! mine or update call. In a traced run the set-up's cold base mine is
+//! traced and probed the same way.
 
-use crate::report::{fnv64, Op, Outcome};
+use crate::report::{fnv64, timed, Outcome};
 use crate::trace::Tracer;
 use crate::{Opts, SETUP_REPS};
 use lesm_core::{LatentStructureMiner, MinedStructure, MinerConfig, UpdateBudget};
@@ -102,23 +103,25 @@ fn check_artifact(bytes: &[u8], reference: &[u8], docs: usize) -> Result<usize, 
     Ok(mapped.num_topics())
 }
 
-/// One traced `lesm snapshot`: load → mine → save, each in a span.
-fn traced_snapshot(
+/// `lesm snapshot` of the base corpus: load → mine → v2 save, each in a
+/// span (a disabled tracer only runs them). Returns the corpus and the
+/// artifact bytes.
+fn base_mine(
     tracer: &mut Tracer,
     tsv: &Path,
-    out: &Path,
     config: &MinerConfig,
-) -> Result<Corpus, String> {
+) -> Result<(Corpus, Vec<u8>), String> {
     tracer.span("op", |tr| {
         let corpus = tr.span("corpus.load_tsv", |_| lesm_cli::load_corpus(path_str(tsv)?))?;
         let mined = tr
             .span("core.mine", |_| LatentStructureMiner::mine(&corpus, config))
             .map_err(|e| e.to_string())?;
-        tr.span("serve.save_v2", |_| {
-            lesm_serve::save_snapshot_v2_file(path_str(out)?, &corpus, &mined)
-                .map_err(|e| e.to_string())
-        })?;
-        Ok(corpus)
+        let bytes = tr
+            .span("serve.save_v2", |_| {
+                lesm_serve::save_snapshot_v2(&corpus, &mined)
+            })
+            .map_err(|e| e.to_string())?;
+        Ok((corpus, bytes))
     })
 }
 
@@ -160,126 +163,6 @@ fn mine_stages(
         });
         Ok((hierarchy.len(), phrases.len()))
     })
-}
-
-/// `mine_batch`: one operation is `lesm snapshot` on a 2000-document
-/// corpus — TSV load, full mine, v2 artifact write.
-pub fn mine_batch(opts: &Opts) -> Result<Outcome, String> {
-    let docs = if opts.tiny { 200 } else { 2000 };
-    let config = config();
-    let tsv = opts.work.join("corpus.tsv");
-    let artifact = opts.work.join("batch.lesm");
-    let snapshot = |tsv: &Path, artifact: &Path| -> Result<(), String> {
-        let corpus = lesm_cli::load_corpus(path_str(tsv)?)?;
-        lesm_cli::run_snapshot(&corpus, path_str(artifact)?, K, DEPTH, THREADS, 0.0, 2).map(drop)
-    };
-    let mut out = Outcome::default();
-
-    // Set-up: generate the corpus and run one untimed batch whose artifact
-    // is the byte-identity reference; repeated so set-up time is a median.
-    let mut setup_secs = Vec::with_capacity(SETUP_REPS);
-    let mut reference: Option<Vec<u8>> = None;
-    for _ in 0..SETUP_REPS {
-        let start = Instant::now();
-        write(&tsv, synth_tsv(docs, opts.seed)?)?;
-        snapshot(&tsv, &artifact)?;
-        let bytes = read(&artifact)?;
-        setup_secs.push(start.elapsed().as_secs_f64());
-        crate::record_first_setup_rss(&mut out, setup_secs.len())?;
-        let reference = reference.get_or_insert_with(|| bytes.clone());
-        out.record(check_artifact(&bytes, reference, docs).map(drop));
-    }
-    let reference = reference.unwrap_or_default();
-    out.note(format!(
-        "digest: artifact {:016x} ({} bytes)",
-        fnv64(&reference),
-        reference.len()
-    ));
-    crate::set_setup(&mut out, &setup_secs);
-    out.set("serve.artifact_mb", reference.len() as f64 / 1e6);
-
-    let mut tracer = Tracer::new();
-    let mut untraced = Vec::new();
-    let mut traced = Vec::new();
-    let cpu = crate::host::cpu_sample();
-    let start = Instant::now();
-    for i in 0.. {
-        if i > 0 && start.elapsed().as_secs_f64() >= opts.seconds {
-            break;
-        }
-        tracer.set_enabled(opts.trace && i % 2 == 1);
-        tracer.begin_op();
-        let window = start.elapsed().as_secs();
-        let t = Instant::now();
-        let result = if tracer.enabled() {
-            traced_snapshot(&mut tracer, &tsv, &artifact, &config).map(Some)
-        } else {
-            snapshot(&tsv, &artifact).map(|()| None)
-        };
-        let secs = t.elapsed().as_secs_f64();
-        let corpus = match result {
-            Ok(corpus) => corpus,
-            Err(e) => {
-                out.record(Err(format!("batch {i}: {e}")));
-                continue;
-            }
-        };
-        if opts.fault && i == 0 {
-            corrupt_file(&artifact)?;
-        }
-        let mut result = check_artifact(&read(&artifact)?, &reference, docs);
-        match corpus {
-            Some(corpus) => {
-                traced.push(secs);
-                let (topics, phrases) = mine_stages(&mut tracer, &corpus, &config)?;
-                out.set("hier.topics", topics as f64);
-                out.set("phrases.count", phrases as f64);
-                result = result.and_then(|artifact_topics| {
-                    if artifact_topics == topics {
-                        Ok(artifact_topics)
-                    } else {
-                        Err(format!(
-                            "probe built {topics} topics, artifact has {artifact_topics}"
-                        ))
-                    }
-                });
-            }
-            None => untraced.push(Op { window, secs }),
-        }
-        out.record(result.map(drop));
-    }
-    out.set(
-        "host.steal_pct",
-        crate::host::steal_pct(cpu, crate::host::cpu_sample()),
-    );
-    out.set_op_metrics(&untraced, docs as f64);
-    if opts.trace {
-        crate::set_layers(
-            &mut out,
-            &tracer,
-            &[
-                "corpus.load_tsv_ms",
-                "core.mine_ms",
-                "serve.save_v2_ms",
-                "net.collapse_ms",
-                "hier.construct_ms",
-                "phrases.mine_ms",
-                "phrases.segment_ms",
-            ],
-        );
-        let stages = [
-            "net.collapse",
-            "hier.construct",
-            "phrases.mine",
-            "phrases.segment",
-        ];
-        if let Some(ms) = tracer.residual_ms("core.mine", &stages) {
-            out.set("core.derive_residual_ms", ms);
-            note_residual(&mut out, "core.mine_ms", ms);
-        }
-        crate::finish_trace(&mut out, &tracer, &untraced, &traced, opts)?;
-    }
-    Ok(out)
 }
 
 /// The base store and delta files one `update_stream` chain starts from.
@@ -462,8 +345,13 @@ fn check_update(dir: &Path, chain: &Chain, step: usize, summary: &str) -> Result
 }
 
 /// Set-up for `update_stream`: the corpus split into base and deltas, the
-/// cold base mine, and the first publish into a fresh store.
-fn prepare_chain(opts: &Opts, config: &MinerConfig) -> Result<Chain, String> {
+/// cold base mine (`lesm snapshot`), and the first publish into a fresh
+/// store. Also returns the base corpus, for the traced run's stage probe.
+fn prepare_chain(
+    opts: &Opts,
+    config: &MinerConfig,
+    tracer: &mut Tracer,
+) -> Result<(Chain, Corpus), String> {
     let base_docs = if opts.tiny { 200 } else { 2000 };
     let delta_docs = base_docs / 100;
     let tsv = synth_tsv(base_docs + CHAIN_LEN * delta_docs, opts.seed)?;
@@ -489,18 +377,20 @@ fn prepare_chain(opts: &Opts, config: &MinerConfig) -> Result<Chain, String> {
         )?;
         deltas.push(path);
     }
-    let corpus = lesm_cli::load_corpus(path_str(&base_tsv)?)?;
-    let mined = LatentStructureMiner::mine(&corpus, config).map_err(|e| e.to_string())?;
-    let base_artifact = lesm_serve::save_snapshot_v2(&corpus, &mined).map_err(|e| e.to_string())?;
+    tracer.begin_op();
+    let (corpus, base_artifact) = base_mine(tracer, &base_tsv, config)?;
     let dir = opts.work.join("store-setup");
     let _ = std::fs::remove_dir_all(&dir);
     store::publish(&dir, &base_artifact).map_err(|e| e.to_string())?;
-    Ok(Chain {
-        base_docs,
-        delta_docs,
-        base_artifact,
-        deltas,
-    })
+    Ok((
+        Chain {
+            base_docs,
+            delta_docs,
+            base_artifact,
+            deltas,
+        },
+        corpus,
+    ))
 }
 
 /// `update_stream`: one operation is `lesm update` applying a +1% delta
@@ -510,21 +400,43 @@ pub fn update_stream(opts: &Opts) -> Result<Outcome, String> {
     let config = config();
     let mut out = Outcome::default();
 
-    let mut setup_secs = Vec::with_capacity(SETUP_REPS);
+    // Set-up, repeated so its time is a median. In a traced run each
+    // repetition's cold base mine is traced, then probed stage by stage
+    // (outside the set-up time): these are the `lesm snapshot` rows.
+    let mut tracer = Tracer::new();
+    tracer.set_enabled(opts.trace);
+    let mut setup = Vec::with_capacity(SETUP_REPS);
     let mut chain: Option<Chain> = None;
     for _ in 0..SETUP_REPS {
-        let start = Instant::now();
-        let next = prepare_chain(opts, &config)?;
-        setup_secs.push(start.elapsed().as_secs_f64());
+        let (prepared, time) = timed(0, || prepare_chain(opts, &config, &mut tracer))?;
+        let (next, corpus) = prepared?;
+        setup.push(time);
         let first = chain.get_or_insert_with(|| next.clone());
-        out.record(
-            check_artifact(&next.base_artifact, &first.base_artifact, next.base_docs).map(drop),
-        );
+        let mut result = check_artifact(&next.base_artifact, &first.base_artifact, next.base_docs);
+        if opts.trace {
+            let (topics, phrases) = mine_stages(&mut tracer, &corpus, &config)?;
+            out.set("hier.topics", topics as f64);
+            out.set("phrases.count", phrases as f64);
+            result = result.and_then(|artifact_topics| {
+                if artifact_topics == topics {
+                    Ok(artifact_topics)
+                } else {
+                    Err(format!(
+                        "probe built {topics} topics, base artifact has {artifact_topics}"
+                    ))
+                }
+            });
+        }
+        out.record(result.map(drop));
     }
     let chain = chain.ok_or("no set-up ran")?;
-    crate::set_setup(&mut out, &setup_secs);
+    crate::set_setup(&mut out, &setup);
+    out.note(format!(
+        "digest: base artifact {:016x} ({} bytes)",
+        fnv64(&chain.base_artifact),
+        chain.base_artifact.len()
+    ));
 
-    let mut tracer = Tracer::new();
     let mut untraced = Vec::new();
     let mut traced = Vec::new();
     // Artifact digest per chain step, taken from the first chain that
@@ -547,24 +459,24 @@ pub fn update_stream(opts: &Opts) -> Result<Outcome, String> {
             tracer.begin_op();
             op += 1;
             let window = start.elapsed().as_secs();
-            let t = Instant::now();
-            let result = if tracer.enabled() {
-                traced_update(&mut tracer, &dir, delta, &config)
-                    .map(|(summary, merged, base, docs)| (summary, Some((merged, base, docs))))
-            } else {
-                lesm_cli::run_update(
-                    &dir_str,
-                    path_str(delta)?,
-                    K,
-                    DEPTH,
-                    THREADS,
-                    UPDATE_ITERS,
-                    UPDATE_TOL,
-                    MAX_DELTA_CHAIN,
-                )
-                .map(|summary| (summary, None))
-            };
-            let secs = t.elapsed().as_secs_f64();
+            let (result, timing) = timed(window, || {
+                if tracer.enabled() {
+                    traced_update(&mut tracer, &dir, delta, &config)
+                        .map(|(summary, merged, base, docs)| (summary, Some((merged, base, docs))))
+                } else {
+                    lesm_cli::run_update(
+                        &dir_str,
+                        path_str(delta)?,
+                        K,
+                        DEPTH,
+                        THREADS,
+                        UPDATE_ITERS,
+                        UPDATE_TOL,
+                        MAX_DELTA_CHAIN,
+                    )
+                    .map(|summary| (summary, None))
+                }
+            })?;
             let (summary, probe) = match result {
                 Ok(done) => done,
                 Err(e) => {
@@ -590,13 +502,13 @@ pub fn update_stream(opts: &Opts) -> Result<Outcome, String> {
             });
             match probe {
                 Some((merged, base, base_docs)) => {
-                    traced.push(secs);
+                    traced.push(timing.secs);
                     match update_stages(&mut tracer, &merged, &base, base_docs, &config) {
                         Ok(phrases) => out.set("phrases.count", phrases as f64),
                         Err(e) => result = result.and(Err(e)),
                     }
                 }
-                None => untraced.push(Op { window, secs }),
+                None => untraced.push(timing),
             }
             out.record(result);
         }
@@ -608,21 +520,21 @@ pub fn update_stream(opts: &Opts) -> Result<Outcome, String> {
         crate::host::steal_pct(cpu, crate::host::cpu_sample()),
     );
     out.note(format!(
-        "digest: base artifact {:016x}, chain-end artifact {:016x} ({} bytes)",
-        fnv64(&chain.base_artifact),
+        "digest: chain-end artifact {:016x} ({} bytes)",
         fnv64(&last_artifact),
         last_artifact.len()
     ));
     out.set_op_metrics(&untraced, chain.delta_docs as f64);
     if opts.trace {
-        out.set("serve.artifact_mb", last_artifact.len() as f64 / 1e6);
-        if let Ok(mapped) = MappedSnapshot::from_bytes(&last_artifact) {
-            out.set("hier.topics", mapped.num_topics() as f64);
-        }
+        out.set("serve.artifact_mb", chain.base_artifact.len() as f64 / 1e6);
         crate::set_layers(
             &mut out,
             &tracer,
             &[
+                "corpus.load_tsv_ms",
+                "core.mine_ms",
+                "net.collapse_ms",
+                "hier.construct_ms",
                 "serve.store_load_ms",
                 "serve.to_snapshot_ms",
                 "corpus.append_tsv_ms",
@@ -635,6 +547,18 @@ pub fn update_stream(opts: &Opts) -> Result<Outcome, String> {
                 "phrases.segment_ms",
             ],
         );
+        // Per operation: the set-up mines' stages against `core.mine`, the
+        // updates' against `core.update`.
+        let stages = [
+            "net.collapse",
+            "hier.construct",
+            "phrases.mine",
+            "phrases.segment",
+        ];
+        if let Some(ms) = tracer.residual_ms("core.mine", &stages) {
+            out.set("core.derive_residual_ms", ms);
+            note_residual(&mut out, "core.mine_ms", ms);
+        }
         let stages = [
             "net.collapse_delta",
             "hier.update",

@@ -9,9 +9,9 @@ use std::collections::BTreeMap;
 /// End-to-end metrics, printed with `--trace 0`: (name, unit).
 pub const END_TO_END: &[(&str, &str)] = &[
     ("setup_s", "s"),
-    ("work_rate", "1/s"),
-    ("op_p50_ms", "ms"),
-    ("op_p90_ms", "ms"),
+    ("work_per_cpu_s", "1/s"),
+    ("op_cpu_p50_ms", "ms"),
+    ("op_cpu_p90_ms", "ms"),
     ("peak_rss_mb", "MB"),
 ];
 
@@ -60,7 +60,20 @@ pub const PER_LAYER: &[(&str, &str)] = &[
 pub struct Op {
     /// Whole second of the timed phase in which the operation started.
     pub window: u64,
+    /// Wall-clock time.
     pub secs: f64,
+    /// CPU time of the whole process (client and server threads alike).
+    pub cpu: f64,
+}
+
+/// Times `f` on the wall clock and on the process CPU clock.
+pub fn timed<T>(window: u64, f: impl FnOnce() -> T) -> Result<(T, Op), String> {
+    let cpu = crate::host::process_cpu_secs()?;
+    let start = std::time::Instant::now();
+    let value = f();
+    let secs = start.elapsed().as_secs_f64();
+    let cpu = crate::host::process_cpu_secs()? - cpu;
+    Ok((value, Op { window, secs, cpu }))
 }
 
 /// How many failure details a run prints before it only counts them.
@@ -103,28 +116,42 @@ impl Outcome {
         self.failed as f64 / self.attempted.max(1) as f64
     }
 
-    /// Sets the latency and throughput metrics from the timed operations.
-    /// `work_rate` is the median over one-second windows of the timed
-    /// phase (an operation longer than a second is a window of its own) of
-    /// the items completed in the window over their summed operation time,
-    /// so a short burst of host steal moves it no more than the median.
+    /// Sets the operation metrics from the timed operations, on the
+    /// process CPU clock: `work_per_cpu_s` is the median over one-second
+    /// windows of the timed phase (an operation longer than a second is a
+    /// window of its own) of the items completed in the window over their
+    /// summed CPU time, and `op_cpu_p50_ms` / `op_cpu_p90_ms` are quantiles
+    /// of the CPU time per operation. The same figures on the wall clock go
+    /// to stderr.
     pub fn set_op_metrics(&mut self, ops: &[Op], items_per_op: f64) {
-        let secs: Vec<f64> = ops.iter().map(|op| op.secs).collect();
-        let mut windows: BTreeMap<u64, (f64, f64)> = BTreeMap::new();
-        for op in ops {
-            let w = windows.entry(op.window).or_insert((0.0, 0.0));
-            w.0 += items_per_op;
-            w.1 += op.secs;
-        }
-        let rates: Vec<f64> = windows.values().map(|(items, secs)| items / secs).collect();
-        self.set("work_rate", quantile(&rates, 0.5));
-        self.set("op_p50_ms", quantile(&secs, 0.5) * 1e3);
-        self.set("op_p90_ms", quantile(&secs, 0.9) * 1e3);
+        let figures = |time: fn(&Op) -> f64| {
+            let times: Vec<f64> = ops.iter().map(time).collect();
+            let mut windows: BTreeMap<u64, (f64, f64)> = BTreeMap::new();
+            for op in ops {
+                let w = windows.entry(op.window).or_insert((0.0, 0.0));
+                w.0 += items_per_op;
+                w.1 += time(op);
+            }
+            let rates: Vec<f64> = windows.values().map(|(items, secs)| items / secs).collect();
+            (
+                quantile(&rates, 0.5),
+                quantile(&times, 0.5) * 1e3,
+                quantile(&times, 0.9) * 1e3,
+                rates.len(),
+            )
+        };
+        let (rate, p50, p90, windows) = figures(|op| op.cpu);
+        self.set("work_per_cpu_s", rate);
+        self.set("op_cpu_p50_ms", p50);
+        self.set("op_cpu_p90_ms", p90);
+        let (rate, p50, p90, _) = figures(|op| op.secs);
         self.note(format!(
-            "timed ops: {} in {} windows ({} beyond p90)",
-            secs.len(),
-            rates.len(),
-            secs.len() - (secs.len() as f64 * 0.9).ceil() as usize
+            "wall clock: {rate:.3} per second, p50 {p50:.3} ms, p90 {p90:.3} ms"
+        ));
+        self.note(format!(
+            "timed ops: {} in {windows} windows ({} beyond p90)",
+            ops.len(),
+            ops.len() - (ops.len() as f64 * 0.9).ceil() as usize
         ));
     }
 

@@ -16,7 +16,7 @@
 //! calls (parse, cache, search/render/query, write), each in a span; the
 //! replayed wire bytes must equal the served ones.
 
-use crate::report::{fnv64, quantile, Op, Outcome};
+use crate::report::{fnv64, quantile, timed, Op, Outcome};
 use crate::trace::Tracer;
 use crate::{Opts, SETUP_REPS};
 use lesm_core::export::json_string;
@@ -480,7 +480,7 @@ struct Started {
     artifact: String,
     digest: u64,
     artifact_mb: f64,
-    secs: f64,
+    time: Op,
 }
 
 /// One set-up repetition: generate the model and write its v2 artifact,
@@ -499,6 +499,7 @@ fn set_up(
     let artifact = opts.work.join(format!("model-{rep}.lesm"));
     let artifact = artifact.to_str().ok_or("non-UTF-8 work path")?.to_string();
     tracer.begin_op();
+    let cpu = crate::host::process_cpu_secs()?;
     let start = Instant::now();
     let (fixture, bytes) = {
         let (corpus, mined) = lesm_bench::datasets::replay_model(docs, opts.seed);
@@ -514,7 +515,11 @@ fn set_up(
     let server =
         lesm_serve::Server::start_model(model, config.clone()).map_err(|e| e.to_string())?;
     let first = send(server.addr(), &first_query.request);
-    let secs = start.elapsed().as_secs_f64();
+    let time = Op {
+        window: 0,
+        secs: start.elapsed().as_secs_f64(),
+        cpu: crate::host::process_cpu_secs()? - cpu,
+    };
     out.record(first.and_then(|raw| body_of(&raw).map(drop)));
     Ok(Started {
         server,
@@ -522,7 +527,7 @@ fn set_up(
         artifact,
         digest,
         artifact_mb,
-        secs,
+        time,
     })
 }
 
@@ -549,9 +554,9 @@ pub fn serve_cold(opts: &Opts) -> Result<Outcome, String> {
         artifact,
         digest,
         artifact_mb,
-        secs,
+        time,
     } = set_up(opts, 0, &config, &first_query, &mut tracer, &mut out)?;
-    let mut setup_secs = vec![secs];
+    let mut setup = vec![time];
     let addr = server.addr();
     out.set("serve.artifact_mb", artifact_mb);
     out.set("hier.topics", fixture.topics as f64);
@@ -641,15 +646,20 @@ pub fn serve_cold(opts: &Opts) -> Result<Outcome, String> {
         }
         tracer.set_enabled(opts.trace && session % 2 == 1);
         let window = start.elapsed().as_secs();
-        let mut secs = 0.0;
+        let mut session_time = Op {
+            window,
+            secs: 0.0,
+            cpu: 0.0,
+        };
         let mut all_ok = true;
         for key in fixture.session(&mut rng) {
             tracer.begin_op();
-            let t = Instant::now();
-            let raw = tracer.span("serve.rtt", |_| send(addr, &key.request));
-            let rtt = t.elapsed().as_secs_f64();
-            secs += rtt;
-            per_kind.entry(key.label).or_default().push(rtt);
+            let (raw, rtt) = timed(window, || {
+                tracer.span("serve.rtt", |_| send(addr, &key.request))
+            })?;
+            session_time.secs += rtt.secs;
+            session_time.cpu += rtt.cpu;
+            per_kind.entry(key.label).or_default().push(rtt.secs);
             let result = raw.and_then(|mut raw| {
                 // Self-test fault: corrupt the first response that a check
                 // can compare, a repeated request or a traced (replayed) one.
@@ -676,9 +686,9 @@ pub fn serve_cold(opts: &Opts) -> Result<Outcome, String> {
         }
         if all_ok {
             if tracer.enabled() {
-                traced.push(secs);
+                traced.push(session_time.secs);
             } else {
-                untraced.push(Op { window, secs });
+                untraced.push(session_time);
             }
         }
     }
@@ -689,14 +699,14 @@ pub fn serve_cold(opts: &Opts) -> Result<Outcome, String> {
     for rep in 1..SETUP_REPS {
         let again = set_up(opts, rep, &config, &first_query, &mut tracer, &mut out)?;
         again.server.shutdown();
-        setup_secs.push(again.secs);
+        setup.push(again.time);
         if again.digest != digest {
             out.record(Err(
                 "model artifact differs between set-up repetitions".into()
             ));
         }
     }
-    crate::set_setup(&mut out, &setup_secs);
+    crate::set_setup(&mut out, &setup);
 
     let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
     let hit_ratio = hits / (hits + misses).max(1.0);
