@@ -1,5 +1,5 @@
 //! Criterion micro-benches for the serving subsystem: cold snapshot-load
-//! time (format v1 full-deserialize vs format v2 zero-copy map), and
+//! time of a v2 artifact (zero-copy map) at serving scale, and
 //! end-to-end query latency over HTTP, cached vs uncached (the
 //! DESIGN.md §9 numbers collected by `scripts/bench_smoke.sh` into
 //! `BENCH_serve.json`).
@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use lesm_bench::datasets::{dblp_small, replay_model};
 use lesm_core::pipeline::{LatentStructureMiner, MinerConfig};
 use lesm_serve::server::{Server, ServerConfig};
-use lesm_serve::{load_snapshot, save_snapshot, ServerHandle};
+use lesm_serve::{save_snapshot_v2, MappedSnapshot, Model, ServerHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
@@ -24,13 +24,13 @@ fn snapshot_bytes() -> Vec<u8> {
     config.hierarchy.max_depth = 1;
     config.phrase_min_support = 2;
     let mined = LatentStructureMiner::mine(&papers.corpus, &config).expect("mine");
-    save_snapshot(&papers.corpus, &mined).expect("save")
+    save_snapshot_v2(&papers.corpus, &mined).expect("save")
 }
 
 fn start_server(bytes: &[u8], cache_capacity: usize) -> ServerHandle {
-    let snap = load_snapshot(bytes).expect("load");
+    let model = Model::Mapped(Box::new(MappedSnapshot::from_bytes(bytes).expect("load")));
     let config = ServerConfig { workers: 2, cache_capacity, ..ServerConfig::default() };
-    Server::start(snap, config).expect("bind")
+    Server::start_model(model, config).expect("bind")
 }
 
 fn get(addr: SocketAddr, target: &str) -> Vec<u8> {
@@ -91,11 +91,6 @@ fn bench_serve(c: &mut Criterion) {
     let bytes = snapshot_bytes();
     let mut group = c.benchmark_group("serve");
     group.sample_size(10);
-
-    // Cold start: parse + checksum + rebuild the full structure.
-    group.bench_function("snapshot_load_cold", |b| {
-        b.iter(|| load_snapshot(&bytes).expect("load"));
-    });
 
     // Uncached query latency: cache disabled, every request re-renders.
     // `/hierarchy` is the heaviest endpoint (full JSON export), so the
@@ -166,26 +161,19 @@ fn bench_serve(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cold-load comparison at serving scale: one 50k-document model saved in
-/// both formats. v1 deserializes (and allocates) the whole structure; v2
-/// maps the file and only verifies the checksum, so the gap is the whole
-/// point of the format (ISSUE acceptance: >= 10x).
+/// Cold load at serving scale: a 50k-document v2 artifact is mapped and
+/// validated, never deserialized.
 fn bench_cold_load_50k(c: &mut Criterion) {
     let docs = if test_mode() { 1_000 } else { 50_000 };
     let (corpus, mined) = replay_model(docs, 42);
     let dir = std::env::temp_dir().join(format!("lesm-bench-coldload-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let v1_path = dir.join("model-v1.lesm");
     let v2_path = dir.join("model-v2.lesm");
-    lesm_serve::save_snapshot_file(v1_path.to_str().unwrap(), &corpus, &mined).expect("save v1");
     lesm_serve::save_snapshot_v2_file(v2_path.to_str().unwrap(), &corpus, &mined)
         .expect("save v2");
 
     let mut group = c.benchmark_group("serve");
     group.sample_size(10);
-    group.bench_function("snapshot_load_cold_v1_50k", |b| {
-        b.iter(|| lesm_serve::load_model_file(v1_path.to_str().unwrap()).expect("load v1"));
-    });
     group.bench_function("snapshot_load_cold_v2_50k", |b| {
         b.iter(|| lesm_serve::load_model_file(v2_path.to_str().unwrap()).expect("load v2"));
     });

@@ -56,13 +56,12 @@ fn run(command: Command) -> Result<(), String> {
             let json = lesm_cli::run_mine(&corpus, k, depth, threads, em_tol)?;
             emit(&json)
         }
-        Command::Snapshot { input, output, k, depth, threads, em_tol, par_threshold, format } => {
+        Command::Snapshot { input, output, k, depth, threads, em_tol, par_threshold } => {
             if let Some(units) = par_threshold {
                 lesm_par::set_par_threshold(units);
             }
             let corpus = lesm_cli::load_corpus(&input)?;
-            let summary =
-                lesm_cli::run_snapshot(&corpus, &output, k, depth, threads, em_tol, format)?;
+            let summary = lesm_cli::run_snapshot(&corpus, &output, k, depth, threads, em_tol)?;
             emit(&format!("{summary}\n"))
         }
         Command::Inspect { input } => {

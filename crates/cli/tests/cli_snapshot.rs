@@ -37,7 +37,7 @@ fn snapshot_search_matches_tsv_search_and_never_reruns_em() {
     let lesm = temp_path("roundtrip.lesm");
 
     let summary =
-        run_snapshot(&corpus, lesm.to_str().unwrap(), 2, 1, 1, 0.0, 2).expect("snapshot");
+        run_snapshot(&corpus, lesm.to_str().unwrap(), 2, 1, 1, 0.0).expect("snapshot");
     assert!(summary.contains("topics"), "unexpected summary: {summary}");
     assert!(lesm_serve::is_snapshot_file(lesm.to_str().unwrap()));
     assert!(!lesm_serve::is_snapshot_file(tsv.to_str().unwrap()));
@@ -78,7 +78,7 @@ fn snapshot_search_matches_tsv_search_and_never_reruns_em() {
 fn corrupted_snapshot_is_a_clean_error() {
     let corpus = synth_corpus(200, 5);
     let lesm = temp_path("corrupt.lesm");
-    run_snapshot(&corpus, lesm.to_str().unwrap(), 2, 1, 1, 0.0, 2).expect("snapshot");
+    run_snapshot(&corpus, lesm.to_str().unwrap(), 2, 1, 1, 0.0).expect("snapshot");
     let mut bytes = std::fs::read(&lesm).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xff;
@@ -89,6 +89,51 @@ fn corrupted_snapshot_is_a_clean_error() {
     std::fs::remove_file(lesm).ok();
 }
 
+/// A minimal artifact in the retired v1 layout: magic, version 1, an
+/// empty section table, and its byte-wise FNV-1a 64 trailer.
+fn v1_artifact() -> Vec<u8> {
+    let mut bytes = b"LESM".to_vec();
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(&0u32.to_le_bytes());
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in &bytes {
+        h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
+    }
+    bytes.extend_from_slice(&h.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn v1_artifacts_fail_with_a_rebuild_hint() {
+    let path = temp_path("v1.lesm");
+    std::fs::write(&path, v1_artifact()).unwrap();
+    let path = path.to_str().unwrap();
+    let lesm = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_lesm"))
+            .args(args)
+            .output()
+            .expect("run lesm");
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    for args in [
+        vec!["search", path, "mining"],
+        vec!["serve", path, "--addr", "127.0.0.1:0"],
+        vec!["snapshot", "inspect", path],
+        vec!["query", path, r#"{"steps":[]}"#],
+        vec!["shard", path, "unused-out-dir"],
+    ] {
+        let (code, stderr) = lesm(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("format version 1 unsupported (this build reads 2)")
+                && stderr.contains("`lesm snapshot`"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("checksum") && !stderr.contains("panicked"), "{stderr}");
+    }
+    std::fs::remove_file(path).ok();
+}
+
 fn s(v: &[&str]) -> Vec<String> {
     v.iter().map(|x| x.to_string()).collect()
 }
@@ -96,12 +141,11 @@ fn s(v: &[&str]) -> Vec<String> {
 #[test]
 fn parse_snapshot_subcommand() {
     match parse_args(&s(&["snapshot", "in.tsv", "out.lesm"])).unwrap() {
-        Command::Snapshot { input, output, k, depth, threads, em_tol, par_threshold, format } => {
+        Command::Snapshot { input, output, k, depth, threads, em_tol, par_threshold } => {
             assert_eq!((input.as_str(), output.as_str()), ("in.tsv", "out.lesm"));
             assert_eq!((k, depth, threads), (4, 2, 0));
             assert_eq!(em_tol, 0.0);
             assert_eq!(par_threshold, None);
-            assert_eq!(format, 2, "v2 is the default artifact format");
         }
         other => panic!("expected Snapshot, got {other:?}"),
     }

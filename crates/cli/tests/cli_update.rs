@@ -80,7 +80,7 @@ fn update_snapshot_in_place_is_deterministic_and_carries_lineage() {
     std::fs::create_dir_all(&db).unwrap();
     let a = da.join("base.lesm");
     let b = db.join("base.lesm");
-    run_snapshot(&base, a.to_str().unwrap(), 2, 1, 1, 0.0, 2).expect("snapshot");
+    run_snapshot(&base, a.to_str().unwrap(), 2, 1, 1, 0.0).expect("snapshot");
     std::fs::copy(&a, &b).expect("copy base");
 
     // Update the two copies with different thread counts: byte-identical.
@@ -100,7 +100,7 @@ fn update_snapshot_in_place_is_deterministic_and_carries_lineage() {
     let report = lesm_serve::describe_artifact_file(a.to_str().unwrap()).expect("inspect");
     assert!(report.contains("delta-lineage"), "missing lineage section:\n{report}");
     let model = lesm_serve::load_model_file(a.to_str().unwrap()).expect("load updated");
-    let lesm_serve::Model::Mapped(mapped) = &model else { panic!("expected mapped v2 model") };
+    let lesm_serve::Model::Mapped(mapped) = &model;
     let info = mapped.delta_info().expect("lineage present");
     assert_eq!(info.base_docs, 260);
     assert_eq!(info.chain_depth, 1);
@@ -124,7 +124,7 @@ fn store_updates_publish_new_versions_and_compact_past_chain_limit() {
 
     // Seed a versioned store with the base artifact as v0001.
     let seed_lesm = temp_dir("store-seed.lesm");
-    run_snapshot(&base, seed_lesm.to_str().unwrap(), 2, 1, 1, 0.0, 2).expect("snapshot");
+    run_snapshot(&base, seed_lesm.to_str().unwrap(), 2, 1, 1, 0.0).expect("snapshot");
     let dir = temp_dir("store");
     std::fs::remove_dir_all(&dir).ok();
     let bytes = std::fs::read(&seed_lesm).unwrap();
@@ -150,7 +150,7 @@ fn store_updates_publish_new_versions_and_compact_past_chain_limit() {
     );
     let (name, model) = lesm_serve::store::load_current(&dir).expect("load current");
     assert_eq!(name, "v0004.lesm");
-    let lesm_serve::Model::Mapped(mapped) = &model else { panic!("expected mapped v2 model") };
+    let lesm_serve::Model::Mapped(mapped) = &model;
     assert!(mapped.delta_info().is_none(), "compacted artifact must carry no lineage");
 
     // Each update appended the same 20 docs on top of the 200 base docs.

@@ -5,70 +5,79 @@
 //! phrase-represented, entity-enriched topic tree with per-topic scores,
 //! in the spirit of the Figure 3.4 visualization.
 
-use crate::pipeline::MinedStructure;
-use lesm_corpus::{Corpus, EntityRef};
+use crate::view::ModelView;
+use std::fmt::Write as _;
+
+/// Renders topic `t` as "phrases / entities…" (the Figure 3.4 artifact):
+/// the path, then the top `n` phrases and the top `n` entities of each
+/// type. The `/topics/{id}` response body.
+pub fn render_topic<V: ModelView>(m: &V, t: usize, n: usize) -> String {
+    let mut s = String::new();
+    let _ = write!(s, "[{}] ", m.topic_path(t));
+    let phrases: Vec<String> =
+        m.topic_phrases(t).take(n).map(|(tokens, _, _)| m.render_tokens(tokens)).collect();
+    let _ = write!(s, "{{{}}}", phrases.join("; "));
+    for x in 0..m.entity_cells(t) {
+        let names: Vec<&str> =
+            m.topic_entities(t, x).take(n).map(|(id, _)| m.entity_name(x, id)).collect();
+        let _ = write!(s, " / {{{}}}", names.join("; "));
+    }
+    s
+}
 
 /// Serializes a mined structure to a pretty-printed JSON string.
-pub fn hierarchy_to_json(corpus: &Corpus, mined: &MinedStructure, top_n: usize) -> String {
+pub fn hierarchy_to_json<V: ModelView>(m: &V, top_n: usize) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\n  \"topics\": [\n");
-    let n = mined.hierarchy.len();
+    let n = m.num_topics();
     for t in 0..n {
-        let topic = &mined.hierarchy.topics[t];
         out.push_str("    {\n");
-        push_kv(&mut out, 6, "path", &json_string(&topic.path));
-        push_kv(&mut out, 6, "parent", &match topic.parent {
+        push_kv(&mut out, 6, "path", &json_string(m.topic_path(t)));
+        push_kv(&mut out, 6, "parent", &match m.topic_parent(t) {
             Some(p) => p.to_string(),
             None => "null".into(),
         });
-        push_kv(&mut out, 6, "level", &topic.level.to_string());
-        push_kv(&mut out, 6, "rho", &json_number(topic.rho));
+        push_kv(&mut out, 6, "level", &m.topic_level(t).to_string());
+        push_kv(&mut out, 6, "rho", &json_number(m.topic_rho(t)));
         // Phrases.
         out.push_str("      \"phrases\": [");
-        let phrases = &mined.topic_phrases[t];
-        for (i, p) in phrases.iter().take(top_n).enumerate() {
+        for (i, (tokens, score, freq)) in m.topic_phrases(t).take(top_n).enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "{{\"text\": {}, \"score\": {}, \"freq\": {}}}",
-                json_string(&corpus.vocab.render(&p.tokens)),
-                json_number(p.score),
-                json_number(p.topic_freq)
-            ));
+                json_string(&m.render_tokens(tokens)),
+                json_number(score),
+                json_number(freq)
+            );
         }
         out.push_str("],\n");
         // Entities per type.
         out.push_str("      \"entities\": {");
-        for (etype, list) in mined.topic_entities[t].iter().enumerate() {
-            if etype > 0 {
+        for x in 0..m.entity_cells(t) {
+            if x > 0 {
                 out.push_str(", ");
             }
-            let type_name = corpus.entities.type_name(etype).unwrap_or("entity");
-            out.push_str(&format!("{}: [", json_string(type_name)));
-            for (i, &(id, score)) in list.iter().take(top_n).enumerate() {
+            let type_name = m.entity_type_name(x).unwrap_or("entity");
+            let _ = write!(out, "{}: [", json_string(type_name));
+            for (i, (id, score)) in m.topic_entities(t, x).take(top_n).enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                let name = corpus.entities.name(EntityRef::new(etype, id));
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     "{{\"name\": {}, \"score\": {}}}",
-                    json_string(name),
+                    json_string(m.entity_name(x, id)),
                     json_number(score)
-                ));
+                );
             }
             out.push(']');
         }
         out.push_str("},\n");
-        out.push_str(&format!(
-            "      \"children\": [{}]\n",
-            topic
-                .children
-                .iter()
-                .map(usize::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
+        let children: Vec<String> = m.topic_children(t).map(|c| c.to_string()).collect();
+        let _ = writeln!(out, "      \"children\": [{}]", children.join(", "));
         out.push_str(if t + 1 < n { "    },\n" } else { "    }\n" });
     }
     out.push_str("  ]\n}\n");
@@ -217,7 +226,7 @@ mod tests {
             },
         )
         .unwrap();
-        let json = hierarchy_to_json(&papers.corpus, &mined, 5);
+        let json = hierarchy_to_json(&mined.view(&papers.corpus), 5);
         assert!(is_balanced_json(&json), "unbalanced JSON:\n{json}");
         assert!(json.contains("\"topics\""));
         assert!(json.contains("\"phrases\""));

@@ -25,12 +25,14 @@ pub mod pipeline;
 pub mod search;
 pub mod synthmodel;
 pub mod update;
+pub mod view;
 
-pub use export::hierarchy_to_json;
+pub use export::{hierarchy_to_json, render_topic};
 pub use lesm_hier::UpdateBudget;
 pub use search::{search, SearchHit};
 pub use pipeline::{MinedStructure, MinerConfig, LatentStructureMiner};
 pub use synthmodel::model_from_truth;
+pub use view::{MinedView, ModelView};
 
 /// Errors surfaced by the integrated pipeline.
 #[derive(Debug)]

@@ -1,7 +1,7 @@
 //! The end-to-end mining pipeline.
 
 use crate::CoreError;
-use lesm_corpus::{Corpus, EntityRef};
+use lesm_corpus::Corpus;
 use lesm_hier::{CathyConfig, TopicHierarchy};
 use lesm_net::collapsed_network;
 use lesm_phrases::topmine::{FrequentPhrases, Segmenter, SegmenterConfig};
@@ -72,25 +72,6 @@ pub struct MinedStructure {
 }
 
 impl MinedStructure {
-    /// Renders topic `t` as "phrases / entities…" (the Figure 3.4 artifact).
-    pub fn render_topic(&self, corpus: &Corpus, t: usize, n: usize) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = write!(s, "[{}] ", self.hierarchy.topics[t].path);
-        let phrases: Vec<String> = self.topic_phrases[t]
-            .iter()
-            .take(n)
-            .map(|p| corpus.vocab.render(&p.tokens))
-            .collect();
-        let _ = write!(s, "{{{}}}", phrases.join("; "));
-        for (etype, list) in self.topic_entities[t].iter().enumerate() {
-            let names: Vec<&str> =
-                list.iter().take(n).map(|&(id, _)| corpus.entities.name(EntityRef::new(etype, id))).collect();
-            let _ = write!(s, " / {{{}}}", names.join("; "));
-        }
-        s
-    }
-
     /// The leaf topic with the largest weight for document `d`.
     pub fn doc_leaf(&self, d: usize) -> usize {
         self.hierarchy
@@ -377,7 +358,7 @@ pub(crate) mod tests {
     fn render_topic_is_human_readable() {
         let s = small_corpus();
         let mined = LatentStructureMiner::mine(&s.corpus, &miner_config()).unwrap();
-        let txt = mined.render_topic(&s.corpus, 1, 5);
+        let txt = crate::export::render_topic(&mined.view(&s.corpus), 1, 5);
         assert!(txt.contains("o/1"));
         assert!(txt.contains('{'));
     }

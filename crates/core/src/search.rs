@@ -6,13 +6,13 @@
 //! otherwise hard to handle due to the lack of structures" use case the
 //! introduction motivates.
 
-use crate::pipeline::MinedStructure;
-use lesm_corpus::Corpus;
+use crate::view::ModelView;
 
 /// A scored search result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchHit {
-    /// Document index.
+    /// Document index (local to the view; [`ModelView::doc_id`] gives the
+    /// printed global number).
     pub doc: usize,
     /// Relevance score (higher is better).
     pub score: f64,
@@ -28,25 +28,19 @@ pub struct SearchHit {
 /// Ordering is total and deterministic: descending score, with exact
 /// score ties broken by ascending topic id (so truncation to `top_n`
 /// never depends on iteration order or float quirks).
-pub fn rank_topics(mined: &MinedStructure, query: &[u32], top_n: usize) -> Vec<(usize, f64)> {
-    let mut scored: Vec<(usize, f64)> = (0..mined.hierarchy.len())
+pub fn rank_topics<V: ModelView>(m: &V, query: &[u32], top_n: usize) -> Vec<(usize, f64)> {
+    let mut scored: Vec<(usize, f64)> = (0..m.num_topics())
         .map(|t| {
-            // Sum in sorted-key order: HashMap iteration order is
-            // process-random and f64 addition is not associative.
-            let mut entries: Vec<(&Vec<u32>, f64)> =
-                mined.phrase_topic_freq[t].iter().map(|(k, &v)| (k, v)).collect();
-            entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-            let total: f64 = entries.iter().map(|&(_, v)| v).sum();
-            if total <= 0.0 {
-                return (t, 0.0);
-            }
-            let mut hit = 0.0;
-            for (phrase, f) in entries {
+            // Both sums run in ascending phrase-key order: f64 addition
+            // is not associative, so the order is part of the answer.
+            let (mut total, mut hit) = (0.0, 0.0);
+            for (phrase, f) in m.ptf_entries(t) {
+                total += f;
                 if query.iter().any(|q| phrase.contains(q)) {
                     hit += f;
                 }
             }
-            (t, hit / total)
+            (t, if total <= 0.0 { 0.0 } else { hit / total })
         })
         .collect();
     scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
@@ -60,34 +54,27 @@ pub fn rank_topics(mined: &MinedStructure, query: &[u32], top_n: usize) -> Vec<(
 /// rank above off-topic documents with the same literal overlap).
 ///
 /// Like [`rank_topics`], the result order is total and deterministic:
-/// descending score with exact ties broken by ascending document id.
-pub fn search(
-    corpus: &Corpus,
-    mined: &MinedStructure,
-    query_text: &str,
-    top_n: usize,
-) -> Vec<SearchHit> {
+/// descending score with exact ties broken by ascending document index.
+pub fn search<V: ModelView>(m: &V, query_text: &str, top_n: usize) -> Vec<SearchHit> {
     let query: Vec<u32> = lesm_corpus::text::tokenize(query_text)
-        .filter_map(|t| corpus.vocab.get(&lesm_corpus::text::lowercase(t)))
+        .filter_map(|t| m.word_id(&lesm_corpus::text::lowercase(t)))
         .collect();
     if query.is_empty() {
         return Vec::new();
     }
     // Best-matching non-root topic (fall back to root when nothing scores).
-    let topics = rank_topics(mined, &query, 3);
+    let topics = rank_topics(m, &query, 3);
     let best_topic = topics
         .iter()
         .find(|&&(t, s)| t != 0 && s > 0.0)
         .map(|&(t, _)| t)
         .unwrap_or(0);
-    let mut hits: Vec<SearchHit> = corpus
-        .docs
-        .iter()
-        .enumerate()
-        .filter_map(|(d, doc)| {
-            let matched = query.iter().filter(|q| doc.tokens.contains(q)).count();
+    let mut hits: Vec<SearchHit> = (0..m.num_docs())
+        .filter_map(|d| {
+            let tokens = m.doc_tokens(d);
+            let matched = query.iter().filter(|q| tokens.contains(q)).count();
             let overlap = matched as f64 / query.len() as f64;
-            let topical = mined.doc_topic[d][best_topic];
+            let topical = m.doc_topic(d, best_topic);
             let score = overlap + topical;
             if matched == 0 && topical <= 0.0 {
                 None
@@ -105,16 +92,18 @@ pub fn search(
 ///
 /// This is the single formatting point shared by `lesm search` and the
 /// `lesm-serve` `/search` endpoint, so server responses are byte-identical
-/// to offline CLI output.
-pub fn render_hits(corpus: &Corpus, mined: &MinedStructure, hits: &[SearchHit]) -> Vec<String> {
+/// to offline CLI output. The printed document number is the global id,
+/// so a shard prints what an unsharded server prints for the same
+/// document.
+pub fn render_hits<V: ModelView>(m: &V, hits: &[SearchHit]) -> Vec<String> {
     hits.iter()
         .map(|hit| {
             format!(
                 "doc {:>5}  score {:.3}  topic {}  {}",
-                hit.doc,
+                m.doc_id(hit.doc),
                 hit.score,
-                mined.hierarchy.topics[hit.topic].path,
-                corpus.render_doc(hit.doc)
+                m.topic_path(hit.topic),
+                m.render_doc(hit.doc)
             )
         })
         .collect()
@@ -123,7 +112,7 @@ pub fn render_hits(corpus: &Corpus, mined: &MinedStructure, hits: &[SearchHit]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{LatentStructureMiner, MinerConfig};
+    use crate::pipeline::{LatentStructureMiner, MinedStructure, MinerConfig};
     use lesm_corpus::synth::{PapersConfig, SyntheticPapers};
     use lesm_hier::em::{EmConfig, WeightMode};
     use lesm_hier::hierarchy::{CathyConfig, ChildCount};
@@ -168,7 +157,7 @@ mod tests {
         let leaf = papers.truth.hierarchy.leaves[0];
         let word = papers.truth.hierarchy.own_words[leaf][0];
         let query = papers.corpus.vocab.name_or_unk(word).to_string();
-        let hits = search(&papers.corpus, &m, &query, 10);
+        let hits = search(&m.view(&papers.corpus), &query, 10);
         assert!(!hits.is_empty());
         // Most hits should be documents of that ground-truth leaf.
         let on_topic = hits
@@ -189,8 +178,8 @@ mod tests {
     #[test]
     fn unknown_query_returns_empty() {
         let (papers, m) = mined();
-        assert!(search(&papers.corpus, &m, "zzzz-not-a-word", 10).is_empty());
-        assert!(search(&papers.corpus, &m, "", 10).is_empty());
+        assert!(search(&m.view(&papers.corpus), "zzzz-not-a-word", 10).is_empty());
+        assert!(search(&m.view(&papers.corpus), "", 10).is_empty());
     }
 
     /// A hand-built corpus + structure where scores tie *exactly*: four
@@ -241,13 +230,13 @@ mod tests {
     fn rank_topics_breaks_exact_score_ties_by_ascending_topic_id() {
         let (corpus, mined) = tied_structure();
         let alpha = corpus.vocab.get("alpha").unwrap();
-        let ranked = rank_topics(&mined, &[alpha], 10);
+        let ranked = rank_topics(&mined.view(&corpus), &[alpha], 10);
         // All three topics score exactly 1.0; the pinned order is by id.
         assert_eq!(ranked.iter().map(|&(t, _)| t).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert!(ranked.windows(2).all(|w| w[0].1 == w[1].1), "scores should tie exactly");
         // Truncation under a tie is deterministic too: lowest ids survive.
         assert_eq!(
-            rank_topics(&mined, &[alpha], 2).iter().map(|&(t, _)| t).collect::<Vec<_>>(),
+            rank_topics(&mined.view(&corpus), &[alpha], 2).iter().map(|&(t, _)| t).collect::<Vec<_>>(),
             vec![0, 1]
         );
     }
@@ -255,26 +244,26 @@ mod tests {
     #[test]
     fn search_breaks_exact_score_ties_by_ascending_doc_id() {
         let (corpus, mined) = tied_structure();
-        let hits = search(&corpus, &mined, "alpha", 10);
+        let hits = search(&mined.view(&corpus), "alpha", 10);
         assert_eq!(hits.iter().map(|h| h.doc).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         assert!(hits.windows(2).all(|w| w[0].score == w[1].score), "scores should tie exactly");
         // Truncation keeps the lowest doc ids.
         assert_eq!(
-            search(&corpus, &mined, "alpha", 2).iter().map(|h| h.doc).collect::<Vec<_>>(),
+            search(&mined.view(&corpus), "alpha", 2).iter().map(|h| h.doc).collect::<Vec<_>>(),
             vec![0, 1]
         );
         // A strictly better doc still outranks the tied block.
         let (corpus, mut mined) = tied_structure();
         mined.doc_topic[2][1] = 0.9;
-        let hits = search(&corpus, &mined, "alpha", 10);
+        let hits = search(&mined.view(&corpus), "alpha", 10);
         assert_eq!(hits.iter().map(|h| h.doc).collect::<Vec<_>>(), vec![2, 0, 1, 3]);
     }
 
     #[test]
     fn render_hits_formats_one_line_per_hit() {
         let (corpus, mined) = tied_structure();
-        let hits = search(&corpus, &mined, "alpha", 2);
-        let lines = render_hits(&corpus, &mined, &hits);
+        let hits = search(&mined.view(&corpus), "alpha", 2);
+        let lines = render_hits(&mined.view(&corpus), &hits);
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0], "doc     0  score 1.500  topic o/1  alpha");
     }
@@ -284,7 +273,7 @@ mod tests {
         let (papers, m) = mined();
         let leaf = papers.truth.hierarchy.leaves[0];
         let word = papers.truth.hierarchy.own_words[leaf][0];
-        let ranked = rank_topics(&m, &[word], 5);
+        let ranked = rank_topics(&m.view(&papers.corpus), &[word], 5);
         assert!(!ranked.is_empty());
         // The top-ranked non-root topic should carry the word in its
         // phrase table.

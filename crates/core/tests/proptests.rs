@@ -86,7 +86,7 @@ proptest! {
         score_bits in vec(0u64..=u64::MAX, 1..6),
     ) {
         let (corpus, mined) = synthetic_structure(&words, &entity_names, &score_bits);
-        let json = hierarchy_to_json(&corpus, &mined, 10);
+        let json = hierarchy_to_json(&mined.view(&corpus), 10);
         prop_assert!(is_balanced_json(&json), "unbalanced JSON:\n{json}");
     }
 
@@ -96,7 +96,7 @@ proptest! {
         entity_names in vec(NASTY, 1..4),
     ) {
         let (corpus, mined) = synthetic_structure(&words, &entity_names, &[1.0f64.to_bits()]);
-        let json = hierarchy_to_json(&corpus, &mined, 10);
+        let json = hierarchy_to_json(&mined.view(&corpus), 10);
         // Every interned word renders as a single-token phrase, so its
         // RFC 8259 escaping must appear verbatim; same for entity names
         // and the entity type name.
@@ -208,7 +208,7 @@ proptest! {
         match LatentStructureMiner::mine(&corpus, &tiny_config(k, depth, min_support)) {
             Ok(mined) => {
                 assert_all_finite(&mined)?;
-                let json = hierarchy_to_json(&corpus, &mined, 8);
+                let json = hierarchy_to_json(&mined.view(&corpus), 8);
                 prop_assert!(is_balanced_json(&json), "unbalanced JSON:\n{json}");
             }
             // Typed rejection (e.g. an empty corpus) is an acceptable

@@ -67,25 +67,25 @@ pub fn check_finite(mined: &MinedStructure) -> Result<(), String> {
 
 /// Exports the structure and checks the JSON is structurally balanced.
 pub fn check_export(corpus: &Corpus, mined: &MinedStructure) -> Result<String, String> {
-    let json = hierarchy_to_json(corpus, mined, 10);
+    let json = hierarchy_to_json(&mined.view(corpus), 10);
     if !is_balanced_json(&json) {
         return Err("hierarchy_to_json produced unbalanced JSON".into());
     }
     Ok(json)
 }
 
-/// Round-trips the structure through the snapshot store and checks
-/// `save(load(save(x))) == save(x)` byte-for-byte plus export equality of
-/// the reloaded structure.
+/// Round-trips the structure through a v2 artifact and checks
+/// `save(decode(load(save(x)))) == save(x)` byte-for-byte, plus that the
+/// decoded structure and the mapped artifact both export `json`.
 pub fn check_snapshot_roundtrip(
     corpus: &Corpus,
     mined: &MinedStructure,
     json: &str,
 ) -> Result<(), String> {
-    let bytes = lesm_serve::save_snapshot(corpus, mined).map_err(|e| format!("save_snapshot: {e}"))?;
-    let snap = lesm_serve::load_snapshot(&bytes).map_err(|e| format!("load_snapshot: {e}"))?;
-    let again = lesm_serve::save_snapshot(&snap.corpus, &snap.mined)
-        .map_err(|e| format!("save_snapshot (re-save): {e}"))?;
+    let (bytes, mapped) = snapshot_roundtrip(corpus, mined)?;
+    let snap = mapped.to_snapshot().map_err(|e| format!("to_snapshot: {e}"))?;
+    let again = lesm_serve::save_snapshot_v2(&snap.corpus, &snap.mined)
+        .map_err(|e| format!("save_snapshot_v2 (re-save): {e}"))?;
     if again != bytes {
         return Err(format!(
             "snapshot re-save differs: {} vs {} bytes",
@@ -93,9 +93,23 @@ pub fn check_snapshot_roundtrip(
             bytes.len()
         ));
     }
-    let json2 = check_export(&snap.corpus, &snap.mined)?;
-    if json2 != json {
-        return Err("reloaded snapshot exports different JSON".into());
+    if check_export(&snap.corpus, &snap.mined)? != json {
+        return Err("decoded snapshot exports different JSON".into());
+    }
+    if hierarchy_to_json(&mapped, 10) != json {
+        return Err("mapped snapshot exports different JSON".into());
     }
     Ok(())
+}
+
+/// Saves `corpus` + `mined` as a v2 artifact and maps it back.
+pub fn snapshot_roundtrip(
+    corpus: &Corpus,
+    mined: &MinedStructure,
+) -> Result<(Vec<u8>, lesm_serve::MappedSnapshot), String> {
+    let bytes = lesm_serve::save_snapshot_v2(corpus, mined)
+        .map_err(|e| format!("save_snapshot_v2: {e}"))?;
+    let mapped = lesm_serve::MappedSnapshot::from_bytes(&bytes)
+        .map_err(|e| format!("MappedSnapshot::from_bytes: {e}"))?;
+    Ok((bytes, mapped))
 }

@@ -1,7 +1,7 @@
 //! The chain driver: runs one adversarial case end-to-end under
 //! `catch_unwind` and classifies the outcome.
 
-use crate::check::{check_export, check_finite, check_snapshot_roundtrip};
+use crate::check::{check_export, check_finite, check_snapshot_roundtrip, snapshot_roundtrip};
 use crate::gen::{case, Case};
 use lesm_core::pipeline::{LatentStructureMiner, MinedStructure};
 use lesm_corpus::Corpus;
@@ -101,12 +101,13 @@ fn drive_mined(corpus: &Corpus, mined: &MinedStructure) -> Result<(), String> {
     if !corpus.vocab.is_empty() {
         queries.push(corpus.vocab.render(&[0]));
     }
+    let view = mined.view(corpus);
     for q in &queries {
-        let hits = lesm_core::search::search(corpus, mined, q, 10);
+        let hits = lesm_core::search::search(&view, q, 10);
         if let Some(h) = hits.iter().find(|h| !h.score.is_finite()) {
             return Err(format!("search({q:?}) hit doc {} has score {}", h.doc, h.score));
         }
-        let lines = lesm_core::search::render_hits(corpus, mined, &hits);
+        let lines = lesm_core::search::render_hits(&view, &hits);
         if lines.len() != hits.len() {
             return Err("render_hits dropped or invented lines".into());
         }
@@ -115,7 +116,7 @@ fn drive_mined(corpus: &Corpus, mined: &MinedStructure) -> Result<(), String> {
     // Render every topic, plus an out-of-range probe through the public
     // length check the server uses.
     for t in 0..mined.hierarchy.len() {
-        let _ = mined.render_topic(corpus, t, 10);
+        let _ = lesm_core::export::render_topic(&view, t, 10);
     }
 
     // Coherence eval over the top phrases: finite even on empty corpora.
@@ -165,13 +166,9 @@ pub fn run_server_case(id: usize) -> Result<Vec<String>, CaseFailure> {
         Ok(Err(_)) => return Ok(Vec::new()),
         Ok(Ok(m)) => m,
     };
-    let bytes = match lesm_serve::save_snapshot(&corpus, &mined) {
-        Ok(b) => b,
-        Err(e) => return Err(fail(format!("save_snapshot: {e}"))),
-    };
-    let snap = match lesm_serve::load_snapshot(&bytes) {
-        Ok(s) => s,
-        Err(e) => return Err(fail(format!("load_snapshot: {e}"))),
+    let mapped = match snapshot_roundtrip(&corpus, &mined) {
+        Ok((_, m)) => m,
+        Err(e) => return Err(fail(e)),
     };
     let server_config = lesm_serve::ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -179,9 +176,10 @@ pub fn run_server_case(id: usize) -> Result<Vec<String>, CaseFailure> {
         cache_capacity: 4,
         ..lesm_serve::ServerConfig::default()
     };
-    let handle = match lesm_serve::Server::start(snap, server_config) {
+    let model = lesm_serve::Model::Mapped(Box::new(mapped));
+    let handle = match lesm_serve::Server::start_model(model, server_config) {
         Ok(h) => h,
-        Err(e) => return Err(fail(format!("Server::start: {e}"))),
+        Err(e) => return Err(fail(format!("Server::start_model: {e}"))),
     };
     let addr = handle.addr();
     let targets = [
@@ -286,24 +284,22 @@ pub fn run_nonfinite_snapshot_cases() -> Vec<CaseFailure> {
             label: format!("nonfinite-snapshot bits={bits:#018x}"),
             detail,
         };
-        let bytes = match lesm_serve::save_snapshot(&corpus, &mined) {
-            Ok(b) => b,
+        let (bytes, mapped) = match snapshot_roundtrip(&corpus, &mined) {
+            Ok(r) => r,
             Err(e) => {
-                failures.push(fail(format!("save_snapshot: {e}")));
+                failures.push(fail(e));
                 continue;
             }
         };
-        let snap = match lesm_serve::load_snapshot(&bytes) {
-            Ok(s) => s,
-            Err(e) => {
-                failures.push(fail(format!("load_snapshot: {e}")));
-                continue;
-            }
-        };
-        let again = match lesm_serve::save_snapshot(&snap.corpus, &snap.mined) {
+        let again = match mapped.to_snapshot().map_err(|e| format!("to_snapshot: {e}")).and_then(
+            |snap| {
+                lesm_serve::save_snapshot_v2(&snap.corpus, &snap.mined)
+                    .map_err(|e| format!("save_snapshot_v2 (re-save): {e}"))
+            },
+        ) {
             Ok(b) => b,
             Err(e) => {
-                failures.push(fail(format!("save_snapshot (re-save): {e}")));
+                failures.push(fail(e));
                 continue;
             }
         };
@@ -311,7 +307,7 @@ pub fn run_nonfinite_snapshot_cases() -> Vec<CaseFailure> {
             failures.push(fail("re-save not byte-identical".into()));
             continue;
         }
-        let json = lesm_core::export::hierarchy_to_json(&snap.corpus, &snap.mined, 10);
+        let json = lesm_core::export::hierarchy_to_json(&mapped, 10);
         if !lesm_core::export::is_balanced_json(&json) {
             failures.push(fail("unbalanced JSON after round-trip".into()));
             continue;

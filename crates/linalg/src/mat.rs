@@ -83,12 +83,6 @@ impl Mat {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copies column `c` into a new vector.
-    #[deprecated(note = "allocates a Vec per call; iterate with `col_iter` instead")]
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        self.col_iter(c).collect()
-    }
-
     /// Iterates over column `c` top to bottom without allocating.
     pub fn col_iter(&self, c: usize) -> impl Iterator<Item = f64> + '_ {
         assert!(c < self.cols, "column {c} out of range");
@@ -513,9 +507,6 @@ mod tests {
         let a = Mat::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let c1: Vec<f64> = a.col_iter(1).collect();
         assert_eq!(c1, vec![2.0, 4.0, 6.0]);
-        #[allow(deprecated)]
-        let legacy = a.col(1);
-        assert_eq!(c1, legacy);
     }
 
     #[test]

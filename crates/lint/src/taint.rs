@@ -13,7 +13,8 @@
 //!
 //! - a bare-`pub` library fn (the crate's promised-deterministic API), or
 //! - any fn in a wire file — snapshot/section writers, cursor codecs,
-//!   HTTP framing (`crates/serve`, `crates/query` serve paths).
+//!   HTTP framing, response renderers (`crates/serve`, `crates/query`
+//!   serve paths, and the `crates/core` renderers they share).
 //!
 //! The sole escape is `lesm-lint: allow(D4)`: at the seed line it
 //! clears the source; at a call-site line or a callee's declaration
@@ -45,6 +46,11 @@ const WIRE_FILES: &[&str] = &[
     "crates/serve/src/shard.rs",
     "crates/serve/src/store.rs",
     "crates/serve/src/query.rs",
+    // The response renderers every backend shares (`/search`,
+    // `/topics/{id}`, `/hierarchy` bodies) and the view they read.
+    "crates/core/src/search.rs",
+    "crates/core/src/export.rs",
+    "crates/core/src/view.rs",
     "crates/query/src/engine.rs",
     "crates/query/src/parts.rs",
 ];

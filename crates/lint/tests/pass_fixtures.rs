@@ -88,6 +88,26 @@ fn stamp() -> u64 {
     assert_eq!(rules(&out), vec![RuleId::D4], "{out:?}");
 }
 
+#[test]
+fn taint_treats_the_shared_core_renderers_as_wire_files() {
+    // Response bodies are rendered in lesm-core for every backend, so a
+    // clock read there reaches the wire even from a private helper...
+    let src = "\
+fn stamp() -> u64 {
+    let t = SystemTime::now();
+    0
+}
+";
+    for path in ["crates/core/src/search.rs", "crates/core/src/export.rs", "crates/core/src/view.rs"] {
+        let out = run_pass(&ws(&[(path, src)]), Pass::Taint);
+        assert_eq!(rules(&out), vec![RuleId::D4], "{path}: {out:?}");
+    }
+    // ...while the same private helper in a non-rendering core module
+    // reaches no sink.
+    let out = run_pass(&ws(&[("crates/core/src/pipeline.rs", src)]), Pass::Taint);
+    assert!(out.is_empty(), "{out:?}");
+}
+
 // ------------------------------------------------------------- unsafe (U1-U3)
 
 #[test]

@@ -1,13 +1,13 @@
 //! [`QueryIndex`]: the derived, deterministic structure queries execute
 //! against.
 //!
-//! Built from [`IndexParts`] only, so every backend — owned v1 model,
-//! mapped v2 snapshot (cold section decoded once), or a front tier that
-//! merged shard contributions — constructs bit-identical state. All
-//! doc-derived quantities are set unions or integer counts; the only
-//! floating-point inference (TPFG advisor edges) runs over the identical
-//! global paper list on every backend, so its outputs are bit-identical
-//! too (DESIGN.md §11, §14).
+//! Built from [`IndexParts`] only, so every backend — an owned model
+//! (benches), a mapped v2 snapshot (cold section decoded once), or a
+//! front tier that merged shard contributions — constructs bit-identical
+//! state. All doc-derived quantities are set unions or integer counts;
+//! the only floating-point inference (TPFG advisor edges) runs over the
+//! identical global paper list on every backend, so its outputs are
+//! bit-identical too (DESIGN.md §11, §14).
 
 use std::collections::HashMap;
 use std::sync::OnceLock;

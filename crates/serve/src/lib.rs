@@ -3,11 +3,11 @@
 //!
 //! Two layers:
 //!
-//! 1. **Snapshot store** ([`snapshot`]): a versioned binary artifact
-//!    format (`.lesm`) persisting a [`lesm_core::MinedStructure`] plus the
-//!    query-time slice of the corpus, with a checksummed, sectioned,
-//!    length-prefixed layout and typed load errors. `load(save(m))` is
-//!    bit-identical to `m`.
+//! 1. **Snapshot store** ([`v2`]): the `.lesm` artifact format (v2, the
+//!    only one), persisting a [`lesm_core::MinedStructure`] plus the
+//!    query-time slice of the corpus as checksummed, alignment-padded
+//!    arenas that a [`MappedSnapshot`] serves zero-copy, with typed load
+//!    errors. `to_snapshot(save(m))` is bit-identical to `m`.
 //! 2. **Query server** ([`server`]): a dependency-free `std::net`
 //!    HTTP/1.1 server with a fixed worker thread pool over `std::sync::mpsc`
 //!    channels, a sharded LRU response cache behind `std::sync::Mutex`
@@ -17,8 +17,10 @@
 //!    in-process flag or a signal file, and per-connection read/write
 //!    timeouts so a slow client cannot wedge a worker.
 //!
-//! Serving is deterministic: every endpoint's response is byte-identical
-//! to the offline CLI output for the same snapshot, for any worker count.
+//! Serving is deterministic: every response body comes from the
+//! renderers in `lesm_core` ([`lesm_core::ModelView`] is implemented by
+//! [`MappedSnapshot`]), so it is byte-identical to the offline CLI output
+//! for the same model, for any worker count.
 
 // DESIGN.md §10: library code must surface typed errors, not unwraps.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
@@ -43,14 +45,11 @@ pub use metrics::Metrics;
 pub use query::{load_model_file, Model};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use shard::{load_manifest, shard_model, write_shards, ShardBy, ShardManifest};
-pub use snapshot::{
-    is_snapshot_bytes, is_snapshot_file, load_snapshot, load_snapshot_file, save_snapshot,
-    save_snapshot_file, Snapshot, FORMAT_VERSION, MAGIC,
-};
+pub use snapshot::{is_snapshot_bytes, is_snapshot_file, Snapshot, MAGIC};
 pub use v2::{
     describe_artifact, describe_artifact_file, save_snapshot_v2, save_snapshot_v2_file,
-    save_snapshot_v2_with_ids, save_snapshot_v2_with_lineage, snapshot_version_file, DeltaInfo,
-    MappedSnapshot, FORMAT_VERSION_V2,
+    save_snapshot_v2_with_ids, save_snapshot_v2_with_lineage, DeltaInfo, MappedSnapshot,
+    FORMAT_VERSION_V2,
 };
 
 /// Typed failures loading or saving snapshot artifacts.
@@ -118,7 +117,11 @@ impl std::fmt::Display for SnapshotError {
                 write!(f, "not a snapshot: bad magic {found:?} (expected {:?})", snapshot::MAGIC)
             }
             SnapshotError::VersionMismatch { found, supported } => {
-                write!(f, "snapshot format version {found} unsupported (this build reads {supported})")
+                write!(f, "snapshot format version {found} unsupported (this build reads {supported})")?;
+                if found < supported {
+                    write!(f, "; rebuild the artifact from its corpus with `lesm snapshot`")?;
+                }
+                Ok(())
             }
             SnapshotError::ChecksumMismatch { expected, actual } => write!(
                 f,

@@ -1,70 +1,51 @@
-//! Query evaluation over either backing store: an owned [`Snapshot`]
-//! (format v1) or a zero-copy [`MappedSnapshot`] (format v2).
-//!
-//! The mapped implementations mirror `lesm_core::search`,
-//! `MinedStructure::render_topic`, and `lesm_core::export::hierarchy_to_json`
-//! *exactly* — same traversal order, same float summation order (the v2
-//! phrase-frequency entries are stored in the sorted-key order the owned
-//! path sorts into), same tie-breaks, same fallback strings — so the two
-//! backends produce byte-identical responses for the same model
-//! (property-tested in `tests/v2_snapshot_tests.rs`). That identity is
-//! what lets a sharded v2 tier answer underneath the DESIGN.md §11
+//! The loaded model behind a server: a zero-copy [`MappedSnapshot`]
+//! answering through the shared renderers of `lesm_core`
+//! ([`lesm_core::search`], [`lesm_core::export`]), which read it via
+//! [`lesm_core::ModelView`]. Offline CLI output and served responses
+//! come from the same code, so they are byte-identical by construction —
+//! what lets a sharded tier answer underneath the DESIGN.md §11
 //! determinism contract.
 
 use crate::v2::MappedSnapshot;
-use crate::{Snapshot, SnapshotError};
-use lesm_core::export::{hierarchy_to_json, json_number, json_string};
-use lesm_core::search::{render_hits, search, SearchHit};
+use crate::SnapshotError;
+use lesm_core::export::{hierarchy_to_json, render_topic};
+use lesm_core::search::{render_hits, search};
+use lesm_core::ModelView;
 
-/// A loaded model: the version-dispatched union of the two snapshot
-/// formats, presenting one deterministic query interface.
+/// A loaded model: a mapped v2 artifact, the one snapshot format.
 #[derive(Debug)]
 pub enum Model {
-    /// A fully deserialized v1 snapshot.
-    Owned(Box<Snapshot>),
     /// A zero-copy mapped v2 snapshot.
     Mapped(Box<MappedSnapshot>),
 }
 
-/// Loads the artifact at `path`, dispatching on the stored format
-/// version: v1 loads via the full deserializer, v2 maps zero-copy. Other
-/// versions surface [`SnapshotError::VersionMismatch`].
+/// Maps the artifact at `path`. Anything but a v2 artifact fails typed:
+/// a v1 artifact with [`SnapshotError::VersionMismatch`].
 pub fn load_model_file(path: &str) -> Result<Model, SnapshotError> {
-    match crate::v2::snapshot_version_file(path)? {
-        1 => Ok(Model::Owned(Box::new(crate::snapshot::load_snapshot_file(path)?))),
-        _ => Ok(Model::Mapped(Box::new(MappedSnapshot::open(path)?))),
-    }
+    Ok(Model::Mapped(Box::new(MappedSnapshot::open(path)?)))
 }
 
 impl Model {
+    fn view(&self) -> &MappedSnapshot {
+        let Model::Mapped(m) = self;
+        m
+    }
+
     /// Number of topics in the hierarchy.
     pub fn num_topics(&self) -> usize {
-        match self {
-            Model::Owned(s) => s.mined.hierarchy.len(),
-            Model::Mapped(m) => m.num_topics(),
-        }
+        self.view().num_topics()
     }
 
     /// Number of documents (shard-local).
     pub fn num_docs(&self) -> usize {
-        match self {
-            Model::Owned(s) => s.corpus.num_docs(),
-            Model::Mapped(m) => m.num_docs(),
-        }
+        self.view().num_docs()
     }
 
     /// Ranked search over the model: one rendered line per hit, exactly
     /// as `lesm search` prints them. Document numbers are global ids.
     pub fn search_lines(&self, query: &str, top: usize) -> Vec<String> {
-        match self {
-            Model::Owned(s) => {
-                let hits = search(&s.corpus, &s.mined, query, top);
-                render_hits(&s.corpus, &s.mined, &hits)
-            }
-            Model::Mapped(m) => {
-                search_view(m, query, top).iter().map(|h| render_hit_line(m, h)).collect()
-            }
-        }
+        let m = self.view();
+        render_hits(m, &search(m, query, top))
     }
 
     /// Search lines for shard fan-out: each line carries the raw score
@@ -72,226 +53,34 @@ impl Model {
     /// so a front tier can merge shard results in the exact total order
     /// a single server would produce, then strip the prefix.
     pub fn internal_search_lines(&self, query: &str, top: usize) -> Vec<String> {
-        match self {
-            Model::Owned(s) => {
-                let hits = search(&s.corpus, &s.mined, query, top);
-                let lines = render_hits(&s.corpus, &s.mined, &hits);
-                hits.iter()
-                    .zip(lines)
-                    .map(|(h, line)| format!("{:016x} {} {}", h.score.to_bits(), h.doc, line))
-                    .collect()
-            }
-            Model::Mapped(m) => search_view(m, query, top)
-                .iter()
-                .map(|h| {
-                    format!(
-                        "{:016x} {} {}",
-                        h.score.to_bits(),
-                        m.doc_id(h.doc),
-                        render_hit_line(m, h)
-                    )
-                })
-                .collect(),
-        }
+        let m = self.view();
+        let hits = search(m, query, top);
+        hits.iter()
+            .zip(render_hits(m, &hits))
+            .map(|(h, line)| format!("{:016x} {} {}", h.score.to_bits(), m.doc_id(h.doc), line))
+            .collect()
     }
 
     /// Renders topic `t` (phrases + entities), or `None` out of range.
     pub fn render_topic(&self, t: usize, n: usize) -> Option<String> {
-        if t >= self.num_topics() {
-            return None;
-        }
-        Some(match self {
-            Model::Owned(s) => s.mined.render_topic(&s.corpus, t, n),
-            Model::Mapped(m) => render_topic_view(m, t, n),
-        })
+        (t < self.num_topics()).then(|| render_topic(self.view(), t, n))
     }
 
     /// The full hierarchy as pretty-printed JSON.
     pub fn hierarchy_json(&self, top_n: usize) -> String {
-        match self {
-            Model::Owned(s) => hierarchy_to_json(&s.corpus, &s.mined, top_n),
-            Model::Mapped(m) => hierarchy_to_json_view(m, top_n),
-        }
+        hierarchy_to_json(self.view(), top_n)
     }
 
     /// Extracts the canonical [`lesm_query::IndexParts`] for the query
-    /// engine. The owned path reads the model directly; the mapped path
-    /// fully decodes the cold section once (query-index construction is a
-    /// cold, memoized event — see `ServerState`) and keys documents by
-    /// their **global** ids, so owned-vs-mapped and sharded-vs-unsharded
+    /// engine: fully decodes the cold section once (query-index
+    /// construction is a cold, memoized event — see `ServerState`) and
+    /// keys documents by their **global** ids, so sharded and unsharded
     /// builds are byte-identical downstream (DESIGN.md §14).
     pub fn query_parts(&self) -> Result<lesm_query::IndexParts, String> {
-        match self {
-            Model::Owned(s) => {
-                lesm_query::IndexParts::from_model(&s.corpus, &s.mined, None)
-                    .map_err(|e| e.to_string())
-            }
-            Model::Mapped(m) => {
-                let ids: Vec<u64> = (0..m.num_docs()).map(|d| m.doc_id(d)).collect();
-                let snap = m.to_snapshot().map_err(|e| e.to_string())?;
-                lesm_query::IndexParts::from_model(&snap.corpus, &snap.mined, Some(&ids))
-                    .map_err(|e| e.to_string())
-            }
-        }
+        let m = self.view();
+        let ids: Vec<u64> = (0..m.num_docs()).map(|d| m.doc_id(d)).collect();
+        let snap = m.to_snapshot().map_err(|e| e.to_string())?;
+        lesm_query::IndexParts::from_model(&snap.corpus, &snap.mined, Some(&ids))
+            .map_err(|e| e.to_string())
     }
-}
-
-/// Query text → known token ids (mirrors `lesm_core::search::search`).
-fn tokenize_query(m: &MappedSnapshot, query_text: &str) -> Vec<u32> {
-    lesm_corpus::text::tokenize(query_text)
-        .filter_map(|t| m.word_id(&lesm_corpus::text::lowercase(t)))
-        .collect()
-}
-
-/// View twin of `lesm_core::search::rank_topics`: identical scores in
-/// identical order, because the stored phrase-frequency entry order *is*
-/// the sorted-key order the owned path sums in.
-pub fn rank_topics_view(m: &MappedSnapshot, query: &[u32], top_n: usize) -> Vec<(usize, f64)> {
-    let mut scored: Vec<(usize, f64)> = (0..m.num_topics())
-        .map(|t| {
-            let count = m.ptf_count(t);
-            let mut total = 0.0;
-            for i in 0..count {
-                total += m.ptf_entry(t, i).1;
-            }
-            if total <= 0.0 {
-                return (t, 0.0);
-            }
-            let mut hit = 0.0;
-            for i in 0..count {
-                let (phrase, f) = m.ptf_entry(t, i);
-                if query.iter().any(|q| phrase.contains(q)) {
-                    hit += f;
-                }
-            }
-            (t, hit / total)
-        })
-        .collect();
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    scored.truncate(top_n);
-    scored
-}
-
-/// View twin of `lesm_core::search::search`. `SearchHit::doc` is the
-/// *local* document index (use [`MappedSnapshot::doc_id`] to render).
-pub fn search_view(m: &MappedSnapshot, query_text: &str, top_n: usize) -> Vec<SearchHit> {
-    let query = tokenize_query(m, query_text);
-    if query.is_empty() {
-        return Vec::new();
-    }
-    let topics = rank_topics_view(m, &query, 3);
-    let best_topic =
-        topics.iter().find(|&&(t, s)| t != 0 && s > 0.0).map(|&(t, _)| t).unwrap_or(0);
-    let mut hits: Vec<SearchHit> = (0..m.num_docs())
-        .filter_map(|d| {
-            let tokens = m.doc_tokens(d);
-            let matched = query.iter().filter(|q| tokens.contains(q)).count();
-            let overlap = matched as f64 / query.len() as f64;
-            let topical = m.doc_topic(d, best_topic);
-            let score = overlap + topical;
-            if matched == 0 && topical <= 0.0 {
-                None
-            } else {
-                Some(SearchHit { doc: d, score, topic: best_topic })
-            }
-        })
-        .collect();
-    hits.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc)));
-    hits.truncate(top_n);
-    hits
-}
-
-/// View twin of `lesm_core::search::render_hits` for a single hit. The
-/// printed document number is the hit's *global* id, so shard output
-/// matches what an unsharded server prints for the same document.
-pub fn render_hit_line(m: &MappedSnapshot, hit: &SearchHit) -> String {
-    format!(
-        "doc {:>5}  score {:.3}  topic {}  {}",
-        m.doc_id(hit.doc),
-        hit.score,
-        m.path(hit.topic),
-        m.render_doc(hit.doc)
-    )
-}
-
-/// View twin of `MinedStructure::render_topic`.
-pub fn render_topic_view(m: &MappedSnapshot, t: usize, n: usize) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = write!(s, "[{}] ", m.path(t));
-    let phrases: Vec<String> = (0..m.phrase_count(t).min(n))
-        .map(|i| m.render_tokens(m.phrase(t, i).0))
-        .collect();
-    let _ = write!(s, "{{{}}}", phrases.join("; "));
-    for x in 0..m.entity_cells(t) {
-        let (ids, _) = m.topic_entities(t, x);
-        let names: Vec<&str> = ids.iter().take(n).map(|&id| m.entity_name(x, id)).collect();
-        let _ = write!(s, " / {{{}}}", names.join("; "));
-    }
-    s
-}
-
-/// View twin of `lesm_core::export::hierarchy_to_json`, byte-identical
-/// for the same model.
-pub fn hierarchy_to_json_view(m: &MappedSnapshot, top_n: usize) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n  \"topics\": [\n");
-    let n = m.num_topics();
-    for t in 0..n {
-        out.push_str("    {\n");
-        push_kv(&mut out, 6, "path", &json_string(m.path(t)));
-        push_kv(&mut out, 6, "parent", &match m.parent(t) {
-            Some(p) => p.to_string(),
-            None => "null".into(),
-        });
-        push_kv(&mut out, 6, "level", &m.level(t).to_string());
-        push_kv(&mut out, 6, "rho", &json_number(m.rho(t)));
-        out.push_str("      \"phrases\": [");
-        for i in 0..m.phrase_count(t).min(top_n) {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let (tokens, score, freq) = m.phrase(t, i);
-            out.push_str(&format!(
-                "{{\"text\": {}, \"score\": {}, \"freq\": {}}}",
-                json_string(&m.render_tokens(tokens)),
-                json_number(score),
-                json_number(freq)
-            ));
-        }
-        out.push_str("],\n");
-        out.push_str("      \"entities\": {");
-        for x in 0..m.entity_cells(t) {
-            if x > 0 {
-                out.push_str(", ");
-            }
-            let type_name = m.type_name(x).unwrap_or("entity");
-            out.push_str(&format!("{}: [", json_string(type_name)));
-            let (ids, scores) = m.topic_entities(t, x);
-            for (i, (&id, &score)) in ids.iter().zip(scores).take(top_n).enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"name\": {}, \"score\": {}}}",
-                    json_string(m.entity_name(x, id)),
-                    json_number(score)
-                ));
-            }
-            out.push(']');
-        }
-        out.push_str("},\n");
-        out.push_str(&format!(
-            "      \"children\": [{}]\n",
-            m.children(t).iter().map(u64::to_string).collect::<Vec<_>>().join(", ")
-        ));
-        out.push_str(if t + 1 < n { "    },\n" } else { "    }\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn push_kv(out: &mut String, indent: usize, key: &str, value: &str) {
-    out.push_str(&" ".repeat(indent));
-    out.push_str(&format!("\"{key}\": {value},\n"));
 }

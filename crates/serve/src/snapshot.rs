@@ -1,51 +1,26 @@
-//! Versioned binary snapshots of mined structures (the store half of the
-//! mine-once / serve-many subsystem).
+//! What every `.lesm` artifact shares, whatever reads it: the `LESM`
+//! magic (so CLI inputs can be sniffed as TSV or snapshot), the owned
+//! [`Snapshot`] pair that [`crate::MappedSnapshot::to_snapshot`] decodes
+//! into, and the streaming codecs for per-topic networks and EM fits that
+//! the v2 artifact's cold section stores (see [`crate::v2`]).
 //!
-//! Layout of a `.lesm` artifact (all integers little-endian):
-//!
-//! ```text
-//! +--------+---------+---------------+------------------+-----------+
-//! | magic  | version | section table | section payloads | checksum  |
-//! | "LESM" | u32     | u32 count +   | corpus,          | u64       |
-//! | 4 B    |         | (id,off,len)* | structure        | FNV-1a 64 |
-//! +--------+---------+---------------+------------------+-----------+
-//! ```
-//!
-//! * The **corpus section** holds the query-time slice of [`Corpus`]:
-//!   vocabulary, entity catalog, and per-document tokens/entities (needed
-//!   by `search` overlap scoring and result rendering).
-//! * The **structure section** holds the complete [`MinedStructure`]:
-//!   hierarchy (topics, per-topic networks, EM fits), ranked phrases,
-//!   ranked entities, topical frequency tables, segmentations, and
-//!   document-topic weights.
-//!
-//! Floats are stored as raw IEEE-754 bits and hash maps in sorted-key
-//! order, so `save` is a deterministic function of the value and
-//! `load(save(m))` is bit-identical to `m` (property-tested in
-//! `tests/snapshot_proptests.rs`). Corruption, truncation, and version
-//! skew surface as typed [`SnapshotError`]s — never panics.
+//! Floats are stored as raw IEEE-754 bits, so decoding is bit-identical
+//! to what was encoded. Corruption surfaces as typed [`SnapshotError`]s —
+//! never panics.
 
 use crate::wire::{ByteReader, ByteWriter};
 use crate::SnapshotError;
 use lesm_core::pipeline::MinedStructure;
-use lesm_corpus::{Corpus, Doc, EntityRef};
+use lesm_corpus::Corpus;
 use lesm_hier::em::EmFit;
-use lesm_hier::hierarchy::HierTopic;
-use lesm_hier::TopicHierarchy;
 use lesm_net::{LinkBlock, TypedNetwork};
-use lesm_phrases::TopicalPhrase;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Magic bytes opening every snapshot artifact.
 pub const MAGIC: [u8; 4] = *b"LESM";
-/// The format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 1;
 
-const SECTION_CORPUS: u32 = 1;
-const SECTION_STRUCTURE: u32 = 2;
-
-/// A loaded snapshot: the query-time corpus slice plus the mined structure.
+/// A fully decoded snapshot: the query-time corpus slice plus the mined
+/// structure.
 #[derive(Debug)]
 pub struct Snapshot {
     /// Vocabulary, entity catalog, and document tokens/entities.
@@ -68,426 +43,6 @@ pub fn is_snapshot_file(path: &str) -> bool {
         Ok(mut f) => f.read_exact(&mut head).is_ok() && is_snapshot_bytes(&head),
         Err(_) => false,
     }
-}
-
-/// FNV-1a 64 over `bytes` (the trailer checksum).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-/// Serializes a corpus + mined structure into snapshot bytes. Fails
-/// with [`SnapshotError::TooLarge`] if any id or count overflows its
-/// 32-bit wire field — the save refuses rather than truncating.
-pub fn save_snapshot(corpus: &Corpus, mined: &MinedStructure) -> Result<Vec<u8>, SnapshotError> {
-    let mut corpus_w = ByteWriter::new();
-    encode_corpus(&mut corpus_w, corpus)?;
-    let corpus_bytes = corpus_w.into_bytes();
-    let mut structure_w = ByteWriter::new();
-    encode_structure(&mut structure_w, mined);
-    let structure_bytes = structure_w.into_bytes();
-
-    let payloads = [
-        (SECTION_CORPUS, corpus_bytes),
-        (SECTION_STRUCTURE, structure_bytes),
-    ];
-    // Header + section table, with offsets relative to the artifact start.
-    let mut out = ByteWriter::new();
-    out.put_raw(&MAGIC);
-    out.put_u32(FORMAT_VERSION);
-    out.put_u32(crate::wire_u32(payloads.len(), "section count")?);
-    let table_start = out.len();
-    let entry_size = 4 + 8 + 8;
-    let mut offset = table_start + payloads.len() * entry_size;
-    for (id, payload) in &payloads {
-        out.put_u32(*id);
-        out.put_u64(offset as u64);
-        out.put_u64(payload.len() as u64);
-        offset += payload.len();
-    }
-    for (_, payload) in &payloads {
-        out.put_raw(payload);
-    }
-    let mut bytes = out.into_bytes();
-    let checksum = fnv1a64(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    Ok(bytes)
-}
-
-/// Writes a snapshot artifact to `path`.
-pub fn save_snapshot_file(
-    path: &str,
-    corpus: &Corpus,
-    mined: &MinedStructure,
-) -> Result<(), SnapshotError> {
-    std::fs::write(path, save_snapshot(corpus, mined)?).map_err(SnapshotError::Io)
-}
-
-/// Parses snapshot bytes back into a [`Snapshot`].
-pub fn load_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-    // Magic and version come first so skewed artifacts report the real
-    // cause rather than a checksum mismatch.
-    if bytes.len() < MAGIC.len() + 4 {
-        return Err(SnapshotError::Truncated {
-            offset: 0,
-            needed: MAGIC.len() + 4,
-            available: bytes.len(),
-        });
-    }
-    let found = [bytes[0], bytes[1], bytes[2], bytes[3]];
-    if found != MAGIC {
-        return Err(SnapshotError::BadMagic { found });
-    }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if version != FORMAT_VERSION {
-        return Err(SnapshotError::VersionMismatch { found: version, supported: FORMAT_VERSION });
-    }
-    let trailer_at = bytes.len().checked_sub(8).filter(|&b| b >= 8).ok_or(
-        SnapshotError::Truncated { offset: 8, needed: 8, available: bytes.len().saturating_sub(8) },
-    )?;
-    let mut stored_bytes = [0u8; 8];
-    stored_bytes.copy_from_slice(&bytes[trailer_at..]);
-    let stored = u64::from_le_bytes(stored_bytes);
-    let actual = fnv1a64(&bytes[..trailer_at]);
-    if stored != actual {
-        return Err(SnapshotError::ChecksumMismatch { expected: stored, actual });
-    }
-    let body = &bytes[..trailer_at];
-    let mut r = ByteReader::new(&body[8..]);
-    let n_sections = r.get_u32()? as usize;
-    let mut sections: HashMap<u32, (usize, usize)> = HashMap::new();
-    for _ in 0..n_sections {
-        let id = r.get_u32()?;
-        let off = r.get_u64()? as usize;
-        let len = r.get_u64()? as usize;
-        let end = off.checked_add(len).filter(|&e| e <= body.len()).ok_or(
-            SnapshotError::Malformed {
-                offset: off,
-                what: format!("section {id} extends past the artifact body"),
-            },
-        )?;
-        let _ = end;
-        sections.insert(id, (off, len));
-    }
-    let section = |id: u32| -> Result<&[u8], SnapshotError> {
-        let &(off, len) = sections.get(&id).ok_or(SnapshotError::Malformed {
-            offset: 8,
-            what: format!("missing section {id}"),
-        })?;
-        Ok(&body[off..off + len])
-    };
-    let corpus = decode_corpus(&mut ByteReader::new(section(SECTION_CORPUS)?))?;
-    let mined = decode_structure(&mut ByteReader::new(section(SECTION_STRUCTURE)?))?;
-    if mined.doc_topic.len() != corpus.num_docs() {
-        return Err(SnapshotError::Malformed {
-            offset: 0,
-            what: format!(
-                "doc_topic has {} rows but the corpus has {} documents",
-                mined.doc_topic.len(),
-                corpus.num_docs()
-            ),
-        });
-    }
-    Ok(Snapshot { corpus, mined })
-}
-
-/// Reads and parses the snapshot artifact at `path`.
-pub fn load_snapshot_file(path: &str) -> Result<Snapshot, SnapshotError> {
-    let bytes = std::fs::read(path).map_err(SnapshotError::Io)?;
-    load_snapshot(&bytes)
-}
-
-// ---------------------------------------------------------------------------
-// Corpus section
-// ---------------------------------------------------------------------------
-
-fn encode_corpus(w: &mut ByteWriter, corpus: &Corpus) -> Result<(), SnapshotError> {
-    w.put_usize(corpus.vocab.len());
-    for (_, name) in corpus.vocab.iter() {
-        w.put_str(name);
-    }
-    w.put_usize(corpus.entities.num_types());
-    for t in 0..corpus.entities.num_types() {
-        // lesm-lint: allow(R1) — t < num_types(), so the lookup cannot fail
-        w.put_str(corpus.entities.type_name(t).expect("type in range"));
-        // lesm-lint: allow(R1) — t < num_types(), so the lookup cannot fail
-        let entity_names = corpus.entities.table(t).expect("table in range");
-        w.put_usize(entity_names.len());
-        for (_, name) in entity_names.iter() {
-            w.put_str(name);
-        }
-    }
-    w.put_usize(corpus.docs.len());
-    for doc in &corpus.docs {
-        w.put_u32_seq(&doc.tokens);
-        w.put_usize(doc.entities.len());
-        for e in &doc.entities {
-            w.put_u32(crate::wire_u32(e.etype, "entity type id")?);
-            w.put_u32(e.id);
-        }
-        w.put_option(doc.label.as_ref(), |w, &l| w.put_u32(l));
-        w.put_option(doc.year.as_ref(), |w, &y| w.put_i32(y));
-    }
-    Ok(())
-}
-
-fn decode_corpus(r: &mut ByteReader) -> Result<Corpus, SnapshotError> {
-    let mut corpus = Corpus::new();
-    let n_words = r.get_len(8)?;
-    for _ in 0..n_words {
-        let name = r.get_str()?;
-        corpus.vocab.intern(&name);
-    }
-    let n_types = r.get_len(8)?;
-    for _ in 0..n_types {
-        let type_name = r.get_str()?;
-        let t = corpus.entities.add_type(&type_name);
-        let n_entities = r.get_len(8)?;
-        for _ in 0..n_entities {
-            let name = r.get_str()?;
-            // lesm-lint: allow(R1) — `t` came from add_type just above; intern cannot fail
-            corpus.entities.intern(t, &name).expect("type just added");
-        }
-    }
-    let n_docs = r.get_len(1)?;
-    for _ in 0..n_docs {
-        let tokens = r.get_u32_seq()?;
-        let n_links = r.get_len(8)?;
-        let mut entities = Vec::with_capacity(n_links);
-        for _ in 0..n_links {
-            let at = r.position();
-            let etype = r.get_u32()? as usize;
-            let id = r.get_u32()?;
-            if etype >= n_types {
-                return Err(SnapshotError::Malformed {
-                    offset: at,
-                    what: format!("entity type {etype} out of range ({n_types} types)"),
-                });
-            }
-            entities.push(EntityRef::new(etype, id));
-        }
-        let label = r.get_option(|r| r.get_u32())?;
-        let year = r.get_option(|r| r.get_i32())?;
-        corpus.docs.push(Doc { tokens, entities, label, year });
-    }
-    Ok(corpus)
-}
-
-// ---------------------------------------------------------------------------
-// Structure section
-// ---------------------------------------------------------------------------
-
-fn encode_structure(w: &mut ByteWriter, mined: &MinedStructure) {
-    encode_hierarchy(w, &mined.hierarchy);
-    w.put_usize(mined.topic_phrases.len());
-    for phrases in &mined.topic_phrases {
-        w.put_usize(phrases.len());
-        for p in phrases {
-            w.put_u32_seq(&p.tokens);
-            w.put_f64(p.score);
-            w.put_f64(p.topic_freq);
-        }
-    }
-    w.put_usize(mined.topic_entities.len());
-    for per_type in &mined.topic_entities {
-        w.put_usize(per_type.len());
-        for list in per_type {
-            w.put_usize(list.len());
-            for &(id, score) in list {
-                w.put_u32(id);
-                w.put_f64(score);
-            }
-        }
-    }
-    w.put_usize(mined.phrase_topic_freq.len());
-    for table in &mined.phrase_topic_freq {
-        // Sorted-key order: HashMap iteration order is process-random and
-        // the snapshot must be a deterministic function of the value.
-        let mut entries: Vec<(&Vec<u32>, f64)> = table.iter().map(|(k, &v)| (k, v)).collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        w.put_usize(entries.len());
-        for (phrase, freq) in entries {
-            w.put_u32_seq(phrase);
-            w.put_f64(freq);
-        }
-    }
-    w.put_usize(mined.segments.len());
-    for doc_segs in &mined.segments {
-        w.put_usize(doc_segs.len());
-        for seg in doc_segs {
-            w.put_u32_seq(seg);
-        }
-    }
-    w.put_usize(mined.doc_topic.len());
-    for row in &mined.doc_topic {
-        w.put_f64_seq(row);
-    }
-}
-
-fn decode_structure(r: &mut ByteReader) -> Result<MinedStructure, SnapshotError> {
-    let hierarchy = decode_hierarchy(r)?;
-    let n_topics = hierarchy.len();
-    let n_phrase_lists = r.get_len(8)?;
-    let mut topic_phrases = Vec::with_capacity(n_phrase_lists);
-    for _ in 0..n_phrase_lists {
-        let n = r.get_len(8)?;
-        let mut list = Vec::with_capacity(n);
-        for _ in 0..n {
-            let tokens = r.get_u32_seq()?;
-            let score = r.get_f64()?;
-            let topic_freq = r.get_f64()?;
-            list.push(TopicalPhrase { tokens, score, topic_freq });
-        }
-        topic_phrases.push(list);
-    }
-    let n_entity_lists = r.get_len(8)?;
-    let mut topic_entities = Vec::with_capacity(n_entity_lists);
-    for _ in 0..n_entity_lists {
-        let n_types = r.get_len(8)?;
-        let mut per_type = Vec::with_capacity(n_types);
-        for _ in 0..n_types {
-            let n = r.get_len(12)?;
-            let mut list = Vec::with_capacity(n);
-            for _ in 0..n {
-                let id = r.get_u32()?;
-                let score = r.get_f64()?;
-                list.push((id, score));
-            }
-            per_type.push(list);
-        }
-        topic_entities.push(per_type);
-    }
-    let n_tables = r.get_len(8)?;
-    let mut phrase_topic_freq = Vec::with_capacity(n_tables);
-    for _ in 0..n_tables {
-        let n = r.get_len(8)?;
-        let mut table = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let phrase = r.get_u32_seq()?;
-            let freq = r.get_f64()?;
-            table.insert(phrase, freq);
-        }
-        phrase_topic_freq.push(table);
-    }
-    let n_seg_docs = r.get_len(8)?;
-    let mut segments = Vec::with_capacity(n_seg_docs);
-    for _ in 0..n_seg_docs {
-        let n = r.get_len(8)?;
-        let mut doc_segs = Vec::with_capacity(n);
-        for _ in 0..n {
-            doc_segs.push(r.get_u32_seq()?);
-        }
-        segments.push(doc_segs);
-    }
-    let n_doc_rows = r.get_len(8)?;
-    let mut doc_topic = Vec::with_capacity(n_doc_rows);
-    for _ in 0..n_doc_rows {
-        doc_topic.push(r.get_f64_seq()?);
-    }
-    for (name, len) in [
-        ("topic_phrases", topic_phrases.len()),
-        ("topic_entities", topic_entities.len()),
-        ("phrase_topic_freq", phrase_topic_freq.len()),
-    ] {
-        if len != n_topics {
-            return Err(SnapshotError::Malformed {
-                offset: r.position(),
-                what: format!("{name} has {len} entries for {n_topics} topics"),
-            });
-        }
-    }
-    Ok(MinedStructure {
-        hierarchy,
-        topic_phrases,
-        topic_entities,
-        phrase_topic_freq,
-        segments,
-        doc_topic,
-    })
-}
-
-fn encode_hierarchy(w: &mut ByteWriter, h: &TopicHierarchy) {
-    w.put_usize(h.type_names.len());
-    for name in &h.type_names {
-        w.put_str(name);
-    }
-    w.put_usize(h.topics.len());
-    for topic in &h.topics {
-        w.put_option(topic.parent.as_ref(), |w, &p| w.put_usize(p));
-        w.put_usize(topic.children.len());
-        for &c in &topic.children {
-            w.put_usize(c);
-        }
-        w.put_usize(topic.level);
-        w.put_str(&topic.path);
-        w.put_usize(topic.phi.len());
-        for row in &topic.phi {
-            w.put_f64_seq(row);
-        }
-        w.put_f64(topic.rho);
-        encode_network(w, &topic.network);
-    }
-    w.put_usize(h.fits.len());
-    for fit in &h.fits {
-        w.put_option(fit.as_ref(), encode_fit);
-    }
-    w.put_usize(h.alphas.len());
-    for alpha in &h.alphas {
-        w.put_option(alpha.as_ref(), |w, a| w.put_f64_seq(a));
-    }
-}
-
-fn decode_hierarchy(r: &mut ByteReader) -> Result<TopicHierarchy, SnapshotError> {
-    let n_types = r.get_len(8)?;
-    let mut type_names = Vec::with_capacity(n_types);
-    for _ in 0..n_types {
-        type_names.push(r.get_str()?);
-    }
-    let n_topics = r.get_len(8)?;
-    let mut topics = Vec::with_capacity(n_topics);
-    for _ in 0..n_topics {
-        let parent = r.get_option(|r| Ok(r.get_u64()? as usize))?;
-        let n_children = r.get_len(8)?;
-        let mut children = Vec::with_capacity(n_children);
-        for _ in 0..n_children {
-            children.push(r.get_u64()? as usize);
-        }
-        let level = r.get_u64()? as usize;
-        let path = r.get_str()?;
-        let n_phi = r.get_len(8)?;
-        let mut phi = Vec::with_capacity(n_phi);
-        for _ in 0..n_phi {
-            phi.push(r.get_f64_seq()?);
-        }
-        let rho = r.get_f64()?;
-        let network = decode_network(r)?;
-        topics.push(HierTopic { parent, children, level, path, phi, rho, network });
-    }
-    let n_fits = r.get_len(1)?;
-    let mut fits = Vec::with_capacity(n_fits);
-    for _ in 0..n_fits {
-        fits.push(r.get_option(decode_fit)?);
-    }
-    let n_alphas = r.get_len(1)?;
-    let mut alphas = Vec::with_capacity(n_alphas);
-    for _ in 0..n_alphas {
-        alphas.push(r.get_option(|r| r.get_f64_seq())?);
-    }
-    if fits.len() != n_topics || alphas.len() != n_topics {
-        return Err(SnapshotError::Malformed {
-            offset: r.position(),
-            what: format!(
-                "hierarchy arrays disagree: {n_topics} topics, {} fits, {} alphas",
-                fits.len(),
-                alphas.len()
-            ),
-        });
-    }
-    Ok(TopicHierarchy { type_names, topics, fits, alphas })
 }
 
 pub(crate) fn encode_network(w: &mut ByteWriter, net: &TypedNetwork) {

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! store/
-//!   v0001.lesm     # immutable snapshot artifacts, any format version
+//!   v0001.lesm     # immutable v2 snapshot artifacts
 //!   v0002.lesm
 //!   CURRENT        # the file name of the active version, one line
 //! ```

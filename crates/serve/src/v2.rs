@@ -1,12 +1,10 @@
-//! Snapshot format v2 — the zero-copy, mmap-friendly layout (DESIGN.md
-//! §13).
+//! Snapshot format v2 — the `.lesm` artifact format: a zero-copy,
+//! mmap-friendly layout (DESIGN.md §13).
 //!
-//! v1 (see [`crate::snapshot`]) is a streaming wire format: loading it
-//! deserializes every record into heap-allocated structures, which is
-//! fine at 400 documents and fatal at 400k. v2 keeps the same *values*
-//! (floats as raw little-endian bits, maps in sorted-key order — the v1
-//! semantics) but lays the hot query-time data out as alignment-padded
-//! arenas behind a fixed-offset section table, so the load hot path is:
+//! Values are stored exactly (floats as raw little-endian bits, maps in
+//! sorted-key order), and the hot query-time data is laid out as
+//! alignment-padded arenas behind a fixed-offset section table, so the
+//! load hot path is:
 //!
 //! 1. map the file ([`crate::mapping::Mapping`]: `mmap` or an aligned
 //!    read fallback),
@@ -35,8 +33,14 @@
 //! the mapping base is at least 8-byte aligned, every array view is
 //! correctly aligned for its element type. The rarely-read remainder of
 //! the model (EM fits, per-topic phi/networks, entity links, segments)
-//! lives in a single *cold* section in the v1 wire encoding, decoded only
-//! by [`MappedSnapshot::to_snapshot`] — never on the load hot path.
+//! lives in a single *cold* section in the streaming [`crate::wire`]
+//! encoding (networks and fits through the [`crate::snapshot`] codecs),
+//! decoded only by [`MappedSnapshot::to_snapshot`] — never on the load
+//! hot path.
+//!
+//! Any other version tag — including the retired v1 streaming format —
+//! fails with [`SnapshotError::VersionMismatch`]; rebuild such an
+//! artifact with `lesm snapshot`.
 //!
 //! Incrementally updated artifacts carry one extra *optional* section,
 //! `delta-lineage` (id 11, [`DeltaInfo`]): the artifact stays full and
@@ -49,6 +53,7 @@ use crate::snapshot::{self, Snapshot, MAGIC};
 use crate::wire::{ByteReader, ByteWriter};
 use crate::SnapshotError;
 use lesm_core::pipeline::MinedStructure;
+use lesm_core::ModelView;
 use lesm_corpus::{Corpus, Doc, EntityRef};
 use lesm_hier::hierarchy::HierTopic;
 use lesm_hier::TopicHierarchy;
@@ -118,8 +123,8 @@ pub struct DeltaInfo {
 }
 
 /// 4-lane FNV-1a over 8-byte words. The independent lanes break the
-/// sequential multiply dependency chain (≈4x throughput over the byte
-/// FNV used by v1) while staying a pure deterministic function of the
+/// sequential multiply dependency chain (≈4x throughput over a
+/// byte-at-a-time FNV) while staying a pure deterministic function of the
 /// word sequence; the fold hashes the lane digests plus the word count.
 pub(crate) fn checksum_words(words: &[u64]) -> u64 {
     const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -379,7 +384,7 @@ pub fn save_snapshot_v2_with_lineage(
     }
     table.push((SEC_TOPIC_ENTITIES, start as u64, (w.buf.len() - start) as u64));
 
-    // --- phrase-topic frequency tables (sorted-key order, as v1) ---
+    // --- phrase-topic frequency tables (sorted-key order) ---
     let start = w.begin_section();
     {
         let tables: Vec<Vec<(&Vec<u32>, f64)>> = mined
@@ -443,7 +448,7 @@ pub fn save_snapshot_v2_with_lineage(
     }
     table.push((SEC_DOC_IDS, start as u64, (w.buf.len() - start) as u64));
 
-    // --- cold remainder (v1 wire encoding; only to_snapshot reads it) ---
+    // --- cold remainder (streaming wire encoding; only to_snapshot reads it) ---
     let start = w.begin_section();
     {
         let mut cw = ByteWriter::new();
@@ -873,34 +878,6 @@ impl MappedSnapshot {
         }
     }
 
-    /// The word id for `name` (binary search over the name-sorted id
-    /// permutation; ties resolve to the smallest id, matching first-wins
-    /// interning).
-    pub fn word_id(&self, name: &str) -> Option<u32> {
-        let sorted = self.u32s(self.layout.word_sorted);
-        let at = sorted.partition_point(|&id| {
-            self.arena_str(self.layout.word_name_offsets, self.layout.word_names, id as usize)
-                < name
-        });
-        let &id = sorted.get(at)?;
-        let found =
-            self.arena_str(self.layout.word_name_offsets, self.layout.word_names, id as usize);
-        (found == name).then_some(id)
-    }
-
-    /// Renders token ids joined by spaces (matching
-    /// [`lesm_corpus::Vocabulary::render`]).
-    pub fn render_tokens(&self, ids: &[u32]) -> String {
-        let mut out = String::new();
-        for (i, &id) in ids.iter().enumerate() {
-            if i > 0 {
-                out.push(' ');
-            }
-            out.push_str(self.word_or_unk(id));
-        }
-        out
-    }
-
     // --- entities ---
 
     /// Number of entity types.
@@ -914,47 +891,11 @@ impl MappedSnapshot {
             .then(|| self.arena_str(self.layout.type_name_offsets, self.layout.type_names, t))
     }
 
-    /// Entity surface name with the `"<unk-entity>"` fallback (matching
-    /// [`lesm_corpus::EntityCatalog::name`]).
-    pub fn entity_name(&self, t: usize, id: u32) -> &str {
-        if t >= self.layout.n_types {
-            return "<unk-entity>";
-        }
-        let (a, b) = self.span(self.layout.type_bounds, t);
-        let global = a + id as usize;
-        if global >= b {
-            return "<unk-entity>";
-        }
-        self.arena_str(self.layout.ent_name_offsets, self.layout.ent_names, global)
-    }
-
     // --- documents ---
 
     /// Number of documents in this artifact (shard-local).
     pub fn num_docs(&self) -> usize {
         self.layout.n_docs
-    }
-
-    /// Token ids of document `d`.
-    pub fn doc_tokens(&self, d: usize) -> &[u32] {
-        let (a, b) = self.span(self.layout.doc_tok_bounds, d);
-        &self.u32s(self.layout.doc_tokens)[a..b]
-    }
-
-    /// The global id of local document `d` (identity for unsharded
-    /// artifacts).
-    pub fn doc_id(&self, d: usize) -> u64 {
-        self.u64s(self.layout.doc_ids)[d]
-    }
-
-    /// Renders document `d`'s tokens (matching
-    /// [`lesm_corpus::Corpus::render_doc`], which returns `""` out of
-    /// range).
-    pub fn render_doc(&self, d: usize) -> String {
-        if d >= self.layout.n_docs {
-            return String::new();
-        }
-        self.render_tokens(self.doc_tokens(d))
     }
 
     // --- topics ---
@@ -1020,15 +961,9 @@ impl MappedSnapshot {
 
     // --- ranked entities ---
 
-    /// Number of per-type entity cells for topic `t`.
-    pub fn entity_cells(&self, t: usize) -> usize {
-        let (a, b) = self.span(self.layout.te_cell_bounds, t);
-        b - a
-    }
-
     /// The ranked entity list for topic `t`, type cell `x`: parallel
     /// (ids, scores) slices.
-    pub fn topic_entities(&self, t: usize, x: usize) -> (&[u32], &[f64]) {
+    pub fn topic_entity_slices(&self, t: usize, x: usize) -> (&[u32], &[f64]) {
         let (a, _) = self.span(self.layout.te_cell_bounds, t);
         let (ea, eb) = self.span(self.layout.te_entry_bounds, a + x);
         (&self.u32s(self.layout.te_ids)[ea..eb], &self.f64s(self.layout.te_scores)[ea..eb])
@@ -1043,8 +978,8 @@ impl MappedSnapshot {
     }
 
     /// The `i`-th phrase-frequency entry of topic `t` (entries are stored
-    /// in ascending phrase-key order — the same order v1's sorted-key
-    /// serialization and the owned query path's collect-then-sort use).
+    /// in ascending phrase-key order — the order
+    /// [`ModelView::ptf_entries`] promises).
     pub fn ptf_entry(&self, t: usize, i: usize) -> (&[u32], f64) {
         let (a, _) = self.span(self.layout.ptf_topic_bounds, t);
         let e = a + i;
@@ -1058,11 +993,6 @@ impl MappedSnapshot {
     pub fn doc_topic_row(&self, d: usize) -> &[f64] {
         let (a, b) = self.span(self.layout.dt_row_bounds, d);
         &self.f64s(self.layout.dt_values)[a..b]
-    }
-
-    /// Document `d`'s weight for topic `t` (0.0 past the row's end).
-    pub fn doc_topic(&self, d: usize, t: usize) -> f64 {
-        self.doc_topic_row(d).get(t).copied().unwrap_or(0.0)
     }
 
     /// The leaf topic with the highest weight for document `d` (matching
@@ -1207,7 +1137,7 @@ impl MappedSnapshot {
             .map(|t| {
                 (0..self.entity_cells(t))
                     .map(|x| {
-                        let (ids, scores) = self.topic_entities(t, x);
+                        let (ids, scores) = self.topic_entity_slices(t, x);
                         ids.iter().copied().zip(scores.iter().copied()).collect()
                     })
                     .collect()
@@ -1237,6 +1167,93 @@ impl MappedSnapshot {
                 doc_topic,
             },
         })
+    }
+}
+
+/// The mapped backend of the shared renderers: every accessor borrows
+/// from the mapping, so search scans documents without allocating.
+impl ModelView for MappedSnapshot {
+    fn num_topics(&self) -> usize {
+        self.layout.n_topics
+    }
+    fn topic_path(&self, t: usize) -> &str {
+        self.path(t)
+    }
+    fn topic_parent(&self, t: usize) -> Option<usize> {
+        self.parent(t)
+    }
+    fn topic_level(&self, t: usize) -> usize {
+        self.level(t)
+    }
+    fn topic_rho(&self, t: usize) -> f64 {
+        self.rho(t)
+    }
+    fn topic_children(&self, t: usize) -> impl Iterator<Item = usize> + '_ {
+        self.children(t).iter().map(|&c| c as usize)
+    }
+    fn topic_phrases(&self, t: usize) -> impl Iterator<Item = (&[u32], f64, f64)> + '_ {
+        (0..self.phrase_count(t)).map(move |i| self.phrase(t, i))
+    }
+    fn entity_cells(&self, t: usize) -> usize {
+        let (a, b) = self.span(self.layout.te_cell_bounds, t);
+        b - a
+    }
+    fn topic_entities(&self, t: usize, x: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
+        let (ids, scores) = self.topic_entity_slices(t, x);
+        ids.iter().copied().zip(scores.iter().copied())
+    }
+    fn ptf_entries(&self, t: usize) -> impl Iterator<Item = (&[u32], f64)> + '_ {
+        (0..self.ptf_count(t)).map(move |i| self.ptf_entry(t, i))
+    }
+    /// Binary search over the name-sorted id permutation; ties resolve to
+    /// the smallest id, matching first-wins interning.
+    fn word_id(&self, name: &str) -> Option<u32> {
+        let sorted = self.u32s(self.layout.word_sorted);
+        let at = sorted.partition_point(|&id| {
+            self.arena_str(self.layout.word_name_offsets, self.layout.word_names, id as usize)
+                < name
+        });
+        let &id = sorted.get(at)?;
+        let found =
+            self.arena_str(self.layout.word_name_offsets, self.layout.word_names, id as usize);
+        (found == name).then_some(id)
+    }
+    fn render_tokens(&self, ids: &[u32]) -> String {
+        let mut out = String::new();
+        for (i, &id) in ids.iter().enumerate() {
+            if i > 0 {
+                out.push(' ');
+            }
+            out.push_str(self.word_or_unk(id));
+        }
+        out
+    }
+    fn entity_type_name(&self, x: usize) -> Option<&str> {
+        self.type_name(x)
+    }
+    fn entity_name(&self, x: usize, id: u32) -> &str {
+        if x >= self.layout.n_types {
+            return "<unk-entity>";
+        }
+        let (a, b) = self.span(self.layout.type_bounds, x);
+        let global = a + id as usize;
+        if global >= b {
+            return "<unk-entity>";
+        }
+        self.arena_str(self.layout.ent_name_offsets, self.layout.ent_names, global)
+    }
+    fn num_docs(&self) -> usize {
+        self.layout.n_docs
+    }
+    fn doc_tokens(&self, d: usize) -> &[u32] {
+        let (a, b) = self.span(self.layout.doc_tok_bounds, d);
+        &self.u32s(self.layout.doc_tokens)[a..b]
+    }
+    fn doc_topic(&self, d: usize, t: usize) -> f64 {
+        self.doc_topic_row(d).get(t).copied().unwrap_or(0.0)
+    }
+    fn doc_id(&self, d: usize) -> u64 {
+        self.u64s(self.layout.doc_ids)[d]
     }
 }
 
@@ -1611,22 +1628,10 @@ fn parse_delta(
 // Version sniffing and inspection
 // ---------------------------------------------------------------------------
 
-/// Reads the format version of the artifact at `path` without loading it.
-pub fn snapshot_version_file(path: &str) -> Result<u32, SnapshotError> {
-    use std::io::Read as _;
-    let mut f = std::fs::File::open(path).map_err(SnapshotError::Io)?;
-    let mut head = [0u8; 8];
-    f.read_exact(&mut head).map_err(SnapshotError::Io)?;
-    let found = [head[0], head[1], head[2], head[3]];
-    if found != MAGIC {
-        return Err(SnapshotError::BadMagic { found });
-    }
-    Ok(u32::from_le_bytes([head[4], head[5], head[6], head[7]]))
-}
-
-/// Renders a deterministic human-readable description of a v1 or v2
-/// artifact: format version, size, checksum status, and the section
-/// table with offsets, lengths, and offset alignment.
+/// Renders a deterministic human-readable description of an artifact:
+/// format version, size, checksum status, and the section table with
+/// offsets, lengths, and offset alignment. Works on artifacts too
+/// damaged to load; only a bad magic or an unsupported version fails.
 pub fn describe_artifact(bytes: &[u8]) -> Result<String, SnapshotError> {
     use std::fmt::Write as _;
     if bytes.len() < 8 {
@@ -1637,6 +1642,12 @@ pub fn describe_artifact(bytes: &[u8]) -> Result<String, SnapshotError> {
         return Err(SnapshotError::BadMagic { found });
     }
     let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
+    if version != FORMAT_VERSION_V2 {
+        return Err(SnapshotError::VersionMismatch {
+            found: version,
+            supported: FORMAT_VERSION_V2,
+        });
+    }
     let mut out = String::new();
     let _ = writeln!(out, "format version: {version}");
     let _ = writeln!(out, "size: {} bytes", bytes.len());
@@ -1648,58 +1659,33 @@ pub fn describe_artifact(bytes: &[u8]) -> Result<String, SnapshotError> {
     let mut w = [0u8; 8];
     w.copy_from_slice(&bytes[trailer_at..]);
     let stored = u64::from_le_bytes(w);
-    let checksum_ok = match version {
-        1 => snapshot::fnv1a64(&bytes[..trailer_at]) == stored,
-        FORMAT_VERSION_V2 => {
-            trailer_at.is_multiple_of(8)
-                && checksum_words(
-                    &bytes[..trailer_at]
-                        .chunks_exact(8)
-                        .map(|c| {
-                            u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])
-                        })
-                        .collect::<Vec<u64>>(),
-                ) == stored
-        }
-        other => {
-            return Err(SnapshotError::VersionMismatch {
-                found: other,
-                supported: FORMAT_VERSION_V2,
-            })
-        }
-    };
+    let checksum_ok = trailer_at.is_multiple_of(8)
+        && checksum_words(
+            &bytes[..trailer_at]
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
+                .collect::<Vec<u64>>(),
+        ) == stored;
     let _ = writeln!(
         out,
         "checksum: {stored:#018x} ({})",
         if checksum_ok { "ok" } else { "MISMATCH" }
     );
-    // Section table: v1 is (id u32, off u64, len u64) after an 8+4 byte
-    // header; v2 adds a reserved pad word per entry and to the header.
-    let (table_at, entry_len) = if version == 1 { (12, 20) } else { (HEADER_LEN, TABLE_ENTRY_LEN) };
     let count = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
     let _ = writeln!(out, "sections: {count}");
     let _ = writeln!(out, "  {:>3}  {:<18} {:>12} {:>12} {:>6}", "id", "name", "offset", "length", "align");
     for i in 0..count {
-        let at = table_at + i * entry_len;
-        if at + entry_len > trailer_at {
+        let at = HEADER_LEN + i * TABLE_ENTRY_LEN;
+        if at + TABLE_ENTRY_LEN > trailer_at {
             let _ = writeln!(out, "  <table truncated at entry {i}>");
             break;
         }
         let id = u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
-        let field_at = if version == 1 { at + 4 } else { at + 8 };
-        w.copy_from_slice(&bytes[field_at..field_at + 8]);
+        w.copy_from_slice(&bytes[at + 8..at + 16]);
         let off = u64::from_le_bytes(w);
-        w.copy_from_slice(&bytes[field_at + 8..field_at + 16]);
+        w.copy_from_slice(&bytes[at + 16..at + 24]);
         let len = u64::from_le_bytes(w);
-        let name = if version == 1 {
-            match id {
-                1 => "corpus",
-                2 => "structure",
-                _ => "unknown",
-            }
-        } else {
-            v2_section_name(id)
-        };
+        let name = v2_section_name(id);
         let align = if off == 0 { 1 } else { 1u64 << off.trailing_zeros().min(6) };
         let _ = writeln!(out, "  {id:>3}  {name:<18} {off:>12} {len:>12} {align:>6}");
     }

@@ -1,8 +1,8 @@
 //! End-to-end tests for `POST /query` (DESIGN.md §14).
 //!
 //! The determinism contract under test: the same query body — including
-//! cursor resumptions — answers byte-identically on an owned-snapshot
-//! backend, a v2 zero-copy mapped backend, 1 vs 4 workers, a front tier
+//! cursor resumptions — answers byte-identically on an artifact mapped
+//! from memory and one mapped from a file, 1 vs 4 workers, a front tier
 //! over 1/2/4 shards, and across two restarts of the same server. Error
 //! paths (malformed bodies, wrong method, oversized payloads) are part
 //! of the contract and compared the same way.
@@ -12,11 +12,18 @@ use lesm_corpus::synth::{PapersConfig, SyntheticPapers};
 use lesm_corpus::Corpus;
 use lesm_serve::metrics::Endpoint;
 use lesm_serve::server::{Server, ServerConfig, ServerHandle};
-use lesm_serve::{load_snapshot, save_snapshot, ShardBy};
+use lesm_serve::{save_snapshot_v2, MappedSnapshot, Model, ShardBy};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// The model a server loads from `corpus` + `mined`: a v2 artifact,
+/// mapped back from its bytes.
+fn mapped_model(corpus: &Corpus, mined: &MinedStructure) -> Model {
+    let bytes = save_snapshot_v2(corpus, mined).expect("save");
+    Model::Mapped(Box::new(MappedSnapshot::from_bytes(&bytes).expect("load")))
+}
 
 fn fixture(seed: u64) -> (Corpus, MinedStructure) {
     let papers = SyntheticPapers::generate(&PapersConfig::dblp(80, seed)).expect("synth corpus");
@@ -106,20 +113,20 @@ fn collect(addr: SocketAddr) -> Vec<(u16, Vec<u8>)> {
     out
 }
 
-fn start_owned(corpus: &Corpus, mined: &MinedStructure, workers: usize) -> ServerHandle {
-    Server::start(
-        load_snapshot(&save_snapshot(corpus, mined).expect("save")).expect("round-trip"),
+fn start_in_memory(corpus: &Corpus, mined: &MinedStructure, workers: usize) -> ServerHandle {
+    Server::start_model(
+        mapped_model(corpus, mined),
         ServerConfig { workers, ..ServerConfig::default() },
     )
-    .expect("bind owned")
+    .expect("bind in-memory")
 }
 
 #[test]
 fn query_responses_byte_identical_across_backends_workers_and_shards() {
     let (corpus, mined) = fixture(9);
 
-    // Baseline: one unsharded owned-snapshot server, 2 workers.
-    let baseline_handle = start_owned(&corpus, &mined, 2);
+    // Baseline: one unsharded server over the in-memory artifact, 2 workers.
+    let baseline_handle = start_in_memory(&corpus, &mined, 2);
     let baseline = collect(baseline_handle.addr());
     baseline_handle.shutdown();
     assert!(baseline.iter().any(|(s, _)| *s == 200));
@@ -127,19 +134,19 @@ fn query_responses_byte_identical_across_backends_workers_and_shards() {
 
     let mut variants: Vec<(String, ServerHandle, Option<PathBuf>)> = Vec::new();
 
-    // Worker-count variants over the owned backend.
+    // Worker-count variants over the in-memory artifact.
     for workers in [1usize, 4] {
-        variants.push((format!("owned-{workers}w"), start_owned(&corpus, &mined, workers), None));
+        variants.push((format!("memory-{workers}w"), start_in_memory(&corpus, &mined, workers), None));
     }
 
-    // v2 zero-copy mapped backend.
+    // The same artifact mapped from a file.
     let dir = tmp_dir("v2");
     let v2_path = dir.join("model.lesm");
     lesm_serve::save_snapshot_v2_file(v2_path.to_str().expect("utf-8 path"), &corpus, &mined)
         .expect("save v2");
     let mapped = lesm_serve::load_model_file(v2_path.to_str().expect("utf-8 path")).expect("map");
     variants.push((
-        "mapped-v2".into(),
+        "file-mapped".into(),
         Server::start_model(mapped, ServerConfig { workers: 2, ..ServerConfig::default() })
             .expect("bind mapped"),
         Some(dir),
@@ -180,11 +187,11 @@ fn query_responses_byte_identical_across_backends_workers_and_shards() {
 #[test]
 fn query_pages_are_byte_identical_across_restarts() {
     let (corpus, mined) = fixture(23);
-    let bytes = save_snapshot(&corpus, &mined).expect("save");
+    let bytes = save_snapshot_v2(&corpus, &mined).expect("save");
 
     let run = || {
-        let handle = Server::start(
-            load_snapshot(&bytes).expect("load"),
+        let handle = Server::start_model(
+            Model::Mapped(Box::new(MappedSnapshot::from_bytes(&bytes).expect("load"))),
             ServerConfig { workers: 2, ..ServerConfig::default() },
         )
         .expect("bind");
@@ -234,7 +241,7 @@ fn stale_cursor_after_hot_swap_is_a_typed_error_never_an_interleave() {
     // Hot-swap to model B and wait for the watcher to pick it up.
     lesm_serve::store::publish(&dir, &lesm_serve::save_snapshot_v2(&corpus_b, &mined_b).expect("save"))
         .expect("publish v2");
-    let expected_b = lesm_core::export::hierarchy_to_json(&corpus_b, &mined_b, 10).into_bytes();
+    let expected_b = lesm_core::export::hierarchy_to_json(&mined_b.view(&corpus_b), 10).into_bytes();
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while get(addr, "/hierarchy").1 != expected_b {
         assert!(std::time::Instant::now() < deadline, "hot swap never happened");
@@ -271,7 +278,7 @@ fn stale_cursor_after_hot_swap_is_a_typed_error_never_an_interleave() {
 #[test]
 fn query_method_and_size_limits() {
     let (corpus, mined) = fixture(9);
-    let handle = start_owned(&corpus, &mined, 2);
+    let handle = start_in_memory(&corpus, &mined, 2);
     let addr = handle.addr();
 
     // /query is POST-only.
@@ -309,7 +316,7 @@ fn query_method_and_size_limits() {
 #[test]
 fn query_endpoint_records_cache_and_request_metrics() {
     let (corpus, mined) = fixture(9);
-    let handle = start_owned(&corpus, &mined, 2);
+    let handle = start_in_memory(&corpus, &mined, 2);
     let addr = handle.addr();
     let body = r#"{"steps":[{"filter":{"type":"author"}}],"page":3}"#;
 

@@ -7,10 +7,17 @@ use lesm_core::pipeline::{LatentStructureMiner, MinedStructure, MinerConfig};
 use lesm_corpus::synth::{PapersConfig, SyntheticPapers};
 use lesm_corpus::Corpus;
 use lesm_serve::server::{Server, ServerConfig};
-use lesm_serve::{load_snapshot, save_snapshot, ServerHandle};
+use lesm_serve::{save_snapshot_v2, MappedSnapshot, Model, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
+
+/// The model a server loads from `corpus` + `mined`: a v2 artifact,
+/// mapped back from its bytes.
+fn mapped_model(corpus: &Corpus, mined: &MinedStructure) -> Model {
+    let bytes = save_snapshot_v2(corpus, mined).expect("save");
+    Model::Mapped(Box::new(MappedSnapshot::from_bytes(&bytes).expect("load")))
+}
 
 fn fixture() -> (Corpus, MinedStructure) {
     let papers = SyntheticPapers::generate(&PapersConfig::dblp(80, 9)).expect("synth corpus");
@@ -23,9 +30,8 @@ fn fixture() -> (Corpus, MinedStructure) {
 }
 
 fn start(corpus: &Corpus, mined: &MinedStructure, workers: usize) -> ServerHandle {
-    let snap = load_snapshot(&save_snapshot(corpus, mined).expect("save")).expect("round-trip");
     let config = ServerConfig { workers, ..ServerConfig::default() };
-    Server::start(snap, config).expect("bind ephemeral port")
+    Server::start_model(mapped_model(corpus, mined), config).expect("bind ephemeral port")
 }
 
 /// Minimal HTTP/1.1 client: one request, reads to EOF (the server sends
@@ -52,9 +58,10 @@ fn get(addr: std::net::SocketAddr, target: &str) -> (u16, Vec<u8>) {
 /// The offline rendering `/search` must match byte-for-byte: one CLI hit
 /// line per result, each newline-terminated.
 fn offline_search_body(corpus: &Corpus, mined: &MinedStructure, query: &str, top: usize) -> Vec<u8> {
-    let hits = lesm_core::search::search(corpus, mined, query, top);
+    let view = mined.view(corpus);
+    let hits = lesm_core::search::search(&view, query, top);
     let mut body = String::new();
-    for line in lesm_core::search::render_hits(corpus, mined, &hits) {
+    for line in lesm_core::search::render_hits(&view, &hits) {
         body.push_str(&line);
         body.push('\n');
     }
@@ -78,12 +85,12 @@ fn responses_are_byte_identical_to_offline_output() {
 
     let (status, body) = get(addr, "/hierarchy");
     assert_eq!(status, 200);
-    assert_eq!(body, lesm_core::export::hierarchy_to_json(&corpus, &mined, 10).into_bytes());
+    assert_eq!(body, lesm_core::export::hierarchy_to_json(&mined.view(&corpus), 10).into_bytes());
 
     for t in 0..mined.hierarchy.len() {
         let (status, body) = get(addr, &format!("/topics/{t}"));
         assert_eq!(status, 200, "topic {t}");
-        let mut expected = mined.render_topic(&corpus, t, 10);
+        let mut expected = lesm_core::render_topic(&mined.view(&corpus), t, 10);
         expected.push('\n');
         assert_eq!(body, expected.into_bytes(), "topic {t}");
     }
@@ -176,7 +183,6 @@ fn health_metrics_and_errors_are_served() {
 #[test]
 fn shutdown_file_stops_the_server() {
     let (corpus, mined) = fixture();
-    let snap = load_snapshot(&save_snapshot(&corpus, &mined).expect("save")).expect("round-trip");
     let dir = std::env::temp_dir().join(format!("lesm-serve-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let stop_file = dir.join("stop");
@@ -185,7 +191,7 @@ fn shutdown_file_stops_the_server() {
         shutdown_file: Some(stop_file.clone()),
         ..ServerConfig::default()
     };
-    let handle = Server::start(snap, config).expect("bind");
+    let handle = Server::start_model(mapped_model(&corpus, &mined), config).expect("bind");
     let addr = handle.addr();
     let (status, _) = get(addr, "/healthz");
     assert_eq!(status, 200);

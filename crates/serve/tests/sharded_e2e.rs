@@ -10,11 +10,18 @@ use lesm_core::pipeline::{LatentStructureMiner, MinedStructure, MinerConfig};
 use lesm_corpus::synth::{PapersConfig, SyntheticPapers};
 use lesm_corpus::Corpus;
 use lesm_serve::server::{Server, ServerConfig};
-use lesm_serve::{load_snapshot, save_snapshot, save_snapshot_v2, ShardBy};
+use lesm_serve::{save_snapshot_v2, MappedSnapshot, Model, ShardBy};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// The model a server loads from `corpus` + `mined`: a v2 artifact,
+/// mapped back from its bytes.
+fn mapped_model(corpus: &Corpus, mined: &MinedStructure) -> Model {
+    let bytes = save_snapshot_v2(corpus, mined).expect("save");
+    Model::Mapped(Box::new(MappedSnapshot::from_bytes(&bytes).expect("load")))
+}
 
 fn fixture(seed: u64) -> (Corpus, MinedStructure) {
     let papers = SyntheticPapers::generate(&PapersConfig::dblp(80, seed)).expect("synth corpus");
@@ -85,9 +92,9 @@ const TARGETS: &[&str] = &[
 fn sharded_responses_are_byte_identical_to_a_single_server() {
     let (corpus, mined) = fixture(9);
 
-    // Baseline: one unsharded server over the owned snapshot.
-    let baseline_handle = Server::start(
-        load_snapshot(&save_snapshot(&corpus, &mined).expect("save")).expect("round-trip"),
+    // Baseline: one unsharded server over the whole artifact.
+    let baseline_handle = Server::start_model(
+        mapped_model(&corpus, &mined),
         ServerConfig { workers: 2, ..ServerConfig::default() },
     )
     .expect("bind baseline");
@@ -144,7 +151,7 @@ fn hot_swap_serves_the_new_version_without_restart() {
     assert_eq!(before.0, 200);
     assert_eq!(
         before.1,
-        lesm_core::export::hierarchy_to_json(&corpus_a, &mined_a, 10).into_bytes()
+        lesm_core::export::hierarchy_to_json(&mined_a.view(&corpus_a), 10).into_bytes()
     );
     // Prime the cache so the swap also proves cache invalidation.
     assert_eq!(get(addr, "/hierarchy"), before);
@@ -156,7 +163,7 @@ fn hot_swap_serves_the_new_version_without_restart() {
 
     // A good publish swaps within the watcher's poll interval.
     lesm_serve::store::publish(&dir, &save_snapshot_v2(&corpus_b, &mined_b).expect("save")).expect("publish v3");
-    let expected_b = lesm_core::export::hierarchy_to_json(&corpus_b, &mined_b, 10).into_bytes();
+    let expected_b = lesm_core::export::hierarchy_to_json(&mined_b.view(&corpus_b), 10).into_bytes();
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         let (status, body) = get(addr, "/hierarchy");
@@ -176,8 +183,8 @@ fn hot_swap_serves_the_new_version_without_restart() {
 #[test]
 fn full_accept_queue_sheds_with_503_and_recovers() {
     let (corpus, mined) = fixture(9);
-    let handle = Server::start(
-        load_snapshot(&save_snapshot(&corpus, &mined).expect("save")).expect("round-trip"),
+    let handle = Server::start_model(
+        mapped_model(&corpus, &mined),
         ServerConfig {
             workers: 1,
             queue_depth: 1,
@@ -240,8 +247,8 @@ fn front_composes_over_fronts() {
     )
     .expect("outer front");
 
-    let baseline = Server::start(
-        load_snapshot(&save_snapshot(&corpus, &mined).expect("save")).expect("round-trip"),
+    let baseline = Server::start_model(
+        mapped_model(&corpus, &mined),
         ServerConfig { workers: 2, ..ServerConfig::default() },
     )
     .expect("baseline");

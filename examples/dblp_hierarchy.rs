@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("== the hierarchy ==");
     for t in 0..mined.hierarchy.len() {
-        println!("{}", mined.render_topic(corpus, t, 4));
+        println!("{}", lesm::core::render_topic(&mined.view(corpus), t, 4));
     }
 
     // Type-B: who are the champions of each leaf topic?

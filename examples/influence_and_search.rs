@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let leaf = papers.truth.hierarchy.leaves[0];
     let query = corpus.vocab.name_or_unk(papers.truth.hierarchy.own_words[leaf][0]).to_string();
     println!("\n== search: \"{query}\" ==");
-    for hit in search(corpus, &mined, &query, 5) {
+    for hit in search(&mined.view(corpus), &query, 5) {
         println!(
             "doc {:>4} (score {:.3}, topic {}): {}",
             hit.doc,

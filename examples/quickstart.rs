@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mined = LatentStructureMiner::mine(&corpus, &config)?;
     println!("mined {} topics:", mined.hierarchy.len());
     for t in 1..mined.hierarchy.len() {
-        println!("  {}", mined.render_topic(&corpus, t, 4));
+        println!("  {}", lesm::core::render_topic(&mined.view(&corpus), t, 4));
     }
 
     // 4. Where does each document land?

@@ -58,9 +58,8 @@ cargo bench -p lesm-bench --bench bench_em -- fit_k
 
 echo "wrote $(wc -l < "$em_out") bench records to $em_out"
 
-# Serving-path numbers (DESIGN.md §9): cold snapshot-load time (format v1
-# full-deserialize vs format v2 zero-copy map, at 50k documents) plus the
-# cached-vs-uncached HTTP query latency medians through the in-process
+# Serving-path numbers (DESIGN.md §9): cold load of a 50k-document v2
+# artifact (zero-copy map) plus the cached-vs-uncached HTTP query latency medians through the in-process
 # server. Full sampling for the same cross-PR comparability reason.
 : > "$serve_out"
 export LESM_BENCH_JSON="$serve_out"

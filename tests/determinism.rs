@@ -52,8 +52,8 @@ fn mining_pipeline_is_byte_deterministic() {
     assert_eq!(papers_a.corpus.docs[17].tokens, papers_b.corpus.docs[17].tokens);
     let a = LatentStructureMiner::mine(&papers_a.corpus, &miner()).unwrap();
     let b = LatentStructureMiner::mine(&papers_b.corpus, &miner()).unwrap();
-    let json_a = hierarchy_to_json(&papers_a.corpus, &a, 10);
-    let json_b = hierarchy_to_json(&papers_b.corpus, &b, 10);
+    let json_a = hierarchy_to_json(&a.view(&papers_a.corpus), 10);
+    let json_b = hierarchy_to_json(&b.view(&papers_b.corpus), 10);
     assert_eq!(json_a, json_b, "full pipeline output must be byte-identical");
 }
 
