@@ -169,8 +169,8 @@ fn bench_cold_load_50k(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("lesm-bench-coldload-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
     let v2_path = dir.join("model-v2.lesm");
-    lesm_serve::save_snapshot_v2_file(v2_path.to_str().unwrap(), &corpus, &mined)
-        .expect("save v2");
+    std::fs::write(&v2_path, lesm_serve::save_snapshot_v2(&corpus, &mined).expect("save v2"))
+        .expect("write v2");
 
     let mut group = c.benchmark_group("serve");
     group.sample_size(10);

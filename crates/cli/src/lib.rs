@@ -58,10 +58,6 @@ pub enum Command {
         threads: usize,
         /// EM early-exit tolerance (`0` = run every iteration).
         em_tol: f64,
-        /// Adaptive-dispatch cutoff in abstract work units (`None` keeps
-        /// the library default). Does not affect results, only whether
-        /// small calls fan out to worker threads.
-        par_threshold: Option<u64>,
     },
     /// Mine a hierarchy and persist it as a binary snapshot.
     Snapshot {
@@ -77,9 +73,6 @@ pub enum Command {
         threads: usize,
         /// EM early-exit tolerance (`0` = run every iteration).
         em_tol: f64,
-        /// Adaptive-dispatch cutoff in abstract work units (`None` keeps
-        /// the library default).
-        par_threshold: Option<u64>,
     },
     /// Dump a snapshot artifact's section table (`lesm snapshot inspect`).
     Inspect {
@@ -178,28 +171,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         }
         "mine" => {
             let input = it.next().ok_or("mine needs an input path")?.clone();
-            let mut k = 4usize;
-            let mut depth = 2usize;
-            let mut threads = 0usize;
-            let mut em_tol = 0.0f64;
-            let mut par_threshold = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--k" => k = next_value(&mut it, flag)?,
-                    "--depth" => depth = next_value(&mut it, flag)?,
-                    "--threads" => threads = next_value(&mut it, flag)?,
-                    "--em-tol" => em_tol = next_value(&mut it, flag)?,
-                    "--par-threshold" => par_threshold = Some(next_value(&mut it, flag)?),
-                    other => return Err(format!("unknown flag {other}")),
-                }
-            }
-            if k == 0 || depth == 0 {
-                return Err("--k and --depth must be positive".into());
-            }
-            if em_tol < 0.0 || !em_tol.is_finite() {
-                return Err("--em-tol must be a finite non-negative number".into());
-            }
-            Ok(Command::Mine { input, k, depth, threads, em_tol, par_threshold })
+            let (k, depth, threads, em_tol) = parse_mine_flags(&mut it)?;
+            Ok(Command::Mine { input, k, depth, threads, em_tol })
         }
         "snapshot" => {
             let input = it.next().ok_or("snapshot needs an input path")?.clone();
@@ -211,28 +184,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 return Ok(Command::Inspect { input });
             }
             let output = it.next().ok_or("snapshot needs an output path")?.clone();
-            let mut k = 4usize;
-            let mut depth = 2usize;
-            let mut threads = 0usize;
-            let mut em_tol = 0.0f64;
-            let mut par_threshold = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--k" => k = next_value(&mut it, flag)?,
-                    "--depth" => depth = next_value(&mut it, flag)?,
-                    "--threads" => threads = next_value(&mut it, flag)?,
-                    "--em-tol" => em_tol = next_value(&mut it, flag)?,
-                    "--par-threshold" => par_threshold = Some(next_value(&mut it, flag)?),
-                    other => return Err(format!("unknown flag {other}")),
-                }
-            }
-            if k == 0 || depth == 0 {
-                return Err("--k and --depth must be positive".into());
-            }
-            if em_tol < 0.0 || !em_tol.is_finite() {
-                return Err("--em-tol must be a finite non-negative number".into());
-            }
-            Ok(Command::Snapshot { input, output, k, depth, threads, em_tol, par_threshold })
+            let (k, depth, threads, em_tol) = parse_mine_flags(&mut it)?;
+            Ok(Command::Snapshot { input, output, k, depth, threads, em_tol })
         }
         "shard" => {
             let snapshot = it.next().ok_or("shard needs a snapshot path")?.clone();
@@ -357,6 +310,30 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     }
 }
 
+/// Parses the flags `mine` and `snapshot` share — `--k`, `--depth`,
+/// `--threads` and `--em-tol` — into `(k, depth, threads, em_tol)`.
+fn parse_mine_flags(
+    it: &mut std::slice::Iter<'_, String>,
+) -> Result<(usize, usize, usize, f64), String> {
+    let (mut k, mut depth, mut threads, mut em_tol) = (4usize, 2usize, 0usize, 0.0f64);
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--k" => k = next_value(it, flag)?,
+            "--depth" => depth = next_value(it, flag)?,
+            "--threads" => threads = next_value(it, flag)?,
+            "--em-tol" => em_tol = next_value(it, flag)?,
+            other => return Err(format!("unknown flag {other}")),
+        }
+    }
+    if k == 0 || depth == 0 {
+        return Err("--k and --depth must be positive".into());
+    }
+    if em_tol < 0.0 || !em_tol.is_finite() {
+        return Err("--em-tol must be a finite non-negative number".into());
+    }
+    Ok((k, depth, threads, em_tol))
+}
+
 fn next_value<T: std::str::FromStr>(
     it: &mut std::slice::Iter<'_, String>,
     flag: &str,
@@ -377,9 +354,8 @@ lesm — latent entity structure mining
 USAGE:
   lesm synth [--docs N] [--seed S]        emit a synthetic corpus as TSV
   lesm mine <corpus.tsv> [--k K] [--depth D] [--threads T] [--em-tol TOL]
-            [--par-threshold U]           mine a hierarchy, print JSON
+                                          mine a hierarchy, print JSON
   lesm snapshot <corpus.tsv> <out.lesm> [--k K] [--depth D] [--threads T] [--em-tol TOL]
-            [--par-threshold U]
                                           mine once, save a binary snapshot
   lesm snapshot inspect <file.lesm>       dump an artifact's section table
   lesm shard <snapshot.lesm> <out_dir> [--by entity-range|topic-subtree]
@@ -398,11 +374,7 @@ USAGE:
   lesm advisors <corpus.tsv>              mine advisor-advisee relations
 
 `--threads 0` (the default) uses every available core; any thread count
-produces identical output. `--par-threshold U` sets the adaptive-dispatch
-cutoff in abstract work units (~1 unit per f64 multiply-add): parallel
-calls carrying less work than U run on one thread to skip fan-out
-overhead. It changes scheduling only, never results.
-`--em-tol` stops each EM run once the relative
+produces identical output. `--em-tol` stops each EM run once the relative
 objective improvement drops below TOL (0, the default, always runs the
 full iteration budget). `search` detects snapshot inputs by their magic
 bytes and answers from the persisted structure without re-mining,
@@ -513,8 +485,10 @@ pub fn run_snapshot(
 ) -> Result<String, String> {
     let mined = LatentStructureMiner::mine(corpus, &cli_miner_config(k, depth, threads, em_tol))
         .map_err(|e| e.to_string())?;
-    lesm_serve::save_snapshot_v2_file(output, corpus, &mined).map_err(|e| e.to_string())?;
-    let bytes = std::fs::metadata(output).map(|m| m.len()).unwrap_or(0);
+    let artifact = lesm_serve::save_snapshot_v2(corpus, &mined).map_err(|e| e.to_string())?;
+    std::fs::write(output, &artifact)
+        .map_err(|e| lesm_serve::SnapshotError::Io(e).to_string())?;
+    let bytes = artifact.len();
     Ok(format!(
         "wrote {output} (format v{}): {} topics, {} docs, {bytes} bytes",
         lesm_serve::FORMAT_VERSION_V2,
@@ -763,58 +737,26 @@ mod tests {
         );
         assert_eq!(
             parse_args(&s(&["mine", "in.tsv", "--k", "3", "--depth", "1"])).unwrap(),
-            Command::Mine {
-                input: "in.tsv".into(),
-                k: 3,
-                depth: 1,
-                threads: 0,
-                em_tol: 0.0,
-                par_threshold: None
-            }
+            Command::Mine { input: "in.tsv".into(), k: 3, depth: 1, threads: 0, em_tol: 0.0 }
         );
         assert_eq!(
             parse_args(&s(&["mine", "in.tsv", "--threads", "4"])).unwrap(),
-            Command::Mine {
-                input: "in.tsv".into(),
-                k: 4,
-                depth: 2,
-                threads: 4,
-                em_tol: 0.0,
-                par_threshold: None
-            }
+            Command::Mine { input: "in.tsv".into(), k: 4, depth: 2, threads: 4, em_tol: 0.0 }
         );
         assert_eq!(
             parse_args(&s(&["mine", "in.tsv", "--em-tol", "1e-6"])).unwrap(),
-            Command::Mine {
-                input: "in.tsv".into(),
-                k: 4,
-                depth: 2,
-                threads: 0,
-                em_tol: 1e-6,
-                par_threshold: None
-            }
+            Command::Mine { input: "in.tsv".into(), k: 4, depth: 2, threads: 0, em_tol: 1e-6 }
         );
         assert_eq!(
-            parse_args(&s(&["mine", "in.tsv", "--par-threshold", "4096"])).unwrap(),
-            Command::Mine {
-                input: "in.tsv".into(),
-                k: 4,
-                depth: 2,
-                threads: 0,
-                em_tol: 0.0,
-                par_threshold: Some(4096)
-            }
-        );
-        assert_eq!(
-            parse_args(&s(&["snapshot", "in.tsv", "out.lesm", "--par-threshold", "0"])).unwrap(),
+            parse_args(&s(&["snapshot", "in.tsv", "out.lesm", "--threads", "2", "--em-tol", "1e-4"]))
+                .unwrap(),
             Command::Snapshot {
                 input: "in.tsv".into(),
                 output: "out.lesm".into(),
                 k: 4,
                 depth: 2,
-                threads: 0,
-                em_tol: 0.0,
-                par_threshold: Some(0)
+                threads: 2,
+                em_tol: 1e-4
             }
         );
         assert_eq!(
@@ -867,8 +809,7 @@ mod tests {
         assert!(parse_args(&s(&["mine", "x", "--k", "0"])).is_err());
         assert!(parse_args(&s(&["mine", "x", "--em-tol", "-1"])).is_err());
         assert!(parse_args(&s(&["mine", "x", "--em-tol", "NaN"])).is_err());
-        assert!(parse_args(&s(&["mine", "x", "--par-threshold", "-1"])).is_err());
-        assert!(parse_args(&s(&["mine", "x", "--par-threshold", "lots"])).is_err());
+        assert!(parse_args(&s(&["snapshot", "x", "y", "--em-tol", "-1"])).is_err());
         assert!(parse_args(&s(&["search", "x"])).is_err());
         assert!(parse_args(&s(&["frobnicate"])).is_err());
         assert!(parse_args(&s(&["synth", "--bogus", "1"])).is_err());

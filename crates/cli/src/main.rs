@@ -48,18 +48,12 @@ fn run(command: Command) -> Result<(), String> {
                 Err(e) => Err(e.to_string()),
             }
         }
-        Command::Mine { input, k, depth, threads, em_tol, par_threshold } => {
-            if let Some(units) = par_threshold {
-                lesm_par::set_par_threshold(units);
-            }
+        Command::Mine { input, k, depth, threads, em_tol } => {
             let corpus = lesm_cli::load_corpus(&input)?;
             let json = lesm_cli::run_mine(&corpus, k, depth, threads, em_tol)?;
             emit(&json)
         }
-        Command::Snapshot { input, output, k, depth, threads, em_tol, par_threshold } => {
-            if let Some(units) = par_threshold {
-                lesm_par::set_par_threshold(units);
-            }
+        Command::Snapshot { input, output, k, depth, threads, em_tol } => {
             let corpus = lesm_cli::load_corpus(&input)?;
             let summary = lesm_cli::run_snapshot(&corpus, &output, k, depth, threads, em_tol)?;
             emit(&format!("{summary}\n"))

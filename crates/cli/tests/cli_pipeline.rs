@@ -63,6 +63,24 @@ fn mine_output_is_byte_identical_across_threads_and_runs() {
     std::fs::remove_file(path).ok();
 }
 
+/// Thread dispatch has no process-wide knob: `--par-threshold` is an
+/// unknown flag, a usage error (exit 2) like any other.
+#[test]
+fn par_threshold_flag_is_a_usage_error() {
+    for args in [
+        &["mine", "x.tsv", "--par-threshold", "4096"][..],
+        &["snapshot", "x.tsv", "x.lesm", "--par-threshold", "4096"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_lesm"))
+            .args(args)
+            .output()
+            .expect("run lesm");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("unknown flag --par-threshold"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn search_returns_relevant_lines() {
     let mut cfg = PapersConfig::dblp(500, 19);

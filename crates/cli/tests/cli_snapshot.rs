@@ -141,11 +141,10 @@ fn s(v: &[&str]) -> Vec<String> {
 #[test]
 fn parse_snapshot_subcommand() {
     match parse_args(&s(&["snapshot", "in.tsv", "out.lesm"])).unwrap() {
-        Command::Snapshot { input, output, k, depth, threads, em_tol, par_threshold } => {
+        Command::Snapshot { input, output, k, depth, threads, em_tol } => {
             assert_eq!((input.as_str(), output.as_str()), ("in.tsv", "out.lesm"));
             assert_eq!((k, depth, threads), (4, 2, 0));
             assert_eq!(em_tol, 0.0);
-            assert_eq!(par_threshold, None);
         }
         other => panic!("expected Snapshot, got {other:?}"),
     }

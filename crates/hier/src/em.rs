@@ -1093,7 +1093,6 @@ fn run_em(
 
     // Initialize φ, φ0, ρ (same RNG draw order as the original nested
     // implementation: type-major, then subtopic, then node).
-    let warm_started = warm.is_some();
     let mut cur = match warm {
         Some(arena) => {
             debug_assert_eq!(arena.k, k);
@@ -1121,8 +1120,6 @@ fn run_em(
             }
             if config.background {
                 phi0.copy_from_slice(&state.parent_flat);
-            }
-            if config.background {
                 rho[0] = config.background_init;
                 for z in 1..=k {
                     rho[z] = (1.0 - config.background_init) / k as f64;
@@ -1135,7 +1132,6 @@ fn run_em(
             arena
         }
     };
-    let _ = warm_started;
 
     // Ping-pong write arena. φ0 is copied once up front so it stays pinned
     // through swaps when it is not re-learned.
@@ -1196,7 +1192,7 @@ fn run_em(
             rho_c,
             bgpack: &bgpack,
         };
-        lesm_par::par_buffer_reduce_with_hinted(
+        lesm_par::par_buffer_reduce_with(
             &mut scratch.reduce,
             n_edges,
             grain,
@@ -1275,7 +1271,7 @@ fn run_em(
     };
     let (phi_c, phi0_c, rho_c) = cur.split();
     let mut ll = [0.0f64];
-    lesm_par::par_buffer_reduce_with_hinted(
+    lesm_par::par_buffer_reduce_with(
         &mut scratch.reduce,
         n_edges,
         grain,
@@ -1324,7 +1320,7 @@ fn learn_alpha(
     let parent_flat = &state.parent_flat;
     // σ_{x,y} = (1/n_{x,y}) Σ e ln( e / (M_{x,y} s) )
     let mut sigma = vec![0.0f64; t_count * t_count];
-    lesm_par::par_buffer_reduce_with_hinted(
+    lesm_par::par_buffer_reduce_with(
         &mut scratch.reduce,
         n_edges,
         lesm_par::grain_for_pieces(n_edges, EM_PIECES),

@@ -161,7 +161,7 @@ pub fn topk_eigen_threads(
     let mut aqt = Mat::zeros(k, n);
     let mut prev_ritz = vec![f64::INFINITY; k];
     for _ in 0..max_iters {
-        lesm_par::par_for_rows_hinted(
+        lesm_par::par_for_blocks(
             aqt.as_mut_slice(),
             n,
             threads,
@@ -306,5 +306,18 @@ mod tests {
         for v in &e.values {
             assert!((v - 1.0).abs() < 1e-8);
         }
+    }
+
+    #[test]
+    fn topk_on_a_zero_dimension_operator_is_empty() {
+        // k clamps to n = 0: the answer is an empty decomposition, for any
+        // requested k and thread count, not a panic.
+        let a = Mat::zeros(0, 0);
+        for threads in [1usize, 4] {
+            let e = topk_eigen_threads(&a, 3, 50, 1e-10, 1, threads);
+            assert!(e.values.is_empty());
+            assert_eq!((e.vectors.rows(), e.vectors.cols()), (0, 0));
+        }
+        assert!(topk_eigen(&a, 0, 50, 1e-10, 1).values.is_empty());
     }
 }

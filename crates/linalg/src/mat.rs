@@ -151,7 +151,7 @@ impl Mat {
         let panel = self.transpose();
         let n = other.cols;
         let hint = lesm_par::WorkHint::items(self.rows, self.cols * n);
-        lesm_par::par_for_blocks_hinted(
+        lesm_par::par_for_blocks(
             &mut out.data,
             MATMUL_MR * n,
             threads,
@@ -229,7 +229,7 @@ impl Mat {
         }
         let n = other.cols;
         let hint = lesm_par::WorkHint::items(self.cols, self.rows * n);
-        lesm_par::par_for_rows_hinted(&mut out.data, n, threads, hint, |ka, out_row| {
+        lesm_par::par_for_blocks(&mut out.data, n, threads, hint, |ka, out_row| {
             for r in 0..self.rows {
                 let coef = self.data[r * self.cols + ka];
                 if coef == 0.0 {
@@ -265,7 +265,7 @@ impl Mat {
         }
         let n = other.rows;
         let hint = lesm_par::WorkHint::items(self.rows, self.cols * n);
-        lesm_par::par_for_rows_hinted(&mut out.data, n, threads, hint, |i, out_row| {
+        lesm_par::par_for_blocks(&mut out.data, n, threads, hint, |i, out_row| {
             let a = self.row(i);
             for (o, j) in out_row.iter_mut().zip(0..n) {
                 *o = dot(a, other.row(j));
@@ -344,7 +344,7 @@ impl Mat {
         assert_eq!(self.rows, x.len(), "dimension mismatch");
         let grain = lesm_par::grain_for_pieces(self.rows, TMATVEC_PIECES);
         let hint = lesm_par::WorkHint::items(self.rows, self.cols);
-        lesm_par::par_buffer_reduce_hinted(
+        lesm_par::par_buffer_reduce(
             self.rows,
             grain,
             threads,

@@ -254,7 +254,7 @@ proptest! {
 }
 
 /// Deterministic sweep across the adaptive-dispatch boundary: 16³ work sits
-/// far below the default `par_threshold` (sequential dispatch), 96³ far
+/// far below the `lesm-par` dispatch threshold (sequential dispatch), 96³ far
 /// above it (parallel dispatch when cores allow). Results must carry the
 /// same bits on both sides and for every requested thread count.
 #[test]

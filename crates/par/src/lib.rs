@@ -20,12 +20,13 @@
 //! Spawning scoped threads costs a few microseconds each; below a work
 //! threshold that overhead exceeds the compute being distributed and
 //! "parallel" calls get *slower* (BENCH_em_core.json recorded exactly
-//! that for small EM fits). The `_hinted` variants therefore take a
+//! that for small EM fits). Every primitive therefore takes a required
 //! [`WorkHint`] — an abstract work estimate in units of roughly one
-//! floating-point multiply-add — and [`dispatch_threads`] resolves the
-//! number of worker threads:
+//! floating-point multiply-add — which resolves the number of worker
+//! threads:
 //!
-//! * below the process-wide [`par_threshold`], one thread (run inline);
+//! * below a fixed work threshold (the private `PAR_THRESHOLD`), one
+//!   thread (run inline);
 //! * otherwise `effective_threads(requested)` capped at the machine's
 //!   available parallelism (oversubscribing a small box only adds
 //!   scheduling overhead).
@@ -33,9 +34,9 @@
 //! The threshold can never change a result bit: chunk layout and fold
 //! order are functions of the problem alone, so the sequential fallback
 //! executes the very same chunks in the very same left-to-right order —
-//! only the scheduling differs. The un-hinted entry points assume the
-//! work is heavy ([`WorkHint::HEAVY`]) and parallelize whenever more than
-//! one thread is requested, exactly as before the cost model existed.
+//! only the scheduling differs. Callers whose per-item cost is unknown
+//! pass [`WorkHint::HEAVY`], which always honors the requested thread
+//! count.
 //!
 //! Everything is built on [`std::thread::scope`] — no dependencies, no
 //! thread pool, no unsafe code.
@@ -45,7 +46,6 @@
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Resolves a requested thread count: `0` means "use all available
 /// parallelism", anything else is taken literally (minimum 1).
@@ -61,21 +61,21 @@ pub fn effective_threads(requested: usize) -> usize {
 /// roughly one floating-point multiply-add (or comparable memory
 /// traffic).
 ///
-/// Hints feed [`dispatch_threads`], which falls back to sequential
-/// execution when the total work is too small to amortize thread spawns.
-/// Hints influence *scheduling only* — results are bit-identical whether
-/// a call runs sequentially or parallel, so a wrong estimate can cost
-/// time but never correctness.
+/// Every primitive falls back to sequential execution when the hinted
+/// work is too small to amortize thread spawns. Hints influence
+/// *scheduling only* — results are bit-identical whether a call runs
+/// sequentially or parallel, so a wrong estimate can cost time but never
+/// correctness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct WorkHint {
     units: u64,
 }
 
 impl WorkHint {
-    /// Work that is always worth distributing. This is the hint the
-    /// un-hinted wrappers use: when per-item cost is unknown it may be
-    /// arbitrarily large (e.g. whole-document segmentation), so the safe
-    /// default is to honor the requested thread count.
+    /// Work that is always worth distributing. Use it when per-item cost
+    /// is unknown and may be arbitrarily large (e.g. whole-document
+    /// segmentation, a matrix-free operator application): it honors the
+    /// requested thread count.
     pub const HEAVY: WorkHint = WorkHint { units: u64::MAX };
 
     /// A raw unit count.
@@ -94,38 +94,20 @@ impl WorkHint {
     }
 }
 
-/// Default sequential-fallback threshold in [`WorkHint`] units.
+/// Sequential-fallback threshold in [`WorkHint`] units.
 ///
 /// Scoped spawns cost single-digit microseconds per thread and a work
 /// unit is on the order of a nanosecond, so parallelism starts paying
 /// for itself somewhere in the hundreds of thousands of units. The exact
 /// value only moves the crossover point, never any result bit.
-pub const DEFAULT_PAR_THRESHOLD: u64 = 262_144;
+const PAR_THRESHOLD: u64 = 262_144;
 
-/// Process-wide dispatch threshold (work units). Mutating scheduling
-/// state is deterministic-safe here because the threshold cannot affect
-/// chunk layout or fold order — see the module docs.
-static PAR_THRESHOLD: AtomicU64 = AtomicU64::new(DEFAULT_PAR_THRESHOLD);
-
-/// Sets the process-wide work threshold below which hinted calls run
-/// sequentially. `0` disables the fallback (always honor the requested
-/// thread count); `u64::MAX` forces every hinted call sequential except
-/// those marked [`WorkHint::HEAVY`].
-pub fn set_par_threshold(units: u64) {
-    PAR_THRESHOLD.store(units, Ordering::Relaxed);
-}
-
-/// The current sequential-fallback threshold in work units.
-pub fn par_threshold() -> u64 {
-    PAR_THRESHOLD.load(Ordering::Relaxed)
-}
-
-/// Resolves how many worker threads a hinted call should use: `1` when
-/// the estimated work is below [`par_threshold`], otherwise the
-/// requested count (with `0` meaning "all cores") capped at the
-/// machine's available parallelism.
-pub fn dispatch_threads(requested: usize, hint: WorkHint) -> usize {
-    if hint.units < par_threshold() {
+/// Resolves how many worker threads a call should use: `1` when the
+/// estimated work is below [`PAR_THRESHOLD`], otherwise the requested
+/// count (with `0` meaning "all cores") capped at the machine's available
+/// parallelism.
+fn dispatch_threads(requested: usize, hint: WorkHint) -> usize {
+    if hint.units < PAR_THRESHOLD {
         return 1;
     }
     effective_threads(requested).min(effective_threads(0)).max(1)
@@ -217,28 +199,11 @@ impl ReduceScratch {
 ///
 /// Threads pick up whole chunks; since each chunk's buffer is computed
 /// independently and the fold order is fixed, the result does not depend
-/// on how chunks were scheduled. With one worker thread the fills run
-/// inline on the caller's thread through the *same* chunking and fold,
-/// so the serial result is the parallel result.
+/// on how chunks were scheduled. With one worker thread (requested, or
+/// chosen by `hint`) the fills run inline on the caller's thread through
+/// the *same* chunking and fold, so the serial result is the parallel
+/// result.
 pub fn par_buffer_reduce<F>(
-    n_items: usize,
-    grain: usize,
-    threads: usize,
-    out_len: usize,
-    fill: F,
-) -> Vec<f64>
-where
-    F: Fn(Range<usize>, &mut [f64]) + Sync,
-{
-    let mut scratch = ReduceScratch::new();
-    let mut out = vec![0.0; out_len];
-    par_buffer_reduce_with(&mut scratch, n_items, grain, threads, &mut out, fill);
-    out
-}
-
-/// [`par_buffer_reduce`] with an explicit [`WorkHint`] driving the
-/// sequential fallback.
-pub fn par_buffer_reduce_hinted<F>(
     n_items: usize,
     grain: usize,
     threads: usize,
@@ -251,7 +216,7 @@ where
 {
     let mut scratch = ReduceScratch::new();
     let mut out = vec![0.0; out_len];
-    par_buffer_reduce_with_hinted(&mut scratch, n_items, grain, threads, hint, &mut out, fill);
+    par_buffer_reduce_with(&mut scratch, n_items, grain, threads, hint, &mut out, fill);
     out
 }
 
@@ -259,33 +224,18 @@ where
 /// `scratch` for the per-chunk buffers.
 ///
 /// `out` is zeroed before the fold, so the call computes exactly the same
-/// bits as `par_buffer_reduce(n_items, grain, threads, out.len(), fill)`
-/// — the scratch only removes the per-call allocation of the chunk
+/// bits as `par_buffer_reduce(n_items, grain, threads, hint, out.len(),
+/// fill)` — the scratch only removes the per-call allocation of the chunk
 /// buffers (and of `out` itself). Iteration-level hot loops should hold
 /// one scratch and one accumulator for their whole lifetime.
-pub fn par_buffer_reduce_with<F>(
-    scratch: &mut ReduceScratch,
-    n_items: usize,
-    grain: usize,
-    threads: usize,
-    out: &mut [f64],
-    fill: F,
-) where
-    F: Fn(Range<usize>, &mut [f64]) + Sync,
-{
-    par_buffer_reduce_with_hinted(scratch, n_items, grain, threads, WorkHint::HEAVY, out, fill);
-}
-
-/// [`par_buffer_reduce_with`] with an explicit [`WorkHint`] driving the
-/// sequential fallback.
 ///
 /// The sequential path folds each chunk into `out` as soon as it is
 /// filled, reusing **one** chunk buffer instead of materializing all of
 /// them. Per output element that computes `((0 + c0) + c1) + c2 + …` —
 /// the identical grouping to the parallel N-buffer fold — while keeping
 /// the working set at two buffers, which is what makes small reduces
-/// cheap enough for the cost-model fallback to pay off.
-pub fn par_buffer_reduce_with_hinted<F>(
+/// cheap enough for the sequential fallback to pay off.
+pub fn par_buffer_reduce_with<F>(
     scratch: &mut ReduceScratch,
     n_items: usize,
     grain: usize,
@@ -373,17 +323,7 @@ const FOLD_PAR_MIN_ELEMENTS: usize = 4096;
 /// trivially identical for any thread count. Use for embarrassingly
 /// parallel maps: per-document segmentation, per-restart power
 /// iterations, per-column matrix products.
-pub fn par_map_collect<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map_collect_hinted(n, threads, WorkHint::HEAVY, f)
-}
-
-/// [`par_map_collect`] with an explicit [`WorkHint`] driving the
-/// sequential fallback.
-pub fn par_map_collect_hinted<T, F>(n: usize, threads: usize, hint: WorkHint, f: F) -> Vec<T>
+pub fn par_map_collect<T, F>(n: usize, threads: usize, hint: WorkHint, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -436,113 +376,23 @@ where
     out.into_iter().map(|slot| slot.expect("par_map_collect slot unfilled")).collect()
 }
 
-/// Applies `f(index, &mut item)` to every item in parallel over disjoint
-/// contiguous partitions of `items`.
-///
-/// Mutations are confined to each item, so the outcome is identical for
-/// any thread count as long as `f` itself only touches its item.
-pub fn par_for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    par_for_each_mut_hinted(items, threads, WorkHint::HEAVY, f);
-}
-
-/// [`par_for_each_mut`] with an explicit [`WorkHint`] driving the
-/// sequential fallback.
-pub fn par_for_each_mut_hinted<T, F>(items: &mut [T], threads: usize, hint: WorkHint, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    let threads = dispatch_threads(threads, hint).min(n).max(1);
-    if threads <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let per_thread = n.div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (group_idx, group) in items.chunks_mut(per_thread).enumerate() {
-            let base = group_idx * per_thread;
-            scope.spawn(move || {
-                for (offset, item) in group.iter_mut().enumerate() {
-                    f(base + offset, item);
-                }
-            });
-        }
-    });
-}
-
-/// Applies `f(row_index, row)` to every `row_len`-sized row of a flat
-/// row-major buffer, in parallel over disjoint row partitions.
-///
-/// Panics if `data.len()` is not a multiple of `row_len`.
-pub fn par_for_rows<F>(data: &mut [f64], row_len: usize, threads: usize, f: F)
-where
-    F: Fn(usize, &mut [f64]) + Sync,
-{
-    par_for_rows_hinted(data, row_len, threads, WorkHint::HEAVY, f);
-}
-
-/// [`par_for_rows`] with an explicit [`WorkHint`] driving the sequential
-/// fallback.
-pub fn par_for_rows_hinted<F>(data: &mut [f64], row_len: usize, threads: usize, hint: WorkHint, f: F)
-where
-    F: Fn(usize, &mut [f64]) + Sync,
-{
-    assert!(row_len > 0, "par_for_rows requires a positive row length");
-    assert_eq!(
-        data.len() % row_len,
-        0,
-        "flat buffer length {} is not a multiple of row length {}",
-        data.len(),
-        row_len
-    );
-    let n_rows = data.len() / row_len;
-    let threads = dispatch_threads(threads, hint).min(n_rows).max(1);
-    if threads <= 1 {
-        for (i, row) in data.chunks_mut(row_len).enumerate() {
-            f(i, row);
-        }
-        return;
-    }
-    let rows_per_thread = n_rows.div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (group_idx, group) in data.chunks_mut(rows_per_thread * row_len).enumerate() {
-            let base = group_idx * rows_per_thread;
-            scope.spawn(move || {
-                for (offset, row) in group.chunks_mut(row_len).enumerate() {
-                    f(base + offset, row);
-                }
-            });
-        }
-    });
-}
-
 /// Applies `f(block_index, block)` to every `block_len`-sized block of a
 /// flat buffer (the final block may be shorter), in parallel over
 /// disjoint groups of whole blocks.
 ///
-/// Like [`par_for_rows`] but tolerant of a ragged tail — the shape
-/// register-blocked kernels need, where a row block covers several
-/// matrix rows and the last block may be short. Thread-group boundaries
-/// always fall on block boundaries, so each block is processed by
-/// exactly one worker.
-pub fn par_for_blocks_hinted<F>(
-    data: &mut [f64],
-    block_len: usize,
-    threads: usize,
-    hint: WorkHint,
-    f: F,
-) where
+/// With `block_len` equal to the row length of a row-major matrix the
+/// blocks are exactly its rows; register-blocked kernels pass a block of
+/// several rows, where the last block may be short. Thread-group
+/// boundaries always fall on block boundaries, so each block is processed
+/// by exactly one worker. An empty buffer is a no-op; otherwise panics if
+/// `block_len` is zero.
+pub fn par_for_blocks<F>(data: &mut [f64], block_len: usize, threads: usize, hint: WorkHint, f: F)
+where
     F: Fn(usize, &mut [f64]) + Sync,
 {
+    if data.is_empty() {
+        return;
+    }
     assert!(block_len > 0, "par_for_blocks requires a positive block length");
     let n_blocks = data.len().div_ceil(block_len);
     let threads = dispatch_threads(threads, hint).min(n_blocks).max(1);
@@ -571,10 +421,12 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::sync::Mutex;
 
-    /// Serializes tests that mutate the process-wide threshold.
-    static THRESHOLD_LOCK: Mutex<()> = Mutex::new(());
+    /// The thread counts and hints every primitive is checked against:
+    /// `units(1)` always takes the sequential fallback, `HEAVY` always
+    /// fans out to the requested threads (capped at the machine's cores).
+    const THREADS: [usize; 4] = [1, 2, 3, 8];
+    const HINTS: [WorkHint; 2] = [WorkHint::units(1), WorkHint::HEAVY];
 
     #[test]
     fn chunk_layout_ignores_thread_count() {
@@ -610,34 +462,14 @@ mod tests {
 
     #[test]
     fn dispatch_serializes_small_work_and_caps_at_cores() {
-        let _guard = THRESHOLD_LOCK.lock().unwrap();
-        set_par_threshold(DEFAULT_PAR_THRESHOLD);
         // Below threshold: one thread no matter what was requested.
-        assert_eq!(dispatch_threads(8, WorkHint::units(DEFAULT_PAR_THRESHOLD - 1)), 1);
+        assert_eq!(dispatch_threads(8, WorkHint::units(PAR_THRESHOLD - 1)), 1);
         assert_eq!(dispatch_threads(0, WorkHint::units(0)), 1);
         // At/above threshold: requested count, capped at real cores.
         let cores = effective_threads(0);
         assert_eq!(dispatch_threads(1, WorkHint::HEAVY), 1);
         assert_eq!(dispatch_threads(cores + 64, WorkHint::HEAVY), cores);
-        assert_eq!(
-            dispatch_threads(2, WorkHint::units(DEFAULT_PAR_THRESHOLD)),
-            2usize.min(cores)
-        );
-    }
-
-    #[test]
-    fn threshold_is_settable_and_heavy_is_immune() {
-        let _guard = THRESHOLD_LOCK.lock().unwrap();
-        set_par_threshold(10);
-        assert_eq!(par_threshold(), 10);
-        assert_eq!(dispatch_threads(4, WorkHint::units(9)), 1);
-        let cores = effective_threads(0);
-        assert_eq!(dispatch_threads(4, WorkHint::units(10)), 4usize.min(cores));
-        set_par_threshold(u64::MAX);
-        // HEAVY is u64::MAX which is not strictly below any threshold.
-        assert_eq!(dispatch_threads(4, WorkHint::HEAVY), 4usize.min(cores));
-        assert_eq!(dispatch_threads(4, WorkHint::units(u64::MAX - 1)), 1);
-        set_par_threshold(DEFAULT_PAR_THRESHOLD);
+        assert_eq!(dispatch_threads(2, WorkHint::units(PAR_THRESHOLD)), 2usize.min(cores));
     }
 
     /// Adversarial mix of magnitudes so any change in summation grouping
@@ -653,28 +485,15 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn buffer_reduce_is_bit_identical_across_thread_counts() {
-        let values = wild_values(1013, 42);
-        let fill = |range: Range<usize>, buf: &mut [f64]| {
-            for i in range {
-                buf[0] += values[i];
-                buf[1] += values[i] * values[i];
-            }
-        };
-        let reference = par_buffer_reduce(values.len(), 97, 1, 2, fill);
-        for threads in 2..=8 {
-            let got = par_buffer_reduce(values.len(), 97, threads, 2, fill);
-            assert_eq!(reference[0].to_bits(), got[0].to_bits(), "threads={threads}");
-            assert_eq!(reference[1].to_bits(), got[1].to_bits(), "threads={threads}");
-        }
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
-    fn reduce_is_bit_identical_across_the_dispatch_boundary() {
-        // The same reduce forced sequential (tiny hint) and forced
-        // parallel (HEAVY hint) must agree bitwise: the hint can only
-        // change scheduling, never grouping.
+    fn every_primitive_is_bit_identical_across_threads_and_hints() {
+        // One reference per primitive at (threads 1, sequential hint);
+        // every other (threads, hint) cell must reproduce it bit for bit.
+        // The hint can only change scheduling, never grouping.
         let values = wild_values(2029, 11);
         let fill = |range: Range<usize>, buf: &mut [f64]| {
             for i in range {
@@ -682,10 +501,30 @@ mod tests {
                 buf[6] += values[i] * 0.5;
             }
         };
-        let seq = par_buffer_reduce_hinted(values.len(), 64, 8, WorkHint::units(1), 7, fill);
-        let par = par_buffer_reduce_hinted(values.len(), 64, 8, WorkHint::HEAVY, 7, fill);
-        for (idx, (a, b)) in seq.iter().zip(&par).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "element {idx}");
+        let map = |i: usize| values[i] * values[(i * 7) % values.len()] + values[i].abs().sqrt();
+        let blocks = |threads: usize, hint: WorkHint| {
+            let mut data = vec![0.0f64; 301];
+            par_for_blocks(&mut data, 13, threads, hint, |b, block| {
+                let mut acc = 0.0;
+                for (i, x) in block.iter_mut().enumerate() {
+                    acc += values[b * 13 + i];
+                    *x = acc;
+                }
+            });
+            data
+        };
+        let reduce_ref = bits(&par_buffer_reduce(values.len(), 64, 1, HINTS[0], 7, fill));
+        let map_ref = bits(&par_map_collect(values.len(), 1, HINTS[0], map));
+        let blocks_ref = bits(&blocks(1, HINTS[0]));
+        for threads in THREADS {
+            for hint in HINTS {
+                let cell = format!("threads={threads} hint={hint:?}");
+                let reduce = par_buffer_reduce(values.len(), 64, threads, hint, 7, fill);
+                assert_eq!(bits(&reduce), reduce_ref, "reduce {cell}");
+                let mapped = par_map_collect(values.len(), threads, hint, map);
+                assert_eq!(bits(&mapped), map_ref, "map {cell}");
+                assert_eq!(bits(&blocks(threads, hint)), blocks_ref, "blocks {cell}");
+            }
         }
     }
 
@@ -698,8 +537,8 @@ mod tests {
                 buf[0] = -0.0;
             }
         };
-        let seq = par_buffer_reduce_hinted(10, 5, 4, WorkHint::units(1), 1, fill);
-        let par = par_buffer_reduce_hinted(10, 5, 4, WorkHint::HEAVY, 1, fill);
+        let seq = par_buffer_reduce(10, 5, 4, WorkHint::units(1), 1, fill);
+        let par = par_buffer_reduce(10, 5, 4, WorkHint::HEAVY, 1, fill);
         assert_eq!(seq[0].to_bits(), par[0].to_bits());
         assert_eq!(seq[0].to_bits(), 0.0f64.to_bits());
     }
@@ -714,12 +553,11 @@ mod tests {
                 buf[i % out_len] += values[i];
             }
         };
-        let reference = par_buffer_reduce(values.len(), 1000, 1, out_len, fill);
+        let heavy = WorkHint::HEAVY;
+        let reference = bits(&par_buffer_reduce(values.len(), 1000, 1, heavy, out_len, fill));
         for threads in [2usize, 3, 5, 8] {
-            let got = par_buffer_reduce(values.len(), 1000, threads, out_len, fill);
-            for (idx, (a, b)) in reference.iter().zip(&got).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "element {idx}, threads={threads}");
-            }
+            let got = par_buffer_reduce(values.len(), 1000, threads, heavy, out_len, fill);
+            assert_eq!(bits(&got), reference, "threads={threads}");
         }
     }
 
@@ -731,54 +569,46 @@ mod tests {
                 buf[i % 5] += values[i];
             }
         };
-        let want = par_buffer_reduce(values.len(), 53, 1, 5, fill);
+        let heavy = WorkHint::HEAVY;
+        let want = par_buffer_reduce(values.len(), 53, 1, heavy, 5, fill);
         let mut scratch = ReduceScratch::new();
         let mut out = vec![f64::NAN; 5]; // stale contents must be ignored
         for threads in [1usize, 2, 4] {
-            par_buffer_reduce_with(&mut scratch, values.len(), 53, threads, &mut out, fill);
-            for (a, b) in want.iter().zip(&out) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-            }
+            par_buffer_reduce_with(&mut scratch, values.len(), 53, threads, heavy, &mut out, fill);
+            assert_eq!(bits(&out), bits(&want), "threads={threads}");
         }
         // Reusing the same scratch with a different shape is also exact,
-        // including when a parallel-path use follows a sequential one.
+        // including when a sequential-path use follows a parallel one.
         let sum_fill = |range: Range<usize>, buf: &mut [f64]| {
             for i in range {
                 buf[0] += values[i];
             }
         };
-        let want1 = par_buffer_reduce(values.len(), 97, 1, 1, sum_fill);
-        let mut out1 = vec![f64::NAN; 1];
-        par_buffer_reduce_with(&mut scratch, values.len(), 97, 3, &mut out1, sum_fill);
-        assert_eq!(want1[0].to_bits(), out1[0].to_bits());
-        par_buffer_reduce_with_hinted(
-            &mut scratch,
-            values.len(),
-            97,
-            3,
-            WorkHint::units(1),
-            &mut out1,
-            sum_fill,
-        );
-        assert_eq!(want1[0].to_bits(), out1[0].to_bits());
+        let want1 = par_buffer_reduce(values.len(), 97, 1, heavy, 1, sum_fill);
+        for hint in [heavy, WorkHint::units(1)] {
+            let mut out1 = vec![f64::NAN; 1];
+            par_buffer_reduce_with(&mut scratch, values.len(), 97, 3, hint, &mut out1, sum_fill);
+            assert_eq!(want1[0].to_bits(), out1[0].to_bits(), "hint={hint:?}");
+        }
     }
 
     #[test]
     fn buffer_reduce_handles_degenerate_shapes() {
-        let out = par_buffer_reduce(0, 8, 4, 3, |_r, _b| unreachable!());
+        let heavy = WorkHint::HEAVY;
+        let out = par_buffer_reduce(0, 8, 4, heavy, 3, |_r, _b| unreachable!());
         assert_eq!(out, vec![0.0; 3]);
-        let out = par_buffer_reduce(5, 100, 4, 1, |r, b| b[0] += r.len() as f64);
+        let out = par_buffer_reduce(5, 100, 4, heavy, 1, |r, b| b[0] += r.len() as f64);
         assert_eq!(out, vec![5.0]);
     }
 
     #[test]
     fn map_collect_preserves_index_order() {
         for threads in [1usize, 2, 3, 8, 64] {
-            let got = par_map_collect(23, threads, |i| i * i);
+            let got = par_map_collect(23, threads, WorkHint::HEAVY, |i| i * i);
             let want: Vec<usize> = (0..23).map(|i| i * i).collect();
             assert_eq!(got, want, "threads={threads}");
         }
-        assert!(par_map_collect(0, 4, |i| i).is_empty());
+        assert!(par_map_collect(0, 4, WorkHint::HEAVY, |i| i).is_empty());
     }
 
     #[test]
@@ -786,7 +616,7 @@ mod tests {
         // A scratch used as pure temporary storage (overwritten before
         // every read) must not change any output, sequential or parallel.
         for threads in [1usize, 2, 4] {
-            for hint in [WorkHint::units(1), WorkHint::HEAVY] {
+            for hint in HINTS {
                 let got = par_map_collect_scratch(
                     17,
                     threads,
@@ -807,52 +637,22 @@ mod tests {
     }
 
     #[test]
-    fn for_each_mut_touches_every_item_once() {
-        for threads in [1usize, 2, 5, 16] {
-            let mut items = vec![0u64; 37];
-            par_for_each_mut(&mut items, threads, |i, item| *item += i as u64 + 1);
-            let want: Vec<u64> = (0..37).map(|i| i + 1).collect();
-            assert_eq!(items, want, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn for_each_mut_hinted_small_work_matches_parallel() {
-        let mut seq = vec![0u64; 29];
-        let mut par = vec![0u64; 29];
-        par_for_each_mut_hinted(&mut seq, 4, WorkHint::units(1), |i, item| *item = i as u64 * 3);
-        par_for_each_mut_hinted(&mut par, 4, WorkHint::HEAVY, |i, item| *item = i as u64 * 3);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn for_rows_partitions_on_row_boundaries() {
-        let (rows, cols) = (17, 5);
-        for threads in [1usize, 2, 4, 8] {
-            let mut data = vec![0.0f64; rows * cols];
-            par_for_rows(&mut data, cols, threads, |r, row| {
-                for (c, x) in row.iter_mut().enumerate() {
-                    *x = (r * cols + c) as f64;
-                }
-            });
-            let want: Vec<f64> = (0..rows * cols).map(|i| i as f64).collect();
-            assert_eq!(data, want, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn for_blocks_covers_ragged_tails() {
-        // 7 full blocks of 6 plus a tail of 2 over a 44-element buffer.
-        for threads in [1usize, 2, 3, 8] {
-            for hint in [WorkHint::units(1), WorkHint::HEAVY] {
-                let mut data = vec![0.0f64; 44];
-                par_for_blocks_hinted(&mut data, 6, threads, hint, |b, block| {
-                    for (i, x) in block.iter_mut().enumerate() {
-                        *x = (b * 6 + i) as f64 + 1.0;
-                    }
-                });
-                let want: Vec<f64> = (0..44).map(|i| i as f64 + 1.0).collect();
-                assert_eq!(data, want, "threads={threads}");
+        // (len, block_len): 7 full blocks of 6 plus a tail of 2; an exact
+        // multiple (17 rows of 5, the row-major matrix shape); and an
+        // empty buffer, which never calls `f` even with a zero block length.
+        for (len, block_len) in [(44usize, 6usize), (85, 5), (0, 0)] {
+            for threads in THREADS {
+                for hint in HINTS {
+                    let mut data = vec![0.0f64; len];
+                    par_for_blocks(&mut data, block_len, threads, hint, |b, block| {
+                        for (i, x) in block.iter_mut().enumerate() {
+                            *x = (b * block_len + i) as f64 + 1.0;
+                        }
+                    });
+                    let want: Vec<f64> = (0..len).map(|i| i as f64 + 1.0).collect();
+                    assert_eq!(data, want, "len={len} threads={threads} hint={hint:?}");
+                }
             }
         }
     }

@@ -13,6 +13,7 @@
 
 use crate::kert::TopicalPhrase;
 use crate::PhraseError;
+use lesm_par::WorkHint;
 use lesm_topicmodel::{PhraseLda, PhraseLdaConfig, PhraseLdaModel};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -31,7 +32,7 @@ where
     let ranges = lesm_par::chunk_ranges(n_items, lesm_par::grain_for_pieces(n_items, MINE_PIECES));
     let ranges_ref = &ranges;
     let count_ref = &count;
-    let maps = lesm_par::par_map_collect(ranges.len(), threads, |c| {
+    let maps = lesm_par::par_map_collect(ranges.len(), threads, WorkHint::HEAVY, |c| {
         let mut m = HashMap::new();
         count_ref(ranges_ref[c].clone(), &mut m);
         m
@@ -95,12 +96,13 @@ impl FrequentPhrases {
         // frequent (position-based Apriori); documents with no alive
         // positions are dropped (data antimonotonicity).
         let counts_ref = &counts;
-        let mut alive: Vec<Vec<usize>> = lesm_par::par_map_collect(docs.len(), threads, |d| {
-            let doc = &docs[d];
-            (0..doc.len())
-                .filter(|&i| counts_ref.contains_key(std::slice::from_ref(&doc[i])))
-                .collect()
-        });
+        let mut alive: Vec<Vec<usize>> =
+            lesm_par::par_map_collect(docs.len(), threads, WorkHint::HEAVY, |d| {
+                let doc = &docs[d];
+                (0..doc.len())
+                    .filter(|&i| counts_ref.contains_key(std::slice::from_ref(&doc[i])))
+                    .collect()
+            });
         let mut active_docs: Vec<usize> =
             (0..docs.len()).filter(|&d| !alive[d].is_empty()).collect();
         let mut n = 2usize;
@@ -129,7 +131,7 @@ impl FrequentPhrases {
             let next_ref = &next_counts;
             let alive_ref = &alive;
             let refreshed: Vec<Vec<usize>> =
-                lesm_par::par_map_collect(active_docs.len(), threads, |j| {
+                lesm_par::par_map_collect(active_docs.len(), threads, WorkHint::HEAVY, |j| {
                     let d = active_ref[j];
                     let doc = &docs[d];
                     alive_ref[d]
@@ -259,7 +261,7 @@ impl Segmenter {
         config: &SegmenterConfig,
         threads: usize,
     ) -> Vec<Vec<Vec<u32>>> {
-        lesm_par::par_map_collect(docs.len(), threads, |d| {
+        lesm_par::par_map_collect(docs.len(), threads, WorkHint::HEAVY, |d| {
             Self::segment_doc(&docs[d], phrases, config)
         })
     }

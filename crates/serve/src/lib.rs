@@ -47,9 +47,8 @@ pub use server::{Server, ServerConfig, ServerHandle};
 pub use shard::{load_manifest, shard_model, write_shards, ShardBy, ShardManifest};
 pub use snapshot::{is_snapshot_bytes, is_snapshot_file, Snapshot, MAGIC};
 pub use v2::{
-    describe_artifact, describe_artifact_file, save_snapshot_v2, save_snapshot_v2_file,
-    save_snapshot_v2_with_ids, save_snapshot_v2_with_lineage, DeltaInfo, MappedSnapshot,
-    FORMAT_VERSION_V2,
+    describe_artifact, describe_artifact_file, save_snapshot_v2, save_snapshot_v2_with_lineage,
+    DeltaInfo, MappedSnapshot, FORMAT_VERSION_V2,
 };
 
 /// Typed failures loading or saving snapshot artifacts.

@@ -12,7 +12,7 @@
 //! maps shard-local document rows back to global document ids, plus a
 //! `manifest.json` naming the shard files in order.
 
-use crate::v2::save_snapshot_v2_with_ids;
+use crate::v2::save_snapshot_v2_with_lineage;
 use crate::{ServeError, SnapshotError};
 use lesm_core::pipeline::MinedStructure;
 use lesm_corpus::Corpus;
@@ -169,7 +169,8 @@ pub fn write_shards(
         ShardManifest { by: by.name().to_string(), files: Vec::new(), docs: Vec::new() };
     for (i, shard) in shards.iter().enumerate() {
         let file = format!("shard-{i:04}.lesm");
-        let bytes = save_snapshot_v2_with_ids(&shard.corpus, &shard.mined, Some(&shard.global_ids))?;
+        let ids = Some(shard.global_ids.as_slice());
+        let bytes = save_snapshot_v2_with_lineage(&shard.corpus, &shard.mined, ids, None)?;
         std::fs::write(out_dir.join(&file), bytes).map_err(SnapshotError::Io)?;
         manifest.docs.push(shard.global_ids.len());
         manifest.files.push(file);

@@ -199,34 +199,16 @@ impl ArenaWriter {
 /// [`SnapshotError::TooLarge`] if any id or count overflows its 32-bit
 /// wire field — the save refuses rather than truncating.
 pub fn save_snapshot_v2(corpus: &Corpus, mined: &MinedStructure) -> Result<Vec<u8>, SnapshotError> {
-    save_snapshot_v2_with_ids(corpus, mined, None)
-}
-
-/// Writes a v2 artifact to `path`.
-pub fn save_snapshot_v2_file(
-    path: &str,
-    corpus: &Corpus,
-    mined: &MinedStructure,
-) -> Result<(), SnapshotError> {
-    std::fs::write(path, save_snapshot_v2(corpus, mined)?).map_err(SnapshotError::Io)
+    save_snapshot_v2_with_lineage(corpus, mined, None, None)
 }
 
 /// Serializes a v2 artifact. `doc_ids`, when given, maps the local
 /// document index to its global id (used by shards so merged responses
 /// render the same document numbers as an unsharded server); it must
-/// have one entry per document.
-pub fn save_snapshot_v2_with_ids(
-    corpus: &Corpus,
-    mined: &MinedStructure,
-    doc_ids: Option<&[u64]>,
-) -> Result<Vec<u8>, SnapshotError> {
-    save_snapshot_v2_with_lineage(corpus, mined, doc_ids, None)
-}
-
-/// Serializes a v2 artifact, optionally stamping it with delta lineage
-/// (see [`DeltaInfo`]). Artifacts written without lineage are compacted
-/// full artifacts; readers treat both identically apart from
-/// [`MappedSnapshot::delta_info`].
+/// have one entry per document. `delta`, when given, stamps the artifact
+/// with delta lineage (see [`DeltaInfo`]). Artifacts written without
+/// lineage are compacted full artifacts; readers treat both identically
+/// apart from [`MappedSnapshot::delta_info`].
 pub fn save_snapshot_v2_with_lineage(
     corpus: &Corpus,
     mined: &MinedStructure,

@@ -142,8 +142,8 @@ fn query_responses_byte_identical_across_backends_workers_and_shards() {
     // The same artifact mapped from a file.
     let dir = tmp_dir("v2");
     let v2_path = dir.join("model.lesm");
-    lesm_serve::save_snapshot_v2_file(v2_path.to_str().expect("utf-8 path"), &corpus, &mined)
-        .expect("save v2");
+    std::fs::write(&v2_path, lesm_serve::save_snapshot_v2(&corpus, &mined).expect("save v2"))
+        .expect("write v2");
     let mapped = lesm_serve::load_model_file(v2_path.to_str().expect("utf-8 path")).expect("map");
     variants.push((
         "file-mapped".into(),

@@ -24,8 +24,8 @@ use lesm_hier::TopicHierarchy;
 use lesm_net::{LinkBlock, TypedNetwork};
 use lesm_phrases::TopicalPhrase;
 use lesm_serve::{
-    describe_artifact, load_model_file, save_snapshot_v2, save_snapshot_v2_with_ids,
-    save_snapshot_v2_with_lineage, DeltaInfo, MappedSnapshot, Model, SnapshotError,
+    describe_artifact, load_model_file, save_snapshot_v2, save_snapshot_v2_with_lineage,
+    DeltaInfo, MappedSnapshot, Model, SnapshotError,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -275,7 +275,7 @@ fn shard_doc_ids_rename_rendered_documents() {
         &[1.0f64.to_bits(), 0.25f64.to_bits()],
     );
     let ids: Vec<u64> = vec![100, 205, 310];
-    let bytes = save_snapshot_v2_with_ids(&corpus, &mined, Some(&ids)).expect("save");
+    let bytes = save_snapshot_v2_with_lineage(&corpus, &mined, Some(&ids), None).expect("save");
     let mapped = MappedSnapshot::from_bytes(&bytes).expect("load v2");
     for (d, &g) in ids.iter().enumerate() {
         assert_eq!(mapped.doc_id(d), g);

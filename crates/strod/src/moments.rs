@@ -192,7 +192,7 @@ impl WhitenedMoments {
         // per-application cost is O(nnz), unknown here, so the hint stays
         // HEAVY.
         let mut bt = Mat::zeros(k, v);
-        lesm_par::par_for_rows_hinted(
+        lesm_par::par_for_blocks(
             bt.as_mut_slice(),
             v,
             parallel_threads,
@@ -230,7 +230,7 @@ pub fn whitened_third_moment(stats: &DocStats, w: &Mat, alpha0: f64, threads: us
         (stats.counts.nnz() as u64).saturating_mul((2 * k3 + k2) as u64),
     );
     let flat =
-        lesm_par::par_buffer_reduce_hinted(n_docs, grain, threads, hint, k3 + k2, |range, buf| {
+        lesm_par::par_buffer_reduce(n_docs, grain, threads, hint, k3 + k2, |range, buf| {
             accumulate_range(stats, w, range, buf);
         });
     let total = Tensor3::from_vec(k, flat[..k3].to_vec());

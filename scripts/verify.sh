@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full tier-1 gate, in dependency order: compile, lint (clippy and
-# the workspace's own lesm-lint auditor, DESIGN.md §11), then tests.
-# Everything must pass for a change to land.
+# the workspace's own lesm-lint auditor, DESIGN.md §11), tests, then the
+# benchmark harness. Everything must pass for a change to land.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,5 +16,12 @@ cargo run --release -q -p lesm-lint -- --root "$PWD" --workspace --timing
 
 echo "== tests"
 cargo test -q
+
+# perfbench/ is a Cargo workspace of its own, so nothing above compiles
+# it: an API deletion it depends on would otherwise only surface when the
+# benchmark runs.
+echo "== perfbench (build + --selftest)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- --selftest
 
 echo "verify: all gates passed"
