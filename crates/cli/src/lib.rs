@@ -444,7 +444,8 @@ pub fn run_mine(
 /// structure (shared by the TSV path, the snapshot path, and the server).
 pub fn search_lines(corpus: &Corpus, mined: &MinedStructure, query: &str) -> Vec<String> {
     let view = mined.view(corpus);
-    lesm_core::search::render_hits(&view, &lesm_core::search::search(&view, query, 10))
+    let index = lesm_core::SearchIndex::build(&view);
+    lesm_core::search::render_hits(&view, &lesm_core::search::search(&view, &index, query, 10))
 }
 
 /// Runs `search` on a TSV corpus (mines first); returns rendered lines.

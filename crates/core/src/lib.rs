@@ -29,7 +29,7 @@ pub mod view;
 
 pub use export::{hierarchy_to_json, render_topic};
 pub use lesm_hier::UpdateBudget;
-pub use search::{search, SearchHit};
+pub use search::{search, SearchHit, SearchIndex};
 pub use pipeline::{MinedStructure, MinerConfig, LatentStructureMiner};
 pub use synthmodel::model_from_truth;
 pub use view::{MinedView, ModelView};

@@ -5,8 +5,14 @@
 //! topical affinity. This is the "retrieving knowledge from data that are
 //! otherwise hard to handle due to the lack of structures" use case the
 //! introduction motivates.
+//!
+//! Queries run against a [`SearchIndex`] built once per model, so a query
+//! touches only the postings of its own words plus the head of one
+//! topic's document list — never every document (DESIGN.md §9.3).
 
 use crate::view::ModelView;
+use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// A scored search result.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,28 +26,132 @@ pub struct SearchHit {
     pub topic: usize,
 }
 
+/// Postings that let [`search`] and [`rank_topics`] score only what a
+/// query touches.
+///
+/// The index is a pure function of the view it was built from and must
+/// only be queried together with that view. Every list is in the order
+/// the answer needs it, so the indexed functions add the same `f64`s in
+/// the same order as a scan over every document and phrase would: no
+/// score bit and no tie order depends on the index.
+pub struct SearchIndex {
+    /// word → ascending, deduplicated document indices containing it.
+    doc_postings: HashMap<u32, Vec<usize>>,
+    /// topic → the documents whose unmatched score
+    /// (`0.0 + doc_topic(d, t)`) is not `<= 0.0`, in result order: that
+    /// score descending under `total_cmp`, then document ascending.
+    topic_docs: Vec<Vec<usize>>,
+    /// word → ascending `(topic, ptf entry, freq)` of every
+    /// phrase-frequency entry whose phrase contains the word.
+    phrase_postings: HashMap<u32, Vec<(usize, usize, f64)>>,
+    /// topic → its phrase mass, summed in ptf order.
+    topic_mass: Vec<f64>,
+}
+
+impl std::fmt::Debug for SearchIndex {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SearchIndex")
+            .field("words", &self.doc_postings.len())
+            .field("topics", &self.topic_mass.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// A document's relevance: the fraction of query tokens it contains plus
+/// its weight in the query's best topic. The one place the score is
+/// computed, for matched documents and for the index's unmatched order.
+fn doc_score(matched: usize, query_len: usize, topical: f64) -> f64 {
+    matched as f64 / query_len as f64 + topical
+}
+
+/// The result order of [`search`]: descending score, exact ties by
+/// ascending document index.
+fn hit_order(a: &SearchHit, b: &SearchHit) -> Ordering {
+    b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc))
+}
+
+impl SearchIndex {
+    /// Builds the index of `m`: one pass over the documents, one over
+    /// each topic's phrase-frequency entries, and one sort per topic.
+    /// Token ids outside the vocabulary are indexed like any other id.
+    pub fn build<V: ModelView>(m: &V) -> Self {
+        let mut doc_postings: HashMap<u32, Vec<usize>> = HashMap::new();
+        for d in 0..m.num_docs() {
+            for &w in m.doc_tokens(d) {
+                let list = doc_postings.entry(w).or_default();
+                if list.last() != Some(&d) {
+                    list.push(d);
+                }
+            }
+        }
+        let n_topics = m.num_topics();
+        let mut topic_docs = Vec::with_capacity(n_topics);
+        for t in 0..n_topics {
+            let mut scored: Vec<SearchHit> = (0..m.num_docs())
+                .map(|d| SearchHit { doc: d, score: doc_score(0, 1, m.doc_topic(d, t)), topic: t })
+                .filter(|h| h.score > 0.0 || h.score.is_nan())
+                .collect();
+            scored.sort_unstable_by(hit_order);
+            topic_docs.push(scored.into_iter().map(|h| h.doc).collect::<Vec<_>>());
+        }
+        let mut phrase_postings: HashMap<u32, Vec<(usize, usize, f64)>> = HashMap::new();
+        let mut topic_mass = Vec::with_capacity(n_topics);
+        for t in 0..n_topics {
+            let mut total = 0.0;
+            for (e, (phrase, f)) in m.ptf_entries(t).enumerate() {
+                total += f;
+                for &w in phrase {
+                    let list = phrase_postings.entry(w).or_default();
+                    if list.last().is_none_or(|&(lt, le, _)| (lt, le) != (t, e)) {
+                        list.push((t, e, f));
+                    }
+                }
+            }
+            topic_mass.push(total);
+        }
+        Self { doc_postings, topic_docs, phrase_postings, topic_mass }
+    }
+
+    fn docs_with(&self, w: u32) -> &[usize] {
+        self.doc_postings.get(&w).map_or(&[], Vec::as_slice)
+    }
+}
+
 /// Ranks the hierarchy's topics by relevance to a token-id query.
 ///
 /// A topic's relevance is the summed topical frequency of query tokens
 /// among its ranked phrases, normalized by the topic's total phrase mass.
+/// Only the phrase-frequency entries containing a query token are read;
+/// they are summed in ascending entry order, the order a scan of every
+/// entry would add them in (f64 addition is not associative, so the
+/// order is part of the answer).
 ///
 /// Ordering is total and deterministic: descending score, with exact
 /// score ties broken by ascending topic id (so truncation to `top_n`
 /// never depends on iteration order or float quirks).
-pub fn rank_topics<V: ModelView>(m: &V, query: &[u32], top_n: usize) -> Vec<(usize, f64)> {
-    let mut scored: Vec<(usize, f64)> = (0..m.num_topics())
-        .map(|t| {
-            // Both sums run in ascending phrase-key order: f64 addition
-            // is not associative, so the order is part of the answer.
-            let (mut total, mut hit) = (0.0, 0.0);
-            for (phrase, f) in m.ptf_entries(t) {
-                total += f;
-                if query.iter().any(|q| phrase.contains(q)) {
-                    hit += f;
-                }
-            }
-            (t, if total <= 0.0 { 0.0 } else { hit / total })
-        })
+pub fn rank_topics(index: &SearchIndex, query: &[u32], top_n: usize) -> Vec<(usize, f64)> {
+    let mut words = query.to_vec();
+    words.sort_unstable();
+    words.dedup();
+    let mut entries: Vec<(usize, usize, f64)> = Vec::new();
+    for &w in &words {
+        entries.extend(index.phrase_postings.get(&w).into_iter().flatten());
+    }
+    if words.len() > 1 {
+        // A phrase holding two query words counts once.
+        entries.sort_unstable_by_key(|&(t, e, _)| (t, e));
+        entries.dedup_by_key(|&mut (t, e, _)| (t, e));
+    }
+    let mut hit = vec![0.0; index.topic_mass.len()];
+    for &(t, _, f) in &entries {
+        hit[t] += f;
+    }
+    let mut scored: Vec<(usize, f64)> = index
+        .topic_mass
+        .iter()
+        .zip(hit)
+        .enumerate()
+        .map(|(t, (&total, hit))| (t, if total <= 0.0 { 0.0 } else { hit / total }))
         .collect();
     scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     scored.truncate(top_n);
@@ -52,10 +162,21 @@ pub fn rank_topics<V: ModelView>(m: &V, query: &[u32], top_n: usize) -> Vec<(usi
 /// fraction of query tokens present in the document and `topical` is the
 /// document's membership in the best query topic (so on-topic documents
 /// rank above off-topic documents with the same literal overlap).
+/// Documents with no query token and no positive topical weight are not
+/// hits.
+///
+/// `index` must be built from `m`. Only the query words' postings are
+/// scored; documents without a query word come from the head of the best
+/// topic's list, which is already in result order.
 ///
 /// Like [`rank_topics`], the result order is total and deterministic:
 /// descending score with exact ties broken by ascending document index.
-pub fn search<V: ModelView>(m: &V, query_text: &str, top_n: usize) -> Vec<SearchHit> {
+pub fn search<V: ModelView>(
+    m: &V,
+    index: &SearchIndex,
+    query_text: &str,
+    top_n: usize,
+) -> Vec<SearchHit> {
     let query: Vec<u32> = lesm_corpus::text::tokenize(query_text)
         .filter_map(|t| m.word_id(&lesm_corpus::text::lowercase(t)))
         .collect();
@@ -63,28 +184,55 @@ pub fn search<V: ModelView>(m: &V, query_text: &str, top_n: usize) -> Vec<Search
         return Vec::new();
     }
     // Best-matching non-root topic (fall back to root when nothing scores).
-    let topics = rank_topics(m, &query, 3);
+    let topics = rank_topics(index, &query, 3);
     let best_topic = topics
         .iter()
         .find(|&&(t, s)| t != 0 && s > 0.0)
         .map(|&(t, _)| t)
         .unwrap_or(0);
-    let mut hits: Vec<SearchHit> = (0..m.num_docs())
-        .filter_map(|d| {
-            let tokens = m.doc_tokens(d);
-            let matched = query.iter().filter(|q| tokens.contains(q)).count();
-            let overlap = matched as f64 / query.len() as f64;
-            let topical = m.doc_topic(d, best_topic);
-            let score = overlap + topical;
-            if matched == 0 && topical <= 0.0 {
-                None
-            } else {
-                Some(SearchHit { doc: d, score, topic: best_topic })
-            }
-        })
+
+    // Each distinct query word once, weighted by how often the query
+    // repeats it: a document's overlap counts query tokens, not words.
+    let mut words = query.clone();
+    words.sort_unstable();
+    let mut lists: Vec<(&[usize], usize)> = words
+        .chunk_by(|a, b| a == b)
+        .map(|run| (index.docs_with(run[0]), run.len()))
         .collect();
-    hits.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc)));
-    hits.truncate(top_n);
+    // Matched documents: a merge of the ascending postings.
+    let mut hits: Vec<SearchHit> = Vec::new();
+    while let Some(d) = lists.iter().filter_map(|(docs, _)| docs.first().copied()).min() {
+        let mut matched = 0;
+        for (docs, times) in &mut lists {
+            if docs.first() == Some(&d) {
+                matched += *times;
+                *docs = &docs[1..];
+            }
+        }
+        let score = doc_score(matched, query.len(), m.doc_topic(d, best_topic));
+        hits.push(SearchHit { doc: d, score, topic: best_topic });
+    }
+    // Unmatched documents: only the first `top_n` of the best topic's
+    // list can make the cut, because the list is in result order.
+    let unmatched = index
+        .topic_docs
+        .get(best_topic)
+        .map_or(&[][..], Vec::as_slice)
+        .iter()
+        .filter(|&&d| hits.binary_search_by_key(&d, |h| h.doc).is_err())
+        .take(top_n)
+        .map(|&d| SearchHit {
+            doc: d,
+            score: doc_score(0, query.len(), m.doc_topic(d, best_topic)),
+            topic: best_topic,
+        })
+        .collect::<Vec<_>>();
+    hits.extend(unmatched);
+    if top_n < hits.len() {
+        hits.select_nth_unstable_by(top_n, hit_order);
+        hits.truncate(top_n);
+    }
+    hits.sort_unstable_by(hit_order);
     hits
 }
 
@@ -116,6 +264,15 @@ mod tests {
     use lesm_corpus::synth::{PapersConfig, SyntheticPapers};
     use lesm_hier::em::{EmConfig, WeightMode};
     use lesm_hier::hierarchy::{CathyConfig, ChildCount};
+
+    /// Searches `m` through a freshly built index.
+    fn search_in<V: ModelView>(m: &V, query: &str, top_n: usize) -> Vec<SearchHit> {
+        search(m, &SearchIndex::build(m), query, top_n)
+    }
+
+    fn rank_in<V: ModelView>(m: &V, query: &[u32], top_n: usize) -> Vec<(usize, f64)> {
+        rank_topics(&SearchIndex::build(m), query, top_n)
+    }
 
     fn mined() -> (SyntheticPapers, MinedStructure) {
         let mut cfg = PapersConfig::dblp(400, 61);
@@ -157,7 +314,7 @@ mod tests {
         let leaf = papers.truth.hierarchy.leaves[0];
         let word = papers.truth.hierarchy.own_words[leaf][0];
         let query = papers.corpus.vocab.name_or_unk(word).to_string();
-        let hits = search(&m.view(&papers.corpus), &query, 10);
+        let hits = search_in(&m.view(&papers.corpus), &query, 10);
         assert!(!hits.is_empty());
         // Most hits should be documents of that ground-truth leaf.
         let on_topic = hits
@@ -178,8 +335,8 @@ mod tests {
     #[test]
     fn unknown_query_returns_empty() {
         let (papers, m) = mined();
-        assert!(search(&m.view(&papers.corpus), "zzzz-not-a-word", 10).is_empty());
-        assert!(search(&m.view(&papers.corpus), "", 10).is_empty());
+        assert!(search_in(&m.view(&papers.corpus), "zzzz-not-a-word", 10).is_empty());
+        assert!(search_in(&m.view(&papers.corpus), "", 10).is_empty());
     }
 
     /// A hand-built corpus + structure where scores tie *exactly*: four
@@ -230,13 +387,13 @@ mod tests {
     fn rank_topics_breaks_exact_score_ties_by_ascending_topic_id() {
         let (corpus, mined) = tied_structure();
         let alpha = corpus.vocab.get("alpha").unwrap();
-        let ranked = rank_topics(&mined.view(&corpus), &[alpha], 10);
+        let ranked = rank_in(&mined.view(&corpus), &[alpha], 10);
         // All three topics score exactly 1.0; the pinned order is by id.
         assert_eq!(ranked.iter().map(|&(t, _)| t).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert!(ranked.windows(2).all(|w| w[0].1 == w[1].1), "scores should tie exactly");
         // Truncation under a tie is deterministic too: lowest ids survive.
         assert_eq!(
-            rank_topics(&mined.view(&corpus), &[alpha], 2).iter().map(|&(t, _)| t).collect::<Vec<_>>(),
+            rank_in(&mined.view(&corpus), &[alpha], 2).iter().map(|&(t, _)| t).collect::<Vec<_>>(),
             vec![0, 1]
         );
     }
@@ -244,25 +401,25 @@ mod tests {
     #[test]
     fn search_breaks_exact_score_ties_by_ascending_doc_id() {
         let (corpus, mined) = tied_structure();
-        let hits = search(&mined.view(&corpus), "alpha", 10);
+        let hits = search_in(&mined.view(&corpus), "alpha", 10);
         assert_eq!(hits.iter().map(|h| h.doc).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         assert!(hits.windows(2).all(|w| w[0].score == w[1].score), "scores should tie exactly");
         // Truncation keeps the lowest doc ids.
         assert_eq!(
-            search(&mined.view(&corpus), "alpha", 2).iter().map(|h| h.doc).collect::<Vec<_>>(),
+            search_in(&mined.view(&corpus), "alpha", 2).iter().map(|h| h.doc).collect::<Vec<_>>(),
             vec![0, 1]
         );
         // A strictly better doc still outranks the tied block.
         let (corpus, mut mined) = tied_structure();
         mined.doc_topic[2][1] = 0.9;
-        let hits = search(&mined.view(&corpus), "alpha", 10);
+        let hits = search_in(&mined.view(&corpus), "alpha", 10);
         assert_eq!(hits.iter().map(|h| h.doc).collect::<Vec<_>>(), vec![2, 0, 1, 3]);
     }
 
     #[test]
     fn render_hits_formats_one_line_per_hit() {
         let (corpus, mined) = tied_structure();
-        let hits = search(&mined.view(&corpus), "alpha", 2);
+        let hits = search_in(&mined.view(&corpus), "alpha", 2);
         let lines = render_hits(&mined.view(&corpus), &hits);
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0], "doc     0  score 1.500  topic o/1  alpha");
@@ -273,7 +430,7 @@ mod tests {
         let (papers, m) = mined();
         let leaf = papers.truth.hierarchy.leaves[0];
         let word = papers.truth.hierarchy.own_words[leaf][0];
-        let ranked = rank_topics(&m.view(&papers.corpus), &[word], 5);
+        let ranked = rank_in(&m.view(&papers.corpus), &[word], 5);
         assert!(!ranked.is_empty());
         // The top-ranked non-root topic should carry the word in its
         // phrase table.

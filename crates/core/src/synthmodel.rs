@@ -267,7 +267,8 @@ mod tests {
         let leaf = papers.truth.hierarchy.leaves[0];
         let word = papers.truth.hierarchy.own_words[leaf][0];
         let query = papers.corpus.vocab.name_or_unk(word).to_string();
-        let hits = crate::search::search(&m.view(&papers.corpus), &query, 10);
+        let view = m.view(&papers.corpus);
+        let hits = crate::search::search(&view, &crate::SearchIndex::build(&view), &query, 10);
         assert!(!hits.is_empty(), "ground-truth leaf word must match");
         let on_topic =
             hits.iter().filter(|h| papers.truth.doc_leaf[h.doc] == leaf).count();

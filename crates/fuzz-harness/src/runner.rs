@@ -102,8 +102,9 @@ fn drive_mined(corpus: &Corpus, mined: &MinedStructure) -> Result<(), String> {
         queries.push(corpus.vocab.render(&[0]));
     }
     let view = mined.view(corpus);
+    let index = lesm_core::SearchIndex::build(&view);
     for q in &queries {
-        let hits = lesm_core::search::search(&view, q, 10);
+        let hits = lesm_core::search::search(&view, &index, q, 10);
         if let Some(h) = hits.iter().find(|h| !h.score.is_finite()) {
             return Err(format!("search({q:?}) hit doc {} has score {}", h.doc, h.score));
         }

@@ -19,6 +19,10 @@ use crate::QueryError;
 use lesm_core::export::{json_number, json_string};
 use lesm_roles::type_b::{erank_pop, erank_pop_pur};
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
+
+#[cfg(test)]
+mod differential;
 
 /// Total expansion budget for one `path` step; exceeding it is a typed
 /// error (a silently truncated search would not be deterministic content,
@@ -61,34 +65,36 @@ pub fn run_query(index: &QueryIndex, body: &str) -> Result<String, QueryError> {
     // is a typed BadCursor, never a silent resume at the same offset in a
     // different result list.
     let hash = fnv1a64(canonical_steps(&req.steps).as_bytes()) ^ index.model_stamp;
-    let lines = item_lines(index, &execute(index, &req.steps)?);
+    let rendered = execute(index, &req.steps)?;
+    let total = rendered.len();
     let (offset, page) = match (&req.cursor, req.page) {
         (Some(cursor), _) => {
             let (offset, page) = decode_cursor(cursor, hash)?;
-            if offset > lines.len() {
+            if offset > total {
                 return Err(QueryError::BadCursor(format!(
-                    "cursor offset {offset} is beyond the {} results",
-                    lines.len()
+                    "cursor offset {offset} is beyond the {total} results"
                 )));
             }
             (offset, Some(page))
         }
         (None, page) => (0, page),
     };
-    let end = page.map_or(lines.len(), |p| (offset + p).min(lines.len()));
+    let end = page.map_or(total, |p| (offset + p).min(total));
     let next = match page {
-        Some(p) if end < lines.len() => json_string(&encode_cursor(hash, end, p)),
+        Some(p) if end < total => json_string(&encode_cursor(hash, end, p)),
         _ => "null".to_string(),
     };
-    let mut out = String::with_capacity(64 + lines.iter().map(String::len).sum::<usize>());
-    out.push_str(&format!("{{\"total\":{},\"offset\":{offset},\"items\":[", lines.len()));
-    for (i, line) in lines[offset..end].iter().enumerate() {
-        if i > 0 {
+    // Only the page is rendered: items outside it never reach a string.
+    let mut out = format!("{{\"total\":{total},\"offset\":{offset},\"items\":[");
+    for i in offset..end {
+        if i > offset {
             out.push(',');
         }
-        out.push_str(line);
+        rendered.push_item(index, i, &mut out);
     }
-    out.push_str(&format!("],\"next_cursor\":{next}}}"));
+    out.push_str("],\"next_cursor\":");
+    out.push_str(&next);
+    out.push('}');
     Ok(out)
 }
 
@@ -159,13 +165,14 @@ pub fn execute(index: &QueryIndex, steps: &[Step]) -> Result<Rendered, QueryErro
                     })?)?, true)?
                     .into_iter()
                     .collect();
+                let mut budget = PATH_EXPANSION_CAP;
                 match mode {
                     PathMode::Exists => {
-                        set = path_exists(index, &set, &targets, edges, *max_depth)?;
+                        set = path_exists(index, &set, &targets, edges, *max_depth, &mut budget)?;
                     }
                     PathMode::Paths => {
                         rendered = Some(Rendered::Paths(path_enumerate(
-                            index, &set, &targets, edges, *max_depth, *limit,
+                            index, &set, &targets, edges, *max_depth, *limit, &mut budget,
                         )?));
                     }
                 }
@@ -216,19 +223,22 @@ fn apply_filter(
         }
     }
     if !spec.names.is_empty() {
-        // Resolve names against the set's kinds: entity names per type,
-        // topic paths for topics. Docs have no names and never match.
+        // Resolve names against the set's kinds once per filter: entity
+        // names per type present in the set, topic paths for topics. Docs
+        // have no names and never match.
+        let topics: Vec<u32> =
+            spec.names.iter().filter_map(|p| index.topic_by_path(p)).map(id32).collect();
+        let mut entities: Vec<Option<Vec<u32>>> = vec![None; index.num_types()];
         set.retain(|n| match n {
-            Node::Entity { etype, id } => spec
-                .names
-                .iter()
-                .any(|name| index.entity_by_name(*etype as usize, name) == Some(*id)),
-            Node::Topic(t) => spec.names.iter().any(|p| {
-                index
-                    .resolve_topic(&crate::program::TopicRef::Path(p.clone()))
-                    .ok()
-                    == Some(*t as usize)
-            }),
+            Node::Entity { etype, id } => entities[*etype as usize]
+                .get_or_insert_with(|| {
+                    spec.names
+                        .iter()
+                        .filter_map(|name| index.entity_by_name(*etype as usize, name))
+                        .collect()
+                })
+                .contains(id),
+            Node::Topic(t) => topics.contains(t),
             Node::Doc(_) => false,
         });
     }
@@ -382,31 +392,88 @@ fn resolve_type_sel(index: &QueryIndex, sel: &Option<String>) -> Result<Vec<usiz
     }
 }
 
-/// Sorted, deduplicated neighbors along any of `edges`.
-fn neighbors_multi(
-    index: &QueryIndex,
+/// A node's neighbours along a step's edges, sorted and deduplicated.
+/// A single edge whose adjacency the index already stores that way is
+/// borrowed, so the path searches allocate nothing per node for it.
+enum Adjacent<'a> {
+    /// Same-type entity ids, ascending.
+    Entities { etype: u32, ids: &'a [u32] },
+    /// Document ids, ascending.
+    Docs(&'a [u32]),
+    /// Collected from several edges (or one without stored adjacency).
+    Collected(Vec<Node>),
+}
+
+impl Adjacent<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Adjacent::Entities { ids, .. } | Adjacent::Docs(ids) => ids.len(),
+            Adjacent::Collected(nodes) => nodes.len(),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = Node> + '_ {
+        (0..self.len()).map(|i| match self {
+            Adjacent::Entities { etype, ids } => Node::Entity { etype: *etype, id: ids[i] },
+            Adjacent::Docs(ids) => Node::Doc(ids[i]),
+            Adjacent::Collected(nodes) => nodes[i],
+        })
+    }
+
+    fn contains(&self, node: Node) -> bool {
+        match (self, node) {
+            (Adjacent::Entities { etype, ids }, Node::Entity { etype: e, id }) => {
+                *etype == e && ids.binary_search(&id).is_ok()
+            }
+            (Adjacent::Docs(ids), Node::Doc(d)) => ids.binary_search(&d).is_ok(),
+            (Adjacent::Collected(nodes), _) => nodes.binary_search(&node).is_ok(),
+            _ => false,
+        }
+    }
+}
+
+/// Sorted, deduplicated neighbors of `node` along any of `edges` — the
+/// one neighbour routine of both path searches.
+fn adjacent<'a>(
+    index: &'a QueryIndex,
     node: Node,
     edges: &[Edge],
-) -> Result<Vec<Node>, QueryError> {
+) -> Result<Adjacent<'a>, QueryError> {
+    if let ([edge], Node::Entity { etype, id }) = (edges, node) {
+        let (et, id) = (etype as usize, id as usize);
+        let is_author = index.author_type == Some(et);
+        match edge {
+            Edge::Coauthor => return Ok(Adjacent::Entities { etype, ids: &index.cooccur[et][id] }),
+            Edge::Advisees if is_author => {
+                return Ok(Adjacent::Entities { etype, ids: &index.advisor_edges().advisees[id] })
+            }
+            Edge::Advisors if is_author => {
+                return Ok(Adjacent::Entities { etype, ids: &index.advisor_edges().advisors[id] })
+            }
+            Edge::Docs => return Ok(Adjacent::Docs(&index.entity_docs[et][id])),
+            _ => {}
+        }
+    }
     let mut out = Vec::new();
     for edge in edges {
         neighbors(index, node, edge, &mut out)?;
     }
     out.sort_unstable();
     out.dedup();
-    Ok(out)
+    Ok(Adjacent::Collected(out))
 }
 
 /// Keeps sources with a path (≤ `max_depth` edges) to any target.
-/// A source that is itself a target trivially qualifies.
+/// A source that is itself a target trivially qualifies. Each expanded
+/// node costs one unit of `budget`.
 fn path_exists(
     index: &QueryIndex,
     sources: &[Node],
     targets: &BTreeSet<Node>,
     edges: &[Edge],
     max_depth: usize,
+    budget: &mut usize,
 ) -> Result<Vec<Node>, QueryError> {
-    let mut budget = PATH_EXPANSION_CAP;
     let mut out = Vec::new();
     for &source in sources {
         if targets.contains(&source) {
@@ -420,10 +487,10 @@ fn path_exists(
         'bfs: for _ in 0..max_depth {
             let mut next = Vec::new();
             for &node in &frontier {
-                budget = budget
+                *budget = budget
                     .checked_sub(1)
                     .ok_or_else(|| QueryError::TooLarge("path search budget exhausted".into()))?;
-                for peer in neighbors_multi(index, node, edges)? {
+                for peer in adjacent(index, node, edges)?.iter() {
                     if targets.contains(&peer) {
                         found = true;
                         break 'bfs;
@@ -447,7 +514,8 @@ fn path_exists(
 
 /// Enumerates simple paths from the sources to the target set, depth-first
 /// over sorted adjacency: sources ascending, then lexicographic by node
-/// sequence — a pinned order. Stops at `limit` paths.
+/// sequence — a pinned order. Stops at `limit` paths. Each node expanded
+/// below `max_depth` costs one unit of `budget`.
 fn path_enumerate(
     index: &QueryIndex,
     sources: &[Node],
@@ -455,8 +523,8 @@ fn path_enumerate(
     edges: &[Edge],
     max_depth: usize,
     limit: usize,
+    budget: &mut usize,
 ) -> Result<Vec<Vec<Node>>, QueryError> {
-    let mut budget = PATH_EXPANSION_CAP;
     let mut paths: Vec<Vec<Node>> = Vec::new();
     let mut current: Vec<Node> = Vec::new();
     for &source in sources {
@@ -465,7 +533,7 @@ fn path_enumerate(
         }
         current.clear();
         current.push(source);
-        dfs(index, targets, edges, max_depth, limit, &mut budget, &mut current, &mut paths)?;
+        dfs(index, targets, edges, max_depth, limit, budget, &mut current, &mut paths)?;
     }
     Ok(paths)
 }
@@ -494,7 +562,37 @@ fn dfs(
     *budget = budget
         .checked_sub(1)
         .ok_or_else(|| QueryError::TooLarge("path search budget exhausted".into()))?;
-    for peer in neighbors_multi(index, here, edges)? {
+    let adjacency = adjacent(index, here, edges)?;
+    if depth_left == 1 {
+        // Each extension is a leaf of the search, and a path exactly when
+        // the neighbour is a target: intersect the two ascending sets from
+        // the smaller side. Depth-0 calls charge no budget, so skipping
+        // them charges what the recursion would have.
+        let mut extend = |peer: Node| {
+            if current.contains(&peer) {
+                return false;
+            }
+            current.push(peer);
+            paths.push(current.clone());
+            current.pop();
+            paths.len() >= limit
+        };
+        if targets.len() < adjacency.len() {
+            for &peer in targets {
+                if adjacency.contains(peer) && extend(peer) {
+                    break;
+                }
+            }
+        } else {
+            for peer in adjacency.iter() {
+                if targets.contains(&peer) && extend(peer) {
+                    break;
+                }
+            }
+        }
+        return Ok(());
+    }
+    for peer in adjacency.iter() {
         if current.contains(&peer) {
             continue; // simple paths only
         }
@@ -597,46 +695,66 @@ fn type_scores(
     out
 }
 
-/// Renders each result item as one compact JSON object (pagination and
-/// the concatenation property are defined over these lines).
-pub fn item_lines(index: &QueryIndex, rendered: &Rendered) -> Vec<String> {
-    match rendered {
-        Rendered::Plain(nodes) => nodes.iter().map(|&n| node_json(index, n, None)).collect(),
-        Rendered::Ranked(scored) => scored
-            .iter()
-            .map(|&(n, score)| node_json(index, n, Some(score)))
-            .collect(),
-        Rendered::Paths(paths) => paths
-            .iter()
-            .map(|path| {
-                let inner: Vec<String> =
-                    path.iter().map(|&n| node_json(index, n, None)).collect();
-                format!("{{\"kind\":\"path\",\"nodes\":[{}]}}", inner.join(","))
-            })
-            .collect(),
+impl Rendered {
+    /// Number of result items.
+    pub fn len(&self) -> usize {
+        match self {
+            Rendered::Plain(nodes) => nodes.len(),
+            Rendered::Ranked(scored) => scored.len(),
+            Rendered::Paths(paths) => paths.len(),
+        }
+    }
+
+    /// Whether the result has no items.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Appends item `i` as one compact JSON object (pagination and the
+    /// concatenation property are defined over these items).
+    pub fn push_item(&self, index: &QueryIndex, i: usize, out: &mut String) {
+        match self {
+            Rendered::Plain(nodes) => push_node(index, nodes[i], None, out),
+            Rendered::Ranked(scored) => push_node(index, scored[i].0, Some(scored[i].1), out),
+            Rendered::Paths(paths) => {
+                out.push_str("{\"kind\":\"path\",\"nodes\":[");
+                for (k, &node) in paths[i].iter().enumerate() {
+                    if k > 0 {
+                        out.push(',');
+                    }
+                    push_node(index, node, None, out);
+                }
+                out.push_str("]}");
+            }
+        }
     }
 }
 
-fn node_json(index: &QueryIndex, node: Node, score: Option<f64>) -> String {
-    let mut out = match node {
-        Node::Topic(t) => format!(
-            "{{\"kind\":\"topic\",\"id\":{t},\"path\":{}}}",
+fn push_node(index: &QueryIndex, node: Node, score: Option<f64>, out: &mut String) {
+    // Writing into a `String` cannot fail.
+    let _ = match node {
+        Node::Topic(t) => write!(
+            out,
+            "{{\"kind\":\"topic\",\"id\":{t},\"path\":{}",
             json_string(&index.topics[t as usize].path)
         ),
-        Node::Entity { etype, id } => format!(
-            "{{\"kind\":{},\"id\":{id},\"name\":{}}}",
+        Node::Entity { etype, id } => write!(
+            out,
+            "{{\"kind\":{},\"id\":{id},\"name\":{}",
             json_string(&index.type_names[etype as usize]),
             json_string(&index.entity_names[etype as usize][id as usize])
         ),
         Node::Doc(d) => {
-            let year = index.doc_years[d as usize]
-                .map_or("null".to_string(), |y| y.to_string());
-            format!("{{\"kind\":\"doc\",\"id\":{},\"year\":{year}}}", index.doc_gids[d as usize])
+            let gid = index.doc_gids[d as usize];
+            match index.doc_years[d as usize] {
+                Some(year) => write!(out, "{{\"kind\":\"doc\",\"id\":{gid},\"year\":{year}"),
+                None => write!(out, "{{\"kind\":\"doc\",\"id\":{gid},\"year\":null"),
+            }
         }
     };
     if let Some(s) = score {
-        out.pop();
-        out.push_str(&format!(",\"score\":{}}}", json_number(s)));
+        out.push_str(",\"score\":");
+        out.push_str(&json_number(s));
     }
-    out
+    out.push('}');
 }

@@ -219,12 +219,15 @@ impl QueryIndex {
         match r {
             TopicRef::Id(id) if *id < self.topics.len() => Ok(*id),
             TopicRef::Id(id) => Err(QueryError::UnknownTopic(id.to_string())),
-            TopicRef::Path(p) => self
-                .path_to_topic
-                .get(p)
-                .copied()
-                .ok_or_else(|| QueryError::UnknownTopic(p.clone())),
+            TopicRef::Path(p) => {
+                self.topic_by_path(p).ok_or_else(|| QueryError::UnknownTopic(p.clone()))
+            }
         }
+    }
+
+    /// Looks up a topic by hierarchy path.
+    pub(crate) fn topic_by_path(&self, path: &str) -> Option<usize> {
+        self.path_to_topic.get(path).copied()
     }
 
     /// Looks up an entity id by name.
@@ -324,7 +327,7 @@ impl QueryIndex {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::parts::DocRecord;
 

@@ -7,10 +7,14 @@
 //! a monotonically increasing per-shard tick; eviction scans for the
 //! minimum tick, which is O(shard capacity) but shards are small and
 //! eviction is off the common hit path.
+//!
+//! [`ShardedLruCache::get_or_compute`] coalesces concurrent misses: the
+//! first caller to miss a key computes it, and callers that miss the same
+//! key meanwhile wait for that result instead of computing it again.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// FNV-1a — a few adds and multiplies per byte, no per-hasher random
 /// state. Cache keys are short request paths, where this hashes several
@@ -37,10 +41,56 @@ impl Hasher for FnvHasher {
 
 type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
 
+/// Where a [`ShardedLruCache::get_or_compute`] answer came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fetched {
+    /// The key was cached.
+    Hit,
+    /// Another caller was computing the key; this one waited for it.
+    Joined,
+    /// This caller computed the value.
+    Computed,
+}
+
+/// One in-progress computation of a key, which later callers wait on.
+struct Flight<V> {
+    /// `None` while running; `Some(None)` if the computing caller
+    /// unwound without a value.
+    outcome: Mutex<Option<Option<Arc<V>>>>,
+    done: Condvar,
+}
+
+impl<V> Flight<V> {
+    fn new() -> Self {
+        Self { outcome: Mutex::new(None), done: Condvar::new() }
+    }
+
+    fn finish(&self, value: Option<Arc<V>>) {
+        *self.outcome.lock().unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(value);
+        self.done.notify_all();
+    }
+
+    /// Blocks until the flight lands; `None` if it was abandoned.
+    fn wait(&self) -> Option<Arc<V>> {
+        let mut outcome = self.outcome.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        loop {
+            if let Some(value) = outcome.as_ref() {
+                return value.clone();
+            }
+            outcome = self.done.wait(outcome).unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+    }
+}
+
 struct Shard<V> {
     map: HashMap<String, (u64, Arc<V>), FnvBuildHasher>,
+    /// Keys being computed right now.
+    pending: HashMap<String, Arc<Flight<V>>, FnvBuildHasher>,
     tick: u64,
     capacity: usize,
+    /// Bumped by `clear`, so a computation that started before a clear
+    /// (a hot-swap) never caches its now-stale value.
+    generation: u64,
 }
 
 impl<V> Shard<V> {
@@ -92,8 +142,10 @@ impl<V> ShardedLruCache<V> {
                 .map(|_| {
                     Mutex::new(Shard {
                         map: HashMap::default(),
+                        pending: HashMap::default(),
                         tick: 0,
                         capacity: per_shard,
+                        generation: 0,
                     })
                 })
                 .collect(),
@@ -112,12 +164,57 @@ impl<V> ShardedLruCache<V> {
     // stale recency ordering, which only affects which entry gets
     // evicted next — never correctness of cached responses.
 
+    fn lock(&self, key: &str) -> MutexGuard<'_, Shard<V>> {
+        self.shard(key).lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: &str) -> Option<Arc<V>> {
         if self.disabled {
             return None;
         }
-        self.shard(key).lock().unwrap_or_else(|poisoned| poisoned.into_inner()).get(key)
+        self.lock(key).get(key)
+    }
+
+    /// Returns the cached value of `key`, or computes it once: while one
+    /// caller runs `compute`, later callers missing the same key wait for
+    /// its value ([`Fetched::Joined`]) instead of computing it again. The
+    /// value is cached only when `cacheable` accepts it, but waiters get
+    /// it either way. If the computing caller unwinds, its waiters retry.
+    /// A disabled cache computes on every call.
+    pub fn get_or_compute(
+        &self,
+        key: &str,
+        compute: impl FnOnce() -> V,
+        cacheable: impl FnOnce(&V) -> bool,
+    ) -> (Arc<V>, Fetched) {
+        if self.disabled {
+            return (Arc::new(compute()), Fetched::Computed);
+        }
+        let (flight, generation) = loop {
+            let joined = {
+                let mut shard = self.lock(key);
+                if let Some(hit) = shard.get(key) {
+                    return (hit, Fetched::Hit);
+                }
+                match shard.pending.get(key) {
+                    Some(flight) => Arc::clone(flight),
+                    None => {
+                        let flight = Arc::new(Flight::new());
+                        shard.pending.insert(key.to_string(), Arc::clone(&flight));
+                        break (flight, shard.generation);
+                    }
+                }
+            };
+            if let Some(value) = joined.wait() {
+                return (value, Fetched::Joined);
+            }
+        };
+        let landing = Landing { cache: self, key, flight, generation, landed: false };
+        let value = Arc::new(compute());
+        let keep = cacheable(&value);
+        landing.land(Arc::clone(&value), keep);
+        (value, Fetched::Computed)
     }
 
     /// Inserts `key`, evicting the shard's least recently used entry when
@@ -131,12 +228,15 @@ impl<V> ShardedLruCache<V> {
 
     /// Drops every entry (used when a new snapshot version is swapped in
     /// under live traffic — stale responses must not outlive the model
-    /// they were computed from).
+    /// they were computed from). Computations already running finish for
+    /// their waiters but cache nothing, and later misses compute afresh.
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut shard = shard.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
             shard.map.clear();
+            shard.pending.clear();
             shard.tick = 0;
+            shard.generation += 1;
         }
     }
 
@@ -151,6 +251,49 @@ impl<V> ShardedLruCache<V> {
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// The computing caller's side of a flight. Landing caches the value
+/// (when it is cacheable and no clear intervened), retires the pending
+/// slot and wakes the waiters; dropping it unlanded — the computation
+/// unwound — retires the slot and wakes them empty-handed.
+struct Landing<'a, V> {
+    cache: &'a ShardedLruCache<V>,
+    key: &'a str,
+    flight: Arc<Flight<V>>,
+    generation: u64,
+    landed: bool,
+}
+
+impl<V> Landing<'_, V> {
+    fn land(mut self, value: Arc<V>, cacheable: bool) {
+        self.landed = true;
+        self.retire(cacheable.then(|| Arc::clone(&value)), Some(value));
+    }
+
+    fn retire(&self, cached: Option<Arc<V>>, outcome: Option<Arc<V>>) {
+        {
+            let mut shard = self.cache.lock(self.key);
+            // After a clear the slot may belong to a newer flight.
+            if shard.pending.get(self.key).is_some_and(|f| Arc::ptr_eq(f, &self.flight)) {
+                shard.pending.remove(self.key);
+            }
+            if let Some(value) = cached {
+                if shard.generation == self.generation {
+                    shard.put(self.key.to_string(), value);
+                }
+            }
+        }
+        self.flight.finish(outcome);
+    }
+}
+
+impl<V> Drop for Landing<'_, V> {
+    fn drop(&mut self) {
+        if !self.landed {
+            self.retire(None, None);
+        }
     }
 }
 
@@ -210,6 +353,120 @@ mod tests {
         assert!(cache.get("k3").is_none());
         cache.put("k3".into(), Arc::new(99));
         assert_eq!(cache.get("k3").as_deref(), Some(&99));
+    }
+
+    /// References to `key`'s in-flight computation: the pending slot, the
+    /// computing caller, and one per waiter.
+    fn flight_refs<V>(cache: &ShardedLruCache<V>, key: &str) -> usize {
+        cache.lock(key).pending.get(key).map_or(0, Arc::strong_count)
+    }
+
+    /// Spins until `key`'s flight has `refs` references: the callers the
+    /// test started are then computing or waiting, not about to.
+    fn await_flight_refs<V>(cache: &ShardedLruCache<V>, key: &str, refs: usize) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while flight_refs(cache, key) < refs {
+            assert!(std::time::Instant::now() < deadline, "{key}: never reached {refs} flight refs");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Starts computing `key` on a thread whose computation blocks until
+    /// the returned sender fires (or is dropped, which makes it unwind).
+    fn blocked_flight<'scope>(
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        cache: &Arc<ShardedLruCache<u32>>,
+        key: &'static str,
+        value: u32,
+        cacheable: bool,
+    ) -> (std::sync::mpsc::Sender<()>, std::thread::ScopedJoinHandle<'scope, Option<Fetched>>) {
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let shared = Arc::clone(cache);
+        let leader = scope.spawn(move || {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                shared.get_or_compute(key, || { gate.recv().expect("released"); value }, |_| cacheable)
+            }));
+            run.ok().map(|(_, fetched)| fetched)
+        });
+        await_flight_refs(cache, key, 2);
+        (release, leader)
+    }
+
+    #[test]
+    fn concurrent_misses_compute_once_and_waiters_share_the_value() {
+        for cacheable in [true, false] {
+            let cache = Arc::new(ShardedLruCache::<u32>::new(8, 2));
+            let computed = std::sync::atomic::AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                let (release, leader) = blocked_flight(scope, &cache, "k", 7, cacheable);
+                let waiters: Vec<_> = (0..4)
+                    .map(|_| {
+                        let cache = Arc::clone(&cache);
+                        let computed = &computed;
+                        scope.spawn(move || {
+                            cache.get_or_compute(
+                                "k",
+                                || {
+                                    computed.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                                    0
+                                },
+                                |_| true,
+                            )
+                        })
+                    })
+                    .collect();
+                await_flight_refs(&cache, "k", 6);
+                release.send(()).expect("leader waits");
+                assert_eq!(leader.join().expect("leader"), Some(Fetched::Computed));
+                for w in waiters {
+                    let (value, fetched) = w.join().expect("waiter");
+                    assert_eq!((*value, fetched), (7, Fetched::Joined));
+                }
+            });
+            assert_eq!(computed.into_inner(), 0, "waiters must not compute");
+            // Only a cacheable value stays behind.
+            assert_eq!(cache.get("k").as_deref(), cacheable.then_some(&7));
+            assert_eq!(flight_refs(&cache, "k"), 0);
+        }
+    }
+
+    #[test]
+    fn an_unwound_computation_lets_its_waiters_retry() {
+        let cache = Arc::new(ShardedLruCache::<u32>::new(8, 2));
+        std::thread::scope(|scope| {
+            let (release, leader) = blocked_flight(scope, &cache, "k", 7, true);
+            let waiter = {
+                let cache = Arc::clone(&cache);
+                scope.spawn(move || cache.get_or_compute("k", || 9, |_| true))
+            };
+            await_flight_refs(&cache, "k", 3);
+            drop(release); // the leader's computation panics
+            assert_eq!(leader.join().expect("leader thread"), None);
+            let (value, fetched) = waiter.join().expect("waiter");
+            assert_eq!((*value, fetched), (9, Fetched::Computed));
+        });
+        assert_eq!(cache.get("k").as_deref(), Some(&9));
+    }
+
+    #[test]
+    fn a_clear_during_a_computation_keeps_its_value_out_of_the_cache() {
+        let cache = Arc::new(ShardedLruCache::<u32>::new(8, 2));
+        std::thread::scope(|scope| {
+            let (release, leader) = blocked_flight(scope, &cache, "k", 7, true);
+            cache.clear();
+            // A miss after the clear does not join the old computation.
+            assert_eq!(cache.get_or_compute("k", || 8, |_| true), (Arc::new(8), Fetched::Computed));
+            release.send(()).expect("leader waits");
+            assert_eq!(leader.join().expect("leader"), Some(Fetched::Computed));
+        });
+        assert_eq!(cache.get("k").as_deref(), Some(&8));
+    }
+
+    #[test]
+    fn disabled_cache_computes_every_time() {
+        let cache: ShardedLruCache<u32> = ShardedLruCache::new(0, 2);
+        assert_eq!(cache.get_or_compute("k", || 1, |_| true).1, Fetched::Computed);
+        assert_eq!(cache.get_or_compute("k", || 2, |_| true), (Arc::new(2), Fetched::Computed));
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl Model {
     /// as `lesm search` prints them. Document numbers are global ids.
     pub fn search_lines(&self, query: &str, top: usize) -> Vec<String> {
         let m = self.view();
-        render_hits(m, &search(m, query, top))
+        render_hits(m, &search(m, m.search_index(), query, top))
     }
 
     /// Search lines for shard fan-out: each line carries the raw score
@@ -54,7 +54,7 @@ impl Model {
     /// a single server would produce, then strip the prefix.
     pub fn internal_search_lines(&self, query: &str, top: usize) -> Vec<String> {
         let m = self.view();
-        let hits = search(m, query, top);
+        let hits = search(m, m.search_index(), query, top);
         hits.iter()
             .zip(render_hits(m, &hits))
             .map(|(h, line)| format!("{:016x} {} {}", h.score.to_bits(), m.doc_id(h.doc), line))

@@ -25,7 +25,7 @@
 //! byte-identical to offline CLI output for any worker count, cache
 //! state, or shard count.
 
-use crate::cache::ShardedLruCache;
+use crate::cache::{Fetched, ShardedLruCache};
 use crate::front::Front;
 use crate::http::{parse_request, HttpParseError, Request, Response};
 use crate::metrics::{Endpoint, Metrics};
@@ -427,17 +427,18 @@ fn route(req: &Request, state: &Arc<ServerState>) -> (Endpoint, Arc<Response>) {
 /// responses are cached; the key is the full request target — plus the
 /// body for `POST /query` — so distinct queries never collide. Hits hand
 /// back the cached `Arc` — no byte of the response is copied until it is
-/// written to the socket.
+/// written to the socket. Concurrent misses on one key compute it once:
+/// the others wait for that response (a non-200 one too) and count as
+/// hits, because they were answered without computing.
 fn cached(endpoint: Endpoint, req: &Request, state: &Arc<ServerState>) -> Arc<Response> {
-    let key = req.cache_key();
-    if let Some(hit) = state.cache.get(&key) {
-        state.metrics.record_cache_hit(endpoint);
-        return hit;
-    }
-    state.metrics.record_cache_miss(endpoint);
-    let response = Arc::new(compute(endpoint, req, state));
-    if response.status == 200 {
-        state.cache.put(key, Arc::clone(&response));
+    let (response, fetched) = state.cache.get_or_compute(
+        &req.cache_key(),
+        || compute(endpoint, req, state),
+        |response| response.status == 200,
+    );
+    match fetched {
+        Fetched::Computed => state.metrics.record_cache_miss(endpoint),
+        Fetched::Hit | Fetched::Joined => state.metrics.record_cache_hit(endpoint),
     }
     response
 }

@@ -53,12 +53,12 @@ use crate::snapshot::{self, Snapshot, MAGIC};
 use crate::wire::{ByteReader, ByteWriter};
 use crate::SnapshotError;
 use lesm_core::pipeline::MinedStructure;
-use lesm_core::ModelView;
+use lesm_core::{ModelView, SearchIndex};
 use lesm_corpus::{Corpus, Doc, EntityRef};
 use lesm_hier::hierarchy::HierTopic;
 use lesm_hier::TopicHierarchy;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The v2 format version tag.
 pub const FORMAT_VERSION_V2: u32 = 2;
@@ -718,6 +718,9 @@ pub struct MappedSnapshot {
     map: Arc<Mapping>,
     layout: Layout,
     sections: Vec<SectionInfo>,
+    /// Built on the first search, never at load, and dropped with the
+    /// snapshot (so a hot-swap retires it with the old model).
+    search_index: OnceLock<SearchIndex>,
 }
 
 impl MappedSnapshot {
@@ -803,7 +806,7 @@ impl MappedSnapshot {
                 Some(parse_delta(&map, (s.offset as usize, s.len as usize), &layout)?);
         }
 
-        Ok(MappedSnapshot { map: Arc::new(map), layout, sections })
+        Ok(MappedSnapshot { map: Arc::new(map), layout, sections, search_index: OnceLock::new() })
     }
 
     /// Delta lineage for incrementally updated artifacts; `None` on full
@@ -820,6 +823,12 @@ impl MappedSnapshot {
     /// Total artifact size in bytes.
     pub fn artifact_len(&self) -> usize {
         self.map.len()
+    }
+
+    /// The search postings of this snapshot, built on first use and
+    /// memoized for its lifetime (DESIGN.md §9.3).
+    pub(crate) fn search_index(&self) -> &SearchIndex {
+        self.search_index.get_or_init(|| SearchIndex::build(self))
     }
 
     fn u64s(&self, r: ArrayRef) -> &[u64] {

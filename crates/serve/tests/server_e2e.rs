@@ -59,7 +59,7 @@ fn get(addr: std::net::SocketAddr, target: &str) -> (u16, Vec<u8>) {
 /// line per result, each newline-terminated.
 fn offline_search_body(corpus: &Corpus, mined: &MinedStructure, query: &str, top: usize) -> Vec<u8> {
     let view = mined.view(corpus);
-    let hits = lesm_core::search::search(&view, query, top);
+    let hits = lesm_core::search::search(&view, &lesm_core::SearchIndex::build(&view), query, top);
     let mut body = String::new();
     for line in lesm_core::search::render_hits(&view, &hits) {
         body.push_str(&line);

@@ -14,7 +14,7 @@
 
 use lesm_core::export::{hierarchy_to_json, render_topic};
 use lesm_core::pipeline::{LatentStructureMiner, MinedStructure, MinerConfig};
-use lesm_core::search::{rank_topics, render_hits, search};
+use lesm_core::search::{rank_topics, render_hits, search, SearchIndex};
 use lesm_core::ModelView;
 use lesm_corpus::synth::{PapersConfig, SyntheticPapers};
 use lesm_corpus::{Corpus, Doc, EntityRef};
@@ -221,10 +221,11 @@ fn assert_v2_round_trip(corpus: &Corpus, mined: &MinedStructure) -> Vec<u8> {
 fn answers<V: ModelView>(m: &V, queries: &[&str]) -> Vec<String> {
     let mut out = vec![hierarchy_to_json(m, 10), hierarchy_to_json(m, 3)];
     out.extend((0..m.num_topics()).map(|t| render_topic(m, t, 10)));
+    let index = SearchIndex::build(m);
     for q in queries {
-        out.push(render_hits(m, &search(m, q, 10)).join("\n"));
+        out.push(render_hits(m, &search(m, &index, q, 10)).join("\n"));
         let tokens: Vec<u32> = q.split(' ').filter_map(|w| m.word_id(w)).collect();
-        let scores = rank_topics(m, &tokens, usize::MAX);
+        let scores = rank_topics(&index, &tokens, usize::MAX);
         out.push(format!("{:?}", scores.iter().map(|&(t, s)| (t, s.to_bits())).collect::<Vec<_>>()));
     }
     out

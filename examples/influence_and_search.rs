@@ -7,7 +7,7 @@
 //! ```
 
 use lesm::core::pipeline::{LatentStructureMiner, MinerConfig};
-use lesm::core::search::search;
+use lesm::core::search::{search, SearchIndex};
 use lesm::corpus::synth::{PapersConfig, SyntheticPapers};
 use lesm::corpus::EntityRef;
 use lesm::hier::em::{EmConfig, WeightMode};
@@ -59,7 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let leaf = papers.truth.hierarchy.leaves[0];
     let query = corpus.vocab.name_or_unk(papers.truth.hierarchy.own_words[leaf][0]).to_string();
     println!("\n== search: \"{query}\" ==");
-    for hit in search(&mined.view(corpus), &query, 5) {
+    let view = mined.view(corpus);
+    for hit in search(&view, &SearchIndex::build(&view), &query, 5) {
         println!(
             "doc {:>4} (score {:.3}, topic {}): {}",
             hit.doc,
