@@ -82,16 +82,6 @@ impl MinedStructure {
     }
 }
 
-/// Total topical frequency mass of a phrase table, summed in sorted-key
-/// order. `HashMap` iteration order is process-random and f64 addition is
-/// not associative, so a plain `values().sum()` here would make ranking
-/// scores (and near-tie orderings) vary from run to run.
-pub(crate) fn phrase_mass(table: &HashMap<Vec<u32>, f64>) -> f64 {
-    let mut entries: Vec<(&Vec<u32>, f64)> = table.iter().map(|(k, &v)| (k, v)).collect();
-    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    entries.into_iter().map(|(_, v)| v).sum()
-}
-
 /// The integrated miner.
 #[derive(Debug, Default)]
 pub struct LatentStructureMiner;
@@ -148,143 +138,190 @@ pub(crate) struct DerivedArtifacts {
 /// Derives topical frequencies, ranked phrases, ranked entities, and
 /// per-document topic attributions from a constructed hierarchy and the
 /// bag-of-phrases segmentation of every document.
+///
+/// Every phrase of the root table is interned once, and each topic's table
+/// is held as a dense row over those ids while the steps run. A row holds
+/// 0.0 where its table has no entry: entries are always positive (root
+/// counts are at least 1, child shares at least 1e-6), so a 0.0 read is
+/// exactly what a missing-key lookup defaulting to 0.0 returns. The
+/// `HashMap` tables in the output are built from the rows at the end.
 pub(crate) fn derive_artifacts(
     hierarchy: &TopicHierarchy,
     segments: &[Vec<Vec<u32>>],
     term_type: usize,
     config: &MinerConfig,
 ) -> DerivedArtifacts {
-    {
-        // 4. Topical frequency estimation, top-down (Definition 3 / eq. 4.3):
-        //    the root owns the raw corpus counts; each expanded node splits
-        //    its phrases among children by the children's term-type phi.
-        let n_topics = hierarchy.len();
-        let mut ptf: Vec<HashMap<Vec<u32>, f64>> = vec![HashMap::new(); n_topics];
-        for doc_segs in segments {
-            for seg in doc_segs {
-                if !seg.is_empty() {
-                    *ptf[0].entry(seg.clone()).or_insert(0.0) += 1.0;
-                }
-            }
+    let n_topics = hierarchy.len();
+    // Intern the root table's phrases (ids in first-occurrence order) and
+    // map every document's non-empty segments to ids, once.
+    let mut ids: HashMap<&[u32], u32> = HashMap::new();
+    let mut phrases: Vec<&[u32]> = Vec::new();
+    let doc_ids: Vec<Vec<u32>> = segments
+        .iter()
+        .map(|doc_segs| {
+            doc_segs
+                .iter()
+                .filter(|seg| !seg.is_empty())
+                .map(|seg| {
+                    *ids.entry(seg.as_slice()).or_insert_with(|| {
+                        phrases.push(seg);
+                        (phrases.len() - 1) as u32
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    let n_phrases = phrases.len();
+
+    // 4. Topical frequency estimation, top-down (Definition 3 / eq. 4.3):
+    //    the root owns the raw corpus counts; each expanded node splits
+    //    its phrases among children by the children's term-type phi.
+    let mut freq: Vec<Vec<f64>> = vec![vec![0.0; n_phrases]; n_topics];
+    for doc in &doc_ids {
+        for &id in doc {
+            freq[0][id as usize] += 1.0;
         }
-        // Walk topics in index order: parents precede children by construction.
-        for t in 0..n_topics {
-            let children = hierarchy.topics[t].children.clone();
-            if children.is_empty() {
+    }
+    let mut post: Vec<f64> = Vec::new();
+    // Walk topics in index order: parents precede children by construction.
+    for t in 0..n_topics {
+        let children = &hierarchy.topics[t].children;
+        if children.is_empty() {
+            continue;
+        }
+        let Some(fit) = hierarchy.fits[t].as_ref() else { continue };
+        // ln ρ_z and ln φ_z(w), once per child instead of once per phrase word.
+        let ln_rho: Vec<f64> =
+            (0..children.len()).map(|z| fit.rho[z + 1].max(1e-12).ln()).collect();
+        let ln_phi: Vec<Vec<f64>> = (0..children.len())
+            .map(|z| fit.phi[term_type][z].iter().map(|p| p.max(1e-300).ln()).collect())
+            .collect();
+        let mut child_rows: Vec<Vec<f64>> =
+            children.iter().map(|&c| std::mem::take(&mut freq[c])).collect();
+        for (id, &f) in freq[t].iter().enumerate() {
+            if f == 0.0 {
                 continue;
             }
-            let Some(fit) = hierarchy.fits[t].as_ref() else { continue };
-            let parent_table = std::mem::take(&mut ptf[t]);
-            let mut child_tables: Vec<HashMap<Vec<u32>, f64>> =
-                vec![HashMap::new(); children.len()];
-            for (p, &f) in &parent_table {
-                let mut post = vec![0.0f64; children.len()];
-                let mut norm = 0.0;
-                for (z, _) in children.iter().enumerate() {
-                    let mut lp = fit.rho[z + 1].max(1e-12).ln();
-                    for &w in p {
-                        lp += fit.phi[term_type][z][w as usize].max(1e-300).ln();
-                    }
-                    post[z] = lp;
+            post.clear();
+            for (&lr, lphi) in ln_rho.iter().zip(&ln_phi) {
+                let mut lp = lr;
+                for &w in phrases[id] {
+                    lp += lphi[w as usize];
                 }
-                let max_lp = post.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                for v in post.iter_mut() {
-                    *v = (*v - max_lp).exp();
-                    norm += *v;
-                }
-                for (z, v) in post.iter().enumerate() {
-                    let fz = f * v / norm;
-                    if fz >= 1e-6 {
-                        child_tables[z].insert(p.clone(), fz);
-                    }
-                }
+                post.push(lp);
             }
-            ptf[t] = parent_table;
-            for (z, table) in child_tables.into_iter().enumerate() {
-                ptf[children[z]] = table;
+            let max_lp = post.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let mut norm = 0.0;
+            for v in post.iter_mut() {
+                *v = (*v - max_lp).exp();
+                norm += *v;
             }
-        }
-
-        // 5. Rank phrases per topic by pointwise KL vs the parent (eq. 4.9).
-        let totals: Vec<f64> = ptf.iter().map(phrase_mass).collect();
-        let mut topic_phrases: Vec<Vec<TopicalPhrase>> = Vec::with_capacity(n_topics);
-        for t in 0..n_topics {
-            let n_t: f64 = totals[t];
-            let parent = hierarchy.topics[t].parent;
-            let mut list: Vec<TopicalPhrase> = ptf[t]
-                .iter()
-                .filter(|&(_, &f)| f >= config.min_topic_freq)
-                .map(|(p, &f)| {
-                    let p_t = f / n_t.max(1e-12);
-                    let score = match parent {
-                        None => p_t,
-                        Some(pt) => {
-                            let n_p: f64 = totals[pt];
-                            let p_parent =
-                                ptf[pt].get(p).copied().unwrap_or(f) / n_p.max(1e-12);
-                            p_t * (p_t / p_parent.max(1e-300)).ln()
-                        }
-                    };
-                    TopicalPhrase { tokens: p.clone(), score, topic_freq: f }
-                })
-                .collect();
-            list.sort_by(|a, b| {
-                b.score.total_cmp(&a.score).then_with(|| a.tokens.cmp(&b.tokens))
-            });
-            list.truncate(config.phrases_per_topic);
-            topic_phrases.push(list);
-        }
-
-        // 6. Entity rankings straight from the hierarchy's phi.
-        let mut topic_entities: Vec<Vec<Vec<(u32, f64)>>> = Vec::with_capacity(n_topics);
-        for t in 0..n_topics {
-            let mut per_type = Vec::with_capacity(term_type);
-            for etype in 0..term_type {
-                per_type.push(hierarchy.top_nodes(t, etype, config.entities_per_topic));
-            }
-            topic_entities.push(per_type);
-        }
-
-        // 7. Document topic attribution via topical phrase frequencies
-        //    (eqs. 5.4-5.5, applied top-down).
-        let mut doc_topic = vec![vec![0.0f64; n_topics]; segments.len()];
-        for (d, doc_segs) in segments.iter().enumerate() {
-            doc_topic[d][0] = 1.0;
-            // Process expanded topics in index order (parents first).
-            for t in 0..n_topics {
-                let children = &hierarchy.topics[t].children;
-                if children.is_empty() || doc_topic[d][t] <= 0.0 {
-                    continue;
-                }
-                let mut tpf = vec![0.0f64; children.len()];
-                for seg in doc_segs {
-                    if seg.is_empty() {
-                        continue;
-                    }
-                    let mut weights = vec![0.0f64; children.len()];
-                    let mut norm = 0.0;
-                    for (z, &c) in children.iter().enumerate() {
-                        let f = ptf[c].get(seg).copied().unwrap_or(0.0);
-                        weights[z] = f;
-                        norm += f;
-                    }
-                    if norm > 0.0 {
-                        for (z, w) in weights.iter().enumerate() {
-                            tpf[z] += w / norm;
-                        }
-                    }
-                }
-                let total: f64 = tpf.iter().sum();
-                if total > 0.0 {
-                    for (z, &c) in children.iter().enumerate() {
-                        doc_topic[d][c] = doc_topic[d][t] * tpf[z] / total;
-                    }
+            for (row, v) in child_rows.iter_mut().zip(&post) {
+                let fz = f * v / norm;
+                if fz >= 1e-6 {
+                    row[id] = fz;
                 }
             }
         }
-
-        DerivedArtifacts { ptf, topic_phrases, topic_entities, doc_topic }
+        for (&c, row) in children.iter().zip(child_rows) {
+            freq[c] = row;
+        }
     }
+
+    // 5. Rank phrases per topic by pointwise KL vs the parent (eq. 4.9).
+    //    A table's mass is summed in sorted-phrase order: f64 addition is
+    //    not associative, so the order must not depend on interning.
+    let mut sorted: Vec<usize> = (0..n_phrases).collect();
+    sorted.sort_unstable_by(|&a, &b| phrases[a].cmp(phrases[b]));
+    let totals: Vec<f64> = freq
+        .iter()
+        .map(|row| sorted.iter().map(|&id| row[id]).filter(|&f| f != 0.0).sum())
+        .collect();
+    let mut topic_phrases: Vec<Vec<TopicalPhrase>> = Vec::with_capacity(n_topics);
+    for t in 0..n_topics {
+        let n_t: f64 = totals[t];
+        let parent = hierarchy.topics[t].parent;
+        let mut list: Vec<TopicalPhrase> = freq[t]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &f)| f != 0.0 && f >= config.min_topic_freq)
+            .map(|(id, &f)| {
+                let p_t = f / n_t.max(1e-12);
+                let score = match parent {
+                    None => p_t,
+                    Some(pt) => {
+                        let n_p: f64 = totals[pt];
+                        let f_parent = if freq[pt][id] == 0.0 { f } else { freq[pt][id] };
+                        let p_parent = f_parent / n_p.max(1e-12);
+                        p_t * (p_t / p_parent.max(1e-300)).ln()
+                    }
+                };
+                TopicalPhrase { tokens: phrases[id].to_vec(), score, topic_freq: f }
+            })
+            .collect();
+        list.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.tokens.cmp(&b.tokens)));
+        list.truncate(config.phrases_per_topic);
+        topic_phrases.push(list);
+    }
+
+    // 6. Entity rankings straight from the hierarchy's phi.
+    let mut topic_entities: Vec<Vec<Vec<(u32, f64)>>> = Vec::with_capacity(n_topics);
+    for t in 0..n_topics {
+        let mut per_type = Vec::with_capacity(term_type);
+        for etype in 0..term_type {
+            per_type.push(hierarchy.top_nodes(t, etype, config.entities_per_topic));
+        }
+        topic_entities.push(per_type);
+    }
+
+    // 7. Document topic attribution via topical phrase frequencies
+    //    (eqs. 5.4-5.5, applied top-down).
+    let mut doc_topic = vec![vec![0.0f64; n_topics]; segments.len()];
+    let (mut tpf, mut weights) = (Vec::new(), Vec::new());
+    for (d, doc) in doc_ids.iter().enumerate() {
+        doc_topic[d][0] = 1.0;
+        // Process expanded topics in index order (parents first).
+        for t in 0..n_topics {
+            let children = &hierarchy.topics[t].children;
+            if children.is_empty() || doc_topic[d][t] <= 0.0 {
+                continue;
+            }
+            tpf.clear();
+            tpf.resize(children.len(), 0.0f64);
+            weights.resize(children.len(), 0.0f64);
+            for &id in doc {
+                let mut norm = 0.0;
+                for (z, &c) in children.iter().enumerate() {
+                    let f = freq[c][id as usize];
+                    weights[z] = f;
+                    norm += f;
+                }
+                if norm > 0.0 {
+                    for (z, w) in weights.iter().enumerate() {
+                        tpf[z] += w / norm;
+                    }
+                }
+            }
+            let total: f64 = tpf.iter().sum();
+            if total > 0.0 {
+                for (z, &c) in children.iter().enumerate() {
+                    doc_topic[d][c] = doc_topic[d][t] * tpf[z] / total;
+                }
+            }
+        }
+    }
+
+    let ptf = freq
+        .iter()
+        .map(|row| {
+            row.iter()
+                .zip(&phrases)
+                .filter(|&(&f, _)| f != 0.0)
+                .map(|(&f, p)| (p.to_vec(), f))
+                .collect()
+        })
+        .collect();
+    DerivedArtifacts { ptf, topic_phrases, topic_entities, doc_topic }
 }
 
 #[cfg(test)]

@@ -57,11 +57,25 @@ impl std::fmt::Debug for SearchIndex {
     }
 }
 
+/// Maps every NaN to the one canonical NaN (`f64::NAN`) and leaves every
+/// other value alone. Rust, like IEEE 754, leaves the sign and payload of
+/// a NaN result unspecified, so the same sum may give `+NaN` in a debug
+/// build and `-NaN` under the optimizer, and `total_cmp` sorts the two
+/// signs to opposite ends. Every score passes through here before it is
+/// sorted or returned, so the order cannot depend on the build.
+pub fn canonical_nan(score: f64) -> f64 {
+    if score.is_nan() {
+        f64::NAN
+    } else {
+        score
+    }
+}
+
 /// A document's relevance: the fraction of query tokens it contains plus
 /// its weight in the query's best topic. The one place the score is
 /// computed, for matched documents and for the index's unmatched order.
 fn doc_score(matched: usize, query_len: usize, topical: f64) -> f64 {
-    matched as f64 / query_len as f64 + topical
+    canonical_nan(matched as f64 / query_len as f64 + topical)
 }
 
 /// The result order of [`search`]: descending score, exact ties by
@@ -128,7 +142,8 @@ impl SearchIndex {
 ///
 /// Ordering is total and deterministic: descending score, with exact
 /// score ties broken by ascending topic id (so truncation to `top_n`
-/// never depends on iteration order or float quirks).
+/// never depends on iteration order or float quirks). A NaN score is
+/// always the canonical NaN ([`canonical_nan`]).
 pub fn rank_topics(index: &SearchIndex, query: &[u32], top_n: usize) -> Vec<(usize, f64)> {
     let mut words = query.to_vec();
     words.sort_unstable();
@@ -151,7 +166,9 @@ pub fn rank_topics(index: &SearchIndex, query: &[u32], top_n: usize) -> Vec<(usi
         .iter()
         .zip(hit)
         .enumerate()
-        .map(|(t, (&total, hit))| (t, if total <= 0.0 { 0.0 } else { hit / total }))
+        .map(|(t, (&total, hit))| {
+            (t, if total <= 0.0 { 0.0 } else { canonical_nan(hit / total) })
+        })
         .collect();
     scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     scored.truncate(top_n);
@@ -170,7 +187,8 @@ pub fn rank_topics(index: &SearchIndex, query: &[u32], top_n: usize) -> Vec<(usi
 /// topic's list, which is already in result order.
 ///
 /// Like [`rank_topics`], the result order is total and deterministic:
-/// descending score with exact ties broken by ascending document index.
+/// descending score with exact ties broken by ascending document index,
+/// and a NaN score is always the canonical NaN ([`canonical_nan`]).
 pub fn search<V: ModelView>(
     m: &V,
     index: &SearchIndex,

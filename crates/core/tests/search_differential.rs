@@ -4,10 +4,13 @@
 //! and topics in the same order, with the same score bits.
 //!
 //! The scan below is the test oracle: the straightforward definition of
-//! both rankings, kept here and nowhere else.
+//! both rankings, kept here and nowhere else. Like the indexed functions,
+//! it maps every NaN score to the canonical NaN ([`canonical_nan`]) before
+//! sorting: the sign of a NaN result is not fixed by the language, so
+//! without that rule the two sides could disagree by build profile.
 
 use lesm_core::pipeline::{LatentStructureMiner, MinedStructure, MinerConfig};
-use lesm_core::search::{rank_topics, search, SearchHit, SearchIndex};
+use lesm_core::search::{canonical_nan, rank_topics, search, SearchHit, SearchIndex};
 use lesm_core::{model_from_truth, ModelView};
 use lesm_corpus::synth::{PapersConfig, SyntheticPapers};
 use lesm_corpus::{Corpus, Doc, EntityRef};
@@ -30,7 +33,7 @@ fn scan_rank_topics<V: ModelView>(m: &V, query: &[u32], top_n: usize) -> Vec<(us
                     hit += f;
                 }
             }
-            (t, if total <= 0.0 { 0.0 } else { hit / total })
+            (t, if total <= 0.0 { 0.0 } else { canonical_nan(hit / total) })
         })
         .collect();
     scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
@@ -58,7 +61,7 @@ fn scan_search<V: ModelView>(m: &V, query_text: &str, top_n: usize) -> Vec<Searc
             let matched = query.iter().filter(|q| tokens.contains(q)).count();
             let overlap = matched as f64 / query.len() as f64;
             let topical = m.doc_topic(d, best_topic);
-            let score = overlap + topical;
+            let score = canonical_nan(overlap + topical);
             if matched == 0 && topical <= 0.0 {
                 None
             } else {

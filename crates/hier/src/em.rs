@@ -174,14 +174,24 @@ impl EmFit {
     /// Posterior subtopic distribution `q` of a single link (E-step formula,
     /// eqs. 3.12–3.13). Index 0 is the background.
     pub fn link_posterior(&self, tx: usize, i: u32, ty: usize, j: u32) -> Vec<f64> {
-        let (i, j) = (i as usize, j as usize);
         let mut q = vec![0.0; self.k + 1];
+        self.posterior_into(tx, i as usize, ty, j as usize, &mut q);
+        q
+    }
+
+    /// Writes the posterior of one link into `q` (length `k + 1`, index 0
+    /// the background). The one posterior routine behind
+    /// [`EmFit::link_posterior`] and [`EmFit::subnetworks`]: the subtopic
+    /// terms are summed in `z` order, then the background term, and the
+    /// division by the total happens only when the total is positive.
+    fn posterior_into(&self, tx: usize, i: usize, ty: usize, j: usize, q: &mut [f64]) {
         let mut total = 0.0;
         for z in 0..self.k {
             let v = self.rho[z + 1] * self.phi[tx][z][i] * self.phi[ty][z][j];
             q[z + 1] = v;
             total += v;
         }
+        q[0] = 0.0;
         if self.rho[0] > 0.0 {
             let v = 0.5
                 * self.rho[0]
@@ -191,29 +201,39 @@ impl EmFit {
             total += v;
         }
         if total > 0.0 {
-            for v in &mut q {
+            for v in q.iter_mut() {
                 *v /= total;
             }
         }
-        q
     }
 
-    /// Extracts the expected-weight subnetwork of subtopic `z` (0-based):
-    /// links keep the fraction `e q_z`, and links whose expected weight
-    /// falls below `threshold` are dropped (§3.2.1 uses 1.0).
-    pub fn subnetwork(&self, net: &TypedNetwork, z: usize, threshold: f64) -> TypedNetwork {
-        let mut out = TypedNetwork::new(net.type_names.clone(), net.node_counts.clone());
+    /// Extracts the expected-weight subnetwork of every subtopic in one
+    /// pass over `net`'s links (element `z` is subtopic `z`, 0-based): each
+    /// link's posterior is computed once, child `z` keeps the fraction
+    /// `e q_z`, and links whose expected weight falls below `threshold` are
+    /// dropped (§3.2.1 uses 1.0). Children keep the parent's block order
+    /// and, within a block, its edge order.
+    pub fn subnetworks(&self, net: &TypedNetwork, threshold: f64) -> Vec<TypedNetwork> {
+        let mut out: Vec<TypedNetwork> = (0..self.k)
+            .map(|_| TypedNetwork::new(net.type_names.clone(), net.node_counts.clone()))
+            .collect();
+        let mut q = vec![0.0; self.k + 1];
+        let mut edges: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); self.k];
         for blk in &net.blocks {
-            let mut edges = Vec::new();
             for &(i, j, w) in &blk.edges {
-                let q = self.link_posterior(blk.tx, i, blk.ty, j);
-                let ew = w * q[z + 1];
-                if ew >= threshold {
-                    edges.push((i, j, ew));
+                self.posterior_into(blk.tx, i as usize, blk.ty, j as usize, &mut q);
+                for (child, &qz) in edges.iter_mut().zip(&q[1..]) {
+                    let ew = w * qz;
+                    if ew >= threshold {
+                        child.push((i, j, ew));
+                    }
                 }
             }
-            if !edges.is_empty() {
-                out.blocks.push(lesm_net::LinkBlock { tx: blk.tx, ty: blk.ty, edges });
+            for (sub, child) in out.iter_mut().zip(&mut edges) {
+                if !child.is_empty() {
+                    let edges = std::mem::take(child);
+                    sub.blocks.push(lesm_net::LinkBlock { tx: blk.tx, ty: blk.ty, edges });
+                }
             }
         }
         out
@@ -1553,7 +1573,7 @@ mod tests {
         let q = fit.link_posterior(1, 0, 1, 1);
         let s: f64 = q.iter().sum();
         assert!((s - 1.0).abs() < 1e-9);
-        let sub = fit.subnetwork(&net, 0, 1.0);
+        let sub = &fit.subnetworks(&net, 1.0)[0];
         assert!(sub.num_links() > 0);
         assert!(sub.total_weight() < net.total_weight());
     }

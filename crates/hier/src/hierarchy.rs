@@ -135,30 +135,7 @@ impl TopicHierarchy {
         if config.max_depth == 0 {
             return Err(HierError::InvalidConfig("max_depth must be >= 1".into()));
         }
-        let type_names = root_net.type_names.clone();
-        let n_types = root_net.num_types();
-        // Root node: global importance as phi.
-        let mut root_phi = root_net.weighted_degrees();
-        for row in &mut root_phi {
-            let s: f64 = row.iter().sum();
-            if s > 0.0 {
-                row.iter_mut().for_each(|x| *x /= s);
-            }
-        }
-        let mut hierarchy = TopicHierarchy {
-            type_names,
-            topics: vec![HierTopic {
-                parent: None,
-                children: vec![],
-                level: 0,
-                path: "o".into(),
-                phi: root_phi,
-                rho: 1.0,
-                network: root_net,
-            }],
-            fits: vec![None],
-            alphas: vec![None],
-        };
+        let mut hierarchy = TopicHierarchy::rooted(root_net);
         let mut frontier = vec![0usize];
         for level in 0..config.max_depth {
             let mut next = Vec::new();
@@ -183,28 +160,7 @@ impl TopicHierarchy {
                 }
                 let em_cfg = EmConfig { k, ..config.em.clone() };
                 let fit = CathyHinEm::fit_prepared(&state, &em_cfg)?;
-                for z in 0..k {
-                    let subnet =
-                        fit.subnetwork(&hierarchy.topics[node].network, z, config.subnet_threshold);
-                    let child_idx = hierarchy.topics.len();
-                    let path = format!("{}/{}", hierarchy.topics[node].path, z + 1);
-                    let phi: Vec<Vec<f64>> = (0..n_types).map(|x| fit.phi[x][z].clone()).collect();
-                    hierarchy.topics.push(HierTopic {
-                        parent: Some(node),
-                        children: vec![],
-                        level: level + 1,
-                        path,
-                        phi,
-                        rho: fit.rho[z + 1],
-                        network: subnet,
-                    });
-                    hierarchy.fits.push(None);
-                    hierarchy.alphas.push(None);
-                    hierarchy.topics[node].children.push(child_idx);
-                    next.push(child_idx);
-                }
-                hierarchy.alphas[node] = Some(fit.alpha.clone());
-                hierarchy.fits[node] = Some(fit);
+                next.extend(hierarchy.attach_children(node, fit, config.subnet_threshold));
             }
             frontier = next;
             if frontier.is_empty() {
@@ -242,32 +198,11 @@ impl TopicHierarchy {
         if base.topics.is_empty() {
             return Err(HierError::InvalidConfig("base hierarchy is empty".into()));
         }
-        let merged_root = merge_networks(&base.topics[0].network, root_delta)?;
-        let n_types = merged_root.num_types();
-        let mut root_phi = merged_root.weighted_degrees();
-        for row in &mut root_phi {
-            let s: f64 = row.iter().sum();
-            if s > 0.0 {
-                row.iter_mut().for_each(|x| *x /= s);
-            }
-        }
-        let mut out = TopicHierarchy {
-            type_names: merged_root.type_names.clone(),
-            topics: vec![HierTopic {
-                parent: None,
-                children: vec![],
-                level: 0,
-                path: "o".into(),
-                phi: root_phi,
-                rho: 1.0,
-                network: merged_root,
-            }],
-            fits: vec![None],
-            alphas: vec![None],
-        };
+        let mut out =
+            TopicHierarchy::rooted(merge_networks(&base.topics[0].network, root_delta)?);
         // Frontier of (updated topic, corresponding base topic) pairs.
         let mut frontier = vec![(0usize, 0usize)];
-        for level in 0..config.max_depth {
+        for _ in 0..config.max_depth {
             let mut next = Vec::new();
             for &(node, base_idx) in &frontier {
                 // Only topics the base expanded are re-expanded; their k is
@@ -294,31 +229,8 @@ impl TopicHierarchy {
                 let em_cfg =
                     EmConfig { k, iters: budget.iters, tol: budget.tol, ..config.em.clone() };
                 let fit = CathyHinEm::fit_warm(&state, &em_cfg, prev_fit)?;
-                for z in 0..k {
-                    let subnet =
-                        fit.subnetwork(&out.topics[node].network, z, config.subnet_threshold);
-                    let child_idx = out.topics.len();
-                    let path = format!("{}/{}", out.topics[node].path, z + 1);
-                    let phi: Vec<Vec<f64>> =
-                        (0..n_types).map(|x| fit.phi[x][z].clone()).collect();
-                    out.topics.push(HierTopic {
-                        parent: Some(node),
-                        children: vec![],
-                        level: level + 1,
-                        path,
-                        phi,
-                        rho: fit.rho[z + 1],
-                        network: subnet,
-                    });
-                    out.fits.push(None);
-                    out.alphas.push(None);
-                    out.topics[node].children.push(child_idx);
-                    if let Some(&base_child) = base.topics[base_idx].children.get(z) {
-                        next.push((child_idx, base_child));
-                    }
-                }
-                out.alphas[node] = Some(fit.alpha.clone());
-                out.fits[node] = Some(fit);
+                let children = out.attach_children(node, fit, config.subnet_threshold);
+                next.extend(children.zip(&base.topics[base_idx].children).map(|(c, &b)| (c, b)));
             }
             frontier = next;
             if frontier.is_empty() {
@@ -326,6 +238,66 @@ impl TopicHierarchy {
             }
         }
         Ok(out)
+    }
+
+    /// A one-topic hierarchy: the root owns `root_net`, with the
+    /// network's normalized weighted degrees as its global importance.
+    fn rooted(root_net: TypedNetwork) -> Self {
+        let mut root_phi = root_net.weighted_degrees();
+        for row in &mut root_phi {
+            let s: f64 = row.iter().sum();
+            if s > 0.0 {
+                row.iter_mut().for_each(|x| *x /= s);
+            }
+        }
+        TopicHierarchy {
+            type_names: root_net.type_names.clone(),
+            topics: vec![HierTopic {
+                parent: None,
+                children: vec![],
+                level: 0,
+                path: "o".into(),
+                phi: root_phi,
+                rho: 1.0,
+                network: root_net,
+            }],
+            fits: vec![None],
+            alphas: vec![None],
+        }
+    }
+
+    /// Expands `node` with `fit`: appends one child per subtopic, owning
+    /// the subtopic's ranking distributions, share, and expected-weight
+    /// network ([`EmFit::subnetworks`] at `threshold`), then stores the fit
+    /// and its link-type weights on `node`. Returns the new children's
+    /// indices in subtopic order.
+    fn attach_children(
+        &mut self,
+        node: usize,
+        fit: EmFit,
+        threshold: f64,
+    ) -> std::ops::Range<usize> {
+        let first = self.topics.len();
+        let level = self.topics[node].level + 1;
+        let subnets = fit.subnetworks(&self.topics[node].network, threshold);
+        for (z, network) in subnets.into_iter().enumerate() {
+            let child_idx = self.topics.len();
+            self.topics.push(HierTopic {
+                parent: Some(node),
+                children: vec![],
+                level,
+                path: format!("{}/{}", self.topics[node].path, z + 1),
+                phi: fit.phi.iter().map(|by_z| by_z[z].clone()).collect(),
+                rho: fit.rho[z + 1],
+                network,
+            });
+            self.fits.push(None);
+            self.alphas.push(None);
+            self.topics[node].children.push(child_idx);
+        }
+        self.alphas[node] = Some(fit.alpha.clone());
+        self.fits[node] = Some(fit);
+        first..self.topics.len()
     }
 
     /// Convenience: CATHY on a text-only corpus (§3.1) — builds the term

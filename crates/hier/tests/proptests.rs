@@ -1,8 +1,11 @@
 //! Property-based tests for CATHY/CATHYHIN inference invariants.
 
-use lesm_hier::em::{CathyHinEm, EmConfig, WeightMode};
-use lesm_net::NetworkBuilder;
+use lesm_hier::em::{CathyHinEm, EmConfig, EmFit, WeightMode};
+use lesm_net::{LinkBlock, NetworkBuilder, TypedNetwork};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// A random small two-type network guaranteed non-empty.
 fn random_network() -> impl Strategy<Value = lesm_net::TypedNetwork> {
@@ -22,8 +25,173 @@ fn random_network() -> impl Strategy<Value = lesm_net::TypedNetwork> {
         })
 }
 
+/// Like [`random_network`], but built block by block instead of through
+/// `NetworkBuilder`, so it keeps duplicate links and self-loops as given
+/// and always links term 5 (the node [`random_fit`] gives no mass).
+fn raw_network() -> impl Strategy<Value = TypedNetwork> {
+    (
+        proptest::collection::vec((0u32..6, 0u32..6, 0.1f64..8.0), 0..30),
+        proptest::collection::vec((0u32..4, 0u32..6, 0.1f64..5.0), 0..20),
+        proptest::collection::vec((0u32..6, 0.1f64..3.0), 1..4),
+    )
+        .prop_map(|(tt, at, loops)| {
+            let mut net = TypedNetwork::new(vec!["author".into(), "term".into()], vec![4, 6]);
+            let mut at: Vec<(u32, u32, f64)> = at;
+            at.push((0, 5, 2.0));
+            let mut tt: Vec<(u32, u32, f64)> = tt;
+            tt.push((5, 1, 3.0));
+            tt.extend(loops.into_iter().map(|(i, w)| (i, i, w)));
+            net.blocks.push(LinkBlock { tx: 0, ty: 1, edges: at });
+            net.blocks.push(LinkBlock { tx: 1, ty: 1, edges: tt });
+            net
+        })
+}
+
+/// A value for one fit parameter: exactly 0 when `zero` is set or with
+/// probability 1/4, otherwise uniform in (0, 1).
+fn draw(rng: &mut StdRng, zero: bool) -> f64 {
+    if zero || rng.gen_range(0u32..4) == 0 {
+        0.0
+    } else {
+        rng.gen_range(0.0f64..1.0)
+    }
+}
+
+/// A fit over [`raw_network`]'s node space with arbitrary parameters.
+/// Term 5 has no mass in any subtopic, the background, or the parent
+/// importance, so every link touching it has a posterior total of 0.
+/// Without `background`, `rho[0]` and `phi0` are 0.
+fn random_fit(k: usize, background: bool, seed: u64) -> EmFit {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let counts = [4usize, 6];
+    let per_node = |rng: &mut StdRng, on: bool| -> Vec<Vec<f64>> {
+        (0..2)
+            .map(|x| (0..counts[x]).map(|i| draw(rng, !on || (x == 1 && i == 5))).collect())
+            .collect()
+    };
+    let phi_t = (0..k).map(|_| per_node(&mut rng, true)).collect::<Vec<_>>();
+    let phi = (0..2).map(|x| phi_t.iter().map(|by_x| by_x[x].clone()).collect()).collect();
+    let phi0 = per_node(&mut rng, background);
+    let parent_phi = Arc::new(per_node(&mut rng, true));
+    let mut rho = vec![if background { draw(&mut rng, false) } else { 0.0 }];
+    rho.extend((0..k).map(|_| draw(&mut rng, false)));
+    EmFit {
+        k,
+        phi,
+        phi0,
+        rho,
+        alpha: vec![1.0; 4],
+        theta: vec![0.25; 4],
+        objective: 0.0,
+        objective_trace: Vec::new(),
+        loglik: 0.0,
+        parent_phi,
+    }
+}
+
+/// The per-subtopic extraction `EmFit::subnetworks` replaced, kept as its
+/// oracle: the posterior of every link is recomputed (into a fresh `Vec`)
+/// for each subtopic `z`.
+fn subnetwork_per_z(fit: &EmFit, net: &TypedNetwork, z: usize, threshold: f64) -> TypedNetwork {
+    let mut out = TypedNetwork::new(net.type_names.clone(), net.node_counts.clone());
+    for blk in &net.blocks {
+        let mut edges = Vec::new();
+        for &(i, j, w) in &blk.edges {
+            let (tx, ty, i, j) = (blk.tx, blk.ty, i as usize, j as usize);
+            let mut q = vec![0.0; fit.k + 1];
+            let mut total = 0.0;
+            for z in 0..fit.k {
+                let v = fit.rho[z + 1] * fit.phi[tx][z][i] * fit.phi[ty][z][j];
+                q[z + 1] = v;
+                total += v;
+            }
+            if fit.rho[0] > 0.0 {
+                let v = 0.5
+                    * fit.rho[0]
+                    * (fit.phi0[tx][i] * fit.parent_phi[ty][j]
+                        + fit.phi0[ty][j] * fit.parent_phi[tx][i]);
+                q[0] = v;
+                total += v;
+            }
+            if total > 0.0 {
+                for v in &mut q {
+                    *v /= total;
+                }
+            }
+            let ew = w * q[z + 1];
+            if ew >= threshold {
+                edges.push((i as u32, j as u32, ew));
+            }
+        }
+        if !edges.is_empty() {
+            out.blocks.push(LinkBlock { tx: blk.tx, ty: blk.ty, edges });
+        }
+    }
+    out
+}
+
+/// Every block of `net` with its edge weights as bits, for exact equality.
+type EdgeBits = Vec<(usize, usize, Vec<(u32, u32, u64)>)>;
+
+fn edge_bits(net: &TypedNetwork) -> EdgeBits {
+    net.blocks
+        .iter()
+        .map(|b| (b.tx, b.ty, b.edges.iter().map(|&(i, j, w)| (i, j, w.to_bits())).collect()))
+        .collect()
+}
+
+/// Checks `fit.subnetworks` against the per-`z` oracle at thresholds 0,
+/// 0.5 and 1, edge for edge and bit for bit.
+fn check_subnetworks(fit: &EmFit, net: &TypedNetwork) -> Result<(), String> {
+    for threshold in [0.0, 0.5, 1.0] {
+        let subs = fit.subnetworks(net, threshold);
+        if subs.len() != fit.k {
+            return Err(format!("{} subnetworks for k = {}", subs.len(), fit.k));
+        }
+        for (z, sub) in subs.iter().enumerate() {
+            if sub.type_names != net.type_names || sub.node_counts != net.node_counts {
+                return Err(format!("subnetwork {z} lost the parent's node space"));
+            }
+            let oracle = subnetwork_per_z(fit, net, z, threshold);
+            if edge_bits(sub) != edge_bits(&oracle) {
+                return Err(format!("subnetwork {z} at threshold {threshold} differs"));
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn subnetworks_match_per_subtopic_extraction_on_arbitrary_fits(
+        net in raw_network(),
+        k in 1usize..6,
+        bg in proptest::bool::ANY,
+        seed in 0u64..1_000_000,
+    ) {
+        let fit = random_fit(k, bg, seed);
+        let checked = check_subnetworks(&fit, &net);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
+
+    #[test]
+    fn subnetworks_match_per_subtopic_extraction_on_em_fits(
+        net in raw_network(),
+        k in 1usize..6,
+        bg in proptest::bool::ANY,
+    ) {
+        // k = 4 and 5 run the monomorphized E-step, the others the generic one.
+        let cfg = EmConfig {
+            k, iters: 15, restarts: 1, seed: 5,
+            background: bg, weights: WeightMode::Equal,
+            ..EmConfig::default()
+        };
+        let fit = CathyHinEm::fit(&net, &cfg).unwrap();
+        let checked = check_subnetworks(&fit, &net);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
 
     #[test]
     fn em_outputs_are_distributions(net in random_network(), k in 1usize..4, bg in proptest::bool::ANY) {
@@ -80,8 +248,7 @@ proptest! {
         let fit = CathyHinEm::fit(&net, &cfg).unwrap();
         let parent_w = net.total_weight();
         let mut child_total = 0.0;
-        for z in 0..k {
-            let sub = fit.subnetwork(&net, z, 0.0);
+        for sub in fit.subnetworks(&net, 0.0) {
             let w = sub.total_weight();
             prop_assert!(w <= parent_w + 1e-6);
             child_total += w;

@@ -17,6 +17,12 @@ cargo run --release -q -p lesm-lint -- --root "$PWD" --workspace --timing
 echo "== tests"
 cargo test -q
 
+# The differential and bit-identity suites of the mining, search and query
+# crates again, under the optimizer users ship: the sign of a NaN result,
+# for one, may differ between the debug and release profiles.
+echo "== tests (release: lesm-core, lesm-hier, lesm-query)"
+cargo test --release -q -p lesm-core -p lesm-hier -p lesm-query
+
 # perfbench/ is a Cargo workspace of its own, so nothing above compiles
 # it: an API deletion it depends on would otherwise only surface when the
 # benchmark runs.
