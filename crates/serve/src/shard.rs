@@ -8,7 +8,7 @@
 //! the scores an unsharded server would compute, and the merge only has
 //! to re-impose the global (score, doc) order (DESIGN.md §13).
 //!
-//! Each shard is written as a format-v2 artifact whose `DOC_IDS` section
+//! Each shard is written as a format-v2 artifact whose `doc-ids` section
 //! maps shard-local document rows back to global document ids, plus a
 //! `manifest.json` naming the shard files in order.
 
@@ -16,6 +16,7 @@ use crate::v2::save_snapshot_v2_with_lineage;
 use crate::{ServeError, SnapshotError};
 use lesm_core::pipeline::MinedStructure;
 use lesm_corpus::Corpus;
+use lesm_query::{parse_json, Json};
 use std::path::Path;
 
 /// Document-to-shard assignment strategy.
@@ -180,69 +181,30 @@ pub fn write_shards(
     Ok(manifest)
 }
 
-/// Parses a `manifest.json` written by [`write_shards`]. The parser is a
-/// minimal scanner for our own fixed shape, not a general JSON reader.
+/// Parses a `manifest.json` written by [`write_shards`].
 pub fn parse_manifest(text: &str) -> Result<ShardManifest, ServeError> {
-    let by = extract_string_field(text, "by")
-        .ok_or_else(|| ServeError::InvalidConfig("manifest missing \"by\"".into()))?;
-    let mut files = Vec::new();
-    let mut docs = Vec::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find("\"file\"") {
-        rest = &rest[pos..];
-        let file = extract_string_field(rest, "file")
-            .ok_or_else(|| ServeError::InvalidConfig("manifest has a malformed shard".into()))?;
-        let n = extract_number_field(rest, "docs")
-            .ok_or_else(|| ServeError::InvalidConfig("manifest shard missing \"docs\"".into()))?;
-        files.push(file);
-        docs.push(n);
-        rest = &rest["\"file\"".len()..];
+    let invalid = |what: &str| ServeError::InvalidConfig(format!("manifest {what}"));
+    let json = parse_json(text).map_err(|e| invalid(&format!("is not JSON: {e}")))?;
+    let by = json.get("by").and_then(Json::as_str).ok_or_else(|| invalid("missing \"by\""))?;
+    let shards = json.get("shards").and_then(Json::as_arr).unwrap_or_default();
+    if shards.is_empty() {
+        return Err(invalid("lists no shards"));
     }
-    if files.is_empty() {
-        return Err(ServeError::InvalidConfig("manifest lists no shards".into()));
+    let mut manifest = ShardManifest { by: by.to_string(), files: Vec::new(), docs: Vec::new() };
+    for shard in shards {
+        let file = shard.get("file").and_then(Json::as_str);
+        manifest.files.push(file.ok_or_else(|| invalid("has a malformed shard"))?.to_string());
+        let docs = shard.get("docs").ok_or_else(|| invalid("shard missing \"docs\""))?;
+        let docs = docs.as_i64().and_then(|n| usize::try_from(n).ok());
+        let docs = docs.ok_or_else(|| invalid("shard \"docs\" is not a non-negative integer"))?;
+        manifest.docs.push(docs);
     }
-    Ok(ShardManifest { by, files, docs })
+    Ok(manifest)
 }
 
 /// Reads and parses a manifest file.
 pub fn load_manifest(path: &Path) -> Result<ShardManifest, ServeError> {
     parse_manifest(&std::fs::read_to_string(path).map_err(ServeError::Io)?)
-}
-
-fn extract_string_field(text: &str, key: &str) -> Option<String> {
-    let pos = text.find(&format!("\"{key}\""))?;
-    let rest = &text[pos + key.len() + 2..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    // Our writer escapes with backslashes; unescape the two forms
-    // json_string emits for path-safe file names (\" and \\) plus \uXXXX.
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                other => out.push(other),
-            },
-            other => out.push(other),
-        }
-    }
-    None
-}
-
-fn extract_number_field(text: &str, key: &str) -> Option<usize> {
-    let pos = text.find(&format!("\"{key}\""))?;
-    let rest = &text[pos + key.len() + 2..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
 }
 
 #[cfg(test)]
@@ -266,6 +228,23 @@ mod tests {
         assert!(parse_manifest("{}").is_err());
         assert!(parse_manifest("{\"by\": \"entity-range\", \"shards\": []}").is_err());
         assert!(parse_manifest("not json").is_err());
+        for docs in ["-1", "1.5", "\"40\"", "null"] {
+            let text = format!(
+                "{{\"by\": \"entity-range\", \"shards\": [{{\"file\": \"a.lesm\", \"docs\": {docs}}}]}}"
+            );
+            assert!(parse_manifest(&text).is_err(), "docs {docs} accepted");
+        }
+    }
+
+    #[test]
+    fn manifest_keys_may_come_in_any_order() {
+        let text = r#"{"shards": [{"docs": 40, "file": "shard-0000.lesm"},
+                                  {"docs": 20, "file": "shard-0001.lesm"}],
+                       "by": "topic-subtree", "format": 1}"#;
+        let manifest = parse_manifest(text).expect("parse");
+        assert_eq!(manifest.by, "topic-subtree");
+        assert_eq!(manifest.files, ["shard-0000.lesm", "shard-0001.lesm"]);
+        assert_eq!(manifest.docs, [40, 20]);
     }
 
     #[test]

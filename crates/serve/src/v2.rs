@@ -10,7 +10,7 @@
 //!    read fallback),
 //! 2. verify the word-lane FNV trailer checksum,
 //! 3. validate the section table and every arena's bounds, offset
-//!    monotonicity, UTF-8, and sort invariants **once**,
+//!    monotonicity, UTF-8, sort and cross-reference invariants **once**,
 //! 4. hand out typed `&[u32]`/`&[u64]`/`&[f64]`/`&str` views that borrow
 //!    directly from the mapping. No per-section heap deserialization.
 //!
@@ -28,6 +28,13 @@
 //! EOF-8      u64 checksum: 4-lane FNV-1a over the 8-byte LE words of the body
 //! ```
 //!
+//! Every section is declared once, in [`SECTIONS`]: its id, its inspect
+//! name, whether an artifact may omit it, and the writer and parser that
+//! define its bytes. Saving writes the entries in table order, loading
+//! parses them in the same order (later sections check their counts
+//! against earlier ones), and `lesm snapshot inspect` takes its names
+//! from it.
+//!
 //! Within a section, scalars are u64 and arrays are padded to their
 //! element alignment; because every section starts 64-byte aligned and
 //! the mapping base is at least 8-byte aligned, every array view is
@@ -42,11 +49,11 @@
 //! fails with [`SnapshotError::VersionMismatch`]; rebuild such an
 //! artifact with `lesm snapshot`.
 //!
-//! Incrementally updated artifacts carry one extra *optional* section,
-//! `delta-lineage` (id 11, [`DeltaInfo`]): the artifact stays full and
+//! Incrementally updated artifacts carry the table's one *optional*
+//! section, `delta-lineage` ([`DeltaInfo`]): the artifact stays full and
 //! self-contained, the section only records which base artifact it was
-//! derived from and the base's append-only id ranges. Readers that don't
-//! know the id skip it (the section table tolerates unknown ids).
+//! derived from and the base's append-only id ranges. Readers skip
+//! section ids they do not know.
 
 use crate::mapping::Mapping;
 use crate::snapshot::{self, Snapshot, MAGIC};
@@ -63,40 +70,70 @@ use std::sync::{Arc, OnceLock};
 /// The v2 format version tag.
 pub const FORMAT_VERSION_V2: u32 = 2;
 
-const SEC_VOCAB: u32 = 1;
-const SEC_ENTITIES: u32 = 2;
-const SEC_DOCS: u32 = 3;
-const SEC_TOPICS: u32 = 4;
-const SEC_PHRASES: u32 = 5;
-const SEC_TOPIC_ENTITIES: u32 = 6;
-const SEC_PTF: u32 = 7;
-const SEC_DOC_TOPIC: u32 = 8;
-const SEC_DOC_IDS: u32 = 9;
-const SEC_COLD: u32 = 10;
-const SEC_DELTA: u32 = 11;
-const N_SECTIONS: usize = 10;
-
 const HEADER_LEN: usize = 16;
 const TABLE_ENTRY_LEN: usize = 24;
 const SECTION_ALIGN: usize = 64;
 
-/// Human-readable v2 section name (for `lesm snapshot inspect`).
-fn v2_section_name(id: u32) -> &'static str {
-    match id {
-        SEC_VOCAB => "vocab",
-        SEC_ENTITIES => "entities",
-        SEC_DOCS => "docs",
-        SEC_TOPICS => "topics",
-        SEC_PHRASES => "phrases",
-        SEC_TOPIC_ENTITIES => "topic-entities",
-        SEC_PTF => "phrase-topic-freq",
-        SEC_DOC_TOPIC => "doc-topic",
-        SEC_DOC_IDS => "doc-ids",
-        SEC_COLD => "cold",
-        SEC_DELTA => "delta-lineage",
-        _ => "unknown",
-    }
+/// One v2 section: everything the writer, the loader and the inspector
+/// need to know about it.
+struct Section {
+    /// The id stored in the section table.
+    id: u32,
+    /// The name `lesm snapshot inspect` prints.
+    name: &'static str,
+    /// Whether an artifact may omit the section.
+    optional: bool,
+    /// Appends the section's bytes (the caller aligns and records it).
+    write: fn(&mut ArenaWriter, &SaveInput<'_>) -> Result<(), SnapshotError>,
+    /// Claims and validates the section's arrays into the layout.
+    parse: fn(&mut Cursor<'_>, &mut Layout) -> Result<(), SnapshotError>,
 }
+
+/// Every v2 section, in byte order. The loader parses them in this order
+/// too, so a section may check itself against the ones above it.
+const SECTIONS: [Section; 11] = [
+    Section { id: 1, name: "vocab", optional: false, write: write_vocab, parse: parse_vocab },
+    Section {
+        id: 2,
+        name: "entities",
+        optional: false,
+        write: write_entities,
+        parse: parse_entities,
+    },
+    Section { id: 3, name: "docs", optional: false, write: write_docs, parse: parse_docs },
+    Section { id: 4, name: "topics", optional: false, write: write_topics, parse: parse_topics },
+    Section { id: 5, name: "phrases", optional: false, write: write_phrases, parse: parse_phrases },
+    Section {
+        id: 6,
+        name: "topic-entities",
+        optional: false,
+        write: write_topic_entities,
+        parse: parse_topic_entities,
+    },
+    Section {
+        id: 7,
+        name: "phrase-topic-freq",
+        optional: false,
+        write: write_ptf,
+        parse: parse_ptf,
+    },
+    Section {
+        id: 8,
+        name: "doc-topic",
+        optional: false,
+        write: write_doc_topic,
+        parse: parse_doc_topic,
+    },
+    Section { id: 9, name: "doc-ids", optional: false, write: write_doc_ids, parse: parse_doc_ids },
+    Section { id: 10, name: "cold", optional: false, write: write_cold, parse: parse_cold },
+    Section {
+        id: 11,
+        name: "delta-lineage",
+        optional: true,
+        write: write_delta,
+        parse: parse_delta,
+    },
+];
 
 /// Delta lineage carried by an incrementally updated artifact (section
 /// `delta-lineage`, id 11). The artifact itself is always *full* — every
@@ -151,6 +188,25 @@ pub(crate) fn checksum_words(words: &[u64]) -> u64 {
     h
 }
 
+/// The trailer checksum of an artifact body held as bytes (a whole number
+/// of words; the loader checksums its aligned mapping in place instead).
+fn body_checksum(body: &[u8]) -> u64 {
+    let words: Vec<u64> = body.chunks_exact(8).map(le_u64).collect();
+    checksum_words(&words)
+}
+
+/// The little-endian `u64` at the start of `b` (which holds at least 8 bytes).
+fn le_u64(b: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&b[..8]);
+    u64::from_le_bytes(w)
+}
+
+/// The little-endian `u32` at the start of `b` (which holds at least 4 bytes).
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
@@ -187,11 +243,15 @@ impl ArenaWriter {
             self.u64(acc);
         }
     }
-    /// Pads to the section alignment and returns the section's offset.
-    fn begin_section(&mut self) -> usize {
-        self.align(SECTION_ALIGN);
-        self.buf.len()
-    }
+}
+
+/// What one save serializes.
+struct SaveInput<'a> {
+    corpus: &'a Corpus,
+    mined: &'a MinedStructure,
+    /// Global id of each local document (identity when absent).
+    doc_ids: Option<&'a [u64]>,
+    delta: Option<&'a DeltaInfo>,
 }
 
 /// Serializes a corpus + mined structure as a v2 artifact with identity
@@ -215,270 +275,249 @@ pub fn save_snapshot_v2_with_lineage(
     doc_ids: Option<&[u64]>,
     delta: Option<&DeltaInfo>,
 ) -> Result<Vec<u8>, SnapshotError> {
-    let n_sections = N_SECTIONS + usize::from(delta.is_some());
+    let input = SaveInput { corpus, mined, doc_ids, delta };
+    // Delta lineage is the one optional section: written exactly when the
+    // save carries lineage.
+    let present: Vec<&Section> =
+        SECTIONS.iter().filter(|s| !s.optional || delta.is_some()).collect();
     let mut w = ArenaWriter { buf: Vec::new() };
     w.bytes(&MAGIC);
     w.u32(FORMAT_VERSION_V2);
-    w.u32(crate::wire_u32(n_sections, "section count")?);
+    w.u32(crate::wire_u32(present.len(), "section count")?);
     w.u32(0);
-    // Placeholder table, patched once section extents are known.
-    w.buf.resize(HEADER_LEN + n_sections * TABLE_ENTRY_LEN, 0);
-    let mut table: Vec<(u32, u64, u64)> = Vec::with_capacity(n_sections);
+    // Placeholder table, patched as each section's extent becomes known.
+    w.buf.resize(HEADER_LEN + present.len() * TABLE_ENTRY_LEN, 0);
+    for (i, section) in present.iter().enumerate() {
+        w.align(SECTION_ALIGN);
+        let start = w.buf.len();
+        (section.write)(&mut w, &input)?;
+        let len = w.buf.len() - start;
+        let at = HEADER_LEN + i * TABLE_ENTRY_LEN;
+        w.buf[at..at + 4].copy_from_slice(&section.id.to_le_bytes());
+        w.buf[at + 8..at + 16].copy_from_slice(&(start as u64).to_le_bytes());
+        w.buf[at + 16..at + 24].copy_from_slice(&(len as u64).to_le_bytes());
+    }
+    // Pad the body to a whole number of words, append the checksum.
+    w.align(8);
+    let checksum = body_checksum(&w.buf);
+    w.buf.extend_from_slice(&checksum.to_le_bytes());
+    Ok(w.buf)
+}
 
-    // --- vocab ---
-    let start = w.begin_section();
-    {
-        let n = corpus.vocab.len();
-        let n32 = crate::wire_u32(n, "vocab size")?;
-        w.u64(n as u64);
-        w.bounds((0..n32).map(|id| corpus.vocab.name_or_unk(id).len()));
-        for id in 0..n32 {
-            let name = corpus.vocab.name_or_unk(id);
-            w.bytes(name.as_bytes());
-        }
-        w.align(4);
-        let mut sorted: Vec<u32> = (0..n32).collect();
-        sorted.sort_unstable_by(|&a, &b| {
-            corpus.vocab.name_or_unk(a).cmp(corpus.vocab.name_or_unk(b)).then(a.cmp(&b))
-        });
-        for id in sorted {
-            w.u32(id);
+fn write_vocab(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
+    let vocab = &s.corpus.vocab;
+    let n = vocab.len();
+    let n32 = crate::wire_u32(n, "vocab size")?;
+    w.u64(n as u64);
+    w.bounds((0..n32).map(|id| vocab.name_or_unk(id).len()));
+    for id in 0..n32 {
+        w.bytes(vocab.name_or_unk(id).as_bytes());
+    }
+    w.align(4);
+    let mut sorted: Vec<u32> = (0..n32).collect();
+    sorted
+        .sort_unstable_by(|&a, &b| vocab.name_or_unk(a).cmp(vocab.name_or_unk(b)).then(a.cmp(&b)));
+    for id in sorted {
+        w.u32(id);
+    }
+    Ok(())
+}
+
+fn write_entities(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
+    let entities = &s.corpus.entities;
+    let nt = entities.num_types();
+    w.u64(nt as u64);
+    w.bounds((0..nt).map(|t| entities.type_name(t).unwrap_or("").len()));
+    for t in 0..nt {
+        w.bytes(entities.type_name(t).unwrap_or("").as_bytes());
+    }
+    w.bounds((0..nt).map(|t| entities.count(t)));
+    w.align(8);
+    let ent_name = |t: usize, id: u32| -> &str {
+        entities.table(t).and_then(|tab| tab.name(id)).unwrap_or("")
+    };
+    w.u64(0);
+    let mut acc = 0u64;
+    for t in 0..nt {
+        for id in 0..crate::wire_u32(entities.count(t), "entity count")? {
+            acc += ent_name(t, id).len() as u64;
+            w.u64(acc);
         }
     }
-    table.push((SEC_VOCAB, start as u64, (w.buf.len() - start) as u64));
-
-    // --- entities ---
-    let start = w.begin_section();
-    {
-        let nt = corpus.entities.num_types();
-        w.u64(nt as u64);
-        w.bounds((0..nt).map(|t| corpus.entities.type_name(t).unwrap_or("").len()));
-        for t in 0..nt {
-            w.bytes(corpus.entities.type_name(t).unwrap_or("").as_bytes());
-        }
-        w.bounds((0..nt).map(|t| corpus.entities.count(t)));
-        w.align(8);
-        let ent_name = |t: usize, id: u32| -> &str {
-            corpus.entities.table(t).and_then(|tab| tab.name(id)).unwrap_or("")
-        };
-        w.u64(0);
-        let mut acc = 0u64;
-        for t in 0..nt {
-            for id in 0..crate::wire_u32(corpus.entities.count(t), "entity count")? {
-                acc += ent_name(t, id).len() as u64;
-                w.u64(acc);
-            }
-        }
-        for t in 0..nt {
-            for id in 0..crate::wire_u32(corpus.entities.count(t), "entity count")? {
-                w.bytes(ent_name(t, id).as_bytes());
-            }
+    for t in 0..nt {
+        for id in 0..crate::wire_u32(entities.count(t), "entity count")? {
+            w.bytes(ent_name(t, id).as_bytes());
         }
     }
-    table.push((SEC_ENTITIES, start as u64, (w.buf.len() - start) as u64));
+    Ok(())
+}
 
-    // --- docs ---
-    let start = w.begin_section();
-    {
-        let n = corpus.docs.len();
-        w.u64(n as u64);
-        w.bounds(corpus.docs.iter().map(|d| d.tokens.len()));
-        w.align(4);
-        for d in &corpus.docs {
-            for &tok in &d.tokens {
-                w.u32(tok);
-            }
+fn write_docs(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
+    let docs = &s.corpus.docs;
+    w.u64(docs.len() as u64);
+    w.bounds(docs.iter().map(|d| d.tokens.len()));
+    w.align(4);
+    for &tok in docs.iter().flat_map(|d| &d.tokens) {
+        w.u32(tok);
+    }
+    Ok(())
+}
+
+fn write_topics(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
+    let topics = &s.mined.hierarchy.topics;
+    w.u64(topics.len() as u64);
+    w.align(8);
+    for t in topics {
+        w.u64(t.parent.map_or(u64::MAX, |p| p as u64));
+    }
+    for t in topics {
+        w.u64(t.level as u64);
+    }
+    for t in topics {
+        w.f64(t.rho);
+    }
+    w.bounds(topics.iter().map(|t| t.children.len()));
+    for &c in topics.iter().flat_map(|t| &t.children) {
+        w.u64(c as u64);
+    }
+    w.bounds(topics.iter().map(|t| t.path.len()));
+    for t in topics {
+        w.bytes(t.path.as_bytes());
+    }
+    Ok(())
+}
+
+fn write_phrases(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
+    let lists = &s.mined.topic_phrases;
+    w.u64(lists.len() as u64);
+    w.bounds(lists.iter().map(|l| l.len()));
+    w.bounds(lists.iter().flatten().map(|p| p.tokens.len()));
+    w.align(4);
+    for &tok in lists.iter().flatten().flat_map(|p| &p.tokens) {
+        w.u32(tok);
+    }
+    w.align(8);
+    for p in lists.iter().flatten() {
+        w.f64(p.score);
+    }
+    for p in lists.iter().flatten() {
+        w.f64(p.topic_freq);
+    }
+    Ok(())
+}
+
+fn write_topic_entities(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
+    let per_topic = &s.mined.topic_entities;
+    w.u64(per_topic.len() as u64);
+    w.bounds(per_topic.iter().map(|cells| cells.len()));
+    w.bounds(per_topic.iter().flatten().map(|list| list.len()));
+    w.align(4);
+    for &(id, _) in per_topic.iter().flatten().flatten() {
+        w.u32(id);
+    }
+    w.align(8);
+    for &(_, score) in per_topic.iter().flatten().flatten() {
+        w.f64(score);
+    }
+    Ok(())
+}
+
+/// Phrase-topic frequency tables, each in ascending phrase-key order.
+fn write_ptf(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
+    let tables: Vec<Vec<(&Vec<u32>, f64)>> = s
+        .mined
+        .phrase_topic_freq
+        .iter()
+        .map(|table| {
+            let mut entries: Vec<(&Vec<u32>, f64)> = table.iter().map(|(k, &v)| (k, v)).collect();
+            entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            entries
+        })
+        .collect();
+    w.u64(tables.len() as u64);
+    w.bounds(tables.iter().map(|t| t.len()));
+    w.bounds(tables.iter().flatten().map(|(p, _)| p.len()));
+    w.align(4);
+    for (phrase, _) in tables.iter().flatten() {
+        for &tok in phrase.iter() {
+            w.u32(tok);
         }
     }
-    table.push((SEC_DOCS, start as u64, (w.buf.len() - start) as u64));
+    w.align(8);
+    for &(_, freq) in tables.iter().flatten() {
+        w.f64(freq);
+    }
+    Ok(())
+}
 
-    // --- topics ---
-    let start = w.begin_section();
-    {
-        let topics = &mined.hierarchy.topics;
-        let n = topics.len();
-        w.u64(n as u64);
-        w.align(8);
-        for t in topics {
-            w.u64(t.parent.map_or(u64::MAX, |p| p as u64));
+fn write_doc_topic(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
+    let rows = &s.mined.doc_topic;
+    w.u64(rows.len() as u64);
+    w.bounds(rows.iter().map(|r| r.len()));
+    for &v in rows.iter().flatten() {
+        w.f64(v);
+    }
+    Ok(())
+}
+
+fn write_doc_ids(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
+    let n = s.corpus.docs.len();
+    w.u64(n as u64);
+    w.align(8);
+    for d in 0..n {
+        w.u64(s.doc_ids.and_then(|ids| ids.get(d).copied()).unwrap_or(d as u64));
+    }
+    Ok(())
+}
+
+/// The cold remainder, in the streaming wire encoding; only
+/// [`MappedSnapshot::to_snapshot`] reads it.
+fn write_cold(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
+    let mut cw = ByteWriter::new();
+    let h = &s.mined.hierarchy;
+    cw.put_usize(h.type_names.len());
+    for name in &h.type_names {
+        cw.put_str(name);
+    }
+    cw.put_usize(h.topics.len());
+    for topic in &h.topics {
+        cw.put_usize(topic.phi.len());
+        for row in &topic.phi {
+            cw.put_f64_seq(row);
         }
-        for t in topics {
-            w.u64(t.level as u64);
+        snapshot::encode_network(&mut cw, &topic.network);
+    }
+    cw.put_usize(h.fits.len());
+    for fit in &h.fits {
+        cw.put_option(fit.as_ref(), snapshot::encode_fit);
+    }
+    cw.put_usize(h.alphas.len());
+    for alpha in &h.alphas {
+        cw.put_option(alpha.as_ref(), |w, a| w.put_f64_seq(a));
+    }
+    cw.put_usize(s.corpus.docs.len());
+    for doc in &s.corpus.docs {
+        cw.put_usize(doc.entities.len());
+        for e in &doc.entities {
+            cw.put_u32(crate::wire_u32(e.etype, "entity type id")?);
+            cw.put_u32(e.id);
         }
-        for t in topics {
-            w.f64(t.rho);
-        }
-        w.bounds(topics.iter().map(|t| t.children.len()));
-        for t in topics {
-            for &c in &t.children {
-                w.u64(c as u64);
-            }
-        }
-        w.bounds(topics.iter().map(|t| t.path.len()));
-        for t in topics {
-            w.bytes(t.path.as_bytes());
+        cw.put_option(doc.label.as_ref(), |w, &l| w.put_u32(l));
+        cw.put_option(doc.year.as_ref(), |w, &y| w.put_i32(y));
+    }
+    cw.put_usize(s.mined.segments.len());
+    for doc_segs in &s.mined.segments {
+        cw.put_usize(doc_segs.len());
+        for seg in doc_segs {
+            cw.put_u32_seq(seg);
         }
     }
-    table.push((SEC_TOPICS, start as u64, (w.buf.len() - start) as u64));
+    w.bytes(&cw.into_bytes());
+    Ok(())
+}
 
-    // --- phrases ---
-    let start = w.begin_section();
-    {
-        let lists = &mined.topic_phrases;
-        w.u64(lists.len() as u64);
-        w.bounds(lists.iter().map(|l| l.len()));
-        w.bounds(lists.iter().flat_map(|l| l.iter()).map(|p| p.tokens.len()));
-        w.align(4);
-        for p in lists.iter().flatten() {
-            for &tok in &p.tokens {
-                w.u32(tok);
-            }
-        }
-        w.align(8);
-        for p in lists.iter().flatten() {
-            w.f64(p.score);
-        }
-        for p in lists.iter().flatten() {
-            w.f64(p.topic_freq);
-        }
-    }
-    table.push((SEC_PHRASES, start as u64, (w.buf.len() - start) as u64));
-
-    // --- topic entities ---
-    let start = w.begin_section();
-    {
-        let per_topic = &mined.topic_entities;
-        w.u64(per_topic.len() as u64);
-        w.bounds(per_topic.iter().map(|cells| cells.len()));
-        w.bounds(per_topic.iter().flat_map(|cells| cells.iter()).map(|list| list.len()));
-        w.align(4);
-        for list in per_topic.iter().flatten() {
-            for &(id, _) in list {
-                w.u32(id);
-            }
-        }
-        w.align(8);
-        for list in per_topic.iter().flatten() {
-            for &(_, score) in list {
-                w.f64(score);
-            }
-        }
-    }
-    table.push((SEC_TOPIC_ENTITIES, start as u64, (w.buf.len() - start) as u64));
-
-    // --- phrase-topic frequency tables (sorted-key order) ---
-    let start = w.begin_section();
-    {
-        let tables: Vec<Vec<(&Vec<u32>, f64)>> = mined
-            .phrase_topic_freq
-            .iter()
-            .map(|table| {
-                let mut entries: Vec<(&Vec<u32>, f64)> =
-                    table.iter().map(|(k, &v)| (k, v)).collect();
-                entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-                entries
-            })
-            .collect();
-        w.u64(tables.len() as u64);
-        w.bounds(tables.iter().map(|t| t.len()));
-        w.bounds(tables.iter().flat_map(|t| t.iter()).map(|(p, _)| p.len()));
-        w.align(4);
-        for (phrase, _) in tables.iter().flatten() {
-            for &tok in phrase.iter() {
-                w.u32(tok);
-            }
-        }
-        w.align(8);
-        for &(_, freq) in tables.iter().flatten() {
-            w.f64(freq);
-        }
-    }
-    table.push((SEC_PTF, start as u64, (w.buf.len() - start) as u64));
-
-    // --- doc-topic weights ---
-    let start = w.begin_section();
-    {
-        let rows = &mined.doc_topic;
-        w.u64(rows.len() as u64);
-        w.bounds(rows.iter().map(|r| r.len()));
-        for row in rows {
-            for &v in row {
-                w.f64(v);
-            }
-        }
-    }
-    table.push((SEC_DOC_TOPIC, start as u64, (w.buf.len() - start) as u64));
-
-    // --- global doc ids ---
-    let start = w.begin_section();
-    {
-        let n = corpus.docs.len();
-        w.u64(n as u64);
-        w.align(8);
-        match doc_ids {
-            Some(ids) => {
-                for d in 0..n {
-                    w.u64(ids.get(d).copied().unwrap_or(d as u64));
-                }
-            }
-            None => {
-                for d in 0..n {
-                    w.u64(d as u64);
-                }
-            }
-        }
-    }
-    table.push((SEC_DOC_IDS, start as u64, (w.buf.len() - start) as u64));
-
-    // --- cold remainder (streaming wire encoding; only to_snapshot reads it) ---
-    let start = w.begin_section();
-    {
-        let mut cw = ByteWriter::new();
-        let h = &mined.hierarchy;
-        cw.put_usize(h.type_names.len());
-        for name in &h.type_names {
-            cw.put_str(name);
-        }
-        cw.put_usize(h.topics.len());
-        for topic in &h.topics {
-            cw.put_usize(topic.phi.len());
-            for row in &topic.phi {
-                cw.put_f64_seq(row);
-            }
-            snapshot::encode_network(&mut cw, &topic.network);
-        }
-        cw.put_usize(h.fits.len());
-        for fit in &h.fits {
-            cw.put_option(fit.as_ref(), snapshot::encode_fit);
-        }
-        cw.put_usize(h.alphas.len());
-        for alpha in &h.alphas {
-            cw.put_option(alpha.as_ref(), |w, a| w.put_f64_seq(a));
-        }
-        cw.put_usize(corpus.docs.len());
-        for doc in &corpus.docs {
-            cw.put_usize(doc.entities.len());
-            for e in &doc.entities {
-                cw.put_u32(crate::wire_u32(e.etype, "entity type id")?);
-                cw.put_u32(e.id);
-            }
-            cw.put_option(doc.label.as_ref(), |w, &l| w.put_u32(l));
-            cw.put_option(doc.year.as_ref(), |w, &y| w.put_i32(y));
-        }
-        cw.put_usize(mined.segments.len());
-        for doc_segs in &mined.segments {
-            cw.put_usize(doc_segs.len());
-            for seg in doc_segs {
-                cw.put_u32_seq(seg);
-            }
-        }
-        w.bytes(&cw.into_bytes());
-    }
-    table.push((SEC_COLD, start as u64, (w.buf.len() - start) as u64));
-
-    // --- delta lineage (optional; incremental updates only) ---
-    if let Some(d) = delta {
-        let start = w.begin_section();
+fn write_delta(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
+    if let Some(d) = s.delta {
         w.u64(d.base_docs);
         w.u64(d.base_words);
         w.u64(d.chain_depth);
@@ -488,27 +527,8 @@ pub fn save_snapshot_v2_with_lineage(
         }
         w.u64(d.base_artifact.len() as u64);
         w.bytes(d.base_artifact.as_bytes());
-        table.push((SEC_DELTA, start as u64, (w.buf.len() - start) as u64));
     }
-
-    // Patch the table, pad the body to a whole number of words, append
-    // the checksum trailer.
-    // lesm-lint: allow(D2) — `table` is a Vec built in fixed section order, not a hash map
-    for (i, (id, off, len)) in table.iter().enumerate() {
-        let at = HEADER_LEN + i * TABLE_ENTRY_LEN;
-        w.buf[at..at + 4].copy_from_slice(&id.to_le_bytes());
-        w.buf[at + 8..at + 16].copy_from_slice(&off.to_le_bytes());
-        w.buf[at + 16..at + 24].copy_from_slice(&len.to_le_bytes());
-    }
-    w.align(8);
-    let words: Vec<u64> = w
-        .buf
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-        .collect();
-    let checksum = checksum_words(&words);
-    w.buf.extend_from_slice(&checksum.to_le_bytes());
-    Ok(w.buf)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -582,9 +602,8 @@ struct Layout {
     dt_values: ArrayRef,
     // doc ids
     doc_ids: ArrayRef,
-    // cold
-    cold_off: usize,
-    cold_len: usize,
+    // cold (raw bytes)
+    cold: ArrayRef,
     // delta lineage (absent on compacted full artifacts)
     delta: Option<DeltaInfo>,
 }
@@ -592,13 +611,15 @@ struct Layout {
 /// Bounds-checked sequential reader over one section of the mapping.
 struct Cursor<'m> {
     map: &'m Mapping,
+    /// Offset of the section, where its count mismatches are reported.
+    start: usize,
     pos: usize,
     end: usize,
 }
 
 impl<'m> Cursor<'m> {
     fn new(map: &'m Mapping, off: usize, len: usize) -> Self {
-        Cursor { map, pos: off, end: off + len }
+        Cursor { map, start: off, pos: off, end: off + len }
     }
 
     fn align(&mut self, a: usize) -> Result<(), SnapshotError> {
@@ -615,17 +636,8 @@ impl<'m> Cursor<'m> {
     }
 
     fn u64(&mut self) -> Result<u64, SnapshotError> {
-        self.align(8)?;
-        if self.pos + 8 > self.end {
-            return Err(SnapshotError::Truncated {
-                offset: self.pos,
-                needed: 8,
-                available: self.end - self.pos,
-            });
-        }
-        let b = &self.map.bytes()[self.pos..self.pos + 8];
-        self.pos += 8;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        let r = self.array(1, 8, 8, "scalar")?;
+        Ok(self.map.view_u64(r.off, 1)[0])
     }
 
     fn count(&mut self, what: &str) -> Result<usize, SnapshotError> {
@@ -635,6 +647,19 @@ impl<'m> Cursor<'m> {
             offset: at,
             what: format!("{what} count {v} overflows usize"),
         })
+    }
+
+    /// Reads a count that must equal `expected`, the count of the
+    /// section this one is parallel to.
+    fn count_eq(&mut self, what: &str, expected: usize) -> Result<usize, SnapshotError> {
+        let n = self.count(what)?;
+        if n != expected {
+            return Err(SnapshotError::Malformed {
+                offset: self.start,
+                what: format!("{what}: section has {n}, expected {expected}"),
+            });
+        }
+        Ok(n)
     }
 
     /// Claims an array of `count` elements of `elem` bytes each, aligned
@@ -647,67 +672,77 @@ impl<'m> Cursor<'m> {
         what: &str,
     ) -> Result<ArrayRef, SnapshotError> {
         self.align(align)?;
-        let bytes = count.checked_mul(elem).ok_or_else(|| SnapshotError::Malformed {
-            offset: self.pos,
-            what: format!("{what} length overflows"),
-        })?;
-        if self.pos + bytes > self.end {
-            return Err(SnapshotError::Truncated {
+        let end = count.checked_mul(elem).and_then(|bytes| self.pos.checked_add(bytes));
+        match end {
+            Some(end) if end <= self.end => {
+                let r = ArrayRef { off: self.pos, count };
+                self.pos = end;
+                Ok(r)
+            }
+            Some(end) => Err(SnapshotError::Truncated {
                 offset: self.pos,
-                needed: bytes,
+                needed: end - self.pos,
                 available: self.end - self.pos,
+            }),
+            None => Err(SnapshotError::Malformed {
+                offset: self.pos,
+                what: format!("{what} length overflows"),
+            }),
+        }
+    }
+
+    /// Claims the `n + 1` prefix sums that split an array into `n` runs,
+    /// checks that they start at 0 and never decrease, and returns them
+    /// with the total they end at: the length of the array they split.
+    fn bounds(&mut self, n: usize, what: &str) -> Result<(ArrayRef, usize), SnapshotError> {
+        let count = n.checked_add(1).ok_or_else(|| SnapshotError::Malformed {
+            offset: self.pos,
+            what: format!("{what} count overflows"),
+        })?;
+        let r = self.array(count, 8, 8, what)?;
+        let v = self.map.view_u64(r.off, r.count);
+        if v[0] != 0 {
+            return Err(SnapshotError::Malformed {
+                offset: r.off,
+                what: format!("{what} bounds do not start at 0"),
             });
         }
-        let r = ArrayRef { off: self.pos, count };
-        self.pos += bytes;
-        Ok(r)
-    }
-}
-
-/// Validates a prefix-sum bounds array (first 0, nondecreasing) and
-/// returns its final value — the element count of the array it indexes.
-fn check_bounds(map: &Mapping, r: ArrayRef, what: &str) -> Result<usize, SnapshotError> {
-    let v = map.view_u64(r.off, r.count);
-    if v.first() != Some(&0) {
-        return Err(SnapshotError::Malformed {
-            offset: r.off,
-            what: format!("{what} bounds do not start at 0"),
-        });
-    }
-    for w in v.windows(2) {
-        if w[0] > w[1] {
+        if v.windows(2).any(|w| w[0] > w[1]) {
             return Err(SnapshotError::Malformed {
                 offset: r.off,
                 what: format!("{what} bounds are not monotonic"),
             });
         }
+        let total = usize::try_from(v[n]).map_err(|_| SnapshotError::Malformed {
+            offset: r.off,
+            what: format!("{what} total length overflows usize"),
+        })?;
+        Ok((r, total))
     }
-    usize::try_from(*v.last().unwrap_or(&0)).map_err(|_| SnapshotError::Malformed {
-        offset: r.off,
-        what: format!("{what} total length overflows usize"),
-    })
-}
 
-/// Validates that every `[offsets[i], offsets[i+1])` slice of the byte
-/// arena is valid UTF-8, so string accessors can be infallible.
-fn check_utf8(
-    map: &Mapping,
-    offsets: ArrayRef,
-    arena: ArrayRef,
-    what: &str,
-) -> Result<(), SnapshotError> {
-    let offs = map.view_u64(offsets.off, offsets.count);
-    let bytes = &map.bytes()[arena.off..arena.off + arena.count];
-    for w in offs.windows(2) {
-        let (a, b) = (w[0] as usize, w[1] as usize);
-        if std::str::from_utf8(&bytes[a..b]).is_err() {
-            return Err(SnapshotError::Malformed {
-                offset: arena.off + a,
-                what: format!("{what} arena entry is not valid UTF-8"),
-            });
+    /// Claims a byte arena split by `offsets` (from [`Cursor::bounds`])
+    /// and checks that every entry is valid UTF-8, so string accessors
+    /// can be infallible.
+    fn utf8_arena(
+        &mut self,
+        offsets: ArrayRef,
+        len: usize,
+        what: &str,
+    ) -> Result<ArrayRef, SnapshotError> {
+        let arena = self.array(len, 1, 1, what)?;
+        let offs = self.map.view_u64(offsets.off, offsets.count);
+        let bytes = &self.map.bytes()[arena.off..arena.off + arena.count];
+        for w in offs.windows(2) {
+            let (a, b) = (w[0] as usize, w[1] as usize);
+            if std::str::from_utf8(&bytes[a..b]).is_err() {
+                return Err(SnapshotError::Malformed {
+                    offset: arena.off + a,
+                    what: format!("{what} arena entry is not valid UTF-8"),
+                });
+            }
         }
+        Ok(arena)
     }
-    Ok(())
 }
 
 /// A v2 snapshot backed by a memory mapping. All accessors borrow typed
@@ -737,21 +772,7 @@ impl MappedSnapshot {
 
     fn from_mapping(map: Mapping) -> Result<Self, SnapshotError> {
         let len = map.len();
-        if len < 8 {
-            return Err(SnapshotError::Truncated { offset: 0, needed: 8, available: len });
-        }
-        let bytes = map.bytes();
-        let found = [bytes[0], bytes[1], bytes[2], bytes[3]];
-        if found != MAGIC {
-            return Err(SnapshotError::BadMagic { found });
-        }
-        let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-        if version != FORMAT_VERSION_V2 {
-            return Err(SnapshotError::VersionMismatch {
-                found: version,
-                supported: FORMAT_VERSION_V2,
-            });
-        }
+        check_header(map.bytes())?;
         if len < HEADER_LEN + 8 {
             return Err(SnapshotError::Truncated {
                 offset: 8,
@@ -766,44 +787,26 @@ impl MappedSnapshot {
                 what: format!("body length {body_len} is not a multiple of 8"),
             });
         }
-        let trailer = &bytes[body_len..];
-        let stored = u64::from_le_bytes([
-            trailer[0], trailer[1], trailer[2], trailer[3], trailer[4], trailer[5], trailer[6],
-            trailer[7],
-        ]);
+        let stored = le_u64(&map.bytes()[body_len..]);
         let actual = checksum_words(map.view_u64(0, body_len / 8));
         if stored != actual {
             return Err(SnapshotError::ChecksumMismatch { expected: stored, actual });
         }
 
         let sections = parse_section_table(&map, body_len)?;
-        let find = |id: u32| -> Result<(usize, usize), SnapshotError> {
-            sections
-                .iter()
-                .find(|s| s.id == id)
-                .map(|s| (s.offset as usize, s.len as usize))
-                .ok_or_else(|| SnapshotError::Malformed {
-                    offset: HEADER_LEN,
-                    what: format!("missing section {id} ({})", v2_section_name(id)),
-                })
-        };
-
         let mut layout = Layout::default();
-        parse_vocab(&map, find(SEC_VOCAB)?, &mut layout)?;
-        parse_entities(&map, find(SEC_ENTITIES)?, &mut layout)?;
-        parse_docs(&map, find(SEC_DOCS)?, &mut layout)?;
-        parse_topics(&map, find(SEC_TOPICS)?, &mut layout)?;
-        parse_phrases(&map, find(SEC_PHRASES)?, &mut layout)?;
-        parse_topic_entities(&map, find(SEC_TOPIC_ENTITIES)?, &mut layout)?;
-        parse_ptf(&map, find(SEC_PTF)?, &mut layout)?;
-        parse_doc_topic(&map, find(SEC_DOC_TOPIC)?, &mut layout)?;
-        parse_doc_ids(&map, find(SEC_DOC_IDS)?, &mut layout)?;
-        let (cold_off, cold_len) = find(SEC_COLD)?;
-        layout.cold_off = cold_off;
-        layout.cold_len = cold_len;
-        if let Some(s) = sections.iter().find(|s| s.id == SEC_DELTA) {
-            layout.delta =
-                Some(parse_delta(&map, (s.offset as usize, s.len as usize), &layout)?);
+        for section in &SECTIONS {
+            let Some(entry) = sections.iter().find(|s| s.id == section.id) else {
+                if section.optional {
+                    continue;
+                }
+                return Err(SnapshotError::Malformed {
+                    offset: HEADER_LEN,
+                    what: format!("missing section {} ({})", section.id, section.name),
+                });
+            };
+            let mut cursor = Cursor::new(&map, entry.offset as usize, entry.len as usize);
+            (section.parse)(&mut cursor, &mut layout)?;
         }
 
         Ok(MappedSnapshot { map: Arc::new(map), layout, sections, search_index: OnceLock::new() })
@@ -1001,9 +1004,8 @@ impl MappedSnapshot {
     /// place the cold section is read. Used by tooling and tests; the
     /// serve hot path never calls this.
     pub fn to_snapshot(&self) -> Result<Snapshot, SnapshotError> {
-        let cold_bytes =
-            &self.map.bytes()[self.layout.cold_off..self.layout.cold_off + self.layout.cold_len];
-        let mut r = ByteReader::new(cold_bytes);
+        let cold = self.layout.cold;
+        let mut r = ByteReader::new(&self.map.bytes()[cold.off..cold.off + cold.count]);
 
         // Hierarchy extras.
         let n_hier_types = r.get_len(8)?;
@@ -1014,7 +1016,7 @@ impl MappedSnapshot {
         let n_cold_topics = r.get_len(8)?;
         if n_cold_topics != self.layout.n_topics {
             return Err(SnapshotError::Malformed {
-                offset: self.layout.cold_off + r.position(),
+                offset: cold.off + r.position(),
                 what: format!(
                     "cold section has {n_cold_topics} topics but the topics section has {}",
                     self.layout.n_topics
@@ -1062,7 +1064,7 @@ impl MappedSnapshot {
             for id in 0..crate::wire_u32(b - a, "entity count")? {
                 corpus.entities.intern(ty, self.entity_name(t, id)).map_err(|e| {
                     SnapshotError::Malformed {
-                        offset: self.layout.cold_off,
+                        offset: cold.off,
                         what: format!("entity intern failed: {e}"),
                     }
                 })?;
@@ -1071,7 +1073,7 @@ impl MappedSnapshot {
         let n_cold_docs = r.get_len(1)?;
         if n_cold_docs != self.layout.n_docs {
             return Err(SnapshotError::Malformed {
-                offset: self.layout.cold_off + r.position(),
+                offset: cold.off + r.position(),
                 what: format!(
                     "cold section has {n_cold_docs} docs but the docs section has {}",
                     self.layout.n_docs
@@ -1087,10 +1089,21 @@ impl MappedSnapshot {
                 let id = r.get_u32()?;
                 if etype >= self.layout.n_types {
                     return Err(SnapshotError::Malformed {
-                        offset: self.layout.cold_off + at,
+                        offset: cold.off + at,
                         what: format!(
                             "entity type {etype} out of range ({} types)",
                             self.layout.n_types
+                        ),
+                    });
+                }
+                // Checked against the decoded catalog, which is what the
+                // query index sizes its per-entity tables by.
+                let known = corpus.entities.count(etype);
+                if id as usize >= known {
+                    return Err(SnapshotError::Malformed {
+                        offset: cold.off + at,
+                        what: format!(
+                            "entity {id} of type {etype} out of range ({known} entities)"
                         ),
                     });
                 }
@@ -1248,9 +1261,40 @@ impl ModelView for MappedSnapshot {
     }
 }
 
+/// Checks the magic and the version tag: the header fields every reader
+/// needs before anything else.
+fn check_header(bytes: &[u8]) -> Result<(), SnapshotError> {
+    if bytes.len() < 8 {
+        return Err(SnapshotError::Truncated { offset: 0, needed: 8, available: bytes.len() });
+    }
+    let found = [bytes[0], bytes[1], bytes[2], bytes[3]];
+    if found != MAGIC {
+        return Err(SnapshotError::BadMagic { found });
+    }
+    let version = le_u32(&bytes[4..]);
+    if version != FORMAT_VERSION_V2 {
+        return Err(SnapshotError::VersionMismatch {
+            found: version,
+            supported: FORMAT_VERSION_V2,
+        });
+    }
+    Ok(())
+}
+
+/// Entry `i` of the section table, which the caller has checked lies
+/// within `bytes`.
+fn table_entry(bytes: &[u8], i: usize) -> SectionInfo {
+    let at = HEADER_LEN + i * TABLE_ENTRY_LEN;
+    SectionInfo {
+        id: le_u32(&bytes[at..]),
+        offset: le_u64(&bytes[at + 8..]),
+        len: le_u64(&bytes[at + 16..]),
+    }
+}
+
 fn parse_section_table(map: &Mapping, body_len: usize) -> Result<Vec<SectionInfo>, SnapshotError> {
     let bytes = map.bytes();
-    let count = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
+    let count = le_u32(&bytes[8..]) as usize;
     let table_end = HEADER_LEN.saturating_add(count.saturating_mul(TABLE_ENTRY_LEN));
     if table_end > body_len {
         return Err(SnapshotError::Malformed {
@@ -1261,12 +1305,8 @@ fn parse_section_table(map: &Mapping, body_len: usize) -> Result<Vec<SectionInfo
     let mut sections = Vec::with_capacity(count);
     for i in 0..count {
         let at = HEADER_LEN + i * TABLE_ENTRY_LEN;
-        let id = u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
-        let mut w = [0u8; 8];
-        w.copy_from_slice(&bytes[at + 8..at + 16]);
-        let off = u64::from_le_bytes(w);
-        w.copy_from_slice(&bytes[at + 16..at + 24]);
-        let len = u64::from_le_bytes(w);
+        let entry = table_entry(bytes, i);
+        let SectionInfo { id, offset: off, len } = entry;
         let off_us = usize::try_from(off).map_err(|_| SnapshotError::Malformed {
             offset: at,
             what: format!("section {id} offset overflows usize"),
@@ -1281,316 +1321,224 @@ fn parse_section_table(map: &Mapping, body_len: usize) -> Result<Vec<SectionInfo
                 what: format!("section {id} offset {off} is not {SECTION_ALIGN}-byte aligned"),
             });
         }
-        let end = off_us.saturating_add(len_us);
-        if end > body_len {
+        if off_us.saturating_add(len_us) > body_len {
             return Err(SnapshotError::Malformed {
                 offset: at,
                 what: format!("section {id} extends past the artifact body"),
             });
         }
-        sections.push(SectionInfo { id, offset: off, len });
+        sections.push(entry);
     }
     Ok(sections)
 }
 
-fn parse_vocab(
-    map: &Mapping,
-    (off, len): (usize, usize),
-    layout: &mut Layout,
-) -> Result<(), SnapshotError> {
-    let mut c = Cursor::new(map, off, len);
-    let n = c.count("vocab")?;
-    let offsets = c.array(n + 1, 8, 8, "vocab name offsets")?;
-    let arena_len = check_bounds(map, offsets, "vocab name")?;
-    let names = c.array(arena_len, 1, 1, "vocab name arena")?;
-    check_utf8(map, offsets, names, "vocab name")?;
-    let sorted = c.array(n, 4, 4, "vocab sorted ids")?;
+fn parse_vocab(c: &mut Cursor<'_>, l: &mut Layout) -> Result<(), SnapshotError> {
+    l.n_words = c.count("vocab")?;
+    let arena_len;
+    (l.word_name_offsets, arena_len) = c.bounds(l.n_words, "vocab name")?;
+    l.word_names = c.utf8_arena(l.word_name_offsets, arena_len, "vocab name")?;
+    l.word_sorted = c.array(l.n_words, 4, 4, "vocab sorted ids")?;
     // The sorted array must be a permutation of 0..n in nondecreasing
     // name order for binary-search lookups to be correct.
-    let sorted_view = map.view_u32(sorted.off, sorted.count);
-    let mut seen = vec![false; n];
-    for &id in sorted_view {
+    let map = c.map;
+    let sorted = map.view_u32(l.word_sorted.off, l.word_sorted.count);
+    let mut seen = vec![false; l.n_words];
+    for &id in sorted {
         match seen.get_mut(id as usize) {
             Some(s) if !*s => *s = true,
             _ => {
                 return Err(SnapshotError::Malformed {
-                    offset: sorted.off,
+                    offset: l.word_sorted.off,
                     what: format!("vocab sorted ids are not a permutation (id {id})"),
                 })
             }
         }
     }
-    let offs = map.view_u64(offsets.off, offsets.count);
-    let arena = &map.bytes()[names.off..names.off + names.count];
+    let offs = map.view_u64(l.word_name_offsets.off, l.word_name_offsets.count);
+    let arena = &map.bytes()[l.word_names.off..l.word_names.off + l.word_names.count];
     let name_of = |id: u32| &arena[offs[id as usize] as usize..offs[id as usize + 1] as usize];
-    for w in sorted_view.windows(2) {
-        if name_of(w[0]) > name_of(w[1]) {
-            return Err(SnapshotError::Malformed {
-                offset: sorted.off,
-                what: "vocab sorted ids are not in name order".into(),
-            });
+    if sorted.windows(2).any(|w| name_of(w[0]) > name_of(w[1])) {
+        return Err(SnapshotError::Malformed {
+            offset: l.word_sorted.off,
+            what: "vocab sorted ids are not in name order".into(),
+        });
+    }
+    Ok(())
+}
+
+fn parse_entities(c: &mut Cursor<'_>, l: &mut Layout) -> Result<(), SnapshotError> {
+    l.n_types = c.count("entity types")?;
+    let (type_name_len, n_entities, name_len);
+    (l.type_name_offsets, type_name_len) = c.bounds(l.n_types, "entity type name")?;
+    l.type_names = c.utf8_arena(l.type_name_offsets, type_name_len, "entity type name")?;
+    (l.type_bounds, n_entities) = c.bounds(l.n_types, "entity type")?;
+    (l.ent_name_offsets, name_len) = c.bounds(n_entities, "entity name")?;
+    l.ent_names = c.utf8_arena(l.ent_name_offsets, name_len, "entity name")?;
+    Ok(())
+}
+
+fn parse_docs(c: &mut Cursor<'_>, l: &mut Layout) -> Result<(), SnapshotError> {
+    l.n_docs = c.count("docs")?;
+    let n_tokens;
+    (l.doc_tok_bounds, n_tokens) = c.bounds(l.n_docs, "doc token")?;
+    l.doc_tokens = c.array(n_tokens, 4, 4, "doc tokens")?;
+    Ok(())
+}
+
+fn parse_topics(c: &mut Cursor<'_>, l: &mut Layout) -> Result<(), SnapshotError> {
+    let n = c.count("topics")?;
+    l.n_topics = n;
+    l.parent = c.array(n, 8, 8, "topic parents")?;
+    l.level = c.array(n, 8, 8, "topic levels")?;
+    l.rho = c.array(n, 8, 8, "topic rho")?;
+    let (n_children, path_len);
+    (l.child_bounds, n_children) = c.bounds(n, "topic child")?;
+    l.children = c.array(n_children, 8, 8, "topic children")?;
+    (l.path_offsets, path_len) = c.bounds(n, "topic path")?;
+    l.paths = c.utf8_arena(l.path_offsets, path_len, "topic path")?;
+
+    // The links must form one tree rooted at topic 0: the root has no
+    // parent, every other topic's parent comes before it, and every
+    // topic but the root is listed exactly once, as a child of its
+    // parent. Subtree walks, the hierarchy export and shard assignment's
+    // climb to level 1 rely on it to stay in range and to terminate.
+    let map = c.map;
+    let parent = map.view_u64(l.parent.off, n);
+    let bounds = map.view_u64(l.child_bounds.off, n + 1);
+    let children = map.view_u64(l.children.off, n_children);
+    let not_a_tree = |why: String| SnapshotError::Malformed {
+        offset: c.start,
+        what: format!("topic links do not form a tree rooted at topic 0: {why}"),
+    };
+    if parent.first() != Some(&u64::MAX) {
+        return Err(not_a_tree("topic 0 is missing or has a parent".into()));
+    }
+    if let Some((t, p)) = parent.iter().enumerate().skip(1).find(|&(t, &p)| p >= t as u64) {
+        return Err(not_a_tree(format!("topic {t} has parent {p}, not an earlier topic")));
+    }
+    if n_children != n - 1 {
+        return Err(not_a_tree(format!("{n_children} child links for {n} topics")));
+    }
+    let mut listed = vec![false; n];
+    for t in 0..n {
+        for &child in &children[bounds[t] as usize..bounds[t + 1] as usize] {
+            let slot =
+                usize::try_from(child).ok().filter(|&ch| parent.get(ch) == Some(&(t as u64)));
+            match slot.and_then(|ch| listed.get_mut(ch)) {
+                Some(seen) if !*seen => *seen = true,
+                _ => return Err(not_a_tree(format!("topic {t} lists child {child}"))),
+            }
         }
     }
-    layout.n_words = n;
-    layout.word_name_offsets = offsets;
-    layout.word_names = names;
-    layout.word_sorted = sorted;
     Ok(())
 }
 
-fn parse_entities(
-    map: &Mapping,
-    (off, len): (usize, usize),
-    layout: &mut Layout,
-) -> Result<(), SnapshotError> {
-    let mut c = Cursor::new(map, off, len);
-    let nt = c.count("entity types")?;
-    let type_name_offsets = c.array(nt + 1, 8, 8, "entity type name offsets")?;
-    let tn_len = check_bounds(map, type_name_offsets, "entity type name")?;
-    let type_names = c.array(tn_len, 1, 1, "entity type name arena")?;
-    check_utf8(map, type_name_offsets, type_names, "entity type name")?;
-    let type_bounds = c.array(nt + 1, 8, 8, "entity type bounds")?;
-    let n_entities = check_bounds(map, type_bounds, "entity type")?;
-    let ent_name_offsets = c.array(n_entities + 1, 8, 8, "entity name offsets")?;
-    let en_len = check_bounds(map, ent_name_offsets, "entity name")?;
-    let ent_names = c.array(en_len, 1, 1, "entity name arena")?;
-    check_utf8(map, ent_name_offsets, ent_names, "entity name")?;
-    layout.n_types = nt;
-    layout.type_name_offsets = type_name_offsets;
-    layout.type_names = type_names;
-    layout.type_bounds = type_bounds;
-    layout.ent_name_offsets = ent_name_offsets;
-    layout.ent_names = ent_names;
+fn parse_phrases(c: &mut Cursor<'_>, l: &mut Layout) -> Result<(), SnapshotError> {
+    let n = c.count_eq("phrase topics", l.n_topics)?;
+    let (n_phrases, n_tokens);
+    (l.phrase_topic_bounds, n_phrases) = c.bounds(n, "phrase")?;
+    (l.phrase_tok_bounds, n_tokens) = c.bounds(n_phrases, "phrase token")?;
+    l.phrase_tokens = c.array(n_tokens, 4, 4, "phrase tokens")?;
+    l.phrase_scores = c.array(n_phrases, 8, 8, "phrase scores")?;
+    l.phrase_freqs = c.array(n_phrases, 8, 8, "phrase freqs")?;
     Ok(())
 }
 
-fn parse_docs(
-    map: &Mapping,
-    (off, len): (usize, usize),
-    layout: &mut Layout,
-) -> Result<(), SnapshotError> {
-    let mut c = Cursor::new(map, off, len);
-    let n = c.count("docs")?;
-    let tok_bounds = c.array(n + 1, 8, 8, "doc token bounds")?;
-    let n_tokens = check_bounds(map, tok_bounds, "doc token")?;
-    let tokens = c.array(n_tokens, 4, 4, "doc tokens")?;
-    layout.n_docs = n;
-    layout.doc_tok_bounds = tok_bounds;
-    layout.doc_tokens = tokens;
+fn parse_topic_entities(c: &mut Cursor<'_>, l: &mut Layout) -> Result<(), SnapshotError> {
+    let n = c.count_eq("topic-entity topics", l.n_topics)?;
+    let (n_cells, n_entries);
+    (l.te_cell_bounds, n_cells) = c.bounds(n, "topic-entity cell")?;
+    (l.te_entry_bounds, n_entries) = c.bounds(n_cells, "topic-entity entry")?;
+    l.te_ids = c.array(n_entries, 4, 4, "topic-entity ids")?;
+    l.te_scores = c.array(n_entries, 8, 8, "topic-entity scores")?;
     Ok(())
 }
 
-fn parse_topics(
-    map: &Mapping,
-    (off, len): (usize, usize),
-    layout: &mut Layout,
-) -> Result<(), SnapshotError> {
-    let mut c = Cursor::new(map, off, len);
-    let n = c.count("topics")?;
-    let parent = c.array(n, 8, 8, "topic parents")?;
-    let level = c.array(n, 8, 8, "topic levels")?;
-    let rho = c.array(n, 8, 8, "topic rho")?;
-    let child_bounds = c.array(n + 1, 8, 8, "topic child bounds")?;
-    let n_children = check_bounds(map, child_bounds, "topic child")?;
-    let children = c.array(n_children, 8, 8, "topic children")?;
-    let path_offsets = c.array(n + 1, 8, 8, "topic path offsets")?;
-    let p_len = check_bounds(map, path_offsets, "topic path")?;
-    let paths = c.array(p_len, 1, 1, "topic path arena")?;
-    check_utf8(map, path_offsets, paths, "topic path")?;
-    layout.n_topics = n;
-    layout.parent = parent;
-    layout.level = level;
-    layout.rho = rho;
-    layout.child_bounds = child_bounds;
-    layout.children = children;
-    layout.path_offsets = path_offsets;
-    layout.paths = paths;
-    Ok(())
-}
-
-fn parse_phrases(
-    map: &Mapping,
-    (off, len): (usize, usize),
-    layout: &mut Layout,
-) -> Result<(), SnapshotError> {
-    let mut c = Cursor::new(map, off, len);
-    let n = c.count("phrase topics")?;
-    if n != layout.n_topics {
-        return Err(SnapshotError::Malformed {
-            offset: off,
-            what: format!("phrases section has {n} topics, topics section {}", layout.n_topics),
-        });
-    }
-    let topic_bounds = c.array(n + 1, 8, 8, "phrase topic bounds")?;
-    let n_phrases = check_bounds(map, topic_bounds, "phrase")?;
-    let tok_bounds = c.array(n_phrases + 1, 8, 8, "phrase token bounds")?;
-    let n_tokens = check_bounds(map, tok_bounds, "phrase token")?;
-    let tokens = c.array(n_tokens, 4, 4, "phrase tokens")?;
-    let scores = c.array(n_phrases, 8, 8, "phrase scores")?;
-    let freqs = c.array(n_phrases, 8, 8, "phrase freqs")?;
-    layout.phrase_topic_bounds = topic_bounds;
-    layout.phrase_tok_bounds = tok_bounds;
-    layout.phrase_tokens = tokens;
-    layout.phrase_scores = scores;
-    layout.phrase_freqs = freqs;
-    Ok(())
-}
-
-fn parse_topic_entities(
-    map: &Mapping,
-    (off, len): (usize, usize),
-    layout: &mut Layout,
-) -> Result<(), SnapshotError> {
-    let mut c = Cursor::new(map, off, len);
-    let n = c.count("topic-entity topics")?;
-    if n != layout.n_topics {
-        return Err(SnapshotError::Malformed {
-            offset: off,
-            what: format!(
-                "topic-entities section has {n} topics, topics section {}",
-                layout.n_topics
-            ),
-        });
-    }
-    let cell_bounds = c.array(n + 1, 8, 8, "topic-entity cell bounds")?;
-    let n_cells = check_bounds(map, cell_bounds, "topic-entity cell")?;
-    let entry_bounds = c.array(n_cells + 1, 8, 8, "topic-entity entry bounds")?;
-    let n_entries = check_bounds(map, entry_bounds, "topic-entity entry")?;
-    let ids = c.array(n_entries, 4, 4, "topic-entity ids")?;
-    let scores = c.array(n_entries, 8, 8, "topic-entity scores")?;
-    layout.te_cell_bounds = cell_bounds;
-    layout.te_entry_bounds = entry_bounds;
-    layout.te_ids = ids;
-    layout.te_scores = scores;
-    Ok(())
-}
-
-fn parse_ptf(
-    map: &Mapping,
-    (off, len): (usize, usize),
-    layout: &mut Layout,
-) -> Result<(), SnapshotError> {
-    let mut c = Cursor::new(map, off, len);
-    let n = c.count("phrase-freq topics")?;
-    if n != layout.n_topics {
-        return Err(SnapshotError::Malformed {
-            offset: off,
-            what: format!(
-                "phrase-topic-freq section has {n} topics, topics section {}",
-                layout.n_topics
-            ),
-        });
-    }
-    let topic_bounds = c.array(n + 1, 8, 8, "phrase-freq topic bounds")?;
-    let n_entries = check_bounds(map, topic_bounds, "phrase-freq entry")?;
-    let tok_bounds = c.array(n_entries + 1, 8, 8, "phrase-freq token bounds")?;
-    let n_tokens = check_bounds(map, tok_bounds, "phrase-freq token")?;
-    let tokens = c.array(n_tokens, 4, 4, "phrase-freq tokens")?;
-    let freqs = c.array(n_entries, 8, 8, "phrase-freq freqs")?;
+fn parse_ptf(c: &mut Cursor<'_>, l: &mut Layout) -> Result<(), SnapshotError> {
+    let n = c.count_eq("phrase-freq topics", l.n_topics)?;
+    let (n_entries, n_tokens);
+    (l.ptf_topic_bounds, n_entries) = c.bounds(n, "phrase-freq entry")?;
+    (l.ptf_tok_bounds, n_tokens) = c.bounds(n_entries, "phrase-freq token")?;
+    l.ptf_tokens = c.array(n_tokens, 4, 4, "phrase-freq tokens")?;
+    l.ptf_freqs = c.array(n_entries, 8, 8, "phrase-freq freqs")?;
     // Entries must be in strictly ascending phrase-key order within each
     // topic: the query path sums them in stored order and must match the
     // owned collect-then-sort order bit for bit.
-    let tb = map.view_u64(topic_bounds.off, topic_bounds.count);
-    let eb = map.view_u64(tok_bounds.off, tok_bounds.count);
-    let toks = map.view_u32(tokens.off, tokens.count);
+    let map = c.map;
+    let tb = map.view_u64(l.ptf_topic_bounds.off, n + 1);
+    let eb = map.view_u64(l.ptf_tok_bounds.off, n_entries + 1);
+    let toks = map.view_u32(l.ptf_tokens.off, n_tokens);
     for t in 0..n {
         for e in tb[t] as usize..(tb[t + 1] as usize).saturating_sub(1) {
             let a = &toks[eb[e] as usize..eb[e + 1] as usize];
             let b = &toks[eb[e + 1] as usize..eb[e + 2] as usize];
             if a >= b {
                 return Err(SnapshotError::Malformed {
-                    offset: tokens.off,
+                    offset: l.ptf_tokens.off,
                     what: format!("phrase-freq entries of topic {t} are not sorted"),
                 });
             }
         }
     }
-    layout.ptf_topic_bounds = topic_bounds;
-    layout.ptf_tok_bounds = tok_bounds;
-    layout.ptf_tokens = tokens;
-    layout.ptf_freqs = freqs;
     Ok(())
 }
 
-fn parse_doc_topic(
-    map: &Mapping,
-    (off, len): (usize, usize),
-    layout: &mut Layout,
-) -> Result<(), SnapshotError> {
-    let mut c = Cursor::new(map, off, len);
-    let n = c.count("doc-topic rows")?;
-    if n != layout.n_docs {
+fn parse_doc_topic(c: &mut Cursor<'_>, l: &mut Layout) -> Result<(), SnapshotError> {
+    let n = c.count_eq("doc-topic rows", l.n_docs)?;
+    let n_values;
+    (l.dt_row_bounds, n_values) = c.bounds(n, "doc-topic value")?;
+    l.dt_values = c.array(n_values, 8, 8, "doc-topic values")?;
+    // One weight per topic in every row: the decoded model's leaf lookup
+    // indexes each row by topic id.
+    let rows = c.map.view_u64(l.dt_row_bounds.off, n + 1);
+    if let Some(d) = rows.windows(2).position(|w| w[1] - w[0] != l.n_topics as u64) {
         return Err(SnapshotError::Malformed {
-            offset: off,
-            what: format!("doc-topic section has {n} rows, docs section {}", layout.n_docs),
+            offset: l.dt_row_bounds.off,
+            what: format!("doc-topic row {d} does not hold one weight per topic ({})", l.n_topics),
         });
     }
-    let row_bounds = c.array(n + 1, 8, 8, "doc-topic row bounds")?;
-    let n_values = check_bounds(map, row_bounds, "doc-topic value")?;
-    let values = c.array(n_values, 8, 8, "doc-topic values")?;
-    layout.dt_row_bounds = row_bounds;
-    layout.dt_values = values;
     Ok(())
 }
 
-fn parse_doc_ids(
-    map: &Mapping,
-    (off, len): (usize, usize),
-    layout: &mut Layout,
-) -> Result<(), SnapshotError> {
-    let mut c = Cursor::new(map, off, len);
-    let n = c.count("doc ids")?;
-    if n != layout.n_docs {
-        return Err(SnapshotError::Malformed {
-            offset: off,
-            what: format!("doc-ids section has {n} entries, docs section {}", layout.n_docs),
-        });
-    }
-    layout.doc_ids = c.array(n, 8, 8, "doc ids")?;
+fn parse_doc_ids(c: &mut Cursor<'_>, l: &mut Layout) -> Result<(), SnapshotError> {
+    let n = c.count_eq("doc ids", l.n_docs)?;
+    l.doc_ids = c.array(n, 8, 8, "doc ids")?;
     Ok(())
 }
 
-/// Decodes and validates the optional delta-lineage section. Runs after
-/// every mandatory section so the base ranges can be checked against the
+/// The cold section is only claimed here; [`MappedSnapshot::to_snapshot`]
+/// decodes and checks it.
+fn parse_cold(c: &mut Cursor<'_>, l: &mut Layout) -> Result<(), SnapshotError> {
+    l.cold = c.array(c.end - c.pos, 1, 1, "cold")?;
+    Ok(())
+}
+
+/// Decodes the delta lineage and checks its base ranges against the
 /// artifact's own (superset) ranges.
-fn parse_delta(
-    map: &Mapping,
-    (off, len): (usize, usize),
-    layout: &Layout,
-) -> Result<DeltaInfo, SnapshotError> {
-    let mut c = Cursor::new(map, off, len);
+fn parse_delta(c: &mut Cursor<'_>, l: &mut Layout) -> Result<(), SnapshotError> {
     let base_docs = c.u64()?;
     let base_words = c.u64()?;
     let chain_depth = c.u64()?;
     if chain_depth == 0 {
         return Err(SnapshotError::Malformed {
-            offset: off,
+            offset: c.start,
             what: "delta lineage chain depth is 0".to_string(),
         });
     }
-    if base_docs > layout.n_docs as u64 || base_words > layout.n_words as u64 {
+    if base_docs > l.n_docs as u64 || base_words > l.n_words as u64 {
         return Err(SnapshotError::Malformed {
-            offset: off,
+            offset: c.start,
             what: format!(
                 "delta lineage base ranges ({base_docs} docs, {base_words} words) exceed \
                  the artifact's ({} docs, {} words)",
-                layout.n_docs, layout.n_words
+                l.n_docs, l.n_words
             ),
         });
     }
-    let nt = c.count("delta lineage entity types")?;
-    if nt != layout.n_types {
-        return Err(SnapshotError::Malformed {
-            offset: off,
-            what: format!(
-                "delta lineage has {nt} entity types, entities section {}",
-                layout.n_types
-            ),
-        });
-    }
+    let nt = c.count_eq("delta lineage entity types", l.n_types)?;
     let counts = c.array(nt, 8, 8, "delta lineage entity counts")?;
-    let base_entities: Vec<u64> = map.view_u64(counts.off, counts.count).to_vec();
-    let type_bounds = map.view_u64(layout.type_bounds.off, layout.type_bounds.count);
+    let base_entities: Vec<u64> = c.map.view_u64(counts.off, nt).to_vec();
+    let type_bounds = c.map.view_u64(l.type_bounds.off, nt + 1);
     for (t, &have) in base_entities.iter().enumerate() {
         let total = type_bounds[t + 1] - type_bounds[t];
         if have > total {
@@ -1604,19 +1552,19 @@ fn parse_delta(
         }
     }
     let name_len = c.count("delta lineage base name")?;
-    let name_ref = c.array(name_len, 1, 1, "delta lineage base name")?;
-    let name_bytes = &map.bytes()[name_ref.off..name_ref.off + name_ref.count];
-    let base_artifact = std::str::from_utf8(name_bytes)
+    let name = c.array(name_len, 1, 1, "delta lineage base name")?;
+    let base_artifact = std::str::from_utf8(&c.map.bytes()[name.off..name.off + name.count])
         .map_err(|_| SnapshotError::Malformed {
-            offset: name_ref.off,
+            offset: name.off,
             what: "delta lineage base name is not valid UTF-8".to_string(),
         })?
         .to_string();
-    Ok(DeltaInfo { base_artifact, base_docs, base_words, base_entities, chain_depth })
+    l.delta = Some(DeltaInfo { base_artifact, base_docs, base_words, base_entities, chain_depth });
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
-// Version sniffing and inspection
+// Inspection
 // ---------------------------------------------------------------------------
 
 /// Renders a deterministic human-readable description of an artifact:
@@ -1625,58 +1573,33 @@ fn parse_delta(
 /// damaged to load; only a bad magic or an unsupported version fails.
 pub fn describe_artifact(bytes: &[u8]) -> Result<String, SnapshotError> {
     use std::fmt::Write as _;
-    if bytes.len() < 8 {
-        return Err(SnapshotError::Truncated { offset: 0, needed: 8, available: bytes.len() });
-    }
-    let found = [bytes[0], bytes[1], bytes[2], bytes[3]];
-    if found != MAGIC {
-        return Err(SnapshotError::BadMagic { found });
-    }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if version != FORMAT_VERSION_V2 {
-        return Err(SnapshotError::VersionMismatch {
-            found: version,
-            supported: FORMAT_VERSION_V2,
-        });
-    }
+    check_header(bytes)?;
     let mut out = String::new();
-    let _ = writeln!(out, "format version: {version}");
+    let _ = writeln!(out, "format version: {FORMAT_VERSION_V2}");
     let _ = writeln!(out, "size: {} bytes", bytes.len());
     if bytes.len() < 16 {
         let _ = writeln!(out, "checksum: <artifact too short>");
         return Ok(out);
     }
     let trailer_at = bytes.len() - 8;
-    let mut w = [0u8; 8];
-    w.copy_from_slice(&bytes[trailer_at..]);
-    let stored = u64::from_le_bytes(w);
-    let checksum_ok = trailer_at.is_multiple_of(8)
-        && checksum_words(
-            &bytes[..trailer_at]
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-                .collect::<Vec<u64>>(),
-        ) == stored;
+    let stored = le_u64(&bytes[trailer_at..]);
+    let checksum_ok = trailer_at.is_multiple_of(8) && body_checksum(&bytes[..trailer_at]) == stored;
+    let _ =
+        writeln!(out, "checksum: {stored:#018x} ({})", if checksum_ok { "ok" } else { "MISMATCH" });
+    let count = le_u32(&bytes[8..]) as usize;
+    let _ = writeln!(out, "sections: {count}");
     let _ = writeln!(
         out,
-        "checksum: {stored:#018x} ({})",
-        if checksum_ok { "ok" } else { "MISMATCH" }
+        "  {:>3}  {:<18} {:>12} {:>12} {:>6}",
+        "id", "name", "offset", "length", "align"
     );
-    let count = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
-    let _ = writeln!(out, "sections: {count}");
-    let _ = writeln!(out, "  {:>3}  {:<18} {:>12} {:>12} {:>6}", "id", "name", "offset", "length", "align");
     for i in 0..count {
-        let at = HEADER_LEN + i * TABLE_ENTRY_LEN;
-        if at + TABLE_ENTRY_LEN > trailer_at {
+        if HEADER_LEN + (i + 1) * TABLE_ENTRY_LEN > trailer_at {
             let _ = writeln!(out, "  <table truncated at entry {i}>");
             break;
         }
-        let id = u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
-        w.copy_from_slice(&bytes[at + 8..at + 16]);
-        let off = u64::from_le_bytes(w);
-        w.copy_from_slice(&bytes[at + 16..at + 24]);
-        let len = u64::from_le_bytes(w);
-        let name = v2_section_name(id);
+        let SectionInfo { id, offset: off, len } = table_entry(bytes, i);
+        let name = SECTIONS.iter().find(|s| s.id == id).map_or("unknown", |s| s.name);
         let align = if off == 0 { 1 } else { 1u64 << off.trailing_zeros().min(6) };
         let _ = writeln!(out, "  {id:>3}  {name:<18} {off:>12} {len:>12} {align:>6}");
     }
@@ -1688,4 +1611,219 @@ pub fn describe_artifact(bytes: &[u8]) -> Result<String, SnapshotError> {
 pub fn describe_artifact_file(path: &str) -> Result<String, SnapshotError> {
     let bytes = std::fs::read(path).map_err(SnapshotError::Io)?;
     Ok(format!("file: {path}\n{}", describe_artifact(&bytes)?))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lesm_core::export::{hierarchy_to_json, render_topic};
+    use lesm_core::search::{render_hits, search};
+    use lesm_corpus::synth::{HierarchySpec, PapersConfig, SyntheticPapers};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// A small model saved with lineage, so every section is present.
+    /// The tree keeps two levels below the root; vocabulary and entity
+    /// pools are cut down so the crafted-word run takes a few seconds in
+    /// a debug build.
+    fn fixture() -> (Corpus, MinedStructure, Vec<u8>) {
+        let mut config = PapersConfig::dblp(20, 5);
+        config.hierarchy = HierarchySpec {
+            branching: vec![3, 2],
+            words_per_topic: 6,
+            phrases_per_topic: 2,
+            background_words: 12,
+            zipf_s: 1.0,
+        };
+        config.entity_specs[0].pool_per_node = 3;
+        config.entity_specs[0].shared_pool = 2;
+        config.entity_specs[1].pool_per_node = 2;
+        let papers = SyntheticPapers::generate(&config).expect("synth corpus");
+        let mined = lesm_core::model_from_truth(&papers);
+        let corpus = papers.corpus;
+        let entities = &corpus.entities;
+        let lineage = DeltaInfo {
+            base_artifact: "v0001.lesm".into(),
+            base_docs: corpus.docs.len() as u64 / 2,
+            base_words: corpus.vocab.len() as u64 / 2,
+            base_entities: (0..entities.num_types())
+                .map(|t| entities.count(t) as u64 / 2)
+                .collect(),
+            chain_depth: 2,
+        };
+        let bytes = save_snapshot_v2_with_lineage(&corpus, &mined, None, Some(&lineage))
+            .expect("save fixture");
+        (corpus, mined, bytes)
+    }
+
+    /// Byte offset and length of section `id`.
+    fn locate(bytes: &[u8], id: u32) -> (usize, usize) {
+        let count = le_u32(&bytes[8..]) as usize;
+        let entry = (0..count).map(|i| table_entry(bytes, i)).find(|e| e.id == id);
+        let entry = entry.expect("section present");
+        (entry.offset as usize, entry.len as usize)
+    }
+
+    /// `bytes` with the word at byte offset `at` replaced by `value` and
+    /// the checksum recomputed, so only the loader's validation stands
+    /// between the crafted word and the accessors.
+    fn craft(bytes: &[u8], at: usize, value: u64) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        let body = out.len() - 8;
+        let sum = body_checksum(&out[..body]);
+        out[body..].copy_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    /// Reads every accessor of `m` over all topics and documents.
+    fn read_all(m: &MappedSnapshot) {
+        for t in 0..m.num_topics() {
+            let _ = (m.topic_path(t), m.topic_parent(t), m.topic_level(t), m.topic_rho(t));
+            let _ = m.topic_children(t).count() + m.topic_phrases(t).count();
+            let _ = m.ptf_entries(t).count();
+            for x in 0..m.entity_cells(t) {
+                let _ = m.entity_type_name(x);
+                for (id, _) in m.topic_entities(t, x) {
+                    let _ = m.entity_name(x, id);
+                }
+            }
+        }
+        for d in 0..m.num_docs() {
+            let _ = (m.render_doc(d), m.doc_topic(d, 0), m.doc_id(d), m.doc_leaf(d));
+        }
+        for w in 0..m.num_words() as u32 {
+            let _ = m.word_id(m.word_or_unk(w));
+        }
+        let _ = (m.leaves(), m.delta_info(), m.sections(), m.artifact_len());
+    }
+
+    /// Everything a server does with an artifact, from load to a query
+    /// answer. A typed error at any step ends the run.
+    fn serve_everything(bytes: &[u8]) -> Result<(), String> {
+        let m = MappedSnapshot::from_bytes(bytes).map_err(|e| e.to_string())?;
+        read_all(&m);
+        for t in 0..m.num_topics() {
+            let _ = render_topic(&m, t, 5);
+        }
+        let _ = hierarchy_to_json(&m, 5);
+        let query = format!("{} {}", m.word_or_unk(0), m.word_or_unk(1));
+        let _ = render_hits(&m, &search(&m, m.search_index(), &query, 10));
+        let snap = m.to_snapshot().map_err(|e| e.to_string())?;
+        let ids: Vec<u64> = (0..m.num_docs()).map(|d| m.doc_id(d)).collect();
+        let parts = lesm_query::IndexParts::from_model(&snap.corpus, &snap.mined, Some(&ids))
+            .map_err(|e| e.to_string())?;
+        let index = lesm_query::QueryIndex::build(parts).map_err(|e| e.to_string())?;
+        lesm_query::run_query(&index, r#"{"steps":[{"filter":{"type":"doc","topic":0}}]}"#)
+            .map_err(|e| e.to_string())?;
+        let _ =
+            crate::shard::assign_docs(&snap.corpus, &snap.mined, crate::ShardBy::TopicSubtree, 2);
+        Ok(())
+    }
+
+    /// Substitutes hostile values into the words of every section of
+    /// [`SECTIONS`] (all leading words, where counts and bounds live,
+    /// plus a fixed-seed sample of the rest) under a valid checksum:
+    /// each crafted artifact must fail typed or serve without a panic.
+    #[test]
+    fn crafted_words_in_every_section_fail_typed_or_serve() {
+        const LEADING: usize = 16;
+        const SAMPLED: usize = 16;
+        let (_, mined, bytes) = fixture();
+        let m = MappedSnapshot::from_bytes(&bytes).expect("fixture loads");
+        let listed: Vec<u32> = m.sections().iter().map(|s| s.id).collect();
+        let registry: Vec<u32> = SECTIONS.iter().map(|s| s.id).collect();
+        assert_eq!(listed, registry, "the fixture must carry every registered section");
+        serve_everything(&bytes).expect("the untouched fixture serves");
+
+        let n_topics = mined.hierarchy.topics.len() as u64;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut failures = Vec::new();
+        let mut cases = 0;
+        for section in &SECTIONS {
+            let (off, len) = locate(&bytes, section.id);
+            let words = len / 8;
+            let mut positions: Vec<usize> = (0..words.min(LEADING)).collect();
+            if words > LEADING {
+                for _ in 0..SAMPLED {
+                    // splitmix64: a fixed-seed sample, identical on every run.
+                    state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                    let mut z = state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                    positions.push(LEADING + (z ^ (z >> 31)) as usize % (words - LEADING));
+                }
+            }
+            for word in positions {
+                let at = off + word * 8;
+                let original = le_u64(&bytes[at..]);
+                let hostile = [
+                    0,
+                    1,
+                    n_topics,
+                    99,
+                    1 << 32,
+                    1 << 63,
+                    u64::MAX,
+                    original.wrapping_sub(1),
+                    original.wrapping_add(1),
+                ];
+                for value in hostile.into_iter().filter(|&v| v != original) {
+                    cases += 1;
+                    let crafted = craft(&bytes, at, value);
+                    if let Err(panic) =
+                        catch_unwind(AssertUnwindSafe(|| serve_everything(&crafted)))
+                    {
+                        let message = panic
+                            .downcast_ref::<String>()
+                            .cloned()
+                            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                            .unwrap_or_default();
+                        failures
+                            .push(format!("{} word {word} = {value:#x}: {message}", section.name));
+                    }
+                }
+            }
+        }
+        assert!(cases > 1000, "only {cases} crafted cases");
+        assert!(
+            failures.is_empty(),
+            "{} of {cases} crafted cases panicked:\n{}",
+            failures.len(),
+            failures.join("\n")
+        );
+    }
+
+    /// The hand-found crafted inputs, each a typed error now.
+    #[test]
+    fn probe_cases_are_typed_errors() {
+        let (mut corpus, mined, bytes) = fixture();
+        let load_fails = |crafted: Vec<u8>, what: &str| match MappedSnapshot::from_bytes(&crafted) {
+            Err(SnapshotError::Malformed { .. } | SnapshotError::Truncated { .. }) => {}
+            other => panic!("{what}: expected a typed load error, got {other:?}"),
+        };
+        // Counts whose n + 1 prefix sums overflow.
+        for id in [1, 2, 3] {
+            let (off, _) = locate(&bytes, id);
+            load_fails(craft(&bytes, off, u64::MAX), &format!("section {id} count u64::MAX"));
+        }
+        // A vocab name arena whose end overflows the cursor.
+        let (off, _) = locate(&bytes, 1);
+        let n_words = le_u64(&bytes[off..]) as usize;
+        load_fails(craft(&bytes, off + 8 * (1 + n_words), u64::MAX - 8), "vocab arena length");
+        // Topic links that do not form a tree: an out-of-range child and
+        // a self-parent.
+        let (off, _) = locate(&bytes, 4);
+        let n = le_u64(&bytes[off..]) as usize;
+        let first_child = off + 8 * (1 + 3 * n + n + 1);
+        load_fails(craft(&bytes, first_child, 99), "child topic 99");
+        load_fails(craft(&bytes, off + 8 * (1 + n - 1), n as u64 - 1), "self-parent");
+        // A document linking an entity its catalog does not have.
+        corpus.docs[0].entities.push(EntityRef::new(0, corpus.entities.count(0) as u32 + 7));
+        let dangling = save_snapshot_v2(&corpus, &mined).expect("save");
+        let m = MappedSnapshot::from_bytes(&dangling).expect("hot sections still load");
+        match m.to_snapshot() {
+            Err(SnapshotError::Malformed { .. }) => {}
+            other => panic!("dangling entity id: expected Malformed, got {:?}", other.map(drop)),
+        }
+    }
 }
