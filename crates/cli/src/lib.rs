@@ -679,11 +679,10 @@ pub fn run_update(
     let published = if is_store {
         lesm_serve::store::publish(path, &bytes).map_err(|e| e.to_string())?
     } else {
-        // Atomic in-place replace: a concurrent reader sees the old or the
-        // new artifact in full, never a torn file.
-        let tmp = format!("{target}.tmp");
-        std::fs::write(&tmp, &bytes).map_err(|e| format!("cannot write {tmp}: {e}"))?;
-        std::fs::rename(&tmp, target).map_err(|e| format!("cannot replace {target}: {e}"))?;
+        // Durable in-place replace: a concurrent reader or a crash sees
+        // the old or the new artifact in full, never a torn file.
+        lesm_serve::store::replace_file(path, &bytes)
+            .map_err(|e| format!("cannot replace {target}: {e}"))?;
         base_name.clone()
     };
     Ok(format!(

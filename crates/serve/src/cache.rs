@@ -11,6 +11,10 @@
 //! [`ShardedLruCache::get_or_compute`] coalesces concurrent misses: the
 //! first caller to miss a key computes it, and callers that miss the same
 //! key meanwhile wait for that result instead of computing it again.
+//!
+//! The cache has no invalidation. A server keeps one cache per served
+//! model and a hot-swap starts a fresh one beside the new model, so a
+//! response can never outlive the model it was computed from.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -88,9 +92,6 @@ struct Shard<V> {
     pending: HashMap<String, Arc<Flight<V>>, FnvBuildHasher>,
     tick: u64,
     capacity: usize,
-    /// Bumped by `clear`, so a computation that started before a clear
-    /// (a hot-swap) never caches its now-stale value.
-    generation: u64,
 }
 
 impl<V> Shard<V> {
@@ -145,7 +146,6 @@ impl<V> ShardedLruCache<V> {
                         pending: HashMap::default(),
                         tick: 0,
                         capacity: per_shard,
-                        generation: 0,
                     })
                 })
                 .collect(),
@@ -191,7 +191,7 @@ impl<V> ShardedLruCache<V> {
         if self.disabled {
             return (Arc::new(compute()), Fetched::Computed);
         }
-        let (flight, generation) = loop {
+        let flight = loop {
             let joined = {
                 let mut shard = self.lock(key);
                 if let Some(hit) = shard.get(key) {
@@ -202,7 +202,7 @@ impl<V> ShardedLruCache<V> {
                     None => {
                         let flight = Arc::new(Flight::new());
                         shard.pending.insert(key.to_string(), Arc::clone(&flight));
-                        break (flight, shard.generation);
+                        break flight;
                     }
                 }
             };
@@ -210,7 +210,7 @@ impl<V> ShardedLruCache<V> {
                 return (value, Fetched::Joined);
             }
         };
-        let landing = Landing { cache: self, key, flight, generation, landed: false };
+        let landing = Landing { cache: self, key, flight, landed: false };
         let value = Arc::new(compute());
         let keep = cacheable(&value);
         landing.land(Arc::clone(&value), keep);
@@ -224,20 +224,6 @@ impl<V> ShardedLruCache<V> {
             return;
         }
         self.shard(&key).lock().unwrap_or_else(|poisoned| poisoned.into_inner()).put(key, value);
-    }
-
-    /// Drops every entry (used when a new snapshot version is swapped in
-    /// under live traffic — stale responses must not outlive the model
-    /// they were computed from). Computations already running finish for
-    /// their waiters but cache nothing, and later misses compute afresh.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            shard.map.clear();
-            shard.pending.clear();
-            shard.tick = 0;
-            shard.generation += 1;
-        }
     }
 
     /// Total entries currently cached (for tests and metrics).
@@ -255,14 +241,14 @@ impl<V> ShardedLruCache<V> {
 }
 
 /// The computing caller's side of a flight. Landing caches the value
-/// (when it is cacheable and no clear intervened), retires the pending
-/// slot and wakes the waiters; dropping it unlanded — the computation
-/// unwound — retires the slot and wakes them empty-handed.
+/// (when it is cacheable), retires the pending slot and wakes the
+/// waiters; dropping it unlanded — the computation unwound — retires the
+/// slot and wakes them empty-handed. The pending slot is always the
+/// lander's own: only its lander removes it.
 struct Landing<'a, V> {
     cache: &'a ShardedLruCache<V>,
     key: &'a str,
     flight: Arc<Flight<V>>,
-    generation: u64,
     landed: bool,
 }
 
@@ -275,14 +261,9 @@ impl<V> Landing<'_, V> {
     fn retire(&self, cached: Option<Arc<V>>, outcome: Option<Arc<V>>) {
         {
             let mut shard = self.cache.lock(self.key);
-            // After a clear the slot may belong to a newer flight.
-            if shard.pending.get(self.key).is_some_and(|f| Arc::ptr_eq(f, &self.flight)) {
-                shard.pending.remove(self.key);
-            }
+            shard.pending.remove(self.key);
             if let Some(value) = cached {
-                if shard.generation == self.generation {
-                    shard.put(self.key.to_string(), value);
-                }
+                shard.put(self.key.to_string(), value);
             }
         }
         self.flight.finish(outcome);
@@ -339,20 +320,6 @@ mod tests {
         cache.put("a".into(), Arc::new(10));
         assert_eq!(cache.get("a").as_deref(), Some(&10));
         assert_eq!(cache.get("b").as_deref(), Some(&2));
-    }
-
-    #[test]
-    fn clear_empties_every_shard() {
-        let cache: ShardedLruCache<u32> = ShardedLruCache::new(32, 4);
-        for i in 0..20 {
-            cache.put(format!("k{i}"), Arc::new(i));
-        }
-        assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
-        assert!(cache.get("k3").is_none());
-        cache.put("k3".into(), Arc::new(99));
-        assert_eq!(cache.get("k3").as_deref(), Some(&99));
     }
 
     /// References to `key`'s in-flight computation: the pending slot, the
@@ -446,20 +413,6 @@ mod tests {
             assert_eq!((*value, fetched), (9, Fetched::Computed));
         });
         assert_eq!(cache.get("k").as_deref(), Some(&9));
-    }
-
-    #[test]
-    fn a_clear_during_a_computation_keeps_its_value_out_of_the_cache() {
-        let cache = Arc::new(ShardedLruCache::<u32>::new(8, 2));
-        std::thread::scope(|scope| {
-            let (release, leader) = blocked_flight(scope, &cache, "k", 7, true);
-            cache.clear();
-            // A miss after the clear does not join the old computation.
-            assert_eq!(cache.get_or_compute("k", || 8, |_| true), (Arc::new(8), Fetched::Computed));
-            release.send(()).expect("leader waits");
-            assert_eq!(leader.join().expect("leader"), Some(Fetched::Computed));
-        });
-        assert_eq!(cache.get("k").as_deref(), Some(&8));
     }
 
     #[test]

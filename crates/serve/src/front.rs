@@ -22,7 +22,7 @@
 //!   cross shard boundaries), so the front instead fetches every shard's
 //!   `/internal/qparts` contribution once, merges them into the exact
 //!   parts an unsharded server extracts, and runs the same query engine
-//!   locally (see `ServerState::query_state`; DESIGN.md §14).
+//!   locally (see `Served::query_state` in `server.rs`; DESIGN.md §14).
 //!
 //! Fronts also answer `/internal/search` (returning merged lines *with*
 //! prefixes) and `/internal/qparts` (returning the merged parts), so

@@ -73,7 +73,7 @@ impl Model {
 
     /// Extracts the canonical [`lesm_query::IndexParts`] for the query
     /// engine: fully decodes the cold section once (query-index
-    /// construction is a cold, memoized event — see `ServerState`) and
+    /// construction is a cold, memoized event — see `Served`) and
     /// keys documents by their **global** ids, so sharded and unsharded
     /// builds are byte-identical downstream (DESIGN.md §14).
     pub fn query_parts(&self) -> Result<lesm_query::IndexParts, String> {

@@ -12,14 +12,18 @@
 //!
 //! A server runs one of two backends:
 //!
-//! * **Local**: a zero-copy mapped v2 artifact behind [`Model`]. The
-//!   model sits in an `RwLock<Arc<..>>` so a store watcher can hot-swap
-//!   versions under live traffic: each request clones the `Arc` once and
-//!   keeps that model for its whole lifetime, the swap repoints the lock
-//!   and clears the response cache.
+//! * **Local**: a zero-copy mapped v2 artifact behind [`Model`].
 //! * **Front**: no model; fan-out over the shards of a manifest
 //!   ([`crate::front::Front`]), byte-identical to a single server over
 //!   the unsharded model.
+//!
+//! The backend, its response cache and its memoized query index form one
+//! swap unit, `Served`, behind an `RwLock<Arc<..>>`. Each request clones
+//! the `Arc` once and answers, caches and builds against that one value
+//! for its whole lifetime. A store watcher hot-swaps by storing a fresh
+//! `Served`; nothing is cleared or reset, and a request still running on
+//! the old model writes only into the old value, which is dropped with
+//! its last request.
 //!
 //! Handlers are pure functions of the model, so responses are
 //! byte-identical to offline CLI output for any worker count, cache
@@ -37,7 +41,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, TrySendError};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -85,67 +89,73 @@ impl Default for ServerConfig {
 }
 
 enum Backend {
-    Local(RwLock<Arc<Model>>),
+    Local(Model),
     Front(Front),
 }
 
-/// The memoized query-engine state: the canonical parts serialization
-/// (served verbatim at `/internal/qparts`) and the index built from the
-/// same parts (executed by `POST /query`). Built lazily on first use —
-/// local backends extract parts from the model, fronts fan out to every
-/// shard's `/internal/qparts` and merge — and invalidated on hot-swap.
+/// The query-engine state: the canonical parts serialization (served
+/// verbatim at `/internal/qparts`) and the index built from the same
+/// parts (executed by `POST /query`). Local backends extract parts from
+/// the model, fronts fan out to every shard's `/internal/qparts` and
+/// merge.
 struct QueryState {
     parts_text: String,
     index: QueryIndex,
 }
 
-struct ServerState {
+/// Everything derived from one model, swapped as one value: the backend,
+/// the responses computed from it and its query state, built on first
+/// use.
+struct Served {
     backend: Backend,
     cache: ShardedLruCache<Response>,
-    metrics: Metrics,
-    top_n: usize,
-    query: RwLock<Option<Arc<QueryState>>>,
+    query: OnceLock<QueryState>,
 }
 
-impl ServerState {
-    /// The model serving this request (local backends only). The `Arc`
-    /// clone pins the version for the request's lifetime; a concurrent
-    /// hot-swap affects only later requests.
-    fn model(&self) -> Option<Arc<Model>> {
-        match &self.backend {
-            Backend::Local(model) => {
-                Some(Arc::clone(&model.read().unwrap_or_else(|p| p.into_inner())))
-            }
-            Backend::Front(_) => None,
-        }
+impl Served {
+    fn new(backend: Backend, config: &ServerConfig) -> Arc<Self> {
+        Arc::new(Self {
+            backend,
+            cache: ShardedLruCache::new(config.cache_capacity, config.cache_shards),
+            query: OnceLock::new(),
+        })
     }
 
     /// The query state, building and memoizing it on first use. Failures
     /// (front with an unreachable shard, a model that fails to decode)
     /// are returned as the response to send and are *not* memoized, so a
     /// recovered shard serves the next request normally. Two workers
-    /// racing the first build both compute the identical state; the last
-    /// write wins, which is harmless because the build is deterministic.
-    fn query_state(&self) -> Result<Arc<QueryState>, Response> {
-        if let Some(qs) = self.query.read().unwrap_or_else(|p| p.into_inner()).as_ref() {
-            return Ok(Arc::clone(qs));
+    /// racing the first build both compute the identical state and the
+    /// first to finish is kept.
+    fn query_state(&self) -> Result<&QueryState, Response> {
+        if let Some(qs) = self.query.get() {
+            return Ok(qs);
         }
         let parts = match &self.backend {
-            Backend::Local(_) => {
-                let model =
-                    self.model().ok_or_else(|| Response::error(404, "no such endpoint"))?;
-                model
-                    .query_parts()
-                    .map_err(|e| Response::error(500, &format!("query index build failed: {e}")))?
-            }
+            Backend::Local(model) => model
+                .query_parts()
+                .map_err(|e| Response::error(500, &format!("query index build failed: {e}")))?,
             Backend::Front(front) => front.fetch_parts()?,
         };
         let parts_text = parts.to_text();
         let index = QueryIndex::build(parts)
             .map_err(|e| Response::error(500, &format!("query index build failed: {e}")))?;
-        let qs = Arc::new(QueryState { parts_text, index });
-        *self.query.write().unwrap_or_else(|p| p.into_inner()) = Some(Arc::clone(&qs));
-        Ok(qs)
+        Ok(self.query.get_or_init(|| QueryState { parts_text, index }))
+    }
+}
+
+struct ServerState {
+    current: RwLock<Arc<Served>>,
+    metrics: Metrics,
+    top_n: usize,
+}
+
+impl ServerState {
+    /// The value serving this request. The `Arc` clone pins the version
+    /// for the request's lifetime; a concurrent hot-swap affects only
+    /// later requests.
+    fn serving(&self) -> Arc<Served> {
+        Arc::clone(&self.current.read().unwrap_or_else(|p| p.into_inner()))
     }
 }
 
@@ -156,17 +166,17 @@ pub struct Server;
 impl Server {
     /// Serves a loaded model.
     pub fn start_model(model: Model, config: ServerConfig) -> Result<ServerHandle, ServeError> {
-        Self::start_backend(Backend::Local(RwLock::new(Arc::new(model))), config)
+        Self::start_backend(Backend::Local(model), config)
     }
 
     /// Serves a versioned snapshot store directory with hot-swap: loads
-    /// the `CURRENT` version, then polls the pointer and swaps the model
-    /// (and clears the response cache) whenever a new version is
-    /// published.
+    /// the `CURRENT` version, then polls the pointer and swaps in the new
+    /// model, with an empty response cache and no query index, whenever
+    /// a new version is published.
     pub fn start_store(dir: &Path, config: ServerConfig) -> Result<ServerHandle, ServeError> {
         let (version, model) = crate::store::load_current(dir)
             .map_err(|e| ServeError::InvalidConfig(format!("store {}: {e}", dir.display())))?;
-        let mut handle = Self::start_backend(Backend::Local(RwLock::new(Arc::new(model))), config)?;
+        let mut handle = Self::start_backend(Backend::Local(model), config.clone())?;
         let state = Arc::clone(&handle.state);
         let stop = Arc::clone(&handle.stop);
         let dir = dir.to_path_buf();
@@ -182,13 +192,8 @@ impl Server {
                 // active version until the new artifact loads cleanly.
                 match crate::query::load_model_file(&dir.join(&next).to_string_lossy()) {
                     Ok(model) => {
-                        if let Backend::Local(slot) = &state.backend {
-                            *slot.write().unwrap_or_else(|p| p.into_inner()) = Arc::new(model);
-                        }
-                        state.cache.clear();
-                        // The query index is a pure function of the model:
-                        // drop it with the old version.
-                        *state.query.write().unwrap_or_else(|p| p.into_inner()) = None;
+                        let served = Served::new(Backend::Local(model), &config);
+                        *state.current.write().unwrap_or_else(|p| p.into_inner()) = served;
                         active = next;
                     }
                     Err(_) => continue,
@@ -249,11 +254,9 @@ impl Server {
         let addr = listener.local_addr().map_err(ServeError::Io)?;
 
         let state = Arc::new(ServerState {
-            backend,
-            cache: ShardedLruCache::new(config.cache_capacity, config.cache_shards),
+            current: RwLock::new(Served::new(backend, &config)),
             metrics: Metrics::new(),
             top_n: config.top_n,
-            query: RwLock::new(None),
         });
         let stop = Arc::new(AtomicBool::new(false));
         let (tx, rx) = sync_channel::<TcpStream>(config.queue_depth);
@@ -419,7 +422,7 @@ fn route(req: &Request, state: &Arc<ServerState>) -> (Endpoint, Arc<Response>) {
         Endpoint::Healthz => (endpoint, Arc::new(Response::ok("ok\n"))),
         Endpoint::Metrics => (endpoint, Arc::new(Response::ok(state.metrics.render()))),
         Endpoint::Other => (endpoint, Arc::new(Response::error(404, "no such endpoint"))),
-        _ => (endpoint, cached(endpoint, req, state)),
+        _ => (endpoint, cached(endpoint, req, &state.serving(), state)),
     }
 }
 
@@ -430,10 +433,15 @@ fn route(req: &Request, state: &Arc<ServerState>) -> (Endpoint, Arc<Response>) {
 /// written to the socket. Concurrent misses on one key compute it once:
 /// the others wait for that response (a non-200 one too) and count as
 /// hits, because they were answered without computing.
-fn cached(endpoint: Endpoint, req: &Request, state: &Arc<ServerState>) -> Arc<Response> {
-    let (response, fetched) = state.cache.get_or_compute(
+fn cached(
+    endpoint: Endpoint,
+    req: &Request,
+    served: &Served,
+    state: &ServerState,
+) -> Arc<Response> {
+    let (response, fetched) = served.cache.get_or_compute(
         &req.cache_key(),
-        || compute(endpoint, req, state),
+        || compute(endpoint, req, served, state.top_n),
         |response| response.status == 200,
     );
     match fetched {
@@ -443,39 +451,40 @@ fn cached(endpoint: Endpoint, req: &Request, state: &Arc<ServerState>) -> Arc<Re
     response
 }
 
-fn compute(endpoint: Endpoint, req: &Request, state: &Arc<ServerState>) -> Response {
+fn compute(endpoint: Endpoint, req: &Request, served: &Served, top_n: usize) -> Response {
     // The query engine runs the same code path on every backend: a local
     // server indexes its own model, a front indexes the shard-merged
     // parts, and `run_query` over either index is byte-identical to the
     // unsharded answer (DESIGN.md §14).
     match endpoint {
-        Endpoint::Query => return handle_query(req, state),
+        Endpoint::Query => return handle_query(req, served),
         Endpoint::Internal if req.path == "/internal/qparts" => {
-            return match state.query_state() {
+            return match served.query_state() {
                 Ok(qs) => Response::ok(qs.parts_text.clone()),
                 Err(response) => response,
             };
         }
         _ => {}
     }
-    if let Backend::Front(front) = &state.backend {
-        return match endpoint {
-            Endpoint::Search => front.search(req, state.top_n, false),
-            Endpoint::Internal => front.search(req, state.top_n, true),
-            Endpoint::Topics | Endpoint::Hierarchy => front.forward(req),
-            // Non-query endpoints never reach here (route() answers them
-            // directly); answer 404 instead of panicking if that changes.
-            _ => Response::error(404, "no such endpoint"),
-        };
-    }
-    let Some(model) = state.model() else {
-        return Response::error(404, "no such endpoint");
+    let model = match &served.backend {
+        Backend::Local(model) => model,
+        Backend::Front(front) => {
+            return match endpoint {
+                Endpoint::Search => front.search(req, top_n, false),
+                Endpoint::Internal => front.search(req, top_n, true),
+                Endpoint::Topics | Endpoint::Hierarchy => front.forward(req),
+                // Non-query endpoints never reach here (route() answers
+                // them directly); answer 404 instead of panicking if that
+                // changes.
+                _ => Response::error(404, "no such endpoint"),
+            };
+        }
     };
     match endpoint {
-        Endpoint::Search => handle_search(req, &model, state.top_n, false),
-        Endpoint::Internal => handle_search(req, &model, state.top_n, true),
-        Endpoint::Topics => handle_topic(req, &model, state.top_n),
-        Endpoint::Hierarchy => Response::json(model.hierarchy_json(state.top_n)),
+        Endpoint::Search => handle_search(req, model, top_n, false),
+        Endpoint::Internal => handle_search(req, model, top_n, true),
+        Endpoint::Topics => handle_topic(req, model, top_n),
+        Endpoint::Hierarchy => Response::json(model.hierarchy_json(top_n)),
         _ => Response::error(404, "no such endpoint"),
     }
 }
@@ -484,8 +493,8 @@ fn compute(endpoint: Endpoint, req: &Request, state: &Arc<ServerState>) -> Respo
 /// `lesm_query::run_query`, which is a pure function of (index, body).
 /// Malformed programs and cursors are the client's fault (400, typed
 /// message); only an index that cannot be built is a server error.
-fn handle_query(req: &Request, state: &Arc<ServerState>) -> Response {
-    let qs = match state.query_state() {
+fn handle_query(req: &Request, served: &Served) -> Response {
+    let qs = match served.query_state() {
         Ok(qs) => qs,
         Err(response) => return response,
     };
@@ -556,9 +565,9 @@ impl ServerHandle {
         &self.state.metrics
     }
 
-    /// Number of responses currently cached.
+    /// Number of responses cached for the model currently served.
     pub fn cached_responses(&self) -> usize {
-        self.state.cache.len()
+        self.state.serving().cache.len()
     }
 
     /// Addresses of the shard servers owned by this handle (sharded

@@ -62,6 +62,19 @@ pub fn publish(dir: &Path, bytes: &[u8]) -> Result<String, SnapshotError> {
     Ok(name)
 }
 
+/// Replaces the file at `path` with `bytes` durably: the bytes go to a
+/// sibling `.tmp` file that is fsynced, renamed over `path`, and then the
+/// parent directory is fsynced. A reader (or a crash) sees the old or the
+/// new contents in full, never a torn file.
+pub fn replace_file(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    write_synced(&tmp, bytes)?;
+    std::fs::rename(&tmp, path).map_err(SnapshotError::Io)?;
+    sync_dir(path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new(".")))
+}
+
 /// The file name `CURRENT` points at, if the store has one.
 pub fn current_version(dir: &Path) -> Result<Option<String>, SnapshotError> {
     match std::fs::read_to_string(dir.join(CURRENT)) {
@@ -181,6 +194,22 @@ mod tests {
             *b = (i as u32).wrapping_mul(n) as u8;
         }
         bytes
+    }
+
+    #[test]
+    fn replace_file_swaps_contents_and_leaves_no_tmp_behind() {
+        let dir = tmp_dir("replace");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("model.lesm");
+        std::fs::write(&path, b"old contents").expect("seed");
+        replace_file(&path, b"new").expect("replace");
+        assert_eq!(std::fs::read(&path).expect("read back"), b"new");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("list")
+            .map(|e| e.expect("entry").file_name().into_string().expect("utf-8 name"))
+            .collect();
+        assert_eq!(names, ["model.lesm"], "no .tmp may be left behind");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -926,12 +926,6 @@ impl MappedSnapshot {
         self.arena_str(self.layout.path_offsets, self.layout.paths, t)
     }
 
-    /// Leaf topics (no children), ascending (matching
-    /// [`lesm_hier::TopicHierarchy::leaves`]).
-    pub fn leaves(&self) -> Vec<usize> {
-        (0..self.layout.n_topics).filter(|&t| self.children(t).is_empty()).collect()
-    }
-
     // --- ranked phrases ---
 
     /// Number of ranked phrases for topic `t`.
@@ -987,15 +981,6 @@ impl MappedSnapshot {
     pub fn doc_topic_row(&self, d: usize) -> &[f64] {
         let (a, b) = self.span(self.layout.dt_row_bounds, d);
         &self.f64s(self.layout.dt_values)[a..b]
-    }
-
-    /// The leaf topic with the highest weight for document `d` (matching
-    /// [`lesm_core::pipeline::MinedStructure::doc_leaf`]).
-    pub fn doc_leaf(&self, d: usize) -> usize {
-        self.leaves()
-            .into_iter()
-            .max_by(|&a, &b| self.doc_topic(d, a).total_cmp(&self.doc_topic(d, b)))
-            .unwrap_or(0)
     }
 
     // --- full decode (cold path) ---
@@ -1689,12 +1674,12 @@ mod tests {
             }
         }
         for d in 0..m.num_docs() {
-            let _ = (m.render_doc(d), m.doc_topic(d, 0), m.doc_id(d), m.doc_leaf(d));
+            let _ = (m.render_doc(d), m.doc_topic(d, 0), m.doc_id(d));
         }
         for w in 0..m.num_words() as u32 {
             let _ = m.word_id(m.word_or_unk(w));
         }
-        let _ = (m.leaves(), m.delta_info(), m.sections(), m.artifact_len());
+        let _ = (m.delta_info(), m.sections(), m.artifact_len());
     }
 
     /// Everything a server does with an artifact, from load to a query

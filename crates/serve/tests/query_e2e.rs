@@ -210,8 +210,9 @@ fn stale_cursor_after_hot_swap_is_a_typed_error_never_an_interleave() {
     // must either complete against the model it started on or fail with
     // the typed cursor error — pages from two model versions must never
     // interleave. The cursor's stamp binds the model content, and the
-    // swap clears the response cache, so the stale resume recomputes
-    // against the new index and is rejected.
+    // swap replaces the model together with its response cache and
+    // query index, so the stale resume recomputes against the new index
+    // and is rejected.
     let (corpus_a, mined_a) = fixture(9);
     let (corpus_b, mined_b) = fixture(23);
     let dir = tmp_dir("cursor-swap");
@@ -270,6 +271,57 @@ fn stale_cursor_after_hot_swap_is_a_typed_error_never_an_interleave() {
     let resume_b =
         format!(r#"{{"steps":[{{"filter":{{"type":"author"}}}}],"cursor":"{new_cursor}"}}"#);
     assert_eq!(post(addr, "/query", &resume_b).0, 200, "new-model resume must succeed");
+
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_query_index_built_across_a_hot_swap_is_never_served() {
+    // Regression: a /query that starts building model A's query index
+    // just before a hot-swap to model B must not leave A's index behind.
+    // Every later /query and /internal/qparts answers from B. A is large
+    // so its index build spans the swap by a wide margin.
+    let papers_a =
+        SyntheticPapers::generate(&PapersConfig::dblp_large(50_000, 1)).expect("synth corpus");
+    let mined_a = lesm_core::model_from_truth(&papers_a);
+    let bytes_a = save_snapshot_v2(&papers_a.corpus, &mined_a).expect("save A");
+    drop((papers_a, mined_a));
+    let (corpus_b, mined_b) = fixture(23);
+    let bytes_b = save_snapshot_v2(&corpus_b, &mined_b).expect("save B");
+    let dir = tmp_dir("index-swap");
+    lesm_serve::store::publish(&dir, &bytes_a).expect("publish A");
+    let handle = Server::start_store(&dir, ServerConfig { workers: 2, ..ServerConfig::default() })
+        .expect("serve store");
+    let addr = handle.addr();
+
+    let scan = r#"{"steps":[{"filter":{"type":"author"}}],"page":7}"#;
+    let expected_b = lesm_core::export::hierarchy_to_json(&mined_b.view(&corpus_b), 10).into_bytes();
+    std::thread::scope(|scope| {
+        let first = scope.spawn(|| post(addr, "/query", scan));
+        std::thread::sleep(Duration::from_millis(10));
+        lesm_serve::store::publish(&dir, &bytes_b).expect("publish B");
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while get(addr, "/hierarchy").1 != expected_b {
+            assert!(std::time::Instant::now() < deadline, "hot swap never happened");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(first.join().expect("first query").0, 200);
+    });
+
+    let parts_b = lesm_query::IndexParts::from_model(&corpus_b, &mined_b, None).expect("parts B");
+    let parts_text_b = parts_b.to_text();
+    let index_b = lesm_query::QueryIndex::build(parts_b).expect("index B");
+    let want = lesm_query::run_query(&index_b, scan).expect("query B");
+    let (status, got) = post(addr, "/query", scan);
+    assert_eq!(
+        (status, String::from_utf8_lossy(&got)),
+        (200, want.as_str().into()),
+        "/query after the swap must answer from model B"
+    );
+    let (status, got) = get(addr, "/internal/qparts");
+    assert_eq!(status, 200);
+    assert!(got == parts_text_b.as_bytes(), "/internal/qparts after the swap must be model B's");
 
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
