@@ -19,7 +19,6 @@
 // Index-based loops are kept where they mirror the paper's equations.
 #![allow(clippy::needless_range_loop)]
 
-pub mod access;
 pub mod export;
 pub mod pipeline;
 pub mod search;

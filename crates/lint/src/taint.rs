@@ -39,7 +39,6 @@ use crate::FileViolation;
 const WIRE_FILES: &[&str] = &[
     "crates/serve/src/snapshot.rs",
     "crates/serve/src/v2.rs",
-    "crates/serve/src/wire.rs",
     "crates/serve/src/http.rs",
     "crates/serve/src/server.rs",
     "crates/serve/src/front.rs",
@@ -274,7 +273,7 @@ mod tests {
                 "pub(crate) fn jitter() -> u64 { rand::random() }\n",
             ),
             (
-                "crates/serve/src/wire.rs",
+                "crates/serve/src/v2.rs",
                 "fn frame() { crate::jitter(); }\n",
             ),
         ]);

@@ -83,7 +83,7 @@ fn stamp() -> u64 {
     0
 }
 ";
-    let w = ws(&[("crates/serve/src/wire.rs", src)]);
+    let w = ws(&[("crates/serve/src/v2.rs", src)]);
     let out = run_pass(&w, Pass::Taint);
     assert_eq!(rules(&out), vec![RuleId::D4], "{out:?}");
 }

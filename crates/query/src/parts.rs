@@ -10,7 +10,7 @@
 //! metadata taken from the first shard (replicated, byte-identical
 //! everywhere) and document records merged in ascending global-id order.
 //! Because every doc-derived quantity downstream is either a set union or
-//! an integer count (see `lesm_core::access`), the rebuilt index — and
+//! an integer count (see `QueryIndex::build`), the rebuilt index — and
 //! therefore every query response — is byte-identical regardless of shard
 //! count (DESIGN.md §11, §14).
 //!

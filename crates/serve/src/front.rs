@@ -109,16 +109,9 @@ impl Front {
     /// Answers `/search` (stripped lines) or `/internal/search` (merged
     /// lines with score-bits/doc-id prefixes intact) by full fan-out.
     pub fn search(&self, req: &Request, default_top: usize, internal: bool) -> Response {
-        // Mirror the single-server parameter validation byte for byte.
-        if req.query_param("q").is_none() {
-            return Response::error(400, "missing query parameter q");
-        }
-        let top = match req.query_param("top") {
-            None => default_top,
-            Some(raw) => match raw.parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => return Response::error(400, "top must be a positive integer"),
-            },
+        let top = match crate::server::search_params(req, default_top) {
+            Ok((_, top)) => top,
+            Err(bad) => return bad,
         };
         let target = if req.raw_query.is_empty() {
             "/internal/search".to_string()

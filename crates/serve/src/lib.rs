@@ -37,7 +37,6 @@ pub mod shard;
 pub mod snapshot;
 pub mod store;
 pub mod v2;
-pub mod wire;
 
 pub use cache::ShardedLruCache;
 pub use front::Front;

@@ -505,16 +505,30 @@ fn handle_query(req: &Request, served: &Served) -> Response {
     }
 }
 
-fn handle_search(req: &Request, model: &Model, default_top: usize, internal: bool) -> Response {
+/// The `/search` query and hit count, or the 400 to answer with. The
+/// front tier checks its requests with this too, so both reject the same
+/// requests with the same bytes.
+pub(crate) fn search_params(
+    req: &Request,
+    default_top: usize,
+) -> Result<(String, usize), Response> {
     let Some(query) = req.query_param("q") else {
-        return Response::error(400, "missing query parameter q");
+        return Err(Response::error(400, "missing query parameter q"));
     };
     let top = match req.query_param("top") {
         None => default_top,
         Some(raw) => match raw.parse::<usize>() {
             Ok(n) if n > 0 => n,
-            _ => return Response::error(400, "top must be a positive integer"),
+            _ => return Err(Response::error(400, "top must be a positive integer")),
         },
+    };
+    Ok((query, top))
+}
+
+fn handle_search(req: &Request, model: &Model, default_top: usize, internal: bool) -> Response {
+    let (query, top) = match search_params(req, default_top) {
+        Ok(params) => params,
+        Err(bad) => return bad,
     };
     let lines = if internal {
         model.internal_search_lines(&query, top)

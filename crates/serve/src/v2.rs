@@ -40,10 +40,11 @@
 //! the mapping base is at least 8-byte aligned, every array view is
 //! correctly aligned for its element type. The rarely-read remainder of
 //! the model (EM fits, per-topic phi/networks, entity links, segments)
-//! lives in a single *cold* section in the streaming [`crate::wire`]
-//! encoding (networks and fits through the [`crate::snapshot`] codecs),
-//! decoded only by [`MappedSnapshot::to_snapshot`] — never on the load
-//! hot path.
+//! lives in a single *cold* section, packed without padding: u64 length
+//! prefixes, 0/1 option tags, values back to back. The same writer and
+//! cursor as the other sections write and read it, through their packed
+//! methods, and only [`MappedSnapshot::to_snapshot`] decodes it — never
+//! the load hot path.
 //!
 //! Any other version tag — including the retired v1 streaming format —
 //! fails with [`SnapshotError::VersionMismatch`]; rebuild such an
@@ -56,14 +57,15 @@
 //! section ids they do not know.
 
 use crate::mapping::Mapping;
-use crate::snapshot::{self, Snapshot, MAGIC};
-use crate::wire::{ByteReader, ByteWriter};
+use crate::snapshot::{Snapshot, MAGIC};
 use crate::SnapshotError;
 use lesm_core::pipeline::MinedStructure;
 use lesm_core::{ModelView, SearchIndex};
 use lesm_corpus::{Corpus, Doc, EntityRef};
+use lesm_hier::em::EmFit;
 use lesm_hier::hierarchy::HierTopic;
 use lesm_hier::TopicHierarchy;
+use lesm_net::{LinkBlock, TypedNetwork};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -241,6 +243,41 @@ impl ArenaWriter {
         for len in lens {
             acc += len as u64;
             self.u64(acc);
+        }
+    }
+
+    // Packed writers (no padding) for the cold section and the lineage
+    // name: a length is a u64 prefix, an option a 0/1 tag byte.
+
+    fn u8(&mut self, v: u8) {
+        self.buf.push(v);
+    }
+    fn i32(&mut self, v: i32) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+    fn string(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+    fn u32_seq(&mut self, xs: &[u32]) {
+        self.u64(xs.len() as u64);
+        for &x in xs {
+            self.u32(x);
+        }
+    }
+    fn f64_seq(&mut self, xs: &[f64]) {
+        self.u64(xs.len() as u64);
+        for &x in xs {
+            self.f64(x);
+        }
+    }
+    fn option<T>(&mut self, v: Option<&T>, put: impl FnOnce(&mut Self, &T)) {
+        match v {
+            None => self.u8(0),
+            Some(x) => {
+                self.u8(1);
+                put(self, x);
+            }
         }
     }
 }
@@ -470,50 +507,95 @@ fn write_doc_ids(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotE
     Ok(())
 }
 
-/// The cold remainder, in the streaming wire encoding; only
-/// [`MappedSnapshot::to_snapshot`] reads it.
+/// The cold remainder, packed; only [`MappedSnapshot::to_snapshot`]
+/// reads it.
 fn write_cold(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
-    let mut cw = ByteWriter::new();
     let h = &s.mined.hierarchy;
-    cw.put_usize(h.type_names.len());
+    w.u64(h.type_names.len() as u64);
     for name in &h.type_names {
-        cw.put_str(name);
+        w.string(name);
     }
-    cw.put_usize(h.topics.len());
+    w.u64(h.topics.len() as u64);
     for topic in &h.topics {
-        cw.put_usize(topic.phi.len());
+        w.u64(topic.phi.len() as u64);
         for row in &topic.phi {
-            cw.put_f64_seq(row);
+            w.f64_seq(row);
         }
-        snapshot::encode_network(&mut cw, &topic.network);
+        write_network(w, &topic.network);
     }
-    cw.put_usize(h.fits.len());
+    w.u64(h.fits.len() as u64);
     for fit in &h.fits {
-        cw.put_option(fit.as_ref(), snapshot::encode_fit);
+        w.option(fit.as_ref(), write_fit);
     }
-    cw.put_usize(h.alphas.len());
+    w.u64(h.alphas.len() as u64);
     for alpha in &h.alphas {
-        cw.put_option(alpha.as_ref(), |w, a| w.put_f64_seq(a));
+        w.option(alpha.as_ref(), |w, a| w.f64_seq(a));
     }
-    cw.put_usize(s.corpus.docs.len());
+    w.u64(s.corpus.docs.len() as u64);
     for doc in &s.corpus.docs {
-        cw.put_usize(doc.entities.len());
+        w.u64(doc.entities.len() as u64);
         for e in &doc.entities {
-            cw.put_u32(crate::wire_u32(e.etype, "entity type id")?);
-            cw.put_u32(e.id);
+            w.u32(crate::wire_u32(e.etype, "entity type id")?);
+            w.u32(e.id);
         }
-        cw.put_option(doc.label.as_ref(), |w, &l| w.put_u32(l));
-        cw.put_option(doc.year.as_ref(), |w, &y| w.put_i32(y));
+        w.option(doc.label.as_ref(), |w, &l| w.u32(l));
+        w.option(doc.year.as_ref(), |w, &y| w.i32(y));
     }
-    cw.put_usize(s.mined.segments.len());
+    w.u64(s.mined.segments.len() as u64);
     for doc_segs in &s.mined.segments {
-        cw.put_usize(doc_segs.len());
+        w.u64(doc_segs.len() as u64);
         for seg in doc_segs {
-            cw.put_u32_seq(seg);
+            w.u32_seq(seg);
         }
     }
-    w.bytes(&cw.into_bytes());
     Ok(())
+}
+
+fn write_network(w: &mut ArenaWriter, net: &TypedNetwork) {
+    w.u64(net.type_names.len() as u64);
+    for name in &net.type_names {
+        w.string(name);
+    }
+    w.u64(net.node_counts.len() as u64);
+    for &n in &net.node_counts {
+        w.u64(n as u64);
+    }
+    w.u64(net.blocks.len() as u64);
+    for block in &net.blocks {
+        w.u64(block.tx as u64);
+        w.u64(block.ty as u64);
+        w.u64(block.edges.len() as u64);
+        for &(i, j, weight) in &block.edges {
+            w.u32(i);
+            w.u32(j);
+            w.f64(weight);
+        }
+    }
+}
+
+fn write_fit(w: &mut ArenaWriter, fit: &EmFit) {
+    w.u64(fit.k as u64);
+    w.u64(fit.phi.len() as u64);
+    for per_type in &fit.phi {
+        w.u64(per_type.len() as u64);
+        for row in per_type {
+            w.f64_seq(row);
+        }
+    }
+    w.u64(fit.phi0.len() as u64);
+    for row in &fit.phi0 {
+        w.f64_seq(row);
+    }
+    w.f64_seq(&fit.rho);
+    w.f64_seq(&fit.alpha);
+    w.f64_seq(&fit.theta);
+    w.f64(fit.objective);
+    w.f64_seq(&fit.objective_trace);
+    w.f64(fit.loglik);
+    w.u64(fit.parent_phi.len() as u64);
+    for row in fit.parent_phi.iter() {
+        w.f64_seq(row);
+    }
 }
 
 fn write_delta(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
@@ -525,8 +607,7 @@ fn write_delta(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotErr
         for &c in &d.base_entities {
             w.u64(c);
         }
-        w.u64(d.base_artifact.len() as u64);
-        w.bytes(d.base_artifact.as_bytes());
+        w.string(&d.base_artifact);
     }
     Ok(())
 }
@@ -742,6 +823,89 @@ impl<'m> Cursor<'m> {
             }
         }
         Ok(arena)
+    }
+
+    // Packed readers (`get_*`, no alignment) for what the packed writers
+    // wrote. A sequence claims its whole extent at once, so a hostile
+    // length fails before anything is allocated.
+
+    /// Claims the next `n` bytes.
+    fn take(&mut self, n: usize) -> Result<&'m [u8], SnapshotError> {
+        let r = self.array(n, 1, 1, "packed bytes")?;
+        Ok(&self.map.bytes()[r.off..r.off + r.count])
+    }
+
+    fn get_u32(&mut self) -> Result<u32, SnapshotError> {
+        Ok(le_u32(self.take(4)?))
+    }
+
+    fn get_u64(&mut self) -> Result<u64, SnapshotError> {
+        Ok(le_u64(self.take(8)?))
+    }
+
+    fn get_i32(&mut self) -> Result<i32, SnapshotError> {
+        let b = self.take(4)?;
+        Ok(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    fn get_f64(&mut self) -> Result<f64, SnapshotError> {
+        Ok(f64::from_bits(self.get_u64()?))
+    }
+
+    /// Reads a length prefix for `n` items of at least `min` bytes each,
+    /// rejecting one the rest of the section cannot hold.
+    fn get_len(&mut self, min: usize) -> Result<usize, SnapshotError> {
+        let at = self.pos;
+        let raw = self.get_u64()?;
+        let n = usize::try_from(raw).map_err(|_| SnapshotError::Malformed {
+            offset: at,
+            what: format!("length {raw} overflows usize"),
+        })?;
+        let needed = n.saturating_mul(min);
+        if needed > self.end - self.pos {
+            return Err(SnapshotError::Truncated {
+                offset: at,
+                needed,
+                available: self.end - self.pos,
+            });
+        }
+        Ok(n)
+    }
+
+    fn get_string(&mut self, what: &str) -> Result<String, SnapshotError> {
+        let n = self.get_len(1)?;
+        let at = self.pos;
+        let bytes = self.take(n)?;
+        let s = std::str::from_utf8(bytes).map_err(|_| SnapshotError::Malformed {
+            offset: at,
+            what: format!("{what} is not valid UTF-8"),
+        })?;
+        Ok(s.to_string())
+    }
+
+    fn get_u32_seq(&mut self) -> Result<Vec<u32>, SnapshotError> {
+        let n = self.get_len(4)?;
+        Ok(self.take(4 * n)?.chunks_exact(4).map(le_u32).collect())
+    }
+
+    fn get_f64_seq(&mut self) -> Result<Vec<f64>, SnapshotError> {
+        let n = self.get_len(8)?;
+        Ok(self.take(8 * n)?.chunks_exact(8).map(|b| f64::from_bits(le_u64(b))).collect())
+    }
+
+    fn get_option<T>(
+        &mut self,
+        get: impl FnOnce(&mut Self) -> Result<T, SnapshotError>,
+    ) -> Result<Option<T>, SnapshotError> {
+        let at = self.pos;
+        match self.take(1)?[0] {
+            0 => Ok(None),
+            1 => get(self).map(Some),
+            tag => Err(SnapshotError::Malformed {
+                offset: at,
+                what: format!("invalid Option tag {tag}"),
+            }),
+        }
     }
 }
 
@@ -990,18 +1154,18 @@ impl MappedSnapshot {
     /// serve hot path never calls this.
     pub fn to_snapshot(&self) -> Result<Snapshot, SnapshotError> {
         let cold = self.layout.cold;
-        let mut r = ByteReader::new(&self.map.bytes()[cold.off..cold.off + cold.count]);
+        let mut r = Cursor::new(&self.map, cold.off, cold.count);
 
         // Hierarchy extras.
         let n_hier_types = r.get_len(8)?;
         let mut type_names = Vec::with_capacity(n_hier_types);
         for _ in 0..n_hier_types {
-            type_names.push(r.get_str()?);
+            type_names.push(r.get_string("hierarchy type name")?);
         }
         let n_cold_topics = r.get_len(8)?;
         if n_cold_topics != self.layout.n_topics {
             return Err(SnapshotError::Malformed {
-                offset: cold.off + r.position(),
+                offset: r.pos,
                 what: format!(
                     "cold section has {n_cold_topics} topics but the topics section has {}",
                     self.layout.n_topics
@@ -1015,7 +1179,7 @@ impl MappedSnapshot {
             for _ in 0..n_phi {
                 phi.push(r.get_f64_seq()?);
             }
-            let network = snapshot::decode_network(&mut r)?;
+            let network = read_network(&mut r)?;
             topics.push(HierTopic {
                 parent: self.parent(t),
                 children: self.children(t).iter().map(|&c| c as usize).collect(),
@@ -1029,7 +1193,7 @@ impl MappedSnapshot {
         let n_fits = r.get_len(1)?;
         let mut fits = Vec::with_capacity(n_fits);
         for _ in 0..n_fits {
-            fits.push(r.get_option(snapshot::decode_fit)?);
+            fits.push(r.get_option(read_fit)?);
         }
         let n_alphas = r.get_len(1)?;
         let mut alphas = Vec::with_capacity(n_alphas);
@@ -1058,7 +1222,7 @@ impl MappedSnapshot {
         let n_cold_docs = r.get_len(1)?;
         if n_cold_docs != self.layout.n_docs {
             return Err(SnapshotError::Malformed {
-                offset: cold.off + r.position(),
+                offset: r.pos,
                 what: format!(
                     "cold section has {n_cold_docs} docs but the docs section has {}",
                     self.layout.n_docs
@@ -1069,12 +1233,12 @@ impl MappedSnapshot {
             let n_links = r.get_len(8)?;
             let mut entities = Vec::with_capacity(n_links);
             for _ in 0..n_links {
-                let at = r.position();
+                let at = r.pos;
                 let etype = r.get_u32()? as usize;
                 let id = r.get_u32()?;
                 if etype >= self.layout.n_types {
                     return Err(SnapshotError::Malformed {
-                        offset: cold.off + at,
+                        offset: at,
                         what: format!(
                             "entity type {etype} out of range ({} types)",
                             self.layout.n_types
@@ -1086,7 +1250,7 @@ impl MappedSnapshot {
                 let known = corpus.entities.count(etype);
                 if id as usize >= known {
                     return Err(SnapshotError::Malformed {
-                        offset: cold.off + at,
+                        offset: at,
                         what: format!(
                             "entity {id} of type {etype} out of range ({known} entities)"
                         ),
@@ -1157,6 +1321,82 @@ impl MappedSnapshot {
             },
         })
     }
+}
+
+fn read_network(r: &mut Cursor<'_>) -> Result<TypedNetwork, SnapshotError> {
+    let n_types = r.get_len(8)?;
+    let mut type_names = Vec::with_capacity(n_types);
+    for _ in 0..n_types {
+        type_names.push(r.get_string("network type name")?);
+    }
+    let n_counts = r.get_len(8)?;
+    if n_counts != n_types {
+        return Err(SnapshotError::Malformed {
+            offset: r.pos,
+            what: format!("network has {n_types} type names but {n_counts} node counts"),
+        });
+    }
+    let mut node_counts = Vec::with_capacity(n_counts);
+    for _ in 0..n_counts {
+        node_counts.push(r.get_u64()? as usize);
+    }
+    let n_blocks = r.get_len(8)?;
+    let mut net = TypedNetwork::new(type_names, node_counts);
+    for _ in 0..n_blocks {
+        let tx = r.get_u64()? as usize;
+        let ty = r.get_u64()? as usize;
+        let n_edges = r.get_len(16)?;
+        let edges = r.take(16 * n_edges)?.chunks_exact(16);
+        let edges = edges.map(|e| (le_u32(e), le_u32(&e[4..]), f64::from_bits(le_u64(&e[8..]))));
+        net.blocks.push(LinkBlock { tx, ty, edges: edges.collect() });
+    }
+    net.validate().map_err(|e| SnapshotError::Malformed {
+        offset: r.pos,
+        what: format!("invalid network: {e}"),
+    })?;
+    Ok(net)
+}
+
+fn read_fit(r: &mut Cursor<'_>) -> Result<EmFit, SnapshotError> {
+    let k = r.get_u64()? as usize;
+    let n_types = r.get_len(8)?;
+    let mut phi = Vec::with_capacity(n_types);
+    for _ in 0..n_types {
+        let n_rows = r.get_len(8)?;
+        let mut per_type = Vec::with_capacity(n_rows);
+        for _ in 0..n_rows {
+            per_type.push(r.get_f64_seq()?);
+        }
+        phi.push(per_type);
+    }
+    let n_phi0 = r.get_len(8)?;
+    let mut phi0 = Vec::with_capacity(n_phi0);
+    for _ in 0..n_phi0 {
+        phi0.push(r.get_f64_seq()?);
+    }
+    let rho = r.get_f64_seq()?;
+    let alpha = r.get_f64_seq()?;
+    let theta = r.get_f64_seq()?;
+    let objective = r.get_f64()?;
+    let objective_trace = r.get_f64_seq()?;
+    let loglik = r.get_f64()?;
+    let n_parent = r.get_len(8)?;
+    let mut parent_phi = Vec::with_capacity(n_parent);
+    for _ in 0..n_parent {
+        parent_phi.push(r.get_f64_seq()?);
+    }
+    Ok(EmFit {
+        k,
+        phi,
+        phi0,
+        rho,
+        alpha,
+        theta,
+        objective,
+        objective_trace,
+        loglik,
+        parent_phi: Arc::new(parent_phi),
+    })
 }
 
 /// The mapped backend of the shared renderers: every accessor borrows
@@ -1536,14 +1776,7 @@ fn parse_delta(c: &mut Cursor<'_>, l: &mut Layout) -> Result<(), SnapshotError> 
             });
         }
     }
-    let name_len = c.count("delta lineage base name")?;
-    let name = c.array(name_len, 1, 1, "delta lineage base name")?;
-    let base_artifact = std::str::from_utf8(&c.map.bytes()[name.off..name.off + name.count])
-        .map_err(|_| SnapshotError::Malformed {
-            offset: name.off,
-            what: "delta lineage base name is not valid UTF-8".to_string(),
-        })?
-        .to_string();
+    let base_artifact = c.get_string("delta lineage base name")?;
     l.delta = Some(DeltaInfo { base_artifact, base_docs, base_words, base_entities, chain_depth });
     Ok(())
 }
@@ -1810,5 +2043,77 @@ mod tests {
             Err(SnapshotError::Malformed { .. }) => {}
             other => panic!("dangling entity id: expected Malformed, got {:?}", other.map(drop)),
         }
+    }
+
+    /// A cold-section error reports its offset in the artifact, not in
+    /// the section.
+    #[test]
+    fn cold_section_errors_report_absolute_offsets() {
+        let (_, _, bytes) = fixture();
+        let (off, len) = locate(&bytes, 10);
+        // The first cold word counts the hierarchy's type names.
+        let m = MappedSnapshot::from_bytes(&craft(&bytes, off, u64::MAX)).expect("cold is lazy");
+        let offset = match m.to_snapshot() {
+            Err(SnapshotError::Truncated { offset, .. }) => offset,
+            Err(SnapshotError::Malformed { offset, .. }) => offset,
+            other => panic!("expected a typed error, got {:?}", other.map(drop)),
+        };
+        assert!((off..off + len).contains(&offset), "offset {offset} outside {off}+{len}");
+    }
+
+    /// A cursor over all of `map`.
+    fn cursor(map: &Mapping) -> Cursor<'_> {
+        Cursor::new(map, 0, map.len())
+    }
+
+    #[test]
+    fn packed_values_round_trip_bit_for_bit() {
+        let nan = f64::from_bits(0x7FF8_0000_0000_1234);
+        let mut w = ArenaWriter { buf: Vec::new() };
+        w.u8(7);
+        w.i32(-42);
+        w.f64(-0.0);
+        w.f64(nan);
+        w.string("snapshot ✓");
+        w.f64_seq(&[-0.0, nan]);
+        w.u32_seq(&[0xDEAD_BEEF, 1]);
+        w.option(Some(&u64::MAX), |w, &v| w.u64(v));
+        w.option(None::<&u64>, |w, &v| w.u64(v));
+        let map = Mapping::from_bytes(&w.buf);
+        let mut r = cursor(&map);
+        assert_eq!(r.take(1).unwrap(), [7]);
+        assert_eq!(r.get_i32().unwrap(), -42);
+        assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(r.get_f64().unwrap().to_bits(), nan.to_bits());
+        assert_eq!(r.get_string("s").unwrap(), "snapshot ✓");
+        let seq: Vec<u64> = r.get_f64_seq().unwrap().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(seq, [(-0.0f64).to_bits(), nan.to_bits()]);
+        assert_eq!(r.get_u32_seq().unwrap(), [0xDEAD_BEEF, 1]);
+        assert_eq!(r.get_option(|r| r.get_u64()).unwrap(), Some(u64::MAX));
+        assert_eq!(r.get_option(|r| r.get_u64()).unwrap(), None);
+        assert_eq!(r.pos, map.len());
+    }
+
+    #[test]
+    fn packed_reads_past_the_end_are_typed_errors() {
+        let map = Mapping::from_bytes(&5u64.to_le_bytes()[..6]);
+        assert!(matches!(cursor(&map).get_u64(), Err(SnapshotError::Truncated { .. })));
+        // A length claiming ~2^64 elements fails before any allocation.
+        let map = Mapping::from_bytes(&u64::MAX.to_le_bytes());
+        let typed = |r: Result<(), SnapshotError>| {
+            matches!(r, Err(SnapshotError::Truncated { .. } | SnapshotError::Malformed { .. }))
+        };
+        assert!(typed(cursor(&map).get_u32_seq().map(drop)));
+        assert!(typed(cursor(&map).get_f64_seq().map(drop)));
+        assert!(typed(cursor(&map).get_string("s").map(drop)));
+    }
+
+    #[test]
+    fn packed_option_tags_are_checked() {
+        let map = Mapping::from_bytes(&[2]);
+        assert!(matches!(
+            cursor(&map).get_option(|r| r.get_u32()),
+            Err(SnapshotError::Malformed { .. })
+        ));
     }
 }

@@ -79,6 +79,7 @@ const TARGETS: &[&str] = &[
     "/search?q=",
     "/search?top=3",         // 400: missing q
     "/search?q=x&top=zero",  // 400: bad top
+    "/search?q=x&top=0",     // 400: bad top
     "/topics/0",
     "/topics/1",
     "/topics/999999",        // 404

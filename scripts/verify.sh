@@ -27,6 +27,12 @@ cargo test -q --workspace --exclude lesm-bench
 echo "== tests (release: lesm-core, lesm-hier, lesm-query)"
 cargo test --release -q -p lesm-core -p lesm-hier -p lesm-query
 
+# The artifact byte checks (recorded mine/update digests, the golden
+# artifact and transcript) under the same optimizer.
+echo "== tests (release: artifact bytes)"
+cargo test --release -q -p lesm --test mined_bytes
+cargo test --release -q -p lesm-serve --test golden
+
 # perfbench/ is a Cargo workspace of its own, so nothing above compiles
 # it: an API deletion it depends on would otherwise only surface when the
 # benchmark runs.
