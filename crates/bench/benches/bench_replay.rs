@@ -23,19 +23,16 @@
 use lesm_bench::datasets::replay_model;
 use lesm_serve::server::{Server, ServerConfig};
 use lesm_serve::ShardBy;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use lesm_serve::client::{http_get, FetchedResponse};
+use std::io::Write;
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
-fn get(addr: SocketAddr, target: &str) -> Vec<u8> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(stream, "GET {target} HTTP/1.1\r\nHost: b\r\nConnection: close\r\n\r\n").unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read");
-    raw
+fn get(addr: SocketAddr, target: &str) -> FetchedResponse {
+    http_get(&addr.to_string(), target, Duration::from_secs(10)).expect("GET")
 }
 
 /// xorshift64* — a tiny deterministic generator for the request mix.
@@ -134,7 +131,7 @@ fn main() {
 
     // Reference responses from the 1-shard tier, for the byte-identity
     // assertion against every other shard count.
-    let mut reference: Vec<Vec<u8>> = Vec::new();
+    let mut reference: Vec<FetchedResponse> = Vec::new();
     for &shards in &SHARD_COUNTS {
         let dir = base.join(format!("shards-{shards}"));
         lesm_serve::write_shards(&corpus, &mined, ShardBy::EntityRange, shards, &dir)

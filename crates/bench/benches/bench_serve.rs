@@ -15,8 +15,9 @@ use lesm_bench::datasets::{dblp_small, replay_model};
 use lesm_core::pipeline::{LatentStructureMiner, MinerConfig};
 use lesm_serve::server::{Server, ServerConfig};
 use lesm_serve::{save_snapshot_v2, MappedSnapshot, Model, ServerHandle};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use lesm_serve::client::{http_get, http_post, FetchedResponse};
+use std::net::SocketAddr;
+use std::time::Duration;
 
 fn snapshot_bytes() -> Vec<u8> {
     let papers = dblp_small(400, 7);
@@ -33,26 +34,14 @@ fn start_server(bytes: &[u8], cache_capacity: usize) -> ServerHandle {
     Server::start_model(model, config).expect("bind")
 }
 
-fn get(addr: SocketAddr, target: &str) -> Vec<u8> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(stream, "GET {target} HTTP/1.1\r\nHost: b\r\nConnection: close\r\n\r\n").unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read");
-    raw
+const TIMEOUT: Duration = Duration::from_secs(10);
+
+fn get(addr: SocketAddr, target: &str) -> FetchedResponse {
+    http_get(&addr.to_string(), target, TIMEOUT).expect("GET")
 }
 
-fn post(addr: SocketAddr, target: &str, body: &str) -> Vec<u8> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "POST {target} HTTP/1.1\r\nHost: b\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read");
-    raw
+fn post(addr: SocketAddr, target: &str, body: &str) -> FetchedResponse {
+    http_post(&addr.to_string(), target, body, TIMEOUT).expect("POST")
 }
 
 /// `cargo test` runs bench targets with `--test`; setup must stay small

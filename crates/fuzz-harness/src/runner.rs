@@ -6,8 +6,12 @@ use crate::gen::{case, Case};
 use lesm_core::pipeline::{LatentStructureMiner, MinedStructure};
 use lesm_corpus::Corpus;
 use lesm_eval::pmi::{pmi_topic, CoOccurrenceStats};
-use std::io::{Read, Write};
+use lesm_serve::client::{http_get, FetchedResponse};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
+
+/// Read, write and connect timeout of each request to a served case.
+const HTTP_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How one adversarial case ended. Both variants satisfy the contract;
 /// everything else is a [`CaseFailure`].
@@ -154,10 +158,10 @@ pub fn run_batch(ids: impl Iterator<Item = usize>) -> (usize, usize, Vec<CaseFai
 
 /// Mines case `id`, snapshots it, serves the snapshot on an ephemeral
 /// port, and exercises every endpoint with hostile requests. Returns the
-/// raw responses for inspection; any panic, hung worker, or malformed
-/// response is a failure. Cases whose mine ends in a typed error are
-/// reported as `Ok(vec![])`.
-pub fn run_server_case(id: usize) -> Result<Vec<String>, CaseFailure> {
+/// responses for inspection; any panic, hung worker, or response the
+/// client cannot parse is a failure. Cases whose mine ends in a typed
+/// error are reported as `Ok(vec![])`.
+pub fn run_server_case(id: usize) -> Result<Vec<FetchedResponse>, CaseFailure> {
     let Case { label, corpus, config } = case(id);
     let fail = |detail: String| CaseFailure { id, label: label.clone(), detail };
 
@@ -198,14 +202,8 @@ pub fn run_server_case(id: usize) -> Result<Vec<String>, CaseFailure> {
     ];
     let mut responses = Vec::new();
     for target in targets {
-        match http_get(&addr.to_string(), target) {
-            Ok(resp) => {
-                if !resp.starts_with("HTTP/1.1 ") {
-                    handle.shutdown();
-                    return Err(fail(format!("{target}: malformed response {resp:?}")));
-                }
-                responses.push(resp);
-            }
+        match http_get(&addr.to_string(), target, HTTP_TIMEOUT) {
+            Ok(resp) => responses.push(resp),
             Err(e) => {
                 handle.shutdown();
                 return Err(fail(format!("{target}: {e}")));
@@ -214,20 +212,6 @@ pub fn run_server_case(id: usize) -> Result<Vec<String>, CaseFailure> {
     }
     handle.shutdown();
     Ok(responses)
-}
-
-/// Minimal HTTP/1.1 GET returning the raw response text.
-fn http_get(addr: &str, target: &str) -> Result<String, String> {
-    let mut stream = std::net::TcpStream::connect(addr).map_err(|e| e.to_string())?;
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
-        .map_err(|e| e.to_string())?;
-    stream
-        .write_all(format!("GET {target} HTTP/1.1\r\nHost: fuzz\r\n\r\n").as_bytes())
-        .map_err(|e| e.to_string())?;
-    let mut out = String::new();
-    stream.read_to_string(&mut out).map_err(|e| e.to_string())?;
-    Ok(out)
 }
 
 /// Round-trips structures whose floats are raw non-finite bit patterns
@@ -687,12 +671,8 @@ fn drive_update(
     .map_err(|e| format!("Server::start_model: {e}"))?;
     let addr = handle.addr();
     for target in ["/healthz", "/hierarchy", "/search?q=word", "/search?q=", "/topics/999999"] {
-        match http_get(&addr.to_string(), target) {
-            Ok(resp) if resp.starts_with("HTTP/1.1 ") => {}
-            Ok(resp) => {
-                handle.shutdown();
-                return Err(format!("{target}: malformed response {resp:?}"));
-            }
+        match http_get(&addr.to_string(), target, HTTP_TIMEOUT) {
+            Ok(_) => {}
             Err(e) => {
                 handle.shutdown();
                 return Err(format!("{target}: {e}"));

@@ -308,7 +308,7 @@ fn synthetic_index() -> Result<QueryIndex, QueryError> {
     )
     .map_err(|e| QueryError::Internal(e.to_string()))?;
     let mined = lesm_core::model_from_truth(&papers);
-    QueryIndex::build(IndexParts::from_model(&papers.corpus, &mined, None)?)
+    QueryIndex::build(IndexParts::from_model(&papers.corpus, &mined)?)
 }
 
 /// A random program over `index`'s names, topics and edges. Unknown names

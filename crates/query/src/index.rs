@@ -2,9 +2,8 @@
 //! against.
 //!
 //! Built from [`IndexParts`] only, so every backend — an owned model
-//! (benches), a mapped v2 snapshot (cold section decoded once), or a
-//! front tier that merged shard contributions — constructs bit-identical
-//! state. All doc-derived quantities are set unions or integer counts;
+//! (benches), a mapped v2 snapshot or any one shard of it (parts read
+//! from its hot sections) — constructs bit-identical state. All doc-derived quantities are set unions or integer counts;
 //! the only floating-point inference (TPFG advisor edges) runs over the
 //! identical global paper list on every backend, so its outputs are
 //! bit-identical too (DESIGN.md §11, §14).

@@ -53,7 +53,7 @@ pub enum QueryError {
     /// engine's `u32` node ids. Raised at [`QueryIndex::build`] time so
     /// traversal never silently truncates ids.
     IndexOverflow(String),
-    /// Malformed internal state (e.g. a bad shard parts payload).
+    /// Malformed internal state (e.g. a model that fails to build).
     Internal(String),
 }
 
@@ -313,37 +313,6 @@ mod tests {
             }
             other => panic!("stale cursor must be a typed BadCursor, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn sharded_parts_merge_matches_single_build() {
-        // Split the fixture docs across 3 "shards", merge, and compare a
-        // doc-derived query byte-for-byte with the unsharded build.
-        let parts = fixture_parts();
-        let mut shards: Vec<IndexParts> = (0..3)
-            .map(|s| {
-                let mut p = parts.clone();
-                p.docs = parts
-                    .docs
-                    .iter()
-                    .filter(|d| (d.gid % 3) == s)
-                    .cloned()
-                    .collect();
-                p
-            })
-            .collect();
-        // Round-trip each shard's contribution through the wire format.
-        for p in &mut shards {
-            *p = IndexParts::parse_text(&p.to_text()).unwrap();
-        }
-        let merged = QueryIndex::build(IndexParts::merge(shards).unwrap()).unwrap();
-        let single = QueryIndex::build(parts).unwrap();
-        let body = r#"{"steps": [
-            {"filter": {"type": "author", "years": {"min": 2001}}},
-            {"traverse": {"edge": "coauthor"}},
-            {"rank": {"by": "combined", "topic": "o/1"}}
-        ]}"#;
-        assert_eq!(run_query(&merged, body).unwrap(), run_query(&single, body).unwrap());
     }
 
     fn fixture_parts() -> IndexParts {

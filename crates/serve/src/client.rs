@@ -1,12 +1,13 @@
-//! A minimal blocking HTTP/1.1 client for shard fan-out.
+//! A minimal blocking HTTP/1.1 client for shard fan-out and for tests.
 //!
-//! Just enough protocol for talking to our own server: one `GET`, a
-//! status line, headers (only `Content-Length` is interpreted), a body,
-//! `Connection: close` semantics. Hand-rolled over `std::net` because the
-//! workspace is dependency-free; the front tier controls both ends of the
-//! wire, so tolerance for exotic peers is not a goal.
+//! Just enough protocol for talking to our own server: one `GET` or
+//! `POST`, a status line, headers (only `Content-Length` is interpreted),
+//! a body, `Connection: close` semantics. Hand-rolled over `std::net`
+//! because the workspace is dependency-free; the front tier controls both
+//! ends of the wire, so tolerance for exotic peers is not a goal, but a
+//! hostile peer still gets a typed error, never a panic.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -110,20 +111,28 @@ fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<FetchedResponse>
             }
         }
     }
-    let body = match content_length {
+    // The body grows as bytes arrive: a peer's Content-Length is only an
+    // upper bound, never an allocation size. Without one, read to close
+    // (the HTTP/1.1 fallback; our server always sends it).
+    let mut body = Vec::new();
+    match content_length {
         Some(n) => {
-            let mut body = vec![0u8; n];
-            reader.read_exact(&mut body)?;
-            body
+            reader.by_ref().take(u64::try_from(n).unwrap_or(u64::MAX)).read_to_end(&mut body)?;
+            if body.len() < n {
+                return Err(bad(format!("body ended after {} of {n} bytes", body.len())));
+            }
+            // `Connection: close`: the exchange ends when the peer closes,
+            // which our server does once it has finished the request, its
+            // metrics included. A byte past the body is a framing error; a
+            // peer holding the connection open costs one read timeout.
+            if matches!(reader.read(&mut [0u8; 1]), Ok(1..)) {
+                return Err(bad(format!("bytes after the {n}-byte body")));
+            }
         }
-        // Our server always sends Content-Length, but read-to-close is
-        // the correct HTTP/1.1 fallback and costs nothing.
         None => {
-            let mut body = Vec::new();
             reader.read_to_end(&mut body)?;
-            body
         }
-    };
+    }
     Ok(FetchedResponse { status, content_type, body })
 }
 
@@ -152,5 +161,11 @@ mod tests {
     fn garbage_is_a_typed_io_error() {
         assert!(read_response(&mut &b"not http at all\r\n\r\n"[..]).is_err());
         assert!(read_response(&mut &b"HTTP/1.1 200 OK\r\nContent-Length: 99\r\n\r\nshort"[..]).is_err());
+        // A length no body could have is a short body, not an allocation.
+        let huge = b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\nshort";
+        let err = read_response(&mut &huge[..]).expect_err("short body");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let long = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nlong";
+        assert!(read_response(&mut &long[..]).is_err());
     }
 }

@@ -3,11 +3,16 @@
 //! A front server owns no model. It holds the shard address list from a
 //! shard manifest and answers the same endpoints a single server does:
 //!
-//! * `/topics/{id}` and `/hierarchy` depend only on the mined structure,
-//!   which sharding replicates to every shard, so any shard gives the
-//!   byte-identical answer. The front routes each request target through
-//!   a deterministic consistent-hash ring purely to spread load; ring
-//!   choice can never change response bytes.
+//! * `/topics/{id}`, `/hierarchy` and `POST /query` need no shard's own
+//!   documents: sharding replicates the mined structure, and every shard
+//!   carries every document's `doc-facts` row, so any shard builds the
+//!   unsharded query index and gives the byte-identical answer. The
+//!   front forwards each request to one shard, picked by a deterministic
+//!   consistent-hash ring over its cache key (target, plus the body of a
+//!   `POST /query`) purely to spread load; ring choice can never change
+//!   response bytes. A query cursor stamps the hash of the canonical
+//!   parts text, which is the same on every shard, so a page stream may
+//!   resume on any of them.
 //! * `/search` depends on the documents, which are partitioned. The
 //!   front fans out to **every** shard's `/internal/search`, whose lines
 //!   carry raw score bits and the global document id ahead of the
@@ -18,18 +23,13 @@
 //!   order is total, the merged page is byte-identical to the unsharded
 //!   answer for any shard count (DESIGN.md §11, §13).
 //!
-//! * `POST /query` needs the whole document set at once (traversals
-//!   cross shard boundaries), so the front instead fetches every shard's
-//!   `/internal/qparts` contribution once, merges them into the exact
-//!   parts an unsharded server extracts, and runs the same query engine
-//!   locally (see `Served::query_state` in `server.rs`; DESIGN.md §14).
-//!
-//! Fronts also answer `/internal/search` (returning merged lines *with*
-//! prefixes) and `/internal/qparts` (returning the merged parts), so
-//! fronts compose over fronts.
+//! An unreachable shard is a typed `503 shard unavailable`, never a 500
+//! or a hang (the shard timeout bounds every call). Fronts also answer
+//! `/internal/search` (returning merged lines *with* prefixes), so fronts
+//! compose over fronts.
 
 use crate::cache::FnvHasher;
-use crate::client::{http_get, FetchedResponse};
+use crate::client::{http_get, http_post, FetchedResponse};
 use crate::http::{Request, Response};
 use crate::ServeError;
 use std::hash::Hasher;
@@ -96,11 +96,17 @@ impl Front {
         &self.shards[shard]
     }
 
-    /// Forwards a replicated-structure request (`/topics/*`,
-    /// `/hierarchy`) to the ring-picked shard and relays its response.
+    /// Forwards a request any shard can answer (`/topics/*`,
+    /// `/hierarchy`, `POST /query`) to the shard the ring picks for its
+    /// cache key, and relays the response.
     pub fn forward(&self, req: &Request) -> Response {
-        let target = req.target();
-        match http_get(self.pick(&target), &target, self.timeout) {
+        let (target, addr) = (req.target(), self.pick(&req.cache_key()));
+        let fetched = if req.method == "POST" {
+            http_post(addr, &target, &req.body, self.timeout)
+        } else {
+            http_get(addr, &target, self.timeout)
+        };
+        match fetched {
             Ok(fetched) => relay(fetched),
             Err(e) => Response::error(503, &format!("shard unavailable: {e}")),
         }
@@ -151,32 +157,6 @@ impl Front {
             body.push('\n');
         }
         Response::ok(body)
-    }
-
-    /// Fetches `/internal/qparts` from **every** shard and merges the
-    /// contributions into the parts an unsharded server would extract:
-    /// replicated metadata from the first shard, document records
-    /// re-sorted by global id. Any unreachable or malformed shard aborts
-    /// with the 503 to send — a partial index would silently answer
-    /// queries wrong, which is worse than failing loudly.
-    pub fn fetch_parts(&self) -> Result<lesm_query::IndexParts, Response> {
-        let mut parts = Vec::with_capacity(self.shards.len());
-        for addr in &self.shards {
-            let fetched = http_get(addr, "/internal/qparts", self.timeout)
-                .map_err(|e| Response::error(503, &format!("shard unavailable: {e}")))?;
-            if fetched.status != 200 {
-                return Err(Response::error(
-                    503,
-                    &format!("shard {addr} answered {}", fetched.status),
-                ));
-            }
-            let p = lesm_query::IndexParts::parse_text(&fetched.text()).map_err(|e| {
-                Response::error(503, &format!("shard {addr} sent bad parts: {e}"))
-            })?;
-            parts.push(p);
-        }
-        lesm_query::IndexParts::merge(parts)
-            .map_err(|e| Response::error(503, &format!("parts merge failed: {e}")))
     }
 }
 

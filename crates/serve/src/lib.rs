@@ -43,7 +43,7 @@ pub use front::Front;
 pub use metrics::Metrics;
 pub use query::{load_model_file, Model};
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use shard::{load_manifest, shard_model, write_shards, ShardBy, ShardManifest};
+pub use shard::{load_manifest, write_shards, ShardBy, ShardManifest};
 pub use snapshot::{is_snapshot_bytes, is_snapshot_file, Snapshot, MAGIC};
 pub use v2::{
     describe_artifact, describe_artifact_file, save_snapshot_v2, save_snapshot_v2_with_lineage,

@@ -20,8 +20,7 @@ pub enum Endpoint {
     Healthz,
     /// `GET /metrics`.
     Metrics,
-    /// `GET /internal/search` and `GET /internal/qparts` (shard fan-out
-    /// traffic from a front tier).
+    /// `GET /internal/search` (shard fan-out traffic from a front tier).
     Internal,
     /// `POST /query`.
     Query,

@@ -71,16 +71,12 @@ impl Model {
         hierarchy_to_json(self.view(), top_n)
     }
 
-    /// Extracts the canonical [`lesm_query::IndexParts`] for the query
-    /// engine: fully decodes the cold section once (query-index
-    /// construction is a cold, memoized event — see `Served`) and
-    /// keys documents by their **global** ids, so sharded and unsharded
-    /// builds are byte-identical downstream (DESIGN.md §14).
+    /// The canonical [`lesm_query::IndexParts`] for the query engine,
+    /// read from the artifact's hot sections
+    /// ([`MappedSnapshot::query_parts`]): documents are keyed by their
+    /// **global** ids, and a shard holds every document's record, so any
+    /// shard builds the unsharded model's index (DESIGN.md §14).
     pub fn query_parts(&self) -> Result<lesm_query::IndexParts, String> {
-        let m = self.view();
-        let ids: Vec<u64> = (0..m.num_docs()).map(|d| m.doc_id(d)).collect();
-        let snap = m.to_snapshot().map_err(|e| e.to_string())?;
-        lesm_query::IndexParts::from_model(&snap.corpus, &snap.mined, Some(&ids))
-            .map_err(|e| e.to_string())
+        Ok(self.view().query_parts())
     }
 }

@@ -13,12 +13,14 @@
 //! A server runs one of two backends:
 //!
 //! * **Local**: a zero-copy mapped v2 artifact behind [`Model`].
-//! * **Front**: no model; fan-out over the shards of a manifest
-//!   ([`crate::front::Front`]), byte-identical to a single server over
-//!   the unsharded model.
+//! * **Front**: no model and no query index; `/search` fans out over
+//!   the shards of a manifest and every other endpoint is forwarded to
+//!   one of them ([`crate::front::Front`]), byte-identical to a single
+//!   server over the unsharded model.
 //!
-//! The backend, its response cache and its memoized query index form one
-//! swap unit, `Served`, behind an `RwLock<Arc<..>>`. Each request clones
+//! The backend, its response cache and its memoized query index (a local
+//! backend's; a front forwards `/query` and builds none) form one swap
+//! unit, `Served`, behind an `RwLock<Arc<..>>`. Each request clones
 //! the `Arc` once and answers, caches and builds against that one value
 //! for its whole lifetime. A store watcher hot-swaps by storing a fresh
 //! `Served`; nothing is cleared or reset, and a request still running on
@@ -93,23 +95,13 @@ enum Backend {
     Front(Front),
 }
 
-/// The query-engine state: the canonical parts serialization (served
-/// verbatim at `/internal/qparts`) and the index built from the same
-/// parts (executed by `POST /query`). Local backends extract parts from
-/// the model, fronts fan out to every shard's `/internal/qparts` and
-/// merge.
-struct QueryState {
-    parts_text: String,
-    index: QueryIndex,
-}
-
 /// Everything derived from one model, swapped as one value: the backend,
-/// the responses computed from it and its query state, built on first
-/// use.
+/// the responses computed from it and, for a local backend, its query
+/// index, built on the first `/query`.
 struct Served {
     backend: Backend,
     cache: ShardedLruCache<Response>,
-    query: OnceLock<QueryState>,
+    query: OnceLock<QueryIndex>,
 }
 
 impl Served {
@@ -121,26 +113,19 @@ impl Served {
         })
     }
 
-    /// The query state, building and memoizing it on first use. Failures
-    /// (front with an unreachable shard, a model that fails to decode)
-    /// are returned as the response to send and are *not* memoized, so a
-    /// recovered shard serves the next request normally. Two workers
-    /// racing the first build both compute the identical state and the
-    /// first to finish is kept.
-    fn query_state(&self) -> Result<&QueryState, Response> {
-        if let Some(qs) = self.query.get() {
-            return Ok(qs);
+    /// `model`'s query index, building and memoizing it on first use. A
+    /// failed build is returned as the response to send and is not
+    /// memoized. Two workers racing the first build both compute the
+    /// identical index and the first to finish is kept.
+    fn query_index(&self, model: &Model) -> Result<&QueryIndex, Response> {
+        if let Some(index) = self.query.get() {
+            return Ok(index);
         }
-        let parts = match &self.backend {
-            Backend::Local(model) => model
-                .query_parts()
-                .map_err(|e| Response::error(500, &format!("query index build failed: {e}")))?,
-            Backend::Front(front) => front.fetch_parts()?,
-        };
-        let parts_text = parts.to_text();
-        let index = QueryIndex::build(parts)
+        let index = model
+            .query_parts()
+            .and_then(|parts| QueryIndex::build(parts).map_err(|e| e.to_string()))
             .map_err(|e| Response::error(500, &format!("query index build failed: {e}")))?;
-        Ok(self.query.get_or_init(|| QueryState { parts_text, index }))
+        Ok(self.query.get_or_init(|| index))
     }
 }
 
@@ -402,7 +387,7 @@ fn route(req: &Request, state: &Arc<ServerState>) -> (Endpoint, Arc<Response>) {
         "/hierarchy" => Endpoint::Hierarchy,
         "/healthz" => Endpoint::Healthz,
         "/metrics" => Endpoint::Metrics,
-        "/internal/search" | "/internal/qparts" => Endpoint::Internal,
+        "/internal/search" => Endpoint::Internal,
         "/query" => Endpoint::Query,
         p if p.starts_with("/topics/") => Endpoint::Topics,
         _ => Endpoint::Other,
@@ -452,27 +437,13 @@ fn cached(
 }
 
 fn compute(endpoint: Endpoint, req: &Request, served: &Served, top_n: usize) -> Response {
-    // The query engine runs the same code path on every backend: a local
-    // server indexes its own model, a front indexes the shard-merged
-    // parts, and `run_query` over either index is byte-identical to the
-    // unsharded answer (DESIGN.md §14).
-    match endpoint {
-        Endpoint::Query => return handle_query(req, served),
-        Endpoint::Internal if req.path == "/internal/qparts" => {
-            return match served.query_state() {
-                Ok(qs) => Response::ok(qs.parts_text.clone()),
-                Err(response) => response,
-            };
-        }
-        _ => {}
-    }
     let model = match &served.backend {
         Backend::Local(model) => model,
         Backend::Front(front) => {
             return match endpoint {
                 Endpoint::Search => front.search(req, top_n, false),
                 Endpoint::Internal => front.search(req, top_n, true),
-                Endpoint::Topics | Endpoint::Hierarchy => front.forward(req),
+                Endpoint::Topics | Endpoint::Hierarchy | Endpoint::Query => front.forward(req),
                 // Non-query endpoints never reach here (route() answers
                 // them directly); answer 404 instead of panicking if that
                 // changes.
@@ -485,6 +456,7 @@ fn compute(endpoint: Endpoint, req: &Request, served: &Served, top_n: usize) -> 
         Endpoint::Internal => handle_search(req, model, top_n, true),
         Endpoint::Topics => handle_topic(req, model, top_n),
         Endpoint::Hierarchy => Response::json(model.hierarchy_json(top_n)),
+        Endpoint::Query => handle_query(req, model, served),
         _ => Response::error(404, "no such endpoint"),
     }
 }
@@ -493,12 +465,12 @@ fn compute(endpoint: Endpoint, req: &Request, served: &Served, top_n: usize) -> 
 /// `lesm_query::run_query`, which is a pure function of (index, body).
 /// Malformed programs and cursors are the client's fault (400, typed
 /// message); only an index that cannot be built is a server error.
-fn handle_query(req: &Request, served: &Served) -> Response {
-    let qs = match served.query_state() {
-        Ok(qs) => qs,
+fn handle_query(req: &Request, model: &Model, served: &Served) -> Response {
+    let index = match served.query_index(model) {
+        Ok(index) => index,
         Err(response) => return response,
     };
-    match lesm_query::run_query(&qs.index, &req.body) {
+    match lesm_query::run_query(index, &req.body) {
         Ok(body) => Response::json(body),
         Err(e) if e.is_request_error() => Response::error(400, &e.to_string()),
         Err(e) => Response::error(500, &e.to_string()),

@@ -10,7 +10,9 @@
 //!
 //! Each shard is written as a format-v2 artifact whose `doc-ids` section
 //! maps shard-local document rows back to global document ids, plus a
-//! `manifest.json` naming the shard files in order.
+//! `manifest.json` naming the shard files in order. The `doc-facts`
+//! section (each document's entity links, year and leaf topic) is
+//! replicated too, so every shard answers `POST /query` on its own.
 
 use crate::v2::save_snapshot_v2_with_lineage;
 use crate::{ServeError, SnapshotError};
@@ -84,45 +86,6 @@ pub fn assign_docs(corpus: &Corpus, mined: &MinedStructure, by: ShardBy, n: usiz
     }
 }
 
-/// One extracted shard: the document subset plus the replicated
-/// structure, and the global id of each local document row.
-pub struct Shard {
-    /// Shard-local corpus (full vocabulary/entities, subset documents).
-    pub corpus: Corpus,
-    /// Shard-local structure (replicated, subset doc rows).
-    pub mined: MinedStructure,
-    /// `global_ids[local_doc] = global doc id`.
-    pub global_ids: Vec<u64>,
-}
-
-/// Splits the model into `n` shards. Shards may be empty; document order
-/// within a shard preserves ascending global document id.
-pub fn shard_model(corpus: &Corpus, mined: &MinedStructure, by: ShardBy, n: usize) -> Vec<Shard> {
-    let n = n.max(1);
-    let assignment = assign_docs(corpus, mined, by, n);
-    (0..n)
-        .map(|s| {
-            let docs: Vec<usize> =
-                (0..corpus.num_docs()).filter(|&d| assignment[d] == s).collect();
-            let mut shard_corpus = corpus.clone();
-            shard_corpus.docs = docs.iter().map(|&d| corpus.docs[d].clone()).collect();
-            let shard_mined = MinedStructure {
-                hierarchy: mined.hierarchy.clone(),
-                topic_phrases: mined.topic_phrases.clone(),
-                topic_entities: mined.topic_entities.clone(),
-                phrase_topic_freq: mined.phrase_topic_freq.clone(),
-                segments: docs.iter().map(|&d| mined.segments[d].clone()).collect(),
-                doc_topic: docs.iter().map(|&d| mined.doc_topic[d].clone()).collect(),
-            };
-            Shard {
-                corpus: shard_corpus,
-                mined: shard_mined,
-                global_ids: docs.iter().map(|&d| d as u64).collect(),
-            }
-        })
-        .collect()
-}
-
 /// A written shard set: the manifest contents.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardManifest {
@@ -156,7 +119,8 @@ impl ShardManifest {
 }
 
 /// Writes the shard artifacts (`shard-0000.lesm`, ...) and
-/// `manifest.json` into `out_dir`, creating it if needed.
+/// `manifest.json` into `out_dir`, creating it if needed. Shards may be
+/// empty.
 pub fn write_shards(
     corpus: &Corpus,
     mined: &MinedStructure,
@@ -165,15 +129,20 @@ pub fn write_shards(
     out_dir: &Path,
 ) -> Result<ShardManifest, SnapshotError> {
     std::fs::create_dir_all(out_dir).map_err(SnapshotError::Io)?;
-    let shards = shard_model(corpus, mined, by, n);
+    let n = n.max(1);
+    let assignment = assign_docs(corpus, mined, by, n);
     let mut manifest =
         ShardManifest { by: by.name().to_string(), files: Vec::new(), docs: Vec::new() };
-    for (i, shard) in shards.iter().enumerate() {
+    for i in 0..n {
         let file = format!("shard-{i:04}.lesm");
-        let ids = Some(shard.global_ids.as_slice());
-        let bytes = save_snapshot_v2_with_lineage(&shard.corpus, &shard.mined, ids, None)?;
+        // Ascending global ids: document order within a shard preserves it.
+        let ids: Vec<u64> = (0..corpus.num_docs())
+            .filter(|&d| assignment[d] == i)
+            .map(|d| d as u64)
+            .collect();
+        let bytes = save_snapshot_v2_with_lineage(corpus, mined, Some(&ids), None)?;
         std::fs::write(out_dir.join(&file), bytes).map_err(SnapshotError::Io)?;
-        manifest.docs.push(shard.global_ids.len());
+        manifest.docs.push(ids.len());
         manifest.files.push(file);
     }
     std::fs::write(out_dir.join("manifest.json"), manifest.to_json())

@@ -39,12 +39,18 @@
 //! element alignment; because every section starts 64-byte aligned and
 //! the mapping base is at least 8-byte aligned, every array view is
 //! correctly aligned for its element type. The rarely-read remainder of
-//! the model (EM fits, per-topic phi/networks, entity links, segments)
-//! lives in a single *cold* section, packed without padding: u64 length
-//! prefixes, 0/1 option tags, values back to back. The same writer and
-//! cursor as the other sections write and read it, through their packed
-//! methods, and only [`MappedSnapshot::to_snapshot`] decodes it — never
-//! the load hot path.
+//! the model (EM fits, per-topic phi/networks, labels, segments) lives in
+//! a single *cold* section, packed without padding: u64 length prefixes,
+//! 0/1 option tags, values back to back. The same writer and cursor as
+//! the other sections write and read it, through their packed methods,
+//! and only [`MappedSnapshot::to_snapshot`] decodes it — never the load
+//! hot path.
+//!
+//! The `doc-facts` section holds what the query engine reads per
+//! document: entity links, year and leaf topic, one row per document of
+//! the whole model, indexed by global document id. A shard carries every
+//! row, so it can build the full query index on its own
+//! ([`MappedSnapshot::query_parts`]).
 //!
 //! Any other version tag — including the retired v1 streaming format —
 //! fails with [`SnapshotError::VersionMismatch`]; rebuild such an
@@ -66,6 +72,7 @@ use lesm_hier::em::EmFit;
 use lesm_hier::hierarchy::HierTopic;
 use lesm_hier::TopicHierarchy;
 use lesm_net::{LinkBlock, TypedNetwork};
+use lesm_query::{DocRecord, IndexParts, TopicMeta};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -93,7 +100,7 @@ struct Section {
 
 /// Every v2 section, in byte order. The loader parses them in this order
 /// too, so a section may check itself against the ones above it.
-const SECTIONS: [Section; 11] = [
+const SECTIONS: [Section; 12] = [
     Section { id: 1, name: "vocab", optional: false, write: write_vocab, parse: parse_vocab },
     Section {
         id: 2,
@@ -127,6 +134,13 @@ const SECTIONS: [Section; 11] = [
         parse: parse_doc_topic,
     },
     Section { id: 9, name: "doc-ids", optional: false, write: write_doc_ids, parse: parse_doc_ids },
+    Section {
+        id: 12,
+        name: "doc-facts",
+        optional: false,
+        write: write_doc_facts,
+        parse: parse_doc_facts,
+    },
     Section { id: 10, name: "cold", optional: false, write: write_cold, parse: parse_cold },
     Section {
         id: 11,
@@ -286,8 +300,9 @@ impl ArenaWriter {
 struct SaveInput<'a> {
     corpus: &'a Corpus,
     mined: &'a MinedStructure,
-    /// Global id of each local document (identity when absent).
-    doc_ids: Option<&'a [u64]>,
+    /// The documents the artifact holds, by global id: all of them, or
+    /// one shard's.
+    docs: Vec<usize>,
     delta: Option<&'a DeltaInfo>,
 }
 
@@ -299,20 +314,48 @@ pub fn save_snapshot_v2(corpus: &Corpus, mined: &MinedStructure) -> Result<Vec<u
     save_snapshot_v2_with_lineage(corpus, mined, None, None)
 }
 
-/// Serializes a v2 artifact. `doc_ids`, when given, maps the local
-/// document index to its global id (used by shards so merged responses
-/// render the same document numbers as an unsharded server); it must
-/// have one entry per document. `delta`, when given, stamps the artifact
-/// with delta lineage (see [`DeltaInfo`]). Artifacts written without
-/// lineage are compacted full artifacts; readers treat both identically
-/// apart from [`MappedSnapshot::delta_info`].
+/// Serializes a v2 artifact. `doc_ids`, when given, makes it a shard of
+/// the model: it holds only the documents with those global ids (indices
+/// into `corpus.docs`), in the given order, and renders them under those
+/// ids, while the replicated structure and the `doc-facts` rows cover
+/// every document. `delta`, when given, stamps the artifact with delta
+/// lineage (see [`DeltaInfo`]). Artifacts written without lineage are
+/// compacted full artifacts; readers treat both identically apart from
+/// [`MappedSnapshot::delta_info`].
 pub fn save_snapshot_v2_with_lineage(
     corpus: &Corpus,
     mined: &MinedStructure,
     doc_ids: Option<&[u64]>,
     delta: Option<&DeltaInfo>,
 ) -> Result<Vec<u8>, SnapshotError> {
-    let input = SaveInput { corpus, mined, doc_ids, delta };
+    let n = corpus.docs.len();
+    let invalid = |what: String| SnapshotError::Malformed { offset: 0, what };
+    // Every per-document table is indexed by document, and `doc-facts`
+    // reads each document's leaf topic from its doc-topic row.
+    let n_topics = mined.hierarchy.topics.len();
+    if mined.doc_topic.len() != n || mined.segments.len() != n {
+        return Err(invalid(format!(
+            "the mined structure has {} doc-topic rows and {} segment lists for {n} documents",
+            mined.doc_topic.len(),
+            mined.segments.len()
+        )));
+    }
+    if let Some(d) = mined.doc_topic.iter().position(|row| row.len() != n_topics) {
+        return Err(invalid(format!("doc-topic row {d} does not hold one weight per topic")));
+    }
+    let docs = match doc_ids {
+        None => (0..n).collect(),
+        Some(ids) => ids
+            .iter()
+            .map(|&g| {
+                usize::try_from(g)
+                    .ok()
+                    .filter(|&d| d < n)
+                    .ok_or_else(|| invalid(format!("document id {g} is past the model's {n}")))
+            })
+            .collect::<Result<_, _>>()?,
+    };
+    let input = SaveInput { corpus, mined, docs, delta };
     // Delta lineage is the one optional section: written exactly when the
     // save carries lineage.
     let present: Vec<&Section> =
@@ -390,7 +433,7 @@ fn write_entities(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), Snapshot
 }
 
 fn write_docs(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
-    let docs = &s.corpus.docs;
+    let docs: Vec<&Doc> = s.docs.iter().map(|&d| &s.corpus.docs[d]).collect();
     w.u64(docs.len() as u64);
     w.bounds(docs.iter().map(|d| d.tokens.len()));
     w.align(4);
@@ -488,21 +531,43 @@ fn write_ptf(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError
 }
 
 fn write_doc_topic(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
-    let rows = &s.mined.doc_topic;
+    let rows: Vec<&Vec<f64>> = s.docs.iter().map(|&d| &s.mined.doc_topic[d]).collect();
     w.u64(rows.len() as u64);
     w.bounds(rows.iter().map(|r| r.len()));
-    for &v in rows.iter().flatten() {
+    for &v in rows.iter().copied().flatten() {
         w.f64(v);
     }
     Ok(())
 }
 
 fn write_doc_ids(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
-    let n = s.corpus.docs.len();
-    w.u64(n as u64);
+    w.u64(s.docs.len() as u64);
     w.align(8);
-    for d in 0..n {
-        w.u64(s.doc_ids.and_then(|ids| ids.get(d).copied()).unwrap_or(d as u64));
+    for &d in &s.docs {
+        w.u64(d as u64);
+    }
+    Ok(())
+}
+
+/// One row per document of the whole model, indexed by global id: its
+/// entity links, its leaf topic, and its year (a value plus a known flag).
+fn write_doc_facts(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
+    let docs = &s.corpus.docs;
+    w.u64(docs.len() as u64);
+    w.bounds(docs.iter().map(|d| d.entities.len()));
+    w.align(4);
+    for e in docs.iter().flat_map(|d| &d.entities) {
+        w.u32(crate::wire_u32(e.etype, "entity type id")?);
+        w.u32(e.id);
+    }
+    for d in 0..docs.len() {
+        w.u32(crate::wire_u32(s.mined.doc_leaf(d), "leaf topic")?);
+    }
+    for doc in docs {
+        w.i32(doc.year.unwrap_or(0));
+    }
+    for doc in docs {
+        w.u8(u8::from(doc.year.is_some()));
     }
     Ok(())
 }
@@ -531,18 +596,12 @@ fn write_cold(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotErro
     for alpha in &h.alphas {
         w.option(alpha.as_ref(), |w, a| w.f64_seq(a));
     }
-    w.u64(s.corpus.docs.len() as u64);
-    for doc in &s.corpus.docs {
-        w.u64(doc.entities.len() as u64);
-        for e in &doc.entities {
-            w.u32(crate::wire_u32(e.etype, "entity type id")?);
-            w.u32(e.id);
-        }
-        w.option(doc.label.as_ref(), |w, &l| w.u32(l));
-        w.option(doc.year.as_ref(), |w, &y| w.i32(y));
+    w.u64(s.docs.len() as u64);
+    for &d in &s.docs {
+        w.option(s.corpus.docs[d].label.as_ref(), |w, &l| w.u32(l));
     }
-    w.u64(s.mined.segments.len() as u64);
-    for doc_segs in &s.mined.segments {
+    w.u64(s.docs.len() as u64);
+    for doc_segs in s.docs.iter().map(|&d| &s.mined.segments[d]) {
         w.u64(doc_segs.len() as u64);
         for seg in doc_segs {
             w.u32_seq(seg);
@@ -683,6 +742,14 @@ struct Layout {
     dt_values: ArrayRef,
     // doc ids
     doc_ids: ArrayRef,
+    // doc facts, one row per global document
+    n_fact_rows: usize,
+    fact_link_bounds: ArrayRef,
+    /// Flattened `(etype, id)` pairs: two u32 per link.
+    fact_links: ArrayRef,
+    fact_leaves: ArrayRef,
+    fact_years: ArrayRef,
+    fact_year_known: ArrayRef,
     // cold (raw bytes)
     cold: ArrayRef,
     // delta lineage (absent on compacted full artifacts)
@@ -841,11 +908,6 @@ impl<'m> Cursor<'m> {
 
     fn get_u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(le_u64(self.take(8)?))
-    }
-
-    fn get_i32(&mut self) -> Result<i32, SnapshotError> {
-        let b = self.take(4)?;
-        Ok(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     fn get_f64(&mut self) -> Result<f64, SnapshotError> {
@@ -1147,6 +1209,68 @@ impl MappedSnapshot {
         &self.f64s(self.layout.dt_values)[a..b]
     }
 
+    // --- doc facts, by global document id ---
+
+    /// Number of `doc-facts` rows: every document of the model this
+    /// artifact was cut from.
+    pub fn num_fact_rows(&self) -> usize {
+        self.layout.n_fact_rows
+    }
+
+    /// Global document `g`'s entity links `(etype, id)`, in stored order.
+    pub(crate) fn fact_links(&self, g: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let (a, b) = self.span(self.layout.fact_link_bounds, g);
+        self.u32s(self.layout.fact_links)[2 * a..2 * b].chunks_exact(2).map(|p| (p[0], p[1]))
+    }
+
+    /// Global document `g`'s leaf topic ([`MinedStructure::doc_leaf`]).
+    pub(crate) fn fact_leaf(&self, g: usize) -> usize {
+        self.u32s(self.layout.fact_leaves)[g] as usize
+    }
+
+    /// Global document `g`'s year, if known.
+    pub(crate) fn fact_year(&self, g: usize) -> Option<i32> {
+        let known = self.map.bytes()[self.layout.fact_year_known.off + g] == 1;
+        known.then(|| i32::from_ne_bytes(self.u32s(self.layout.fact_years)[g].to_ne_bytes()))
+    }
+
+    /// The query engine's model extract, read from the hot sections
+    /// alone: the entity catalog, the topic tree and every `doc-facts`
+    /// row, keyed by global id. A shard holds every row, so its parts
+    /// equal the unsharded model's (DESIGN.md §14).
+    pub fn query_parts(&self) -> IndexParts {
+        let (bounds, offsets, names) =
+            (self.u64s(self.layout.type_bounds), self.layout.ent_name_offsets, self.layout.ent_names);
+        let entity_names = (0..self.layout.n_types)
+            .map(|t| {
+                (bounds[t] as usize..bounds[t + 1] as usize)
+                    .map(|e| self.arena_str(offsets, names, e).to_string())
+                    .collect()
+            })
+            .collect();
+        IndexParts {
+            type_names: (0..self.layout.n_types)
+                .map(|t| self.type_name(t).unwrap_or("").to_string())
+                .collect(),
+            entity_names,
+            topics: (0..self.layout.n_topics)
+                .map(|t| TopicMeta {
+                    parent: self.parent(t),
+                    children: self.children(t).iter().map(|&c| c as usize).collect(),
+                    path: self.path(t).to_string(),
+                })
+                .collect(),
+            docs: (0..self.layout.n_fact_rows)
+                .map(|g| DocRecord {
+                    gid: g as u64,
+                    year: self.fact_year(g),
+                    leaf: self.fact_leaf(g),
+                    entities: self.fact_links(g).collect(),
+                })
+                .collect(),
+        }
+    }
+
     // --- full decode (cold path) ---
 
     /// Fully decodes the artifact into an owned [`Snapshot`] — the only
@@ -1218,6 +1342,14 @@ impl MappedSnapshot {
                     }
                 })?;
             }
+            // Links were checked against the stored catalog; a decoded
+            // catalog that merged repeated names would leave them dangling.
+            if corpus.entities.count(ty) != b - a {
+                return Err(SnapshotError::Malformed {
+                    offset: self.layout.ent_names.off,
+                    what: format!("entity names of type {t} are not distinct"),
+                });
+            }
         }
         let n_cold_docs = r.get_len(1)?;
         if n_cold_docs != self.layout.n_docs {
@@ -1230,36 +1362,11 @@ impl MappedSnapshot {
             });
         }
         for d in 0..n_cold_docs {
-            let n_links = r.get_len(8)?;
-            let mut entities = Vec::with_capacity(n_links);
-            for _ in 0..n_links {
-                let at = r.pos;
-                let etype = r.get_u32()? as usize;
-                let id = r.get_u32()?;
-                if etype >= self.layout.n_types {
-                    return Err(SnapshotError::Malformed {
-                        offset: at,
-                        what: format!(
-                            "entity type {etype} out of range ({} types)",
-                            self.layout.n_types
-                        ),
-                    });
-                }
-                // Checked against the decoded catalog, which is what the
-                // query index sizes its per-entity tables by.
-                let known = corpus.entities.count(etype);
-                if id as usize >= known {
-                    return Err(SnapshotError::Malformed {
-                        offset: at,
-                        what: format!(
-                            "entity {id} of type {etype} out of range ({known} entities)"
-                        ),
-                    });
-                }
-                entities.push(EntityRef::new(etype, id));
-            }
+            let g = self.doc_id(d) as usize;
+            let entities =
+                self.fact_links(g).map(|(t, id)| EntityRef::new(t as usize, id)).collect();
             let label = r.get_option(|r| r.get_u32())?;
-            let year = r.get_option(|r| r.get_i32())?;
+            let year = self.fact_year(g);
             corpus.docs.push(Doc { tokens: self.doc_tokens(d).to_vec(), entities, label, year });
         }
 
@@ -1731,6 +1838,56 @@ fn parse_doc_ids(c: &mut Cursor<'_>, l: &mut Layout) -> Result<(), SnapshotError
     Ok(())
 }
 
+/// Claims the doc-facts rows and checks every reference in them: each
+/// link names a known entity type and an id inside that type's catalog,
+/// each leaf is a leaf topic, each year flag is 0 or 1, and every
+/// document of this artifact has a row.
+fn parse_doc_facts(c: &mut Cursor<'_>, l: &mut Layout) -> Result<(), SnapshotError> {
+    let n = c.count("doc-facts rows")?;
+    l.n_fact_rows = n;
+    let n_links;
+    (l.fact_link_bounds, n_links) = c.bounds(n, "doc-facts link")?;
+    let links = c.array(n_links, 8, 4, "doc-facts links")?;
+    l.fact_links = ArrayRef { off: links.off, count: 2 * n_links };
+    l.fact_leaves = c.array(n, 4, 4, "doc-facts leaves")?;
+    l.fact_years = c.array(n, 4, 4, "doc-facts years")?;
+    l.fact_year_known = c.array(n, 1, 1, "doc-facts year flags")?;
+
+    let map = c.map;
+    let bad = |offset: usize, what: String| SnapshotError::Malformed { offset, what };
+    let type_bounds = map.view_u64(l.type_bounds.off, l.n_types + 1);
+    let pairs = map.view_u32(l.fact_links.off, l.fact_links.count);
+    for (i, pair) in pairs.chunks_exact(2).enumerate() {
+        let (t, id) = (pair[0] as usize, u64::from(pair[1]));
+        let at = links.off + 8 * i;
+        if t >= l.n_types {
+            return Err(bad(at, format!("entity type {t} out of range ({} types)", l.n_types)));
+        }
+        let known = type_bounds[t + 1] - type_bounds[t];
+        if id >= known {
+            return Err(bad(at, format!("entity {id} of type {t} out of range ({known} entities)")));
+        }
+    }
+    let child_bounds = map.view_u64(l.child_bounds.off, l.n_topics + 1);
+    let leaves = map.view_u32(l.fact_leaves.off, n);
+    let not_leaf = |t: usize| t >= l.n_topics || child_bounds[t] != child_bounds[t + 1];
+    if let Some(g) = leaves.iter().position(|&t| not_leaf(t as usize)) {
+        return Err(bad(l.fact_leaves.off + 4 * g, format!("row {g}'s leaf is not a leaf topic")));
+    }
+    let flags = &map.bytes()[l.fact_year_known.off..l.fact_year_known.off + n];
+    if let Some(g) = flags.iter().position(|&f| f > 1) {
+        return Err(bad(l.fact_year_known.off + g, format!("row {g}'s year flag is not 0 or 1")));
+    }
+    let doc_ids = map.view_u64(l.doc_ids.off, l.n_docs);
+    if let Some(d) = doc_ids.iter().position(|&g| g >= n as u64) {
+        return Err(bad(
+            l.doc_ids.off + 8 * d,
+            format!("doc id {} points past the last doc-facts row ({n} rows)", doc_ids[d]),
+        ));
+    }
+    Ok(())
+}
+
 /// The cold section is only claimed here; [`MappedSnapshot::to_snapshot`]
 /// decodes and checks it.
 fn parse_cold(c: &mut Cursor<'_>, l: &mut Layout) -> Result<(), SnapshotError> {
@@ -1909,6 +2066,9 @@ mod tests {
         for d in 0..m.num_docs() {
             let _ = (m.render_doc(d), m.doc_topic(d, 0), m.doc_id(d));
         }
+        for g in 0..m.num_fact_rows() {
+            let _ = (m.fact_links(g).count(), m.fact_leaf(g), m.fact_year(g));
+        }
         for w in 0..m.num_words() as u32 {
             let _ = m.word_id(m.word_or_unk(w));
         }
@@ -1926,13 +2086,10 @@ mod tests {
         let _ = hierarchy_to_json(&m, 5);
         let query = format!("{} {}", m.word_or_unk(0), m.word_or_unk(1));
         let _ = render_hits(&m, &search(&m, m.search_index(), &query, 10));
+        let index = lesm_query::QueryIndex::build(m.query_parts()).map_err(|e| e.to_string())?;
+        let program = r#"{"steps":[{"filter":{"type":"doc","topic":0}},{"traverse":{"edge":"entities"}}]}"#;
+        lesm_query::run_query(&index, program).map_err(|e| e.to_string())?;
         let snap = m.to_snapshot().map_err(|e| e.to_string())?;
-        let ids: Vec<u64> = (0..m.num_docs()).map(|d| m.doc_id(d)).collect();
-        let parts = lesm_query::IndexParts::from_model(&snap.corpus, &snap.mined, Some(&ids))
-            .map_err(|e| e.to_string())?;
-        let index = lesm_query::QueryIndex::build(parts).map_err(|e| e.to_string())?;
-        lesm_query::run_query(&index, r#"{"steps":[{"filter":{"type":"doc","topic":0}}]}"#)
-            .map_err(|e| e.to_string())?;
         let _ =
             crate::shard::assign_docs(&snap.corpus, &snap.mined, crate::ShardBy::TopicSubtree, 2);
         Ok(())
@@ -2035,14 +2192,24 @@ mod tests {
         let first_child = off + 8 * (1 + 3 * n + n + 1);
         load_fails(craft(&bytes, first_child, 99), "child topic 99");
         load_fails(craft(&bytes, off + 8 * (1 + n - 1), n as u64 - 1), "self-parent");
+        // doc-facts (id 12): a count, n + 1 link bounds, then the links as
+        // (etype, id) u32 pairs, so one crafted word rewrites one link.
+        let (off, _) = locate(&bytes, 12);
+        let rows = le_u64(&bytes[off..]) as usize;
+        let links = off + 8 * (2 + rows);
+        let n_links = le_u64(&bytes[links - 8..]) as usize;
+        let n_types = corpus.entities.num_types() as u64;
+        load_fails(craft(&bytes, links, n_types), "entity type past n_types");
+        let past_catalog = corpus.entities.count(0) as u64 + 7;
+        load_fails(craft(&bytes, links, past_catalog << 32), "entity id past its catalog");
+        // Two u32 leaves per word: topic 0, the root, has children.
+        load_fails(craft(&bytes, links + 8 * n_links, 0), "leaf 0 is not a leaf topic");
+        let (ids, _) = locate(&bytes, 9);
+        load_fails(craft(&bytes, ids + 8, rows as u64), "doc id past the last row");
         // A document linking an entity its catalog does not have.
         corpus.docs[0].entities.push(EntityRef::new(0, corpus.entities.count(0) as u32 + 7));
         let dangling = save_snapshot_v2(&corpus, &mined).expect("save");
-        let m = MappedSnapshot::from_bytes(&dangling).expect("hot sections still load");
-        match m.to_snapshot() {
-            Err(SnapshotError::Malformed { .. }) => {}
-            other => panic!("dangling entity id: expected Malformed, got {:?}", other.map(drop)),
-        }
+        load_fails(dangling, "dangling entity id");
     }
 
     /// A cold-section error reports its offset in the artifact, not in
@@ -2082,7 +2249,7 @@ mod tests {
         let map = Mapping::from_bytes(&w.buf);
         let mut r = cursor(&map);
         assert_eq!(r.take(1).unwrap(), [7]);
-        assert_eq!(r.get_i32().unwrap(), -42);
+        assert_eq!(r.take(4).unwrap(), (-42i32).to_le_bytes());
         assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.get_f64().unwrap().to_bits(), nan.to_bits());
         assert_eq!(r.get_string("s").unwrap(), "snapshot ✓");

@@ -10,6 +10,12 @@
 //! the suite: a refactor of the snapshot writer or of any renderer must
 //! reproduce them byte for byte.
 //!
+//! `model.lesm` was regenerated exactly once since, by the change that
+//! added the `doc-facts` section (each document's entity links, year and
+//! leaf topic, moved out of the cold section's per-document records).
+//! Sections 1–9 kept their bytes; the transcript was not regenerated and
+//! still passes.
+//!
 //! Transcript format, one exchange after another:
 //!
 //! ```text

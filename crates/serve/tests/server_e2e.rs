@@ -3,56 +3,20 @@
 //! clients get responses byte-identical to the offline CLI/export output —
 //! for any worker count.
 
-use lesm_core::pipeline::{LatentStructureMiner, MinedStructure, MinerConfig};
-use lesm_corpus::synth::{PapersConfig, SyntheticPapers};
+mod common;
+
+use common::{fixture, get, mapped_model, tmp_dir};
+use lesm_core::pipeline::MinedStructure;
 use lesm_corpus::Corpus;
 use lesm_serve::server::{Server, ServerConfig};
-use lesm_serve::{save_snapshot_v2, MappedSnapshot, Model, ServerHandle};
+use lesm_serve::ServerHandle;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// The model a server loads from `corpus` + `mined`: a v2 artifact,
-/// mapped back from its bytes.
-fn mapped_model(corpus: &Corpus, mined: &MinedStructure) -> Model {
-    let bytes = save_snapshot_v2(corpus, mined).expect("save");
-    Model::Mapped(Box::new(MappedSnapshot::from_bytes(&bytes).expect("load")))
-}
-
-fn fixture() -> (Corpus, MinedStructure) {
-    let papers = SyntheticPapers::generate(&PapersConfig::dblp(80, 9)).expect("synth corpus");
-    let mut config = MinerConfig::default();
-    config.hierarchy.max_depth = 1;
-    config.phrase_min_support = 2;
-    config.threads = 2;
-    let mined = LatentStructureMiner::mine(&papers.corpus, &config).expect("mine");
-    (papers.corpus, mined)
-}
-
 fn start(corpus: &Corpus, mined: &MinedStructure, workers: usize) -> ServerHandle {
     let config = ServerConfig { workers, ..ServerConfig::default() };
     Server::start_model(mapped_model(corpus, mined), config).expect("bind ephemeral port")
-}
-
-/// Minimal HTTP/1.1 client: one request, reads to EOF (the server sends
-/// `Connection: close`). Returns `(status, body)`.
-fn get(addr: std::net::SocketAddr, target: &str) -> (u16, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write!(stream, "GET {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n").unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let header_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("complete response head");
-    let head = std::str::from_utf8(&raw[..header_end]).expect("utf-8 head");
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status code");
-    (status, raw[header_end + 4..].to_vec())
 }
 
 /// The offline rendering `/search` must match byte-for-byte: one CLI hit
@@ -70,7 +34,7 @@ fn offline_search_body(corpus: &Corpus, mined: &MinedStructure, query: &str, top
 
 #[test]
 fn responses_are_byte_identical_to_offline_output() {
-    let (corpus, mined) = fixture();
+    let (corpus, mined) = fixture(9);
     let handle = start(&corpus, &mined, 4);
     let addr = handle.addr();
 
@@ -100,7 +64,7 @@ fn responses_are_byte_identical_to_offline_output() {
 
 #[test]
 fn worker_count_does_not_change_any_response() {
-    let (corpus, mined) = fixture();
+    let (corpus, mined) = fixture(9);
     let targets = [
         "/search?q=mining&top=3",
         "/search?q=database+systems",
@@ -121,7 +85,7 @@ fn worker_count_does_not_change_any_response() {
 
 #[test]
 fn concurrent_clients_all_get_identical_correct_bodies() {
-    let (corpus, mined) = fixture();
+    let (corpus, mined) = fixture(9);
     let handle = start(&corpus, &mined, 4);
     let addr = handle.addr();
     let expected = offline_search_body(&corpus, &mined, "mining", 10);
@@ -153,7 +117,7 @@ fn concurrent_clients_all_get_identical_correct_bodies() {
 
 #[test]
 fn health_metrics_and_errors_are_served() {
-    let (corpus, mined) = fixture();
+    let (corpus, mined) = fixture(9);
     let handle = start(&corpus, &mined, 2);
     let addr = handle.addr();
 
@@ -182,9 +146,8 @@ fn health_metrics_and_errors_are_served() {
 
 #[test]
 fn shutdown_file_stops_the_server() {
-    let (corpus, mined) = fixture();
-    let dir = std::env::temp_dir().join(format!("lesm-serve-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let (corpus, mined) = fixture(9);
+    let dir = tmp_dir("shutdown-file");
     let stop_file = dir.join("stop");
     let config = ServerConfig {
         workers: 2,

@@ -6,68 +6,14 @@
 //! unsharded server over the full model, for N ∈ {1, 2, 4} and both
 //! document-assignment strategies — including every error path.
 
-use lesm_core::pipeline::{LatentStructureMiner, MinedStructure, MinerConfig};
-use lesm_corpus::synth::{PapersConfig, SyntheticPapers};
-use lesm_corpus::Corpus;
-use lesm_serve::server::{Server, ServerConfig};
-use lesm_serve::{save_snapshot_v2, MappedSnapshot, Model, ShardBy};
-use std::io::{Read, Write};
+mod common;
+
+use common::{fixture, get, mapped_model, post, tmp_dir};
+use lesm_serve::client::http_get;
+use lesm_serve::server::{Server, ServerConfig, ServerHandle};
+use lesm_serve::{save_snapshot_v2, ShardBy};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::time::Duration;
-
-/// The model a server loads from `corpus` + `mined`: a v2 artifact,
-/// mapped back from its bytes.
-fn mapped_model(corpus: &Corpus, mined: &MinedStructure) -> Model {
-    let bytes = save_snapshot_v2(corpus, mined).expect("save");
-    Model::Mapped(Box::new(MappedSnapshot::from_bytes(&bytes).expect("load")))
-}
-
-fn fixture(seed: u64) -> (Corpus, MinedStructure) {
-    let papers = SyntheticPapers::generate(&PapersConfig::dblp(80, seed)).expect("synth corpus");
-    let mut config = MinerConfig::default();
-    config.hierarchy.max_depth = 1;
-    config.phrase_min_support = 2;
-    config.threads = 2;
-    let mined = LatentStructureMiner::mine(&papers.corpus, &config).expect("mine");
-    (papers.corpus, mined)
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lesm-sharded-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
-}
-
-/// Minimal HTTP/1.1 client: one request, reads to EOF. `(status, body)`.
-fn get(addr: std::net::SocketAddr, target: &str) -> (u16, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write!(stream, "GET {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n").unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let header_end = raw.windows(4).position(|w| w == b"\r\n\r\n").expect("response head");
-    let head = std::str::from_utf8(&raw[..header_end]).expect("utf-8 head");
-    let status: u16 =
-        head.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status code");
-    (status, raw[header_end + 4..].to_vec())
-}
-
-/// Like [`get`] but tolerant of mid-request resets (used against a
-/// server that is actively shedding connections).
-fn try_get(addr: std::net::SocketAddr, target: &str) -> Option<(u16, Vec<u8>)> {
-    let mut stream = TcpStream::connect(addr).ok()?;
-    stream.set_read_timeout(Some(Duration::from_secs(10))).ok()?;
-    let _ =
-        write!(stream, "GET {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).ok()?;
-    let header_end = raw.windows(4).position(|w| w == b"\r\n\r\n")?;
-    let head = std::str::from_utf8(&raw[..header_end]).ok()?;
-    let status: u16 = head.split_whitespace().nth(1)?.parse().ok()?;
-    Some((status, raw[header_end + 4..].to_vec()))
-}
 
 /// The full endpoint mix, success and error paths alike.
 const TARGETS: &[&str] = &[
@@ -208,9 +154,9 @@ fn full_accept_queue_sheds_with_503_and_recovers() {
     // client's write can race a TCP reset; tolerate that and use the
     // shed counter as ground truth, checking the body when it survives.
     for _ in 0..5 {
-        if let Some((status, body)) = try_get(addr, "/healthz") {
-            if status == 503 {
-                assert_eq!(body, b"server overloaded, retry later\n");
+        if let Ok(got) = http_get(&addr.to_string(), "/healthz", Duration::from_secs(10)) {
+            if got.status == 503 {
+                assert_eq!(got.body, b"server overloaded, retry later\n");
                 break;
             }
         }
@@ -231,8 +177,9 @@ fn full_accept_queue_sheds_with_503_and_recovers() {
 
 #[test]
 fn front_composes_over_fronts() {
-    // /internal/search on a front returns merged prefixed lines, so a
-    // front can sit on another front and still be byte-identical.
+    // /internal/search on a front returns merged prefixed lines and
+    // /query is forwarded, so a front can sit on another front and still
+    // be byte-identical.
     let (corpus, mined) = fixture(9);
     let dir = tmp_dir("nested");
     lesm_serve::write_shards(&corpus, &mined, ShardBy::EntityRange, 2, &dir)
@@ -256,8 +203,61 @@ fn front_composes_over_fronts() {
     for target in ["/search?q=mining", "/search?q=data+mining&top=4", "/hierarchy", "/topics/1"] {
         assert_eq!(get(outer.addr(), target), get(baseline.addr(), target), "{target}");
     }
+    let query = r#"{"steps":[{"filter":{"type":"author"}},{"traverse":{"edge":"coauthor"}}],"page":5}"#;
+    assert_eq!(post(outer.addr(), "/query", query), post(baseline.addr(), "/query", query));
     baseline.shutdown();
     outer.shutdown();
     inner.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_query_whose_shard_is_down_is_a_typed_503() {
+    // The front forwards each /query to one ring-picked shard. When that
+    // shard is gone the answer is a typed 503, not a 500 or a hang, and
+    // programs routed to the live shard are still answered.
+    let (corpus, mined) = fixture(9);
+    let dir = tmp_dir("dead-shard");
+    let manifest = lesm_serve::write_shards(&corpus, &mined, ShardBy::EntityRange, 2, &dir)
+        .expect("write shards");
+    let config = ServerConfig { workers: 2, ..ServerConfig::default() };
+    let mut shards: Vec<Option<ServerHandle>> = manifest
+        .files
+        .iter()
+        .map(|file| {
+            let path = dir.join(file);
+            let model = lesm_serve::load_model_file(path.to_str().expect("utf-8 path"))
+                .expect("map shard");
+            Some(Server::start_model(model, config.clone()).expect("bind shard"))
+        })
+        .collect();
+    let addrs: Vec<String> = shards.iter().flatten().map(|h| h.addr().to_string()).collect();
+    let front = Server::start_front(addrs.clone(), config).expect("front");
+
+    // The front's ring, rebuilt here to see where each program goes.
+    let ring = lesm_serve::Front::new(addrs.clone(), Duration::from_secs(1)).expect("ring");
+    let shard_of = |body: &str| {
+        let raw = format!("POST /query HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+        let req = lesm_serve::http::parse_request(&mut raw.as_bytes()).expect("parse");
+        addrs.iter().position(|a| a == ring.pick(&req.cache_key())).expect("a shard")
+    };
+    let bodies: Vec<String> = (1..=40)
+        .map(|page| format!(r#"{{"steps":[{{"filter":{{"type":"author"}}}}],"page":{page}}}"#))
+        .collect();
+    let dead = shard_of(&bodies[0]);
+    let live = bodies.iter().find(|b| shard_of(b) != dead).expect("a program for the live shard");
+    shards[dead].take().expect("running shard").shutdown();
+
+    let (status, body) = post(front.addr(), "/query", &bodies[0]);
+    let text = String::from_utf8_lossy(&body);
+    assert_eq!(status, 503, "{text}");
+    assert!(text.starts_with("shard unavailable"), "{text}");
+    let (status, body) = post(front.addr(), "/query", live);
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+
+    front.shutdown();
+    for shard in shards.into_iter().flatten() {
+        shard.shutdown();
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -275,12 +275,18 @@ fn shard_doc_ids_rename_rendered_documents() {
         &["mining".into(), "latent".into(), "structures".into()],
         &[1.0f64.to_bits(), 0.25f64.to_bits()],
     );
-    let ids: Vec<u64> = vec![100, 205, 310];
+    // A shard holding global documents 2 and 1 of the three, in that order.
+    let ids: Vec<u64> = vec![2, 1];
     let bytes = save_snapshot_v2_with_lineage(&corpus, &mined, Some(&ids), None).expect("save");
     let mapped = MappedSnapshot::from_bytes(&bytes).expect("load v2");
+    assert_eq!(mapped.num_docs(), ids.len());
     for (d, &g) in ids.iter().enumerate() {
         assert_eq!(mapped.doc_id(d), g);
     }
+    // Every document's query facts are replicated into the shard.
+    assert_eq!(mapped.num_fact_rows(), corpus.num_docs());
+    // An id past the model's documents is a typed save error.
+    assert!(save_snapshot_v2_with_lineage(&corpus, &mined, Some(&[3]), None).is_err());
     let lines = Model::Mapped(Box::new(mapped)).search_lines("mining", 10);
     assert!(!lines.is_empty());
     for line in &lines {
@@ -438,7 +444,7 @@ fn delta_lineage_round_trips_and_is_optional() {
     // Inspection names the extra section.
     let d = describe_artifact(&with).expect("describe");
     assert!(d.contains("delta-lineage"), "{d}");
-    assert!(d.contains("sections: 11"), "{d}");
+    assert!(d.contains("sections: 12"), "{d}");
 }
 
 #[test]

@@ -14,12 +14,12 @@ cargo clippy --workspace -- -D warnings
 echo "== lesm-lint (--workspace, all passes)"
 cargo run --release -q -p lesm-lint -- --root "$PWD" --workspace --timing
 
-# Every package's tests: a bare `cargo test` at the root would test only
-# the facade package. lesm-bench is left out: its one test is the tier-2
-# wall-clock thread-scaling check, which fails whenever another process
-# competes for the cores.
-echo "== tests (workspace, without lesm-bench)"
-cargo test -q --workspace --exclude lesm-bench
+# Every package's tests: the workspace's default members are every
+# package but lesm-bench, whose one test is the tier-2 wall-clock
+# thread-scaling check, which fails whenever another process competes for
+# the cores.
+echo "== tests (workspace default members: all but lesm-bench)"
+cargo test -q
 
 # The differential and bit-identity suites of the mining, search and query
 # crates again, under the optimizer users ship: the sign of a NaN result,
