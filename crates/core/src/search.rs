@@ -106,7 +106,10 @@ impl SearchIndex {
                 .filter(|h| h.score > 0.0 || h.score.is_nan())
                 .collect();
             scored.sort_unstable_by(hit_order);
-            topic_docs.push(scored.into_iter().map(|h| h.doc).collect::<Vec<_>>());
+            // Collected from a borrow, so the list is allocated at its
+            // length: collecting `scored` by value would reuse its buffer,
+            // three times the size.
+            topic_docs.push(scored.iter().map(|h| h.doc).collect::<Vec<_>>());
         }
         let mut phrase_postings: HashMap<u32, Vec<(usize, usize, f64)>> = HashMap::new();
         let mut topic_mass = Vec::with_capacity(n_topics);
@@ -123,6 +126,12 @@ impl SearchIndex {
             }
             topic_mass.push(total);
         }
+        // The postings grew by doubling; a served model keeps them for
+        // its lifetime, so they are trimmed to their lengths.
+        // lesm-lint: allow(D2, D4) — trimming each list in place does not depend on the visit order
+        doc_postings.values_mut().for_each(Vec::shrink_to_fit);
+        // lesm-lint: allow(D2, D4) — trimming each list in place does not depend on the visit order
+        phrase_postings.values_mut().for_each(Vec::shrink_to_fit);
         Self { doc_postings, topic_docs, phrase_postings, topic_mass }
     }
 

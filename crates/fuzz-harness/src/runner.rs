@@ -365,7 +365,7 @@ pub fn run_advisors_cases() -> Vec<CaseFailure> {
 /// adversarial indexes (a dense well-formed model and one whose topic
 /// metadata contains a parent/child cycle). Contract (DESIGN.md §14):
 /// every body yields a response or a typed *request-class* error — never
-/// a panic, never an `Internal` error — and running the same body twice
+/// a panic, never a server-state error — and running the same body twice
 /// produces byte-identical outcomes.
 pub fn run_query_cases() -> Vec<CaseFailure> {
     use lesm_query::{run_query, DocRecord, IndexParts, QueryIndex, TopicMeta};

@@ -11,7 +11,7 @@
 //! wall-clock, randomness, or server identity — so a page stream can be
 //! resumed on any replica, after any restart.
 
-use crate::index::{id32, QueryIndex};
+use crate::index::{id32, year_in, QueryIndex};
 use crate::program::{
     canonical_steps, parse_request, Edge, FilterSpec, KindSel, PathMode, RankBy, Step, MAX_PAGE,
 };
@@ -139,32 +139,27 @@ pub fn execute(index: &QueryIndex, steps: &[Step]) -> Result<Rendered, QueryErro
     let mut rendered: Option<Rendered> = None;
     for (i, step) in steps.iter().enumerate() {
         match step {
-            Step::Filter(spec) => {
-                if i == 0 {
-                    // Validated at parse time: the first filter names a type.
-                    let kind = spec.kind.as_ref().ok_or_else(|| {
-                        QueryError::Program("the first filter must name a type".into())
-                    })?;
-                    set = seed(index, kind)?;
-                }
-                set = apply_filter(index, spec, std::mem::take(&mut set), i == 0)?;
+            Step::Filter(spec) if i == 0 => {
+                // Validated at parse time: the first filter names a type.
+                let kind = spec.kind.as_ref().ok_or_else(|| {
+                    QueryError::Program("the first filter must name a type".into())
+                })?;
+                set = select(index, kind, spec)?;
             }
+            Step::Filter(spec) => set = apply_filter(index, spec, std::mem::take(&mut set))?,
             Step::Traverse { edge } => {
-                let mut next = Vec::new();
+                let mut next = NodeBits::new(index);
                 for &node in &set {
                     neighbors(index, node, edge, &mut next)?;
                 }
-                next.sort_unstable();
-                next.dedup();
-                set = next;
+                set = next.into_nodes();
             }
             Step::Path { to, edges, max_depth, mode, limit } => {
-                let targets: BTreeSet<Node> =
-                    apply_filter(index, to, seed(index, to.kind.as_ref().ok_or_else(|| {
-                        QueryError::Program("path target must name a type".into())
-                    })?)?, true)?
-                    .into_iter()
-                    .collect();
+                let kind = to
+                    .kind
+                    .as_ref()
+                    .ok_or_else(|| QueryError::Program("path target must name a type".into()))?;
+                let targets: BTreeSet<Node> = select(index, kind, to)?.into_iter().collect();
                 let mut budget = PATH_EXPANSION_CAP;
                 match mode {
                     PathMode::Exists => {
@@ -185,43 +180,130 @@ pub fn execute(index: &QueryIndex, steps: &[Step]) -> Result<Rendered, QueryErro
     Ok(rendered.unwrap_or(Rendered::Plain(set)))
 }
 
-/// All nodes of one kind, ascending.
-fn seed(index: &QueryIndex, kind: &KindSel) -> Result<Vec<Node>, QueryError> {
-    Ok(match kind {
-        KindSel::Topic => (0..id32(index.num_topics())).map(Node::Topic).collect(),
-        KindSel::Doc => (0..id32(index.num_docs())).map(Node::Doc).collect(),
-        KindSel::Entity(name) => {
-            let etype = id32(index.resolve_type(name)?);
-            (0..id32(index.num_entities(etype as usize)))
+/// The node set of a filter that names its `kind` (a program's first
+/// step, a path's target), built directly instead of by seeding every
+/// node of the kind: names resolve to their ids, and a doc filter is one
+/// pass over the document columns.
+fn select(index: &QueryIndex, kind: &KindSel, spec: &FilterSpec) -> Result<Vec<Node>, QueryError> {
+    // Resolved first, so an unknown type fails before an unknown topic
+    // (unused for topics and docs).
+    let etype = match kind {
+        KindSel::Entity(name) => id32(index.resolve_type(name)?),
+        KindSel::Topic | KindSel::Doc => 0,
+    };
+    let topic = spec.topic.as_ref().map(|r| index.resolve_topic(r)).transpose()?;
+    let years = spec.years.map(year_bounds);
+    let names = (!spec.names.is_empty()).then_some(&spec.names);
+    let mut set: Vec<Node> = match (kind, names) {
+        // Docs have no names.
+        (KindSel::Doc, Some(_)) => Vec::new(),
+        (KindSel::Doc, None) => {
+            let in_subtree = topic.map(|t| index.subtree_mask(t));
+            return Ok(docs_where(index, years, in_subtree.as_deref()));
+        }
+        (KindSel::Topic, None) => (0..id32(index.num_topics())).map(Node::Topic).collect(),
+        (KindSel::Topic, Some(names)) => {
+            sorted_ids(names.iter().filter_map(|p| index.topic_by_path(p)).map(id32))
+                .map(Node::Topic)
+                .collect()
+        }
+        (KindSel::Entity(_), None) => (0..id32(index.num_entities(etype as usize)))
+            .map(|id| Node::Entity { etype, id })
+            .collect(),
+        (KindSel::Entity(_), Some(names)) => {
+            sorted_ids(names.iter().filter_map(|n| index.entity_by_name(etype as usize, n)))
                 .map(|id| Node::Entity { etype, id })
                 .collect()
         }
-    })
+    };
+    if let Some(bounds) = years {
+        retain_years(index, bounds, &mut set);
+    }
+    if let Some(t) = topic {
+        retain_topic(index, t, spec.min_score, &mut set);
+    }
+    Ok(set)
 }
 
-/// Applies a filter's predicates to a sorted node set. `seeded` marks
-/// that the kind selector already shaped the set (first step / path
-/// target), so it is not re-applied as a retain.
+/// Ids ascending, each once.
+fn sorted_ids(ids: impl Iterator<Item = u32>) -> impl Iterator<Item = u32> {
+    let mut ids: Vec<u32> = ids.collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids.into_iter()
+}
+
+/// A `years` predicate's inclusive bounds, an unbounded side widened to
+/// the `i64` range.
+fn year_bounds((min, max): (Option<i64>, Option<i64>)) -> (i64, i64) {
+    (min.unwrap_or(i64::MIN), max.unwrap_or(i64::MAX))
+}
+
+/// The documents with a year in `years` and a leaf in `in_subtree`
+/// (either predicate may be absent), ascending. Only the survivors are
+/// written, at their exact count.
+fn docs_where(
+    index: &QueryIndex,
+    years: Option<(i64, i64)>,
+    in_subtree: Option<&[bool]>,
+) -> Vec<Node> {
+    let bits = match (years, in_subtree) {
+        (None, None) => return (0..id32(index.num_docs())).map(Node::Doc).collect(),
+        (Some((lo, hi)), None) => mark_docs(index, |year, known, _| year_in(year, known, lo, hi)),
+        (None, Some(sub)) => mark_docs(index, |_, _, leaf| sub[leaf as usize]),
+        (Some((lo, hi)), Some(sub)) => mark_docs(index, |year, known, leaf| {
+            year_in(year, known, lo, hi) & sub[leaf as usize]
+        }),
+    };
+    let mut out = Vec::with_capacity(bits.len());
+    bits.for_each(|d| out.push(Node::Doc(d)));
+    out
+}
+
+/// Marks the documents `keep` accepts, given each one's year, whether
+/// that year is known, and its leaf topic: one pass over the compact
+/// per-document columns, 64 documents a word, with no branch on `keep`'s
+/// answer.
+fn mark_docs(index: &QueryIndex, keep: impl Fn(i32, bool, u32) -> bool) -> IdBits {
+    let columns = index
+        .doc_years
+        .chunks(64)
+        .zip(index.doc_year_known.chunks(64))
+        .zip(index.doc_leaf.chunks(64));
+    IdBits(
+        columns
+            .map(|((years, known), leaves)| {
+                let mut marks = 0u64;
+                let rows = years.iter().zip(known).zip(leaves);
+                for (i, ((&year, &known), &leaf)) in rows.enumerate() {
+                    marks |= u64::from(keep(year, known, leaf)) << i;
+                }
+                marks
+            })
+            .collect(),
+    )
+}
+
+/// Applies a filter's predicates to the sorted node set of an earlier
+/// step: its kind, names, years and topic, each a retain.
 fn apply_filter(
     index: &QueryIndex,
     spec: &FilterSpec,
     mut set: Vec<Node>,
-    seeded: bool,
 ) -> Result<Vec<Node>, QueryError> {
-    if !seeded {
-        if let Some(kind) = &spec.kind {
-            let keep_etype = match kind {
-                KindSel::Entity(name) => Some(id32(index.resolve_type(name)?)),
-                _ => None,
-            };
-            set.retain(|n| match (kind, n) {
-                (KindSel::Topic, Node::Topic(_)) => true,
-                (KindSel::Doc, Node::Doc(_)) => true,
-                (KindSel::Entity(_), Node::Entity { etype, .. }) => Some(*etype) == keep_etype,
-                _ => false,
-            });
-        }
+    if let Some(kind) = &spec.kind {
+        let keep_etype = match kind {
+            KindSel::Entity(name) => Some(id32(index.resolve_type(name)?)),
+            _ => None,
+        };
+        set.retain(|n| match (kind, n) {
+            (KindSel::Topic, Node::Topic(_)) => true,
+            (KindSel::Doc, Node::Doc(_)) => true,
+            (KindSel::Entity(_), Node::Entity { etype, .. }) => Some(*etype) == keep_etype,
+            _ => false,
+        });
     }
+    let topic = spec.topic.as_ref().map(|r| index.resolve_topic(r)).transpose()?;
     if !spec.names.is_empty() {
         // Resolve names against the set's kinds once per filter: entity
         // names per type present in the set, topic paths for topics. Docs
@@ -242,57 +324,134 @@ fn apply_filter(
             Node::Doc(_) => false,
         });
     }
-    if let Some((min, max)) = spec.years {
-        let in_range = |year: Option<i32>| {
-            year.is_some_and(|y| {
-                min.is_none_or(|lo| y as i64 >= lo) && max.is_none_or(|hi| y as i64 <= hi)
-            })
-        };
-        set.retain(|n| match n {
-            Node::Doc(d) => in_range(index.doc_years[*d as usize]),
-            Node::Entity { etype, id } => index.entity_docs[*etype as usize][*id as usize]
-                .iter()
-                .any(|&d| in_range(index.doc_years[d as usize])),
-            // Topics carry no year; a year predicate never matches them.
-            Node::Topic(_) => false,
-        });
+    if let Some(years) = spec.years {
+        retain_years(index, year_bounds(years), &mut set);
     }
-    if let Some(topic_ref) = &spec.topic {
-        let t = index.resolve_topic(topic_ref)?;
-        let mut in_subtree = vec![false; index.num_topics()];
-        for z in index.subtree(t) {
-            in_subtree[z] = true;
-        }
-        // Per-type membership/score tables, computed once per filter for
-        // the types actually present in the set.
-        let mut tables: Vec<Option<(Vec<u64>, f64)>> = vec![None; index.num_types()];
-        for n in &set {
-            if let Node::Entity { etype, .. } = n {
-                let etype = *etype as usize;
-                if tables[etype].is_none() {
-                    let counts = index.subtree_counts(etype, t);
-                    let total = counts.iter().sum::<u64>() as f64;
-                    tables[etype] = Some((counts, total.max(1e-12)));
-                }
-            }
-        }
-        let min_score = spec.min_score;
-        set.retain(|n| match n {
-            Node::Topic(z) => in_subtree[*z as usize],
-            Node::Doc(d) => in_subtree[index.doc_leafs[*d as usize]],
-            Node::Entity { etype, id } => match &tables[*etype as usize] {
-                None => false,
-                Some((counts, total)) => {
-                    let f = counts[*id as usize];
-                    match min_score {
-                        None => f > 0,
-                        Some(s) => f > 0 && (f as f64 / *total) >= s,
-                    }
-                }
-            },
-        });
+    if let Some(t) = topic {
+        retain_topic(index, t, spec.min_score, &mut set);
     }
     Ok(set)
+}
+
+/// Keeps the docs with a year in `lo..=hi` and the entities with any such
+/// doc. Topics carry no year; a year predicate never matches them.
+fn retain_years(index: &QueryIndex, (lo, hi): (i64, i64), set: &mut Vec<Node>) {
+    set.retain(|n| match n {
+        Node::Doc(d) => index.doc_year_in(*d as usize, lo, hi),
+        Node::Entity { etype, id } => index.entity_docs[*etype as usize][*id as usize]
+            .iter()
+            .any(|&d| index.doc_year_in(d as usize, lo, hi)),
+        Node::Topic(_) => false,
+    });
+}
+
+/// Keeps the nodes in topic `t`'s subtree: topics in it, docs whose leaf
+/// is in it, and entities that occur in it (with at least `min_score` of
+/// its occurrences of their type, when given).
+fn retain_topic(index: &QueryIndex, t: usize, min_score: Option<f64>, set: &mut Vec<Node>) {
+    let in_subtree = index.subtree_mask(t);
+    // Per-type membership/score tables, computed once per filter for
+    // the types actually present in the set.
+    let mut tables: Vec<Option<(Vec<u64>, f64)>> = vec![None; index.num_types()];
+    for n in set.iter() {
+        if let Node::Entity { etype, .. } = n {
+            let etype = *etype as usize;
+            if tables[etype].is_none() {
+                let counts = index.subtree_counts(etype, t);
+                let total = counts.iter().sum::<u64>() as f64;
+                tables[etype] = Some((counts, total.max(1e-12)));
+            }
+        }
+    }
+    set.retain(|n| match n {
+        Node::Topic(z) => in_subtree[*z as usize],
+        Node::Doc(d) => in_subtree[index.doc_leaf[*d as usize] as usize],
+        Node::Entity { etype, id } => match &tables[*etype as usize] {
+            None => false,
+            Some((counts, total)) => {
+                let f = counts[*id as usize];
+                match min_score {
+                    None => f > 0,
+                    Some(s) => f > 0 && (f as f64 / *total) >= s,
+                }
+            }
+        },
+    });
+}
+
+/// A set of ids below a fixed bound, one bit each, iterated ascending.
+struct IdBits(Vec<u64>);
+
+impl IdBits {
+    fn new(n: usize) -> IdBits {
+        IdBits(vec![0; n.div_ceil(64)])
+    }
+
+    fn insert(&mut self, id: u32) {
+        let id = id as usize;
+        self.0[id / 64] |= 1 << (id % 64);
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Calls `f` on each id, ascending.
+    fn for_each(&self, mut f: impl FnMut(u32)) {
+        for (w, &word) in self.0.iter().enumerate() {
+            let base = id32(w * 64);
+            let mut rest = word;
+            while rest != 0 {
+                f(base + rest.trailing_zeros());
+                rest &= rest - 1;
+            }
+        }
+    }
+}
+
+/// A traversal's next node set, deduplicated in one id bitmap per node
+/// kind and emitted in `Node` order (topics, entities by type then id,
+/// docs): the order sorting and deduplicating the neighbours would give.
+struct NodeBits {
+    topics: IdBits,
+    entities: Vec<IdBits>,
+    docs: IdBits,
+}
+
+impl NodeBits {
+    fn new(index: &QueryIndex) -> NodeBits {
+        NodeBits {
+            topics: IdBits::new(index.num_topics()),
+            entities: (0..index.num_types()).map(|t| IdBits::new(index.num_entities(t))).collect(),
+            docs: IdBits::new(index.num_docs()),
+        }
+    }
+
+    fn into_nodes(self) -> Vec<Node> {
+        let len = self.topics.len()
+            + self.entities.iter().map(IdBits::len).sum::<usize>()
+            + self.docs.len();
+        let mut out = Vec::with_capacity(len);
+        self.topics.for_each(|t| out.push(Node::Topic(t)));
+        for (etype, ids) in self.entities.iter().enumerate() {
+            let etype = id32(etype);
+            ids.for_each(|id| out.push(Node::Entity { etype, id }));
+        }
+        self.docs.for_each(|d| out.push(Node::Doc(d)));
+        out
+    }
+}
+
+impl Extend<Node> for NodeBits {
+    fn extend<I: IntoIterator<Item = Node>>(&mut self, nodes: I) {
+        for node in nodes {
+            match node {
+                Node::Topic(t) => self.topics.insert(t),
+                Node::Entity { etype, id } => self.entities[etype as usize].insert(id),
+                Node::Doc(d) => self.docs.insert(d),
+            }
+        }
+    }
 }
 
 /// Appends `node`'s neighbors along `edge`. Nodes the edge does not apply
@@ -301,7 +460,7 @@ fn neighbors(
     index: &QueryIndex,
     node: Node,
     edge: &Edge,
-    out: &mut Vec<Node>,
+    out: &mut impl Extend<Node>,
 ) -> Result<(), QueryError> {
     match (edge, node) {
         (Edge::Coauthor, Node::Entity { etype, id }) => {
@@ -330,9 +489,11 @@ fn neighbors(
             );
         }
         (Edge::Topics, Node::Entity { etype, id }) => {
-            for &d in &index.entity_docs[etype as usize][id as usize] {
-                out.push(Node::Topic(id32(index.doc_leafs[d as usize])));
-            }
+            out.extend(
+                index.entity_docs[etype as usize][id as usize]
+                    .iter()
+                    .map(|&d| Node::Topic(index.doc_leaf[d as usize])),
+            );
         }
         (Edge::Entities(sel), Node::Topic(t)) => {
             let types = resolve_type_sel(index, sel)?;
@@ -345,11 +506,12 @@ fn neighbors(
         }
         (Edge::Entities(sel), Node::Doc(d)) => {
             let types = resolve_type_sel(index, sel)?;
-            for &(etype, id) in &index.doc_entities[d as usize] {
-                if types.contains(&(etype as usize)) {
-                    out.push(Node::Entity { etype, id });
-                }
-            }
+            out.extend(
+                index.doc_entities(d as usize)
+                    .iter()
+                    .filter(|&&(etype, _)| types.contains(&(etype as usize)))
+                    .map(|&(etype, id)| Node::Entity { etype, id }),
+            );
         }
         (Edge::Docs, Node::Entity { etype, id }) => {
             out.extend(
@@ -357,23 +519,10 @@ fn neighbors(
             );
         }
         (Edge::Docs, Node::Topic(t)) => {
-            let mut in_subtree = vec![false; index.num_topics()];
-            for z in index.subtree(t as usize) {
-                in_subtree[z] = true;
-            }
-            out.extend(
-                index
-                    .doc_leafs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &leaf)| in_subtree[leaf])
-                    .map(|(d, _)| Node::Doc(id32(d))),
-            );
+            out.extend(docs_where(index, None, Some(&index.subtree_mask(t as usize))));
         }
         (Edge::Parent, Node::Topic(t)) => {
-            if let Some(p) = index.topics[t as usize].parent {
-                out.push(Node::Topic(id32(p)));
-            }
+            out.extend(index.topics[t as usize].parent.map(|p| Node::Topic(id32(p))));
         }
         (Edge::Children, Node::Topic(t)) => {
             out.extend(index.topics[t as usize].children.iter().map(|&c| Node::Topic(id32(c))));
@@ -746,7 +895,7 @@ fn push_node(index: &QueryIndex, node: Node, score: Option<f64>, out: &mut Strin
         ),
         Node::Doc(d) => {
             let gid = index.doc_gids[d as usize];
-            match index.doc_years[d as usize] {
+            match index.doc_year(d as usize) {
                 Some(year) => write!(out, "{{\"kind\":\"doc\",\"id\":{gid},\"year\":{year}"),
                 None => write!(out, "{{\"kind\":\"doc\",\"id\":{gid},\"year\":null"),
             }

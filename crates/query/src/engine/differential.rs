@@ -1,17 +1,192 @@
 //! Differential tests of the executor against its straightforward
-//! definition, kept here as the oracle:
+//! definition, kept here as the oracle. The oracle shares no node-set code
+//! with the engine; it uses the parser, the cursor codec, the rank scores
+//! and the index's tables:
 //!
-//! * a response renders every result item, then slices out the page;
+//! * a filter seeds every node of its kind, then retains node by node;
+//! * a traverse collects every neighbour, then sorts and deduplicates;
 //! * every path search node collects, sorts and deduplicates its
-//!   neighbours, and the DFS recurses into every one of them.
+//!   neighbours, and the DFS recurses into every one of them;
+//! * a response renders every result item, then slices out the page.
 //!
-//! Random programs over two models must produce byte-identical responses
-//! (or the identical typed error) on every cursor page.
+//! Random programs over three models (one with unknown and `i32::MIN` /
+//! `i32::MAX` years) must produce byte-identical responses (or the
+//! identical typed error) on every cursor page.
 
 use super::*;
 use crate::parts::IndexParts;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// All nodes of one kind, ascending.
+fn oracle_seed(index: &QueryIndex, kind: &KindSel) -> Result<Vec<Node>, QueryError> {
+    Ok(match kind {
+        KindSel::Topic => (0..id32(index.num_topics())).map(Node::Topic).collect(),
+        KindSel::Doc => (0..id32(index.num_docs())).map(Node::Doc).collect(),
+        KindSel::Entity(name) => {
+            let etype = id32(index.resolve_type(name)?);
+            (0..id32(index.num_entities(etype as usize)))
+                .map(|id| Node::Entity { etype, id })
+                .collect()
+        }
+    })
+}
+
+/// Applies a filter's predicates to a sorted node set, one retain each.
+/// `seeded` marks that the kind selector already shaped the set.
+fn oracle_apply_filter(
+    index: &QueryIndex,
+    spec: &FilterSpec,
+    mut set: Vec<Node>,
+    seeded: bool,
+) -> Result<Vec<Node>, QueryError> {
+    if !seeded {
+        if let Some(kind) = &spec.kind {
+            let keep_etype = match kind {
+                KindSel::Entity(name) => Some(id32(index.resolve_type(name)?)),
+                _ => None,
+            };
+            set.retain(|n| match (kind, n) {
+                (KindSel::Topic, Node::Topic(_)) => true,
+                (KindSel::Doc, Node::Doc(_)) => true,
+                (KindSel::Entity(_), Node::Entity { etype, .. }) => Some(*etype) == keep_etype,
+                _ => false,
+            });
+        }
+    }
+    if !spec.names.is_empty() {
+        set.retain(|n| match n {
+            Node::Entity { etype, id } => spec
+                .names
+                .iter()
+                .any(|name| index.entity_by_name(*etype as usize, name) == Some(*id)),
+            Node::Topic(t) => spec
+                .names
+                .iter()
+                .any(|p| index.topic_by_path(p) == Some(*t as usize)),
+            Node::Doc(_) => false,
+        });
+    }
+    if let Some((min, max)) = spec.years {
+        let in_range = |year: Option<i32>| {
+            year.is_some_and(|y| {
+                min.is_none_or(|lo| y as i64 >= lo) && max.is_none_or(|hi| y as i64 <= hi)
+            })
+        };
+        set.retain(|n| match n {
+            Node::Doc(d) => in_range(index.doc_year(*d as usize)),
+            Node::Entity { etype, id } => index.entity_docs[*etype as usize][*id as usize]
+                .iter()
+                .any(|&d| in_range(index.doc_year(d as usize))),
+            Node::Topic(_) => false,
+        });
+    }
+    if let Some(topic_ref) = &spec.topic {
+        let t = index.resolve_topic(topic_ref)?;
+        let in_subtree: Vec<usize> = index.subtree(t);
+        let counts: Vec<Vec<u64>> =
+            (0..index.num_types()).map(|etype| index.subtree_counts(etype, t)).collect();
+        let min_score = spec.min_score;
+        let mut kept = Vec::new();
+        for n in set {
+            let keep = match n {
+                Node::Topic(z) => in_subtree.contains(&(z as usize)),
+                Node::Doc(d) => in_subtree.contains(&(index.doc_leaf[d as usize] as usize)),
+                Node::Entity { etype, id } => {
+                    let counts = &counts[etype as usize];
+                    let f = counts[id as usize];
+                    let total = (counts.iter().sum::<u64>() as f64).max(1e-12);
+                    f > 0 && min_score.is_none_or(|s| (f as f64 / total) >= s)
+                }
+            };
+            if keep {
+                kept.push(n);
+            }
+        }
+        set = kept;
+    }
+    Ok(set)
+}
+
+/// Appends `node`'s neighbors along `edge`, in adjacency order.
+fn oracle_edge(
+    index: &QueryIndex,
+    node: Node,
+    edge: &Edge,
+    out: &mut Vec<Node>,
+) -> Result<(), QueryError> {
+    let types = |sel: &Option<String>| -> Result<Vec<usize>, QueryError> {
+        match sel {
+            Some(name) => Ok(vec![index.resolve_type(name)?]),
+            None => Ok((0..index.num_types()).collect()),
+        }
+    };
+    let author = |etype: u32| index.author_type == Some(etype as usize);
+    match (edge, node) {
+        (Edge::Coauthor, Node::Entity { etype, id }) => {
+            for &peer in &index.cooccur[etype as usize][id as usize] {
+                out.push(Node::Entity { etype, id: peer });
+            }
+        }
+        (Edge::Advisees, Node::Entity { etype, id }) if author(etype) => {
+            for &a in &index.advisor_edges().advisees[id as usize] {
+                out.push(Node::Entity { etype, id: a });
+            }
+        }
+        (Edge::Advisors, Node::Entity { etype, id }) if author(etype) => {
+            for &a in &index.advisor_edges().advisors[id as usize] {
+                out.push(Node::Entity { etype, id: a });
+            }
+        }
+        (Edge::Topics, Node::Entity { etype, id }) => {
+            for &d in &index.entity_docs[etype as usize][id as usize] {
+                out.push(Node::Topic(index.doc_leaf[d as usize]));
+            }
+        }
+        (Edge::Entities(sel), Node::Topic(t)) => {
+            for etype in types(sel)? {
+                for (id, &c) in index.subtree_counts(etype, t as usize).iter().enumerate() {
+                    if c > 0 {
+                        out.push(Node::Entity { etype: id32(etype), id: id32(id) });
+                    }
+                }
+            }
+        }
+        (Edge::Entities(sel), Node::Doc(d)) => {
+            let types = types(sel)?;
+            for &(etype, id) in index.doc_entities(d as usize) {
+                if types.contains(&(etype as usize)) {
+                    out.push(Node::Entity { etype, id });
+                }
+            }
+        }
+        (Edge::Docs, Node::Entity { etype, id }) => {
+            for &d in &index.entity_docs[etype as usize][id as usize] {
+                out.push(Node::Doc(d));
+            }
+        }
+        (Edge::Docs, Node::Topic(t)) => {
+            let subtree = index.subtree(t as usize);
+            for d in 0..index.num_docs() {
+                if subtree.contains(&(index.doc_leaf[d] as usize)) {
+                    out.push(Node::Doc(id32(d)));
+                }
+            }
+        }
+        (Edge::Parent, Node::Topic(t)) => {
+            if let Some(p) = index.topics[t as usize].parent {
+                out.push(Node::Topic(id32(p)));
+            }
+        }
+        (Edge::Children, Node::Topic(t)) => {
+            for &c in &index.topics[t as usize].children {
+                out.push(Node::Topic(id32(c)));
+            }
+        }
+        _ => {}
+    }
+    Ok(())
+}
 
 fn oracle_neighbors(
     index: &QueryIndex,
@@ -20,7 +195,7 @@ fn oracle_neighbors(
 ) -> Result<Vec<Node>, QueryError> {
     let mut out = Vec::new();
     for edge in edges {
-        neighbors(index, node, edge, &mut out)?;
+        oracle_edge(index, node, edge, &mut out)?;
     }
     out.sort_unstable();
     out.dedup();
@@ -161,14 +336,14 @@ fn oracle_execute(index: &QueryIndex, steps: &[Step]) -> Result<Rendered, QueryE
                     let kind = spec.kind.as_ref().ok_or_else(|| {
                         QueryError::Program("the first filter must name a type".into())
                     })?;
-                    set = seed(index, kind)?;
+                    set = oracle_seed(index, kind)?;
                 }
-                set = apply_filter(index, spec, std::mem::take(&mut set), i == 0)?;
+                set = oracle_apply_filter(index, spec, std::mem::take(&mut set), i == 0)?;
             }
             Step::Traverse { edge } => {
                 let mut next = Vec::new();
                 for &node in &set {
-                    neighbors(index, node, edge, &mut next)?;
+                    oracle_edge(index, node, edge, &mut next)?;
                 }
                 next.sort_unstable();
                 next.dedup();
@@ -185,9 +360,10 @@ fn oracle_execute(index: &QueryIndex, steps: &[Step]) -> Result<Rendered, QueryE
                     .kind
                     .as_ref()
                     .ok_or_else(|| QueryError::Program("path target must name a type".into()))?;
-                let targets: BTreeSet<Node> = apply_filter(index, to, seed(index, kind)?, true)?
-                    .into_iter()
-                    .collect();
+                let targets: BTreeSet<Node> =
+                    oracle_apply_filter(index, to, oracle_seed(index, kind)?, true)?
+                        .into_iter()
+                        .collect();
                 let mut budget = PATH_EXPANSION_CAP;
                 match mode {
                     PathMode::Exists => {
@@ -233,7 +409,7 @@ fn oracle_node_json(index: &QueryIndex, node: Node, score: Option<f64>) -> Strin
             json_string(&index.entity_names[etype as usize][id as usize])
         ),
         Node::Doc(d) => {
-            let year = index.doc_years[d as usize].map_or("null".to_string(), |y| y.to_string());
+            let year = index.doc_year(d as usize).map_or("null".to_string(), |y| y.to_string());
             format!(
                 "{{\"kind\":\"doc\",\"id\":{},\"year\":{year}}}",
                 index.doc_gids[d as usize]
@@ -302,13 +478,32 @@ fn oracle_run_query(index: &QueryIndex, body: &str) -> Result<String, QueryError
     Ok(out)
 }
 
-fn synthetic_index() -> Result<QueryIndex, QueryError> {
+fn synthetic_parts() -> Result<IndexParts, String> {
     let papers = lesm_corpus::synth::SyntheticPapers::generate(
         &lesm_corpus::synth::PapersConfig::dblp(160, 3),
     )
-    .map_err(|e| QueryError::Internal(e.to_string()))?;
+    .map_err(|e| e.to_string())?;
     let mined = lesm_core::model_from_truth(&papers);
-    QueryIndex::build(IndexParts::from_model(&papers.corpus, &mined)?)
+    IndexParts::from_model(&papers.corpus, &mined).map_err(|e| e.to_string())
+}
+
+fn synthetic_index() -> Result<QueryIndex, String> {
+    QueryIndex::build(synthetic_parts()?).map_err(|e| e.to_string())
+}
+
+/// The synthetic model with some years unknown and some at the ends of
+/// the `i32` range, so year bounds meet both edges of the year column.
+fn extreme_years_index() -> Result<QueryIndex, String> {
+    let mut parts = synthetic_parts()?;
+    for (d, doc) in parts.docs.iter_mut().enumerate() {
+        match d % 9 {
+            0 => doc.year = None,
+            3 => doc.year = Some(i32::MIN),
+            6 => doc.year = Some(i32::MAX),
+            _ => {}
+        }
+    }
+    QueryIndex::build(parts).map_err(|e| e.to_string())
 }
 
 /// A random program over `index`'s names, topics and edges. Unknown names
@@ -345,6 +540,40 @@ fn random_program(index: &QueryIndex, rng: &mut StdRng) -> String {
             _ => "\"nobody\"".to_string(),
         }
     };
+    // Mostly years inside the synthetic models' range, sometimes an edge
+    // of the i32 year column, one past it, or the largest magnitude a
+    // bound may take.
+    let year = |rng: &mut StdRng| -> i64 {
+        const EDGES: [i64; 6] = [
+            i32::MIN as i64,
+            i32::MAX as i64,
+            i32::MIN as i64 - 1,
+            i32::MAX as i64 + 1,
+            -(1 << 53),
+            1 << 53,
+        ];
+        if rng.gen_range(0..6) == 0 {
+            EDGES[rng.gen_range(0..EDGES.len())]
+        } else {
+            rng.gen_range(1995..2012)
+        }
+    };
+    // Min only, max only, or both (a min above the max is a typed error).
+    let years = |rng: &mut StdRng| -> String {
+        match rng.gen_range(0..3) {
+            0 => format!("\"years\":{{\"min\":{}}}", year(rng)),
+            1 => format!("\"years\":{{\"max\":{}}}", year(rng)),
+            _ => {
+                let (a, b) = (year(rng), year(rng));
+                let (min, max) = if rng.gen_range(0..8) == 0 {
+                    (a, b)
+                } else {
+                    (a.min(b), a.max(b))
+                };
+                format!("\"years\":{{\"min\":{min},\"max\":{max}}}")
+            }
+        }
+    };
     let filter = |rng: &mut StdRng, ty: Option<&str>| -> String {
         let mut fields: Vec<String> = Vec::new();
         if let Some(ty) = ty {
@@ -360,13 +589,27 @@ fn random_program(index: &QueryIndex, rng: &mut StdRng) -> String {
             }
         }
         if rng.gen_range(0..4) == 0 {
-            fields.push(format!(
-                "\"years\":{{\"min\":{}}}",
-                rng.gen_range(1995..2012)
-            ));
+            fields.push(years(rng));
         }
         if rng.gen_range(0..4) == 0 {
             fields.push(format!("\"topic\":{}", topic(rng)));
+        }
+        format!("{{\"filter\":{{{}}}}}", fields.join(","))
+    };
+    // A filter over the docs a `docs` traversal reached: years, a topic
+    // or both, with or without restating the type.
+    let doc_filter = |rng: &mut StdRng| -> String {
+        let mut fields: Vec<String> = Vec::new();
+        if rng.gen_range(0..2) == 0 {
+            fields.push("\"type\":\"doc\"".to_string());
+        }
+        match rng.gen_range(0..3) {
+            0 => fields.push(years(rng)),
+            1 => fields.push(format!("\"topic\":{}", topic(rng))),
+            _ => {
+                fields.push(years(rng));
+                fields.push(format!("\"topic\":{}", topic(rng)));
+            }
         }
         format!("{{\"filter\":{{{}}}}}", fields.join(","))
     };
@@ -409,7 +652,7 @@ fn random_program(index: &QueryIndex, rng: &mut StdRng) -> String {
     let first = rng.gen_range(0..types.len());
     let mut steps = vec![filter(rng, Some(&types[first]))];
     for _ in 0..rng.gen_range(0..3) {
-        let step = match rng.gen_range(0..4) {
+        let step = match rng.gen_range(0..6) {
             0 | 1 => format!(
                 "{{\"traverse\":{{\"edge\":\"{}\"}}}}",
                 EDGES[rng.gen_range(0..EDGES.len())]
@@ -417,6 +660,10 @@ fn random_program(index: &QueryIndex, rng: &mut StdRng) -> String {
             2 => {
                 let ty = rng.gen_range(0..types.len() * 2);
                 filter(rng, types.get(ty).map(String::as_str))
+            }
+            3 | 4 => {
+                steps.push("{\"traverse\":{\"edge\":\"docs\"}}".to_string());
+                doc_filter(rng)
             }
             _ => path(rng, "exists"),
         };
@@ -494,14 +741,12 @@ fn random_programs_match_the_oracle_on_every_page() {
             QueryIndex::build(crate::index::tests::tiny_parts()).expect("tiny index"),
             1..3,
         ),
-        (
-            "synthetic",
-            synthetic_index().expect("synthetic index"),
-            1..10,
-        ),
+        ("synthetic", synthetic_index().expect("synthetic index"), 1..10),
+        ("extreme years", extreme_years_index().expect("extreme-years index"), 1..10),
     ];
     let mut rng = StdRng::seed_from_u64(0x5eed);
     let (mut paged, mut paths, mut errors) = (0, 0, 0);
+    let (mut year_max, mut after_docs) = (0, 0);
     for (name, index, pages) in indexes {
         for _ in 0..400 {
             let steps = random_program(&index, &mut rng);
@@ -511,6 +756,11 @@ fn random_programs_match_the_oracle_on_every_page() {
                     paged += usize::from(responses > 2);
                     paths += usize::from(first.contains("\"kind\":\"path\""));
                     errors += usize::from(first.is_empty());
+                    let found = !first.is_empty() && !first.starts_with("{\"total\":0,");
+                    year_max += usize::from(found && steps.contains("\"max\":"));
+                    after_docs += usize::from(
+                        found && steps.contains("{\"traverse\":{\"edge\":\"docs\"}},{\"filter\""),
+                    );
                 }
                 Err(e) => panic!("{name}: {e}"),
             }
@@ -520,6 +770,8 @@ fn random_programs_match_the_oracle_on_every_page() {
     assert!(paged > 40, "only {paged} programs had a second page");
     assert!(paths > 20, "only {paths} programs enumerated paths");
     assert!(errors > 20, "only {errors} programs failed typed");
+    assert!(year_max > 15, "only {year_max} programs with a year max found nodes");
+    assert!(after_docs > 15, "only {after_docs} filters after a docs traversal found nodes");
 }
 
 #[test]
@@ -574,7 +826,7 @@ fn path_searches_charge_the_budget_the_oracle_charges() {
         let Some(kind) = to.kind.as_ref() else {
             continue;
         };
-        let Ok(targets) = seed(&index, kind).and_then(|s| apply_filter(&index, to, s, true)) else {
+        let Ok(targets) = select(&index, kind, to) else {
             continue;
         };
         let targets: BTreeSet<Node> = targets.into_iter().collect();

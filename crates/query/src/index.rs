@@ -37,9 +37,17 @@ pub struct QueryIndex {
     path_to_topic: HashMap<String, usize>,
     type_by_name: HashMap<String, usize>,
     pub(crate) doc_gids: Vec<u64>,
-    pub(crate) doc_years: Vec<Option<i32>>,
-    pub(crate) doc_leafs: Vec<usize>,
-    pub(crate) doc_entities: Vec<Vec<(u32, u32)>>,
+    /// Per-document columns, compact so a filter scans them in one
+    /// branch-free pass: the year (0 when unknown), whether it is known,
+    /// and the leaf topic.
+    pub(crate) doc_years: Vec<i32>,
+    pub(crate) doc_year_known: Vec<bool>,
+    pub(crate) doc_leaf: Vec<u32>,
+    /// Every document's entity occurrences `(etype, id)` in stored order,
+    /// concatenated: document `d`'s are
+    /// `doc_links[doc_link_bounds[d]..doc_link_bounds[d + 1]]`.
+    doc_links: Vec<(u32, u32)>,
+    doc_link_bounds: Vec<usize>,
     /// etype → entity id → ascending local doc indices (deduplicated).
     pub(crate) entity_docs: Vec<Vec<Vec<u32>>>,
     /// etype → entity id → ascending co-occurring same-type entity ids.
@@ -83,6 +91,13 @@ pub(crate) fn id32(i: usize) -> u32 {
     i as u32
 }
 
+/// Whether a year column entry is a known year in `lo..=hi`. Evaluates
+/// every comparison, so a scan over all documents has no data-dependent
+/// branch.
+pub(crate) fn year_in(year: i32, known: bool, lo: i64, hi: i64) -> bool {
+    known & (lo <= i64::from(year)) & (i64::from(year) <= hi)
+}
+
 impl QueryIndex {
     /// Builds the index from canonical parts. Fails with
     /// [`QueryError::IndexOverflow`] if any id range (documents, topics,
@@ -119,8 +134,11 @@ impl QueryIndex {
 
         let mut doc_gids = Vec::with_capacity(docs.len());
         let mut doc_years = Vec::with_capacity(docs.len());
-        let mut doc_leafs = Vec::with_capacity(docs.len());
-        let mut doc_entities = Vec::with_capacity(docs.len());
+        let mut doc_year_known = Vec::with_capacity(docs.len());
+        let mut doc_leaf = Vec::with_capacity(docs.len());
+        let mut doc_links = Vec::with_capacity(docs.iter().map(|doc| doc.entities.len()).sum());
+        let mut doc_link_bounds = Vec::with_capacity(docs.len() + 1);
+        doc_link_bounds.push(0);
         let mut entity_docs: Vec<Vec<Vec<u32>>> = entity_names
             .iter()
             .map(|names| vec![Vec::new(); names.len()])
@@ -136,8 +154,11 @@ impl QueryIndex {
         let mut members: Vec<u32> = Vec::new();
         for (d, doc) in docs.into_iter().enumerate() {
             doc_gids.push(doc.gid);
-            doc_years.push(doc.year);
-            doc_leafs.push(doc.leaf);
+            doc_years.push(doc.year.unwrap_or(0));
+            doc_year_known.push(doc.year.is_some());
+            // The topic count fits a u32 (checked above), so a leaf past
+            // u32::MAX saturates to an id that is still out of range.
+            doc_leaf.push(u32::try_from(doc.leaf).unwrap_or(u32::MAX));
             for &(t, id) in &doc.entities {
                 let (t, id) = (t as usize, id as usize);
                 leaf_counts[t][doc.leaf][id] += 1;
@@ -159,14 +180,20 @@ impl QueryIndex {
                     }
                 }
             }
-            doc_entities.push(doc.entities);
+            doc_links.extend_from_slice(&doc.entities);
+            doc_link_bounds.push(doc_links.len());
         }
+        // The adjacency lists grew by doubling, and the co-author lists
+        // hold every pair once per shared document until deduplicated; the
+        // index keeps them for the model's lifetime, so they are trimmed.
         for lists in &mut cooccur {
             for list in lists {
                 list.sort_unstable();
                 list.dedup();
+                list.shrink_to_fit();
             }
         }
+        entity_docs.iter_mut().flatten().for_each(Vec::shrink_to_fit);
         let author_type = type_by_name.get("author").copied();
 
         Ok(QueryIndex {
@@ -178,8 +205,10 @@ impl QueryIndex {
             type_by_name,
             doc_gids,
             doc_years,
-            doc_leafs,
-            doc_entities,
+            doc_year_known,
+            doc_leaf,
+            doc_links,
+            doc_link_bounds,
             entity_docs,
             cooccur,
             leaf_counts,
@@ -203,6 +232,21 @@ impl QueryIndex {
 
     pub fn num_entities(&self, etype: usize) -> usize {
         self.entity_names[etype].len()
+    }
+
+    /// Document `d`'s entity occurrences `(etype, id)`, in stored order.
+    pub(crate) fn doc_entities(&self, d: usize) -> &[(u32, u32)] {
+        &self.doc_links[self.doc_link_bounds[d]..self.doc_link_bounds[d + 1]]
+    }
+
+    /// Document `d`'s year, if known.
+    pub(crate) fn doc_year(&self, d: usize) -> Option<i32> {
+        self.doc_year_known[d].then_some(self.doc_years[d])
+    }
+
+    /// Whether document `d` has a known year in `lo..=hi`.
+    pub(crate) fn doc_year_in(&self, d: usize, lo: i64, hi: i64) -> bool {
+        year_in(self.doc_years[d], self.doc_year_known[d], lo, hi)
     }
 
     /// Resolves an entity type by catalog name.
@@ -252,6 +296,16 @@ impl QueryIndex {
         out
     }
 
+    /// Subtree membership of every topic: `mask[z]` is whether `z` lies
+    /// in the subtree rooted at `t`.
+    pub(crate) fn subtree_mask(&self, t: usize) -> Vec<bool> {
+        let mut mask = vec![false; self.topics.len()];
+        for z in self.subtree(t) {
+            mask[z] = true;
+        }
+        mask
+    }
+
     /// Integer entity counts aggregated over the subtree of `t`.
     pub fn subtree_counts(&self, etype: usize, t: usize) -> Vec<u64> {
         let mut out = vec![0u64; self.num_entities(etype)];
@@ -282,13 +336,11 @@ impl QueryIndex {
         };
         // Mirrors `corpus_to_papers`: docs in ascending global order,
         // keeping only those with a year and at least one author.
-        let papers: Vec<GenPaper> = self
-            .doc_entities
-            .iter()
-            .zip(&self.doc_years)
-            .filter_map(|(ents, year)| {
-                let year = (*year)?;
-                let authors: Vec<u32> = ents
+        let papers: Vec<GenPaper> = (0..self.num_docs())
+            .filter_map(|d| {
+                let year = self.doc_year(d)?;
+                let authors: Vec<u32> = self
+                    .doc_entities(d)
                     .iter()
                     .filter(|&&(t, _)| t as usize == author)
                     .map(|&(_, id)| id)

@@ -53,8 +53,6 @@ pub enum QueryError {
     /// engine's `u32` node ids. Raised at [`QueryIndex::build`] time so
     /// traversal never silently truncates ids.
     IndexOverflow(String),
-    /// Malformed internal state (e.g. a model that fails to build).
-    Internal(String),
 }
 
 impl std::fmt::Display for QueryError {
@@ -67,7 +65,6 @@ impl std::fmt::Display for QueryError {
             QueryError::BadCursor(m) => write!(f, "bad cursor: {m}"),
             QueryError::TooLarge(m) => write!(f, "query too large: {m}"),
             QueryError::IndexOverflow(m) => write!(f, "model too large to index: {m}"),
-            QueryError::Internal(m) => write!(f, "internal: {m}"),
         }
     }
 }
@@ -78,7 +75,7 @@ impl QueryError {
     /// Whether the error blames the request (HTTP 400) rather than the
     /// server's own state (HTTP 500).
     pub fn is_request_error(&self) -> bool {
-        !matches!(self, QueryError::Internal(_) | QueryError::IndexOverflow(_))
+        !matches!(self, QueryError::IndexOverflow(_))
     }
 }
 

@@ -374,11 +374,14 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>, config: &Serve
             (Endpoint::Other, Arc::new(Response::error(408, "incomplete request")))
         }
     };
-    let mut out = stream;
-    let _ = response.write_to(&mut out);
+    // Counted before the write, so a client that has read its whole
+    // response finds it in `/metrics`: the recorded latency ends when the
+    // response is rendered, not when it is written.
     state
         .metrics
         .record_request(endpoint, response.status >= 400, started.elapsed());
+    let mut out = stream;
+    let _ = response.write_to(&mut out);
 }
 
 fn route(req: &Request, state: &Arc<ServerState>) -> (Endpoint, Arc<Response>) {
@@ -426,7 +429,13 @@ fn cached(
 ) -> Arc<Response> {
     let (response, fetched) = served.cache.get_or_compute(
         &req.cache_key(),
-        || compute(endpoint, req, served, state.top_n),
+        || {
+            // A body rendered by appending keeps up to twice its length
+            // in capacity; a cached one holds that for its whole stay.
+            let mut response = compute(endpoint, req, served, state.top_n);
+            response.body.shrink_to_fit();
+            response
+        },
         |response| response.status == 200,
     );
     match fetched {

@@ -8,6 +8,7 @@ mod common;
 use common::{fixture, get, mapped_model, tmp_dir};
 use lesm_core::pipeline::MinedStructure;
 use lesm_corpus::Corpus;
+use lesm_serve::metrics::Endpoint;
 use lesm_serve::server::{Server, ServerConfig};
 use lesm_serve::ServerHandle;
 use std::io::{Read, Write};
@@ -141,6 +142,55 @@ fn health_metrics_and_errors_are_served() {
     assert!(text.contains("lesm_requests_total{endpoint=\"healthz\"} 1"), "{text}");
     assert!(text.contains("lesm_requests_total{endpoint=\"search\"} 2"), "{text}");
     assert!(text.contains("lesm_request_errors_total{endpoint=\"topics\"} 2"), "{text}");
+    handle.shutdown();
+}
+
+/// Reads one response off `stream` up to exactly its `Content-Length`
+/// body bytes, without waiting for the server to close the connection.
+fn read_to_content_length(stream: &mut TcpStream) -> (String, Vec<u8>) {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("response head");
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head).expect("utf-8 head");
+    let length: usize = head
+        .lines()
+        .find_map(|line| line.strip_prefix("Content-Length: "))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("a Content-Length header");
+    let mut body = vec![0u8; length];
+    stream.read_exact(&mut body).expect("response body");
+    (head, body)
+}
+
+#[test]
+fn a_request_is_counted_once_its_response_is_read() {
+    let (corpus, mined) = fixture(9);
+    let handle = start(&corpus, &mined, 2);
+    let addr = handle.addr();
+    let body = r#"{"steps":[{"filter":{"type":"author"}}],"page":3}"#;
+    for n in 1..=100 {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        write!(
+            stream,
+            "POST /query HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .expect("send request");
+        let (head, _) = read_to_content_length(&mut stream);
+        assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+        // The connection is still open: only the bytes read so far tell
+        // the client its request was served.
+        assert_eq!(handle.metrics().requests(Endpoint::Query), n, "request {n} not counted");
+        let (status, text) = get(addr, "/metrics");
+        assert_eq!(status, 200);
+        let text = String::from_utf8(text).expect("utf-8 metrics");
+        let counted = format!("lesm_requests_total{{endpoint=\"query\"}} {n}\n");
+        assert!(text.contains(&counted), "request {n} not counted:\n{text}");
+    }
     handle.shutdown();
 }
 

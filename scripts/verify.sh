@@ -8,8 +8,10 @@ cd "$(dirname "$0")/.."
 echo "== build (release)"
 cargo build --release
 
-echo "== clippy (-D warnings)"
-cargo clippy --workspace -- -D warnings
+# Every target, tests and benches included: a lint in test code is still
+# a lint.
+echo "== clippy (all targets, -D warnings)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== lesm-lint (--workspace, all passes)"
 cargo run --release -q -p lesm-lint -- --root "$PWD" --workspace --timing
