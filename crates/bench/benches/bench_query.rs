@@ -76,7 +76,7 @@ fn main() {
     let iters = if fast { 10 } else { 50 };
 
     let (corpus, mined) = replay_model(docs, 42);
-    let parts = IndexParts::from_model(&corpus, &mined).expect("extract parts");
+    let parts = IndexParts::from_view(&mined.view(&corpus)).expect("extract parts");
     let source = author_in(&parts, 0);
     let target = author_in(&parts, parts.docs.len() / 2);
     let leaf = parts.docs[0].leaf;

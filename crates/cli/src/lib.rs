@@ -32,9 +32,6 @@ use lesm_corpus::synth::GenPaper;
 use lesm_corpus::{Corpus, LoadOptions};
 use lesm_hier::em::{EmConfig, WeightMode};
 use lesm_hier::hierarchy::{CathyConfig, ChildCount};
-use lesm_relations::preprocess::{CandidateGraph, PreprocessConfig};
-use lesm_relations::tpfg::{Tpfg, TpfgConfig};
-use lesm_relations::AdvisingForest;
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -701,10 +698,7 @@ pub fn run_update(
 pub fn run_advisors(corpus: &Corpus) -> Result<String, String> {
     let (papers, n_authors) = corpus_to_papers(corpus)?;
     let author = author_type(corpus)?;
-    let graph = CandidateGraph::build(&papers, n_authors, &PreprocessConfig::default())
-        .map_err(|e| e.to_string())?;
-    let result = Tpfg::infer(&graph, &TpfgConfig::default()).map_err(|e| e.to_string())?;
-    let forest = AdvisingForest::from_result(&result, 1, 0.3);
+    let forest = lesm_relations::advising_forest(&papers, n_authors).map_err(|e| e.to_string())?;
     let name = |a: u32| {
         corpus
             .entities

@@ -129,3 +129,48 @@ fn advisors_runs_on_genealogy_tsv() {
     assert!(rendered.contains("a"), "forest renders author labels");
     std::fs::remove_file(path).ok();
 }
+
+#[test]
+fn query_advisor_edges_are_the_forest_lesm_advisors_prints() {
+    let synth = SyntheticPapers::generate(&PapersConfig::dblp(400, 5)).unwrap();
+    let corpus = &synth.corpus;
+    let (papers, n_authors) = corpus_to_papers(corpus).unwrap();
+    let forest = lesm_relations::advising_forest(&papers, n_authors).unwrap();
+    let mut want: Vec<(u32, u32)> = forest
+        .nodes
+        .iter()
+        .flat_map(|node| node.children.iter().map(move |&c| (node.author, c as u32)))
+        .collect();
+    want.sort_unstable();
+    want.dedup();
+    assert!(!want.is_empty(), "the corpus must yield advisor edges");
+
+    let mined = lesm_core::model_from_truth(&synth);
+    let parts = lesm_query::IndexParts::from_view(&mined.view(corpus)).unwrap();
+    let index = lesm_query::QueryIndex::build(parts).unwrap();
+    let edges = index.advisor_edges();
+    let pairs = |lists: &[Vec<u32>], flip: bool| {
+        let mut out: Vec<(u32, u32)> = lists
+            .iter()
+            .enumerate()
+            .flat_map(|(a, list)| list.iter().map(move |&b| (a as u32, b)))
+            .map(|(a, b)| if flip { (b, a) } else { (a, b) })
+            .collect();
+        out.sort_unstable();
+        out
+    };
+    assert_eq!(pairs(&edges.advisees, false), want);
+    assert_eq!(pairs(&edges.advisors, true), want);
+
+    // `/query` traverses those edges: every advisee, once.
+    let mut advisees: Vec<u32> = want.iter().map(|&(_, b)| b).collect();
+    advisees.sort_unstable();
+    advisees.dedup();
+    let body = r#"{"steps":[{"filter":{"type":"author"}},{"traverse":{"edge":"advisees"}}]}"#;
+    let response = lesm_query::run_query(&index, body).unwrap();
+    assert!(
+        response.starts_with(&format!("{{\"total\":{},", advisees.len())),
+        "unexpected response head: {}",
+        &response[..response.len().min(80)]
+    );
+}

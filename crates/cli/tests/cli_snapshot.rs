@@ -95,10 +95,7 @@ fn v1_artifact() -> Vec<u8> {
     let mut bytes = b"LESM".to_vec();
     bytes.extend_from_slice(&1u32.to_le_bytes());
     bytes.extend_from_slice(&0u32.to_le_bytes());
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in &bytes {
-        h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-    }
+    let h = lesm_core::fnv1a64(&bytes);
     bytes.extend_from_slice(&h.to_le_bytes());
     bytes
 }

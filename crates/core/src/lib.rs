@@ -20,6 +20,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod export;
+pub mod hash;
 pub mod pipeline;
 pub mod search;
 pub mod synthmodel;
@@ -27,6 +28,7 @@ pub mod update;
 pub mod view;
 
 pub use export::{hierarchy_to_json, render_topic};
+pub use hash::{fnv1a64, Fnv1a};
 pub use lesm_hier::UpdateBudget;
 pub use search::{search, SearchHit, SearchIndex};
 pub use pipeline::{MinedStructure, MinerConfig, LatentStructureMiner};

@@ -36,11 +36,11 @@ pub struct SearchHit {
 /// score bit and no tie order depends on the index.
 pub struct SearchIndex {
     /// word → ascending, deduplicated document indices containing it.
-    doc_postings: HashMap<u32, Vec<usize>>,
+    doc_postings: HashMap<u32, Vec<u32>>,
     /// topic → the documents whose unmatched score
     /// (`0.0 + doc_topic(d, t)`) is not `<= 0.0`, in result order: that
     /// score descending under `total_cmp`, then document ascending.
-    topic_docs: Vec<Vec<usize>>,
+    topic_docs: Vec<Vec<u32>>,
     /// word → ascending `(topic, ptf entry, freq)` of every
     /// phrase-frequency entry whose phrase contains the word.
     phrase_postings: HashMap<u32, Vec<(usize, usize, f64)>>,
@@ -71,6 +71,13 @@ pub fn canonical_nan(score: f64) -> f64 {
     }
 }
 
+/// Narrows a document index to the index's `u32` storage; the one
+/// narrowing of a document index in this module.
+fn doc32(d: usize) -> u32 {
+    // lesm-lint: allow(R1) — a view's documents fit u32: v2 artifacts store the count in a u32 field, and 2^32 owned documents do not fit in memory
+    u32::try_from(d).expect("document index exceeds u32")
+}
+
 /// A document's relevance: the fraction of query tokens it contains plus
 /// its weight in the query's best topic. The one place the score is
 /// computed, for matched documents and for the index's unmatched order.
@@ -89,12 +96,13 @@ impl SearchIndex {
     /// each topic's phrase-frequency entries, and one sort per topic.
     /// Token ids outside the vocabulary are indexed like any other id.
     pub fn build<V: ModelView>(m: &V) -> Self {
-        let mut doc_postings: HashMap<u32, Vec<usize>> = HashMap::new();
+        let mut doc_postings: HashMap<u32, Vec<u32>> = HashMap::new();
         for d in 0..m.num_docs() {
+            let d32 = doc32(d);
             for &w in m.doc_tokens(d) {
                 let list = doc_postings.entry(w).or_default();
-                if list.last() != Some(&d) {
-                    list.push(d);
+                if list.last() != Some(&d32) {
+                    list.push(d32);
                 }
             }
         }
@@ -109,7 +117,7 @@ impl SearchIndex {
             // Collected from a borrow, so the list is allocated at its
             // length: collecting `scored` by value would reuse its buffer,
             // three times the size.
-            topic_docs.push(scored.iter().map(|h| h.doc).collect::<Vec<_>>());
+            topic_docs.push(scored.iter().map(|h| doc32(h.doc)).collect::<Vec<_>>());
         }
         let mut phrase_postings: HashMap<u32, Vec<(usize, usize, f64)>> = HashMap::new();
         let mut topic_mass = Vec::with_capacity(n_topics);
@@ -135,7 +143,7 @@ impl SearchIndex {
         Self { doc_postings, topic_docs, phrase_postings, topic_mass }
     }
 
-    fn docs_with(&self, w: u32) -> &[usize] {
+    fn docs_with(&self, w: u32) -> &[u32] {
         self.doc_postings.get(&w).map_or(&[], Vec::as_slice)
     }
 }
@@ -222,7 +230,7 @@ pub fn search<V: ModelView>(
     // repeats it: a document's overlap counts query tokens, not words.
     let mut words = query.clone();
     words.sort_unstable();
-    let mut lists: Vec<(&[usize], usize)> = words
+    let mut lists: Vec<(&[u32], usize)> = words
         .chunk_by(|a, b| a == b)
         .map(|run| (index.docs_with(run[0]), run.len()))
         .collect();
@@ -236,6 +244,7 @@ pub fn search<V: ModelView>(
                 *docs = &docs[1..];
             }
         }
+        let d = d as usize;
         let score = doc_score(matched, query.len(), m.doc_topic(d, best_topic));
         hits.push(SearchHit { doc: d, score, topic: best_topic });
     }
@@ -246,9 +255,10 @@ pub fn search<V: ModelView>(
         .get(best_topic)
         .map_or(&[][..], Vec::as_slice)
         .iter()
-        .filter(|&&d| hits.binary_search_by_key(&d, |h| h.doc).is_err())
+        .map(|&d| d as usize)
+        .filter(|&d| hits.binary_search_by_key(&d, |h| h.doc).is_err())
         .take(top_n)
-        .map(|&d| SearchHit {
+        .map(|d| SearchHit {
             doc: d,
             score: doc_score(0, query.len(), m.doc_topic(d, best_topic)),
             topic: best_topic,

@@ -1,14 +1,17 @@
 //! One read-only view of a served model, so every response renderer
 //! exists once.
 //!
-//! [`ModelView`] is the narrow surface that search ([`crate::search`]),
-//! topic rendering and the hierarchy export ([`crate::export`]) read:
-//! topic metadata, ranked phrases and entities, the phrase-topic
-//! frequency entries in ascending phrase-key order, vocabulary lookup,
-//! and per-document tokens, topic weights and global ids. Two backends
-//! implement it: [`MinedView`] borrows an owned corpus plus mined
-//! structure, and `lesm_serve::MappedSnapshot` reads a zero-copy v2
-//! artifact. Both run through the same renderers, so their answers are
+//! [`ModelView`] is the one way to read a model. Search
+//! ([`crate::search`]), topic rendering and the hierarchy export
+//! ([`crate::export`]) read topic metadata, ranked phrases and entities,
+//! the phrase-topic frequency entries in ascending phrase-key order,
+//! vocabulary lookup, and per-document tokens, topic weights and global
+//! ids. The query engine's extract (`lesm_query::IndexParts::from_view`)
+//! reads the entity catalog and, for every document of the whole model,
+//! its entity links, year and leaf topic. Two backends implement it:
+//! [`MinedView`] borrows an owned corpus plus mined structure, and
+//! `lesm_serve::MappedSnapshot` reads a zero-copy v2 artifact. Both run
+//! through the same renderers and the same extract, so their answers are
 //! byte-identical by construction.
 
 use crate::pipeline::MinedStructure;
@@ -49,6 +52,10 @@ pub trait ModelView {
     fn entity_type_name(&self, x: usize) -> Option<&str>;
     /// Entity surface name, `"<unk-entity>"` when unknown.
     fn entity_name(&self, x: usize, id: u32) -> &str;
+    /// Number of entity types.
+    fn num_entity_types(&self) -> usize;
+    /// Number of entities of type `x` (0 past the last type).
+    fn num_entities(&self, x: usize) -> usize;
     /// Number of documents.
     fn num_docs(&self) -> usize;
     /// Token ids of document `d`.
@@ -61,6 +68,16 @@ pub trait ModelView {
     fn render_doc(&self, d: usize) -> String {
         self.render_tokens(self.doc_tokens(d))
     }
+    /// Number of documents of the whole model, numbered by global id. A
+    /// shard holds fewer documents ([`ModelView::num_docs`]) but carries
+    /// every document's links, year and leaf topic.
+    fn num_global_docs(&self) -> usize;
+    /// Global document `g`'s entity links, in stored order.
+    fn global_doc_links(&self, g: usize) -> impl Iterator<Item = EntityRef> + '_;
+    /// Global document `g`'s year, if known.
+    fn global_doc_year(&self, g: usize) -> Option<i32>;
+    /// Global document `g`'s leaf topic ([`MinedStructure::doc_leaf`]).
+    fn global_doc_leaf(&self, g: usize) -> usize;
 }
 
 /// A [`ModelView`] over an owned corpus and mined structure; documents
@@ -120,6 +137,12 @@ impl ModelView for MinedView<'_> {
     fn entity_name(&self, x: usize, id: u32) -> &str {
         self.corpus.entities.name(EntityRef::new(x, id))
     }
+    fn num_entity_types(&self) -> usize {
+        self.corpus.entities.num_types()
+    }
+    fn num_entities(&self, x: usize) -> usize {
+        self.corpus.entities.count(x)
+    }
     fn num_docs(&self) -> usize {
         self.corpus.num_docs()
     }
@@ -131,6 +154,18 @@ impl ModelView for MinedView<'_> {
     }
     fn doc_id(&self, d: usize) -> u64 {
         d as u64
+    }
+    fn num_global_docs(&self) -> usize {
+        self.corpus.num_docs()
+    }
+    fn global_doc_links(&self, g: usize) -> impl Iterator<Item = EntityRef> + '_ {
+        self.corpus.docs[g].entities.iter().copied()
+    }
+    fn global_doc_year(&self, g: usize) -> Option<i32> {
+        self.corpus.docs[g].year
+    }
+    fn global_doc_leaf(&self, g: usize) -> usize {
+        self.mined.doc_leaf(g)
     }
 }
 

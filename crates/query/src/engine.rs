@@ -17,6 +17,7 @@ use crate::program::{
 };
 use crate::QueryError;
 use lesm_core::export::{json_number, json_string};
+use lesm_core::fnv1a64;
 use lesm_roles::type_b::{erank_pop, erank_pop_pur};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -44,16 +45,6 @@ pub enum Rendered {
     Plain(Vec<Node>),
     Ranked(Vec<(Node, f64)>),
     Paths(Vec<Vec<Node>>),
-}
-
-/// FNV-1a 64 over bytes (cursor program hashes).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Runs a full request body against the index, returning the JSON

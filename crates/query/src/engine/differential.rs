@@ -484,7 +484,7 @@ fn synthetic_parts() -> Result<IndexParts, String> {
     )
     .map_err(|e| e.to_string())?;
     let mined = lesm_core::model_from_truth(&papers);
-    IndexParts::from_model(&papers.corpus, &mined).map_err(|e| e.to_string())
+    IndexParts::from_view(&mined.view(&papers.corpus)).map_err(|e| e.to_string())
 }
 
 fn synthetic_index() -> Result<QueryIndex, String> {

@@ -1,12 +1,13 @@
 //! [`QueryIndex`]: the derived, deterministic structure queries execute
 //! against.
 //!
-//! Built from [`IndexParts`] only, so every backend — an owned model
-//! (benches), a mapped v2 snapshot or any one shard of it (parts read
-//! from its hot sections) — constructs bit-identical state. All doc-derived quantities are set unions or integer counts;
-//! the only floating-point inference (TPFG advisor edges) runs over the
-//! identical global paper list on every backend, so its outputs are
-//! bit-identical too (DESIGN.md §11, §14).
+//! Built from [`IndexParts`] only, which one extractor reads through any
+//! `ModelView` (an owned model, a mapped v2 snapshot or any one shard of
+//! it), so every backend constructs bit-identical state. All
+//! doc-derived quantities are set unions or integer counts; the only
+//! floating-point inference (TPFG advisor edges) runs over the identical
+//! global paper list on every backend, so its outputs are bit-identical
+//! too (DESIGN.md §11, §14).
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -15,10 +16,10 @@ use crate::parts::{IndexParts, TopicMeta};
 use crate::program::TopicRef;
 use crate::QueryError;
 use lesm_corpus::synth::GenPaper;
-use lesm_relations::{AdvisingForest, CandidateGraph, PreprocessConfig, Tpfg, TpfgConfig};
 
-/// Advisor→advisee edges predicted by TPFG (`P@(1, 0.3)`, matching the
-/// `lesm advisors` CLI), adjacency per author id, ascending.
+/// Advisor→advisee edges of the forest [`lesm_relations::advising_forest`]
+/// mines, the one `lesm advisors` prints; adjacency per author id,
+/// ascending.
 #[derive(Debug, Default)]
 pub struct AdvisorEdges {
     pub advisees: Vec<Vec<u32>>,
@@ -103,7 +104,7 @@ impl QueryIndex {
     /// [`QueryError::IndexOverflow`] if any id range (documents, topics,
     /// or one type's entities) does not fit the engine's `u32` node ids.
     pub fn build(parts: IndexParts) -> Result<QueryIndex, QueryError> {
-        let model_stamp = crate::engine::fnv1a64(parts.to_text().as_bytes());
+        let model_stamp = parts.stamp();
         let IndexParts { type_names, entity_names, topics, docs } = parts;
         let n_types = type_names.len();
         let n_topics = topics.len();
@@ -334,8 +335,9 @@ impl QueryIndex {
             advisees: vec![Vec::new(); n_authors],
             advisors: vec![Vec::new(); n_authors],
         };
-        // Mirrors `corpus_to_papers`: docs in ascending global order,
-        // keeping only those with a year and at least one author.
+        // The paper list `lesm advisors` builds (`corpus_to_papers`):
+        // docs in ascending global order, keeping only those with a year
+        // and at least one author.
         let papers: Vec<GenPaper> = (0..self.num_docs())
             .filter_map(|d| {
                 let year = self.doc_year(d)?;
@@ -352,17 +354,9 @@ impl QueryIndex {
                 }
             })
             .collect();
-        if papers.is_empty() {
-            return edges;
-        }
-        let Ok(graph) = CandidateGraph::build(&papers, n_authors, &PreprocessConfig::default())
-        else {
+        let Ok(forest) = lesm_relations::advising_forest(&papers, n_authors) else {
             return edges;
         };
-        let Ok(result) = Tpfg::infer(&graph, &TpfgConfig::default()) else {
-            return edges;
-        };
-        let forest = AdvisingForest::from_result(&result, 1, 0.3);
         for node in &forest.nodes {
             for &child in &node.children {
                 edges.advisees[node.author as usize].push(id32(child));

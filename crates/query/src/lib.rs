@@ -27,7 +27,7 @@ pub mod json;
 pub mod parts;
 pub mod program;
 
-pub use engine::{execute, fnv1a64, run_query, Node, Rendered};
+pub use engine::{execute, run_query, Node, Rendered};
 pub use index::{AdvisorEdges, QueryIndex};
 pub use json::{parse_json, Json, JsonError};
 pub use parts::{DocRecord, IndexParts, TopicMeta};

@@ -2,22 +2,24 @@
 //! engine indexes — the entity catalog, the topic tree, and one record
 //! per document (global id, year, leaf topic, entity links).
 //!
-//! Every backend builds its index from the same parts. An owned model
-//! extracts them with [`IndexParts::from_model`]; a mapped artifact reads
-//! them from its hot sections (`MappedSnapshot::query_parts` in
-//! `lesm-serve`), and a shard artifact carries every document's record,
+//! Every backend builds its index from the same parts, extracted by one
+//! function, [`IndexParts::from_view`], over any [`ModelView`]. Backends
+//! differ only in which view they are: an owned model's `MinedView` or a
+//! mapped v2 artifact. A shard artifact carries every document's record,
 //! so one shard yields exactly the parts of the unsharded model. Because
 //! every doc-derived quantity downstream is either a set union or an
 //! integer count (see `QueryIndex::build`), every query response is
 //! byte-identical across backends and shard counts (DESIGN.md §11, §14).
 //!
-//! [`IndexParts::to_text`] is the canonical rendering whose hash stamps
-//! cursors with the model they were minted on.
+//! [`IndexParts::stamp`] hashes the parts' canonical text rendering; it
+//! stamps cursors with the model they were minted on.
 
+use crate::index::{checked_id_range, id32};
 use crate::QueryError;
 use lesm_core::export::json_string;
-use lesm_core::MinedStructure;
-use lesm_corpus::Corpus;
+use lesm_core::{Fnv1a, ModelView};
+use std::fmt;
+use std::hash::Hasher;
 
 /// Replicated metadata for one topic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +34,7 @@ pub struct TopicMeta {
 pub struct DocRecord {
     pub gid: u64,
     pub year: Option<i32>,
-    /// Leaf-topic assignment ([`MinedStructure::doc_leaf`]).
+    /// Leaf-topic assignment (`MinedStructure::doc_leaf`).
     pub leaf: usize,
     /// Entity occurrences `(etype, id)` in stored order (duplicates count).
     pub entities: Vec<(u32, u32)>,
@@ -50,101 +52,97 @@ pub struct IndexParts {
 }
 
 impl IndexParts {
-    /// Extracts parts from an owned model; document `d` is global id `d`.
-    pub fn from_model(corpus: &Corpus, mined: &MinedStructure) -> Result<IndexParts, QueryError> {
-        let n_types = corpus.entities.num_types();
-        // Prove every id space fits the u32 wire fields before any
-        // narrowing below; id32() relies on these bounds.
-        crate::index::checked_id_range(n_types, "entity type")?;
-        for t in 0..n_types {
-            let type_name = corpus.entities.type_name(t).unwrap_or("?");
-            crate::index::checked_id_range(
-                corpus.entities.count(t),
-                &format!("entity (type {type_name:?})"),
-            )?;
+    /// Extracts the parts of `m`: its entity catalog, its topic tree and
+    /// every document of the whole model, by global id. Fails with
+    /// [`QueryError::IndexOverflow`] when the entity types or one type's
+    /// entities do not fit the `u32` ids the records store.
+    pub fn from_view<V: ModelView>(m: &V) -> Result<IndexParts, QueryError> {
+        let n_types = m.num_entity_types();
+        // Prove every id space fits the u32 fields before any narrowing
+        // below; id32() relies on these bounds.
+        checked_id_range(n_types, "entity type")?;
+        let type_names: Vec<String> =
+            (0..n_types).map(|t| m.entity_type_name(t).unwrap_or("").to_string()).collect();
+        for (t, type_name) in type_names.iter().enumerate() {
+            checked_id_range(m.num_entities(t), &format!("entity (type {type_name:?})"))?;
         }
-        let type_names: Vec<String> = (0..n_types)
-            .map(|t| corpus.entities.type_name(t).unwrap_or("").to_string())
+        let entity_names = (0..n_types)
+            .map(|t| (0..id32(m.num_entities(t))).map(|id| m.entity_name(t, id).to_string()).collect())
             .collect();
-        let entity_names: Vec<Vec<String>> = (0..n_types)
-            .map(|t| {
-                let count = corpus.entities.count(t);
-                let table = corpus.entities.table(t);
-                (0..crate::index::id32(count))
-                    .map(|id| {
-                        table
-                            .and_then(|v| v.name(id))
-                            .unwrap_or("")
-                            .to_string()
-                    })
-                    .collect()
-            })
-            .collect();
-        let topics: Vec<TopicMeta> = mined
-            .hierarchy
-            .topics
-            .iter()
+        let topics = (0..m.num_topics())
             .map(|t| TopicMeta {
-                parent: t.parent,
-                children: t.children.clone(),
-                path: t.path.clone(),
+                parent: m.topic_parent(t),
+                children: m.topic_children(t).collect(),
+                path: m.topic_path(t).to_string(),
             })
             .collect();
-        let docs: Vec<DocRecord> = corpus
-            .docs
-            .iter()
-            .enumerate()
-            .map(|(d, doc)| DocRecord {
-                gid: d as u64,
-                year: doc.year,
-                leaf: mined.doc_leaf(d),
-                entities: doc.entities.iter().map(|e| (crate::index::id32(e.etype), e.id)).collect(),
+        let docs = (0..m.num_global_docs())
+            .map(|g| DocRecord {
+                gid: g as u64,
+                year: m.global_doc_year(g),
+                leaf: m.global_doc_leaf(g),
+                entities: m.global_doc_links(g).map(|e| (id32(e.etype), e.id)).collect(),
             })
             .collect();
         Ok(IndexParts { type_names, entity_names, topics, docs })
     }
 
-    /// The canonical line rendering of the parts. Its FNV-1a hash is the
-    /// model half of every cursor stamp (DESIGN.md §14.2).
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("lesmq-parts 1\n");
-        out.push_str(&format!("types {}\n", self.type_names.len()));
+    /// Writes the canonical line rendering of the parts to `out`.
+    fn write_text(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        writeln!(out, "lesmq-parts 1")?;
+        writeln!(out, "types {}", self.type_names.len())?;
         for (t, name) in self.type_names.iter().enumerate() {
-            out.push_str(&format!("t {} {}\n", self.entity_names[t].len(), json_string(name)));
+            writeln!(out, "t {} {}", self.entity_names[t].len(), json_string(name))?;
             for ename in &self.entity_names[t] {
-                out.push_str(&format!("e {}\n", json_string(ename)));
+                writeln!(out, "e {}", json_string(ename))?;
             }
         }
-        out.push_str(&format!("topics {}\n", self.topics.len()));
+        writeln!(out, "topics {}", self.topics.len())?;
         for topic in &self.topics {
-            let parent = topic.parent.map_or("-".to_string(), |p| p.to_string());
-            let children = if topic.children.is_empty() {
-                "-".to_string()
-            } else {
-                topic
-                    .children
-                    .iter()
-                    .map(|c| c.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            out.push_str(&format!("topic {} {} {}\n", parent, children, json_string(&topic.path)));
+            match topic.parent {
+                Some(p) => write!(out, "topic {p} ")?,
+                None => write!(out, "topic - ")?,
+            }
+            write_list(out, &topic.children, |out, c| write!(out, "{c}"))?;
+            writeln!(out, " {}", json_string(&topic.path))?;
         }
-        out.push_str(&format!("docs {}\n", self.docs.len()));
+        writeln!(out, "docs {}", self.docs.len())?;
         for doc in &self.docs {
-            let year = doc.year.map_or("-".to_string(), |y| y.to_string());
-            let ents = if doc.entities.is_empty() {
-                "-".to_string()
-            } else {
-                doc.entities
-                    .iter()
-                    .map(|(t, id)| format!("{t}:{id}"))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            out.push_str(&format!("d {} {} {} {}\n", doc.gid, year, doc.leaf, ents));
+            match doc.year {
+                Some(y) => write!(out, "d {} {y} {} ", doc.gid, doc.leaf)?,
+                None => write!(out, "d {} - {} ", doc.gid, doc.leaf)?,
+            }
+            write_list(out, &doc.entities, |out, (t, id)| write!(out, "{t}:{id}"))?;
+            writeln!(out)?;
         }
-        out
+        Ok(())
     }
+
+    /// The FNV-1a 64 hash of the parts' canonical line rendering, hashed
+    /// as the text is written: the model half of every cursor stamp
+    /// (DESIGN.md §14.2).
+    pub fn stamp(&self) -> u64 {
+        let mut h = Fnv1a::default();
+        // Writing into a hasher cannot fail.
+        let _ = self.write_text(&mut h);
+        h.finish()
+    }
+}
+
+/// Writes `items` comma-separated, or `-` when there are none.
+fn write_list<W: fmt::Write, T>(
+    out: &mut W,
+    items: &[T],
+    mut item: impl FnMut(&mut W, &T) -> fmt::Result,
+) -> fmt::Result {
+    if items.is_empty() {
+        return out.write_char('-');
+    }
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        item(out, x)?;
+    }
+    Ok(())
 }

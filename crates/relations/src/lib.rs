@@ -29,6 +29,23 @@ pub use preprocess::{CandidateGraph, Candidate, PreprocessConfig, LocalLikelihoo
 pub use render::AdvisingForest;
 pub use tpfg::{Tpfg, TpfgConfig, TpfgResult};
 
+use lesm_corpus::synth::GenPaper;
+
+/// The advisor prediction both `lesm advisors` and the query engine's
+/// `advisees`/`advisors` edges use: P@(k, θ) with k = 1, θ = 0.3.
+const PREDICT_K: usize = 1;
+const PREDICT_THETA: f64 = 0.3;
+
+/// Mines the advising forest of `papers` (author ids below `n_authors`):
+/// the candidate graph with default filters, TPFG inference, and the
+/// P@(1, 0.3) prediction. Fails with [`RelError::NoCandidates`] when no
+/// pair passes the filters.
+pub fn advising_forest(papers: &[GenPaper], n_authors: usize) -> Result<AdvisingForest, RelError> {
+    let graph = CandidateGraph::build(papers, n_authors, &PreprocessConfig::default())?;
+    let result = Tpfg::infer(&graph, &TpfgConfig::default())?;
+    Ok(AdvisingForest::from_result(&result, PREDICT_K, PREDICT_THETA))
+}
+
 /// Errors produced by relation mining.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RelError {

@@ -16,34 +16,17 @@
 //! model and a hot-swap starts a fresh one beside the new model, so a
 //! response can never outlive the model it was computed from.
 
+use lesm_core::{fnv1a64, Fnv1a};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-/// FNV-1a — a few adds and multiplies per byte, no per-hasher random
-/// state. Cache keys are short request paths, where this hashes several
+/// FNV-1a ([`Fnv1a`]) picks the shard and hashes inside each shard's
+/// map. Cache keys are short request paths, where it hashes several
 /// times faster than `DefaultHasher`'s SipHash; keys come from our own
 /// route table, not an attacker, so HashDoS resistance buys nothing
-/// here. Used both to pick the shard and inside each shard's map.
-#[derive(Default)]
-pub struct FnvHasher(u64);
-
-impl Hasher for FnvHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 { 0xcbf2_9ce4_8422_2325 } else { self.0 };
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
+/// here.
+type FnvBuildHasher = BuildHasherDefault<Fnv1a>;
 
 /// Where a [`ShardedLruCache::get_or_compute`] answer came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,9 +137,7 @@ impl<V> ShardedLruCache<V> {
     }
 
     fn shard(&self, key: &str) -> &Mutex<Shard<V>> {
-        let mut h = FnvHasher::default();
-        h.write(key.as_bytes());
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        &self.shards[(fnv1a64(key.as_bytes()) as usize) % self.shards.len()]
     }
 
     // Shard locks recover from poisoning (`into_inner`) instead of

@@ -28,11 +28,9 @@
 //! `/internal/search` (returning merged lines *with* prefixes), so fronts
 //! compose over fronts.
 
-use crate::cache::FnvHasher;
 use crate::client::{http_get, http_post, FetchedResponse};
 use crate::http::{Request, Response};
 use crate::ServeError;
-use std::hash::Hasher;
 use std::time::Duration;
 
 /// Virtual nodes per shard on the consistent-hash ring. Enough to spread
@@ -49,13 +47,11 @@ pub struct Front {
 }
 
 fn fnv(key: &str) -> u64 {
-    let mut h = FnvHasher::default();
-    h.write(key.as_bytes());
     // FNV-1a alone avalanches poorly in its last step: keys differing
     // only in trailing digits hash into a narrow band, which starves
     // ring arcs. A 64-bit mix finalizer (MurmurHash3's fmix64) spreads
     // them across the full ring. Still fully deterministic.
-    let mut x = h.finish();
+    let mut x = lesm_core::fnv1a64(key.as_bytes());
     x ^= x >> 33;
     x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
     x ^= x >> 33;

@@ -99,6 +99,12 @@ pub enum SnapshotError {
         /// The offending value.
         value: usize,
     },
+    /// A store's `CURRENT` pointer holds something other than a
+    /// `v{N}.lesm` file name, such as a path that leaves the store.
+    BadPointer {
+        /// The pointer's text.
+        found: String,
+    },
 }
 
 /// Converts a count/id to the wire's `u32`, refusing values the field
@@ -134,6 +140,9 @@ impl std::fmt::Display for SnapshotError {
             }
             SnapshotError::TooLarge { what, value } => {
                 write!(f, "cannot save snapshot: {what} is {value}, over the u32 wire limit")
+            }
+            SnapshotError::BadPointer { found } => {
+                write!(f, "store pointer names {found:?}, not a v{{N}}.lesm file name")
             }
         }
     }

@@ -31,16 +31,6 @@ impl Model {
         m
     }
 
-    /// Number of topics in the hierarchy.
-    pub fn num_topics(&self) -> usize {
-        self.view().num_topics()
-    }
-
-    /// Number of documents (shard-local).
-    pub fn num_docs(&self) -> usize {
-        self.view().num_docs()
-    }
-
     /// Ranked search over the model: one rendered line per hit, exactly
     /// as `lesm search` prints them. Document numbers are global ids.
     pub fn search_lines(&self, query: &str, top: usize) -> Vec<String> {
@@ -63,7 +53,7 @@ impl Model {
 
     /// Renders topic `t` (phrases + entities), or `None` out of range.
     pub fn render_topic(&self, t: usize, n: usize) -> Option<String> {
-        (t < self.num_topics()).then(|| render_topic(self.view(), t, n))
+        (t < self.view().num_topics()).then(|| render_topic(self.view(), t, n))
     }
 
     /// The full hierarchy as pretty-printed JSON.
@@ -72,11 +62,11 @@ impl Model {
     }
 
     /// The canonical [`lesm_query::IndexParts`] for the query engine,
-    /// read from the artifact's hot sections
-    /// ([`MappedSnapshot::query_parts`]): documents are keyed by their
-    /// **global** ids, and a shard holds every document's record, so any
-    /// shard builds the unsharded model's index (DESIGN.md §14).
+    /// extracted through the model's [`ModelView`]: documents are keyed
+    /// by their **global** ids, and a shard holds every document's
+    /// record, so any shard builds the unsharded model's index
+    /// (DESIGN.md §14).
     pub fn query_parts(&self) -> Result<lesm_query::IndexParts, String> {
-        Ok(self.view().query_parts())
+        lesm_query::IndexParts::from_view(self.view()).map_err(|e| e.to_string())
     }
 }

@@ -75,16 +75,32 @@ pub fn replace_file(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     sync_dir(path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new(".")))
 }
 
-/// The file name `CURRENT` points at, if the store has one.
-pub fn current_version(dir: &Path) -> Result<Option<String>, SnapshotError> {
-    match std::fs::read_to_string(dir.join(CURRENT)) {
-        Ok(text) => {
-            let name = text.trim().to_string();
-            Ok((!name.is_empty()).then_some(name))
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(SnapshotError::Io(e)),
+/// The version number of a `v{N}.lesm` file name, `N` all ASCII digits.
+fn version_of(name: &str) -> Option<u64> {
+    let n = name.strip_prefix('v')?.strip_suffix(".lesm")?;
+    if n.is_empty() || !n.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
     }
+    n.parse().ok()
+}
+
+/// The file name `CURRENT` points at, if the store has one. A pointer
+/// that is not a `v{N}.lesm` file name is [`SnapshotError::BadPointer`],
+/// so joining it to the store directory never leaves the store.
+pub fn current_version(dir: &Path) -> Result<Option<String>, SnapshotError> {
+    let text = match std::fs::read_to_string(dir.join(CURRENT)) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(SnapshotError::Io(e)),
+    };
+    let name = text.trim();
+    if name.is_empty() {
+        return Ok(None);
+    }
+    if version_of(name).is_none() {
+        return Err(SnapshotError::BadPointer { found: name.to_string() });
+    }
+    Ok(Some(name.to_string()))
 }
 
 /// Loads the active version. Returns the artifact file name alongside
@@ -107,11 +123,8 @@ fn latest_version(dir: &Path) -> Result<Option<u64>, SnapshotError> {
     for entry in std::fs::read_dir(dir).map_err(SnapshotError::Io)? {
         let entry = entry.map_err(SnapshotError::Io)?;
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(n) = name.strip_prefix('v').and_then(|s| s.strip_suffix(".lesm")) {
-            if let Ok(n) = n.parse::<u64>() {
-                max = Some(max.map_or(n, |m: u64| m.max(n)));
-            }
+        if let Some(n) = name.to_str().and_then(version_of) {
+            max = Some(max.map_or(n, |m: u64| m.max(n)));
         }
     }
     Ok(max)
@@ -217,6 +230,34 @@ mod tests {
         let dir = tmp_dir("empty");
         std::fs::create_dir_all(&dir).expect("mkdir");
         assert!(matches!(load_current(&dir), Err(SnapshotError::Io(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn current_accepts_only_a_version_file_name() {
+        let dir = tmp_dir("pointer");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        for good in ["v0001.lesm", "v12.lesm\n", "  v0003.lesm  "] {
+            std::fs::write(dir.join(CURRENT), good).expect("write pointer");
+            assert_eq!(current_version(&dir).expect("valid").as_deref(), Some(good.trim()));
+        }
+        let outside = std::env::temp_dir().join("v0001.lesm");
+        for bad in [
+            outside.to_str().expect("utf-8 path"),
+            "../v0001.lesm",
+            "sub/v0001.lesm",
+            "v.lesm",
+            "v+1.lesm",
+            "v0001.lesm.tmp",
+            "model.lesm",
+        ] {
+            std::fs::write(dir.join(CURRENT), bad).expect("write pointer");
+            assert!(
+                matches!(current_version(&dir), Err(SnapshotError::BadPointer { .. })),
+                "{bad:?} must be refused"
+            );
+            assert!(matches!(load_current(&dir), Err(SnapshotError::BadPointer { .. })));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

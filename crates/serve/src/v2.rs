@@ -49,8 +49,8 @@
 //! The `doc-facts` section holds what the query engine reads per
 //! document: entity links, year and leaf topic, one row per document of
 //! the whole model, indexed by global document id. A shard carries every
-//! row, so it can build the full query index on its own
-//! ([`MappedSnapshot::query_parts`]).
+//! row, so it can build the full query index on its own: its
+//! [`ModelView`] answers every global document's links, year and leaf.
 //!
 //! Any other version tag — including the retired v1 streaming format —
 //! fails with [`SnapshotError::VersionMismatch`]; rebuild such an
@@ -72,8 +72,6 @@ use lesm_hier::em::EmFit;
 use lesm_hier::hierarchy::HierTopic;
 use lesm_hier::TopicHierarchy;
 use lesm_net::{LinkBlock, TypedNetwork};
-use lesm_query::{DocRecord, IndexParts, TopicMeta};
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// The v2 format version tag.
@@ -971,9 +969,10 @@ impl<'m> Cursor<'m> {
     }
 }
 
-/// A v2 snapshot backed by a memory mapping. All accessors borrow typed
-/// views directly from the mapping and are infallible: every invariant
-/// they rely on was validated once at load time.
+/// A v2 snapshot backed by a memory mapping, read through its
+/// [`ModelView`] impl. Every read borrows typed views directly from the
+/// mapping and is infallible: every invariant it relies on was validated
+/// once at load time.
 #[derive(Debug)]
 pub struct MappedSnapshot {
     map: Arc<Mapping>,
@@ -1081,16 +1080,9 @@ impl MappedSnapshot {
         (b[i] as usize, b[i + 1] as usize)
     }
 
-    // --- vocabulary ---
-
-    /// Number of vocabulary words.
-    pub fn num_words(&self) -> usize {
-        self.layout.n_words
-    }
-
-    /// The word's surface form, or `"<unk>"` out of range (matching
+    /// Word `id`'s surface form, or `"<unk>"` out of range (matching
     /// [`lesm_corpus::Vocabulary::name_or_unk`]).
-    pub fn word_or_unk(&self, id: u32) -> &str {
+    fn word_or_unk(&self, id: u32) -> &str {
         if (id as usize) < self.layout.n_words {
             self.arena_str(self.layout.word_name_offsets, self.layout.word_names, id as usize)
         } else {
@@ -1098,177 +1090,22 @@ impl MappedSnapshot {
         }
     }
 
-    // --- entities ---
-
-    /// Number of entity types.
-    pub fn num_types(&self) -> usize {
-        self.layout.n_types
-    }
-
-    /// Entity type name, if in range.
-    pub fn type_name(&self, t: usize) -> Option<&str> {
-        (t < self.layout.n_types)
-            .then(|| self.arena_str(self.layout.type_name_offsets, self.layout.type_names, t))
-    }
-
-    // --- documents ---
-
-    /// Number of documents in this artifact (shard-local).
-    pub fn num_docs(&self) -> usize {
-        self.layout.n_docs
-    }
-
-    // --- topics ---
-
-    /// Number of topics.
-    pub fn num_topics(&self) -> usize {
-        self.layout.n_topics
-    }
-
-    /// Parent topic of `t`.
-    pub fn parent(&self, t: usize) -> Option<usize> {
-        let v = self.u64s(self.layout.parent)[t];
-        (v != u64::MAX).then_some(v as usize)
-    }
-
-    /// Hierarchy level of `t`.
-    pub fn level(&self, t: usize) -> usize {
-        self.u64s(self.layout.level)[t] as usize
-    }
-
-    /// Background mixing weight of `t`.
-    pub fn rho(&self, t: usize) -> f64 {
-        self.f64s(self.layout.rho)[t]
-    }
-
-    /// Child topic ids of `t`.
-    pub fn children(&self, t: usize) -> &[u64] {
-        let (a, b) = self.span(self.layout.child_bounds, t);
-        &self.u64s(self.layout.children)[a..b]
-    }
-
-    /// Path string of `t` (e.g. `"o/2/1"`).
-    pub fn path(&self, t: usize) -> &str {
-        self.arena_str(self.layout.path_offsets, self.layout.paths, t)
-    }
-
-    // --- ranked phrases ---
-
-    /// Number of ranked phrases for topic `t`.
-    pub fn phrase_count(&self, t: usize) -> usize {
-        let (a, b) = self.span(self.layout.phrase_topic_bounds, t);
-        b - a
-    }
-
-    /// The `i`-th ranked phrase of topic `t`: (tokens, score, topic
-    /// frequency), in the original ranked order.
-    pub fn phrase(&self, t: usize, i: usize) -> (&[u32], f64, f64) {
-        let (a, _) = self.span(self.layout.phrase_topic_bounds, t);
-        let p = a + i;
-        let (ta, tb) = self.span(self.layout.phrase_tok_bounds, p);
-        (
-            &self.u32s(self.layout.phrase_tokens)[ta..tb],
-            self.f64s(self.layout.phrase_scores)[p],
-            self.f64s(self.layout.phrase_freqs)[p],
-        )
-    }
-
-    // --- ranked entities ---
-
-    /// The ranked entity list for topic `t`, type cell `x`: parallel
-    /// (ids, scores) slices.
-    pub fn topic_entity_slices(&self, t: usize, x: usize) -> (&[u32], &[f64]) {
-        let (a, _) = self.span(self.layout.te_cell_bounds, t);
-        let (ea, eb) = self.span(self.layout.te_entry_bounds, a + x);
-        (&self.u32s(self.layout.te_ids)[ea..eb], &self.f64s(self.layout.te_scores)[ea..eb])
-    }
-
-    // --- phrase-topic frequency ---
-
-    /// Number of phrase-frequency entries for topic `t`.
-    pub fn ptf_count(&self, t: usize) -> usize {
-        let (a, b) = self.span(self.layout.ptf_topic_bounds, t);
-        b - a
-    }
-
-    /// The `i`-th phrase-frequency entry of topic `t` (entries are stored
-    /// in ascending phrase-key order — the order
-    /// [`ModelView::ptf_entries`] promises).
-    pub fn ptf_entry(&self, t: usize, i: usize) -> (&[u32], f64) {
-        let (a, _) = self.span(self.layout.ptf_topic_bounds, t);
-        let e = a + i;
-        let (ta, tb) = self.span(self.layout.ptf_tok_bounds, e);
-        (&self.u32s(self.layout.ptf_tokens)[ta..tb], self.f64s(self.layout.ptf_freqs)[e])
-    }
-
-    // --- doc-topic weights ---
-
-    /// Document `d`'s topic weight row.
-    pub fn doc_topic_row(&self, d: usize) -> &[f64] {
+    /// Document `d`'s topic weight row, at its stored length.
+    fn doc_topic_row(&self, d: usize) -> &[f64] {
         let (a, b) = self.span(self.layout.dt_row_bounds, d);
         &self.f64s(self.layout.dt_values)[a..b]
     }
 
-    // --- doc facts, by global document id ---
-
-    /// Number of `doc-facts` rows: every document of the model this
-    /// artifact was cut from.
-    pub fn num_fact_rows(&self) -> usize {
-        self.layout.n_fact_rows
+    /// [`ModelView::num_docs`] (shard-local), for callers that do not
+    /// import the trait.
+    pub fn num_docs(&self) -> usize {
+        ModelView::num_docs(self)
     }
 
-    /// Global document `g`'s entity links `(etype, id)`, in stored order.
-    pub(crate) fn fact_links(&self, g: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let (a, b) = self.span(self.layout.fact_link_bounds, g);
-        self.u32s(self.layout.fact_links)[2 * a..2 * b].chunks_exact(2).map(|p| (p[0], p[1]))
-    }
-
-    /// Global document `g`'s leaf topic ([`MinedStructure::doc_leaf`]).
-    pub(crate) fn fact_leaf(&self, g: usize) -> usize {
-        self.u32s(self.layout.fact_leaves)[g] as usize
-    }
-
-    /// Global document `g`'s year, if known.
-    pub(crate) fn fact_year(&self, g: usize) -> Option<i32> {
-        let known = self.map.bytes()[self.layout.fact_year_known.off + g] == 1;
-        known.then(|| i32::from_ne_bytes(self.u32s(self.layout.fact_years)[g].to_ne_bytes()))
-    }
-
-    /// The query engine's model extract, read from the hot sections
-    /// alone: the entity catalog, the topic tree and every `doc-facts`
-    /// row, keyed by global id. A shard holds every row, so its parts
-    /// equal the unsharded model's (DESIGN.md §14).
-    pub fn query_parts(&self) -> IndexParts {
-        let (bounds, offsets, names) =
-            (self.u64s(self.layout.type_bounds), self.layout.ent_name_offsets, self.layout.ent_names);
-        let entity_names = (0..self.layout.n_types)
-            .map(|t| {
-                (bounds[t] as usize..bounds[t + 1] as usize)
-                    .map(|e| self.arena_str(offsets, names, e).to_string())
-                    .collect()
-            })
-            .collect();
-        IndexParts {
-            type_names: (0..self.layout.n_types)
-                .map(|t| self.type_name(t).unwrap_or("").to_string())
-                .collect(),
-            entity_names,
-            topics: (0..self.layout.n_topics)
-                .map(|t| TopicMeta {
-                    parent: self.parent(t),
-                    children: self.children(t).iter().map(|&c| c as usize).collect(),
-                    path: self.path(t).to_string(),
-                })
-                .collect(),
-            docs: (0..self.layout.n_fact_rows)
-                .map(|g| DocRecord {
-                    gid: g as u64,
-                    year: self.fact_year(g),
-                    leaf: self.fact_leaf(g),
-                    entities: self.fact_links(g).collect(),
-                })
-                .collect(),
-        }
+    /// [`ModelView::num_topics`], for callers that do not import the
+    /// trait.
+    pub fn num_topics(&self) -> usize {
+        ModelView::num_topics(self)
     }
 
     // --- full decode (cold path) ---
@@ -1305,12 +1142,12 @@ impl MappedSnapshot {
             }
             let network = read_network(&mut r)?;
             topics.push(HierTopic {
-                parent: self.parent(t),
-                children: self.children(t).iter().map(|&c| c as usize).collect(),
-                level: self.level(t),
-                path: self.path(t).to_string(),
+                parent: self.topic_parent(t),
+                children: self.topic_children(t).collect(),
+                level: self.topic_level(t),
+                path: self.topic_path(t).to_string(),
                 phi,
-                rho: self.rho(t),
+                rho: self.topic_rho(t),
                 network,
             });
         }
@@ -1331,10 +1168,10 @@ impl MappedSnapshot {
         for w in 0..crate::wire_u32(self.layout.n_words, "vocab size")? {
             corpus.vocab.intern(self.word_or_unk(w));
         }
-        for t in 0..self.layout.n_types {
-            let (a, b) = self.span(self.layout.type_bounds, t);
-            let ty = corpus.entities.add_type(self.type_name(t).unwrap_or(""));
-            for id in 0..crate::wire_u32(b - a, "entity count")? {
+        for t in 0..self.num_entity_types() {
+            let n = self.num_entities(t);
+            let ty = corpus.entities.add_type(self.entity_type_name(t).unwrap_or(""));
+            for id in 0..crate::wire_u32(n, "entity count")? {
                 corpus.entities.intern(ty, self.entity_name(t, id)).map_err(|e| {
                     SnapshotError::Malformed {
                         offset: cold.off,
@@ -1344,7 +1181,7 @@ impl MappedSnapshot {
             }
             // Links were checked against the stored catalog; a decoded
             // catalog that merged repeated names would leave them dangling.
-            if corpus.entities.count(ty) != b - a {
+            if corpus.entities.count(ty) != n {
                 return Err(SnapshotError::Malformed {
                     offset: self.layout.ent_names.off,
                     what: format!("entity names of type {t} are not distinct"),
@@ -1363,10 +1200,9 @@ impl MappedSnapshot {
         }
         for d in 0..n_cold_docs {
             let g = self.doc_id(d) as usize;
-            let entities =
-                self.fact_links(g).map(|(t, id)| EntityRef::new(t as usize, id)).collect();
+            let entities = self.global_doc_links(g).collect();
             let label = r.get_option(|r| r.get_u32())?;
-            let year = self.fact_year(g);
+            let year = self.global_doc_year(g);
             corpus.docs.push(Doc { tokens: self.doc_tokens(d).to_vec(), entities, label, year });
         }
 
@@ -1383,38 +1219,25 @@ impl MappedSnapshot {
         }
 
         // Hot structure arrays back into owned form.
-        let topic_phrases = (0..self.layout.n_topics)
+        let topic_phrases = (0..self.num_topics())
             .map(|t| {
-                (0..self.phrase_count(t))
-                    .map(|i| {
-                        let (tokens, score, topic_freq) = self.phrase(t, i);
-                        lesm_phrases::TopicalPhrase { tokens: tokens.to_vec(), score, topic_freq }
+                self.topic_phrases(t)
+                    .map(|(tokens, score, topic_freq)| lesm_phrases::TopicalPhrase {
+                        tokens: tokens.to_vec(),
+                        score,
+                        topic_freq,
                     })
                     .collect()
             })
             .collect();
-        let topic_entities = (0..self.layout.n_topics)
-            .map(|t| {
-                (0..self.entity_cells(t))
-                    .map(|x| {
-                        let (ids, scores) = self.topic_entity_slices(t, x);
-                        ids.iter().copied().zip(scores.iter().copied()).collect()
-                    })
-                    .collect()
-            })
+        let topic_entities = (0..self.num_topics())
+            .map(|t| (0..self.entity_cells(t)).map(|x| self.topic_entities(t, x).collect()).collect())
             .collect();
-        let phrase_topic_freq = (0..self.layout.n_topics)
-            .map(|t| {
-                let mut table = HashMap::with_capacity(self.ptf_count(t));
-                for i in 0..self.ptf_count(t) {
-                    let (tokens, freq) = self.ptf_entry(t, i);
-                    table.insert(tokens.to_vec(), freq);
-                }
-                table
-            })
+        let phrase_topic_freq = (0..self.num_topics())
+            .map(|t| self.ptf_entries(t).map(|(tokens, freq)| (tokens.to_vec(), freq)).collect())
             .collect();
         let doc_topic =
-            (0..self.layout.n_docs).map(|d| self.doc_topic_row(d).to_vec()).collect();
+            (0..self.num_docs()).map(|d| self.doc_topic_row(d).to_vec()).collect();
 
         Ok(Snapshot {
             corpus,
@@ -1506,40 +1329,58 @@ fn read_fit(r: &mut Cursor<'_>) -> Result<EmFit, SnapshotError> {
     })
 }
 
-/// The mapped backend of the shared renderers: every accessor borrows
-/// from the mapping, so search scans documents without allocating.
+/// The mapped backend of the shared renderers and the query extract:
+/// every accessor borrows from the mapping, so search scans documents
+/// without allocating.
 impl ModelView for MappedSnapshot {
     fn num_topics(&self) -> usize {
         self.layout.n_topics
     }
     fn topic_path(&self, t: usize) -> &str {
-        self.path(t)
+        self.arena_str(self.layout.path_offsets, self.layout.paths, t)
     }
     fn topic_parent(&self, t: usize) -> Option<usize> {
-        self.parent(t)
+        let v = self.u64s(self.layout.parent)[t];
+        (v != u64::MAX).then_some(v as usize)
     }
     fn topic_level(&self, t: usize) -> usize {
-        self.level(t)
+        self.u64s(self.layout.level)[t] as usize
     }
     fn topic_rho(&self, t: usize) -> f64 {
-        self.rho(t)
+        self.f64s(self.layout.rho)[t]
     }
     fn topic_children(&self, t: usize) -> impl Iterator<Item = usize> + '_ {
-        self.children(t).iter().map(|&c| c as usize)
+        let (a, b) = self.span(self.layout.child_bounds, t);
+        self.u64s(self.layout.children)[a..b].iter().map(|&c| c as usize)
     }
     fn topic_phrases(&self, t: usize) -> impl Iterator<Item = (&[u32], f64, f64)> + '_ {
-        (0..self.phrase_count(t)).map(move |i| self.phrase(t, i))
+        let (a, b) = self.span(self.layout.phrase_topic_bounds, t);
+        (a..b).map(move |p| {
+            let (ta, tb) = self.span(self.layout.phrase_tok_bounds, p);
+            (
+                &self.u32s(self.layout.phrase_tokens)[ta..tb],
+                self.f64s(self.layout.phrase_scores)[p],
+                self.f64s(self.layout.phrase_freqs)[p],
+            )
+        })
     }
     fn entity_cells(&self, t: usize) -> usize {
         let (a, b) = self.span(self.layout.te_cell_bounds, t);
         b - a
     }
     fn topic_entities(&self, t: usize, x: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
-        let (ids, scores) = self.topic_entity_slices(t, x);
-        ids.iter().copied().zip(scores.iter().copied())
+        let (a, _) = self.span(self.layout.te_cell_bounds, t);
+        let (ea, eb) = self.span(self.layout.te_entry_bounds, a + x);
+        let scores = &self.f64s(self.layout.te_scores)[ea..eb];
+        self.u32s(self.layout.te_ids)[ea..eb].iter().copied().zip(scores.iter().copied())
     }
+    /// Entries are stored in ascending phrase-key order.
     fn ptf_entries(&self, t: usize) -> impl Iterator<Item = (&[u32], f64)> + '_ {
-        (0..self.ptf_count(t)).map(move |i| self.ptf_entry(t, i))
+        let (a, b) = self.span(self.layout.ptf_topic_bounds, t);
+        (a..b).map(move |e| {
+            let (ta, tb) = self.span(self.layout.ptf_tok_bounds, e);
+            (&self.u32s(self.layout.ptf_tokens)[ta..tb], self.f64s(self.layout.ptf_freqs)[e])
+        })
     }
     /// Binary search over the name-sorted id permutation; ties resolve to
     /// the smallest id, matching first-wins interning.
@@ -1565,7 +1406,8 @@ impl ModelView for MappedSnapshot {
         out
     }
     fn entity_type_name(&self, x: usize) -> Option<&str> {
-        self.type_name(x)
+        (x < self.layout.n_types)
+            .then(|| self.arena_str(self.layout.type_name_offsets, self.layout.type_names, x))
     }
     fn entity_name(&self, x: usize, id: u32) -> &str {
         if x >= self.layout.n_types {
@@ -1577,6 +1419,16 @@ impl ModelView for MappedSnapshot {
             return "<unk-entity>";
         }
         self.arena_str(self.layout.ent_name_offsets, self.layout.ent_names, global)
+    }
+    fn num_entity_types(&self) -> usize {
+        self.layout.n_types
+    }
+    fn num_entities(&self, x: usize) -> usize {
+        if x >= self.layout.n_types {
+            return 0;
+        }
+        let (a, b) = self.span(self.layout.type_bounds, x);
+        b - a
     }
     fn num_docs(&self) -> usize {
         self.layout.n_docs
@@ -1590,6 +1442,24 @@ impl ModelView for MappedSnapshot {
     }
     fn doc_id(&self, d: usize) -> u64 {
         self.u64s(self.layout.doc_ids)[d]
+    }
+    /// The `doc-facts` rows: every document of the model this artifact
+    /// was cut from.
+    fn num_global_docs(&self) -> usize {
+        self.layout.n_fact_rows
+    }
+    fn global_doc_links(&self, g: usize) -> impl Iterator<Item = EntityRef> + '_ {
+        let (a, b) = self.span(self.layout.fact_link_bounds, g);
+        self.u32s(self.layout.fact_links)[2 * a..2 * b]
+            .chunks_exact(2)
+            .map(|p| EntityRef::new(p[0] as usize, p[1]))
+    }
+    fn global_doc_year(&self, g: usize) -> Option<i32> {
+        let known = self.map.bytes()[self.layout.fact_year_known.off + g] == 1;
+        known.then(|| i32::from_ne_bytes(self.u32s(self.layout.fact_years)[g].to_ne_bytes()))
+    }
+    fn global_doc_leaf(&self, g: usize) -> usize {
+        self.u32s(self.layout.fact_leaves)[g] as usize
     }
 }
 
@@ -2066,10 +1936,13 @@ mod tests {
         for d in 0..m.num_docs() {
             let _ = (m.render_doc(d), m.doc_topic(d, 0), m.doc_id(d));
         }
-        for g in 0..m.num_fact_rows() {
-            let _ = (m.fact_links(g).count(), m.fact_leaf(g), m.fact_year(g));
+        for x in 0..=m.num_entity_types() {
+            let _ = (m.entity_type_name(x), m.num_entities(x));
         }
-        for w in 0..m.num_words() as u32 {
+        for g in 0..m.num_global_docs() {
+            let _ = (m.global_doc_links(g).count(), m.global_doc_leaf(g), m.global_doc_year(g));
+        }
+        for w in 0..m.layout.n_words as u32 {
             let _ = m.word_id(m.word_or_unk(w));
         }
         let _ = (m.delta_info(), m.sections(), m.artifact_len());
@@ -2086,7 +1959,8 @@ mod tests {
         let _ = hierarchy_to_json(&m, 5);
         let query = format!("{} {}", m.word_or_unk(0), m.word_or_unk(1));
         let _ = render_hits(&m, &search(&m, m.search_index(), &query, 10));
-        let index = lesm_query::QueryIndex::build(m.query_parts()).map_err(|e| e.to_string())?;
+        let parts = lesm_query::IndexParts::from_view(&m).map_err(|e| e.to_string())?;
+        let index = lesm_query::QueryIndex::build(parts).map_err(|e| e.to_string())?;
         let program = r#"{"steps":[{"filter":{"type":"doc","topic":0}},{"traverse":{"edge":"entities"}}]}"#;
         lesm_query::run_query(&index, program).map_err(|e| e.to_string())?;
         let snap = m.to_snapshot().map_err(|e| e.to_string())?;

@@ -264,7 +264,7 @@ fn a_query_index_built_across_a_hot_swap_is_never_served() {
         assert_eq!(first.join().expect("first query").0, 200);
     });
 
-    let parts_b = lesm_query::IndexParts::from_model(&corpus_b, &mined_b).expect("parts B");
+    let parts_b = lesm_query::IndexParts::from_view(&mined_b.view(&corpus_b)).expect("parts B");
     let index_b = lesm_query::QueryIndex::build(parts_b).expect("index B");
     let want = lesm_query::run_query(&index_b, scan).expect("query B");
     let (status, got) = post(addr, "/query", scan);

@@ -224,3 +224,45 @@ fn shutdown_file_stops_the_server() {
     });
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_store_pointer_outside_the_store_is_refused_and_the_old_model_kept() {
+    let (corpus_a, mined_a) = fixture(9);
+    let (corpus_b, mined_b) = fixture(23);
+    let bytes_b = lesm_serve::save_snapshot_v2(&corpus_b, &mined_b).expect("save B");
+    let dir = tmp_dir("pointer-store");
+    let outside = tmp_dir("pointer-outside").join("v0002.lesm");
+    std::fs::write(&outside, &bytes_b).expect("write B outside the store");
+    lesm_serve::store::publish(&dir, &lesm_serve::save_snapshot_v2(&corpus_a, &mined_a).expect("save A"))
+        .expect("publish A");
+    let handle = Server::start_store(&dir, ServerConfig { workers: 2, ..ServerConfig::default() })
+        .expect("serve store");
+    let addr = handle.addr();
+    let hierarchy_a = lesm_core::export::hierarchy_to_json(&mined_a.view(&corpus_a), 10).into_bytes();
+    let hierarchy_b = lesm_core::export::hierarchy_to_json(&mined_b.view(&corpus_b), 10).into_bytes();
+    assert_ne!(hierarchy_a, hierarchy_b);
+    assert!(get(addr, "/hierarchy").1 == hierarchy_a, "the server does not answer from A");
+
+    // CURRENT names a valid artifact, but by an absolute path.
+    let pointer = outside.to_str().expect("utf-8 path");
+    lesm_serve::store::replace_file(&dir.join(lesm_serve::store::CURRENT), pointer.as_bytes())
+        .expect("repoint");
+    assert!(matches!(
+        lesm_serve::store::load_current(&dir),
+        Err(lesm_serve::SnapshotError::BadPointer { .. })
+    ));
+    // The watcher polls every 20 ms; give it many polls.
+    std::thread::sleep(Duration::from_millis(400));
+    assert!(get(addr, "/hierarchy").1 == hierarchy_a, "the server left its old model");
+
+    // The watcher is still running: a real publish swaps in B.
+    lesm_serve::store::publish(&dir, &bytes_b).expect("publish B");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while get(addr, "/hierarchy").1 != hierarchy_b {
+        assert!(std::time::Instant::now() < deadline, "hot swap never happened");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(outside.parent().expect("parent")).ok();
+}

@@ -23,9 +23,10 @@ use lesm_hier::hierarchy::HierTopic;
 use lesm_hier::TopicHierarchy;
 use lesm_net::{LinkBlock, TypedNetwork};
 use lesm_phrases::TopicalPhrase;
+use lesm_query::IndexParts;
 use lesm_serve::{
     describe_artifact, load_model_file, save_snapshot_v2, save_snapshot_v2_with_lineage,
-    DeltaInfo, MappedSnapshot, Model, SnapshotError,
+    write_shards, DeltaInfo, MappedSnapshot, Model, ShardBy, SnapshotError,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -269,6 +270,101 @@ fn owned_and_mapped_views_answer_identically() {
     }
 }
 
+/// Every [`ModelView`] read of `m` as text: each topic, each entity type
+/// and entity (one past the end of each too), each document, each global
+/// document's facts, and each word id that occurs (one past the largest).
+fn view_dump<V: ModelView>(m: &V) -> Vec<String> {
+    let mut out = vec![format!(
+        "topics {} types {} docs {} global docs {}",
+        m.num_topics(),
+        m.num_entity_types(),
+        m.num_docs(),
+        m.num_global_docs()
+    )];
+    for t in 0..m.num_topics() {
+        out.push(format!(
+            "topic {t} {:?} {:?} {} {:016x} {:?} cells {}",
+            m.topic_path(t),
+            m.topic_parent(t),
+            m.topic_level(t),
+            m.topic_rho(t).to_bits(),
+            m.topic_children(t).collect::<Vec<_>>(),
+            m.entity_cells(t)
+        ));
+        for (tokens, score, freq) in m.topic_phrases(t) {
+            out.push(format!("phrase {tokens:?} {:016x} {:016x}", score.to_bits(), freq.to_bits()));
+        }
+        for x in 0..m.entity_cells(t) {
+            for (id, score) in m.topic_entities(t, x) {
+                out.push(format!("ranked {x} {id} {:016x}", score.to_bits()));
+            }
+        }
+        for (tokens, freq) in m.ptf_entries(t) {
+            out.push(format!("ptf {tokens:?} {:016x}", freq.to_bits()));
+        }
+    }
+    for x in 0..=m.num_entity_types() {
+        out.push(format!("type {x} {:?} {}", m.entity_type_name(x), m.num_entities(x)));
+        for id in 0..=m.num_entities(x) as u32 {
+            out.push(format!("entity {x} {id} {:?}", m.entity_name(x, id)));
+        }
+    }
+    let mut max_word = 0;
+    for d in 0..m.num_docs() {
+        out.push(format!("doc {d} {} {:?} {:?}", m.doc_id(d), m.doc_tokens(d), m.render_doc(d)));
+        let weights: Vec<u64> = (0..=m.num_topics()).map(|t| m.doc_topic(d, t).to_bits()).collect();
+        out.push(format!("weights {weights:x?}"));
+        max_word = m.doc_tokens(d).iter().copied().fold(max_word, u32::max);
+    }
+    for g in 0..m.num_global_docs() {
+        let links: Vec<_> = m.global_doc_links(g).map(|e| (e.etype, e.id)).collect();
+        out.push(format!(
+            "global {g} {links:?} {:?} {}",
+            m.global_doc_year(g),
+            m.global_doc_leaf(g)
+        ));
+    }
+    for w in 0..=max_word + 1 {
+        let name = m.render_tokens(&[w]);
+        out.push(format!("word {w} {name:?} {:?}", m.word_id(&name)));
+    }
+    out
+}
+
+#[test]
+fn every_view_of_a_model_reads_the_same_model() {
+    let (corpus, mined) = mined_fixture();
+    let owned = mined.view(&corpus);
+    let mapped = MappedSnapshot::from_bytes(&save_snapshot_v2(&corpus, &mined).expect("save"))
+        .expect("load v2");
+    let (owned_dump, mapped_dump) = (view_dump(&owned), view_dump(&mapped));
+    for (i, (a, b)) in owned_dump.iter().zip(&mapped_dump).enumerate() {
+        assert_eq!(a, b, "line {i}: owned and mapped views differ");
+    }
+    assert_eq!(owned_dump.len(), mapped_dump.len());
+
+    // One extractor over every view: the owned model, its artifact, and
+    // every shard of it.
+    let parts = IndexParts::from_view(&owned).expect("owned parts");
+    assert!(parts.docs.iter().any(|d| d.leaf != 0) && parts.docs.iter().any(|d| d.year.is_some()));
+    assert_eq!(IndexParts::from_view(&mapped).expect("mapped parts"), parts);
+    let dir = std::env::temp_dir().join(format!("lesm-v2test-{}-views", std::process::id()));
+    for by in [ShardBy::EntityRange, ShardBy::TopicSubtree] {
+        for n in [2, 3] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let manifest = write_shards(&corpus, &mined, by, n, &dir).expect("write shards");
+            assert_eq!(manifest.files.len(), n);
+            for file in &manifest.files {
+                let path = dir.join(file);
+                let shard = MappedSnapshot::open(path.to_str().expect("utf-8 path")).expect("load shard");
+                let shard_parts = IndexParts::from_view(&shard).expect("shard parts");
+                assert!(shard_parts == parts, "{by:?} x{n}: shard {file} extracts other parts");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn shard_doc_ids_rename_rendered_documents() {
     let (corpus, mined) = synthetic_structure(
@@ -284,7 +380,7 @@ fn shard_doc_ids_rename_rendered_documents() {
         assert_eq!(mapped.doc_id(d), g);
     }
     // Every document's query facts are replicated into the shard.
-    assert_eq!(mapped.num_fact_rows(), corpus.num_docs());
+    assert_eq!(mapped.num_global_docs(), corpus.num_docs());
     // An id past the model's documents is a typed save error.
     assert!(save_snapshot_v2_with_lineage(&corpus, &mined, Some(&[3]), None).is_err());
     let lines = Model::Mapped(Box::new(mapped)).search_lines("mining", 10);
@@ -305,10 +401,7 @@ fn v1_artifact() -> Vec<u8> {
     let mut bytes = b"LESM".to_vec();
     bytes.extend_from_slice(&1u32.to_le_bytes());
     bytes.extend_from_slice(&0u32.to_le_bytes());
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in &bytes {
-        h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-    }
+    let h = lesm_core::fnv1a64(&bytes);
     bytes.extend_from_slice(&h.to_le_bytes());
     bytes
 }

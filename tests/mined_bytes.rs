@@ -9,7 +9,7 @@
 //! digests and says why in CHANGES.md.
 
 use lesm::core::pipeline::{LatentStructureMiner, MinerConfig};
-use lesm::core::UpdateBudget;
+use lesm::core::{fnv1a64, UpdateBudget};
 use lesm::corpus::synth::{PapersConfig, SyntheticPapers};
 use lesm::hier::em::{EmConfig, WeightMode};
 use lesm::hier::hierarchy::{CathyConfig, ChildCount};
@@ -19,15 +19,6 @@ use lesm_serve::save_snapshot_v2;
 const MINE_DIGEST: u64 = 0x74aa_3812_bc99_a3a6;
 /// Digest of the artifact after one `update` appending 2 documents.
 const UPDATE_DIGEST: u64 = 0x48fc_c3fd_6913_920d;
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn miner() -> MinerConfig {
     MinerConfig {
@@ -68,10 +59,10 @@ fn mine_and_update_artifacts_match_recorded_digests() {
     let updated_bytes = save_snapshot_v2(&full, &up).unwrap();
 
     assert_eq!(
-        (fnv64(&mined_bytes), fnv64(&updated_bytes)),
+        (fnv1a64(&mined_bytes), fnv1a64(&updated_bytes)),
         (MINE_DIGEST, UPDATE_DIGEST),
         "mined artifact bytes moved: got (mine {:#018x}, update {:#018x})",
-        fnv64(&mined_bytes),
-        fnv64(&updated_bytes)
+        fnv1a64(&mined_bytes),
+        fnv1a64(&updated_bytes)
     );
 }
