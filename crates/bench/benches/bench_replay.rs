@@ -91,8 +91,9 @@ fn emit_record(id: &str, times: &[u128], value_ns: u128) {
     println!("{id:<48} {:.1} us  ({} samples)", value_ns as f64 / 1000.0, times.len());
     if let Ok(path) = std::env::var("LESM_BENCH_JSON") {
         if !path.is_empty() {
+            let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
             let line = format!(
-                "{{\"id\":\"{id}\",\"samples\":{},\"mean_ns\":{mean},\"median_ns\":{value_ns}}}\n",
+                "{{\"id\":\"{id}\",\"samples\":{},\"mean_ns\":{mean},\"median_ns\":{value_ns},\"nproc\":{nproc}}}\n",
                 times.len()
             );
             let mut file = std::fs::OpenOptions::new()

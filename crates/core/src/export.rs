@@ -91,21 +91,43 @@ fn push_kv(out: &mut String, indent: usize, key: &str, value: &str) {
 
 /// Escapes a string per RFC 8259.
 pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let mut out = String::new();
+    push_json_string(&mut out, s);
     out
+}
+
+/// Appends `s`, quoted and escaped per RFC 8259, to `out`: the bytes of
+/// [`json_string`] without its allocation. Runs of unescaped characters
+/// are copied whole; only `"`, `\\` and the ASCII controls are escaped.
+pub fn push_json_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        // The character after the backslash; 0 means a `\u00XX` escape.
+        let short = match b {
+            b'"' | b'\\' => b,
+            b'\n' => b'n',
+            b'\r' => b'r',
+            b'\t' => b't',
+            0..=0x1f => 0,
+            _ => continue,
+        };
+        // `b` is ASCII, so `i` and `i + 1` are char boundaries.
+        out.push_str(&s[start..i]);
+        out.push('\\');
+        if short == 0 {
+            out.push_str("u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push(char::from(short));
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
 }
 
 /// Formats a float as a valid JSON value: finite values as fixed-point
@@ -164,6 +186,49 @@ mod tests {
         assert_eq!(json_string("a\\b"), "\"a\\\\b\"");
         assert_eq!(json_string("line\nbreak"), "\"line\\nbreak\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    }
+
+    /// The char-by-char escaper `json_string` used to be: the reference
+    /// both escapers must match byte for byte.
+    fn reference_json_string(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn push_json_string_appends_exactly_json_string() {
+        let mut controls: String = (0u8..0x20).map(char::from).collect();
+        controls.push('\u{7f}');
+        let cases = [
+            "",
+            "plain",
+            "a\"b\"",
+            "\\",
+            "back\\slash \\\" mixed",
+            &controls,
+            "caf\u{e9} \u{4e2d}\u{6587} \u{1f600}\n\u{1f}end",
+            "\u{2028}\u{2029}\u{fffd}",
+        ];
+        for case in cases {
+            let expected = reference_json_string(case);
+            assert_eq!(json_string(case), expected, "{case:?}");
+            let mut out = String::from("prefix:");
+            push_json_string(&mut out, case);
+            assert_eq!(out, format!("prefix:{expected}"), "{case:?}");
+        }
+        assert_eq!(json_string("\u{1f}\u{7f}"), "\"\\u001f\u{7f}\"");
     }
 
     #[test]

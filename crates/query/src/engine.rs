@@ -16,7 +16,7 @@ use crate::program::{
     canonical_steps, parse_request, Edge, FilterSpec, KindSel, PathMode, RankBy, Step, MAX_PAGE,
 };
 use crate::QueryError;
-use lesm_core::export::{json_number, json_string};
+use lesm_core::export::{json_number, json_string, push_json_string};
 use lesm_core::fnv1a64;
 use lesm_roles::type_b::{erank_pop, erank_pop_pur};
 use std::collections::BTreeSet;
@@ -872,26 +872,25 @@ impl Rendered {
 
 fn push_node(index: &QueryIndex, node: Node, score: Option<f64>, out: &mut String) {
     // Writing into a `String` cannot fail.
-    let _ = match node {
-        Node::Topic(t) => write!(
-            out,
-            "{{\"kind\":\"topic\",\"id\":{t},\"path\":{}",
-            json_string(&index.topics[t as usize].path)
-        ),
-        Node::Entity { etype, id } => write!(
-            out,
-            "{{\"kind\":{},\"id\":{id},\"name\":{}",
-            json_string(&index.type_names[etype as usize]),
-            json_string(&index.entity_names[etype as usize][id as usize])
-        ),
+    match node {
+        Node::Topic(t) => {
+            let _ = write!(out, "{{\"kind\":\"topic\",\"id\":{t},\"path\":");
+            push_json_string(out, &index.topics[t as usize].path);
+        }
+        Node::Entity { etype, id } => {
+            out.push_str("{\"kind\":");
+            push_json_string(out, &index.type_names[etype as usize]);
+            let _ = write!(out, ",\"id\":{id},\"name\":");
+            push_json_string(out, &index.entity_names[etype as usize][id as usize]);
+        }
         Node::Doc(d) => {
             let gid = index.doc_gids[d as usize];
-            match index.doc_year(d as usize) {
+            let _ = match index.doc_year(d as usize) {
                 Some(year) => write!(out, "{{\"kind\":\"doc\",\"id\":{gid},\"year\":{year}"),
                 None => write!(out, "{{\"kind\":\"doc\",\"id\":{gid},\"year\":null"),
-            }
+            };
         }
-    };
+    }
     if let Some(s) = score {
         out.push_str(",\"score\":");
         out.push_str(&json_number(s));

@@ -32,13 +32,7 @@ impl FetchedResponse {
 /// Issues `GET {target}` against `addr` (e.g. `127.0.0.1:8080`) with the
 /// given timeout applied to connect, read, and write independently.
 pub fn http_get(addr: &str, target: &str, timeout: Duration) -> std::io::Result<FetchedResponse> {
-    let stream = connect(addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let mut stream = stream;
-    write!(stream, "GET {target} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")?;
-    stream.flush()?;
-    read_response(&mut BufReader::new(stream))
+    exchange(addr, &request_bytes("GET", target, addr, None), timeout)
 }
 
 /// Issues `POST {target}` with a body (framed by `Content-Length`)
@@ -49,17 +43,36 @@ pub fn http_post(
     body: &str,
     timeout: Duration,
 ) -> std::io::Result<FetchedResponse> {
+    exchange(addr, &request_bytes("POST", target, addr, Some(body)), timeout)
+}
+
+/// One request's bytes, head and body in one buffer, so it leaves in
+/// one write. A body is always JSON (`POST /query` is the only
+/// body-carrying request).
+fn request_bytes(method: &str, target: &str, addr: &str, body: Option<&str>) -> Vec<u8> {
+    // The fixed header text takes under 128 bytes.
+    let mut wire =
+        Vec::with_capacity(128 + target.len() + addr.len() + body.map_or(0, str::len));
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(wire, "{method} {target} HTTP/1.1\r\nHost: {addr}\r\n");
+    if let Some(body) = body {
+        let _ = write!(
+            wire,
+            "Content-Type: application/json\r\nContent-Length: {}\r\n",
+            body.len()
+        );
+    }
+    wire.extend_from_slice(b"Connection: close\r\n\r\n");
+    wire.extend_from_slice(body.unwrap_or("").as_bytes());
+    wire
+}
+
+/// Connects, sends `request` in one write and reads the response.
+fn exchange(addr: &str, request: &[u8], timeout: Duration) -> std::io::Result<FetchedResponse> {
     let stream = connect(addr, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    let mut stream = stream;
-    write!(
-        stream,
-        "POST {target} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    )?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
+    (&stream).write_all(request)?;
     read_response(&mut BufReader::new(stream))
 }
 
@@ -167,5 +180,48 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         let long = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nlong";
         assert!(read_response(&mut &long[..]).is_err());
+    }
+
+    #[test]
+    fn request_bytes_are_pinned() {
+        assert_eq!(
+            request_bytes("GET", "/search?q=a+b&top=3", "127.0.0.1:9", None),
+            b"GET /search?q=a+b&top=3 HTTP/1.1\r\nHost: 127.0.0.1:9\r\nConnection: close\r\n\r\n"
+        );
+        assert_eq!(
+            request_bytes("POST", "/query", "127.0.0.1:9", Some(r#"{"steps":[]}"#)),
+            b"POST /query HTTP/1.1\r\nHost: 127.0.0.1:9\r\nContent-Type: application/json\r\n\
+              Content-Length: 12\r\nConnection: close\r\n\r\n{\"steps\":[]}"
+        );
+    }
+
+    #[test]
+    fn get_and_post_send_exactly_the_pinned_bytes() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let expected = [
+            request_bytes("GET", "/healthz", &addr, None),
+            request_bytes("POST", "/query", &addr, Some(r#"{"steps":[]}"#)),
+        ];
+        let peer = {
+            let expected = expected.clone();
+            std::thread::spawn(move || {
+                for want in expected {
+                    let (mut stream, _) = listener.accept().expect("accept");
+                    let mut got = vec![0u8; want.len()];
+                    stream.read_exact(&mut got).expect("request");
+                    assert_eq!(got, want);
+                    stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nok\n").expect("reply");
+                }
+            })
+        };
+        let timeout = Duration::from_secs(10);
+        assert_eq!(http_get(&addr, "/healthz", timeout).expect("GET").body, b"ok\n");
+        assert_eq!(
+            http_post(&addr, "/query", r#"{"steps":[]}"#, timeout).expect("POST").body,
+            b"ok\n"
+        );
+        peer.join().expect("peer");
     }
 }

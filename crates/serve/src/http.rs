@@ -7,7 +7,7 @@
 //! close the connection (`Connection: close`), which keeps the
 //! worker-pool accounting trivial.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, IoSlice, Write};
 
 /// Cap on the request line plus all header lines, in bytes.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -169,7 +169,8 @@ pub fn parse_request<R: BufRead>(reader: &mut R) -> Result<Request, HttpParseErr
     Err(HttpParseError::TooLarge)
 }
 
-/// Reads exactly `content_length` body bytes (lossy UTF-8), enforcing
+/// Reads exactly `content_length` body bytes (UTF-8, invalid sequences
+/// replaced by U+FFFD), enforcing
 /// [`MAX_BODY_BYTES`] *before* allocating or reading anything.
 fn read_body<R: BufRead>(reader: &mut R, content_length: usize) -> Result<String, HttpParseError> {
     if content_length == 0 {
@@ -180,7 +181,10 @@ fn read_body<R: BufRead>(reader: &mut R, content_length: usize) -> Result<String
     }
     let mut buf = vec![0u8; content_length];
     reader.read_exact(&mut buf).map_err(|_| HttpParseError::Incomplete)?;
-    Ok(String::from_utf8_lossy(&buf).into_owned())
+    // Valid UTF-8 (every well-formed `/query` body) is kept as read; only
+    // an invalid body pays for the lossy copy.
+    Ok(String::from_utf8(buf)
+        .unwrap_or_else(|invalid| String::from_utf8_lossy(invalid.as_bytes()).into_owned()))
 }
 
 fn read_line<R: BufRead>(
@@ -239,20 +243,40 @@ impl Response {
         }
     }
 
-    /// Serializes status line, headers, and body to `writer`.
+    /// Serializes status line, headers, and body to `writer` with one
+    /// vectored write of the head and the body, so a socket sees one
+    /// `writev(2)` (unless the kernel takes the bytes in parts) and the
+    /// peer one segment train rather than a segment per header field.
+    /// The body is not copied.
     pub fn write_to<W: Write>(&self, writer: &mut W) -> std::io::Result<()> {
-        write!(
-            writer,
+        let mut head = Vec::with_capacity(HEAD_CAPACITY);
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(
+            head,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
             self.status,
             self.reason(),
             self.content_type,
             self.body.len()
-        )?;
-        writer.write_all(&self.body)?;
+        );
+        let mut parts = [IoSlice::new(&head), IoSlice::new(&self.body)];
+        let mut parts = &mut parts[..];
+        // `Write::write_all_vectored` is unstable; this is its loop.
+        while !parts.is_empty() {
+            match writer.write_vectored(parts) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut parts, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         writer.flush()
     }
 }
+
+/// Room for the response head: the status line and three headers take
+/// under 128 bytes for every status and content type we send.
+const HEAD_CAPACITY: usize = 128;
 
 #[cfg(test)]
 mod tests {
@@ -301,6 +325,20 @@ mod tests {
     }
 
     #[test]
+    fn an_invalid_utf8_body_decodes_lossily_as_before() {
+        let body: &[u8] = b"{\"q\":\"a\xffb\xc3\"}\xe2\x82";
+        let mut raw = format!("POST /query HTTP/1.1\r\nContent-Length: {}\r\n\r\n", body.len())
+            .into_bytes();
+        raw.extend_from_slice(body);
+        let req = parse_request(&mut raw.as_slice()).unwrap();
+        assert_eq!(req.body, String::from_utf8_lossy(body));
+        assert_eq!(req.body, "{\"q\":\"a\u{fffd}b\u{fffd}\"}\u{fffd}");
+        // Valid multi-byte UTF-8 is kept as sent.
+        let raw = "POST /query HTTP/1.1\r\nContent-Length: 9\r\n\r\ncaf\u{e9} \u{2713}";
+        assert_eq!(parse(raw).unwrap().body, "caf\u{e9} \u{2713}");
+    }
+
+    #[test]
     fn percent_decoding() {
         assert_eq!(percent_decode("a%20b%2Fc"), "a b/c");
         assert_eq!(percent_decode("a+b"), "a b");
@@ -340,5 +378,94 @@ mod tests {
         assert!(String::from_utf8(shed)
             .unwrap()
             .starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
+    }
+
+    /// A writer that records every write call it receives and, like a
+    /// socket with room in its send buffer, takes every byte offered.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.writes += 1;
+            for buf in bufs {
+                self.bytes.extend_from_slice(buf);
+            }
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_written_in_one_write_call() {
+        let cases = [
+            (
+                Response::ok("body\n"),
+                "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+                 Content-Length: 5\r\nConnection: close\r\n\r\nbody\n",
+            ),
+            (
+                Response::error(400, "missing query parameter q"),
+                "HTTP/1.1 400 Bad Request\r\nContent-Type: text/plain; charset=utf-8\r\n\
+                 Content-Length: 26\r\nConnection: close\r\n\r\nmissing query parameter q\n",
+            ),
+            (
+                Response::error(503, "server overloaded, retry later"),
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain; charset=utf-8\r\n\
+                 Content-Length: 31\r\nConnection: close\r\n\r\nserver overloaded, retry later\n",
+            ),
+        ];
+        for (response, wire) in cases {
+            let mut out = CountingWriter::default();
+            response.write_to(&mut out).unwrap();
+            assert_eq!(out.writes, 1, "status {}", response.status);
+            assert_eq!(String::from_utf8(out.bytes).unwrap(), wire);
+        }
+        // A body far larger than the head reserve still goes out in one call.
+        let big = Response::json(vec![b'x'; 64 * 1024]);
+        let mut out = CountingWriter::default();
+        big.write_to(&mut out).unwrap();
+        assert_eq!(out.writes, 1);
+        assert!(out.bytes.ends_with(&big.body));
+    }
+
+    /// A writer that takes at most 5 bytes per call, as a socket with a
+    /// full send buffer may.
+    struct TrickleWriter(Vec<u8>);
+
+    impl Write for TrickleWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(5);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_taken_in_parts_is_written_whole() {
+        for response in [Response::ok("body\n"), Response::ok(""), Response::json(vec![b'x'; 1000])] {
+            let mut whole = Vec::new();
+            response.write_to(&mut whole).unwrap();
+            let mut parts = TrickleWriter(Vec::new());
+            response.write_to(&mut parts).unwrap();
+            assert_eq!(parts.0, whole);
+            assert!(whole.ends_with(&response.body));
+        }
     }
 }

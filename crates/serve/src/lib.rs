@@ -9,8 +9,8 @@
 //!    arenas that a [`MappedSnapshot`] serves zero-copy, with typed load
 //!    errors. `to_snapshot(save(m))` is bit-identical to `m`.
 //! 2. **Query server** ([`server`]): a dependency-free `std::net`
-//!    HTTP/1.1 server with a fixed worker thread pool over `std::sync::mpsc`
-//!    channels, a sharded LRU response cache behind `std::sync::Mutex`
+//!    HTTP/1.1 server with a fixed worker thread pool fed by a bounded
+//!    condvar queue, a sharded LRU response cache behind `std::sync::Mutex`
 //!    shards (the workspace has no `parking_lot`; the sharding keeps lock
 //!    hold times short instead), per-endpoint request/latency/cache
 //!    counters at `GET /metrics`, `GET /healthz`, graceful shutdown via an

@@ -2,13 +2,16 @@
 //!
 //! Architecture (DESIGN.md §9, §13): one acceptor thread plus a fixed
 //! pool of `workers` handler threads. The acceptor pushes accepted
-//! connections into a **bounded** `std::sync::mpsc::sync_channel`;
-//! workers pull from the shared receiver (briefly locking it, Rust-book
-//! style), parse the request, consult the sharded LRU response cache, and
-//! run the query against the current model. When the queue is full the
-//! acceptor sheds the connection with `503 Service Unavailable` instead
-//! of letting latency grow without bound — backpressure is explicit and
-//! typed, and shed connections are counted in `/metrics`.
+//! connections onto a **bounded** queue (a `Mutex<VecDeque>` of at most
+//! `queue_depth` connections beside a `Condvar`) and wakes exactly one
+//! idle worker per connection; workers sleep on the condvar, never poll.
+//! A worker parses the request, consults the sharded LRU response cache,
+//! runs the query against the current model and sends the response in one
+//! write. When the queue is full the acceptor sheds the connection with
+//! `503 Service Unavailable` instead of letting latency grow without
+//! bound — backpressure is explicit and typed, and shed connections are
+//! counted in `/metrics`. Shutdown closes the queue and wakes every
+//! worker; each answers what is still queued before it exits.
 //!
 //! A server runs one of two backends:
 //!
@@ -38,12 +41,12 @@ use crate::metrics::{Endpoint, Metrics};
 use crate::query::Model;
 use crate::ServeError;
 use lesm_query::QueryIndex;
+use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, TrySendError};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -244,15 +247,18 @@ impl Server {
             top_n: config.top_n,
         });
         let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = sync_channel::<TcpStream>(config.queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
+        let queue = Arc::new(ConnQueue::new(config.queue_depth));
 
         let mut threads = Vec::with_capacity(config.workers + 1);
         for _ in 0..config.workers {
-            let rx = Arc::clone(&rx);
+            let queue = Arc::clone(&queue);
             let state = Arc::clone(&state);
             let cfg = config.clone();
-            threads.push(std::thread::spawn(move || worker_loop(&rx, &state, &cfg)));
+            threads.push(std::thread::spawn(move || {
+                while let Some(stream) = queue.pop() {
+                    handle_connection(stream, &state, &cfg);
+                }
+            }));
         }
         // The acceptor blocks in `accept()` (no polling, so accepted
         // connections see zero added latency). Shutdown wakes it with a
@@ -268,15 +274,14 @@ impl Server {
                             if stop.load(Ordering::SeqCst) {
                                 break;
                             }
-                            match tx.try_send(stream) {
-                                Ok(()) => {}
-                                // Queue full: shed with a typed 503
-                                // instead of queueing unbounded latency.
-                                Err(TrySendError::Full(stream)) => {
-                                    shed(stream, write_timeout);
-                                    state.metrics.record_shed();
-                                }
-                                Err(TrySendError::Disconnected(_)) => break,
+                            // Queue full: shed with a typed 503 instead
+                            // of queueing unbounded latency. Counted
+                            // before the write, as requests are, so a
+                            // client that has read its 503 finds it in
+                            // `/metrics`.
+                            if let Err(stream) = queue.push(stream) {
+                                state.metrics.record_shed();
+                                shed(stream, write_timeout);
                             }
                         }
                         Err(_) => {
@@ -287,9 +292,9 @@ impl Server {
                         }
                     }
                 }
-                // Dropping the sender unblocks the workers: they drain any
-                // queued connections, then exit on the channel disconnect.
-                drop(tx);
+                // Closing wakes every worker: they answer the queued
+                // connections, then exit.
+                queue.close();
             }));
         }
         // Optional operator-signal watcher: polls for the shutdown file
@@ -312,51 +317,90 @@ impl Server {
     }
 }
 
+/// The bounded hand-off from the acceptor to the workers: accepted
+/// connections in arrival order, at most `depth` of them. Each push wakes
+/// one waiting worker; a worker that is busy when a connection arrives
+/// finds it on its next `pop`, because the check and the wait happen under
+/// the one lock.
+struct ConnQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+    depth: usize,
+}
+
+struct QueueState {
+    conns: VecDeque<TcpStream>,
+    closed: bool,
+}
+
+impl ConnQueue {
+    fn new(depth: usize) -> Self {
+        Self {
+            state: Mutex::new(QueueState { conns: VecDeque::new(), closed: false }),
+            ready: Condvar::new(),
+            depth,
+        }
+    }
+
+    /// Queues `stream` and wakes one worker, or hands `stream` back when
+    /// `depth` connections are already waiting.
+    fn push(&self, stream: TcpStream) -> Result<(), TcpStream> {
+        let mut state = self.lock();
+        if state.conns.len() >= self.depth {
+            return Err(stream);
+        }
+        state.conns.push_back(stream);
+        drop(state);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// Marks the queue closed and wakes every worker. What is queued is
+    /// still handed out; `pop` returns `None` once it is gone.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
+
+    /// The oldest queued connection, waiting for one if the queue is empty
+    /// and open; `None` once it is closed and drained.
+    fn pop(&self) -> Option<TcpStream> {
+        let mut state = self.lock();
+        loop {
+            if let Some(stream) = state.conns.pop_front() {
+                return Some(stream);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self.ready.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// The queue state. A poisoned lock means a thread panicked holding
+    /// it; every critical section is one `VecDeque` or flag update, so the
+    /// state is still whole and the pool keeps serving.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Writes the load-shedding 503 straight from the acceptor. The write is
 /// one small buffer into a fresh socket's send buffer, so it effectively
 /// never blocks; the timeout bounds the pathological case.
 fn shed(stream: TcpStream, write_timeout: Duration) {
     let _ = stream.set_write_timeout(Some(write_timeout));
-    let mut out = stream;
-    let _ = Response::error(503, "server overloaded, retry later").write_to(&mut out);
-}
-
-fn worker_loop(
-    rx: &Arc<Mutex<Receiver<TcpStream>>>,
-    state: &Arc<ServerState>,
-    config: &ServerConfig,
-) {
-    loop {
-        // Lock only for the duration of the channel wait, not the handling.
-        // A poisoned mutex means a sibling worker panicked mid-wait; the
-        // receiver itself is still valid, so recover it rather than
-        // cascading the panic through the whole pool.
-        let received = rx
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .recv_timeout(Duration::from_millis(50));
-        match received {
-            Ok(stream) => handle_connection(stream, state, config),
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
+    let _ = Response::error(503, "server overloaded, retry later").write_to(&mut &stream);
 }
 
 fn handle_connection(stream: TcpStream, state: &Arc<ServerState>, config: &ServerConfig) {
-    // Accepted sockets may inherit the listener's non-blocking mode on
-    // some platforms; force blocking-with-timeouts so a slow or silent
-    // client costs a worker at most read_timeout + write_timeout.
-    let _ = stream.set_nonblocking(false);
+    // A slow or silent client costs a worker at most read_timeout +
+    // write_timeout. The listener is blocking, so the accepted socket is.
     let _ = stream.set_read_timeout(Some(config.read_timeout));
     let _ = stream.set_write_timeout(Some(config.write_timeout));
     // lesm-lint: allow(D3, D4) — wall-clock guards the per-connection timeout; it never reaches a response body
     let started = Instant::now();
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let (endpoint, response) = match parse_request(&mut reader) {
+    let (endpoint, response) = match parse_request(&mut BufReader::new(&stream)) {
         Ok(req) => route(&req, state),
         Err(HttpParseError::TooLarge) => {
             (Endpoint::Other, Arc::new(Response::error(400, "request head too large")))
@@ -380,8 +424,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>, config: &Serve
     state
         .metrics
         .record_request(endpoint, response.status >= 400, started.elapsed());
-    let mut out = stream;
-    let _ = response.write_to(&mut out);
+    let _ = response.write_to(&mut &stream);
 }
 
 fn route(req: &Request, state: &Arc<ServerState>) -> (Endpoint, Arc<Response>) {
@@ -595,5 +638,56 @@ impl ServerHandle {
         for child in self.children.drain(..) {
             child.shutdown();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `n` connected client sockets, and the listener that keeps them open.
+    fn connections(n: usize) -> (TcpListener, Vec<TcpStream>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+        let addr = listener.local_addr().expect("bound address");
+        let conns = (0..n).map(|_| TcpStream::connect(addr).expect("connect")).collect();
+        (listener, conns)
+    }
+
+    fn port(stream: &TcpStream) -> u16 {
+        stream.local_addr().expect("local address").port()
+    }
+
+    #[test]
+    fn the_queue_refuses_past_its_depth_and_drains_in_order_after_close() {
+        let (_listener, conns) = connections(3);
+        let ports: Vec<u16> = conns.iter().map(port).collect();
+        let queue = ConnQueue::new(2);
+        let mut conns = conns.into_iter();
+        for _ in 0..2 {
+            assert!(queue.push(conns.next().expect("a connection")).is_ok());
+        }
+        let refused = queue.push(conns.next().expect("a connection")).expect_err("queue is full");
+        assert_eq!(port(&refused), ports[2]);
+        queue.close();
+        assert_eq!(queue.pop().as_ref().map(port), Some(ports[0]));
+        assert_eq!(queue.pop().as_ref().map(port), Some(ports[1]));
+        assert!(queue.pop().is_none());
+        assert!(queue.pop().is_none(), "a closed, drained queue stays drained");
+    }
+
+    #[test]
+    fn a_worker_takes_what_is_pushed_and_exits_on_close() {
+        let (_listener, conns) = connections(2);
+        let queue = ConnQueue::new(2);
+        std::thread::scope(|s| {
+            // Whether the worker is already waiting when a push lands or
+            // arrives after it, it takes both connections, then stops.
+            let worker = s.spawn(|| std::iter::from_fn(|| queue.pop()).count());
+            for conn in conns {
+                queue.push(conn).expect("room in the queue");
+            }
+            queue.close();
+            assert_eq!(worker.join().expect("worker thread"), 2);
+        });
     }
 }

@@ -195,6 +195,41 @@ fn a_request_is_counted_once_its_response_is_read() {
 }
 
 #[test]
+fn shutdown_answers_a_request_queued_behind_an_idle_connection() {
+    let (corpus, mined) = fixture(9);
+    let config = ServerConfig {
+        workers: 1,
+        read_timeout: Duration::from_secs(1),
+        ..ServerConfig::default()
+    };
+    let handle = Server::start_model(mapped_model(&corpus, &mined), config).expect("bind");
+    let addr = handle.addr();
+    // The idle connection holds the only worker until its read timeout.
+    let mut idle = TcpStream::connect(addr).expect("idle");
+    std::thread::sleep(Duration::from_millis(150));
+    let mut queued = TcpStream::connect(addr).expect("queued");
+    write!(queued, "GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
+        .expect("send request");
+    // Give the acceptor time to queue it before the stop flag is set.
+    std::thread::sleep(Duration::from_millis(150));
+
+    // Joins every thread: the worker times the idle connection out, then
+    // answers the queued request, then exits.
+    handle.shutdown();
+    for stream in [&mut idle, &mut queued] {
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    }
+    let mut response = Vec::new();
+    queued.read_to_end(&mut response).expect("queued response");
+    let response = String::from_utf8(response).expect("utf-8 response");
+    assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+    assert!(response.ends_with("\r\n\r\nok\n"), "{response}");
+    let mut timed_out = Vec::new();
+    idle.read_to_end(&mut timed_out).expect("idle response");
+    assert!(timed_out.starts_with(b"HTTP/1.1 408 "), "{}", String::from_utf8_lossy(&timed_out));
+}
+
+#[test]
 fn shutdown_file_stops_the_server() {
     let (corpus, mined) = fixture(9);
     let dir = tmp_dir("shutdown-file");

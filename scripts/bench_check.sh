@@ -4,7 +4,8 @@
 # Usage: bench_check.sh <fresh.json> [baseline.json]
 #
 # <fresh.json> holds one JSON record per line, as written by the criterion
-# stand-in: {"id":...,"samples":...,"mean_ns":...,"median_ns":...}.
+# stand-in: {"id":...,"samples":...,"mean_ns":...,"median_ns":...,"nproc":...}
+# (older files lack `nproc`; only `id` and `median_ns` are compared).
 # The baseline defaults to the committed (HEAD) version of the same file,
 # so running bench_smoke.sh in a dirty tree compares the new numbers
 # against the ones checked in by the previous PR.

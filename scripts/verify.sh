@@ -35,6 +35,12 @@ echo "== tests (release: artifact bytes)"
 cargo test --release -q -p lesm --test mined_bytes
 cargo test --release -q -p lesm-serve --test golden
 
+# The server's accept queue hands connections to workers through a
+# condvar, and its shed, drain and fan-out tests race real sockets: run
+# them again at release speed, where the timings differ from debug.
+echo "== tests (release: server and sharded end to end)"
+cargo test --release -q -p lesm-serve --test server_e2e --test sharded_e2e
+
 # perfbench/ is a Cargo workspace of its own, so nothing above compiles
 # it: an API deletion it depends on would otherwise only surface when the
 # benchmark runs.
