@@ -12,7 +12,7 @@
 //! The acceptance target for the incremental path is >= 10x under the
 //! full re-mine; the measured ratio is printed with each run. Records
 //! land in the standard bench JSON schema
-//! (`{"id","samples","mean_ns","median_ns"}`) so `scripts/bench_check.sh`
+//! (`{"id","samples","mean_ns","median_ns","nproc"}`) so `scripts/bench_check.sh`
 //! can diff them across PRs; collected into `BENCH_update.json` by
 //! `scripts/bench_smoke.sh`.
 //!
@@ -39,8 +39,10 @@ fn emit_record(id: &str, times: &[u128], value_ns: u128) {
     println!("{id:<48} {:.1} ms  ({} samples)", value_ns as f64 / 1e6, times.len());
     if let Ok(path) = std::env::var("LESM_BENCH_JSON") {
         if !path.is_empty() {
+            // A timing is read against the host's core count.
+            let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
             let line = format!(
-                "{{\"id\":\"{id}\",\"samples\":{},\"mean_ns\":{mean},\"median_ns\":{value_ns}}}\n",
+                "{{\"id\":\"{id}\",\"samples\":{},\"mean_ns\":{mean},\"median_ns\":{value_ns},\"nproc\":{nproc}}}\n",
                 times.len()
             );
             let mut file = std::fs::OpenOptions::new()

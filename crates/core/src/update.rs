@@ -9,10 +9,11 @@
 //! 2. the hierarchy is warm-started from the base fit and refined under a
 //!    small convergence budget ([`UpdateBudget`]) instead of multi-restart
 //!    EM from scratch ([`TopicHierarchy::update`]);
-//! 3. the base phrase inventory is recreated deterministically from the
-//!    base documents (token ids are append-only, so this is bit-stable)
-//!    and only the appended documents are segmented — base segmentations
-//!    are reused verbatim;
+//! 3. only the appended documents are segmented, against the base
+//!    documents' counts of just the phrases they contain
+//!    ([`FrequentPhrases::mine_for`], which segments them exactly as the
+//!    full base inventory would; token ids are append-only, so this is
+//!    bit-stable) — base segmentations are reused verbatim;
 //! 4. the cheap artifact-derivation stages (topical frequencies, phrase
 //!    and entity ranking, document attribution) run through the same code
 //!    path as `mine`, so shared inputs produce byte-identical artifacts.
@@ -20,9 +21,12 @@
 //! Determinism contract: the same base structure plus the same update
 //! sequence yields bit-identical results, independent of worker threads.
 //! `update(base, delta)` is *not* required to equal `mine(base ∪ delta)` —
-//! the warm-started fit is a continuation, not a restart, and phrases
-//! frequent only within the delta stay out of the inventory until the next
-//! full mine (compaction).
+//! the warm-started fit is a continuation, not a restart. The phrase
+//! counts cover the base documents only, so a phrase frequent only within
+//! the delta is not merged in that delta. The next update's base is this
+//! result, delta included, so that phrase can be merged in later deltas;
+//! documents already segmented are never segmented again, and compaction
+//! (an artifact written without lineage) re-mines nothing.
 
 use crate::pipeline::{derive_artifacts, MinedStructure, MinerConfig};
 use crate::{CoreError, LatentStructureMiner};
@@ -75,18 +79,16 @@ impl LatentStructureMiner {
         let hierarchy = TopicHierarchy::update(&base.hierarchy, &delta_net, &hier_cfg, budget)?;
         let term_type = corpus.entities.num_types();
 
-        // 3. Recreate the base phrase inventory and segment only the
-        //    appended documents.
-        let base_tokens: Vec<Vec<u32>> =
-            corpus.docs[..base_docs].iter().map(|d| d.tokens.clone()).collect();
-        let phrases = FrequentPhrases::mine_threads(
-            &base_tokens,
-            config.phrase_min_support,
-            config.phrase_max_len,
-            config.threads,
-        );
+        // 3. Count over the base documents only the phrases the appended
+        //    documents can use, and segment only the appended documents.
         let delta_tokens: Vec<Vec<u32>> =
             corpus.docs[base_docs..].iter().map(|d| d.tokens.clone()).collect();
+        let phrases = FrequentPhrases::mine_for(
+            corpus.docs[..base_docs].iter().map(|d| d.tokens.as_slice()),
+            &delta_tokens,
+            config.phrase_min_support,
+            config.phrase_max_len,
+        );
         let delta_segments = Segmenter::segment_threads(
             &delta_tokens,
             &phrases,

@@ -150,6 +150,65 @@ impl FrequentPhrases {
         Self { counts, total_tokens }
     }
 
+    /// The part of [`mine`](Self::mine)`(docs, min_support, max_len)` that
+    /// segmenting `targets` can read: every contiguous sub-phrase of a
+    /// target with its true count over `docs`, kept when it is frequent.
+    ///
+    /// [`Segmenter::segment_doc`] only looks up runs of adjacent segments
+    /// of the document it segments, and `mine` is exact (it holds every
+    /// phrase of length `<= max(max_len, 1)` with count
+    /// `>= max(min_support, 1)`), so `targets` segment against this table
+    /// exactly as against the full inventory. The cost is one scan of
+    /// `docs` plus a table the size of the targets, not the inventory of
+    /// `docs`.
+    ///
+    /// ```
+    /// use lesm_phrases::topmine::FrequentPhrases;
+    ///
+    /// let docs = vec![vec![0, 1, 2], vec![0, 1, 3], vec![0, 1, 4]];
+    /// let fp = FrequentPhrases::mine_for(docs.iter().map(Vec::as_slice), &[vec![1, 9]], 2, 4);
+    /// assert_eq!(fp.count(&[1]), 3);
+    /// assert_eq!(fp.count(&[9]), 0, "absent from docs");
+    /// assert_eq!(fp.count(&[0, 1]), 0, "frequent, but not a sub-phrase of a target");
+    /// assert_eq!(fp.total_tokens(), 9);
+    /// ```
+    pub fn mine_for<'a>(
+        docs: impl IntoIterator<Item = &'a [u32]>,
+        targets: &[Vec<u32>],
+        min_support: u64,
+        max_len: usize,
+    ) -> Self {
+        // `mine` always counts unigrams, whatever `max_len` says.
+        let max_len = max_len.max(1);
+        let mut counts: HashMap<Vec<u32>, u64> = HashMap::new();
+        for t in targets {
+            for i in 0..t.len() {
+                for end in i + 1..=t.len().min(i + max_len) {
+                    counts.entry(t[i..end].to_vec()).or_insert(0);
+                }
+            }
+        }
+        // The table is prefix-closed, so a run that leaves it at length n
+        // has no longer extension in it either.
+        let mut total_tokens = 0u64;
+        for doc in docs {
+            total_tokens += doc.len() as u64;
+            for i in 0..doc.len() {
+                for end in i + 1..=doc.len().min(i + max_len) {
+                    match counts.get_mut(&doc[i..end]) {
+                        Some(c) => *c += 1,
+                        None => break,
+                    }
+                }
+            }
+        }
+        // `mine` never stores a phrase that does not occur, even at
+        // `min_support` 0.
+        let min_support = min_support.max(1);
+        counts.retain(|_, &mut c| c >= min_support);
+        Self { counts, total_tokens }
+    }
+
     /// Count of a phrase (0 when not frequent).
     pub fn count(&self, phrase: &[u32]) -> u64 {
         self.counts.get(phrase).copied().unwrap_or(0)

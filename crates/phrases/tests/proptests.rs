@@ -8,6 +8,12 @@ fn random_docs() -> impl Strategy<Value = Vec<Vec<u32>>> {
     proptest::collection::vec(proptest::collection::vec(0u32..15, 0..25), 1..25)
 }
 
+/// Docs over a six-word vocabulary, so phrases of three and four words
+/// recur often enough to pass a support threshold.
+fn dense_docs() -> impl Strategy<Value = Vec<Vec<u32>>> {
+    proptest::collection::vec(proptest::collection::vec(0u32..6, 0..25), 1..25)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -97,6 +103,58 @@ proptest! {
                 .map(|t| patterns.topic_freq[t].get(p).copied().unwrap_or(0))
                 .sum();
             prop_assert_eq!(total, sum, "f(P) != Σ f_t(P) for {:?}", p);
+        }
+    }
+
+    /// The targets are `(doc, start, len)` cuts from the docs plus random
+    /// token runs over ids 0..9, of which 6..9 never occur in the docs.
+    #[test]
+    fn mine_for_matches_mine_on_every_target_sub_phrase(
+        docs in dense_docs(),
+        cuts in proptest::collection::vec((0usize..100, 0usize..100, 0usize..14), 0..6),
+        randoms in proptest::collection::vec(proptest::collection::vec(0u32..9, 0..12), 0..4),
+        min_sup in 0u64..5,
+        max_len in 0usize..6,
+    ) {
+        let mut targets: Vec<Vec<u32>> = cuts
+            .iter()
+            .map(|&(d, start, len)| {
+                let doc = &docs[d % docs.len()];
+                let start = start % (doc.len() + 1);
+                doc[start..(start + len).min(doc.len())].to_vec()
+            })
+            .collect();
+        targets.extend(randoms);
+        let full = FrequentPhrases::mine(&docs, min_sup, max_len);
+        let part =
+            FrequentPhrases::mine_for(docs.iter().map(Vec::as_slice), &targets, min_sup, max_len);
+        prop_assert_eq!(part.total_tokens(), full.total_tokens());
+        // Every sub-phrase of every target, longer than `max_len` too.
+        let mut held = std::collections::HashSet::new();
+        for t in &targets {
+            for i in 0..t.len() {
+                for j in i + 1..=t.len() {
+                    let p = &t[i..j];
+                    prop_assert_eq!(part.count(p), full.count(p), "count of {:?}", p);
+                    if full.count(p) > 0 {
+                        held.insert(p.to_vec());
+                    }
+                }
+            }
+        }
+        // No phrase beyond those: nothing absent from `mine`, no stored zero.
+        prop_assert_eq!(part.len(), held.len());
+        for t in &targets {
+            for alpha in [-1.0, 0.5, 2.0, 4.0] {
+                let cfg = SegmenterConfig { alpha };
+                prop_assert_eq!(
+                    Segmenter::segment_doc(t, &part, &cfg),
+                    Segmenter::segment_doc(t, &full, &cfg),
+                    "segments of {:?} at alpha {}",
+                    t,
+                    alpha
+                );
+            }
         }
     }
 }

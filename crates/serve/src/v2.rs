@@ -178,35 +178,40 @@ pub struct DeltaInfo {
 /// byte-at-a-time FNV) while staying a pure deterministic function of the
 /// word sequence; the fold hashes the lane digests plus the word count.
 pub(crate) fn checksum_words(words: &[u64]) -> u64 {
+    fold_lanes(words, |&w| w)
+}
+
+/// The trailer checksum of an artifact body held as bytes (a whole number
+/// of words; the loader checksums its aligned mapping in place instead).
+/// Reads each word where it lies, so the body is never copied.
+fn body_checksum(body: &[u8]) -> u64 {
+    fold_lanes(body.as_chunks::<8>().0, |b| u64::from_le_bytes(*b))
+}
+
+/// [`checksum_words`] over `items`, where `word` reads item `i` as word `i`.
+fn fold_lanes<T>(items: &[T], word: impl Fn(&T) -> u64) -> u64 {
     const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x1000_0000_01b3;
     let mut l0 = BASIS ^ 1;
     let mut l1 = BASIS ^ 2;
     let mut l2 = BASIS ^ 3;
     let mut l3 = BASIS ^ 4;
-    let mut chunks = words.chunks_exact(4);
+    let mut chunks = items.chunks_exact(4);
     for c in &mut chunks {
-        l0 = (l0 ^ c[0]).wrapping_mul(PRIME);
-        l1 = (l1 ^ c[1]).wrapping_mul(PRIME);
-        l2 = (l2 ^ c[2]).wrapping_mul(PRIME);
-        l3 = (l3 ^ c[3]).wrapping_mul(PRIME);
+        l0 = (l0 ^ word(&c[0])).wrapping_mul(PRIME);
+        l1 = (l1 ^ word(&c[1])).wrapping_mul(PRIME);
+        l2 = (l2 ^ word(&c[2])).wrapping_mul(PRIME);
+        l3 = (l3 ^ word(&c[3])).wrapping_mul(PRIME);
     }
     let mut lanes = [l0, l1, l2, l3];
-    for (j, &w) in chunks.remainder().iter().enumerate() {
-        lanes[j] = (lanes[j] ^ w).wrapping_mul(PRIME);
+    for (j, w) in chunks.remainder().iter().enumerate() {
+        lanes[j] = (lanes[j] ^ word(w)).wrapping_mul(PRIME);
     }
-    let mut h = BASIS ^ (words.len() as u64);
+    let mut h = BASIS ^ (items.len() as u64);
     for l in lanes {
         h = (h ^ l).wrapping_mul(PRIME);
     }
     h
-}
-
-/// The trailer checksum of an artifact body held as bytes (a whole number
-/// of words; the loader checksums its aligned mapping in place instead).
-fn body_checksum(body: &[u8]) -> u64 {
-    let words: Vec<u64> = body.chunks_exact(8).map(le_u64).collect();
-    checksum_words(&words)
 }
 
 /// The little-endian `u64` at the start of `b` (which holds at least 8 bytes).
@@ -1967,6 +1972,17 @@ mod tests {
         let _ =
             crate::shard::assign_docs(&snap.corpus, &snap.mined, crate::ShardBy::TopicSubtree, 2);
         Ok(())
+    }
+
+    /// Every word count hits each lane-remainder case several times.
+    #[test]
+    fn body_checksum_equals_checksum_words_of_the_collected_words() {
+        for n in 0..=41usize {
+            let body: Vec<u8> =
+                (0..n * 8).map(|i| (i as u8).wrapping_mul(151).wrapping_add(n as u8)).collect();
+            let words: Vec<u64> = body.chunks_exact(8).map(le_u64).collect();
+            assert_eq!(body_checksum(&body), checksum_words(&words), "{n} words");
+        }
     }
 
     /// Substitutes hostile values into the words of every section of
