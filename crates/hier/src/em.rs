@@ -126,6 +126,11 @@ impl Default for EmConfig {
 }
 
 /// A fitted subtopic decomposition of one topic's network.
+///
+/// A fit holds the parameters and nothing derived from the links: the
+/// full Poisson log-likelihood, which only model selection reads, is
+/// computed on demand by [`EmFit::loglik`] from the fit and the
+/// [`EdgeState`] it was fitted on.
 #[derive(Debug, Clone)]
 pub struct EmFit {
     /// Number of subtopics.
@@ -150,8 +155,6 @@ pub struct EmFit {
     /// property tests verify it. With [`EmConfig::tol`] set, the trace may
     /// be shorter than `iters` (it ends at the early-exit iteration).
     pub objective_trace: Vec<f64>,
-    /// Full Poisson log-likelihood of the observed links (for BIC).
-    pub loglik: f64,
     /// The parent-topic node importance used by the background term.
     /// Shared (not copied) with the [`EdgeState`] the fit came from.
     pub parent_phi: Arc<Vec<Vec<f64>>>,
@@ -205,6 +208,64 @@ impl EmFit {
                 *v /= total;
             }
         }
+    }
+
+    /// Full Poisson log-likelihood of the observed links under this fit,
+    /// `Σ_e [w_e ln(M θ s_e) - lnΓ(w_e + 1)] - M` over the links with a
+    /// positive rate (the BIC/AIC input of [`crate::select`]). `state` must
+    /// be the flatten the fit was computed on, and `config` its
+    /// configuration: `background` gates the background term and
+    /// `threads` only splits the work. The links are summed in the EM's
+    /// fixed chunk layout, so the bits depend on neither the thread count
+    /// nor the caller.
+    pub fn loglik(&self, state: &EdgeState, config: &EmConfig) -> f64 {
+        let k = self.k;
+        let n_edges = state.num_links();
+        let arena = ParamArena::from_fit(self, state);
+        let (phi, phi0, rho) = arena.split();
+        let scaled = |e: usize| self.alpha[state.tp[e]] * state.w[e];
+        let m_total: f64 = (0..n_edges).map(scaled).sum();
+        // Link weights are overwhelmingly small integers, and `ln_gamma` is
+        // by far the costliest call in this pass — memoize the integer
+        // arguments. Table entries come from the same `ln_gamma`, so the
+        // bits match the direct call exactly.
+        let ln_gamma_table: Vec<f64> = (0..64).map(|i| ln_gamma(i as f64 + 1.0)).collect();
+        let ln_gamma_memo = |w: f64| {
+            let wi = w as usize;
+            if wi < 63 && wi as f64 == w { ln_gamma_table[wi] } else { ln_gamma(w + 1.0) }
+        };
+        let parent_flat = &state.parent_flat;
+        let mut ll = [0.0f64];
+        lesm_par::par_buffer_reduce_with(
+            &mut lesm_par::ReduceScratch::new(),
+            n_edges,
+            lesm_par::grain_for_pieces(n_edges, EM_PIECES),
+            config.threads,
+            lesm_par::WorkHint::items(n_edges, 2 * k + 8),
+            &mut ll,
+            |range, buf| {
+                for e in range {
+                    let (ni, nj) = (state.ni[e] as usize, state.nj[e] as usize);
+                    let w = scaled(e);
+                    let a = &phi[ni * k..ni * k + k];
+                    let b = &phi[nj * k..nj * k + k];
+                    let mut s = 0.0;
+                    for z in 0..k {
+                        s += rho[z + 1] * a[z] * b[z];
+                    }
+                    if config.background {
+                        s += 0.5
+                            * rho[0]
+                            * (phi0[ni] * parent_flat[nj] + phi0[nj] * parent_flat[ni]);
+                    }
+                    let lambda = m_total * self.theta[state.tp[e]] * s;
+                    if lambda > 0.0 {
+                        buf[0] += w * lambda.ln() - ln_gamma_memo(w);
+                    }
+                }
+            },
+        );
+        -m_total + ll[0]
     }
 
     /// Extracts the expected-weight subnetwork of every subtopic in one
@@ -482,6 +543,25 @@ impl ParamArena {
         Self { k, total, data: vec![0.0; total * k + total + k + 1] }
     }
 
+    /// The arena form of `fit` over `state`'s node space, value for value
+    /// (the inverse of `ArenaFit::into_em_fit`).
+    fn from_fit(fit: &EmFit, state: &EdgeState) -> Self {
+        let k = fit.k;
+        let mut arena = Self::new(k, state.total_nodes);
+        let (phi, phi0, rho) = arena.split_mut();
+        for x in 0..state.t_count {
+            let base = state.node_base[x];
+            for (z, row) in fit.phi[x].iter().enumerate() {
+                for (i, &v) in row.iter().enumerate() {
+                    phi[(base + i) * k + z] = v;
+                }
+            }
+            phi0[base..base + fit.phi0[x].len()].copy_from_slice(&fit.phi0[x]);
+        }
+        rho.copy_from_slice(&fit.rho);
+        arena
+    }
+
     /// `(phi, phi0, rho)` views.
     #[inline]
     fn split(&self) -> (&[f64], &[f64], &[f64]) {
@@ -507,7 +587,6 @@ struct ArenaFit {
     theta: Vec<f64>,
     objective: f64,
     objective_trace: Vec<f64>,
-    loglik: f64,
 }
 
 impl ArenaFit {
@@ -540,7 +619,6 @@ impl ArenaFit {
             theta: self.theta,
             objective: self.objective,
             objective_trace: self.objective_trace,
-            loglik: self.loglik,
             parent_phi: Arc::clone(&state.parent_phi),
         }
     }
@@ -751,7 +829,6 @@ impl CathyHinEm {
             theta: Vec::new(),
             objective: f64::NEG_INFINITY,
             objective_trace: Vec::new(),
-            loglik: 0.0,
         };
         let best = fit_alpha(state, config, &alpha, Some(warm), &mut scratch);
         Ok(best.into_em_fit(state, alpha))
@@ -783,19 +860,18 @@ fn fit_alpha(
     match warm {
         Some(prev) => {
             // Warm-started rounds are deterministic — one run suffices.
-            run_em(state, config, &scaled, m_total, &theta, config.seed, Some(prev.arena), scratch)
+            run_em(state, config, &scaled, &theta, config.seed, Some(prev.arena), scratch)
         }
         None => {
             // Restart 0 seeds `best` directly (its seed offset is 0), so no
             // `Option` unwrap is needed to prove the loop produced a fit.
             let mut best =
-                run_em(state, config, &scaled, m_total, &theta, config.seed, None, scratch);
+                run_em(state, config, &scaled, &theta, config.seed, None, scratch);
             for restart in 1..config.restarts.max(1) {
                 let f = run_em(
                     state,
                     config,
                     &scaled,
-                    m_total,
                     &theta,
                     config.seed.wrapping_add(restart as u64 * 1313),
                     None,
@@ -1092,12 +1168,10 @@ fn estep_fill_portable<const K: usize>(
 
 /// One full EM run (fixed α). When `warm` is given, the passed arena is
 /// continued in place instead of random initialization.
-#[allow(clippy::too_many_arguments)]
 fn run_em(
     state: &EdgeState,
     config: &EmConfig,
     scaled: &[f64],
-    m_total: f64,
     theta: &[f64],
     seed: u64,
     warm: Option<ParamArena>,
@@ -1279,50 +1353,7 @@ fn run_em(
         }
     }
 
-    // Full Poisson log-likelihood (for BIC): Σ_nonzero [w ln(M θ s) - lnΓ(w+1)] - M.
-    // Link weights are overwhelmingly small integers, and `ln_gamma` is by
-    // far the costliest call in this pass — memoize the integer arguments.
-    // Table entries come from the same `ln_gamma`, so the bits match the
-    // direct call exactly.
-    let ln_gamma_table: Vec<f64> = (0..64).map(|i| ln_gamma(i as f64 + 1.0)).collect();
-    let ln_gamma_memo = |w: f64| {
-        let wi = w as usize;
-        if wi < 63 && wi as f64 == w { ln_gamma_table[wi] } else { ln_gamma(w + 1.0) }
-    };
-    let (phi_c, phi0_c, rho_c) = cur.split();
-    let mut ll = [0.0f64];
-    lesm_par::par_buffer_reduce_with(
-        &mut scratch.reduce,
-        n_edges,
-        grain,
-        config.threads,
-        lesm_par::WorkHint::items(n_edges, 2 * k + 8),
-        &mut ll,
-        |range, buf| {
-            for e in range {
-                let (ni, nj) = (state.ni[e] as usize, state.nj[e] as usize);
-                let w = scaled[e];
-                let a = &phi_c[ni * k..ni * k + k];
-                let b = &phi_c[nj * k..nj * k + k];
-                let mut s = 0.0;
-                for z in 0..k {
-                    s += rho_c[z + 1] * a[z] * b[z];
-                }
-                if background {
-                    s += 0.5
-                        * rho_c[0]
-                        * (phi0_c[ni] * parent_flat[nj] + phi0_c[nj] * parent_flat[ni]);
-                }
-                let lambda = m_total * theta[state.tp[e]] * s;
-                if lambda > 0.0 {
-                    buf[0] += w * lambda.ln() - ln_gamma_memo(w);
-                }
-            }
-        },
-    );
-    let loglik = -m_total + ll[0];
-
-    ArenaFit { arena: cur, theta: theta.to_vec(), objective, objective_trace, loglik }
+    ArenaFit { arena: cur, theta: theta.to_vec(), objective, objective_trace }
 }
 
 /// Learns link-type weights from the current fit (eqs. 3.37–3.38), then
@@ -1496,14 +1527,15 @@ mod tests {
         const GOLD_TC_OBJ: f64 = -4.237_522_342_334_86e2;
         const GOLD_TC_LOGLIK: f64 = -1.457_145_166_157_488e2;
         const GOLD_TC_MASS: f64 = 7.649_136_488_182_065e-3;
-        let fit = CathyHinEm::fit(&two_communities(), &cfg(2, false)).unwrap();
+        let net = two_communities();
+        let fit = CathyHinEm::fit(&net, &cfg(2, false)).unwrap();
         let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1.0);
         assert!(
             rel(fit.objective, GOLD_TC_OBJ) <= 1e-9,
             "two_communities objective drifted: {:.17e} vs {GOLD_TC_OBJ:.17e}",
             fit.objective
         );
-        assert!(rel(fit.loglik, GOLD_TC_LOGLIK) <= 1e-9);
+        assert!(rel(fit.loglik(&EdgeState::new(&net), &cfg(2, false)), GOLD_TC_LOGLIK) <= 1e-9);
         let mass: f64 = fit.phi[0][0][..4].iter().sum();
         assert!(
             (mass - GOLD_TC_MASS).abs() <= 1e-9,
@@ -1513,13 +1545,14 @@ mod tests {
         const GOLD_HIN_OBJ: f64 = -6.902_586_006_616_54e2;
         const GOLD_HIN_LOGLIK: f64 = -1.753_114_844_233_267e2;
         const GOLD_HIN_TERM_MASS: f64 = 4.424_612_057_166_372e-4;
-        let fit = CathyHinEm::fit(&two_communities_hin(), &cfg(2, true)).unwrap();
+        let net = two_communities_hin();
+        let fit = CathyHinEm::fit(&net, &cfg(2, true)).unwrap();
         assert!(
             rel(fit.objective, GOLD_HIN_OBJ) <= 1e-9,
             "two_communities_hin objective drifted: {:.17e} vs {GOLD_HIN_OBJ:.17e}",
             fit.objective
         );
-        assert!(rel(fit.loglik, GOLD_HIN_LOGLIK) <= 1e-9);
+        assert!(rel(fit.loglik(&EdgeState::new(&net), &cfg(2, true)), GOLD_HIN_LOGLIK) <= 1e-9);
         let mass: f64 = fit.phi[1][0][..4].iter().sum();
         assert!(
             (mass - GOLD_HIN_TERM_MASS).abs() <= 1e-9,

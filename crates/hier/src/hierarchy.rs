@@ -65,7 +65,15 @@ pub struct HierTopic {
     pub phi: Vec<Vec<f64>>,
     /// The topic's share of its parent's links (`ρ`; 1.0 at the root).
     pub rho: f64,
-    /// The expected-weight network owned by this topic.
+    /// The expected-weight network owned by this topic: the root's input
+    /// network, or, below the root and above the last level
+    /// ([`CathyConfig::max_depth`]), the subnetwork extracted from the
+    /// parent's fit, which the recursion may expand. A topic at the last
+    /// level is never expanded, so it holds an empty network over the
+    /// same node space. A hierarchy decoded from a `.lesm` artifact has
+    /// an empty network at every topic but the root: the artifact stores
+    /// only the root's links, which is all [`TopicHierarchy::update`]
+    /// reads.
     pub network: TypedNetwork,
 }
 
@@ -160,7 +168,7 @@ impl TopicHierarchy {
                 }
                 let em_cfg = EmConfig { k, ..config.em.clone() };
                 let fit = CathyHinEm::fit_prepared(&state, &em_cfg)?;
-                next.extend(hierarchy.attach_children(node, fit, config.subnet_threshold));
+                next.extend(hierarchy.attach_children(node, fit, config));
             }
             frontier = next;
             if frontier.is_empty() {
@@ -181,7 +189,10 @@ impl TopicHierarchy {
     /// fit), and a base-expanded topic whose refreshed subnetwork falls
     /// under `min_links` becomes a leaf. Child networks are re-extracted
     /// from the updated parent network by expected weight, exactly as
-    /// [`TopicHierarchy::construct`] does.
+    /// [`TopicHierarchy::construct`] does. Of `base` this reads only the
+    /// root's network, the fits and the tree shape, so a base decoded
+    /// from an artifact (empty networks below the root) updates to the
+    /// same bits as the in-memory base it was saved from.
     ///
     /// Determinism: no RNG is consumed anywhere on this path (warm fits
     /// are single continuations), and the root edge order is the base
@@ -229,7 +240,7 @@ impl TopicHierarchy {
                 let em_cfg =
                     EmConfig { k, iters: budget.iters, tol: budget.tol, ..config.em.clone() };
                 let fit = CathyHinEm::fit_warm(&state, &em_cfg, prev_fit)?;
-                let children = out.attach_children(node, fit, config.subnet_threshold);
+                let children = out.attach_children(node, fit, config);
                 next.extend(children.zip(&base.topics[base_idx].children).map(|(c, &b)| (c, b)));
             }
             frontier = next;
@@ -267,19 +278,29 @@ impl TopicHierarchy {
     }
 
     /// Expands `node` with `fit`: appends one child per subtopic, owning
-    /// the subtopic's ranking distributions, share, and expected-weight
-    /// network ([`EmFit::subnetworks`] at `threshold`), then stores the fit
-    /// and its link-type weights on `node`. Returns the new children's
-    /// indices in subtopic order.
+    /// the subtopic's ranking distributions and share, then stores the fit
+    /// and its link-type weights on `node`. Children above
+    /// `config.max_depth` may be expanded in turn, so each owns its
+    /// expected-weight network ([`EmFit::subnetworks`] at
+    /// `config.subnet_threshold`); children at the last level are never
+    /// expanded, nothing reads their links, and each gets an empty network
+    /// over the parent's node space. Returns the new children's indices in
+    /// subtopic order.
     fn attach_children(
         &mut self,
         node: usize,
         fit: EmFit,
-        threshold: f64,
+        config: &CathyConfig,
     ) -> std::ops::Range<usize> {
         let first = self.topics.len();
         let level = self.topics[node].level + 1;
-        let subnets = fit.subnetworks(&self.topics[node].network, threshold);
+        let parent_net = &self.topics[node].network;
+        let subnets = if level < config.max_depth {
+            fit.subnetworks(parent_net, config.subnet_threshold)
+        } else {
+            let (names, counts) = (&parent_net.type_names, &parent_net.node_counts);
+            vec![TypedNetwork::new(names.clone(), counts.clone()); fit.k]
+        };
         for (z, network) in subnets.into_iter().enumerate() {
             let child_idx = self.topics.len();
             self.topics.push(HierTopic {
@@ -529,6 +550,53 @@ mod tests {
         let c = TopicHierarchy::update(&base, &nested_delta(), &cfg4, &budget).unwrap();
         for (ta, tc) in a.topics.iter().zip(&c.topics) {
             assert_eq!(ta.phi, tc.phi);
+        }
+    }
+
+    /// Subnetworks are built only for children the recursion expands:
+    /// level 1 of a depth-2 tree holds its extracted links, the last
+    /// level an empty network over the root's node space.
+    #[test]
+    fn only_expanded_levels_own_links() {
+        let base = TopicHierarchy::construct(nested_network(), &config()).unwrap();
+        let up = TopicHierarchy::update(&base, &nested_delta(), &config(), &UpdateBudget::default())
+            .unwrap();
+        for h in [&base, &up] {
+            assert!(h.len() > 3, "the tree reaches level 2");
+            for t in &h.topics {
+                let net = &t.network;
+                assert_eq!(net.node_counts, h.topics[0].network.node_counts, "{}", t.path);
+                assert_eq!(net.num_links() > 0, t.level < 2, "{} at level {}", t.path, t.level);
+            }
+        }
+    }
+
+    /// `update` reads the root's network, the fits and the tree shape of
+    /// its base, nothing else: a base whose other networks are emptied
+    /// (as a decoded artifact's are) updates to the same bits.
+    #[test]
+    fn update_reads_no_network_below_the_root() {
+        let base = TopicHierarchy::construct(nested_network(), &config()).unwrap();
+        let mut root_only = base.clone();
+        for t in root_only.topics.iter_mut().skip(1) {
+            t.network.blocks.clear();
+        }
+        let budget = UpdateBudget::default();
+        let a = TopicHierarchy::update(&base, &nested_delta(), &config(), &budget).unwrap();
+        let b = TopicHierarchy::update(&root_only, &nested_delta(), &config(), &budget).unwrap();
+        assert_eq!(a.len(), b.len());
+        for (ta, tb) in a.topics.iter().zip(&b.topics) {
+            assert_eq!(ta.phi, tb.phi);
+            assert_eq!(ta.rho.to_bits(), tb.rho.to_bits());
+            let edges = |t: &HierTopic| -> Vec<(u32, u32, u64)> {
+                let blocks = t.network.blocks.iter();
+                blocks.flat_map(|b| b.edges.iter().map(|&(i, j, w)| (i, j, w.to_bits()))).collect()
+            };
+            assert_eq!(edges(ta), edges(tb), "{}", ta.path);
+        }
+        for (fa, fb) in a.fits.iter().zip(&b.fits) {
+            let (fa, fb) = (fa.as_ref().map(|f| &f.phi), fb.as_ref().map(|f| &f.phi));
+            assert_eq!(fa, fb);
         }
     }
 

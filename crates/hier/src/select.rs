@@ -2,8 +2,8 @@
 //!
 //! The dissertation recommends cross-validation with BIC as the
 //! small-network fallback. We implement BIC (and AIC) over the full Poisson
-//! likelihood of [`crate::em::EmFit`]; `select_k` scans a candidate range
-//! and returns the `k` minimizing the penalized criterion.
+//! likelihood ([`crate::em::EmFit::loglik`]); `select_k` scans a candidate
+//! range and returns the `k` minimizing the penalized criterion.
 
 use crate::em::{CathyHinEm, EdgeState, EmConfig};
 use crate::HierError;
@@ -64,10 +64,10 @@ pub fn select_k_prepared(
             continue;
         }
         let cfg = EmConfig { k, ..base.clone() };
-        let fit = CathyHinEm::fit_prepared(state, &cfg)?;
+        let loglik = CathyHinEm::fit_prepared(state, &cfg)?.loglik(state, &cfg);
         let score = match criterion {
-            Criterion::Bic => bic_score(fit.loglik, total_nodes, k, n_links),
-            Criterion::Aic => aic_score(fit.loglik, total_nodes, k),
+            Criterion::Bic => bic_score(loglik, total_nodes, k, n_links),
+            Criterion::Aic => aic_score(loglik, total_nodes, k),
         };
         scores.push((k, score));
         if best.is_none_or(|(_, s)| score < s) {
@@ -138,6 +138,76 @@ mod tests {
             1,
             "select_k must flatten the network exactly once for the whole sweep"
         );
+    }
+
+    /// [`three_communities`] with an author pair attached to each
+    /// community (unequal weights, one stray link).
+    fn three_communities_hin() -> TypedNetwork {
+        let mut b = NetworkBuilder::new(vec!["author".into(), "term".into()], vec![6, 12]);
+        for grp in [0u32, 4, 8] {
+            for i in grp..grp + 4 {
+                for j in (i + 1)..grp + 4 {
+                    b.add(1, i, 1, j, 12.0);
+                }
+                b.add(0, grp / 2, 1, i, 6.0);
+                b.add(0, grp / 2 + 1, 1, i, 3.0);
+            }
+        }
+        b.add(1, 3, 1, 4, 1.0);
+        b.add(1, 7, 1, 8, 2.0);
+        b.add(0, 0, 1, 9, 1.0);
+        b.build()
+    }
+
+    /// The selected k and every score, bit for bit, as recorded when the
+    /// fit still carried its log-likelihood from the EM run: computing it
+    /// only here moved none of them, for any thread count.
+    #[test]
+    fn selection_keeps_its_recorded_k_and_score_bits() {
+        let text = EmConfig {
+            iters: 60,
+            restarts: 2,
+            seed: 11,
+            background: false,
+            weights: WeightMode::Equal,
+            ..EmConfig::default()
+        };
+        let hin = EmConfig {
+            iters: 60,
+            restarts: 2,
+            seed: 5,
+            background: true,
+            weights: WeightMode::Learned,
+            weight_rounds: 2,
+            ..EmConfig::default()
+        };
+        let recorded: [(TypedNetwork, &EmConfig, Criterion, [u64; 5]); 4] = [
+            (three_communities(), &text, Criterion::Bic, [
+                0x408f94e9a6947acf, 0x40884e383931e02a, 0x40836f5337d02b23,
+                0x408488c0625e0f04, 0x4085ac18631c91c0,
+            ]),
+            (three_communities(), &text, Criterion::Aic, [
+                0x408f355288cb0c24, 0x40878f09fd9f02d4, 0x4082508dde73df23,
+                0x40830a63eb385459, 0x4083ce24ce2d686a,
+            ]),
+            (three_communities_hin(), &hin, Criterion::Bic, [
+                0x4090cfea9c56f485, 0x408792087e814403, 0x4079bb53246b67a9,
+                0x407d30c0e7c557f4, 0x4080ea281328f9c4,
+            ]),
+            (three_communities_hin(), &hin, Criterion::Aic, [
+                0x40904dd6352b326e, 0x408589b6e1d23ba8, 0x4073a25e4e5e4e98,
+                0x40750f7a75093688, 0x4077aab816e6c9c0,
+            ]),
+        ];
+        for (net, base, criterion, bits) in recorded {
+            for threads in [1, 3] {
+                let cfg = EmConfig { threads, ..base.clone() };
+                let (k, scores) = select_k(&net, 1..=5, &cfg, criterion).unwrap();
+                let got: Vec<(usize, u64)> = scores.iter().map(|&(k, s)| (k, s.to_bits())).collect();
+                let want: Vec<(usize, u64)> = (1..=5).zip(bits).collect();
+                assert_eq!((k, got), (3, want), "{criterion:?} over {:?}, {threads} threads", net.type_names);
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for CATHY/CATHYHIN inference invariants.
 
-use lesm_hier::em::{CathyHinEm, EmConfig, EmFit, WeightMode};
+use lesm_hier::em::{ln_gamma, CathyHinEm, EdgeState, EmConfig, EmFit, WeightMode};
 use lesm_net::{LinkBlock, NetworkBuilder, TypedNetwork};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -84,7 +84,6 @@ fn random_fit(k: usize, background: bool, seed: u64) -> EmFit {
         theta: vec![0.25; 4],
         objective: 0.0,
         objective_trace: Vec::new(),
-        loglik: 0.0,
         parent_phi,
     }
 }
@@ -130,6 +129,57 @@ fn subnetwork_per_z(fit: &EmFit, net: &TypedNetwork, z: usize, threshold: f64) -
     out
 }
 
+/// The Poisson log-likelihood pass `run_em` ran after every EM run until
+/// [`EmFit::loglik`] replaced it, kept as its oracle: the same per-link
+/// arithmetic over the same flattened edge order (blocks in order, edges
+/// in block order), summed in the same 16 fixed chunks.
+fn loglik_inline_pass(net: &TypedNetwork, fit: &EmFit, background: bool) -> f64 {
+    let t = net.num_types();
+    let k = fit.k;
+    let edges: Vec<(usize, usize, u32, u32, f64)> = net
+        .blocks
+        .iter()
+        .flat_map(|b| b.edges.iter().map(move |&(i, j, w)| (b.tx, b.ty, i, j, w)))
+        .collect();
+    let n_edges = edges.len();
+    let scaled: Vec<f64> = edges.iter().map(|&(tx, ty, _, _, w)| fit.alpha[tx * t + ty] * w).collect();
+    let m_total: f64 = scaled.iter().sum();
+    let ln_gamma_table: Vec<f64> = (0..64).map(|i| ln_gamma(i as f64 + 1.0)).collect();
+    let ln_gamma_memo = |w: f64| {
+        let wi = w as usize;
+        if wi < 63 && wi as f64 == w { ln_gamma_table[wi] } else { ln_gamma(w + 1.0) }
+    };
+    let (rho, phi, phi0, parent) = (&fit.rho, &fit.phi, &fit.phi0, &fit.parent_phi);
+    let mut ll = [0.0f64];
+    lesm_par::par_buffer_reduce_with(
+        &mut lesm_par::ReduceScratch::new(),
+        n_edges,
+        lesm_par::grain_for_pieces(n_edges, 16),
+        1,
+        lesm_par::WorkHint::items(n_edges, 2 * k + 8),
+        &mut ll,
+        |range, buf| {
+            for e in range {
+                let (tx, ty, i, j, _) = edges[e];
+                let (i, j) = (i as usize, j as usize);
+                let w = scaled[e];
+                let mut s = 0.0;
+                for z in 0..k {
+                    s += rho[z + 1] * phi[tx][z][i] * phi[ty][z][j];
+                }
+                if background {
+                    s += 0.5 * rho[0] * (phi0[tx][i] * parent[ty][j] + phi0[ty][j] * parent[tx][i]);
+                }
+                let lambda = m_total * fit.theta[tx * t + ty] * s;
+                if lambda > 0.0 {
+                    buf[0] += w * lambda.ln() - ln_gamma_memo(w);
+                }
+            }
+        },
+    );
+    -m_total + ll[0]
+}
+
 /// Every block of `net` with its edge weights as bits, for exact equality.
 type EdgeBits = Vec<(usize, usize, Vec<(u32, u32, u64)>)>;
 
@@ -159,6 +209,41 @@ fn check_subnetworks(fit: &EmFit, net: &TypedNetwork) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The two networks of `em.rs`'s `golden_matches_seed_implementation`:
+/// two 4-cliques of terms joined by a weak bridge, then the same with two
+/// authors attached to each clique.
+fn golden_networks() -> [TypedNetwork; 2] {
+    let mut text = NetworkBuilder::new(vec!["term".into()], vec![8]);
+    let mut hin = NetworkBuilder::new(vec!["author".into(), "term".into()], vec![4, 8]);
+    for grp in [0u32, 4] {
+        for i in grp..grp + 4 {
+            for j in (i + 1)..grp + 4 {
+                text.add(0, i, 0, j, 10.0);
+                hin.add(1, i, 1, j, 10.0);
+            }
+        }
+    }
+    text.add(0, 3, 0, 4, 1.0);
+    for t in 0..4u32 {
+        hin.add(0, 0, 1, t, 6.0);
+        hin.add(0, 1, 1, t, 6.0);
+        hin.add(0, 2, 1, t + 4, 6.0);
+        hin.add(0, 3, 1, t + 4, 6.0);
+    }
+    hin.add(1, 3, 1, 4, 1.0);
+    [text.build(), hin.build()]
+}
+
+#[test]
+fn loglik_matches_the_inline_pass_on_the_golden_networks() {
+    for (net, bg) in golden_networks().into_iter().zip([false, true]) {
+        let cfg = EmConfig { k: 2, iters: 150, restarts: 3, seed: 7, background: bg, ..EmConfig::default() };
+        let fit = CathyHinEm::fit(&net, &cfg).unwrap();
+        let got = fit.loglik(&EdgeState::new(&net), &cfg);
+        assert_eq!(got.to_bits(), loglik_inline_pass(&net, &fit, bg).to_bits(), "background {bg}");
+    }
 }
 
 proptest! {
@@ -312,15 +397,42 @@ proptest! {
             ..EmConfig::default()
         };
         let serial = CathyHinEm::fit(&net, &base).unwrap();
-        let par = CathyHinEm::fit(&net, &EmConfig { threads, ..base }).unwrap();
+        let par_cfg = EmConfig { threads, ..base.clone() };
+        let par = CathyHinEm::fit(&net, &par_cfg).unwrap();
         prop_assert_eq!(&serial.rho, &par.rho);
         prop_assert_eq!(&serial.phi, &par.phi);
         prop_assert_eq!(&serial.phi0, &par.phi0);
         prop_assert_eq!(&serial.alpha, &par.alpha);
         prop_assert_eq!(&serial.theta, &par.theta);
         prop_assert_eq!(serial.objective.to_bits(), par.objective.to_bits());
-        prop_assert_eq!(serial.loglik.to_bits(), par.loglik.to_bits());
         prop_assert_eq!(&serial.objective_trace, &par.objective_trace);
+        // The likelihood pass splits its links over `threads` workers in
+        // the same fixed chunks, so the thread count moves no bit either.
+        let state = EdgeState::new(&net);
+        let ll = serial.loglik(&state, &base);
+        prop_assert_eq!(ll.to_bits(), par.loglik(&state, &par_cfg).to_bits());
+        prop_assert_eq!(ll.to_bits(), serial.loglik(&state, &par_cfg).to_bits());
+    }
+
+    #[test]
+    fn loglik_matches_the_inline_pass_it_replaced(
+        net in random_network(),
+        k in 1usize..6,
+        bg in proptest::bool::ANY,
+        learned in proptest::bool::ANY,
+        threads in 1usize..5,
+    ) {
+        let cfg = EmConfig {
+            k, iters: 12, restarts: 2, seed: 13,
+            background: bg,
+            weights: if learned { WeightMode::Learned } else { WeightMode::Normalized },
+            weight_rounds: 2,
+            threads,
+            ..EmConfig::default()
+        };
+        let fit = CathyHinEm::fit(&net, &cfg).unwrap();
+        let got = fit.loglik(&EdgeState::new(&net), &cfg);
+        prop_assert_eq!(got.to_bits(), loglik_inline_pass(&net, &fit, bg).to_bits());
     }
 
     #[test]

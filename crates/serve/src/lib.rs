@@ -7,7 +7,10 @@
 //!    only one), persisting a [`lesm_core::MinedStructure`] plus the
 //!    query-time slice of the corpus as checksummed, alignment-padded
 //!    arenas that a [`MappedSnapshot`] serves zero-copy, with typed load
-//!    errors. `to_snapshot(save(m))` is bit-identical to `m`.
+//!    errors. `save(to_snapshot(save(m))) == save(m)` byte for byte, and
+//!    `to_snapshot(save(m))` is bit-identical to `m` except that every
+//!    topic network but the root's decodes empty: the artifact keeps
+//!    only the root's links, all that `lesm update` reads.
 //! 2. **Query server** ([`server`]): a dependency-free `std::net`
 //!    HTTP/1.1 server with a fixed worker thread pool fed by a bounded
 //!    condvar queue, a sharded LRU response cache behind `std::sync::Mutex`
@@ -105,6 +108,16 @@ pub enum SnapshotError {
         /// The pointer's text.
         found: String,
     },
+    /// The cold section holds a record in a layout this build no longer
+    /// decodes (DESIGN.md §13.1). The hot sections still serve; a full
+    /// decode, and so `lesm update` and `lesm shard`, needs the artifact
+    /// rebuilt with `lesm snapshot`.
+    RetiredLayout {
+        /// Byte offset of the record's tag.
+        offset: usize,
+        /// Which record.
+        what: &'static str,
+    },
 }
 
 /// Converts a count/id to the wire's `u32`, refusing values the field
@@ -144,6 +157,11 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::BadPointer { found } => {
                 write!(f, "store pointer names {found:?}, not a v{{N}}.lesm file name")
             }
+            SnapshotError::RetiredLayout { offset, what } => write!(
+                f,
+                "snapshot holds {what} at byte {offset} in a retired layout; \
+                 rebuild the artifact from its corpus with `lesm snapshot`"
+            ),
         }
     }
 }

@@ -39,12 +39,16 @@
 //! element alignment; because every section starts 64-byte aligned and
 //! the mapping base is at least 8-byte aligned, every array view is
 //! correctly aligned for its element type. The rarely-read remainder of
-//! the model (EM fits, per-topic phi/networks, labels, segments) lives in
-//! a single *cold* section, packed without padding: u64 length prefixes,
-//! 0/1 option tags, values back to back. The same writer and cursor as
-//! the other sections write and read it, through their packed methods,
-//! and only [`MappedSnapshot::to_snapshot`] decodes it — never the load
-//! hot path.
+//! the model (EM fits, per-topic phi, the root's network, labels,
+//! segments) lives in a single *cold* section, packed without padding:
+//! u64 length prefixes, option tags, values back to back. The same writer
+//! and cursor as the other sections write and read it, through their
+//! packed methods, and only [`MappedSnapshot::to_snapshot`] decodes it —
+//! never the load hot path. The cold section holds what `lesm update`
+//! reads back and nothing more: every topic but the root stores its node
+//! space without links, and a fit record (option tag 2) has no
+//! log-likelihood. A fit record of the retired layout, which had one,
+//! carries tag 1 and decodes to a typed [`SnapshotError::RetiredLayout`].
 //!
 //! The `doc-facts` section holds what the query engine reads per
 //! document: entity links, year and leaf topic, one row per document of
@@ -76,6 +80,12 @@ use std::sync::{Arc, OnceLock};
 
 /// The v2 format version tag.
 pub const FORMAT_VERSION_V2: u32 = 2;
+
+/// The `cold` section's tag for a present EM fit record.
+const FIT_TAG: u8 = 2;
+/// The tag the retired fit record layout (with a trailing log-likelihood)
+/// used; decoding refuses it.
+const RETIRED_FIT_TAG: u8 = 1;
 
 const HEADER_LEN: usize = 16;
 const TABLE_ENTRY_LEN: usize = 24;
@@ -584,16 +594,25 @@ fn write_cold(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotErro
         w.string(name);
     }
     w.u64(h.topics.len() as u64);
-    for topic in &h.topics {
+    for (t, topic) in h.topics.iter().enumerate() {
         w.u64(topic.phi.len() as u64);
         for row in &topic.phi {
             w.f64_seq(row);
         }
-        write_network(w, &topic.network);
+        // Only the root's links are read back (`TopicHierarchy::update`
+        // re-extracts every child network from its refit parent); every
+        // other topic stores its node space with no links.
+        write_network(w, &topic.network, t == 0);
     }
     w.u64(h.fits.len() as u64);
     for fit in &h.fits {
-        w.option(fit.as_ref(), write_fit);
+        match fit {
+            None => w.u8(0),
+            Some(fit) => {
+                w.u8(FIT_TAG);
+                write_fit(w, fit);
+            }
+        }
     }
     w.u64(h.alphas.len() as u64);
     for alpha in &h.alphas {
@@ -613,7 +632,9 @@ fn write_cold(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotErro
     Ok(())
 }
 
-fn write_network(w: &mut ArenaWriter, net: &TypedNetwork) {
+/// Writes `net`'s node space and, when `with_links`, its link blocks
+/// (otherwise a block count of 0).
+fn write_network(w: &mut ArenaWriter, net: &TypedNetwork, with_links: bool) {
     w.u64(net.type_names.len() as u64);
     for name in &net.type_names {
         w.string(name);
@@ -622,8 +643,9 @@ fn write_network(w: &mut ArenaWriter, net: &TypedNetwork) {
     for &n in &net.node_counts {
         w.u64(n as u64);
     }
-    w.u64(net.blocks.len() as u64);
-    for block in &net.blocks {
+    let blocks = if with_links { &net.blocks[..] } else { &[] };
+    w.u64(blocks.len() as u64);
+    for block in blocks {
         w.u64(block.tx as u64);
         w.u64(block.ty as u64);
         w.u64(block.edges.len() as u64);
@@ -653,7 +675,6 @@ fn write_fit(w: &mut ArenaWriter, fit: &EmFit) {
     w.f64_seq(&fit.theta);
     w.f64(fit.objective);
     w.f64_seq(&fit.objective_trace);
-    w.f64(fit.loglik);
     w.u64(fit.parent_phi.len() as u64);
     for row in fit.parent_phi.iter() {
         w.f64_seq(row);
@@ -1159,7 +1180,7 @@ impl MappedSnapshot {
         let n_fits = r.get_len(1)?;
         let mut fits = Vec::with_capacity(n_fits);
         for _ in 0..n_fits {
-            fits.push(r.get_option(read_fit)?);
+            fits.push(read_fit_option(&mut r)?);
         }
         let n_alphas = r.get_len(1)?;
         let mut alphas = Vec::with_capacity(n_alphas);
@@ -1292,6 +1313,25 @@ fn read_network(r: &mut Cursor<'_>) -> Result<TypedNetwork, SnapshotError> {
     Ok(net)
 }
 
+/// Reads one fit slot: a tag byte, then the record when the tag is
+/// [`FIT_TAG`]. Tag 1 marks a record of the retired layout, which also
+/// stored the log-likelihood: decoding it would shift every later field,
+/// so it is a typed [`SnapshotError::RetiredLayout`].
+fn read_fit_option(r: &mut Cursor<'_>) -> Result<Option<EmFit>, SnapshotError> {
+    let at = r.pos;
+    match r.take(1)?[0] {
+        0 => Ok(None),
+        FIT_TAG => read_fit(r).map(Some),
+        RETIRED_FIT_TAG => {
+            Err(SnapshotError::RetiredLayout { offset: at, what: "an EM fit record" })
+        }
+        tag => Err(SnapshotError::Malformed {
+            offset: at,
+            what: format!("invalid fit record tag {tag}"),
+        }),
+    }
+}
+
 fn read_fit(r: &mut Cursor<'_>) -> Result<EmFit, SnapshotError> {
     let k = r.get_u64()? as usize;
     let n_types = r.get_len(8)?;
@@ -1314,7 +1354,6 @@ fn read_fit(r: &mut Cursor<'_>) -> Result<EmFit, SnapshotError> {
     let theta = r.get_f64_seq()?;
     let objective = r.get_f64()?;
     let objective_trace = r.get_f64_seq()?;
-    let loglik = r.get_f64()?;
     let n_parent = r.get_len(8)?;
     let mut parent_phi = Vec::with_capacity(n_parent);
     for _ in 0..n_parent {
@@ -1329,7 +1368,6 @@ fn read_fit(r: &mut Cursor<'_>) -> Result<EmFit, SnapshotError> {
         theta,
         objective,
         objective_trace,
-        loglik,
         parent_phi: Arc::new(parent_phi),
     })
 }
@@ -1888,9 +1926,28 @@ mod tests {
         config.entity_specs[0].shared_pool = 2;
         config.entity_specs[1].pool_per_node = 2;
         let papers = SyntheticPapers::generate(&config).expect("synth corpus");
-        let mined = lesm_core::model_from_truth(&papers);
+        let mut mined = lesm_core::model_from_truth(&papers);
         let corpus = papers.corpus;
         let entities = &corpus.entities;
+        // A root fit and root links, so the crafted words also land in
+        // the cold section's network and fit records.
+        let h = &mut mined.hierarchy;
+        let counts = h.topics[0].network.node_counts.clone();
+        let (k, types) = (h.topics[0].children.len(), counts.len());
+        let rows = |v: f64| counts.iter().map(|&n| vec![v; n]).collect::<Vec<_>>();
+        let links = vec![(0, 0, 2.0), (1, 1, 0.5)];
+        h.topics[0].network.blocks.push(LinkBlock { tx: 0, ty: 1, edges: links });
+        h.fits[0] = Some(EmFit {
+            k,
+            phi: (0..types).map(|x| vec![vec![0.25; counts[x]]; k]).collect(),
+            phi0: rows(0.5),
+            rho: vec![1.0 / (k + 1) as f64; k + 1],
+            alpha: vec![1.0; types * types],
+            theta: vec![0.25; types * types],
+            objective: -3.5,
+            objective_trace: vec![-4.0, -3.5],
+            parent_phi: Arc::new(rows(0.125)),
+        });
         let lineage = DeltaInfo {
             base_artifact: "v0001.lesm".into(),
             base_docs: corpus.docs.len() as u64 / 2,
@@ -1923,6 +1980,122 @@ mod tests {
         let sum = body_checksum(&out[..body]);
         out[body..].copy_from_slice(&sum.to_le_bytes());
         out
+    }
+
+    /// The `cold` section in the layout before it kept only the root's
+    /// links: every topic's network in full, and each fit as option tag 1
+    /// with a log-likelihood (`loglik`) after its objective trace.
+    fn write_retired_cold(w: &mut ArenaWriter, s: &SaveInput<'_>, loglik: f64) {
+        let h = &s.mined.hierarchy;
+        w.u64(h.type_names.len() as u64);
+        for name in &h.type_names {
+            w.string(name);
+        }
+        w.u64(h.topics.len() as u64);
+        for topic in &h.topics {
+            w.u64(topic.phi.len() as u64);
+            for row in &topic.phi {
+                w.f64_seq(row);
+            }
+            write_network(w, &topic.network, true);
+        }
+        w.u64(h.fits.len() as u64);
+        for fit in &h.fits {
+            w.option(fit.as_ref(), |w, fit| {
+                w.u64(fit.k as u64);
+                w.u64(fit.phi.len() as u64);
+                for per_type in &fit.phi {
+                    w.u64(per_type.len() as u64);
+                    for row in per_type {
+                        w.f64_seq(row);
+                    }
+                }
+                w.u64(fit.phi0.len() as u64);
+                for row in &fit.phi0 {
+                    w.f64_seq(row);
+                }
+                w.f64_seq(&fit.rho);
+                w.f64_seq(&fit.alpha);
+                w.f64_seq(&fit.theta);
+                w.f64(fit.objective);
+                w.f64_seq(&fit.objective_trace);
+                w.f64(loglik);
+                w.u64(fit.parent_phi.len() as u64);
+                for row in fit.parent_phi.iter() {
+                    w.f64_seq(row);
+                }
+            });
+        }
+        w.u64(h.alphas.len() as u64);
+        for alpha in &h.alphas {
+            w.option(alpha.as_ref(), |w, a| w.f64_seq(a));
+        }
+        w.u64(s.docs.len() as u64);
+        for &d in &s.docs {
+            w.option(s.corpus.docs[d].label.as_ref(), |w, &l| w.u32(l));
+        }
+        w.u64(s.docs.len() as u64);
+        for doc_segs in s.docs.iter().map(|&d| &s.mined.segments[d]) {
+            w.u64(doc_segs.len() as u64);
+            for seg in doc_segs {
+                w.u32_seq(seg);
+            }
+        }
+    }
+
+    /// `bytes` (a full artifact of `corpus` and `mined`) with its cold
+    /// section rewritten in the retired layout: the artifact a build from
+    /// before the root-only layout wrote. The sections keep their table
+    /// order and 64-byte alignment, and the checksum is recomputed.
+    fn retired_artifact(corpus: &Corpus, mined: &MinedStructure, bytes: &[u8]) -> Vec<u8> {
+        let input = SaveInput { corpus, mined, docs: (0..corpus.docs.len()).collect(), delta: None };
+        let mut cold = ArenaWriter { buf: Vec::new() };
+        write_retired_cold(&mut cold, &input, -1234.5);
+        let count = le_u32(&bytes[8..]) as usize;
+        let mut w = ArenaWriter { buf: bytes[..HEADER_LEN + count * TABLE_ENTRY_LEN].to_vec() };
+        for i in 0..count {
+            let entry = table_entry(bytes, i);
+            let (off, len) = (entry.offset as usize, entry.len as usize);
+            w.align(SECTION_ALIGN);
+            let start = w.buf.len();
+            let section = if entry.id == 10 { &cold.buf[..] } else { &bytes[off..off + len] };
+            w.bytes(section);
+            let at = HEADER_LEN + i * TABLE_ENTRY_LEN;
+            w.buf[at + 8..at + 16].copy_from_slice(&(start as u64).to_le_bytes());
+            w.buf[at + 16..at + 24].copy_from_slice(&(section.len() as u64).to_le_bytes());
+        }
+        w.align(8);
+        let checksum = body_checksum(&w.buf);
+        w.buf.extend_from_slice(&checksum.to_le_bytes());
+        w.buf
+    }
+
+    /// An artifact written before the root-only cold layout still serves
+    /// from its hot sections, which did not change, but its full decode
+    /// (and so `lesm update` and `lesm shard`) fails typed at the first
+    /// fit record instead of decoding a shifted structure.
+    #[test]
+    fn a_retired_cold_layout_fails_to_decode_typed_and_still_serves() {
+        let (corpus, mined, bytes) = fixture();
+        let retired = retired_artifact(&corpus, &mined, &bytes);
+        let (now, then) = (MappedSnapshot::from_bytes(&bytes).expect("current"), {
+            MappedSnapshot::from_bytes(&retired).expect("the hot sections load")
+        });
+        for id in [1, 2, 3, 4, 5, 6, 7, 8, 9, 12] {
+            let ((a, n), (b, m)) = (locate(&bytes, id), locate(&retired, id));
+            assert!(bytes[a..a + n] == retired[b..b + m], "section {id} moved");
+        }
+        assert_eq!(hierarchy_to_json(&now, 5), hierarchy_to_json(&then, 5));
+        serve_everything(&bytes).expect("the current layout serves and decodes");
+        let (cold, len) = locate(&retired, 10);
+        match then.to_snapshot().map(drop) {
+            Err(e @ SnapshotError::RetiredLayout { offset, .. }) => {
+                assert!((cold..cold + len).contains(&offset), "offset {offset} outside the cold section");
+                assert_eq!(retired[offset], RETIRED_FIT_TAG);
+                assert!(e.to_string().contains("`lesm snapshot`"), "no rebuild hint in {e}");
+            }
+            other => panic!("expected RetiredLayout, got {other:?}"),
+        }
     }
 
     /// Reads every accessor of `m` over all topics and documents.
@@ -1993,7 +2166,7 @@ mod tests {
     fn crafted_words_in_every_section_fail_typed_or_serve() {
         const LEADING: usize = 16;
         const SAMPLED: usize = 16;
-        let (_, mined, bytes) = fixture();
+        let (corpus, mined, bytes) = fixture();
         let m = MappedSnapshot::from_bytes(&bytes).expect("fixture loads");
         let listed: Vec<u32> = m.sections().iter().map(|s| s.id).collect();
         let registry: Vec<u32> = SECTIONS.iter().map(|s| s.id).collect();
@@ -2004,8 +2177,13 @@ mod tests {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut failures = Vec::new();
         let mut cases = 0;
-        for section in &SECTIONS {
-            let (off, len) = locate(&bytes, section.id);
+        // Every registered section, then the cold section of the same
+        // model in the retired layout (tag-1 fit records that carry a
+        // log-likelihood).
+        let retired = retired_artifact(&corpus, &mined, &bytes);
+        let targets = SECTIONS.iter().map(|s| (&bytes, s.id, s.name));
+        for (bytes, id, name) in targets.chain([(&retired, 10, "retired cold")]) {
+            let (off, len) = locate(bytes, id);
             let words = len / 8;
             let mut positions: Vec<usize> = (0..words.min(LEADING)).collect();
             if words > LEADING {
@@ -2034,7 +2212,7 @@ mod tests {
                 ];
                 for value in hostile.into_iter().filter(|&v| v != original) {
                     cases += 1;
-                    let crafted = craft(&bytes, at, value);
+                    let crafted = craft(bytes, at, value);
                     if let Err(panic) =
                         catch_unwind(AssertUnwindSafe(|| serve_everything(&crafted)))
                     {
@@ -2043,8 +2221,7 @@ mod tests {
                             .cloned()
                             .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
                             .unwrap_or_default();
-                        failures
-                            .push(format!("{} word {word} = {value:#x}: {message}", section.name));
+                        failures.push(format!("{name} word {word} = {value:#x}: {message}"));
                     }
                 }
             }

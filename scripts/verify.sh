@@ -30,10 +30,12 @@ echo "== tests (release: lesm-core, lesm-hier, lesm-query)"
 cargo test --release -q -p lesm-core -p lesm-hier -p lesm-query
 
 # The artifact byte checks (recorded mine/update digests, the golden
-# artifact and transcript) under the same optimizer.
+# artifact and transcript, the v2 round trip and the update chain from
+# decoded artifacts) under the same optimizer.
 echo "== tests (release: artifact bytes)"
 cargo test --release -q -p lesm --test mined_bytes
 cargo test --release -q -p lesm-serve --test golden
+cargo test --release -q -p lesm-serve --test v2_snapshot_tests
 
 # The server's accept queue hands connections to workers through a
 # condvar, and its shed, drain and fan-out tests race real sockets: run
