@@ -43,6 +43,11 @@ cargo test --release -q -p lesm-serve --test v2_snapshot_tests
 echo "== tests (release: server and sharded end to end)"
 cargo test --release -q -p lesm-serve --test server_e2e --test sharded_e2e
 
+# The paper reproductions: every non-timing experiment table must match
+# its committed copy in results/ byte for byte.
+echo "== reproduction tables (results/)"
+scripts/repro_check.sh
+
 # perfbench/ is a Cargo workspace of its own, so nothing above compiles
 # it: an API deletion it depends on would otherwise only surface when the
 # benchmark runs.
