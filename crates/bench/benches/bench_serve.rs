@@ -50,6 +50,11 @@ fn start_server(bytes: &[u8], cache_capacity: usize) -> ServerHandle {
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
+/// The timed search: words the synthetic vocabulary holds (`bg{i}`,
+/// `t{t}w{i}`), so the search scores and renders real hits.
+const SEARCH_QUERY: &str = "bg0 t1w0";
+const SEARCH: &str = "/search?q=bg0+t1w0&top=10";
+
 fn get(addr: SocketAddr, target: &str) -> FetchedResponse {
     http_get(&addr.to_string(), target, TIMEOUT).expect("GET")
 }
@@ -111,12 +116,12 @@ fn bench_serve(c: &mut Criterion) {
             b.iter(|| get(addr, "/hierarchy"));
         });
         group.bench_function("query_search_uncached", |b| {
-            b.iter(|| get(addr, "/search?q=model&top=10"));
+            b.iter(|| get(addr, SEARCH));
         });
         group.bench_function("post_query_uncached", |b| {
             b.iter(|| post(addr, "/query", query_body));
         });
-        uncached_search = median_latency_ns(addr, "/search?q=model&top=10", 300);
+        uncached_search = median_latency_ns(addr, SEARCH, 300);
         uncached_hier = median_latency_ns(addr, "/hierarchy", 300);
         uncached_query = median_post_latency_ns(addr, "/query", query_body, 300);
         handle.shutdown();
@@ -128,19 +133,19 @@ fn bench_serve(c: &mut Criterion) {
         let addr = handle.addr();
         let _warm = (
             get(addr, "/hierarchy"),
-            get(addr, "/search?q=model&top=10"),
+            get(addr, SEARCH),
             post(addr, "/query", query_body),
         );
         group.bench_function("query_hierarchy_cached", |b| {
             b.iter(|| get(addr, "/hierarchy"));
         });
         group.bench_function("query_search_cached", |b| {
-            b.iter(|| get(addr, "/search?q=model&top=10"));
+            b.iter(|| get(addr, SEARCH));
         });
         group.bench_function("post_query_cached", |b| {
             b.iter(|| post(addr, "/query", query_body));
         });
-        let cached_search = median_latency_ns(addr, "/search?q=model&top=10", 300);
+        let cached_search = median_latency_ns(addr, SEARCH, 300);
         let cached_hier = median_latency_ns(addr, "/hierarchy", 300);
         let cached_query = median_post_latency_ns(addr, "/query", query_body, 300);
         let metrics = handle.metrics();
@@ -186,17 +191,15 @@ fn cache_gate(bytes: &[u8], query_body: &str) {
         .expect("query index");
     let config = ServerConfig::default();
     let top = config.top_n;
-    // Words the synthetic vocabulary holds (`bg{i}`, `t{t}w{i}`): the HTTP
-    // rows' `q=model` matches no document, so it times an empty search.
     let search = || {
-        let lines = model.search_lines("bg0 t1w0", top);
+        let lines = model.search_lines(SEARCH_QUERY, top);
         Response::ok(lines.iter().map(|l| format!("{l}\n")).collect::<String>())
     };
     let hierarchy = || Response::json(model.hierarchy_json(top));
     let query = || Response::json(lesm_query::run_query(&index, query_body).expect("query"));
     let query_key = format!("/query\n{query_body}");
     let cases: [(&str, &str, &dyn Fn() -> Response); 3] = [
-        ("/search", "/search?q=bg0+t1w0&top=10", &search),
+        ("/search", SEARCH, &search),
         ("/hierarchy", "/hierarchy", &hierarchy),
         ("POST /query", &query_key, &query),
     ];

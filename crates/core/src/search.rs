@@ -396,10 +396,9 @@ mod tests {
             path: path.into(),
             phi: vec![vec![1.0]],
             rho: 1.0,
-            network: TypedNetwork::new(vec!["term".into()], vec![1]),
         };
         let hierarchy = TopicHierarchy {
-            type_names: vec!["term".into()],
+            network: TypedNetwork::new(vec!["term".into()], vec![1]),
             topics: vec![
                 topic(None, 0, "o", vec![1, 2]),
                 topic(Some(0), 1, "o/1", vec![]),

@@ -79,15 +79,12 @@ pub fn model_from_truth(papers: &SyntheticPapers) -> MinedStructure {
                 path: node.path.clone(),
                 phi: Vec::new(),
                 rho,
-                network: TypedNetwork::new(
-                    type_names.clone(),
-                    (0..n_types).map(|x| corpus.entities.count(x)).collect(),
-                ),
             }
         })
         .collect();
+    let node_counts = (0..n_types).map(|x| corpus.entities.count(x)).collect();
     let hierarchy = TopicHierarchy {
-        type_names,
+        network: TypedNetwork::new(type_names, node_counts),
         topics,
         fits: vec![None; n_topics],
         alphas: vec![None; n_topics],

@@ -42,10 +42,9 @@ fn synthetic_structure(
         path: path.into(),
         phi: vec![vec![1.0]],
         rho: score(0),
-        network: TypedNetwork::new(vec![], vec![]),
     };
     let hierarchy = TopicHierarchy {
-        type_names: vec![],
+        network: TypedNetwork::new(vec![], vec![]),
         topics: vec![topic(None, 0, "o", vec![1]), topic(Some(0), 1, "o/1", vec![])],
         fits: vec![None, None],
         alphas: vec![None, None],

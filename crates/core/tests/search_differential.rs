@@ -196,11 +196,10 @@ fn structure(
         },
         phi: Vec::new(),
         rho: 1.0,
-        network: TypedNetwork::new(vec![], vec![]),
     };
     MinedStructure {
         hierarchy: TopicHierarchy {
-            type_names: vec![],
+            network: TypedNetwork::new(vec![], vec![]),
             topics: (0..n_topics).map(topic).collect(),
             fits: vec![None; n_topics],
             alphas: vec![None; n_topics],

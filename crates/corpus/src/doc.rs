@@ -146,11 +146,6 @@ impl Corpus {
         self.vocab.len()
     }
 
-    /// Total token count across documents.
-    pub fn num_tokens(&self) -> usize {
-        self.docs.iter().map(|d| d.tokens.len()).sum()
-    }
-
     /// Adds a document built from raw text using [`crate::text::tokenize`]
     /// (tokens are lowercased before interning).
     pub fn push_text(&mut self, text: &str) -> usize {

@@ -239,7 +239,7 @@ pub fn run_nonfinite_snapshot_cases() -> Vec<CaseFailure> {
         let mut corpus = Corpus::new();
         let w = corpus.vocab.intern("word");
         let hierarchy = TopicHierarchy {
-            type_names: vec![],
+            network: lesm_net::TypedNetwork::new(vec![], vec![]),
             topics: vec![HierTopic {
                 parent: None,
                 children: vec![],
@@ -247,7 +247,6 @@ pub fn run_nonfinite_snapshot_cases() -> Vec<CaseFailure> {
                 path: "o".into(),
                 phi: vec![vec![x]],
                 rho: x,
-                network: lesm_net::TypedNetwork::new(vec![], vec![]),
             }],
             fits: vec![None],
             alphas: vec![None],

@@ -37,6 +37,18 @@ pub struct CathyConfig {
     pub subnet_threshold: f64,
 }
 
+impl CathyConfig {
+    /// The subnetworks ([`EmFit::subnetworks`]) of the children `fit` gives
+    /// a topic at `level` of `net`; none at the last level, never expanded.
+    fn child_networks(&self, fit: &EmFit, net: &TypedNetwork, level: usize) -> Vec<TypedNetwork> {
+        if level + 1 < self.max_depth {
+            fit.subnetworks(net, self.subnet_threshold)
+        } else {
+            Vec::new()
+        }
+    }
+}
+
 impl Default for CathyConfig {
     fn default() -> Self {
         Self {
@@ -65,23 +77,15 @@ pub struct HierTopic {
     pub phi: Vec<Vec<f64>>,
     /// The topic's share of its parent's links (`ρ`; 1.0 at the root).
     pub rho: f64,
-    /// The expected-weight network owned by this topic: the root's input
-    /// network, or, below the root and above the last level
-    /// ([`CathyConfig::max_depth`]), the subnetwork extracted from the
-    /// parent's fit, which the recursion may expand. A topic at the last
-    /// level is never expanded, so it holds an empty network over the
-    /// same node space. A hierarchy decoded from a `.lesm` artifact has
-    /// an empty network at every topic but the root: the artifact stores
-    /// only the root's links, which is all [`TopicHierarchy::update`]
-    /// reads.
-    pub network: TypedNetwork,
 }
 
-/// A constructed multi-typed topical hierarchy.
+/// A constructed multi-typed topical hierarchy. It owns one network, the
+/// root's: a child's expected-weight subnetwork (§3.2.1) is only the input
+/// for expanding it, held by the recursion and dropped once expanded.
 #[derive(Debug, Clone)]
 pub struct TopicHierarchy {
-    /// Node type names (shared by every topic's network).
-    pub type_names: Vec<String>,
+    /// The root's input network; its `type_names` are the hierarchy's.
+    pub network: TypedNetwork,
     /// Topics; index 0 is the root.
     pub topics: Vec<HierTopic>,
     /// Per-topic fitted EM models for internal nodes (index-aligned with
@@ -144,16 +148,19 @@ impl TopicHierarchy {
             return Err(HierError::InvalidConfig("max_depth must be >= 1".into()));
         }
         let mut hierarchy = TopicHierarchy::rooted(root_net);
-        let mut frontier = vec![0usize];
+        // Topics to expand at this level, each with its subnetwork; the
+        // root (`None`) expands the hierarchy's own network.
+        let mut frontier: Vec<(usize, Option<TypedNetwork>)> = vec![(0, None)];
         for level in 0..config.max_depth {
             let mut next = Vec::new();
-            for &node in &frontier {
-                if hierarchy.topics[node].network.num_links() < config.min_links {
+            for (node, subnet) in frontier {
+                let net = subnet.as_ref().unwrap_or(&hierarchy.network);
+                if net.num_links() < config.min_links {
                     continue;
                 }
                 // Flatten this topic's network once; the BIC sweep and the
                 // final fit share the state.
-                let state = EdgeState::new(&hierarchy.topics[node].network);
+                let state = EdgeState::new(net);
                 let k = match &config.children {
                     ChildCount::Fixed(k) => *k,
                     ChildCount::PerLevel(v) => *v.get(level).or(v.last()).unwrap_or(&2),
@@ -168,7 +175,9 @@ impl TopicHierarchy {
                 }
                 let em_cfg = EmConfig { k, ..config.em.clone() };
                 let fit = CathyHinEm::fit_prepared(&state, &em_cfg)?;
-                next.extend(hierarchy.attach_children(node, fit, config));
+                let subnets = config.child_networks(&fit, net, level);
+                let children = hierarchy.attach_children(node, fit);
+                next.extend(children.zip(subnets).map(|(c, net)| (c, Some(net))));
             }
             frontier = next;
             if frontier.is_empty() {
@@ -189,10 +198,10 @@ impl TopicHierarchy {
     /// fit), and a base-expanded topic whose refreshed subnetwork falls
     /// under `min_links` becomes a leaf. Child networks are re-extracted
     /// from the updated parent network by expected weight, exactly as
-    /// [`TopicHierarchy::construct`] does. Of `base` this reads only the
-    /// root's network, the fits and the tree shape, so a base decoded
-    /// from an artifact (empty networks below the root) updates to the
-    /// same bits as the in-memory base it was saved from.
+    /// [`TopicHierarchy::construct`] does. Of `base` this reads the
+    /// network, the fits and the tree shape, all of which a `.lesm`
+    /// artifact stores, so a decoded base updates to the same bits as
+    /// the in-memory base it was saved from.
     ///
     /// Determinism: no RNG is consumed anywhere on this path (warm fits
     /// are single continuations), and the root edge order is the base
@@ -209,29 +218,31 @@ impl TopicHierarchy {
         if base.topics.is_empty() {
             return Err(HierError::InvalidConfig("base hierarchy is empty".into()));
         }
-        let mut out =
-            TopicHierarchy::rooted(merge_networks(&base.topics[0].network, root_delta)?);
-        // Frontier of (updated topic, corresponding base topic) pairs.
-        let mut frontier = vec![(0usize, 0usize)];
-        for _ in 0..config.max_depth {
+        let mut out = TopicHierarchy::rooted(merge_networks(&base.network, root_delta)?);
+        // (updated topic, corresponding base topic, subnetwork) triples,
+        // as in `construct`.
+        let mut frontier: Vec<(usize, usize, Option<TypedNetwork>)> = vec![(0, 0, None)];
+        for level in 0..config.max_depth {
             let mut next = Vec::new();
-            for &(node, base_idx) in &frontier {
+            for (node, base_idx, subnet) in frontier {
                 // Only topics the base expanded are re-expanded; their k is
                 // pinned by the base fit.
                 let Some(prev_fit) = base.fits.get(base_idx).and_then(Option::as_ref) else {
                     continue;
                 };
-                if out.topics[node].network.num_links() < config.min_links {
+                let net = subnet.as_ref().unwrap_or(&out.network);
+                if net.num_links() < config.min_links {
                     continue;
                 }
-                let state = if node == 0 {
-                    // Root: extend the base flatten with the delta edges
-                    // instead of re-flattening the merged network.
-                    let mut s = EdgeState::new(&base.topics[0].network);
-                    s.append_delta(root_delta)?;
-                    s
-                } else {
-                    EdgeState::new(&out.topics[node].network)
+                let state = match &subnet {
+                    Some(net) => EdgeState::new(net),
+                    None => {
+                        // Root: extend the base flatten with the delta edges
+                        // instead of re-flattening the merged network.
+                        let mut s = EdgeState::new(&base.network);
+                        s.append_delta(root_delta)?;
+                        s
+                    }
                 };
                 if state.num_links() == 0 {
                     continue;
@@ -240,8 +251,9 @@ impl TopicHierarchy {
                 let em_cfg =
                     EmConfig { k, iters: budget.iters, tol: budget.tol, ..config.em.clone() };
                 let fit = CathyHinEm::fit_warm(&state, &em_cfg, prev_fit)?;
-                let children = out.attach_children(node, fit, config);
-                next.extend(children.zip(&base.topics[base_idx].children).map(|(c, &b)| (c, b)));
+                let subnets = config.child_networks(&fit, net, level);
+                let children = out.attach_children(node, fit).zip(&base.topics[base_idx].children);
+                next.extend(children.zip(subnets).map(|((c, &b), net)| (c, b, Some(net))));
             }
             frontier = next;
             if frontier.is_empty() {
@@ -251,8 +263,8 @@ impl TopicHierarchy {
         Ok(out)
     }
 
-    /// A one-topic hierarchy: the root owns `root_net`, with the
-    /// network's normalized weighted degrees as its global importance.
+    /// A one-topic hierarchy over `root_net`, with the network's
+    /// normalized weighted degrees as the root's global importance.
     fn rooted(root_net: TypedNetwork) -> Self {
         let mut root_phi = root_net.weighted_degrees();
         for row in &mut root_phi {
@@ -262,7 +274,7 @@ impl TopicHierarchy {
             }
         }
         TopicHierarchy {
-            type_names: root_net.type_names.clone(),
+            network: root_net,
             topics: vec![HierTopic {
                 parent: None,
                 children: vec![],
@@ -270,7 +282,6 @@ impl TopicHierarchy {
                 path: "o".into(),
                 phi: root_phi,
                 rho: 1.0,
-                network: root_net,
             }],
             fits: vec![None],
             alphas: vec![None],
@@ -279,29 +290,12 @@ impl TopicHierarchy {
 
     /// Expands `node` with `fit`: appends one child per subtopic, owning
     /// the subtopic's ranking distributions and share, then stores the fit
-    /// and its link-type weights on `node`. Children above
-    /// `config.max_depth` may be expanded in turn, so each owns its
-    /// expected-weight network ([`EmFit::subnetworks`] at
-    /// `config.subnet_threshold`); children at the last level are never
-    /// expanded, nothing reads their links, and each gets an empty network
-    /// over the parent's node space. Returns the new children's indices in
-    /// subtopic order.
-    fn attach_children(
-        &mut self,
-        node: usize,
-        fit: EmFit,
-        config: &CathyConfig,
-    ) -> std::ops::Range<usize> {
+    /// and its link-type weights on `node`. Returns the new children's
+    /// indices in subtopic order.
+    fn attach_children(&mut self, node: usize, fit: EmFit) -> std::ops::Range<usize> {
         let first = self.topics.len();
         let level = self.topics[node].level + 1;
-        let parent_net = &self.topics[node].network;
-        let subnets = if level < config.max_depth {
-            fit.subnetworks(parent_net, config.subnet_threshold)
-        } else {
-            let (names, counts) = (&parent_net.type_names, &parent_net.node_counts);
-            vec![TypedNetwork::new(names.clone(), counts.clone()); fit.k]
-        };
-        for (z, network) in subnets.into_iter().enumerate() {
+        for z in 0..fit.k {
             let child_idx = self.topics.len();
             self.topics.push(HierTopic {
                 parent: Some(node),
@@ -310,7 +304,6 @@ impl TopicHierarchy {
                 path: format!("{}/{}", self.topics[node].path, z + 1),
                 phi: fit.phi.iter().map(|by_z| by_z[z].clone()).collect(),
                 rho: fit.rho[z + 1],
-                network,
             });
             self.fits.push(None);
             self.alphas.push(None);
@@ -553,53 +546,6 @@ mod tests {
         }
     }
 
-    /// Subnetworks are built only for children the recursion expands:
-    /// level 1 of a depth-2 tree holds its extracted links, the last
-    /// level an empty network over the root's node space.
-    #[test]
-    fn only_expanded_levels_own_links() {
-        let base = TopicHierarchy::construct(nested_network(), &config()).unwrap();
-        let up = TopicHierarchy::update(&base, &nested_delta(), &config(), &UpdateBudget::default())
-            .unwrap();
-        for h in [&base, &up] {
-            assert!(h.len() > 3, "the tree reaches level 2");
-            for t in &h.topics {
-                let net = &t.network;
-                assert_eq!(net.node_counts, h.topics[0].network.node_counts, "{}", t.path);
-                assert_eq!(net.num_links() > 0, t.level < 2, "{} at level {}", t.path, t.level);
-            }
-        }
-    }
-
-    /// `update` reads the root's network, the fits and the tree shape of
-    /// its base, nothing else: a base whose other networks are emptied
-    /// (as a decoded artifact's are) updates to the same bits.
-    #[test]
-    fn update_reads_no_network_below_the_root() {
-        let base = TopicHierarchy::construct(nested_network(), &config()).unwrap();
-        let mut root_only = base.clone();
-        for t in root_only.topics.iter_mut().skip(1) {
-            t.network.blocks.clear();
-        }
-        let budget = UpdateBudget::default();
-        let a = TopicHierarchy::update(&base, &nested_delta(), &config(), &budget).unwrap();
-        let b = TopicHierarchy::update(&root_only, &nested_delta(), &config(), &budget).unwrap();
-        assert_eq!(a.len(), b.len());
-        for (ta, tb) in a.topics.iter().zip(&b.topics) {
-            assert_eq!(ta.phi, tb.phi);
-            assert_eq!(ta.rho.to_bits(), tb.rho.to_bits());
-            let edges = |t: &HierTopic| -> Vec<(u32, u32, u64)> {
-                let blocks = t.network.blocks.iter();
-                blocks.flat_map(|b| b.edges.iter().map(|&(i, j, w)| (i, j, w.to_bits()))).collect()
-            };
-            assert_eq!(edges(ta), edges(tb), "{}", ta.path);
-        }
-        for (fa, fb) in a.fits.iter().zip(&b.fits) {
-            let (fa, fb) = (fa.as_ref().map(|f| &f.phi), fb.as_ref().map(|f| &f.phi));
-            assert_eq!(fa, fb);
-        }
-    }
-
     #[test]
     fn update_rejects_mismatched_delta() {
         let base = TopicHierarchy::construct(nested_network(), &config()).unwrap();
@@ -631,10 +577,10 @@ mod tests {
         cfg.max_depth = 1;
         cfg.min_links = 4;
         let text = TopicHierarchy::from_corpus_text(&corpus, &cfg).unwrap();
-        assert_eq!(text.type_names, vec!["term"]);
+        assert_eq!(text.network.type_names, vec!["term"]);
         assert_eq!(text.topics[0].children.len(), 2);
         let hin = TopicHierarchy::from_corpus_hin(&corpus, &cfg).unwrap();
-        assert_eq!(hin.type_names, vec!["author", "term"]);
+        assert_eq!(hin.network.type_names, vec!["author", "term"]);
         assert_eq!(hin.topics[0].children.len(), 2);
         // The HIN variant ranks authors: each child topic's top author is
         // the theme's dedicated author.

@@ -78,11 +78,6 @@ impl Mat {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable view of row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Iterates over column `c` top to bottom without allocating.
     pub fn col_iter(&self, c: usize) -> impl Iterator<Item = f64> + '_ {
         assert!(c < self.cols, "column {c} out of range");
@@ -352,11 +347,6 @@ impl Mat {
             self.cols,
             |range, out| self.tmatvec_accum(x, range, out),
         )
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute off-diagonal entry (square matrices only).

@@ -8,9 +8,7 @@
 //!    query-time slice of the corpus as checksummed, alignment-padded
 //!    arenas that a [`MappedSnapshot`] serves zero-copy, with typed load
 //!    errors. `save(to_snapshot(save(m))) == save(m)` byte for byte, and
-//!    `to_snapshot(save(m))` is bit-identical to `m` except that every
-//!    topic network but the root's decodes empty: the artifact keeps
-//!    only the root's links, all that `lesm update` reads.
+//!    `to_snapshot(save(m))` is bit-identical to `m`.
 //! 2. **Query server** ([`server`]): a dependency-free `std::net`
 //!    HTTP/1.1 server with a fixed worker thread pool fed by a bounded
 //!    condvar queue, a sharded LRU response cache behind `std::sync::Mutex`
@@ -113,7 +111,7 @@ pub enum SnapshotError {
     /// decode, and so `lesm update` and `lesm shard`, needs the artifact
     /// rebuilt with `lesm snapshot`.
     RetiredLayout {
-        /// Byte offset of the record's tag.
+        /// Byte offset of the record (of a fit record's tag).
         offset: usize,
         /// Which record.
         what: &'static str,

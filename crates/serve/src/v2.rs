@@ -44,11 +44,11 @@
 //! u64 length prefixes, option tags, values back to back. The same writer
 //! and cursor as the other sections write and read it, through their
 //! packed methods, and only [`MappedSnapshot::to_snapshot`] decodes it —
-//! never the load hot path. The cold section holds what `lesm update`
-//! reads back and nothing more: every topic but the root stores its node
-//! space without links, and a fit record (option tag 2) has no
-//! log-likelihood. A fit record of the retired layout, which had one,
-//! carries tag 1 and decodes to a typed [`SnapshotError::RetiredLayout`].
+//! never the load hot path. The hierarchy owns one network, the root's:
+//! the root's record keeps its links, every other topic's record repeats
+//! its node space without links, and a fit record (option tag 2) has no
+//! log-likelihood. The retired layout's links below the root and tag-1
+//! fit records decode to a typed [`SnapshotError::RetiredLayout`].
 //!
 //! The `doc-facts` section holds what the query engine reads per
 //! document: entity links, year and leaf topic, one row per document of
@@ -296,6 +296,12 @@ impl ArenaWriter {
         self.u64(xs.len() as u64);
         for &x in xs {
             self.f64(x);
+        }
+    }
+    fn f64_rows(&mut self, rows: &[Vec<f64>]) {
+        self.u64(rows.len() as u64);
+        for row in rows {
+            self.f64_seq(row);
         }
     }
     fn option<T>(&mut self, v: Option<&T>, put: impl FnOnce(&mut Self, &T)) {
@@ -589,20 +595,15 @@ fn write_doc_facts(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), Snapsho
 /// reads it.
 fn write_cold(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
     let h = &s.mined.hierarchy;
-    w.u64(h.type_names.len() as u64);
-    for name in &h.type_names {
+    w.u64(h.network.type_names.len() as u64);
+    for name in &h.network.type_names {
         w.string(name);
     }
     w.u64(h.topics.len() as u64);
     for (t, topic) in h.topics.iter().enumerate() {
-        w.u64(topic.phi.len() as u64);
-        for row in &topic.phi {
-            w.f64_seq(row);
-        }
-        // Only the root's links are read back (`TopicHierarchy::update`
-        // re-extracts every child network from its refit parent); every
-        // other topic stores its node space with no links.
-        write_network(w, &topic.network, t == 0);
+        w.f64_rows(&topic.phi);
+        // Only the root's record keeps the links (see the module docs).
+        write_network(w, &h.network, t == 0);
     }
     w.u64(h.fits.len() as u64);
     for fit in &h.fits {
@@ -661,24 +662,15 @@ fn write_fit(w: &mut ArenaWriter, fit: &EmFit) {
     w.u64(fit.k as u64);
     w.u64(fit.phi.len() as u64);
     for per_type in &fit.phi {
-        w.u64(per_type.len() as u64);
-        for row in per_type {
-            w.f64_seq(row);
-        }
+        w.f64_rows(per_type);
     }
-    w.u64(fit.phi0.len() as u64);
-    for row in &fit.phi0 {
-        w.f64_seq(row);
-    }
+    w.f64_rows(&fit.phi0);
     w.f64_seq(&fit.rho);
     w.f64_seq(&fit.alpha);
     w.f64_seq(&fit.theta);
     w.f64(fit.objective);
     w.f64_seq(&fit.objective_trace);
-    w.u64(fit.parent_phi.len() as u64);
-    for row in fit.parent_phi.iter() {
-        w.f64_seq(row);
-    }
+    w.f64_rows(&fit.parent_phi);
 }
 
 fn write_delta(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotError> {
@@ -979,6 +971,11 @@ impl<'m> Cursor<'m> {
         Ok(self.take(8 * n)?.chunks_exact(8).map(|b| f64::from_bits(le_u64(b))).collect())
     }
 
+    fn get_f64_rows(&mut self) -> Result<Vec<Vec<f64>>, SnapshotError> {
+        let n = self.get_len(8)?;
+        (0..n).map(|_| self.get_f64_seq()).collect()
+    }
+
     fn get_option<T>(
         &mut self,
         get: impl FnOnce(&mut Self) -> Result<T, SnapshotError>,
@@ -1159,24 +1156,35 @@ impl MappedSnapshot {
                 ),
             });
         }
-        let mut topics = Vec::with_capacity(n_cold_topics);
-        for t in 0..n_cold_topics {
-            let n_phi = r.get_len(8)?;
-            let mut phi = Vec::with_capacity(n_phi);
-            for _ in 0..n_phi {
-                phi.push(r.get_f64_seq()?);
+        // The root's record (the topics section always holds a root)
+        // carries the hierarchy's network; every later record must repeat
+        // its node space without the links only the retired layout kept.
+        let malformed = |offset, what: &str| SnapshotError::Malformed { offset, what: what.into() };
+        let mut phis = vec![r.get_f64_rows()?];
+        let network = read_network(&mut r)?;
+        if network.type_names != type_names {
+            return Err(malformed(cold.off, "hierarchy type names differ from the root network's"));
+        }
+        for _ in 1..n_cold_topics {
+            phis.push(r.get_f64_rows()?);
+            let (at, record) = (r.pos, read_network(&mut r)?);
+            if record.type_names != network.type_names || record.node_counts != network.node_counts {
+                return Err(malformed(at, "a topic's node space differs from the root network's"));
             }
-            let network = read_network(&mut r)?;
-            topics.push(HierTopic {
+            if !record.blocks.is_empty() {
+                return Err(SnapshotError::RetiredLayout { offset: at, what: "links below the root" });
+            }
+        }
+        let topics = (phis.into_iter().enumerate())
+            .map(|(t, phi)| HierTopic {
                 parent: self.topic_parent(t),
                 children: self.topic_children(t).collect(),
                 level: self.topic_level(t),
                 path: self.topic_path(t).to_string(),
                 phi,
                 rho: self.topic_rho(t),
-                network,
-            });
-        }
+            })
+            .collect();
         let n_fits = r.get_len(1)?;
         let mut fits = Vec::with_capacity(n_fits);
         for _ in 0..n_fits {
@@ -1187,7 +1195,7 @@ impl MappedSnapshot {
         for _ in 0..n_alphas {
             alphas.push(r.get_option(|r| r.get_f64_seq())?);
         }
-        let hierarchy = TopicHierarchy { type_names, topics, fits, alphas };
+        let hierarchy = TopicHierarchy { network, topics, fits, alphas };
 
         // Corpus: hot arenas + cold per-doc extras.
         let mut corpus = Corpus::new();
@@ -1335,30 +1343,14 @@ fn read_fit_option(r: &mut Cursor<'_>) -> Result<Option<EmFit>, SnapshotError> {
 fn read_fit(r: &mut Cursor<'_>) -> Result<EmFit, SnapshotError> {
     let k = r.get_u64()? as usize;
     let n_types = r.get_len(8)?;
-    let mut phi = Vec::with_capacity(n_types);
-    for _ in 0..n_types {
-        let n_rows = r.get_len(8)?;
-        let mut per_type = Vec::with_capacity(n_rows);
-        for _ in 0..n_rows {
-            per_type.push(r.get_f64_seq()?);
-        }
-        phi.push(per_type);
-    }
-    let n_phi0 = r.get_len(8)?;
-    let mut phi0 = Vec::with_capacity(n_phi0);
-    for _ in 0..n_phi0 {
-        phi0.push(r.get_f64_seq()?);
-    }
+    let phi = (0..n_types).map(|_| r.get_f64_rows()).collect::<Result<_, _>>()?;
+    let phi0 = r.get_f64_rows()?;
     let rho = r.get_f64_seq()?;
     let alpha = r.get_f64_seq()?;
     let theta = r.get_f64_seq()?;
     let objective = r.get_f64()?;
     let objective_trace = r.get_f64_seq()?;
-    let n_parent = r.get_len(8)?;
-    let mut parent_phi = Vec::with_capacity(n_parent);
-    for _ in 0..n_parent {
-        parent_phi.push(r.get_f64_seq()?);
-    }
+    let parent_phi = r.get_f64_rows()?;
     Ok(EmFit {
         k,
         phi,
@@ -1932,11 +1924,11 @@ mod tests {
         // A root fit and root links, so the crafted words also land in
         // the cold section's network and fit records.
         let h = &mut mined.hierarchy;
-        let counts = h.topics[0].network.node_counts.clone();
+        let counts = h.network.node_counts.clone();
         let (k, types) = (h.topics[0].children.len(), counts.len());
         let rows = |v: f64| counts.iter().map(|&n| vec![v; n]).collect::<Vec<_>>();
         let links = vec![(0, 0, 2.0), (1, 1, 0.5)];
-        h.topics[0].network.blocks.push(LinkBlock { tx: 0, ty: 1, edges: links });
+        h.network.blocks.push(LinkBlock { tx: 0, ty: 1, edges: links });
         h.fits[0] = Some(EmFit {
             k,
             phi: (0..types).map(|x| vec![vec![0.25; counts[x]]; k]).collect(),
@@ -1982,75 +1974,84 @@ mod tests {
         out
     }
 
-    /// The `cold` section in the layout before it kept only the root's
-    /// links: every topic's network in full, and each fit as option tag 1
-    /// with a log-likelihood (`loglik`) after its objective trace.
-    fn write_retired_cold(w: &mut ArenaWriter, s: &SaveInput<'_>, loglik: f64) {
-        let h = &s.mined.hierarchy;
-        w.u64(h.type_names.len() as u64);
-        for name in &h.type_names {
+    /// A `cold` section of `corpus` and `mined` with `names` as the
+    /// hierarchy type names and `records[t]` as topic `t`'s network
+    /// record, its links written when the flag is set. With `loglik`,
+    /// every fit is written in the retired layout: option tag 1, with
+    /// the log-likelihood after its objective trace.
+    fn crafted_cold(
+        corpus: &Corpus,
+        mined: &MinedStructure,
+        names: &[String],
+        records: &[(&TypedNetwork, bool)],
+        loglik: Option<f64>,
+    ) -> Vec<u8> {
+        let h = &mined.hierarchy;
+        let mut w = ArenaWriter { buf: Vec::new() };
+        w.u64(names.len() as u64);
+        for name in names {
             w.string(name);
         }
         w.u64(h.topics.len() as u64);
-        for topic in &h.topics {
-            w.u64(topic.phi.len() as u64);
-            for row in &topic.phi {
-                w.f64_seq(row);
-            }
-            write_network(w, &topic.network, true);
+        for (topic, &(net, with_links)) in h.topics.iter().zip(records) {
+            w.f64_rows(&topic.phi);
+            write_network(&mut w, net, with_links);
         }
         w.u64(h.fits.len() as u64);
         for fit in &h.fits {
-            w.option(fit.as_ref(), |w, fit| {
-                w.u64(fit.k as u64);
-                w.u64(fit.phi.len() as u64);
-                for per_type in &fit.phi {
-                    w.u64(per_type.len() as u64);
-                    for row in per_type {
-                        w.f64_seq(row);
+            match (fit, loglik) {
+                (None, _) => w.u8(0),
+                (Some(fit), None) => {
+                    w.u8(FIT_TAG);
+                    write_fit(&mut w, fit);
+                }
+                (Some(fit), Some(loglik)) => {
+                    w.u8(RETIRED_FIT_TAG);
+                    w.u64(fit.k as u64);
+                    w.u64(fit.phi.len() as u64);
+                    for per_type in &fit.phi {
+                        w.f64_rows(per_type);
                     }
+                    w.f64_rows(&fit.phi0);
+                    w.f64_seq(&fit.rho);
+                    w.f64_seq(&fit.alpha);
+                    w.f64_seq(&fit.theta);
+                    w.f64(fit.objective);
+                    w.f64_seq(&fit.objective_trace);
+                    w.f64(loglik);
+                    w.f64_rows(&fit.parent_phi);
                 }
-                w.u64(fit.phi0.len() as u64);
-                for row in &fit.phi0 {
-                    w.f64_seq(row);
-                }
-                w.f64_seq(&fit.rho);
-                w.f64_seq(&fit.alpha);
-                w.f64_seq(&fit.theta);
-                w.f64(fit.objective);
-                w.f64_seq(&fit.objective_trace);
-                w.f64(loglik);
-                w.u64(fit.parent_phi.len() as u64);
-                for row in fit.parent_phi.iter() {
-                    w.f64_seq(row);
-                }
-            });
+            }
         }
         w.u64(h.alphas.len() as u64);
         for alpha in &h.alphas {
             w.option(alpha.as_ref(), |w, a| w.f64_seq(a));
         }
-        w.u64(s.docs.len() as u64);
-        for &d in &s.docs {
-            w.option(s.corpus.docs[d].label.as_ref(), |w, &l| w.u32(l));
+        w.u64(corpus.docs.len() as u64);
+        for doc in &corpus.docs {
+            w.option(doc.label.as_ref(), |w, &l| w.u32(l));
         }
-        w.u64(s.docs.len() as u64);
-        for doc_segs in s.docs.iter().map(|&d| &s.mined.segments[d]) {
+        w.u64(corpus.docs.len() as u64);
+        for doc_segs in &mined.segments {
             w.u64(doc_segs.len() as u64);
             for seg in doc_segs {
                 w.u32_seq(seg);
             }
         }
+        w.buf
     }
 
-    /// `bytes` (a full artifact of `corpus` and `mined`) with its cold
-    /// section rewritten in the retired layout: the artifact a build from
-    /// before the root-only layout wrote. The sections keep their table
-    /// order and 64-byte alignment, and the checksum is recomputed.
-    fn retired_artifact(corpus: &Corpus, mined: &MinedStructure, bytes: &[u8]) -> Vec<u8> {
-        let input = SaveInput { corpus, mined, docs: (0..corpus.docs.len()).collect(), delta: None };
-        let mut cold = ArenaWriter { buf: Vec::new() };
-        write_retired_cold(&mut cold, &input, -1234.5);
+    /// The records [`write_cold`] writes for `mined`: the root's network
+    /// with its links, then its node space alone for every other topic.
+    fn stored_records(mined: &MinedStructure) -> Vec<(&TypedNetwork, bool)> {
+        let h = &mined.hierarchy;
+        (0..h.topics.len()).map(|t| (&h.network, t == 0)).collect()
+    }
+
+    /// `bytes` with its cold section replaced by `cold`. The sections
+    /// keep their table order and 64-byte alignment, and the checksum is
+    /// recomputed.
+    fn with_cold(bytes: &[u8], cold: &[u8]) -> Vec<u8> {
         let count = le_u32(&bytes[8..]) as usize;
         let mut w = ArenaWriter { buf: bytes[..HEADER_LEN + count * TABLE_ENTRY_LEN].to_vec() };
         for i in 0..count {
@@ -2058,7 +2059,7 @@ mod tests {
             let (off, len) = (entry.offset as usize, entry.len as usize);
             w.align(SECTION_ALIGN);
             let start = w.buf.len();
-            let section = if entry.id == 10 { &cold.buf[..] } else { &bytes[off..off + len] };
+            let section = if entry.id == 10 { cold } else { &bytes[off..off + len] };
             w.bytes(section);
             let at = HEADER_LEN + i * TABLE_ENTRY_LEN;
             w.buf[at + 8..at + 16].copy_from_slice(&(start as u64).to_le_bytes());
@@ -2068,6 +2069,70 @@ mod tests {
         let checksum = body_checksum(&w.buf);
         w.buf.extend_from_slice(&checksum.to_le_bytes());
         w.buf
+    }
+
+    /// `bytes` (a full artifact of `corpus` and `mined`) with its cold
+    /// section rewritten in the layout before the root-only one: the
+    /// artifact a build from before it wrote. The fixture's topics below
+    /// the root hold no links, so their records read the same in both
+    /// layouts, and the first retired record is a fit.
+    fn retired_artifact(corpus: &Corpus, mined: &MinedStructure, bytes: &[u8]) -> Vec<u8> {
+        let names = &mined.hierarchy.network.type_names;
+        let records = stored_records(mined);
+        with_cold(bytes, &crafted_cold(corpus, mined, names, &records, Some(-1234.5)))
+    }
+
+    /// A `cold` topic record that disagrees with the root network is a
+    /// typed error at its offset inside `cold`: hierarchy type names or a
+    /// node space other than the root network's are malformed, and links
+    /// below the root are the retired layout.
+    #[test]
+    fn cold_records_that_disagree_with_the_root_network_are_typed_errors() {
+        let (corpus, mined, bytes) = fixture();
+        let root = &mined.hierarchy.network;
+        let stored = stored_records(&mined);
+        let crafted = |names: &[String], records: &[(&TypedNetwork, bool)]| {
+            with_cold(&bytes, &crafted_cold(&corpus, &mined, names, records, None))
+        };
+        assert!(crafted(&root.type_names, &stored) == bytes, "the crafted writer is write_cold");
+        let decode_error = |artifact: &[u8]| {
+            let (off, len) = locate(artifact, 10);
+            let m = MappedSnapshot::from_bytes(artifact).expect("the hot sections load");
+            let err = m.to_snapshot().map(drop).expect_err("the decode fails");
+            (err, off..off + len)
+        };
+
+        let mut renamed = root.type_names.clone();
+        renamed[0].push('2');
+        match decode_error(&crafted(&renamed, &stored)) {
+            (SnapshotError::Malformed { offset, what }, cold) => {
+                assert_eq!(offset, cold.start, "{what}");
+                assert!(what.contains("type names"), "{what}");
+            }
+            other => panic!("renamed types: expected Malformed, got {other:?}"),
+        }
+
+        let mut grown = TypedNetwork::new(root.type_names.clone(), root.node_counts.clone());
+        grown.node_counts[0] += 1;
+        let mut records = stored.clone();
+        records[1] = (&grown, false);
+        match decode_error(&crafted(&root.type_names, &records)) {
+            (SnapshotError::Malformed { offset, what }, cold) => {
+                assert!(cold.contains(&offset), "offset {offset} outside {cold:?}");
+                assert!(what.contains("node space"), "{what}");
+            }
+            other => panic!("grown node space: expected Malformed, got {other:?}"),
+        }
+
+        let mut records = stored.clone();
+        records[1] = (root, true);
+        match decode_error(&crafted(&root.type_names, &records)) {
+            (e @ SnapshotError::RetiredLayout { offset, .. }, cold) => {
+                assert!(cold.contains(&offset), "offset {offset} outside {cold:?}");
+                assert!(e.to_string().contains("links below the root"), "{e}");
+            }
+            other => panic!("links below the root: expected RetiredLayout, got {other:?}"),
+        }
     }
 
     /// An artifact written before the root-only cold layout still serves

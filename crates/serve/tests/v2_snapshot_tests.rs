@@ -2,10 +2,8 @@
 //!
 //! 1. `save_v2(to_snapshot(map(save_v2(m)))) == save_v2(m)` byte for
 //!    byte, and the decoded model equals `m` field by field on raw float
-//!    bits, except that every topic network but the root's decodes empty
-//!    (the artifact stores only the root's links). An update chain run
-//!    from decoded models publishes the same bytes as the chain run in
-//!    memory, so nothing the artifact drops is ever read.
+//!    bits. An update chain run from decoded models publishes the same
+//!    bytes as the chain run in memory.
 //! 2. The owned and the mapped [`ModelView`] answer every rendered query
 //!    (search, topic rendering, hierarchy JSON) identically — the
 //!    renderers exist once, so this checks the two accessor sets.
@@ -74,10 +72,9 @@ fn synthetic_structure(words: &[String], score_bits: &[u64]) -> (Corpus, MinedSt
         path: path.into(),
         phi: vec![vec![score(0), score(1)]],
         rho: score(2),
-        network: TypedNetwork::new(vec![], vec![]),
     };
     let hierarchy = TopicHierarchy {
-        type_names: vec!["author".into()],
+        network: TypedNetwork::new(vec!["author".into()], vec![corpus.entities.count(etype)]),
         topics: vec![topic(None, 0, "o", vec![1]), topic(Some(0), 1, "o/1", vec![])],
         fits: vec![None, None],
         alphas: vec![Some(vec![score(3)]), None],
@@ -126,24 +123,23 @@ fn canonical(corpus: &Corpus, mined: &MinedStructure) -> Vec<String> {
         out.push(format!("doc {d} {tokens:?} {entities:?} {label:?} {year:?}"));
     }
     let MinedStructure {
-        hierarchy: TopicHierarchy { type_names, topics, fits, alphas },
+        hierarchy: TopicHierarchy { network, topics, fits, alphas },
         topic_phrases,
         topic_entities,
         phrase_topic_freq,
         segments,
         doc_topic,
     } = mined;
-    out.push(format!("hierarchy types {type_names:?}"));
+    let TypedNetwork { type_names, node_counts, blocks } = network;
+    out.push(format!("network {type_names:?} {node_counts:?}"));
+    for LinkBlock { tx, ty, edges } in blocks {
+        let edges: Vec<_> = edges.iter().map(|&(i, j, w)| (i, j, w.to_bits())).collect();
+        out.push(format!("block {tx} {ty} {edges:?}"));
+    }
     for (t, topic) in topics.iter().enumerate() {
-        let HierTopic { parent, children, level, path, phi, rho, network } = topic;
+        let HierTopic { parent, children, level, path, phi, rho } = topic;
         let phi: Vec<_> = phi.iter().map(|row| bits(row)).collect();
         out.push(format!("topic {t} {parent:?} {children:?} {level} {path:?} {phi:?} {}", rho.to_bits()));
-        let TypedNetwork { type_names, node_counts, blocks } = network;
-        out.push(format!("network {t} {type_names:?} {node_counts:?}"));
-        for LinkBlock { tx, ty, edges } in blocks {
-            let edges: Vec<_> = edges.iter().map(|&(i, j, w)| (i, j, w.to_bits())).collect();
-            out.push(format!("block {t} {tx} {ty} {edges:?}"));
-        }
     }
     for (t, fit) in fits.iter().enumerate() {
         let Some(fit) = fit else {
@@ -199,22 +195,14 @@ fn canonical(corpus: &Corpus, mined: &MinedStructure) -> Vec<String> {
     out
 }
 
-/// [`canonical`] without the link blocks of every topic but the root
-/// (each topic's node space stays): what a v2 artifact stores of a model.
-fn canonical_stored(corpus: &Corpus, mined: &MinedStructure) -> Vec<String> {
-    let stored = |line: &String| !line.starts_with("block ") || line.starts_with("block 0 ");
-    canonical(corpus, mined).into_iter().filter(stored).collect()
-}
-
 /// v2 round-trip: the decoded snapshot equals the original field by field
-/// (raw float bits) but for the links of non-root topic networks, and
-/// re-saving v2 reproduces the artifact bit-for-bit.
+/// (raw float bits), and re-saving v2 reproduces the artifact bit-for-bit.
 fn assert_v2_round_trip(corpus: &Corpus, mined: &MinedStructure) -> Vec<u8> {
     let bytes = save_snapshot_v2(corpus, mined).expect("save");
     let mapped = MappedSnapshot::from_bytes(&bytes).expect("load v2 back");
     let snap = mapped.to_snapshot().expect("full decode");
     assert_eq!(
-        canonical_stored(corpus, mined),
+        canonical(corpus, mined),
         canonical(&snap.corpus, &snap.mined),
         "v2 round-trip changed the value"
     );
@@ -248,15 +236,15 @@ fn real_mined_structure_round_trips_through_v2() {
     assert_v2_round_trip(&corpus, &mined);
 }
 
-/// A depth-2 tree: its level-1 topics own links in memory, which the
-/// artifact drops and the decode leaves empty.
+/// A depth-2 tree, with fits below the root and the root's links, decodes
+/// to the model it was saved from.
 #[test]
-fn a_two_level_tree_round_trips_all_but_its_child_links() {
+fn a_two_level_tree_round_trips_exactly() {
     let (corpus, mined) = chain_fixture(0);
     let h = &mined.hierarchy;
     assert!(h.fits.iter().filter(|f| f.is_some()).count() > 1, "level 1 is expanded");
-    assert!(h.topics.iter().skip(1).any(|t| t.network.num_links() > 0));
-    assert!(h.topics.iter().all(|t| (t.level < 2) == (t.network.num_links() > 0)));
+    assert!(h.topics.iter().any(|t| t.level == 2), "the tree reaches level 2");
+    assert!(h.network.num_links() > 0);
     assert_v2_round_trip(&corpus, &mined);
 }
 
@@ -290,8 +278,8 @@ fn chain_config() -> MinerConfig {
     config
 }
 
-/// The proof that the links and the likelihood an artifact no longer
-/// stores were never read: five `lesm update` steps with compaction after
+/// The proof that the artifact holds everything an update reads (the
+/// log-likelihood it does not store included): five `lesm update` steps with compaction after
 /// a chain of two, once from each published artifact decoded and once
 /// from the in-memory result of the step before. Every step publishes
 /// the same bytes.

@@ -141,12 +141,6 @@ impl Lda {
             .collect();
         LdaModel { k, vocab_size: v, topic_word, doc_topic, assignments: z }
     }
-
-    /// Convenience: fit on a [`lesm_corpus::Corpus`].
-    pub fn fit_corpus(corpus: &lesm_corpus::Corpus, config: &LdaConfig) -> LdaModel {
-        let docs: Vec<Vec<u32>> = corpus.docs.iter().map(|d| d.tokens.clone()).collect();
-        Self::fit(&docs, corpus.num_words(), config)
-    }
 }
 
 #[cfg(test)]
