@@ -278,11 +278,10 @@ fn chain_config() -> MinerConfig {
     config
 }
 
-/// The proof that the artifact holds everything an update reads (the
-/// log-likelihood it does not store included): five `lesm update` steps with compaction after
-/// a chain of two, once from each published artifact decoded and once
-/// from the in-memory result of the step before. Every step publishes
-/// the same bytes.
+/// The proof that an update reads nothing the artifact does not store:
+/// five `lesm update` steps with compaction after a chain of two, once
+/// from each published artifact decoded and once from the in-memory
+/// result of the step before. Every step publishes the same bytes.
 #[test]
 fn an_update_chain_from_decoded_artifacts_publishes_the_in_memory_bytes() {
     const MAX_DELTA_CHAIN: u64 = 2;
