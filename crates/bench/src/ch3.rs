@@ -46,7 +46,6 @@ pub fn cathyhin_subtopics(
         WeightMode::Equal => "CATHYHIN (equal weight)",
         WeightMode::Normalized => "CATHYHIN (norm weight)",
         WeightMode::Learned => "CATHYHIN (learn weight)",
-        WeightMode::Fixed(_) => "CATHYHIN (fixed weight)",
     };
     let net = collapsed_network(corpus);
     let fit = CathyHinEm::fit(&net, &em_config(k, weights, seed)).expect("non-empty network");

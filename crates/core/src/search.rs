@@ -405,7 +405,6 @@ mod tests {
                 topic(Some(0), 1, "o/2", vec![]),
             ],
             fits: vec![None, None, None],
-            alphas: vec![None, None, None],
         };
         let table: HashMap<Vec<u32>, f64> = [(vec![alpha], 2.0)].into_iter().collect();
         let mined = MinedStructure {

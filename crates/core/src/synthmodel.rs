@@ -87,7 +87,6 @@ pub fn model_from_truth(papers: &SyntheticPapers) -> MinedStructure {
         network: TypedNetwork::new(type_names, node_counts),
         topics,
         fits: vec![None; n_topics],
-        alphas: vec![None; n_topics],
     };
 
     // --- Segmentation + phrase tables --------------------------------------

@@ -47,7 +47,6 @@ fn synthetic_structure(
         network: TypedNetwork::new(vec![], vec![]),
         topics: vec![topic(None, 0, "o", vec![1]), topic(Some(0), 1, "o/1", vec![])],
         fits: vec![None, None],
-        alphas: vec![None, None],
     };
     let phrases: Vec<TopicalPhrase> = ids
         .iter()

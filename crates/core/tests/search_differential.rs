@@ -202,7 +202,6 @@ fn structure(
             network: TypedNetwork::new(vec![], vec![]),
             topics: (0..n_topics).map(topic).collect(),
             fits: vec![None; n_topics],
-            alphas: vec![None; n_topics],
         },
         topic_phrases: vec![Vec::<TopicalPhrase>::new(); n_topics],
         topic_entities: vec![Vec::new(); n_topics],

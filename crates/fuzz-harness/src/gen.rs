@@ -270,7 +270,6 @@ pub fn config_mutation(cfg: usize) -> (&'static str, MinerConfig) {
             m.hierarchy.em.background = false;
             m.hierarchy.em.weights = WeightMode::Equal;
             m.hierarchy.em.weight_rounds = 0;
-            m.hierarchy.em.background_cap = 0.0;
             m.hierarchy.subnet_threshold = -1.0;
             ("no-background-negative-subnet", m)
         }

@@ -249,7 +249,6 @@ pub fn run_nonfinite_snapshot_cases() -> Vec<CaseFailure> {
                 rho: x,
             }],
             fits: vec![None],
-            alphas: vec![None],
         };
         let mined = MinedStructure {
             hierarchy,

@@ -9,9 +9,11 @@
 //!
 //! The EM updates (eqs. 3.24–3.29) soft-assign each link to subtopics
 //! (E-step) and re-estimate the ranking distributions `φ` and topic weights
-//! `ρ` (M-step). Link-type weights `α_{x,y}` may be fixed, normalized, or
-//! learned via eqs. 3.37–3.38 under the geometric-mean constraint of
-//! Theorem 3.2.
+//! `ρ` (M-step). The background distribution `φ_0` is pinned to the
+//! parent-topic importance rather than re-estimated by eq. 3.29 (see
+//! [`EmConfig::background`]). Link-type weights `α_{x,y}` are equal,
+//! normalized, or learned via eqs. 3.37–3.38 under the geometric-mean
+//! constraint of Theorem 3.2.
 //!
 //! Undirected links are stored once; the model's both-direction duplication
 //! is folded into symmetric accumulation (each endpoint receives the link's
@@ -59,9 +61,14 @@ pub enum WeightMode {
     Normalized,
     /// Learned by eq. 3.37 (re-estimated between EM rounds).
     Learned,
-    /// Explicit per-type-pair weights, keyed like `theta` by `tx * T + ty`.
-    Fixed(Vec<f64>),
 }
+
+/// Prior share of the background topic `ρ_0` at a cold start.
+const BACKGROUND_INIT: f64 = 0.2;
+
+/// Upper bound on the background share `ρ_0`: excess mass is
+/// redistributed to the subtopics proportionally after each M-step.
+const BACKGROUND_CAP: f64 = 0.4;
 
 /// Configuration for [`CathyHinEm::fit`].
 #[derive(Debug, Clone)]
@@ -75,19 +82,13 @@ pub struct EmConfig {
     /// RNG seed.
     pub seed: u64,
     /// Whether to include the background topic `t/0` (CATHYHIN uses it;
-    /// plain CATHY of §3.1 does not).
+    /// plain CATHY of §3.1 does not). Its share `ρ_0` starts at 0.2 and is
+    /// capped at 0.4. Its node distribution `φ_0` is pinned to the
+    /// parent-topic importance (normalized weighted degrees) instead of
+    /// being re-estimated by eq. 3.29: a free `φ_0` can specialize into a
+    /// dominant subtopic and swallow it, while a pinned one keeps the
+    /// background a strict global-noise model.
     pub background: bool,
-    /// Prior share of the background topic at initialization.
-    pub background_init: f64,
-    /// Whether the background node distribution `φ_0` is re-estimated by
-    /// eq. 3.29 (`true`) or pinned to the parent-topic importance
-    /// (`false`, the default). A free `φ_0` can specialize into a dominant
-    /// subtopic and swallow it; pinning keeps the background a strict
-    /// global-noise model.
-    pub learn_background: bool,
-    /// Upper bound on the background share `ρ_0` (excess mass is
-    /// redistributed to the subtopics proportionally after each M-step).
-    pub background_cap: f64,
     /// Link-type weight mode.
     pub weights: WeightMode,
     /// Rounds of alternating EM / weight re-estimation when
@@ -114,9 +115,6 @@ impl Default for EmConfig {
             restarts: 2,
             seed: 42,
             background: true,
-            background_init: 0.2,
-            learn_background: false,
-            background_cap: 0.4,
             weights: WeightMode::Equal,
             weight_rounds: 3,
             threads: 1,
@@ -212,9 +210,10 @@ impl EmFit {
 
     /// Full Poisson log-likelihood of the observed links under this fit,
     /// `Σ_e [w_e ln(M θ s_e) - lnΓ(w_e + 1)] - M` over the links with a
-    /// positive rate (the BIC/AIC input of [`crate::select`]). `state` must
-    /// be the flatten the fit was computed on, and `config` its
-    /// configuration: `background` gates the background term and
+    /// positive rate (the BIC input of [`crate::select`]). `state` must
+    /// be the flatten the fit was computed on, whose parent importance is
+    /// the fit's `φ_0`, and `config` its configuration: `background`
+    /// gates the background term and
     /// `threads` only splits the work. The links are summed in the EM's
     /// fixed chunk layout, so the bits depend on neither the thread count
     /// nor the caller.
@@ -222,7 +221,7 @@ impl EmFit {
         let k = self.k;
         let n_edges = state.num_links();
         let arena = ParamArena::from_fit(self, state);
-        let (phi, phi0, rho) = arena.split();
+        let (phi, rho) = arena.split();
         let scaled = |e: usize| self.alpha[state.tp[e]] * state.w[e];
         let m_total: f64 = (0..n_edges).map(scaled).sum();
         // Link weights are overwhelmingly small integers, and `ln_gamma` is
@@ -256,7 +255,8 @@ impl EmFit {
                     if config.background {
                         s += 0.5
                             * rho[0]
-                            * (phi0[ni] * parent_flat[nj] + phi0[nj] * parent_flat[ni]);
+                            * (parent_flat[ni] * parent_flat[nj]
+                                + parent_flat[nj] * parent_flat[ni]);
                     }
                     let lambda = m_total * self.theta[state.tp[e]] * s;
                     if lambda > 0.0 {
@@ -309,7 +309,7 @@ thread_local! {
 }
 
 /// Precomputed per-network edge state, shared across every EM fit of the
-/// same network (the BIC k-sweep, CV folds, restarts, and weight rounds).
+/// same network (the BIC k-sweep, restarts, and weight rounds).
 ///
 /// Flattening a [`TypedNetwork`] — global node ids, type-pair keys,
 /// per-pair weight/link totals, and the normalized parent-topic importance
@@ -344,7 +344,8 @@ pub struct EdgeState {
     /// Parent-topic importance per type (normalized weighted degrees),
     /// in the nested shape [`EmFit`] exposes.
     parent_phi: Arc<Vec<Vec<f64>>>,
-    /// The same importance flattened by global node id (hot-loop view).
+    /// The same importance flattened by global node id: the hot loop's
+    /// view, and the background `φ_0` of every fit on this state.
     parent_flat: Vec<f64>,
     /// Raw (unnormalized) weighted degrees per type. Kept so
     /// [`EdgeState::append_delta`] can fold delta-network degrees in and
@@ -382,19 +383,8 @@ impl EdgeState {
             pair_weight[tp[e]] += w[e];
             pair_links[tp[e]] += 1;
         }
-        // Parent-topic importance: normalized weighted degree per type.
         let degrees = net.weighted_degrees();
-        let mut parent_phi = degrees.clone();
-        for row in &mut parent_phi {
-            let s: f64 = row.iter().sum();
-            if s > 0.0 {
-                row.iter_mut().for_each(|x| *x /= s);
-            }
-        }
-        let mut parent_flat = Vec::with_capacity(total_nodes);
-        for row in &parent_phi {
-            parent_flat.extend_from_slice(row);
-        }
+        let parent_phi = parent_importance(degrees.clone());
         Self {
             t_count,
             node_counts: net.node_counts.clone(),
@@ -406,8 +396,8 @@ impl EdgeState {
             w,
             pair_weight,
             pair_links,
+            parent_flat: parent_phi.concat(),
             parent_phi: Arc::new(parent_phi),
-            parent_flat,
             degrees,
         }
     }
@@ -477,22 +467,12 @@ impl EdgeState {
                 *d += v;
             }
         }
-        let mut parent_phi = self.degrees.clone();
-        for row in &mut parent_phi {
-            let s: f64 = row.iter().sum();
-            if s > 0.0 {
-                row.iter_mut().for_each(|x| *x /= s);
-            }
-        }
-        let mut parent_flat = Vec::with_capacity(new_total);
-        for row in &parent_phi {
-            parent_flat.extend_from_slice(row);
-        }
+        let parent_phi = parent_importance(self.degrees.clone());
         self.node_counts = delta.node_counts.clone();
         self.node_base = new_base;
         self.total_nodes = new_total;
+        self.parent_flat = parent_phi.concat();
         self.parent_phi = Arc::new(parent_phi);
-        self.parent_flat = parent_flat;
         Ok(())
     }
 
@@ -520,17 +500,17 @@ impl EdgeState {
     }
 }
 
-/// Flattened edge list used internally by the EM loop.
 /// Number of edge chunks the E/M accumulation is split into. Fixed (never
 /// derived from the thread count) so the floating-point summation grouping
 /// — and therefore every EM result — is identical for any parallelism.
 const EM_PIECES: usize = 16;
 
-/// One contiguous parameter buffer: `[ φ | φ0 | ρ ]`, with `φ` node-major
+/// One contiguous parameter buffer: `[ φ | ρ ]`, with `φ` node-major
 /// interleaved — the value `φ[x][z][i]` lives at `node * k + z` where
 /// `node = node_base[x] + i`. The interleaving puts all `k` subtopic
 /// values of one node on a single cache line, which is exactly the access
-/// pattern of the per-edge `z`-loop.
+/// pattern of the per-edge `z`-loop. `φ0` needs no slot: it is the
+/// state's parent importance (or absent without the background).
 #[derive(Debug, Clone)]
 struct ParamArena {
     k: usize,
@@ -540,7 +520,7 @@ struct ParamArena {
 
 impl ParamArena {
     fn new(k: usize, total: usize) -> Self {
-        Self { k, total, data: vec![0.0; total * k + total + k + 1] }
+        Self { k, total, data: vec![0.0; total * k + k + 1] }
     }
 
     /// The arena form of `fit` over `state`'s node space, value for value
@@ -548,7 +528,7 @@ impl ParamArena {
     fn from_fit(fit: &EmFit, state: &EdgeState) -> Self {
         let k = fit.k;
         let mut arena = Self::new(k, state.total_nodes);
-        let (phi, phi0, rho) = arena.split_mut();
+        let (phi, rho) = arena.split_mut();
         for x in 0..state.t_count {
             let base = state.node_base[x];
             for (z, row) in fit.phi[x].iter().enumerate() {
@@ -556,26 +536,21 @@ impl ParamArena {
                     phi[(base + i) * k + z] = v;
                 }
             }
-            phi0[base..base + fit.phi0[x].len()].copy_from_slice(&fit.phi0[x]);
         }
         rho.copy_from_slice(&fit.rho);
         arena
     }
 
-    /// `(phi, phi0, rho)` views.
+    /// `(phi, rho)` views.
     #[inline]
-    fn split(&self) -> (&[f64], &[f64], &[f64]) {
-        let (phi, rest) = self.data.split_at(self.total * self.k);
-        let (phi0, rho) = rest.split_at(self.total);
-        (phi, phi0, rho)
+    fn split(&self) -> (&[f64], &[f64]) {
+        self.data.split_at(self.total * self.k)
     }
 
-    /// Mutable `(phi, phi0, rho)` views.
+    /// Mutable `(phi, rho)` views.
     #[inline]
-    fn split_mut(&mut self) -> (&mut [f64], &mut [f64], &mut [f64]) {
-        let (phi, rest) = self.data.split_at_mut(self.total * self.k);
-        let (phi0, rho) = rest.split_at_mut(self.total);
-        (phi, phi0, rho)
+    fn split_mut(&mut self) -> (&mut [f64], &mut [f64]) {
+        self.data.split_at_mut(self.total * self.k)
     }
 }
 
@@ -590,10 +565,12 @@ struct ArenaFit {
 }
 
 impl ArenaFit {
-    /// Expands the arena into the nested public shape.
-    fn into_em_fit(self, state: &EdgeState, alpha: Vec<f64>) -> EmFit {
+    /// Expands the arena into the nested public shape, with `φ0` the
+    /// state's parent importance when `background` is on and zeros
+    /// otherwise.
+    fn into_em_fit(self, state: &EdgeState, alpha: Vec<f64>, background: bool) -> EmFit {
         let k = self.arena.k;
-        let (phi_a, phi0_a, rho_a) = self.arena.split();
+        let (phi_a, rho_a) = self.arena.split();
         let phi: Vec<Vec<Vec<f64>>> = (0..state.t_count)
             .map(|x| {
                 (0..k)
@@ -605,11 +582,11 @@ impl ArenaFit {
                     .collect()
             })
             .collect();
-        let phi0: Vec<Vec<f64>> = (0..state.t_count)
-            .map(|x| {
-                phi0_a[state.node_base[x]..state.node_base[x] + state.node_counts[x]].to_vec()
-            })
-            .collect();
+        let phi0 = if background {
+            state.parent_phi.to_vec()
+        } else {
+            state.node_counts.iter().map(|&n| vec![0.0; n]).collect()
+        };
         EmFit {
             k,
             phi,
@@ -625,7 +602,7 @@ impl ArenaFit {
 }
 
 /// Reused per-fit working memory: the reduce chunk buffers and the flat
-/// `[obj | ρ | φ | φ0]` accumulator. One of these lives for a whole
+/// `[obj | ρ | φ]` accumulator. One of these lives for a whole
 /// `fit_prepared` call, so the EM iteration loop performs no heap
 /// allocation.
 struct EmScratch {
@@ -700,16 +677,17 @@ impl CathyHinEm {
         // cloned) into the next round.
         if config.weights == WeightMode::Learned {
             for _ in 1..config.weight_rounds.max(1) {
-                alpha = learn_alpha(state, &best, config.threads, &mut scratch);
+                alpha = learn_alpha(state, &best, config, &mut scratch);
                 best = fit_alpha(state, config, &alpha, Some(best), &mut scratch);
             }
         }
-        Ok(best.into_em_fit(state, alpha))
+        Ok(best.into_em_fit(state, alpha, config.background))
     }
 
     /// Warm-starts EM from a previous fit of (an earlier version of) the
-    /// same network — the incremental-update path. The previous `φ`, `φ0`,
-    /// and `ρ` seed the arena; nodes that appeared since the previous fit
+    /// same network — the incremental-update path. The previous `φ` and
+    /// `ρ` seed the arena (`φ0` is the updated network's parent importance,
+    /// as in a cold start); nodes that appeared since the previous fit
     /// receive a uniform share and each `(type, subtopic)` row is
     /// renormalized, so new nodes can attract mass from iteration one
     /// (an all-zero row would starve them forever: the M-step numerators
@@ -781,7 +759,7 @@ impl CathyHinEm {
         // Seed the arena from the previous fit.
         let mut arena = ParamArena::new(k, state.total_nodes);
         {
-            let (phi, phi0, rho) = arena.split_mut();
+            let (phi, rho) = arena.split_mut();
             for x in 0..t_count {
                 let count = state.node_counts[x];
                 // Uniform share for nodes the previous fit has not seen.
@@ -801,24 +779,6 @@ impl CathyHinEm {
                     }
                 }
             }
-            if config.background {
-                if config.learn_background {
-                    for x in 0..t_count {
-                        let base = state.node_base[x];
-                        let count = state.node_counts[x];
-                        let row = &prev.phi0[x];
-                        for i in 0..count {
-                            phi0[base + i] =
-                                row.get(i).copied().unwrap_or(state.parent_flat[base + i]);
-                        }
-                        normalize(&mut phi0[base..base + count]);
-                    }
-                } else {
-                    // Pinned mode: φ0 is the parent importance of the
-                    // *updated* network, same as a cold start would use.
-                    phi0.copy_from_slice(&state.parent_flat);
-                }
-            }
             rho.copy_from_slice(&prev.rho);
         }
         let mut alpha = prev.alpha.clone();
@@ -831,7 +791,7 @@ impl CathyHinEm {
             objective_trace: Vec::new(),
         };
         let best = fit_alpha(state, config, &alpha, Some(warm), &mut scratch);
-        Ok(best.into_em_fit(state, alpha))
+        Ok(best.into_em_fit(state, alpha, config.background))
     }
 }
 
@@ -893,22 +853,10 @@ fn initial_alpha(
     t_count: usize,
 ) -> Vec<f64> {
     let mut alpha = vec![1.0; t_count * t_count];
-    match mode {
-        WeightMode::Equal | WeightMode::Learned => {}
-        WeightMode::Normalized => {
-            for (tp, a) in alpha.iter_mut().enumerate() {
-                if pair_weight[tp] > 0.0 {
-                    *a = 1.0 / pair_weight[tp];
-                }
-            }
-        }
-        WeightMode::Fixed(v) => {
-            for (tp, a) in alpha.iter_mut().enumerate() {
-                if let Some(&x) = v.get(tp) {
-                    if x > 0.0 {
-                        *a = x;
-                    }
-                }
+    if *mode == WeightMode::Normalized {
+        for (tp, a) in alpha.iter_mut().enumerate() {
+            if pair_weight[tp] > 0.0 {
+                *a = 1.0 / pair_weight[tp];
             }
         }
     }
@@ -941,23 +889,14 @@ fn rescale_alpha(alpha: &mut [f64], pair_links: &[usize]) {
 struct EStepCtx<'a> {
     k: usize,
     background: bool,
-    track_phi0: bool,
-    /// Offset of the φ block in the accumulator: `k + 2` head slots.
-    phi_off: usize,
-    /// Length of the φ block: `total · k`.
-    phi_len: usize,
     state: &'a EdgeState,
     scaled: &'a [f64],
     phi_c: &'a [f64],
     rho_c: &'a [f64],
-    /// Per-node background inputs packed `[φ0(n), parent(n)]` so one edge
-    /// endpoint costs one cache line instead of random loads into two
-    /// separate arrays.
-    bgpack: &'a [f64],
 }
 
 /// Accumulates one edge chunk of the E-step into `buf` (layout
-/// `[obj | bg | k numerators | φ | φ0?]`). Dispatches to an AVX2
+/// `[obj | bg | k numerators | φ]`). Dispatches to an AVX2
 /// compilation of the identical loop when the CPU has it: every vectorized
 /// operation is an elementwise IEEE mul/add/divide (no fused ops, no
 /// reassociated reductions — the posterior total keeps its sequential
@@ -1013,15 +952,17 @@ fn estep_fill_portable<const K: usize>(
     let state = ctx.state;
     let background = ctx.background;
     let (phi_c, rho_c) = (ctx.phi_c, ctx.rho_c);
-    let bgpack = ctx.bgpack;
+    // The background φ0 is pinned to the parent importance, so the
+    // background term of an edge reads that one array at both endpoints.
+    let parent = &state.parent_flat[..];
+    let half_rho0 = 0.5 * rho_c[0];
     let scaled = ctx.scaled;
-    // Pre-split the chunk buffer into its [head | φ | φ0] regions so the
-    // hot loop indexes small slices directly. `head` is
+    // Pre-split the chunk buffer into its [head | φ] regions so the hot
+    // loop indexes small slices directly. `head` is
     // [obj | bg | k numerators]; slicing the numerator tail once lets the
     // per-edge loops run without bounds checks (and vectorize, since every
     // store target is a disjoint fixed-length slice).
-    let (head, rest) = buf.split_at_mut(ctx.phi_off);
-    let (phi_b, phi0_b) = rest.split_at_mut(ctx.phi_len);
+    let (head, phi_b) = buf.split_at_mut(k + 2);
     let (head_obj, head_z) = head.split_at_mut(2);
     let rho_z = &rho_c[1..k + 1];
     // Posterior scratch: a stack array in the monomorphized paths, a heap
@@ -1086,17 +1027,13 @@ fn estep_fill_portable<const K: usize>(
             acc4[l] += r;
         }
         let mut s = (acc4[0] + acc4[1]) + (acc4[2] + acc4[3]);
-        // Background: average of the two link directions.
-        let (bg_a, bg_b, q0);
+        // Background: average of the two link directions, `φ0(i)·p(j)`
+        // and `φ0(j)·p(i)` with `φ0 = p`.
+        let mut q0 = 0.0;
         if background {
-            bg_a = 0.5 * rho_c[0] * bgpack[2 * ni] * bgpack[2 * nj + 1];
-            bg_b = 0.5 * rho_c[0] * bgpack[2 * nj] * bgpack[2 * ni + 1];
-            q0 = bg_a + bg_b;
+            let (pi, pj) = (parent[ni], parent[nj]);
+            q0 = half_rho0 * pi * pj + half_rho0 * pj * pi;
             s += q0;
-        } else {
-            bg_a = 0.0;
-            bg_b = 0.0;
-            q0 = 0.0;
         }
         if s <= 0.0 {
             continue;
@@ -1132,12 +1069,7 @@ fn estep_fill_portable<const K: usize>(
             }
         }
         if background {
-            let e0 = q0 * inv;
-            bg_acc += e0;
-            if ctx.track_phi0 && q0 > 0.0 {
-                phi0_b[ni] += inv * bg_a;
-                phi0_b[nj] += inv * bg_b;
-            }
+            bg_acc += q0 * inv;
         }
     }
     // Flush the register accumulators, then the batched objective: ln over
@@ -1185,7 +1117,7 @@ fn run_em(
     let n_edges = state.num_links();
     let mut rng = StdRng::seed_from_u64(seed);
 
-    // Initialize φ, φ0, ρ (same RNG draw order as the original nested
+    // Initialize φ and ρ (same RNG draw order as the original nested
     // implementation: type-major, then subtopic, then node).
     let mut cur = match warm {
         Some(arena) => {
@@ -1195,7 +1127,7 @@ fn run_em(
         }
         None => {
             let mut arena = ParamArena::new(k, total);
-            let (phi, phi0, rho) = arena.split_mut();
+            let (phi, rho) = arena.split_mut();
             for x in 0..t_count {
                 for z in 0..k {
                     for i in 0..counts[x] {
@@ -1213,10 +1145,9 @@ fn run_em(
                 }
             }
             if config.background {
-                phi0.copy_from_slice(&state.parent_flat);
-                rho[0] = config.background_init;
+                rho[0] = BACKGROUND_INIT;
                 for z in 1..=k {
-                    rho[z] = (1.0 - config.background_init) / k as f64;
+                    rho[z] = (1.0 - BACKGROUND_INIT) / k as f64;
                 }
             } else {
                 for z in 1..=k {
@@ -1227,65 +1158,26 @@ fn run_em(
         }
     };
 
-    // Ping-pong write arena. φ0 is copied once up front so it stays pinned
-    // through swaps when it is not re-learned.
+    // Ping-pong write arena.
     let mut next = ParamArena::new(k, total);
-    if !(config.background && config.learn_background) {
-        let (_, phi0_n, _) = next.split_mut();
-        phi0_n.copy_from_slice(cur.split().1);
-    }
 
-    // Flat accumulator layout: [obj | ρ (k+1) | φ (total·k) | φ0 (total)].
-    // The φ0 block exists only when it is actually re-learned — otherwise
-    // its numerators are dead work (the seed implementation computed and
-    // discarded them), and dropping the block shrinks both the E-step
-    // writes and the per-iteration chunk fold.
-    let track_phi0 = config.background && config.learn_background;
+    // Flat accumulator layout: [obj | ρ (k+1) | φ (total·k)].
     let phi_off = k + 2;
-    let phi0_off = phi_off + total * k;
-    let acc_len = if track_phi0 { phi0_off + total } else { phi0_off };
     scratch.acc.clear();
-    scratch.acc.resize(acc_len, 0.0);
+    scratch.acc.resize(phi_off + total * k, 0.0);
 
     let mut objective = f64::NEG_INFINITY;
     let mut objective_trace = Vec::with_capacity(config.iters);
     let grain = lesm_par::grain_for_pieces(n_edges, EM_PIECES);
-    let parent_flat = &state.parent_flat;
     let background = config.background;
-    // Packed per-node background inputs `[φ0(n), parent(n)]`: one random
-    // cache line per edge endpoint in the hot loop instead of two. φ0 is
-    // pinned unless it is re-learned, so the pack is rebuilt per iteration
-    // only in that mode.
-    let mut bgpack = vec![0.0f64; 2 * total];
-    let mut bgpack_stale = true;
     for _ in 0..config.iters {
         // E-step + M-step numerators: one chunked reduce over the edges
         // into the flat accumulator. Chunk layout and fold order are
         // fixed, so any thread count gives the same bits as threads = 1.
-        let (phi_c, phi0_c, rho_c) = cur.split();
-        if background && (bgpack_stale || track_phi0) {
-            for ((pack, &p0), &pf) in
-                bgpack.chunks_exact_mut(2).zip(phi0_c).zip(parent_flat)
-            {
-                pack[0] = p0;
-                pack[1] = pf;
-            }
-            bgpack_stale = false;
-        }
+        let (phi_c, rho_c) = cur.split();
         // ~8k + 16 flops per edge (E-step posterior + numerator adds).
         let hint = lesm_par::WorkHint::items(n_edges, 8 * k + 16);
-        let ctx = EStepCtx {
-            k,
-            background,
-            track_phi0,
-            phi_off,
-            phi_len: total * k,
-            state,
-            scaled,
-            phi_c,
-            rho_c,
-            bgpack: &bgpack,
-        };
+        let ctx = EStepCtx { k, background, state, scaled, phi_c, rho_c };
         lesm_par::par_buffer_reduce_with(
             &mut scratch.reduce,
             n_edges,
@@ -1300,18 +1192,18 @@ fn run_em(
         // M-step: unpack into the write arena with the 1e-12 smoothing the
         // normalizers expect, then swap the arenas.
         {
-            let (phi_n, phi0_n, rho_n) = next.split_mut();
+            let (phi_n, rho_n) = next.split_mut();
             for z in 0..=k {
                 rho_n[z] = 1e-12 + acc[1 + z];
             }
-            for (p, &a) in phi_n.iter_mut().zip(&acc[phi_off..phi0_off]) {
+            for (p, &a) in phi_n.iter_mut().zip(&acc[phi_off..]) {
                 *p = 1e-12 + a;
             }
             normalize(rho_n);
-            if background && rho_n[0] > config.background_cap {
-                let excess = rho_n[0] - config.background_cap;
+            if background && rho_n[0] > BACKGROUND_CAP {
+                let excess = rho_n[0] - BACKGROUND_CAP;
                 let sub_total: f64 = rho_n[1..].iter().sum();
-                rho_n[0] = config.background_cap;
+                rho_n[0] = BACKGROUND_CAP;
                 if sub_total > 0.0 {
                     for z in 1..=k {
                         rho_n[z] += excess * rho_n[z] / sub_total;
@@ -1331,14 +1223,6 @@ fn run_em(
                             phi_n[(base[x] + i) * k + z] /= s;
                         }
                     }
-                }
-            }
-            if track_phi0 {
-                for (p, &a) in phi0_n.iter_mut().zip(&acc[phi0_off..]) {
-                    *p = 1e-12 + a;
-                }
-                for x in 0..t_count {
-                    normalize(&mut phi0_n[base[x]..base[x] + counts[x]]);
                 }
             }
         }
@@ -1361,11 +1245,11 @@ fn run_em(
 fn learn_alpha(
     state: &EdgeState,
     fit: &ArenaFit,
-    threads: usize,
+    config: &EmConfig,
     scratch: &mut EmScratch,
 ) -> Vec<f64> {
     let k = fit.arena.k;
-    let (phi, phi0, rho) = fit.arena.split();
+    let (phi, rho) = fit.arena.split();
     let t_count = state.t_count;
     let n_edges = state.num_links();
     let parent_flat = &state.parent_flat;
@@ -1375,7 +1259,7 @@ fn learn_alpha(
         &mut scratch.reduce,
         n_edges,
         lesm_par::grain_for_pieces(n_edges, EM_PIECES),
-        threads,
+        config.threads,
         lesm_par::WorkHint::items(n_edges, 2 * k + 8),
         &mut sigma,
         |range, buf| {
@@ -1388,10 +1272,11 @@ fn learn_alpha(
                 for z in 0..k {
                     s += rho[z + 1] * a[z] * b[z];
                 }
-                if rho[0] > 0.0 {
+                if config.background {
                     s += 0.5
                         * rho[0]
-                        * (phi0[ni] * parent_flat[nj] + phi0[nj] * parent_flat[ni]);
+                        * (parent_flat[ni] * parent_flat[nj]
+                            + parent_flat[nj] * parent_flat[ni]);
                 }
                 let m_xy = state.pair_weight[state.tp[e]];
                 let pred = (m_xy * s).max(1e-300);
@@ -1420,6 +1305,13 @@ fn learn_alpha(
     }
     rescale_alpha(&mut alpha, &state.pair_links);
     alpha
+}
+
+/// The parent-topic importance of a network from its weighted degrees
+/// per type: each row normalized to sum to 1 (an all-zero row stays zero).
+pub(crate) fn parent_importance(mut degrees: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+    degrees.iter_mut().for_each(|row| normalize(row));
+    degrees
 }
 
 fn normalize(row: &mut [f64]) {
@@ -1807,6 +1699,34 @@ mod tests {
         // Warm trace stays monotone (it is still EM).
         for w in warm_a.objective_trace.windows(2) {
             assert!(w[1] >= w[0] - 1e-6 * (1.0 + w[0].abs()));
+        }
+    }
+
+    /// The E-step reads the parent importance wherever the background
+    /// term has `φ0`, so every fit must report that importance as its
+    /// `phi0` bit for bit with the background on, and all zeros with it
+    /// off: cold or warm, under learned weights, at any thread count.
+    #[test]
+    fn phi0_is_the_pinned_parent_importance() {
+        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            rows.iter().map(|r| r.iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        for background in [true, false] {
+            for threads in [1, 3] {
+                let c = EmConfig { threads, weights: WeightMode::Learned, ..cfg(2, background) };
+                let mut state = EdgeState::new(&two_communities_hin());
+                let cold = CathyHinEm::fit_prepared(&state, &c).unwrap();
+                state.append_delta(&hin_delta()).unwrap();
+                let warm = CathyHinEm::fit_warm(&state, &EmConfig { iters: 20, ..c }, &cold).unwrap();
+                for (name, fit) in [("cold", &cold), ("warm", &warm)] {
+                    let want = if background {
+                        bits(&fit.parent_phi)
+                    } else {
+                        fit.parent_phi.iter().map(|r| vec![0; r.len()]).collect()
+                    };
+                    assert_eq!(bits(&fit.phi0), want, "{name}, background {background}, {threads} threads");
+                }
+            }
         }
     }
 

@@ -1,8 +1,8 @@
 //! Recursive top-down hierarchy construction (the CATHY/CATHYHIN outer
 //! loop: Steps 1–3 of §3.1/§3.2).
 
-use crate::em::{CathyHinEm, EdgeState, EmConfig, EmFit};
-use crate::select::{select_k_prepared, Criterion};
+use crate::em::{parent_importance, CathyHinEm, EdgeState, EmConfig, EmFit};
+use crate::select::select_k_prepared;
 use crate::HierError;
 use lesm_net::TypedNetwork;
 
@@ -89,10 +89,9 @@ pub struct TopicHierarchy {
     /// Topics; index 0 is the root.
     pub topics: Vec<HierTopic>,
     /// Per-topic fitted EM models for internal nodes (index-aligned with
-    /// `topics`; `None` for leaves and unexpanded nodes).
+    /// `topics`; `None` for leaves and unexpanded nodes). A fit's `alpha`
+    /// holds the link-type weights its topic was expanded with.
     pub fits: Vec<Option<EmFit>>,
-    /// Learned link-type weights per expanded topic (keyed `tx * T + ty`).
-    pub alphas: Vec<Option<Vec<f64>>>,
 }
 
 /// Convergence budget for an incremental update refit ([`TopicHierarchy::update`]).
@@ -165,9 +164,7 @@ impl TopicHierarchy {
                     ChildCount::Fixed(k) => *k,
                     ChildCount::PerLevel(v) => *v.get(level).or(v.last()).unwrap_or(&2),
                     ChildCount::Auto { min, max } => {
-                        let (best, _) =
-                            select_k_prepared(&state, *min..=*max, &config.em, Criterion::Bic)?;
-                        best
+                        select_k_prepared(&state, *min..=*max, &config.em)?.0
                     }
                 };
                 if k < 1 {
@@ -266,32 +263,23 @@ impl TopicHierarchy {
     /// A one-topic hierarchy over `root_net`, with the network's
     /// normalized weighted degrees as the root's global importance.
     fn rooted(root_net: TypedNetwork) -> Self {
-        let mut root_phi = root_net.weighted_degrees();
-        for row in &mut root_phi {
-            let s: f64 = row.iter().sum();
-            if s > 0.0 {
-                row.iter_mut().for_each(|x| *x /= s);
-            }
-        }
         TopicHierarchy {
-            network: root_net,
             topics: vec![HierTopic {
                 parent: None,
                 children: vec![],
                 level: 0,
                 path: "o".into(),
-                phi: root_phi,
+                phi: parent_importance(root_net.weighted_degrees()),
                 rho: 1.0,
             }],
+            network: root_net,
             fits: vec![None],
-            alphas: vec![None],
         }
     }
 
     /// Expands `node` with `fit`: appends one child per subtopic, owning
     /// the subtopic's ranking distributions and share, then stores the fit
-    /// and its link-type weights on `node`. Returns the new children's
-    /// indices in subtopic order.
+    /// on `node`. Returns the new children's indices in subtopic order.
     fn attach_children(&mut self, node: usize, fit: EmFit) -> std::ops::Range<usize> {
         let first = self.topics.len();
         let level = self.topics[node].level + 1;
@@ -306,33 +294,10 @@ impl TopicHierarchy {
                 rho: fit.rho[z + 1],
             });
             self.fits.push(None);
-            self.alphas.push(None);
             self.topics[node].children.push(child_idx);
         }
-        self.alphas[node] = Some(fit.alpha.clone());
         self.fits[node] = Some(fit);
         first..self.topics.len()
-    }
-
-    /// Convenience: CATHY on a text-only corpus (§3.1) — builds the term
-    /// co-occurrence network and constructs the hierarchy. The paper's
-    /// text-only model has no background topic; the config's `background`
-    /// flag is honored as given.
-    pub fn from_corpus_text(
-        corpus: &lesm_corpus::Corpus,
-        config: &CathyConfig,
-    ) -> Result<Self, HierError> {
-        Self::construct(lesm_net::co_occurrence_network(corpus), config)
-    }
-
-    /// Convenience: CATHYHIN on a corpus with typed entities (§3.2) —
-    /// builds the collapsed heterogeneous network and constructs the
-    /// hierarchy.
-    pub fn from_corpus_hin(
-        corpus: &lesm_corpus::Corpus,
-        config: &CathyConfig,
-    ) -> Result<Self, HierError> {
-        Self::construct(lesm_net::collapsed_network(corpus), config)
     }
 
     /// Number of topics (including the root).
@@ -576,10 +541,11 @@ mod tests {
         let mut cfg = config();
         cfg.max_depth = 1;
         cfg.min_links = 4;
-        let text = TopicHierarchy::from_corpus_text(&corpus, &cfg).unwrap();
+        let text =
+            TopicHierarchy::construct(lesm_net::co_occurrence_network(&corpus), &cfg).unwrap();
         assert_eq!(text.network.type_names, vec!["term"]);
         assert_eq!(text.topics[0].children.len(), 2);
-        let hin = TopicHierarchy::from_corpus_hin(&corpus, &cfg).unwrap();
+        let hin = TopicHierarchy::construct(lesm_net::collapsed_network(&corpus), &cfg).unwrap();
         assert_eq!(hin.network.type_names, vec!["author", "term"]);
         assert_eq!(hin.topics[0].children.len(), 2);
         // The HIN variant ranks authors: each child topic's top author is

@@ -8,10 +8,12 @@
 //! extracted, and the procedure recurses.
 //!
 //! * [`em`] — the unified generative model and its EM inference
-//!   (eqs. 3.5–3.7 for text-only CATHY; eqs. 3.24–3.29 with background
-//!   topic for CATHYHIN), including link-type weight learning
-//!   (eqs. 3.37–3.38 under the Theorem 3.2 normalization).
-//! * [`select`] — BIC/AIC model selection for the number of subtopics
+//!   (eqs. 3.5–3.7 for text-only CATHY; eqs. 3.24–3.28 with a background
+//!   topic for CATHYHIN, whose `φ_0` is pinned to the parent-topic
+//!   importance rather than re-estimated by eq. 3.29), including
+//!   link-type weight learning (eqs. 3.37–3.38 under the Theorem 3.2
+//!   normalization).
+//! * [`select`] — BIC model selection for the number of subtopics
 //!   (§3.2.3).
 //! * [`hierarchy`] — the recursive constructor and the resulting
 //!   [`TopicHierarchy`].
@@ -22,12 +24,10 @@
 // Index-based loops are kept where they mirror the paper's equations.
 #![allow(clippy::needless_range_loop)]
 
-pub mod cv;
 pub mod em;
 pub mod hierarchy;
 pub mod select;
 
-pub use cv::{select_k_cv, CvConfig};
 pub use em::{CathyHinEm, EdgeState, EmConfig, EmFit, WeightMode};
 pub use hierarchy::{CathyConfig, HierTopic, TopicHierarchy, UpdateBudget};
 pub use select::{bic_score, select_k, select_k_prepared};

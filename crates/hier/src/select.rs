@@ -1,22 +1,14 @@
 //! Model selection for the number of subtopics (§3.2.3).
 //!
-//! The dissertation recommends cross-validation with BIC as the
-//! small-network fallback. We implement BIC (and AIC) over the full Poisson
-//! likelihood ([`crate::em::EmFit::loglik`]); `select_k` scans a candidate
-//! range and returns the `k` minimizing the penalized criterion.
+//! The dissertation recommends cross-validation, with BIC as the
+//! small-network fallback. Every hierarchy here selects by BIC over the
+//! full Poisson likelihood ([`crate::em::EmFit::loglik`]): `select_k` scans
+//! a candidate range and returns the `k` minimizing the score.
+//! Cross-validation is not implemented.
 
 use crate::em::{CathyHinEm, EdgeState, EmConfig};
 use crate::HierError;
 use lesm_net::TypedNetwork;
-
-/// Information criterion flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Criterion {
-    /// Bayesian information criterion (`penalty = |params| ln |E|`).
-    Bic,
-    /// Akaike information criterion (`penalty = 2 |params|`).
-    Aic,
-}
 
 /// The BIC score of a fit: `-2 ln L + |V| k ln |E|` (lower is better).
 ///
@@ -26,13 +18,9 @@ pub fn bic_score(loglik: f64, total_nodes: usize, k: usize, n_links: usize) -> f
     -2.0 * loglik + (total_nodes * k) as f64 * (n_links.max(2) as f64).ln()
 }
 
-/// The AIC score of a fit (lower is better).
-pub fn aic_score(loglik: f64, total_nodes: usize, k: usize) -> f64 {
-    -2.0 * loglik + 2.0 * (total_nodes * k) as f64
-}
-
 /// Fits the model for every `k` in `k_range` and returns
-/// `(best_k, scores)` where `scores[i]` pairs with `k_range` in order.
+/// `(best_k, scores)`, where `scores[i]` is the [`bic_score`] paired with
+/// `k_range` in order.
 ///
 /// Lower scores win. Ties break toward smaller `k` (cheaper browsing).
 ///
@@ -42,9 +30,8 @@ pub fn select_k(
     net: &TypedNetwork,
     k_range: std::ops::RangeInclusive<usize>,
     base: &EmConfig,
-    criterion: Criterion,
 ) -> Result<(usize, Vec<(usize, f64)>), HierError> {
-    select_k_prepared(&EdgeState::new(net), k_range, base, criterion)
+    select_k_prepared(&EdgeState::new(net), k_range, base)
 }
 
 /// [`select_k`] against a pre-flattened [`EdgeState`] — lets callers that
@@ -53,7 +40,6 @@ pub fn select_k_prepared(
     state: &EdgeState,
     k_range: std::ops::RangeInclusive<usize>,
     base: &EmConfig,
-    criterion: Criterion,
 ) -> Result<(usize, Vec<(usize, f64)>), HierError> {
     let total_nodes = state.total_nodes();
     let n_links = state.num_links();
@@ -65,10 +51,7 @@ pub fn select_k_prepared(
         }
         let cfg = EmConfig { k, ..base.clone() };
         let loglik = CathyHinEm::fit_prepared(state, &cfg)?.loglik(state, &cfg);
-        let score = match criterion {
-            Criterion::Bic => bic_score(loglik, total_nodes, k, n_links),
-            Criterion::Aic => aic_score(loglik, total_nodes, k),
-        };
+        let score = bic_score(loglik, total_nodes, k, n_links);
         scores.push((k, score));
         if best.is_none_or(|(_, s)| score < s) {
             best = Some((k, score));
@@ -110,7 +93,7 @@ mod tests {
             weights: WeightMode::Equal,
             ..EmConfig::default()
         };
-        let (k, scores) = select_k(&net, 2..=5, &base, Criterion::Bic).unwrap();
+        let (k, scores) = select_k(&net, 2..=5, &base).unwrap();
         assert_eq!(scores.len(), 4);
         assert!(
             (2..=4).contains(&k),
@@ -132,7 +115,7 @@ mod tests {
             ..EmConfig::default()
         };
         let before = EdgeState::flattens_on_this_thread();
-        let _ = select_k(&net, 2..=5, &base, Criterion::Bic).unwrap();
+        let _ = select_k(&net, 2..=5, &base).unwrap();
         assert_eq!(
             EdgeState::flattens_on_this_thread() - before,
             1,
@@ -181,31 +164,23 @@ mod tests {
             weight_rounds: 2,
             ..EmConfig::default()
         };
-        let recorded: [(TypedNetwork, &EmConfig, Criterion, [u64; 5]); 4] = [
-            (three_communities(), &text, Criterion::Bic, [
+        let recorded: [(TypedNetwork, &EmConfig, [u64; 5]); 2] = [
+            (three_communities(), &text, [
                 0x408f94e9a6947acf, 0x40884e383931e02a, 0x40836f5337d02b23,
                 0x408488c0625e0f04, 0x4085ac18631c91c0,
             ]),
-            (three_communities(), &text, Criterion::Aic, [
-                0x408f355288cb0c24, 0x40878f09fd9f02d4, 0x4082508dde73df23,
-                0x40830a63eb385459, 0x4083ce24ce2d686a,
-            ]),
-            (three_communities_hin(), &hin, Criterion::Bic, [
+            (three_communities_hin(), &hin, [
                 0x4090cfea9c56f485, 0x408792087e814403, 0x4079bb53246b67a9,
                 0x407d30c0e7c557f4, 0x4080ea281328f9c4,
             ]),
-            (three_communities_hin(), &hin, Criterion::Aic, [
-                0x40904dd6352b326e, 0x408589b6e1d23ba8, 0x4073a25e4e5e4e98,
-                0x40750f7a75093688, 0x4077aab816e6c9c0,
-            ]),
         ];
-        for (net, base, criterion, bits) in recorded {
+        for (net, base, bits) in recorded {
             for threads in [1, 3] {
                 let cfg = EmConfig { threads, ..base.clone() };
-                let (k, scores) = select_k(&net, 1..=5, &cfg, criterion).unwrap();
+                let (k, scores) = select_k(&net, 1..=5, &cfg).unwrap();
                 let got: Vec<(usize, u64)> = scores.iter().map(|&(k, s)| (k, s.to_bits())).collect();
                 let want: Vec<(usize, u64)> = (1..=5).zip(bits).collect();
-                assert_eq!((k, got), (3, want), "{criterion:?} over {:?}, {threads} threads", net.type_names);
+                assert_eq!((k, got), (3, want), "BIC over {:?}, {threads} threads", net.type_names);
             }
         }
     }
@@ -218,19 +193,11 @@ mod tests {
     }
 
     #[test]
-    fn aic_penalty_weaker_than_bic_on_large_networks() {
-        // With ln|E| > 2 the BIC penalty dominates AIC's.
-        let bic = bic_score(-100.0, 10, 3, 1000);
-        let aic = aic_score(-100.0, 10, 3);
-        assert!(bic > aic);
-    }
-
-    #[test]
     fn empty_range_is_error() {
         let net = three_communities();
         let base = EmConfig { background: false, ..EmConfig::default() };
         #[allow(clippy::reversed_empty_ranges)]
-        let r = select_k(&net, 3..=2, &base, Criterion::Bic);
+        let r = select_k(&net, 3..=2, &base);
         assert!(r.is_err());
     }
 }

@@ -47,8 +47,10 @@
 //! never the load hot path. The hierarchy owns one network, the root's:
 //! the root's record keeps its links, every other topic's record repeats
 //! its node space without links, and a fit record (option tag 2) has no
-//! log-likelihood. The retired layout's links below the root and tag-1
-//! fit records decode to a typed [`SnapshotError::RetiredLayout`].
+//! log-likelihood. After the fits, an α list repeats each fit's link-type
+//! weights; the decode checks it against the fits. The retired layout's
+//! links below the root and tag-1 fit records decode to a typed
+//! [`SnapshotError::RetiredLayout`].
 //!
 //! The `doc-facts` section holds what the query engine reads per
 //! document: entity links, year and leaf topic, one row per document of
@@ -615,9 +617,10 @@ fn write_cold(w: &mut ArenaWriter, s: &SaveInput<'_>) -> Result<(), SnapshotErro
             }
         }
     }
-    w.u64(h.alphas.len() as u64);
-    for alpha in &h.alphas {
-        w.option(alpha.as_ref(), |w, a| w.f64_seq(a));
+    // Each fit's link-type weights again, as a list of their own.
+    w.u64(h.fits.len() as u64);
+    for fit in &h.fits {
+        w.option(fit.as_ref().map(|f| &f.alpha), |w, a| w.f64_seq(a));
     }
     w.u64(s.docs.len() as u64);
     for &d in &s.docs {
@@ -1190,12 +1193,19 @@ impl MappedSnapshot {
         for _ in 0..n_fits {
             fits.push(read_fit_option(&mut r)?);
         }
-        let n_alphas = r.get_len(1)?;
-        let mut alphas = Vec::with_capacity(n_alphas);
-        for _ in 0..n_alphas {
-            alphas.push(r.get_option(|r| r.get_f64_seq())?);
+        // The α list repeats each fit's `alpha`; it must match bit for bit.
+        let at = r.pos;
+        if r.get_len(1)? != fits.len() {
+            return Err(malformed(at, "the α list and the fits differ in length"));
         }
-        let hierarchy = TopicHierarchy { network, topics, fits, alphas };
+        let bits = |a: &[f64]| a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for fit in &fits {
+            let (at, alpha) = (r.pos, r.get_option(|r| r.get_f64_seq())?);
+            if alpha.as_deref().map(bits) != fit.as_ref().map(|f| bits(&f.alpha)) {
+                return Err(malformed(at, "an α list entry differs from its fit's alpha"));
+            }
+        }
+        let hierarchy = TopicHierarchy { network, topics, fits };
 
         // Corpus: hot arenas + cold per-doc extras.
         let mut corpus = Corpus::new();
@@ -1975,15 +1985,16 @@ mod tests {
     }
 
     /// A `cold` section of `corpus` and `mined` with `names` as the
-    /// hierarchy type names and `records[t]` as topic `t`'s network
-    /// record, its links written when the flag is set. With `loglik`,
-    /// every fit is written in the retired layout: option tag 1, with
-    /// the log-likelihood after its objective trace.
+    /// hierarchy type names, `records[t]` as topic `t`'s network record
+    /// (its links written when the flag is set) and `alphas` as the α
+    /// list. With `loglik`, every fit is written in the retired layout:
+    /// option tag 1, with the log-likelihood after its objective trace.
     fn crafted_cold(
         corpus: &Corpus,
         mined: &MinedStructure,
         names: &[String],
         records: &[(&TypedNetwork, bool)],
+        alphas: &[Option<&Vec<f64>>],
         loglik: Option<f64>,
     ) -> Vec<u8> {
         let h = &mined.hierarchy;
@@ -2023,9 +2034,9 @@ mod tests {
                 }
             }
         }
-        w.u64(h.alphas.len() as u64);
-        for alpha in &h.alphas {
-            w.option(alpha.as_ref(), |w, a| w.f64_seq(a));
+        w.u64(alphas.len() as u64);
+        for &alpha in alphas {
+            w.option(alpha, |w, a| w.f64_seq(a));
         }
         w.u64(corpus.docs.len() as u64);
         for doc in &corpus.docs {
@@ -2046,6 +2057,11 @@ mod tests {
     fn stored_records(mined: &MinedStructure) -> Vec<(&TypedNetwork, bool)> {
         let h = &mined.hierarchy;
         (0..h.topics.len()).map(|t| (&h.network, t == 0)).collect()
+    }
+
+    /// The α list [`write_cold`] writes for `mined`: each fit's `alpha`.
+    fn stored_alphas(mined: &MinedStructure) -> Vec<Option<&Vec<f64>>> {
+        mined.hierarchy.fits.iter().map(|f| f.as_ref().map(|f| &f.alpha)).collect()
     }
 
     /// `bytes` with its cold section replaced by `cold`. The sections
@@ -2078,21 +2094,25 @@ mod tests {
     /// layouts, and the first retired record is a fit.
     fn retired_artifact(corpus: &Corpus, mined: &MinedStructure, bytes: &[u8]) -> Vec<u8> {
         let names = &mined.hierarchy.network.type_names;
-        let records = stored_records(mined);
-        with_cold(bytes, &crafted_cold(corpus, mined, names, &records, Some(-1234.5)))
+        let (records, alphas) = (stored_records(mined), stored_alphas(mined));
+        with_cold(bytes, &crafted_cold(corpus, mined, names, &records, &alphas, Some(-1234.5)))
     }
 
-    /// A `cold` topic record that disagrees with the root network is a
-    /// typed error at its offset inside `cold`: hierarchy type names or a
-    /// node space other than the root network's are malformed, and links
-    /// below the root are the retired layout.
+    /// A `cold` record that disagrees with the root network or the fits is
+    /// a typed error at its offset inside `cold`: hierarchy type names or
+    /// a node space other than the root network's, and an α list entry
+    /// other than its fit's `alpha`, are malformed; links below the root
+    /// are the retired layout.
     #[test]
     fn cold_records_that_disagree_with_the_root_network_are_typed_errors() {
         let (corpus, mined, bytes) = fixture();
         let root = &mined.hierarchy.network;
-        let stored = stored_records(&mined);
+        let (stored, alphas) = (stored_records(&mined), stored_alphas(&mined));
+        let crafted_with = |names: &[String], records: &[(&TypedNetwork, bool)], alphas: &[_]| {
+            with_cold(&bytes, &crafted_cold(&corpus, &mined, names, records, alphas, None))
+        };
         let crafted = |names: &[String], records: &[(&TypedNetwork, bool)]| {
-            with_cold(&bytes, &crafted_cold(&corpus, &mined, names, records, None))
+            crafted_with(names, records, &alphas)
         };
         assert!(crafted(&root.type_names, &stored) == bytes, "the crafted writer is write_cold");
         let decode_error = |artifact: &[u8]| {
@@ -2132,6 +2152,17 @@ mod tests {
                 assert!(e.to_string().contains("links below the root"), "{e}");
             }
             other => panic!("links below the root: expected RetiredLayout, got {other:?}"),
+        }
+
+        let doubled: Vec<f64> = alphas[0].expect("the fixture fits the root").iter().map(|a| 2.0 * a).collect();
+        let mut other = alphas.clone();
+        other[0] = Some(&doubled);
+        match decode_error(&crafted_with(&root.type_names, &stored, &other)) {
+            (SnapshotError::Malformed { offset, what }, cold) => {
+                assert!(cold.contains(&offset), "offset {offset} outside {cold:?}");
+                assert!(what.contains("α list"), "{what}");
+            }
+            other => panic!("an α list unlike its fit: expected Malformed, got {other:?}"),
         }
     }
 

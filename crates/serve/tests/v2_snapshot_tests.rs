@@ -77,7 +77,6 @@ fn synthetic_structure(words: &[String], score_bits: &[u64]) -> (Corpus, MinedSt
         network: TypedNetwork::new(vec!["author".into()], vec![corpus.entities.count(etype)]),
         topics: vec![topic(None, 0, "o", vec![1]), topic(Some(0), 1, "o/1", vec![])],
         fits: vec![None, None],
-        alphas: vec![Some(vec![score(3)]), None],
     };
     let phrases: Vec<TopicalPhrase> = ids
         .iter()
@@ -123,7 +122,7 @@ fn canonical(corpus: &Corpus, mined: &MinedStructure) -> Vec<String> {
         out.push(format!("doc {d} {tokens:?} {entities:?} {label:?} {year:?}"));
     }
     let MinedStructure {
-        hierarchy: TopicHierarchy { network, topics, fits, alphas },
+        hierarchy: TopicHierarchy { network, topics, fits },
         topic_phrases,
         topic_entities,
         phrase_topic_freq,
@@ -168,9 +167,6 @@ fn canonical(corpus: &Corpus, mined: &MinedStructure) -> Vec<String> {
             objective.to_bits(),
             bits(objective_trace)
         ));
-    }
-    for (t, alpha) in alphas.iter().enumerate() {
-        out.push(format!("alpha {t} {:?}", alpha.as_deref().map(bits)));
     }
     for (t, list) in topic_phrases.iter().enumerate() {
         for TopicalPhrase { tokens, score, topic_freq } in list {
