@@ -1730,6 +1730,95 @@ mod tests {
         }
     }
 
+    /// A three-type network (authors, terms, venues) with enough links for
+    /// every E-step chunk to hold several, runs of links that share a
+    /// first endpoint, and term self-loops, drawn by a fixed LCG; `salt`
+    /// picks another draw.
+    fn pinned_network(authors: u32, terms: u32, venues: u32, salt: u64) -> TypedNetwork {
+        let names = vec!["author".into(), "term".into(), "venue".into()];
+        let mut b = NetworkBuilder::new(names, vec![authors as usize, terms as usize, venues as usize]);
+        let mut s = 0x2545_f491_4f6c_dd1du64 ^ salt;
+        let mut next = |n: u32| {
+            s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            ((s >> 33) % n as u64) as u32
+        };
+        for _ in 0..160 {
+            let (i, j, w) = (next(terms), next(terms), 1 + next(9));
+            b.add(1, i, 1, j, w as f64);
+        }
+        for _ in 0..90 {
+            let (a, t, w) = (next(authors), next(terms), 1 + next(5));
+            b.add(0, a, 1, t, w as f64);
+        }
+        for _ in 0..40 {
+            let (v, t, w) = (next(venues), next(terms), 1 + next(4));
+            b.add(2, v, 1, t, 0.5 * w as f64);
+        }
+        b.build()
+    }
+
+    /// FNV-1a over the bits of every value, in order.
+    fn fnv(values: impl IntoIterator<Item = f64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for v in values {
+            for byte in v.to_bits().to_le_bytes() {
+                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// `[φ, ρ, α, θ]` digests and the objective bits of `fit`.
+    fn fit_digest(fit: &EmFit) -> [u64; 5] {
+        let phi = fit.phi.iter().flatten().flatten().copied();
+        [
+            fnv(phi),
+            fnv(fit.rho.iter().copied()),
+            fnv(fit.alpha.iter().copied()),
+            fnv(fit.theta.iter().copied()),
+            fit.objective.to_bits(),
+        ]
+    }
+
+    /// Pins every parameter bit of three fits that reach the E-step's
+    /// distinct paths: a cold learned-weight fit with the background at
+    /// k = 4 (a monomorphized loop), a cold fit at k = 3 (the runtime-k
+    /// loop, no background), and a warm continuation with a tolerance.
+    /// A change to how the EM computes must leave every digest alone.
+    #[test]
+    fn em_parameter_bits_are_pinned() {
+        let base = pinned_network(12, 30, 5, 0);
+        let mut state = EdgeState::new(&base);
+        let learned = EmConfig {
+            k: 4,
+            iters: 60,
+            restarts: 2,
+            seed: 3,
+            background: true,
+            weights: WeightMode::Learned,
+            ..EmConfig::default()
+        };
+        let cold = CathyHinEm::fit_prepared(&state, &learned).unwrap();
+        let generic = EmConfig { k: 3, background: false, weights: WeightMode::Equal, ..learned.clone() };
+        let generic_fit = CathyHinEm::fit_prepared(&state, &generic).unwrap();
+        state.append_delta(&pinned_network(14, 33, 5, 1)).unwrap();
+        let warm_cfg = EmConfig { iters: 40, tol: 1e-4, ..learned.clone() };
+        // The tolerance stops this continuation at iteration 31 of 40.
+        let warm = CathyHinEm::fit_warm(&state, &warm_cfg, &cold).unwrap();
+        let got = [fit_digest(&cold), fit_digest(&generic_fit), fit_digest(&warm)];
+        assert_eq!(got, PINNED_FIT_DIGESTS, "{got:#018x?}");
+        // Any thread count gives the same bits.
+        let threaded = EmConfig { threads: 3, ..learned };
+        let state = EdgeState::new(&base);
+        assert_eq!(fit_digest(&CathyHinEm::fit_prepared(&state, &threaded).unwrap()), got[0]);
+    }
+
+    const PINNED_FIT_DIGESTS: [[u64; 5]; 3] = [
+        [0x4865_8533_f290_2b38, 0x0dd7_2eac_1905_e61b, 0x3dcb_3429_0062_af49, 0x15b1_261a_12b4_b188, 0xc0b8_1bec_4b6d_3935],
+        [0x911c_443c_4547_a258, 0x9b9e_60be_aba9_9112, 0xbeee_4352_ffcd_9d38, 0x2c51_6040_3309_fc90, 0xc0bc_6e29_8145_21d2],
+        [0x5209_4478_0626_f85b, 0x9987_8b05_50d2_6851, 0x9e96_e04a_265c_96c3, 0x15a5_0ddc_b966_df08, 0xc0c8_9787_e97f_650d],
+    ];
+
     #[test]
     fn fit_warm_validates_previous_fit_shape() {
         let net = two_communities_hin();
