@@ -165,8 +165,11 @@ impl EmFit {
     /// to a deterministic ordering instead of a panic (the no-panic
     /// contract in DESIGN.md §10); non-NaN inputs order exactly as before.
     pub fn top_nodes(&self, x: usize, z: usize, n: usize) -> Vec<(u32, f64)> {
-        let mut idx: Vec<(u32, f64)> =
-            self.phi[x][z].iter().enumerate().map(|(i, &p)| (i as u32, p)).collect();
+        let mut idx: Vec<(u32, f64)> = self.phi[x][z]
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (i as u32, p))
+            .collect();
         idx.sort_by(|a, b| b.1.total_cmp(&a.1));
         idx.truncate(n);
         idx
@@ -231,7 +234,11 @@ impl EmFit {
         let ln_gamma_table: Vec<f64> = (0..64).map(|i| ln_gamma(i as f64 + 1.0)).collect();
         let ln_gamma_memo = |w: f64| {
             let wi = w as usize;
-            if wi < 63 && wi as f64 == w { ln_gamma_table[wi] } else { ln_gamma(w + 1.0) }
+            if wi < 63 && wi as f64 == w {
+                ln_gamma_table[wi]
+            } else {
+                ln_gamma(w + 1.0)
+            }
         };
         let parent_flat = &state.parent_flat;
         let mut ll = [0.0f64];
@@ -293,7 +300,11 @@ impl EmFit {
             for (sub, child) in out.iter_mut().zip(&mut edges) {
                 if !child.is_empty() {
                     let edges = std::mem::take(child);
-                    sub.blocks.push(lesm_net::LinkBlock { tx: blk.tx, ty: blk.ty, edges });
+                    sub.blocks.push(lesm_net::LinkBlock {
+                        tx: blk.tx,
+                        ty: blk.ty,
+                        edges,
+                    });
                 }
             }
         }
@@ -421,9 +432,7 @@ impl EdgeState {
                 self.t_count
             )));
         }
-        for (x, (&new_n, &old_n)) in
-            delta.node_counts.iter().zip(&self.node_counts).enumerate()
-        {
+        for (x, (&new_n, &old_n)) in delta.node_counts.iter().zip(&self.node_counts).enumerate() {
             if new_n < old_n {
                 return Err(HierError::InvalidConfig(format!(
                     "delta network shrinks type {x}: {new_n} nodes < base {old_n}"
@@ -520,7 +529,11 @@ struct ParamArena {
 
 impl ParamArena {
     fn new(k: usize, total: usize) -> Self {
-        Self { k, total, data: vec![0.0; total * k + k + 1] }
+        Self {
+            k,
+            total,
+            data: vec![0.0; total * k + k + 1],
+        }
     }
 
     /// The arena form of `fit` over `state`'s node space, value for value
@@ -661,10 +674,17 @@ impl CathyHinEm {
         let t_count = state.t_count;
 
         // Initial α per mode.
-        let mut alpha =
-            initial_alpha(&config.weights, &state.pair_weight, &state.pair_links, t_count);
+        let mut alpha = initial_alpha(
+            &config.weights,
+            &state.pair_weight,
+            &state.pair_links,
+            t_count,
+        );
 
-        let mut scratch = EmScratch { reduce: lesm_par::ReduceScratch::new(), acc: Vec::new() };
+        let mut scratch = EmScratch {
+            reduce: lesm_par::ReduceScratch::new(),
+            acc: Vec::new(),
+        };
 
         // Phase 1: multi-restart EM under the initial weights; the best
         // objective wins (restart objectives are comparable because the
@@ -783,7 +803,10 @@ impl CathyHinEm {
         }
         let mut alpha = prev.alpha.clone();
         rescale_alpha(&mut alpha, &state.pair_links);
-        let mut scratch = EmScratch { reduce: lesm_par::ReduceScratch::new(), acc: Vec::new() };
+        let mut scratch = EmScratch {
+            reduce: lesm_par::ReduceScratch::new(),
+            acc: Vec::new(),
+        };
         let warm = ArenaFit {
             arena,
             theta: Vec::new(),
@@ -809,8 +832,9 @@ fn fit_alpha(
     let n_edges = state.num_links();
     let t_count = state.t_count;
     // Scaled edge weights, their total, and θ over type pairs.
-    let scaled: Vec<f64> =
-        (0..n_edges).map(|e| alpha[state.tp[e]] * state.w[e]).collect();
+    let scaled: Vec<f64> = (0..n_edges)
+        .map(|e| alpha[state.tp[e]] * state.w[e])
+        .collect();
     let m_total: f64 = scaled.iter().sum();
     let mut theta = vec![0.0; t_count * t_count];
     for e in 0..n_edges {
@@ -820,13 +844,20 @@ fn fit_alpha(
     match warm {
         Some(prev) => {
             // Warm-started rounds are deterministic — one run suffices.
-            run_em(state, config, &scaled, &theta, config.seed, Some(prev.arena), scratch)
+            run_em(
+                state,
+                config,
+                &scaled,
+                &theta,
+                config.seed,
+                Some(prev.arena),
+                scratch,
+            )
         }
         None => {
             // Restart 0 seeds `best` directly (its seed offset is 0), so no
             // `Option` unwrap is needed to prove the loop produced a fit.
-            let mut best =
-                run_em(state, config, &scaled, &theta, config.seed, None, scratch);
+            let mut best = run_em(state, config, &scaled, &theta, config.seed, None, scratch);
             for restart in 1..config.restarts.max(1) {
                 let f = run_em(
                     state,
@@ -1177,7 +1208,14 @@ fn run_em(
         let (phi_c, rho_c) = cur.split();
         // ~8k + 16 flops per edge (E-step posterior + numerator adds).
         let hint = lesm_par::WorkHint::items(n_edges, 8 * k + 16);
-        let ctx = EStepCtx { k, background, state, scaled, phi_c, rho_c };
+        let ctx = EStepCtx {
+            k,
+            background,
+            state,
+            scaled,
+            phi_c,
+            rho_c,
+        };
         lesm_par::par_buffer_reduce_with(
             &mut scratch.reduce,
             n_edges,
@@ -1231,13 +1269,17 @@ fn run_em(
         objective = obj;
         objective_trace.push(obj);
         // Convergence early-exit on relative objective improvement.
-        if config.tol > 0.0 && prev.is_finite() && (obj - prev).abs() <= config.tol * prev.abs()
-        {
+        if config.tol > 0.0 && prev.is_finite() && (obj - prev).abs() <= config.tol * prev.abs() {
             break;
         }
     }
 
-    ArenaFit { arena: cur, theta: theta.to_vec(), objective, objective_trace }
+    ArenaFit {
+        arena: cur,
+        theta: theta.to_vec(),
+        objective,
+        objective_trace,
+    }
 }
 
 /// Learns link-type weights from the current fit (eqs. 3.37–3.38), then
@@ -1275,8 +1317,7 @@ fn learn_alpha(
                 if config.background {
                     s += 0.5
                         * rho[0]
-                        * (parent_flat[ni] * parent_flat[nj]
-                            + parent_flat[nj] * parent_flat[ni]);
+                        * (parent_flat[ni] * parent_flat[nj] + parent_flat[nj] * parent_flat[ni]);
                 }
                 let m_xy = state.pair_weight[state.tp[e]];
                 let pred = (m_xy * s).max(1e-300);
@@ -1393,7 +1434,14 @@ mod tests {
     }
 
     fn cfg(k: usize, background: bool) -> EmConfig {
-        EmConfig { k, iters: 150, restarts: 3, seed: 7, background, ..EmConfig::default() }
+        EmConfig {
+            k,
+            iters: 150,
+            restarts: 3,
+            seed: 7,
+            background,
+            ..EmConfig::default()
+        }
     }
 
     #[test]
@@ -1427,7 +1475,12 @@ mod tests {
             "two_communities objective drifted: {:.17e} vs {GOLD_TC_OBJ:.17e}",
             fit.objective
         );
-        assert!(rel(fit.loglik(&EdgeState::new(&net), &cfg(2, false)), GOLD_TC_LOGLIK) <= 1e-9);
+        assert!(
+            rel(
+                fit.loglik(&EdgeState::new(&net), &cfg(2, false)),
+                GOLD_TC_LOGLIK
+            ) <= 1e-9
+        );
         let mass: f64 = fit.phi[0][0][..4].iter().sum();
         assert!(
             (mass - GOLD_TC_MASS).abs() <= 1e-9,
@@ -1444,7 +1497,12 @@ mod tests {
             "two_communities_hin objective drifted: {:.17e} vs {GOLD_HIN_OBJ:.17e}",
             fit.objective
         );
-        assert!(rel(fit.loglik(&EdgeState::new(&net), &cfg(2, true)), GOLD_HIN_LOGLIK) <= 1e-9);
+        assert!(
+            rel(
+                fit.loglik(&EdgeState::new(&net), &cfg(2, true)),
+                GOLD_HIN_LOGLIK
+            ) <= 1e-9
+        );
         let mass: f64 = fit.phi[1][0][..4].iter().sum();
         assert!(
             (mass - GOLD_HIN_TERM_MASS).abs() <= 1e-9,
@@ -1486,9 +1544,16 @@ mod tests {
         let net = two_communities_hin();
         let fit = CathyHinEm::fit(&net, &cfg(2, true)).unwrap();
         // Whichever subtopic owns terms 0-3 should also own authors 0-1.
-        let z_a = if fit.phi[1][0][..4].iter().sum::<f64>() > 0.5 { 0 } else { 1 };
+        let z_a = if fit.phi[1][0][..4].iter().sum::<f64>() > 0.5 {
+            0
+        } else {
+            1
+        };
         let auth_mass: f64 = fit.phi[0][z_a][..2].iter().sum();
-        assert!(auth_mass > 0.8, "authors did not align with terms: {auth_mass:.3}");
+        assert!(
+            auth_mass > 0.8,
+            "authors did not align with terms: {auth_mass:.3}"
+        );
     }
 
     #[test]
@@ -1521,14 +1586,23 @@ mod tests {
     #[test]
     fn empty_network_rejected() {
         let net = TypedNetwork::new(vec!["t".into()], vec![3]);
-        assert!(matches!(CathyHinEm::fit(&net, &cfg(2, false)), Err(HierError::EmptyNetwork)));
+        assert!(matches!(
+            CathyHinEm::fit(&net, &cfg(2, false)),
+            Err(HierError::EmptyNetwork)
+        ));
         let net2 = two_communities();
         assert!(CathyHinEm::fit(&net2, &cfg(0, false)).is_err());
     }
 
     #[test]
     fn ln_gamma_matches_factorials() {
-        for (n, f) in [(1u32, 1.0f64), (2, 1.0), (3, 2.0), (5, 24.0), (10, 362880.0)] {
+        for (n, f) in [
+            (1u32, 1.0f64),
+            (2, 1.0),
+            (3, 2.0),
+            (5, 24.0),
+            (10, 362880.0),
+        ] {
             assert!(
                 (ln_gamma(n as f64) - f.ln()).abs() < 1e-8,
                 "lnΓ({n}) != ln({f})"
@@ -1541,8 +1615,22 @@ mod tests {
     #[test]
     fn objective_improves_with_more_restarts_or_equal() {
         let net = two_communities();
-        let one = CathyHinEm::fit(&net, &EmConfig { restarts: 1, ..cfg(2, false) }).unwrap();
-        let five = CathyHinEm::fit(&net, &EmConfig { restarts: 5, ..cfg(2, false) }).unwrap();
+        let one = CathyHinEm::fit(
+            &net,
+            &EmConfig {
+                restarts: 1,
+                ..cfg(2, false)
+            },
+        )
+        .unwrap();
+        let five = CathyHinEm::fit(
+            &net,
+            &EmConfig {
+                restarts: 5,
+                ..cfg(2, false)
+            },
+        )
+        .unwrap();
         assert!(five.objective >= one.objective - 1e-9);
     }
 
@@ -1553,7 +1641,14 @@ mod tests {
             (two_communities_hin(), false),
             (two_communities_hin(), true),
         ] {
-            let fit = CathyHinEm::fit(&net, &EmConfig { restarts: 1, ..cfg(2, bg) }).unwrap();
+            let fit = CathyHinEm::fit(
+                &net,
+                &EmConfig {
+                    restarts: 1,
+                    ..cfg(2, bg)
+                },
+            )
+            .unwrap();
             for w in fit.objective_trace.windows(2) {
                 assert!(
                     w[1] >= w[0] - 1e-6 * (1.0 + w[0].abs()),
@@ -1568,21 +1663,42 @@ mod tests {
     #[test]
     fn zero_tol_never_exits_early() {
         let net = two_communities_hin();
-        let c = EmConfig { restarts: 1, tol: 0.0, ..cfg(2, true) };
+        let c = EmConfig {
+            restarts: 1,
+            tol: 0.0,
+            ..cfg(2, true)
+        };
         let fit = CathyHinEm::fit(&net, &c).unwrap();
-        assert_eq!(fit.objective_trace.len(), c.iters, "tol = 0 must run every iteration");
+        assert_eq!(
+            fit.objective_trace.len(),
+            c.iters,
+            "tol = 0 must run every iteration"
+        );
     }
 
     #[test]
     fn early_exit_trace_is_a_prefix_of_the_full_trace() {
         let net = two_communities_hin();
-        let full_cfg = EmConfig { restarts: 1, tol: 0.0, ..cfg(2, true) };
+        let full_cfg = EmConfig {
+            restarts: 1,
+            tol: 0.0,
+            ..cfg(2, true)
+        };
         let full = CathyHinEm::fit(&net, &full_cfg).unwrap();
         let tol = 1e-7;
-        let early =
-            CathyHinEm::fit(&net, &EmConfig { tol, ..full_cfg.clone() }).unwrap();
+        let early = CathyHinEm::fit(
+            &net,
+            &EmConfig {
+                tol,
+                ..full_cfg.clone()
+            },
+        )
+        .unwrap();
         let n = early.objective_trace.len();
-        assert!(n < full.objective_trace.len(), "tolerance should stop this run early");
+        assert!(
+            n < full.objective_trace.len(),
+            "tolerance should stop this run early"
+        );
         // Identical prefix bit-for-bit: the early run computes the same
         // iterations, it just stops sooner.
         for (a, b) in early.objective_trace.iter().zip(&full.objective_trace) {
@@ -1613,7 +1729,11 @@ mod tests {
         let (links0, nodes0) = (state.num_links(), state.total_nodes());
         let flattens = EdgeState::flattens_on_this_thread();
         state.append_delta(&hin_delta()).unwrap();
-        assert_eq!(EdgeState::flattens_on_this_thread(), flattens, "no re-flatten");
+        assert_eq!(
+            EdgeState::flattens_on_this_thread(),
+            flattens,
+            "no re-flatten"
+        );
         assert_eq!(state.num_links(), links0 + hin_delta().num_links());
         assert_eq!(state.total_nodes(), nodes0 + 2);
         // The appended flatten still fits cleanly.
@@ -1635,11 +1755,7 @@ mod tests {
         let other = NetworkBuilder::new(vec!["term".into()], vec![8]).build();
         assert!(state.append_delta(&other).is_err());
         // Shrinking node space.
-        let small = NetworkBuilder::new(
-            vec!["author".into(), "term".into()],
-            vec![2, 8],
-        )
-        .build();
+        let small = NetworkBuilder::new(vec!["author".into(), "term".into()], vec![2, 8]).build();
         assert!(state.append_delta(&small).is_err());
     }
 
@@ -1662,8 +1778,7 @@ mod tests {
         let mut state = EdgeState::new(&net);
         let before = CathyHinEm::fit_prepared(&state, &cfg(2, true)).unwrap();
         // Same node space, no edges.
-        let empty =
-            NetworkBuilder::new(vec!["author".into(), "term".into()], vec![4, 8]).build();
+        let empty = NetworkBuilder::new(vec!["author".into(), "term".into()], vec![4, 8]).build();
         state.append_delta(&empty).unwrap();
         let after = CathyHinEm::fit_prepared(&state, &cfg(2, true)).unwrap();
         assert_eq!(before.objective.to_bits(), after.objective.to_bits());
@@ -1676,7 +1791,11 @@ mod tests {
         let mut state = EdgeState::new(&net);
         let base = CathyHinEm::fit_prepared(&state, &cfg(2, true)).unwrap();
         state.append_delta(&hin_delta()).unwrap();
-        let budget = EmConfig { iters: 20, tol: 1e-6, ..cfg(2, true) };
+        let budget = EmConfig {
+            iters: 20,
+            tol: 1e-6,
+            ..cfg(2, true)
+        };
         let warm_a = CathyHinEm::fit_warm(&state, &budget, &base).unwrap();
         let warm_b = CathyHinEm::fit_warm(&state, &budget, &base).unwrap();
         assert_eq!(warm_a.objective.to_bits(), warm_b.objective.to_bits());
@@ -1691,7 +1810,11 @@ mod tests {
             }
         }
         // The new term attaches to community B's subtopic with real mass.
-        let z_b = if warm_a.phi[1][0][4..8].iter().sum::<f64>() > 0.5 { 0 } else { 1 };
+        let z_b = if warm_a.phi[1][0][4..8].iter().sum::<f64>() > 0.5 {
+            0
+        } else {
+            1
+        };
         assert!(
             warm_a.phi[1][z_b][8] > warm_a.phi[1][1 - z_b][8],
             "new term did not follow its community"
@@ -1709,22 +1832,33 @@ mod tests {
     #[test]
     fn phi0_is_the_pinned_parent_importance() {
         let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
-            rows.iter().map(|r| r.iter().map(|x| x.to_bits()).collect()).collect()
+            rows.iter()
+                .map(|r| r.iter().map(|x| x.to_bits()).collect())
+                .collect()
         };
         for background in [true, false] {
             for threads in [1, 3] {
-                let c = EmConfig { threads, weights: WeightMode::Learned, ..cfg(2, background) };
+                let c = EmConfig {
+                    threads,
+                    weights: WeightMode::Learned,
+                    ..cfg(2, background)
+                };
                 let mut state = EdgeState::new(&two_communities_hin());
                 let cold = CathyHinEm::fit_prepared(&state, &c).unwrap();
                 state.append_delta(&hin_delta()).unwrap();
-                let warm = CathyHinEm::fit_warm(&state, &EmConfig { iters: 20, ..c }, &cold).unwrap();
+                let warm =
+                    CathyHinEm::fit_warm(&state, &EmConfig { iters: 20, ..c }, &cold).unwrap();
                 for (name, fit) in [("cold", &cold), ("warm", &warm)] {
                     let want = if background {
                         bits(&fit.parent_phi)
                     } else {
                         fit.parent_phi.iter().map(|r| vec![0; r.len()]).collect()
                     };
-                    assert_eq!(bits(&fit.phi0), want, "{name}, background {background}, {threads} threads");
+                    assert_eq!(
+                        bits(&fit.phi0),
+                        want,
+                        "{name}, background {background}, {threads} threads"
+                    );
                 }
             }
         }
@@ -1736,10 +1870,15 @@ mod tests {
     /// picks another draw.
     fn pinned_network(authors: u32, terms: u32, venues: u32, salt: u64) -> TypedNetwork {
         let names = vec!["author".into(), "term".into(), "venue".into()];
-        let mut b = NetworkBuilder::new(names, vec![authors as usize, terms as usize, venues as usize]);
+        let mut b = NetworkBuilder::new(
+            names,
+            vec![authors as usize, terms as usize, venues as usize],
+        );
         let mut s = 0x2545_f491_4f6c_dd1du64 ^ salt;
         let mut next = |n: u32| {
-            s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            s = s
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
             ((s >> 33) % n as u64) as u32
         };
         for _ in 0..160 {
@@ -1799,24 +1938,61 @@ mod tests {
             ..EmConfig::default()
         };
         let cold = CathyHinEm::fit_prepared(&state, &learned).unwrap();
-        let generic = EmConfig { k: 3, background: false, weights: WeightMode::Equal, ..learned.clone() };
+        let generic = EmConfig {
+            k: 3,
+            background: false,
+            weights: WeightMode::Equal,
+            ..learned.clone()
+        };
         let generic_fit = CathyHinEm::fit_prepared(&state, &generic).unwrap();
         state.append_delta(&pinned_network(14, 33, 5, 1)).unwrap();
-        let warm_cfg = EmConfig { iters: 40, tol: 1e-4, ..learned.clone() };
+        let warm_cfg = EmConfig {
+            iters: 40,
+            tol: 1e-4,
+            ..learned.clone()
+        };
         // The tolerance stops this continuation at iteration 31 of 40.
         let warm = CathyHinEm::fit_warm(&state, &warm_cfg, &cold).unwrap();
-        let got = [fit_digest(&cold), fit_digest(&generic_fit), fit_digest(&warm)];
+        let got = [
+            fit_digest(&cold),
+            fit_digest(&generic_fit),
+            fit_digest(&warm),
+        ];
         assert_eq!(got, PINNED_FIT_DIGESTS, "{got:#018x?}");
         // Any thread count gives the same bits.
-        let threaded = EmConfig { threads: 3, ..learned };
+        let threaded = EmConfig {
+            threads: 3,
+            ..learned
+        };
         let state = EdgeState::new(&base);
-        assert_eq!(fit_digest(&CathyHinEm::fit_prepared(&state, &threaded).unwrap()), got[0]);
+        assert_eq!(
+            fit_digest(&CathyHinEm::fit_prepared(&state, &threaded).unwrap()),
+            got[0]
+        );
     }
 
     const PINNED_FIT_DIGESTS: [[u64; 5]; 3] = [
-        [0x4865_8533_f290_2b38, 0x0dd7_2eac_1905_e61b, 0x3dcb_3429_0062_af49, 0x15b1_261a_12b4_b188, 0xc0b8_1bec_4b6d_3935],
-        [0x911c_443c_4547_a258, 0x9b9e_60be_aba9_9112, 0xbeee_4352_ffcd_9d38, 0x2c51_6040_3309_fc90, 0xc0bc_6e29_8145_21d2],
-        [0x5209_4478_0626_f85b, 0x9987_8b05_50d2_6851, 0x9e96_e04a_265c_96c3, 0x15a5_0ddc_b966_df08, 0xc0c8_9787_e97f_650d],
+        [
+            0x4865_8533_f290_2b38,
+            0x0dd7_2eac_1905_e61b,
+            0x3dcb_3429_0062_af49,
+            0x15b1_261a_12b4_b188,
+            0xc0b8_1bec_4b6d_3935,
+        ],
+        [
+            0x911c_443c_4547_a258,
+            0x9b9e_60be_aba9_9112,
+            0xbeee_4352_ffcd_9d38,
+            0x2c51_6040_3309_fc90,
+            0xc0bc_6e29_8145_21d2,
+        ],
+        [
+            0x5209_4478_0626_f85b,
+            0x9987_8b05_50d2_6851,
+            0x9e96_e04a_265c_96c3,
+            0x15a5_0ddc_b966_df08,
+            0xc0c8_9787_e97f_650d,
+        ],
     ];
 
     #[test]

@@ -108,7 +108,10 @@ pub struct UpdateBudget {
 
 impl Default for UpdateBudget {
     fn default() -> Self {
-        Self { iters: 30, tol: 1e-5 }
+        Self {
+            iters: 30,
+            tol: 1e-5,
+        }
     }
 }
 
@@ -117,10 +120,7 @@ impl Default for UpdateBudget {
 /// as separate links — the Poisson objective treats `w1·ln s + w2·ln s`
 /// and `(w1+w2)·ln s` identically, and keeping them separate preserves
 /// the append-only edge order the determinism contract relies on.
-fn merge_networks(
-    base: &TypedNetwork,
-    delta: &TypedNetwork,
-) -> Result<TypedNetwork, HierError> {
+fn merge_networks(base: &TypedNetwork, delta: &TypedNetwork) -> Result<TypedNetwork, HierError> {
     if base.type_names != delta.type_names {
         return Err(HierError::InvalidConfig(format!(
             "delta network types {:?} do not match base types {:?}",
@@ -170,7 +170,10 @@ impl TopicHierarchy {
                 if k < 1 {
                     continue;
                 }
-                let em_cfg = EmConfig { k, ..config.em.clone() };
+                let em_cfg = EmConfig {
+                    k,
+                    ..config.em.clone()
+                };
                 let fit = CathyHinEm::fit_prepared(&state, &em_cfg)?;
                 let subnets = config.child_networks(&fit, net, level);
                 let children = hierarchy.attach_children(node, fit);
@@ -245,12 +248,22 @@ impl TopicHierarchy {
                     continue;
                 }
                 let k = prev_fit.k;
-                let em_cfg =
-                    EmConfig { k, iters: budget.iters, tol: budget.tol, ..config.em.clone() };
+                let em_cfg = EmConfig {
+                    k,
+                    iters: budget.iters,
+                    tol: budget.tol,
+                    ..config.em.clone()
+                };
                 let fit = CathyHinEm::fit_warm(&state, &em_cfg, prev_fit)?;
                 let subnets = config.child_networks(&fit, net, level);
-                let children = out.attach_children(node, fit).zip(&base.topics[base_idx].children);
-                next.extend(children.zip(subnets).map(|((c, &b), net)| (c, b, Some(net))));
+                let children = out
+                    .attach_children(node, fit)
+                    .zip(&base.topics[base_idx].children);
+                next.extend(
+                    children
+                        .zip(subnets)
+                        .map(|((c, &b), net)| (c, b, Some(net))),
+                );
             }
             frontier = next;
             if frontier.is_empty() {
@@ -312,15 +325,20 @@ impl TopicHierarchy {
 
     /// Indices of leaf topics.
     pub fn leaves(&self) -> Vec<usize> {
-        (0..self.topics.len()).filter(|&t| self.topics[t].children.is_empty()).collect()
+        (0..self.topics.len())
+            .filter(|&t| self.topics[t].children.is_empty())
+            .collect()
     }
 
     /// Top `n` nodes of type `x` in topic `t`. `total_cmp` keeps the sort
     /// panic-free even for NaN scores (DESIGN.md §10); non-NaN inputs
     /// order exactly as before.
     pub fn top_nodes(&self, t: usize, x: usize, n: usize) -> Vec<(u32, f64)> {
-        let mut idx: Vec<(u32, f64)> =
-            self.topics[t].phi[x].iter().enumerate().map(|(i, &p)| (i as u32, p)).collect();
+        let mut idx: Vec<(u32, f64)> = self.topics[t].phi[x]
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (i as u32, p))
+            .collect();
         idx.sort_by(|a, b| b.1.total_cmp(&a.1));
         idx.truncate(n);
         idx
@@ -342,9 +360,12 @@ impl TopicHierarchy {
     pub fn siblings(&self, t: usize) -> Vec<usize> {
         match self.topics[t].parent {
             None => vec![],
-            Some(p) => {
-                self.topics[p].children.iter().copied().filter(|&c| c != t).collect()
-            }
+            Some(p) => self.topics[p]
+                .children
+                .iter()
+                .copied()
+                .filter(|&c| c != t)
+                .collect(),
         }
     }
 }
@@ -462,12 +483,20 @@ mod tests {
     #[test]
     fn update_follows_base_shape_and_covers_new_nodes() {
         let base = TopicHierarchy::construct(nested_network(), &config()).unwrap();
-        let budget = UpdateBudget { iters: 25, tol: 1e-6 };
+        let budget = UpdateBudget {
+            iters: 25,
+            tol: 1e-6,
+        };
         let up = TopicHierarchy::update(&base, &nested_delta(), &config(), &budget).unwrap();
         // Same tree shape: k is pinned per topic by the base fits.
         assert_eq!(up.len(), base.len());
         for (t, bt) in up.topics.iter().zip(&base.topics) {
-            assert_eq!(t.children.len(), bt.children.len(), "shape drifted at {}", t.path);
+            assert_eq!(
+                t.children.len(),
+                bt.children.len(),
+                "shape drifted at {}",
+                t.path
+            );
             assert_eq!(t.path, bt.path);
         }
         // The enlarged node space is visible at every updated topic.
@@ -515,11 +544,8 @@ mod tests {
     fn update_rejects_mismatched_delta() {
         let base = TopicHierarchy::construct(nested_network(), &config()).unwrap();
         let budget = UpdateBudget::default();
-        let wrong_type =
-            NetworkBuilder::new(vec!["author".into()], vec![17]).build();
-        assert!(
-            TopicHierarchy::update(&base, &wrong_type, &config(), &budget).is_err()
-        );
+        let wrong_type = NetworkBuilder::new(vec!["author".into()], vec![17]).build();
+        assert!(TopicHierarchy::update(&base, &wrong_type, &config(), &budget).is_err());
         let shrunk = NetworkBuilder::new(vec!["term".into()], vec![4]).build();
         assert!(TopicHierarchy::update(&base, &shrunk, &config(), &budget).is_err());
     }

@@ -20,7 +20,6 @@
 
 // DESIGN.md §10: library code must surface typed errors, not unwraps.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
-
 // Index-based loops are kept where they mirror the paper's equations.
 #![allow(clippy::needless_range_loop)]
 

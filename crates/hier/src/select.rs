@@ -165,22 +165,45 @@ mod tests {
             ..EmConfig::default()
         };
         let recorded: [(TypedNetwork, &EmConfig, [u64; 5]); 2] = [
-            (three_communities(), &text, [
-                0x408f94e9a6947acf, 0x40884e383931e02a, 0x40836f5337d02b23,
-                0x408488c0625e0f04, 0x4085ac18631c91c0,
-            ]),
-            (three_communities_hin(), &hin, [
-                0x4090cfea9c56f485, 0x408792087e814403, 0x4079bb53246b67a9,
-                0x407d30c0e7c557f4, 0x4080ea281328f9c4,
-            ]),
+            (
+                three_communities(),
+                &text,
+                [
+                    0x408f94e9a6947acf,
+                    0x40884e383931e02a,
+                    0x40836f5337d02b23,
+                    0x408488c0625e0f04,
+                    0x4085ac18631c91c0,
+                ],
+            ),
+            (
+                three_communities_hin(),
+                &hin,
+                [
+                    0x4090cfea9c56f485,
+                    0x408792087e814403,
+                    0x4079bb53246b67a9,
+                    0x407d30c0e7c557f4,
+                    0x4080ea281328f9c4,
+                ],
+            ),
         ];
         for (net, base, bits) in recorded {
             for threads in [1, 3] {
-                let cfg = EmConfig { threads, ..base.clone() };
+                let cfg = EmConfig {
+                    threads,
+                    ..base.clone()
+                };
                 let (k, scores) = select_k(&net, 1..=5, &cfg).unwrap();
-                let got: Vec<(usize, u64)> = scores.iter().map(|&(k, s)| (k, s.to_bits())).collect();
+                let got: Vec<(usize, u64)> =
+                    scores.iter().map(|&(k, s)| (k, s.to_bits())).collect();
                 let want: Vec<(usize, u64)> = (1..=5).zip(bits).collect();
-                assert_eq!((k, got), (3, want), "BIC over {:?}, {threads} threads", net.type_names);
+                assert_eq!(
+                    (k, got),
+                    (3, want),
+                    "BIC over {:?}, {threads} threads",
+                    net.type_names
+                );
             }
         }
     }
@@ -195,7 +218,10 @@ mod tests {
     #[test]
     fn empty_range_is_error() {
         let net = three_communities();
-        let base = EmConfig { background: false, ..EmConfig::default() };
+        let base = EmConfig {
+            background: false,
+            ..EmConfig::default()
+        };
         #[allow(clippy::reversed_empty_ranges)]
         let r = select_k(&net, 3..=2, &base);
         assert!(r.is_err());

@@ -41,8 +41,16 @@ fn raw_network() -> impl Strategy<Value = TypedNetwork> {
             let mut tt: Vec<(u32, u32, f64)> = tt;
             tt.push((5, 1, 3.0));
             tt.extend(loops.into_iter().map(|(i, w)| (i, i, w)));
-            net.blocks.push(LinkBlock { tx: 0, ty: 1, edges: at });
-            net.blocks.push(LinkBlock { tx: 1, ty: 1, edges: tt });
+            net.blocks.push(LinkBlock {
+                tx: 0,
+                ty: 1,
+                edges: at,
+            });
+            net.blocks.push(LinkBlock {
+                tx: 1,
+                ty: 1,
+                edges: tt,
+            });
             net
         })
 }
@@ -66,14 +74,24 @@ fn random_fit(k: usize, background: bool, seed: u64) -> EmFit {
     let counts = [4usize, 6];
     let per_node = |rng: &mut StdRng, on: bool| -> Vec<Vec<f64>> {
         (0..2)
-            .map(|x| (0..counts[x]).map(|i| draw(rng, !on || (x == 1 && i == 5))).collect())
+            .map(|x| {
+                (0..counts[x])
+                    .map(|i| draw(rng, !on || (x == 1 && i == 5)))
+                    .collect()
+            })
             .collect()
     };
     let phi_t = (0..k).map(|_| per_node(&mut rng, true)).collect::<Vec<_>>();
-    let phi = (0..2).map(|x| phi_t.iter().map(|by_x| by_x[x].clone()).collect()).collect();
+    let phi = (0..2)
+        .map(|x| phi_t.iter().map(|by_x| by_x[x].clone()).collect())
+        .collect();
     let phi0 = per_node(&mut rng, background);
     let parent_phi = Arc::new(per_node(&mut rng, true));
-    let mut rho = vec![if background { draw(&mut rng, false) } else { 0.0 }];
+    let mut rho = vec![if background {
+        draw(&mut rng, false)
+    } else {
+        0.0
+    }];
     rho.extend((0..k).map(|_| draw(&mut rng, false)));
     EmFit {
         k,
@@ -123,7 +141,11 @@ fn subnetwork_per_z(fit: &EmFit, net: &TypedNetwork, z: usize, threshold: f64) -
             }
         }
         if !edges.is_empty() {
-            out.blocks.push(LinkBlock { tx: blk.tx, ty: blk.ty, edges });
+            out.blocks.push(LinkBlock {
+                tx: blk.tx,
+                ty: blk.ty,
+                edges,
+            });
         }
     }
     out
@@ -142,12 +164,19 @@ fn loglik_inline_pass(net: &TypedNetwork, fit: &EmFit, background: bool) -> f64 
         .flat_map(|b| b.edges.iter().map(move |&(i, j, w)| (b.tx, b.ty, i, j, w)))
         .collect();
     let n_edges = edges.len();
-    let scaled: Vec<f64> = edges.iter().map(|&(tx, ty, _, _, w)| fit.alpha[tx * t + ty] * w).collect();
+    let scaled: Vec<f64> = edges
+        .iter()
+        .map(|&(tx, ty, _, _, w)| fit.alpha[tx * t + ty] * w)
+        .collect();
     let m_total: f64 = scaled.iter().sum();
     let ln_gamma_table: Vec<f64> = (0..64).map(|i| ln_gamma(i as f64 + 1.0)).collect();
     let ln_gamma_memo = |w: f64| {
         let wi = w as usize;
-        if wi < 63 && wi as f64 == w { ln_gamma_table[wi] } else { ln_gamma(w + 1.0) }
+        if wi < 63 && wi as f64 == w {
+            ln_gamma_table[wi]
+        } else {
+            ln_gamma(w + 1.0)
+        }
     };
     let (rho, phi, phi0, parent) = (&fit.rho, &fit.phi, &fit.phi0, &fit.parent_phi);
     let mut ll = [0.0f64];
@@ -186,7 +215,16 @@ type EdgeBits = Vec<(usize, usize, Vec<(u32, u32, u64)>)>;
 fn edge_bits(net: &TypedNetwork) -> EdgeBits {
     net.blocks
         .iter()
-        .map(|b| (b.tx, b.ty, b.edges.iter().map(|&(i, j, w)| (i, j, w.to_bits())).collect()))
+        .map(|b| {
+            (
+                b.tx,
+                b.ty,
+                b.edges
+                    .iter()
+                    .map(|&(i, j, w)| (i, j, w.to_bits()))
+                    .collect(),
+            )
+        })
         .collect()
 }
 
@@ -239,10 +277,21 @@ fn golden_networks() -> [TypedNetwork; 2] {
 #[test]
 fn loglik_matches_the_inline_pass_on_the_golden_networks() {
     for (net, bg) in golden_networks().into_iter().zip([false, true]) {
-        let cfg = EmConfig { k: 2, iters: 150, restarts: 3, seed: 7, background: bg, ..EmConfig::default() };
+        let cfg = EmConfig {
+            k: 2,
+            iters: 150,
+            restarts: 3,
+            seed: 7,
+            background: bg,
+            ..EmConfig::default()
+        };
         let fit = CathyHinEm::fit(&net, &cfg).unwrap();
         let got = fit.loglik(&EdgeState::new(&net), &cfg);
-        assert_eq!(got.to_bits(), loglik_inline_pass(&net, &fit, bg).to_bits(), "background {bg}");
+        assert_eq!(
+            got.to_bits(),
+            loglik_inline_pass(&net, &fit, bg).to_bits(),
+            "background {bg}"
+        );
     }
 }
 
