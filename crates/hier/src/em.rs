@@ -34,8 +34,17 @@
 //!   where `node = node_base[x] + i`), so the `z`-loop over one endpoint
 //!   reads consecutive memory instead of `k` heap-separated rows.
 //! * **Ping-pong arenas** (read/write, swapped per iteration) plus a
-//!   reused [`lesm_par::ReduceScratch`] make the iteration loop free of
-//!   heap allocation.
+//!   reused [`lesm_par::ReduceScratch`] keep the parameters and the
+//!   accumulator out of the allocator. Only an iteration that computes
+//!   the objective allocates: each E-step chunk stashes its `(s, w)`
+//!   pairs for the batched `ln` (and the runtime-`k` loop allocates its
+//!   small per-chunk rows).
+//! * **Objective only where it is read.** The surrogate objective is
+//!   computed on every iteration when [`EmConfig::tol`] is positive (the
+//!   early-exit check reads it) and otherwise on the last iteration alone
+//!   (restart selection and [`EmFit::objective`] read it). The E-step is
+//!   compiled twice, with and without the objective, so the common
+//!   iteration carries no `ln`, no stash and no runtime flag.
 //! * **Early exit** ([`EmConfig::tol`]) stops a run once the surrogate
 //!   objective's relative improvement falls below tolerance.
 //!
@@ -101,8 +110,10 @@ pub struct EmConfig {
     /// Relative-improvement convergence tolerance: after each iteration
     /// `n >= 1`, EM stops early when
     /// `|obj_n - obj_{n-1}| <= tol * |obj_{n-1}|`. `0` (the default)
-    /// disables the check, always running the full `iters` iterations.
-    /// The check is deterministic, so early exit never breaks the
+    /// disables the check, always running the full `iters` iterations,
+    /// and then only the last iteration computes the objective: a
+    /// positive `tol` costs an `ln` per link on every iteration. The
+    /// check is deterministic, so early exit never breaks the
     /// thread-count bit-identity contract.
     pub tol: f64,
 }
@@ -136,9 +147,11 @@ pub struct EmFit {
     /// `phi[x][z][i]`: ranking distribution of type-`x` nodes in subtopic
     /// `z` (rows sum to 1 per `(x, z)`).
     pub phi: Vec<Vec<Vec<f64>>>,
-    /// Background distributions `phi0[x][i]` (all zeros when the background
-    /// topic is disabled).
-    pub phi0: Vec<Vec<f64>>,
+    /// Whether the fit has the background topic. Its distribution `φ_0`
+    /// is pinned to [`EmFit::parent_phi`] (see [`EmConfig::background`]);
+    /// without it, `rho[0]` carries only the M-step's smoothing and no
+    /// link posterior reads it.
+    pub background: bool,
     /// Topic shares: `rho[0]` is the background share, `rho[1..=k]` the
     /// subtopic shares (sums to 1).
     pub rho: Vec<f64>,
@@ -146,13 +159,12 @@ pub struct EmFit {
     pub alpha: Vec<f64>,
     /// Type-pair distribution `θ_{x,y}` (same keying).
     pub theta: Vec<f64>,
-    /// Final surrogate objective `Σ αe ln s` (monotone during EM).
+    /// The surrogate objective `Σ αe ln s` of the run's last E-step, that
+    /// is, of the parameters before its final M-step (`-∞` when the run
+    /// had no iterations). The paper's auxiliary-function argument (after
+    /// eq. 3.17) makes it non-decreasing in the iteration budget; with
+    /// [`EmConfig::tol`] set it is the value of the early-exit iteration.
     pub objective: f64,
-    /// Per-iteration objective values. The paper's auxiliary-function
-    /// argument (after eq. 3.17) guarantees this trace is non-decreasing;
-    /// property tests verify it. With [`EmConfig::tol`] set, the trace may
-    /// be shorter than `iters` (it ends at the early-exit iteration).
-    pub objective_trace: Vec<f64>,
     /// The parent-topic node importance used by the background term.
     /// Shared (not copied) with the [`EdgeState`] the fit came from.
     pub parent_phi: Arc<Vec<Vec<f64>>>,
@@ -196,11 +208,11 @@ impl EmFit {
             total += v;
         }
         q[0] = 0.0;
-        if self.rho[0] > 0.0 {
-            let v = 0.5
-                * self.rho[0]
-                * (self.phi0[tx][i] * self.parent_phi[ty][j]
-                    + self.phi0[ty][j] * self.parent_phi[tx][i]);
+        if self.background {
+            // `φ0 = p`: the average of the two link directions, as the
+            // E-step computes it.
+            let (pi, pj) = (self.parent_phi[tx][i], self.parent_phi[ty][j]);
+            let v = 0.5 * self.rho[0] * (pi * pj + pj * pi);
             q[0] = v;
             total += v;
         }
@@ -215,11 +227,9 @@ impl EmFit {
     /// `Σ_e [w_e ln(M θ s_e) - lnΓ(w_e + 1)] - M` over the links with a
     /// positive rate (the BIC input of [`crate::select`]). `state` must
     /// be the flatten the fit was computed on, whose parent importance is
-    /// the fit's `φ_0`, and `config` its configuration: `background`
-    /// gates the background term and
-    /// `threads` only splits the work. The links are summed in the EM's
-    /// fixed chunk layout, so the bits depend on neither the thread count
-    /// nor the caller.
+    /// the fit's `φ_0`; `config.threads` only splits the work. The links
+    /// are summed in the EM's fixed chunk layout, so the bits depend on
+    /// neither the thread count nor the caller.
     pub fn loglik(&self, state: &EdgeState, config: &EmConfig) -> f64 {
         let k = self.k;
         let n_edges = state.num_links();
@@ -259,7 +269,7 @@ impl EmFit {
                     for z in 0..k {
                         s += rho[z + 1] * a[z] * b[z];
                     }
-                    if config.background {
+                    if self.background {
                         s += 0.5
                             * rho[0]
                             * (parent_flat[ni] * parent_flat[nj]
@@ -574,13 +584,10 @@ struct ArenaFit {
     arena: ParamArena,
     theta: Vec<f64>,
     objective: f64,
-    objective_trace: Vec<f64>,
 }
 
 impl ArenaFit {
-    /// Expands the arena into the nested public shape, with `φ0` the
-    /// state's parent importance when `background` is on and zeros
-    /// otherwise.
+    /// Expands the arena into the nested public shape.
     fn into_em_fit(self, state: &EdgeState, alpha: Vec<f64>, background: bool) -> EmFit {
         let k = self.arena.k;
         let (phi_a, rho_a) = self.arena.split();
@@ -595,20 +602,14 @@ impl ArenaFit {
                     .collect()
             })
             .collect();
-        let phi0 = if background {
-            state.parent_phi.to_vec()
-        } else {
-            state.node_counts.iter().map(|&n| vec![0.0; n]).collect()
-        };
         EmFit {
             k,
             phi,
-            phi0,
+            background,
             rho: rho_a.to_vec(),
             alpha,
             theta: self.theta,
             objective: self.objective,
-            objective_trace: self.objective_trace,
             parent_phi: Arc::clone(&state.parent_phi),
         }
     }
@@ -616,8 +617,8 @@ impl ArenaFit {
 
 /// Reused per-fit working memory: the reduce chunk buffers and the flat
 /// `[obj | ρ | φ]` accumulator. One of these lives for a whole
-/// `fit_prepared` call, so the EM iteration loop performs no heap
-/// allocation.
+/// `fit_prepared` call, so an iteration that skips the objective
+/// allocates nothing at k = 4, 5 or 8.
 struct EmScratch {
     reduce: lesm_par::ReduceScratch,
     acc: Vec<f64>,
@@ -811,7 +812,6 @@ impl CathyHinEm {
             arena,
             theta: Vec::new(),
             objective: f64::NEG_INFINITY,
-            objective_trace: Vec::new(),
         };
         let best = fit_alpha(state, config, &alpha, Some(warm), &mut scratch);
         Ok(best.into_em_fit(state, alpha, config.background))
@@ -920,6 +920,8 @@ fn rescale_alpha(alpha: &mut [f64], pair_links: &[usize]) {
 struct EStepCtx<'a> {
     k: usize,
     background: bool,
+    /// Whether this E-step also computes the surrogate objective.
+    objective: bool,
     state: &'a EdgeState,
     scaled: &'a [f64],
     phi_c: &'a [f64],
@@ -934,24 +936,37 @@ struct EStepCtx<'a> {
 /// left-to-right sum), so the two paths produce the same bits and the
 /// dispatch cannot violate the determinism contract (DESIGN.md §11).
 fn estep_fill(ctx: &EStepCtx<'_>, range: std::ops::Range<usize>, buf: &mut [f64]) {
+    if ctx.objective {
+        estep_fill_k::<true>(ctx, range, buf);
+    } else {
+        estep_fill_k::<false>(ctx, range, buf);
+    }
+}
+
+/// Picks the loop compiled for `ctx.k` and the CPU.
+fn estep_fill_k<const OBJ: bool>(
+    ctx: &EStepCtx<'_>,
+    range: std::ops::Range<usize>,
+    buf: &mut [f64],
+) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified at runtime.
         unsafe {
             match ctx.k {
-                4 => estep_fill_avx2::<4>(ctx, range, buf),
-                5 => estep_fill_avx2::<5>(ctx, range, buf),
-                8 => estep_fill_avx2::<8>(ctx, range, buf),
-                _ => estep_fill_avx2::<0>(ctx, range, buf),
+                4 => estep_fill_avx2::<4, OBJ>(ctx, range, buf),
+                5 => estep_fill_avx2::<5, OBJ>(ctx, range, buf),
+                8 => estep_fill_avx2::<8, OBJ>(ctx, range, buf),
+                _ => estep_fill_avx2::<0, OBJ>(ctx, range, buf),
             }
         }
         return;
     }
     match ctx.k {
-        4 => estep_fill_portable::<4>(ctx, range, buf),
-        5 => estep_fill_portable::<5>(ctx, range, buf),
-        8 => estep_fill_portable::<8>(ctx, range, buf),
-        _ => estep_fill_portable::<0>(ctx, range, buf),
+        4 => estep_fill_portable::<4, OBJ>(ctx, range, buf),
+        5 => estep_fill_portable::<5, OBJ>(ctx, range, buf),
+        8 => estep_fill_portable::<8, OBJ>(ctx, range, buf),
+        _ => estep_fill_portable::<0, OBJ>(ctx, range, buf),
     }
 }
 
@@ -960,25 +975,29 @@ fn estep_fill(ctx: &EStepCtx<'_>, range: std::ops::Range<usize>, buf: &mut [f64]
 /// vectors. Same operations, same bits, fewer instructions.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn estep_fill_avx2<const K: usize>(
+fn estep_fill_avx2<const K: usize, const OBJ: bool>(
     ctx: &EStepCtx<'_>,
     range: std::ops::Range<usize>,
     buf: &mut [f64],
 ) {
-    estep_fill_portable::<K>(ctx, range, buf);
+    estep_fill_portable::<K, OBJ>(ctx, range, buf);
 }
 
 /// `K` is the compile-time subtopic count for the common sizes (the
 /// dispatcher monomorphizes 4, 5, and 8, so their `z`-loops fully unroll);
 /// `K = 0` is the fallback that reads the runtime `ctx.k`. Both produce
-/// the same bits — unrolling reorders nothing.
+/// the same bits — unrolling reorders nothing. `OBJ` adds the chunk's
+/// share of the surrogate objective to `buf[0]`; without it the loop has
+/// no stash, no `ln` and no fold, `buf[0]` stays zero, and every other
+/// slot receives the same adds in the same order.
 #[inline(always)]
-fn estep_fill_portable<const K: usize>(
+fn estep_fill_portable<const K: usize, const OBJ: bool>(
     ctx: &EStepCtx<'_>,
     range: std::ops::Range<usize>,
     buf: &mut [f64],
 ) {
     debug_assert!(K == 0 || K == ctx.k);
+    debug_assert_eq!(OBJ, ctx.objective);
     let k = if K == 0 { ctx.k } else { K };
     let state = ctx.state;
     let background = ctx.background;
@@ -1020,6 +1039,22 @@ fn estep_fill_portable<const K: usize>(
         &mut hz_arr
     };
     let mut bg_acc = 0.0f64;
+    // The first endpoint's φ numerators. Edges are sorted by (i, j)
+    // within a block, so consecutive edges mostly share their first
+    // endpoint: its row is loaded into `row` when `ni` changes and stored
+    // back at the next change and at the chunk's end. No other edge can
+    // reach that row in between (a second endpoint equal to `ni` is a
+    // self-loop, which adds into `row` too), so every cell still receives
+    // the same adds in the same order.
+    let mut row_arr = [0.0f64; K];
+    let mut row_vec;
+    let row: &mut [f64] = if K == 0 {
+        row_vec = vec![0.0f64; k];
+        &mut row_vec
+    } else {
+        &mut row_arr
+    };
+    let mut row_at: Option<usize> = None;
     // ln(s) is the one long-latency operation per edge, and it feeds
     // nothing but the objective — never the parameters. Deferring it out
     // of the edge loop (stash s and w, run the chunk through the
@@ -1027,13 +1062,15 @@ fn estep_fill_portable<const K: usize>(
     // unserializes the whole E-step: every other per-edge op is a short
     // mul/add/divide the out-of-order window overlaps freely. Dead edges
     // (s ≤ 0) keep the sentinel s = 1, w = 0, so they contribute an exact
-    // +0.0 to the objective, same as being skipped.
+    // +0.0 to the objective, same as being skipped. Without the objective
+    // the stash is empty, which allocates nothing.
     let base = range.start;
-    let mut ln_scratch = vec![0.0f64; 3 * range.len()];
-    let (sbuf, rest) = ln_scratch.split_at_mut(range.len());
-    let (wbuf, lnbuf) = rest.split_at_mut(range.len());
+    let stash = if OBJ { range.len() } else { 0 };
+    let mut ln_scratch = vec![0.0f64; 3 * stash];
+    let (sbuf, rest) = ln_scratch.split_at_mut(stash);
+    let (wbuf, lnbuf) = rest.split_at_mut(stash);
     sbuf.fill(1.0);
-    for e in range.clone() {
+    for e in range {
         let (ni, nj) = (state.ni[e] as usize, state.nj[e] as usize);
         let (na, nb) = (ni * k, nj * k);
         let w = scaled[e];
@@ -1069,34 +1106,38 @@ fn estep_fill_portable<const K: usize>(
         if s <= 0.0 {
             continue;
         }
-        sbuf[e - base] = s;
-        wbuf[e - base] = w;
+        if OBJ {
+            sbuf[e - base] = s;
+            wbuf[e - base] = w;
+        }
         let inv = w / s;
+        if row_at != Some(na) {
+            if let Some(at) = row_at {
+                phi_b[at..at + k].copy_from_slice(row);
+            }
+            row.copy_from_slice(&phi_b[na..na + k]);
+            row_at = Some(na);
+        }
         if na == nb {
-            // Self-loop: both endpoint rows are the same slice, so
-            // accumulate the contribution twice in sequence (same bits as
+            // Self-loop: both endpoints are the register row, so the
+            // contribution lands on it twice in sequence (same bits as
             // two indexed adds to one cell).
-            let pa = &mut phi_b[na..na + k];
-            for ((&qv, hv), pv) in q.iter().zip(&mut *hz).zip(pa) {
+            for ((&qv, hv), rv) in q.iter().zip(&mut *hz).zip(&mut *row) {
                 let ew = qv * inv;
                 *hv += ew;
-                *pv += ew;
-                *pv += ew;
+                *rv += ew;
+                *rv += ew;
             }
         } else {
-            // Distinct rows: na and nb are k-aligned, so they differ by at
-            // least k and split_at_mut yields two non-overlapping row
-            // slices. Every add below hits a distinct cell, so the store
-            // order within an edge cannot change any bits.
-            let (lo, hi) = if na < nb { (na, nb) } else { (nb, na) };
-            let (left, right) = phi_b.split_at_mut(hi);
-            let pl = &mut left[lo..lo + k];
-            let pr = &mut right[..k];
-            for (((&qv, hv), lv), rv) in q.iter().zip(&mut *hz).zip(pl).zip(pr) {
+            // Distinct rows: the second endpoint's row is in memory and
+            // every add below hits a distinct cell, so the store order
+            // within an edge cannot change any bits.
+            let pb = &mut phi_b[nb..nb + k];
+            for (((&qv, hv), rv), pv) in q.iter().zip(&mut *hz).zip(&mut *row).zip(pb) {
                 let ew = qv * inv;
                 *hv += ew;
-                *lv += ew;
                 *rv += ew;
+                *pv += ew;
             }
         }
         if background {
@@ -1106,10 +1147,16 @@ fn estep_fill_portable<const K: usize>(
     // Flush the register accumulators, then the batched objective: ln over
     // the chunk and the w·ln(s) fold in the same edge order the fused loop
     // used.
+    if let Some(at) = row_at {
+        phi_b[at..at + k].copy_from_slice(row);
+    }
     for (slot, &local) in head_z.iter_mut().zip(&*hz) {
         *slot += local;
     }
     head_obj[1] += bg_acc;
+    if !OBJ {
+        return;
+    }
     lesm_linalg::fast_ln_slice(sbuf, lnbuf);
     // Same fixed stride-4 shape as the posterior sum: four independent
     // partials keep the long w·ln(s) fold out of a single serial add
@@ -1198,10 +1245,13 @@ fn run_em(
     scratch.acc.resize(phi_off + total * k, 0.0);
 
     let mut objective = f64::NEG_INFINITY;
-    let mut objective_trace = Vec::with_capacity(config.iters);
     let grain = lesm_par::grain_for_pieces(n_edges, EM_PIECES);
     let background = config.background;
-    for _ in 0..config.iters {
+    let early_exit = config.tol > 0.0;
+    for it in 0..config.iters {
+        // The objective is read by the early-exit check on every iteration
+        // and otherwise only after the last one.
+        let with_objective = early_exit || it + 1 == config.iters;
         // E-step + M-step numerators: one chunked reduce over the edges
         // into the flat accumulator. Chunk layout and fold order are
         // fixed, so any thread count gives the same bits as threads = 1.
@@ -1211,6 +1261,7 @@ fn run_em(
         let ctx = EStepCtx {
             k,
             background,
+            objective: with_objective,
             state,
             scaled,
             phi_c,
@@ -1265,11 +1316,13 @@ fn run_em(
             }
         }
         std::mem::swap(&mut cur, &mut next);
+        if !with_objective {
+            continue;
+        }
         let prev = objective;
         objective = obj;
-        objective_trace.push(obj);
         // Convergence early-exit on relative objective improvement.
-        if config.tol > 0.0 && prev.is_finite() && (obj - prev).abs() <= config.tol * prev.abs() {
+        if early_exit && prev.is_finite() && (obj - prev).abs() <= config.tol * prev.abs() {
             break;
         }
     }
@@ -1278,7 +1331,6 @@ fn run_em(
         arena: cur,
         theta: theta.to_vec(),
         objective,
-        objective_trace,
     }
 }
 
@@ -1534,7 +1586,7 @@ mod tests {
                 let s: f64 = fit.phi[x][z].iter().sum();
                 assert!((s - 1.0).abs() < 1e-9, "phi[{x}][{z}] sums to {s}");
             }
-            let s0: f64 = fit.phi0[x].iter().sum();
+            let s0: f64 = fit.parent_phi[x].iter().sum();
             assert!((s0 - 1.0).abs() < 1e-9);
         }
     }
@@ -1634,6 +1686,39 @@ mod tests {
         assert!(five.objective >= one.objective - 1e-9);
     }
 
+    /// The final objectives of `config`'s fits (tolerance 0) for each
+    /// iteration budget in `budgets`, with the fits. With one restart and
+    /// fixed weights the run of budget `n` is a prefix of the run of
+    /// budget `n + 1`, so the objectives are one run's per-iteration
+    /// objective trace.
+    fn objective_trace(
+        net: &TypedNetwork,
+        config: &EmConfig,
+        budgets: std::ops::RangeInclusive<usize>,
+    ) -> Vec<(f64, EmFit)> {
+        let state = EdgeState::new(net);
+        budgets
+            .map(|iters| {
+                let c = EmConfig {
+                    iters,
+                    tol: 0.0,
+                    ..config.clone()
+                };
+                let fit = CathyHinEm::fit_prepared(&state, &c).unwrap();
+                (fit.objective, fit)
+            })
+            .collect()
+    }
+
+    fn phi_bits(fit: &EmFit) -> Vec<u64> {
+        fit.phi
+            .iter()
+            .flatten()
+            .flatten()
+            .map(|p| p.to_bits())
+            .collect()
+    }
+
     #[test]
     fn trace_monotone_with_and_without_background() {
         for (net, bg) in [
@@ -1641,25 +1726,23 @@ mod tests {
             (two_communities_hin(), false),
             (two_communities_hin(), true),
         ] {
-            let fit = CathyHinEm::fit(
-                &net,
-                &EmConfig {
-                    restarts: 1,
-                    ..cfg(2, bg)
-                },
-            )
-            .unwrap();
-            for w in fit.objective_trace.windows(2) {
+            let c = EmConfig {
+                restarts: 1,
+                ..cfg(2, bg)
+            };
+            let trace = objective_trace(&net, &c, 1..=c.iters);
+            for w in trace.windows(2) {
+                let (a, b) = (w[0].0, w[1].0);
                 assert!(
-                    w[1] >= w[0] - 1e-6 * (1.0 + w[0].abs()),
-                    "objective decreased (bg={bg}): {} -> {}",
-                    w[0],
-                    w[1]
+                    b >= a - 1e-6 * (1.0 + a.abs()),
+                    "objective decreased (bg={bg}): {a} -> {b}"
                 );
             }
         }
     }
 
+    /// With `tol = 0` a run goes on through the iteration where a positive
+    /// tolerance would have stopped it.
     #[test]
     fn zero_tol_never_exits_early() {
         let net = two_communities_hin();
@@ -1668,10 +1751,16 @@ mod tests {
             tol: 0.0,
             ..cfg(2, true)
         };
+        let trace = objective_trace(&net, &c, 1..=c.iters);
+        let converged = (1..trace.len())
+            .find(|&n| (trace[n].0 - trace[n - 1].0).abs() <= 1e-7 * trace[n - 1].0.abs())
+            .expect("the run converges within its budget");
+        assert!(converged + 1 < c.iters);
         let fit = CathyHinEm::fit(&net, &c).unwrap();
-        assert_eq!(
-            fit.objective_trace.len(),
-            c.iters,
+        assert_eq!(phi_bits(&fit), phi_bits(&trace[c.iters - 1].1));
+        assert_ne!(
+            phi_bits(&fit),
+            phi_bits(&trace[converged].1),
             "tol = 0 must run every iteration"
         );
     }
@@ -1684,7 +1773,7 @@ mod tests {
             tol: 0.0,
             ..cfg(2, true)
         };
-        let full = CathyHinEm::fit(&net, &full_cfg).unwrap();
+        let trace = objective_trace(&net, &full_cfg, 1..=full_cfg.iters);
         let tol = 1e-7;
         let early = CathyHinEm::fit(
             &net,
@@ -1694,19 +1783,19 @@ mod tests {
             },
         )
         .unwrap();
-        let n = early.objective_trace.len();
-        assert!(
-            n < full.objective_trace.len(),
-            "tolerance should stop this run early"
-        );
-        // Identical prefix bit-for-bit: the early run computes the same
-        // iterations, it just stops sooner.
-        for (a, b) in early.objective_trace.iter().zip(&full.objective_trace) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // The exit condition actually held at the last recorded step.
-        let (prev, last) = (early.objective_trace[n - 2], early.objective_trace[n - 1]);
-        assert!((last - prev).abs() <= tol * prev.abs());
+        // The early run is, bit for bit, the full run cut at some budget
+        // `n`: it computes the same iterations and stops sooner.
+        let n = 1 + trace
+            .iter()
+            .position(|(obj, fit)| {
+                obj.to_bits() == early.objective.to_bits() && phi_bits(fit) == phi_bits(&early)
+            })
+            .expect("the early fit is a budget of the full run");
+        assert!(n < full_cfg.iters, "tolerance should stop this run early");
+        // The exit condition held at iteration n and at no earlier one.
+        let held = |m: usize| (trace[m - 1].0 - trace[m - 2].0).abs() <= tol * trace[m - 2].0.abs();
+        assert!(held(n));
+        assert!((2..n).all(|m| !held(m)));
     }
 
     /// A delta for [`two_communities_hin`]: one new author (id 4) and one
@@ -1820,15 +1909,27 @@ mod tests {
             "new term did not follow its community"
         );
         // Warm trace stays monotone (it is still EM).
-        for w in warm_a.objective_trace.windows(2) {
+        // Warm objectives stay monotone in the budget (it is still EM).
+        let warm_trace: Vec<f64> = (1..=budget.iters)
+            .map(|iters| {
+                let c = EmConfig {
+                    iters,
+                    tol: 0.0,
+                    ..budget.clone()
+                };
+                CathyHinEm::fit_warm(&state, &c, &base).unwrap().objective
+            })
+            .collect();
+        for w in warm_trace.windows(2) {
             assert!(w[1] >= w[0] - 1e-6 * (1.0 + w[0].abs()));
         }
     }
 
-    /// The E-step reads the parent importance wherever the background
-    /// term has `φ0`, so every fit must report that importance as its
-    /// `phi0` bit for bit with the background on, and all zeros with it
-    /// off: cold or warm, under learned weights, at any thread count.
+    /// The background `φ0` is the parent importance of the network a fit
+    /// came from, so every link posterior's background share must be
+    /// `0.5·ρ0·(p_i·p_j + p_j·p_i)` over the posterior total with the
+    /// background on, and 0 with it off: cold or warm, under learned
+    /// weights, at any thread count.
     #[test]
     fn phi0_is_the_pinned_parent_importance() {
         let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
@@ -1844,21 +1945,39 @@ mod tests {
                     ..cfg(2, background)
                 };
                 let mut state = EdgeState::new(&two_communities_hin());
+                let cold_importance = Arc::clone(&state.parent_phi);
                 let cold = CathyHinEm::fit_prepared(&state, &c).unwrap();
                 state.append_delta(&hin_delta()).unwrap();
                 let warm =
                     CathyHinEm::fit_warm(&state, &EmConfig { iters: 20, ..c }, &cold).unwrap();
-                for (name, fit) in [("cold", &cold), ("warm", &warm)] {
-                    let want = if background {
-                        bits(&fit.parent_phi)
-                    } else {
-                        fit.parent_phi.iter().map(|r| vec![0; r.len()]).collect()
-                    };
-                    assert_eq!(
-                        bits(&fit.phi0),
-                        want,
-                        "{name}, background {background}, {threads} threads"
-                    );
+                let net = two_communities_hin();
+                for (name, fit, importance) in [
+                    ("cold", &cold, &cold_importance),
+                    ("warm", &warm, &state.parent_phi),
+                ] {
+                    let at = format!("{name}, background {background}, {threads} threads");
+                    assert_eq!(fit.background, background, "{at}");
+                    assert_eq!(bits(&fit.parent_phi), bits(importance), "{at}");
+                    for blk in &net.blocks {
+                        for &(i, j, _) in &blk.edges {
+                            let q = fit.link_posterior(blk.tx, i, blk.ty, j);
+                            let (i, j) = (i as usize, j as usize);
+                            let p = &fit.parent_phi;
+                            let (pi, pj) = (p[blk.tx][i], p[blk.ty][j]);
+                            let q0 = if background {
+                                0.5 * fit.rho[0] * (pi * pj + pj * pi)
+                            } else {
+                                0.0
+                            };
+                            let mut total = 0.0;
+                            for z in 0..fit.k {
+                                total +=
+                                    fit.rho[z + 1] * fit.phi[blk.tx][z][i] * fit.phi[blk.ty][z][j];
+                            }
+                            total += q0;
+                            assert_eq!(q[0].to_bits(), (q0 / total).to_bits(), "{at}");
+                        }
+                    }
                 }
             }
         }

@@ -46,10 +46,12 @@
 //! packed methods, and only [`MappedSnapshot::to_snapshot`] decodes it —
 //! never the load hot path. The hierarchy owns one network, the root's:
 //! the root's record keeps its links, every other topic's record repeats
-//! its node space without links, and a fit record (option tag 2) has no
-//! log-likelihood. After the fits, an α list repeats each fit's link-type
-//! weights; the decode checks it against the fits. The retired layout's
-//! links below the root and tag-1 fit records decode to a typed
+//! its node space without links, and a fit record (option tag 3) holds
+//! the fitted parameters, the final objective, a background flag and the
+//! parent importance: no log-likelihood, objective trace or `φ0` rows.
+//! After the fits, an α list repeats each fit's link-type weights; the
+//! decode checks it against the fits. The retired layouts' links below
+//! the root and tag-1 and tag-2 fit records decode to a typed
 //! [`SnapshotError::RetiredLayout`].
 //!
 //! The `doc-facts` section holds what the query engine reads per
@@ -84,10 +86,11 @@ use std::sync::{Arc, OnceLock};
 pub const FORMAT_VERSION_V2: u32 = 2;
 
 /// The `cold` section's tag for a present EM fit record.
-const FIT_TAG: u8 = 2;
-/// The tag the retired fit record layout (with a trailing log-likelihood)
-/// used; decoding refuses it.
-const RETIRED_FIT_TAG: u8 = 1;
+const FIT_TAG: u8 = 3;
+/// The tags of the retired fit record layouts, which decoding refuses:
+/// tag 1 stored `φ0` rows, an objective trace and a log-likelihood, tag 2
+/// the `φ0` rows and the trace.
+const RETIRED_FIT_TAGS: [u8; 2] = [1, 2];
 
 const HEADER_LEN: usize = 16;
 const TABLE_ENTRY_LEN: usize = 24;
@@ -667,12 +670,13 @@ fn write_fit(w: &mut ArenaWriter, fit: &EmFit) {
     for per_type in &fit.phi {
         w.f64_rows(per_type);
     }
-    w.f64_rows(&fit.phi0);
+    // `φ0` is the parent importance when the background is on, so the
+    // flag stands for its rows.
+    w.u8(u8::from(fit.background));
     w.f64_seq(&fit.rho);
     w.f64_seq(&fit.alpha);
     w.f64_seq(&fit.theta);
     w.f64(fit.objective);
-    w.f64_seq(&fit.objective_trace);
     w.f64_rows(&fit.parent_phi);
 }
 
@@ -1332,15 +1336,15 @@ fn read_network(r: &mut Cursor<'_>) -> Result<TypedNetwork, SnapshotError> {
 }
 
 /// Reads one fit slot: a tag byte, then the record when the tag is
-/// [`FIT_TAG`]. Tag 1 marks a record of the retired layout, which also
-/// stored the log-likelihood: decoding it would shift every later field,
-/// so it is a typed [`SnapshotError::RetiredLayout`].
+/// [`FIT_TAG`]. A tag of [`RETIRED_FIT_TAGS`] marks a record of a retired
+/// layout, whose extra fields would shift every later one, so it is a
+/// typed [`SnapshotError::RetiredLayout`].
 fn read_fit_option(r: &mut Cursor<'_>) -> Result<Option<EmFit>, SnapshotError> {
     let at = r.pos;
     match r.take(1)?[0] {
         0 => Ok(None),
         FIT_TAG => read_fit(r).map(Some),
-        RETIRED_FIT_TAG => {
+        tag if RETIRED_FIT_TAGS.contains(&tag) => {
             Err(SnapshotError::RetiredLayout { offset: at, what: "an EM fit record" })
         }
         tag => Err(SnapshotError::Malformed {
@@ -1354,22 +1358,30 @@ fn read_fit(r: &mut Cursor<'_>) -> Result<EmFit, SnapshotError> {
     let k = r.get_u64()? as usize;
     let n_types = r.get_len(8)?;
     let phi = (0..n_types).map(|_| r.get_f64_rows()).collect::<Result<_, _>>()?;
-    let phi0 = r.get_f64_rows()?;
+    let at = r.pos;
+    let background = match r.take(1)?[0] {
+        0 => false,
+        1 => true,
+        flag => {
+            return Err(SnapshotError::Malformed {
+                offset: at,
+                what: format!("invalid background flag {flag}"),
+            })
+        }
+    };
     let rho = r.get_f64_seq()?;
     let alpha = r.get_f64_seq()?;
     let theta = r.get_f64_seq()?;
     let objective = r.get_f64()?;
-    let objective_trace = r.get_f64_seq()?;
     let parent_phi = r.get_f64_rows()?;
     Ok(EmFit {
         k,
         phi,
-        phi0,
+        background,
         rho,
         alpha,
         theta,
         objective,
-        objective_trace,
         parent_phi: Arc::new(parent_phi),
     })
 }
@@ -1942,12 +1954,11 @@ mod tests {
         h.fits[0] = Some(EmFit {
             k,
             phi: (0..types).map(|x| vec![vec![0.25; counts[x]]; k]).collect(),
-            phi0: rows(0.5),
+            background: true,
             rho: vec![1.0 / (k + 1) as f64; k + 1],
             alpha: vec![1.0; types * types],
             theta: vec![0.25; types * types],
             objective: -3.5,
-            objective_trace: vec![-4.0, -3.5],
             parent_phi: Arc::new(rows(0.125)),
         });
         let lineage = DeltaInfo {
@@ -1984,18 +1995,63 @@ mod tests {
         out
     }
 
+    /// A retired fit record layout.
+    #[derive(Debug, Clone, Copy)]
+    enum Retired {
+        /// Tag 1: `φ0` rows, an objective trace, then this log-likelihood.
+        Loglik(f64),
+        /// Tag 2: `φ0` rows and an objective trace.
+        Trace,
+    }
+
+    impl Retired {
+        fn tag(self) -> u8 {
+            match self {
+                Retired::Loglik(_) => RETIRED_FIT_TAGS[0],
+                Retired::Trace => RETIRED_FIT_TAGS[1],
+            }
+        }
+    }
+
+    /// Writes `fit` as a record of the `retired` layout, tag included: its
+    /// `φ0` rows are the parent importance (zeros without the background)
+    /// and its trace is the one final objective.
+    fn write_retired_fit(w: &mut ArenaWriter, fit: &EmFit, retired: Retired) {
+        w.u8(retired.tag());
+        w.u64(fit.k as u64);
+        w.u64(fit.phi.len() as u64);
+        for per_type in &fit.phi {
+            w.f64_rows(per_type);
+        }
+        let zeros = |row: &Vec<f64>| vec![0.0; row.len()];
+        let phi0: Vec<Vec<f64>> = if fit.background {
+            fit.parent_phi.to_vec()
+        } else {
+            fit.parent_phi.iter().map(zeros).collect()
+        };
+        w.f64_rows(&phi0);
+        w.f64_seq(&fit.rho);
+        w.f64_seq(&fit.alpha);
+        w.f64_seq(&fit.theta);
+        w.f64(fit.objective);
+        w.f64_seq(&[fit.objective]);
+        if let Retired::Loglik(loglik) = retired {
+            w.f64(loglik);
+        }
+        w.f64_rows(&fit.parent_phi);
+    }
+
     /// A `cold` section of `corpus` and `mined` with `names` as the
     /// hierarchy type names, `records[t]` as topic `t`'s network record
     /// (its links written when the flag is set) and `alphas` as the α
-    /// list. With `loglik`, every fit is written in the retired layout:
-    /// option tag 1, with the log-likelihood after its objective trace.
+    /// list. With `retired`, every fit is written in that retired layout.
     fn crafted_cold(
         corpus: &Corpus,
         mined: &MinedStructure,
         names: &[String],
         records: &[(&TypedNetwork, bool)],
         alphas: &[Option<&Vec<f64>>],
-        loglik: Option<f64>,
+        retired: Option<Retired>,
     ) -> Vec<u8> {
         let h = &mined.hierarchy;
         let mut w = ArenaWriter { buf: Vec::new() };
@@ -2010,28 +2066,13 @@ mod tests {
         }
         w.u64(h.fits.len() as u64);
         for fit in &h.fits {
-            match (fit, loglik) {
+            match (fit, retired) {
                 (None, _) => w.u8(0),
                 (Some(fit), None) => {
                     w.u8(FIT_TAG);
                     write_fit(&mut w, fit);
                 }
-                (Some(fit), Some(loglik)) => {
-                    w.u8(RETIRED_FIT_TAG);
-                    w.u64(fit.k as u64);
-                    w.u64(fit.phi.len() as u64);
-                    for per_type in &fit.phi {
-                        w.f64_rows(per_type);
-                    }
-                    w.f64_rows(&fit.phi0);
-                    w.f64_seq(&fit.rho);
-                    w.f64_seq(&fit.alpha);
-                    w.f64_seq(&fit.theta);
-                    w.f64(fit.objective);
-                    w.f64_seq(&fit.objective_trace);
-                    w.f64(loglik);
-                    w.f64_rows(&fit.parent_phi);
-                }
+                (Some(fit), Some(retired)) => write_retired_fit(&mut w, fit, retired),
             }
         }
         w.u64(alphas.len() as u64);
@@ -2087,16 +2128,24 @@ mod tests {
         w.buf
     }
 
-    /// `bytes` (a full artifact of `corpus` and `mined`) with its cold
-    /// section rewritten in the layout before the root-only one: the
-    /// artifact a build from before it wrote. The fixture's topics below
-    /// the root hold no links, so their records read the same in both
-    /// layouts, and the first retired record is a fit.
-    fn retired_artifact(corpus: &Corpus, mined: &MinedStructure, bytes: &[u8]) -> Vec<u8> {
+    /// `bytes` (a full artifact of `corpus` and `mined`) with its fit
+    /// records rewritten in the `retired` layout: the artifact a build
+    /// from before it wrote. The fixture's topics below the root hold no
+    /// links, so their records read the same in every layout, and the
+    /// first retired record is a fit.
+    fn retired_artifact(
+        corpus: &Corpus,
+        mined: &MinedStructure,
+        bytes: &[u8],
+        retired: Retired,
+    ) -> Vec<u8> {
         let names = &mined.hierarchy.network.type_names;
         let (records, alphas) = (stored_records(mined), stored_alphas(mined));
-        with_cold(bytes, &crafted_cold(corpus, mined, names, &records, &alphas, Some(-1234.5)))
+        with_cold(bytes, &crafted_cold(corpus, mined, names, &records, &alphas, Some(retired)))
     }
+
+    /// The retired layouts the crafted tests cover.
+    const RETIRED: [Retired; 2] = [Retired::Loglik(-1234.5), Retired::Trace];
 
     /// A `cold` record that disagrees with the root network or the fits is
     /// a typed error at its offset inside `cold`: hierarchy type names or
@@ -2166,31 +2215,85 @@ mod tests {
         }
     }
 
-    /// An artifact written before the root-only cold layout still serves
+    /// An artifact written in a retired fit record layout still serves
     /// from its hot sections, which did not change, but its full decode
     /// (and so `lesm update` and `lesm shard`) fails typed at the first
     /// fit record instead of decoding a shifted structure.
     #[test]
     fn a_retired_cold_layout_fails_to_decode_typed_and_still_serves() {
         let (corpus, mined, bytes) = fixture();
-        let retired = retired_artifact(&corpus, &mined, &bytes);
-        let (now, then) = (MappedSnapshot::from_bytes(&bytes).expect("current"), {
-            MappedSnapshot::from_bytes(&retired).expect("the hot sections load")
-        });
-        for id in [1, 2, 3, 4, 5, 6, 7, 8, 9, 12] {
-            let ((a, n), (b, m)) = (locate(&bytes, id), locate(&retired, id));
-            assert!(bytes[a..a + n] == retired[b..b + m], "section {id} moved");
-        }
-        assert_eq!(hierarchy_to_json(&now, 5), hierarchy_to_json(&then, 5));
         serve_everything(&bytes).expect("the current layout serves and decodes");
-        let (cold, len) = locate(&retired, 10);
-        match then.to_snapshot().map(drop) {
-            Err(e @ SnapshotError::RetiredLayout { offset, .. }) => {
-                assert!((cold..cold + len).contains(&offset), "offset {offset} outside the cold section");
-                assert_eq!(retired[offset], RETIRED_FIT_TAG);
-                assert!(e.to_string().contains("`lesm snapshot`"), "no rebuild hint in {e}");
+        let now = MappedSnapshot::from_bytes(&bytes).expect("current");
+        for layout in RETIRED {
+            let retired = retired_artifact(&corpus, &mined, &bytes, layout);
+            let then = MappedSnapshot::from_bytes(&retired).expect("the hot sections load");
+            for id in [1, 2, 3, 4, 5, 6, 7, 8, 9, 12] {
+                let ((a, n), (b, m)) = (locate(&bytes, id), locate(&retired, id));
+                assert!(bytes[a..a + n] == retired[b..b + m], "{layout:?}: section {id} moved");
             }
-            other => panic!("expected RetiredLayout, got {other:?}"),
+            assert_eq!(hierarchy_to_json(&now, 5), hierarchy_to_json(&then, 5));
+            let (cold, len) = locate(&retired, 10);
+            match then.to_snapshot().map(drop) {
+                Err(e @ SnapshotError::RetiredLayout { offset, .. }) => {
+                    assert!((cold..cold + len).contains(&offset), "offset {offset} outside the cold section");
+                    assert_eq!(retired[offset], layout.tag());
+                    assert!(e.to_string().contains("`lesm snapshot`"), "no rebuild hint in {e}");
+                }
+                other => panic!("{layout:?}: expected RetiredLayout, got {other:?}"),
+            }
+        }
+    }
+
+    /// Byte offset of the fixture's first fit record (its tag) in
+    /// `bytes`: the first byte at which its `cold` section differs from
+    /// the same model's section in a retired layout, since everything
+    /// before the fits is written the same way.
+    fn first_fit_tag(corpus: &Corpus, mined: &MinedStructure, bytes: &[u8]) -> usize {
+        let retired = retired_artifact(corpus, mined, bytes, Retired::Trace);
+        let ((now, n), (then, m)) = (locate(bytes, 10), locate(&retired, 10));
+        let same = bytes[now..now + n].iter().zip(&retired[then..then + m]).take_while(|(a, b)| a == b);
+        now + same.count()
+    }
+
+    /// A tag-2 fit record, the layout with `φ0` rows and an objective
+    /// trace, is the retired layout at exactly its tag's offset; a fit
+    /// record of the current layout whose background flag is neither 0
+    /// nor 1 is malformed at the flag's offset.
+    #[test]
+    fn a_tag_2_fit_record_is_a_retired_layout_at_its_offset() {
+        let (corpus, mined, bytes) = fixture();
+        let tag_at = first_fit_tag(&corpus, &mined, &bytes);
+        assert_eq!(bytes[tag_at], FIT_TAG);
+        // The sections before `cold` keep their bytes, so the record sits
+        // at the same offset in the retired artifact.
+        let retired = retired_artifact(&corpus, &mined, &bytes, Retired::Trace);
+        let m = MappedSnapshot::from_bytes(&retired).expect("the hot sections load");
+        match m.to_snapshot().map(drop) {
+            Err(SnapshotError::RetiredLayout { offset, what }) => {
+                assert_eq!(offset, tag_at, "{what}");
+                assert_eq!(retired[offset], 2);
+            }
+            other => panic!("a tag-2 record: expected RetiredLayout, got {other:?}"),
+        }
+
+        // The flag follows the tag, k, the type count and the φ rows.
+        let fit = mined.hierarchy.fits[0].as_ref().expect("the fixture fits the root");
+        let mut head = ArenaWriter { buf: Vec::new() };
+        head.u64(fit.k as u64);
+        head.u64(fit.phi.len() as u64);
+        for per_type in &fit.phi {
+            head.f64_rows(per_type);
+        }
+        let flag_at = tag_at + 1 + head.buf.len();
+        assert_eq!(bytes[flag_at], 1, "the fixture's fit has the background");
+        let crafted = craft(&bytes, flag_at, (le_u64(&bytes[flag_at..]) & !0xff) | 2);
+        let m = MappedSnapshot::from_bytes(&crafted).expect("the hot sections load");
+        match m.to_snapshot().map(drop) {
+            Err(SnapshotError::Malformed { offset, what }) => {
+                assert_eq!(offset, flag_at, "{what}");
+                assert!(what.contains("background flag"), "{what}");
+            }
+            other => panic!("a background flag of 2: expected Malformed, got {other:?}"),
         }
     }
 
@@ -2274,11 +2377,24 @@ mod tests {
         let mut failures = Vec::new();
         let mut cases = 0;
         // Every registered section, then the cold section of the same
-        // model in the retired layout (tag-1 fit records that carry a
-        // log-likelihood).
-        let retired = retired_artifact(&corpus, &mined, &bytes);
-        let targets = SECTIONS.iter().map(|s| (&bytes, s.id, s.name));
-        for (bytes, id, name) in targets.chain([(&retired, 10, "retired cold")]) {
+        // model in each retired fit record layout. The current cold
+        // section also gets every word of its first fit record.
+        let retired = RETIRED.map(|layout| retired_artifact(&corpus, &mined, &bytes, layout));
+        let fit_words = {
+            let fit = mined.hierarchy.fits[0].as_ref().expect("the fixture fits the root");
+            let mut record = ArenaWriter { buf: Vec::new() };
+            write_fit(&mut record, fit);
+            let (off, _) = locate(&bytes, 10);
+            let tag_at = first_fit_tag(&corpus, &mined, &bytes) - off;
+            (tag_at / 8..=(tag_at + record.buf.len()) / 8).collect::<Vec<_>>()
+        };
+        let targets = SECTIONS.iter().map(|s| {
+            let extra = if s.id == 10 { fit_words.clone() } else { Vec::new() };
+            (&bytes, s.id, s.name, extra)
+        });
+        let retired_targets = (retired.iter().zip(["retired cold (tag 1)", "retired cold (tag 2)"]))
+            .map(|(bytes, name)| (bytes, 10, name, Vec::new()));
+        for (bytes, id, name, extra) in targets.chain(retired_targets) {
             let (off, len) = locate(bytes, id);
             let words = len / 8;
             let mut positions: Vec<usize> = (0..words.min(LEADING)).collect();
@@ -2292,6 +2408,7 @@ mod tests {
                     positions.push(LEADING + (z ^ (z >> 31)) as usize % (words - LEADING));
                 }
             }
+            positions.extend(extra.into_iter().filter(|&w| w >= LEADING && w < words));
             for word in positions {
                 let at = off + word * 8;
                 let original = le_u64(&bytes[at..]);

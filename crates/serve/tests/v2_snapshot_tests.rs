@@ -148,24 +148,21 @@ fn canonical(corpus: &Corpus, mined: &MinedStructure) -> Vec<String> {
         let EmFit {
             k,
             phi,
-            phi0,
+            background,
             rho,
             alpha,
             theta,
             objective,
-            objective_trace,
             parent_phi,
         } = fit;
         let phi: Vec<Vec<_>> = phi.iter().map(|x| x.iter().map(|row| bits(row)).collect()).collect();
-        let phi0: Vec<_> = phi0.iter().map(|row| bits(row)).collect();
         let parent_phi: Vec<_> = parent_phi.iter().map(|row| bits(row)).collect();
         out.push(format!(
-            "fit {t} {k} {phi:?} {phi0:?} {:?} {:?} {:?} {} {:?} {parent_phi:?}",
+            "fit {t} {k} {phi:?} {background} {:?} {:?} {:?} {} {parent_phi:?}",
             bits(rho),
             bits(alpha),
             bits(theta),
             objective.to_bits(),
-            bits(objective_trace)
         ));
     }
     for (t, list) in topic_phrases.iter().enumerate() {

@@ -12,7 +12,8 @@
 //! as well, so a change that means to move only the `cold` section shows
 //! that it did: their digests were recorded before the cold section
 //! dropped the child networks and the fits' log-likelihood, and kept
-//! them through that change.
+//! them through that change and through the one that dropped the fits'
+//! objective trace and `φ0` rows.
 
 use lesm::core::pipeline::{LatentStructureMiner, MinerConfig};
 use lesm::core::{fnv1a64, UpdateBudget};
@@ -22,9 +23,9 @@ use lesm::hier::hierarchy::{CathyConfig, ChildCount};
 use lesm_serve::{save_snapshot_v2, MappedSnapshot};
 
 /// Digest of the base artifact (`mine` over the first 198 documents).
-const MINE_DIGEST: u64 = 0x6159_7f4e_5fa1_7b4e;
+const MINE_DIGEST: u64 = 0x50e9_0aee_dff8_2fef;
 /// Digest of the artifact after one `update` appending 2 documents.
-const UPDATE_DIGEST: u64 = 0x2056_1a2e_f60c_67d9;
+const UPDATE_DIGEST: u64 = 0xe893_484f_2898_711b;
 
 /// Per-section digests of the base artifact's hot sections (ids 1–9 and
 /// 12), in table order.
