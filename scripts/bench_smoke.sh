@@ -45,16 +45,15 @@ cargo bench -p lesm-bench --bench bench_strod -- power_threads
 
 echo "wrote $(wc -l < "$out") bench records to $out"
 
-# EM-core trajectory: the single-thread fit plus the shared-EdgeState
-# k-sweep (the flat-arena rewrite's headline numbers). Full sampling, not
-# fast mode: these medians are compared across PRs, and 3-sample medians
-# are too fragile against host-level noise bursts.
+# EM-core trajectory: every bench_em row (network sizes, weight modes,
+# thread counts and the shared-EdgeState k-sweep) from one run. Full
+# sampling, not fast mode: these medians are compared across PRs, and
+# 3-sample medians are too fragile against host-level noise bursts.
 : > "$em_out"
 export LESM_BENCH_JSON="$em_out"
 unset LESM_BENCH_FAST
 
-cargo bench -p lesm-bench --bench bench_em -- fit_threads
-cargo bench -p lesm-bench --bench bench_em -- fit_k
+cargo bench -p lesm-bench --bench bench_em
 
 echo "wrote $(wc -l < "$em_out") bench records to $em_out"
 
