@@ -2114,6 +2114,144 @@ mod tests {
         ],
     ];
 
+    /// The iteration at which a one-restart fit under `c` (whose `tol` is
+    /// positive) stops, `c.iters` when it runs to the end: the smallest
+    /// budget whose fit equals the full budget's bit for bit (every
+    /// smaller budget cuts the run short of its stop).
+    fn stop_iteration(state: &EdgeState, c: &EmConfig) -> usize {
+        let digest = |iters: usize| {
+            let budget = EmConfig { iters, ..c.clone() };
+            fit_digest(&CathyHinEm::fit_prepared(state, &budget).unwrap())
+        };
+        let full = digest(c.iters);
+        let budgets: Vec<usize> = (1..=c.iters).collect();
+        1 + budgets.partition_point(|&n| digest(n) != full)
+    }
+
+    /// Pins every parameter bit of cold multi-restart fits: 3, 4 and 6
+    /// restarts (6 is chapter 3's configuration), k = 4 and 5 (compiled
+    /// loops) and a runtime k = 3, each weight mode, and a tolerance under
+    /// which the restarts stop at different iterations, the winner before
+    /// another restart of its block of four. Restarts 0 fit as one
+    /// restart, and 3 threads give the bits of 1.
+    #[test]
+    fn restart_bits_are_pinned() {
+        let state = EdgeState::new(&pinned_network(12, 30, 5, 0));
+        let base = EmConfig {
+            k: 4,
+            iters: 60,
+            restarts: 3,
+            seed: 11,
+            background: true,
+            weights: WeightMode::Equal,
+            ..EmConfig::default()
+        };
+        let configs = [
+            base.clone(),
+            EmConfig {
+                k: 5,
+                restarts: 4,
+                weights: WeightMode::Learned,
+                ..base.clone()
+            },
+            EmConfig {
+                k: 3,
+                restarts: 6,
+                background: false,
+                weights: WeightMode::Normalized,
+                ..base.clone()
+            },
+            EmConfig {
+                restarts: 6,
+                iters: 200,
+                seed: 10,
+                tol: 1e-6,
+                ..base.clone()
+            },
+            EmConfig {
+                restarts: 1,
+                ..base.clone()
+            },
+        ];
+        let got: Vec<[u64; 5]> = configs
+            .iter()
+            .map(|c| fit_digest(&CathyHinEm::fit_prepared(&state, c).unwrap()))
+            .collect();
+        assert_eq!(got, PINNED_RESTART_DIGESTS, "{got:#018x?}");
+        for (c, want) in configs.iter().zip(&got) {
+            let threaded = EmConfig {
+                threads: 3,
+                ..c.clone()
+            };
+            let fit = CathyHinEm::fit_prepared(&state, &threaded).unwrap();
+            assert_eq!(fit_digest(&fit), *want, "3 threads, {c:?}");
+        }
+        let zero = EmConfig {
+            restarts: 0,
+            ..base.clone()
+        };
+        let fit = CathyHinEm::fit_prepared(&state, &zero).unwrap();
+        assert_eq!(fit_digest(&fit), got[4], "restarts 0 fit as 1");
+        // Under the tolerance the six restarts stop at different
+        // iterations, and the winner stops before another restart of its
+        // block of four: a multi-restart pass must keep a stopped restart
+        // as it was while the others run on.
+        let tol = &configs[3];
+        let runs: Vec<(usize, f64)> = (0..tol.restarts as u64)
+            .map(|r| {
+                let one = EmConfig {
+                    restarts: 1,
+                    seed: tol.seed + r * 1313,
+                    ..tol.clone()
+                };
+                let objective = CathyHinEm::fit_prepared(&state, &one).unwrap().objective;
+                (stop_iteration(&state, &one), objective)
+            })
+            .collect();
+        let winner = (1..runs.len()).fold(0, |w, r| if runs[r].1 > runs[w].1 { r } else { w });
+        let block = &runs[winner / 4 * 4..(winner / 4 * 4 + 4).min(runs.len())];
+        assert!(block.iter().any(|run| run.0 > runs[winner].0), "{runs:?}");
+        assert!(runs.windows(2).any(|w| w[0].0 != w[1].0), "{runs:?}");
+    }
+
+    const PINNED_RESTART_DIGESTS: [[u64; 5]; 5] = [
+        [
+            0xa7cc_edc2_9ce0_03e4,
+            0x12dc_a542_d7c6_93ec,
+            0xbeee_4352_ffcd_9d38,
+            0x2c51_6040_3309_fc90,
+            0xc0bb_f968_0005_a667,
+        ],
+        [
+            0x23d9_b892_a3d6_2124,
+            0x8ba3_7ca6_c541_ffa8,
+            0xe365_1728_cd0b_03b6,
+            0x9f48_3843_1fa0_211b,
+            0xc0b7_db71_95f8_0eea,
+        ],
+        [
+            0xe9e3_09a4_81a1_8d80,
+            0x2015_12da_93f9_8aac,
+            0xb46d_2eaa_72ca_a574,
+            0x3b4c_6e97_b938_b7c5,
+            0xc0b9_a8d6_008b_b454,
+        ],
+        [
+            0x0344_4540_d4ef_0115,
+            0x6abf_936d_ae8e_f426,
+            0xbeee_4352_ffcd_9d38,
+            0x2c51_6040_3309_fc90,
+            0xc0bb_f093_9ba1_488f,
+        ],
+        [
+            0xa5b0_93ed_f3c6_8cf5,
+            0x1240_6e21_0c69_9499,
+            0xbeee_4352_ffcd_9d38,
+            0x2c51_6040_3309_fc90,
+            0xc0bc_24af_5d03_2a40,
+        ],
+    ];
+
     #[test]
     fn fit_warm_validates_previous_fit_shape() {
         let net = two_communities_hin();
