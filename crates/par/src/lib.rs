@@ -51,7 +51,9 @@ use std::ops::Range;
 /// parallelism", anything else is taken literally (minimum 1).
 pub fn effective_threads(requested: usize) -> usize {
     if requested == 0 {
-        std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
     } else {
         requested
     }
@@ -85,7 +87,9 @@ impl WorkHint {
 
     /// `n` items at roughly `unit_cost` work units each (saturating).
     pub const fn items(n: usize, unit_cost: usize) -> Self {
-        Self { units: (n as u64).saturating_mul(unit_cost as u64) }
+        Self {
+            units: (n as u64).saturating_mul(unit_cost as u64),
+        }
     }
 
     /// The estimate in work units.
@@ -110,7 +114,9 @@ fn dispatch_threads(requested: usize, hint: WorkHint) -> usize {
     if hint.units < PAR_THRESHOLD {
         return 1;
     }
-    effective_threads(requested).min(effective_threads(0)).max(1)
+    effective_threads(requested)
+        .min(effective_threads(0))
+        .max(1)
 }
 
 /// Splits `0..len` into contiguous ranges of at most `grain` items.
@@ -270,7 +276,9 @@ pub fn par_buffer_reduce_with<F>(
     // buffer is irrelevant: each buffer lands in its chunk-index slot.
     let per_thread = chunks.len().div_ceil(threads);
     std::thread::scope(|scope| {
-        for (chunk_group, buf_group) in chunks.chunks(per_thread).zip(buffers.chunks_mut(per_thread))
+        for (chunk_group, buf_group) in chunks
+            .chunks(per_thread)
+            .zip(buffers.chunks_mut(per_thread))
         {
             scope.spawn(|| {
                 for (range, buf) in chunk_group.iter().zip(buf_group.iter_mut()) {
@@ -372,8 +380,10 @@ where
             });
         }
     });
-    // lesm-lint: allow(R1) — the scope joins every worker and the chunks cover all slots
-    out.into_iter().map(|slot| slot.expect("par_map_collect slot unfilled")).collect()
+    out.into_iter()
+        // lesm-lint: allow(R1) — the scope joins every worker and the chunks cover all slots
+        .map(|slot| slot.expect("par_map_collect slot unfilled"))
+        .collect()
 }
 
 /// Applies `f(block_index, block)` to every `block_len`-sized block of a
@@ -393,7 +403,10 @@ where
     if data.is_empty() {
         return;
     }
-    assert!(block_len > 0, "par_for_blocks requires a positive block length");
+    assert!(
+        block_len > 0,
+        "par_for_blocks requires a positive block length"
+    );
     let n_blocks = data.len().div_ceil(block_len);
     let threads = dispatch_threads(threads, hint).min(n_blocks).max(1);
     if threads <= 1 {
@@ -469,7 +482,10 @@ mod tests {
         let cores = effective_threads(0);
         assert_eq!(dispatch_threads(1, WorkHint::HEAVY), 1);
         assert_eq!(dispatch_threads(cores + 64, WorkHint::HEAVY), cores);
-        assert_eq!(dispatch_threads(2, WorkHint::units(PAR_THRESHOLD)), 2usize.min(cores));
+        assert_eq!(
+            dispatch_threads(2, WorkHint::units(PAR_THRESHOLD)),
+            2usize.min(cores)
+        );
     }
 
     /// Adversarial mix of magnitudes so any change in summation grouping
@@ -554,7 +570,14 @@ mod tests {
             }
         };
         let heavy = WorkHint::HEAVY;
-        let reference = bits(&par_buffer_reduce(values.len(), 1000, 1, heavy, out_len, fill));
+        let reference = bits(&par_buffer_reduce(
+            values.len(),
+            1000,
+            1,
+            heavy,
+            out_len,
+            fill,
+        ));
         for threads in [2usize, 3, 5, 8] {
             let got = par_buffer_reduce(values.len(), 1000, threads, heavy, out_len, fill);
             assert_eq!(bits(&got), reference, "threads={threads}");
@@ -574,7 +597,15 @@ mod tests {
         let mut scratch = ReduceScratch::new();
         let mut out = vec![f64::NAN; 5]; // stale contents must be ignored
         for threads in [1usize, 2, 4] {
-            par_buffer_reduce_with(&mut scratch, values.len(), 53, threads, heavy, &mut out, fill);
+            par_buffer_reduce_with(
+                &mut scratch,
+                values.len(),
+                53,
+                threads,
+                heavy,
+                &mut out,
+                fill,
+            );
             assert_eq!(bits(&out), bits(&want), "threads={threads}");
         }
         // Reusing the same scratch with a different shape is also exact,
@@ -629,8 +660,9 @@ mod tests {
                         tmp.iter().sum::<f64>()
                     },
                 );
-                let want: Vec<f64> =
-                    (0..17).map(|i| (0..4).map(|j| (i * 4 + j) as f64).sum()).collect();
+                let want: Vec<f64> = (0..17)
+                    .map(|i| (0..4).map(|j| (i * 4 + j) as f64).sum())
+                    .collect();
                 assert_eq!(got, want, "threads={threads} hint={hint:?}");
             }
         }
