@@ -63,6 +63,19 @@ fn bench_em(c: &mut Criterion) {
             });
         });
     }
+    // Restarts at the CLI's k = 4: the restarts of a fit share one edge
+    // pass, one lane each, so 4 restarts cost less than 4 fits of 1.
+    for &restarts in &[1usize, 4] {
+        group.bench_with_input(BenchmarkId::new("restarts", restarts), &restarts, |b, &r| {
+            b.iter(|| {
+                CathyHinEm::fit_prepared(
+                    &state,
+                    &EmConfig { k: 4, restarts: r, ..em_config(WeightMode::Equal) },
+                )
+                .unwrap()
+            });
+        });
+    }
     group.finish();
 }
 

@@ -33,6 +33,13 @@
 //!   `φ` laid out node-major interleaved (`φ[x][z][i]` at `node·k + z`
 //!   where `node = node_base[x] + i`), so the `z`-loop over one endpoint
 //!   reads consecutive memory instead of `k` heap-separated rows.
+//! * **Restart lanes.** The cold restarts of one fit run in groups of up
+//!   to four, one lane each, in one lane-interleaved arena (lane `r` of
+//!   value `j` at `j·R + r`): the E-step reads each link once for every
+//!   lane and does each lane's arithmetic in one vector slot. Lanes never
+//!   mix, so every lane's bits are those of its restart run alone. Warm
+//!   fits and weight rounds are the same kernel at one lane, which is the
+//!   plain layout above.
 //! * **Ping-pong arenas** (read/write, swapped per iteration) plus a
 //!   reused [`lesm_par::ReduceScratch`] keep the parameters and the
 //!   accumulator out of the allocator. Only an iteration that computes
@@ -86,7 +93,11 @@ pub struct EmConfig {
     pub k: usize,
     /// EM iterations per restart (upper bound when `tol > 0`).
     pub iters: usize,
-    /// Random restarts (best objective kept).
+    /// Random restarts (best objective kept; `0` runs one). Restart `r`
+    /// is seeded with `seed + r·1313`. Restarts share one edge pass: up to
+    /// four run together as the lanes of one E-step, which reads each link
+    /// once for all of them, and each lane computes the bits its restart
+    /// computes alone. Ties keep the earlier restart.
     pub restarts: usize,
     /// RNG seed.
     pub seed: u64,
@@ -524,33 +535,44 @@ impl EdgeState {
 /// — and therefore every EM result — is identical for any parallelism.
 const EM_PIECES: usize = 16;
 
-/// One contiguous parameter buffer: `[ φ | ρ ]`, with `φ` node-major
-/// interleaved — the value `φ[x][z][i]` lives at `node * k + z` where
-/// `node = node_base[x] + i`. The interleaving puts all `k` subtopic
-/// values of one node on a single cache line, which is exactly the access
-/// pattern of the per-edge `z`-loop. `φ0` needs no slot: it is the
-/// state's parent importance (or absent without the background).
+/// Restarts fitted together in one edge pass, one lane each: four f64
+/// lanes fill one AVX2 vector.
+const LANES: usize = 4;
+
+/// One contiguous parameter buffer: `[ φ | ρ ]` for `lanes` independent
+/// fits, lane-interleaved. Lane `r`'s `φ[x][z][i]` lives at
+/// `(node * k + z) * lanes + r` where `node = node_base[x] + i`, and its
+/// `ρ_z` at `total * k * lanes + z * lanes + r`: value `j` of the one-lane
+/// layout is at `j * lanes + r`. The interleaving puts all `k` subtopic
+/// values of one node, for every lane, on consecutive memory, which is
+/// exactly the access pattern of the per-edge `z`-loop, and each lane's
+/// arithmetic one vector slot. Warm fits, weight rounds and everything
+/// outside the E-step use one lane, which is the plain node-major layout.
+/// `φ0` needs no slot: it is the state's parent importance (or absent
+/// without the background).
 #[derive(Debug, Clone)]
 struct ParamArena {
     k: usize,
     total: usize,
+    lanes: usize,
     data: Vec<f64>,
 }
 
 impl ParamArena {
-    fn new(k: usize, total: usize) -> Self {
+    fn new(k: usize, total: usize, lanes: usize) -> Self {
         Self {
             k,
             total,
-            data: vec![0.0; total * k + k + 1],
+            lanes,
+            data: vec![0.0; (total * k + k + 1) * lanes],
         }
     }
 
-    /// The arena form of `fit` over `state`'s node space, value for value
-    /// (the inverse of `ArenaFit::into_em_fit`).
+    /// The one-lane arena form of `fit` over `state`'s node space, value
+    /// for value (the inverse of `ArenaFit::into_em_fit`).
     fn from_fit(fit: &EmFit, state: &EdgeState) -> Self {
         let k = fit.k;
-        let mut arena = Self::new(k, state.total_nodes);
+        let mut arena = Self::new(k, state.total_nodes, 1);
         let (phi, rho) = arena.split_mut();
         for x in 0..state.t_count {
             let base = state.node_base[x];
@@ -564,22 +586,50 @@ impl ParamArena {
         arena
     }
 
+    /// Lane `r` as a one-lane arena.
+    fn lane(&self, r: usize) -> Self {
+        Self {
+            k: self.k,
+            total: self.total,
+            lanes: 1,
+            data: self
+                .data
+                .iter()
+                .skip(r)
+                .step_by(self.lanes)
+                .copied()
+                .collect(),
+        }
+    }
+
+    /// Copies lane `r` of `from` (same shape) over this arena's lane `r`.
+    fn copy_lane(&mut self, from: &Self, r: usize) {
+        let lanes = self.lanes;
+        for (to, &v) in self.data[r..]
+            .iter_mut()
+            .step_by(lanes)
+            .zip(from.data[r..].iter().step_by(lanes))
+        {
+            *to = v;
+        }
+    }
+
     /// `(phi, rho)` views.
     #[inline]
     fn split(&self) -> (&[f64], &[f64]) {
-        self.data.split_at(self.total * self.k)
+        self.data.split_at(self.total * self.k * self.lanes)
     }
 
     /// Mutable `(phi, rho)` views.
     #[inline]
     fn split_mut(&mut self) -> (&mut [f64], &mut [f64]) {
-        self.data.split_at_mut(self.total * self.k)
+        self.data.split_at_mut(self.total * self.k * self.lanes)
     }
 }
 
-/// A fit in arena form — what the restart/weight-round machinery passes
-/// around. Converted to the public nested [`EmFit`] exactly once, for the
-/// winning fit (`ArenaFit::into_em_fit`).
+/// A one-lane fit in arena form — what the restart/weight-round machinery
+/// passes around. Converted to the public nested [`EmFit`] exactly once,
+/// for the winning fit (`ArenaFit::into_em_fit`).
 struct ArenaFit {
     arena: ParamArena,
     theta: Vec<f64>,
@@ -589,6 +639,7 @@ struct ArenaFit {
 impl ArenaFit {
     /// Expands the arena into the nested public shape.
     fn into_em_fit(self, state: &EdgeState, alpha: Vec<f64>, background: bool) -> EmFit {
+        debug_assert_eq!(self.arena.lanes, 1);
         let k = self.arena.k;
         let (phi_a, rho_a) = self.arena.split();
         let phi: Vec<Vec<Vec<f64>>> = (0..state.t_count)
@@ -615,9 +666,16 @@ impl ArenaFit {
     }
 }
 
+/// The end of one EM pass: every lane's parameters and the objective each
+/// lane ended on.
+struct LaneRun {
+    arena: ParamArena,
+    objectives: Vec<f64>,
+}
+
 /// Reused per-fit working memory: the reduce chunk buffers and the flat
-/// `[obj | ρ | φ]` accumulator. One of these lives for a whole
-/// `fit_prepared` call, so an iteration that skips the objective
+/// lane-interleaved `[obj | ρ | φ]` accumulator. One of these lives for a
+/// whole `fit_prepared` call, so an iteration that skips the objective
 /// allocates nothing at k = 4, 5 or 8.
 struct EmScratch {
     reduce: lesm_par::ReduceScratch,
@@ -778,7 +836,7 @@ impl CathyHinEm {
         }
 
         // Seed the arena from the previous fit.
-        let mut arena = ParamArena::new(k, state.total_nodes);
+        let mut arena = ParamArena::new(k, state.total_nodes, 1);
         {
             let (phi, rho) = arena.split_mut();
             for x in 0..t_count {
@@ -819,9 +877,12 @@ impl CathyHinEm {
 }
 
 /// Runs EM under one fixed `alpha`: the per-α constants (scaled weights,
-/// `θ`) are computed once and shared by every restart. With `warm`, a
-/// single deterministic continuation run is performed instead, reusing the
-/// warm fit's arena without copying.
+/// `θ`) are computed once and shared by every restart. The restarts run in
+/// groups of up to [`LANES`] that share one edge pass, one lane each, and
+/// the best objective wins in restart order (a later restart only on a
+/// strictly greater objective). With `warm`, a single deterministic
+/// continuation run is performed instead, reusing the warm fit's arena
+/// without copying.
 fn fit_alpha(
     state: &EdgeState,
     config: &EmConfig,
@@ -841,38 +902,60 @@ fn fit_alpha(
         theta[state.tp[e]] += scaled[e] / m_total;
     }
 
-    match warm {
-        Some(prev) => {
-            // Warm-started rounds are deterministic — one run suffices.
-            run_em(
-                state,
-                config,
-                &scaled,
-                &theta,
-                config.seed,
-                Some(prev.arena),
-                scratch,
-            )
-        }
-        None => {
-            // Restart 0 seeds `best` directly (its seed offset is 0), so no
-            // `Option` unwrap is needed to prove the loop produced a fit.
-            let mut best = run_em(state, config, &scaled, &theta, config.seed, None, scratch);
-            for restart in 1..config.restarts.max(1) {
-                let f = run_em(
-                    state,
-                    config,
-                    &scaled,
-                    &theta,
-                    config.seed.wrapping_add(restart as u64 * 1313),
-                    None,
-                    scratch,
-                );
-                if f.objective > best.objective {
-                    best = f;
-                }
-            }
-            best
+    if let Some(prev) = warm {
+        // Warm-started rounds are deterministic — one run suffices.
+        let run = run_em::<1>(state, config, &scaled, &[], Some(prev.arena), scratch);
+        return ArenaFit {
+            arena: run.arena,
+            theta,
+            objective: run.objectives[0],
+        };
+    }
+    let restarts = config.restarts.max(1);
+    let seeds: Vec<u64> = (0..restarts)
+        .map(|r| config.seed.wrapping_add(r as u64 * 1313))
+        .collect();
+    // The first group holds restart 0, which seeds `best` directly, so no
+    // `Option` unwrap is needed to prove a restart ran.
+    let (head, rest) = seeds.split_at(restarts.min(LANES));
+    let first = run_group(state, config, &scaled, head, scratch);
+    let mut best = ArenaFit {
+        arena: first.arena.lane(0),
+        theta,
+        objective: first.objectives[0],
+    };
+    keep_better(&mut best, &first, 1);
+    for group in rest.chunks(LANES) {
+        let run = run_group(state, config, &scaled, group, scratch);
+        keep_better(&mut best, &run, 0);
+    }
+    best
+}
+
+/// One cold EM pass over the restarts seeded by `seeds` (1 to [`LANES`]),
+/// one lane each.
+fn run_group(
+    state: &EdgeState,
+    config: &EmConfig,
+    scaled: &[f64],
+    seeds: &[u64],
+    scratch: &mut EmScratch,
+) -> LaneRun {
+    match seeds.len() {
+        1 => run_em::<1>(state, config, scaled, seeds, None, scratch),
+        2 => run_em::<2>(state, config, scaled, seeds, None, scratch),
+        3 => run_em::<3>(state, config, scaled, seeds, None, scratch),
+        _ => run_em::<LANES>(state, config, scaled, seeds, None, scratch),
+    }
+}
+
+/// Replaces `best` with each lane of `run` from lane `from` on, in lane
+/// order, whose objective is strictly greater.
+fn keep_better(best: &mut ArenaFit, run: &LaneRun, from: usize) {
+    for (r, &objective) in run.objectives.iter().enumerate().skip(from) {
+        if objective > best.objective {
+            best.arena = run.arena.lane(r);
+            best.objective = objective;
         }
     }
 }
@@ -917,6 +1000,7 @@ fn rescale_alpha(alpha: &mut [f64], pair_links: &[usize]) {
 
 /// Read-only inputs of one E-step chunk fill, bundled so the hot loop can
 /// live in a free function (closures cannot carry `#[target_feature]`).
+/// `phi_c` and `rho_c` are lane-interleaved (see `ParamArena`).
 struct EStepCtx<'a> {
     k: usize,
     background: bool,
@@ -928,23 +1012,24 @@ struct EStepCtx<'a> {
     rho_c: &'a [f64],
 }
 
-/// Accumulates one edge chunk of the E-step into `buf` (layout
-/// `[obj | bg | k numerators | φ]`). Dispatches to an AVX2
-/// compilation of the identical loop when the CPU has it: every vectorized
-/// operation is an elementwise IEEE mul/add/divide (no fused ops, no
-/// reassociated reductions — the posterior total keeps its sequential
-/// left-to-right sum), so the two paths produce the same bits and the
-/// dispatch cannot violate the determinism contract (DESIGN.md §11).
-fn estep_fill(ctx: &EStepCtx<'_>, range: std::ops::Range<usize>, buf: &mut [f64]) {
+/// Accumulates one edge chunk of the E-step for `R` lanes into `buf`
+/// (lane-interleaved layout `[obj | bg | k numerators | φ]`). Dispatches to
+/// an AVX2 compilation of the identical loop when the CPU has it: every
+/// vectorized operation is an elementwise IEEE mul/add/divide (no fused
+/// ops, no reassociated reductions — the posterior total keeps its fixed
+/// per-lane grouping, and lanes never mix), so the two paths produce the
+/// same bits and the dispatch cannot violate the determinism contract
+/// (DESIGN.md §11).
+fn estep_fill<const R: usize>(ctx: &EStepCtx<'_>, range: std::ops::Range<usize>, buf: &mut [f64]) {
     if ctx.objective {
-        estep_fill_k::<true>(ctx, range, buf);
+        estep_fill_k::<R, true>(ctx, range, buf);
     } else {
-        estep_fill_k::<false>(ctx, range, buf);
+        estep_fill_k::<R, false>(ctx, range, buf);
     }
 }
 
 /// Picks the loop compiled for `ctx.k` and the CPU.
-fn estep_fill_k<const OBJ: bool>(
+fn estep_fill_k<const R: usize, const OBJ: bool>(
     ctx: &EStepCtx<'_>,
     range: std::ops::Range<usize>,
     buf: &mut [f64],
@@ -954,19 +1039,19 @@ fn estep_fill_k<const OBJ: bool>(
         // SAFETY: AVX2 support was just verified at runtime.
         unsafe {
             match ctx.k {
-                4 => estep_fill_avx2::<4, OBJ>(ctx, range, buf),
-                5 => estep_fill_avx2::<5, OBJ>(ctx, range, buf),
-                8 => estep_fill_avx2::<8, OBJ>(ctx, range, buf),
-                _ => estep_fill_avx2::<0, OBJ>(ctx, range, buf),
+                4 => estep_fill_avx2::<4, R, OBJ>(ctx, range, buf),
+                5 => estep_fill_avx2::<5, R, OBJ>(ctx, range, buf),
+                8 => estep_fill_avx2::<8, R, OBJ>(ctx, range, buf),
+                _ => estep_fill_avx2::<0, R, OBJ>(ctx, range, buf),
             }
         }
         return;
     }
     match ctx.k {
-        4 => estep_fill_portable::<4, OBJ>(ctx, range, buf),
-        5 => estep_fill_portable::<5, OBJ>(ctx, range, buf),
-        8 => estep_fill_portable::<8, OBJ>(ctx, range, buf),
-        _ => estep_fill_portable::<0, OBJ>(ctx, range, buf),
+        4 => estep_fill_portable::<4, R, OBJ>(ctx, range, buf),
+        5 => estep_fill_portable::<5, R, OBJ>(ctx, range, buf),
+        8 => estep_fill_portable::<8, R, OBJ>(ctx, range, buf),
+        _ => estep_fill_portable::<0, R, OBJ>(ctx, range, buf),
     }
 }
 
@@ -975,23 +1060,25 @@ fn estep_fill_k<const OBJ: bool>(
 /// vectors. Same operations, same bits, fewer instructions.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn estep_fill_avx2<const K: usize, const OBJ: bool>(
+fn estep_fill_avx2<const K: usize, const R: usize, const OBJ: bool>(
     ctx: &EStepCtx<'_>,
     range: std::ops::Range<usize>,
     buf: &mut [f64],
 ) {
-    estep_fill_portable::<K, OBJ>(ctx, range, buf);
+    estep_fill_portable::<K, R, OBJ>(ctx, range, buf);
 }
 
 /// `K` is the compile-time subtopic count for the common sizes (the
 /// dispatcher monomorphizes 4, 5, and 8, so their `z`-loops fully unroll);
 /// `K = 0` is the fallback that reads the runtime `ctx.k`. Both produce
-/// the same bits — unrolling reorders nothing. `OBJ` adds the chunk's
-/// share of the surrogate objective to `buf[0]`; without it the loop has
-/// no stash, no `ln` and no fold, `buf[0]` stays zero, and every other
-/// slot receives the same adds in the same order.
+/// the same bits — unrolling reorders nothing. `R` is the lane count: each
+/// edge is read once and its arithmetic runs once per lane, every lane the
+/// operations of a one-lane fit in the same order. `OBJ` adds the chunk's
+/// share of the surrogate objective to `buf[..R]`; without it the loop
+/// has no stash, no `ln` and no fold, those slots stay zero, and every
+/// other slot receives the same adds in the same order.
 #[inline(always)]
-fn estep_fill_portable<const K: usize, const OBJ: bool>(
+fn estep_fill_portable<const K: usize, const R: usize, const OBJ: bool>(
     ctx: &EStepCtx<'_>,
     range: std::ops::Range<usize>,
     buf: &mut [f64],
@@ -999,46 +1086,48 @@ fn estep_fill_portable<const K: usize, const OBJ: bool>(
     debug_assert!(K == 0 || K == ctx.k);
     debug_assert_eq!(OBJ, ctx.objective);
     let k = if K == 0 { ctx.k } else { K };
+    // Lane-interleaved width of one node's `k` values.
+    let kr = k * R;
     let state = ctx.state;
     let background = ctx.background;
     let (phi_c, rho_c) = (ctx.phi_c, ctx.rho_c);
     // The background φ0 is pinned to the parent importance, so the
     // background term of an edge reads that one array at both endpoints.
     let parent = &state.parent_flat[..];
-    let half_rho0 = 0.5 * rho_c[0];
+    let half_rho0: [f64; R] = std::array::from_fn(|r| 0.5 * rho_c[r]);
     let scaled = ctx.scaled;
     // Pre-split the chunk buffer into its [head | φ] regions so the hot
     // loop indexes small slices directly. `head` is
-    // [obj | bg | k numerators]; slicing the numerator tail once lets the
-    // per-edge loops run without bounds checks (and vectorize, since every
-    // store target is a disjoint fixed-length slice).
-    let (head, phi_b) = buf.split_at_mut(k + 2);
-    let (head_obj, head_z) = head.split_at_mut(2);
-    let rho_z = &rho_c[1..k + 1];
-    // Posterior scratch: a stack array in the monomorphized paths, a heap
-    // fallback when `K = 0`.
-    let mut q_arr = [0.0f64; K];
+    // [obj | bg | k numerators], `R` lanes each; slicing the numerator
+    // tail once lets the per-edge loops run without bounds checks (and
+    // vectorize, since every store target is a disjoint fixed-length
+    // slice).
+    let (head, phi_b) = buf.split_at_mut(kr + 2 * R);
+    let (head_obj, head_z) = head.split_at_mut(2 * R);
+    let rho_z = &rho_c[R..R + kr];
+    // Per-lane rows of `k` values: stack arrays in the monomorphized
+    // paths, heap fallbacks when `K = 0`. `q` is the posterior scratch.
+    // The ρ numerators `hz` and the background expectation are
+    // chunk-global accumulators, so they can live in registers for the
+    // whole edge loop and be flushed once at the end. The chunk buffer
+    // arrives zeroed, so `slot += local` writes the identical
+    // left-to-right fold the per-edge stores produced.
+    let mut q_arr = [[0.0f64; R]; K];
     let mut q_vec;
-    let q: &mut [f64] = if K == 0 {
-        q_vec = vec![0.0f64; k];
+    let q: &mut [[f64; R]] = if K == 0 {
+        q_vec = vec![[0.0f64; R]; k];
         &mut q_vec
     } else {
         &mut q_arr
     };
-    // The ρ numerators and the background expectation are chunk-global
-    // accumulators, so they can live in registers for the whole edge loop
-    // and be flushed once at the end. The chunk buffer arrives zeroed, so
-    // `slot += local` writes the identical left-to-right fold the per-edge
-    // stores produced.
-    let mut hz_arr = [0.0f64; K];
+    let mut hz_arr = [[0.0f64; R]; K];
     let mut hz_vec;
-    let hz: &mut [f64] = if K == 0 {
-        hz_vec = vec![0.0f64; k];
+    let hz: &mut [[f64; R]] = if K == 0 {
+        hz_vec = vec![[0.0f64; R]; k];
         &mut hz_vec
     } else {
         &mut hz_arr
     };
-    let mut bg_acc = 0.0f64;
     // The first endpoint's φ numerators. Edges are sorted by (i, j)
     // within a block, so consecutive edges mostly share their first
     // endpoint: its row is loaded into `row` when `ni` changes and stored
@@ -1046,190 +1135,257 @@ fn estep_fill_portable<const K: usize, const OBJ: bool>(
     // reach that row in between (a second endpoint equal to `ni` is a
     // self-loop, which adds into `row` too), so every cell still receives
     // the same adds in the same order.
-    let mut row_arr = [0.0f64; K];
+    let mut row_arr = [[0.0f64; R]; K];
     let mut row_vec;
-    let row: &mut [f64] = if K == 0 {
-        row_vec = vec![0.0f64; k];
+    let row: &mut [[f64; R]] = if K == 0 {
+        row_vec = vec![[0.0f64; R]; k];
         &mut row_vec
     } else {
         &mut row_arr
     };
+    let mut bg_acc = [0.0f64; R];
     let mut row_at: Option<usize> = None;
     // ln(s) is the one long-latency operation per edge, and it feeds
     // nothing but the objective — never the parameters. Deferring it out
-    // of the edge loop (stash s and w, run the chunk through the
+    // of the edge loop (stash s and w per lane, run the chunk through the
     // vectorized `fast_ln_slice`, then fold w·ln s in edge order)
     // unserializes the whole E-step: every other per-edge op is a short
-    // mul/add/divide the out-of-order window overlaps freely. Dead edges
-    // (s ≤ 0) keep the sentinel s = 1, w = 0, so they contribute an exact
-    // +0.0 to the objective, same as being skipped. Without the objective
-    // the stash is empty, which allocates nothing.
+    // mul/add/divide the out-of-order window overlaps freely. Without the
+    // objective the stash is empty, which allocates nothing.
     let base = range.start;
-    let stash = if OBJ { range.len() } else { 0 };
+    let stash = if OBJ { range.len() * R } else { 0 };
     let mut ln_scratch = vec![0.0f64; 3 * stash];
     let (sbuf, rest) = ln_scratch.split_at_mut(stash);
     let (wbuf, lnbuf) = rest.split_at_mut(stash);
-    sbuf.fill(1.0);
     for e in range {
         let (ni, nj) = (state.ni[e] as usize, state.nj[e] as usize);
-        let (na, nb) = (ni * k, nj * k);
+        let (na, nb) = (ni * kr, nj * kr);
         let w = scaled[e];
-        let a = &phi_c[na..na + k];
-        let b = &phi_c[nb..nb + k];
-        for ((qv, &rz), (&az, &bz)) in q.iter_mut().zip(rho_z).zip(a.iter().zip(b)) {
-            *qv = rz * az * bz;
+        let a = &phi_c[na..na + kr];
+        let b = &phi_c[nb..nb + kr];
+        let terms = rho_z
+            .chunks_exact(R)
+            .zip(a.chunks_exact(R))
+            .zip(b.chunks_exact(R));
+        for (qz, ((rz, az), bz)) in q.iter_mut().zip(terms) {
+            for (((qv, &rv), &av), &bv) in qz.iter_mut().zip(rz).zip(az).zip(bz) {
+                *qv = rv * av * bv;
+            }
         }
         // Four stride-4 partial sums folded in a fixed order — the shape
         // a 4-lane vector add produces, so the compiler keeps the whole
         // reduction in SIMD registers. The grouping is a pure function of
         // k: deterministic, thread-invariant, dispatch-invariant.
-        let mut acc4 = [0.0f64; 4];
+        let mut acc4 = [[0.0f64; R]; 4];
         let mut quads = q.chunks_exact(4);
         for quad in &mut quads {
-            acc4[0] += quad[0];
-            acc4[1] += quad[1];
-            acc4[2] += quad[2];
-            acc4[3] += quad[3];
+            for r in 0..R {
+                acc4[0][r] += quad[0][r];
+                acc4[1][r] += quad[1][r];
+                acc4[2][r] += quad[2][r];
+                acc4[3][r] += quad[3][r];
+            }
         }
-        for (l, &r) in quads.remainder().iter().enumerate() {
-            acc4[l] += r;
+        for (l, qz) in quads.remainder().iter().enumerate() {
+            for r in 0..R {
+                acc4[l][r] += qz[r];
+            }
         }
-        let mut s = (acc4[0] + acc4[1]) + (acc4[2] + acc4[3]);
+        let mut s: [f64; R] =
+            std::array::from_fn(|r| (acc4[0][r] + acc4[1][r]) + (acc4[2][r] + acc4[3][r]));
         // Background: average of the two link directions, `φ0(i)·p(j)`
         // and `φ0(j)·p(i)` with `φ0 = p`.
-        let mut q0 = 0.0;
+        let mut q0 = [0.0f64; R];
         if background {
             let (pi, pj) = (parent[ni], parent[nj]);
-            q0 = half_rho0 * pi * pj + half_rho0 * pj * pi;
-            s += q0;
+            for r in 0..R {
+                q0[r] = half_rho0[r] * pi * pj + half_rho0[r] * pj * pi;
+                s[r] += q0[r];
+            }
         }
-        if s <= 0.0 {
-            continue;
+        // A lane whose total is not positive takes no part in this edge:
+        // its weight `inv` is 0, so it adds an exact +0.0 to every
+        // accumulator (all of them are non-negative), and its stash
+        // slot holds s = 1, w = 0, an exact +0.0 to the objective.
+        let mut inv = [0.0f64; R];
+        for r in 0..R {
+            let dead = s[r] <= 0.0;
+            inv[r] = if dead { 0.0 } else { w / s[r] };
+            if OBJ {
+                let at = (e - base) * R + r;
+                sbuf[at] = if dead { 1.0 } else { s[r] };
+                wbuf[at] = if dead { 0.0 } else { w };
+            }
         }
-        if OBJ {
-            sbuf[e - base] = s;
-            wbuf[e - base] = w;
-        }
-        let inv = w / s;
         if row_at != Some(na) {
             if let Some(at) = row_at {
-                phi_b[at..at + k].copy_from_slice(row);
+                store_row(&mut phi_b[at..at + kr], row);
             }
-            row.copy_from_slice(&phi_b[na..na + k]);
+            load_row(row, &phi_b[na..na + kr]);
             row_at = Some(na);
         }
         if na == nb {
             // Self-loop: both endpoints are the register row, so the
             // contribution lands on it twice in sequence (same bits as
             // two indexed adds to one cell).
-            for ((&qv, hv), rv) in q.iter().zip(&mut *hz).zip(&mut *row) {
-                let ew = qv * inv;
-                *hv += ew;
-                *rv += ew;
-                *rv += ew;
+            for ((qz, hv), rv) in q.iter().zip(&mut *hz).zip(&mut *row) {
+                for r in 0..R {
+                    let ew = qz[r] * inv[r];
+                    hv[r] += ew;
+                    rv[r] += ew;
+                    rv[r] += ew;
+                }
             }
         } else {
             // Distinct rows: the second endpoint's row is in memory and
             // every add below hits a distinct cell, so the store order
             // within an edge cannot change any bits.
-            let pb = &mut phi_b[nb..nb + k];
-            for (((&qv, hv), rv), pv) in q.iter().zip(&mut *hz).zip(&mut *row).zip(pb) {
-                let ew = qv * inv;
-                *hv += ew;
-                *rv += ew;
-                *pv += ew;
+            let pb = phi_b[nb..nb + kr].chunks_exact_mut(R);
+            for (((qz, hv), rv), pv) in q.iter().zip(&mut *hz).zip(&mut *row).zip(pb) {
+                for r in 0..R {
+                    let ew = qz[r] * inv[r];
+                    hv[r] += ew;
+                    rv[r] += ew;
+                    pv[r] += ew;
+                }
             }
         }
         if background {
-            bg_acc += q0 * inv;
+            for r in 0..R {
+                bg_acc[r] += q0[r] * inv[r];
+            }
         }
     }
     // Flush the register accumulators, then the batched objective: ln over
     // the chunk and the w·ln(s) fold in the same edge order the fused loop
     // used.
     if let Some(at) = row_at {
-        phi_b[at..at + k].copy_from_slice(row);
+        store_row(&mut phi_b[at..at + kr], row);
     }
-    for (slot, &local) in head_z.iter_mut().zip(&*hz) {
-        *slot += local;
+    store_add(head_z, hz);
+    for r in 0..R {
+        head_obj[R + r] += bg_acc[r];
     }
-    head_obj[1] += bg_acc;
     if !OBJ {
         return;
     }
     lesm_linalg::fast_ln_slice(sbuf, lnbuf);
     // Same fixed stride-4 shape as the posterior sum: four independent
-    // partials keep the long w·ln(s) fold out of a single serial add
-    // chain, and the grouping depends only on the chunk length.
-    let mut obj4 = [0.0f64; 4];
-    let mut pairs = lnbuf.chunks_exact(4).zip(wbuf.chunks_exact(4));
+    // partials per lane keep the long w·ln(s) fold out of a single serial
+    // add chain, and the grouping depends only on the chunk length.
+    let mut obj4 = [[0.0f64; R]; 4];
+    let mut pairs = lnbuf.chunks_exact(4 * R).zip(wbuf.chunks_exact(4 * R));
     for (lq, wq) in &mut pairs {
-        obj4[0] += wq[0] * lq[0];
-        obj4[1] += wq[1] * lq[1];
-        obj4[2] += wq[2] * lq[2];
-        obj4[3] += wq[3] * lq[3];
+        for (l, acc) in obj4.iter_mut().enumerate() {
+            for r in 0..R {
+                acc[r] += wq[l * R + r] * lq[l * R + r];
+            }
+        }
     }
-    let tail = lnbuf.len() - lnbuf.len() % 4;
-    for (l, (lv, wv)) in lnbuf[tail..].iter().zip(&wbuf[tail..]).enumerate() {
-        obj4[l] += wv * lv;
+    let tail = lnbuf.len() - lnbuf.len() % (4 * R);
+    let tail_pairs = lnbuf[tail..]
+        .chunks_exact(R)
+        .zip(wbuf[tail..].chunks_exact(R));
+    for (acc, (lv, wv)) in obj4.iter_mut().zip(tail_pairs) {
+        for r in 0..R {
+            acc[r] += wv[r] * lv[r];
+        }
     }
-    head_obj[0] += (obj4[0] + obj4[1]) + (obj4[2] + obj4[3]);
+    for r in 0..R {
+        head_obj[r] += (obj4[0][r] + obj4[1][r]) + (obj4[2][r] + obj4[3][r]);
+    }
 }
 
-/// One full EM run (fixed α). When `warm` is given, the passed arena is
-/// continued in place instead of random initialization.
-fn run_em(
+/// Loads a lane-interleaved row of `k · R` values into per-`z` lane arrays.
+#[inline(always)]
+fn load_row<const R: usize>(row: &mut [[f64; R]], from: &[f64]) {
+    for (rv, src) in row.iter_mut().zip(from.chunks_exact(R)) {
+        rv.copy_from_slice(src);
+    }
+}
+
+/// Stores per-`z` lane arrays back into a lane-interleaved row.
+#[inline(always)]
+fn store_row<const R: usize>(to: &mut [f64], row: &[[f64; R]]) {
+    for (dst, rv) in to.chunks_exact_mut(R).zip(row) {
+        dst.copy_from_slice(rv);
+    }
+}
+
+/// Adds per-`z` lane arrays into a lane-interleaved row.
+#[inline(always)]
+fn store_add<const R: usize>(to: &mut [f64], row: &[[f64; R]]) {
+    for (dst, rv) in to.chunks_exact_mut(R).zip(row) {
+        for (d, &v) in dst.iter_mut().zip(rv) {
+            *d += v;
+        }
+    }
+}
+
+/// One full EM pass (fixed α) over `R` lanes. Cold, lane `r` is the
+/// restart seeded by `seeds[r]`; when `warm` is given (one lane), the
+/// passed arena is continued in place instead of random initialization.
+/// Every lane computes exactly what a one-lane pass of its own computes:
+/// under a positive [`EmConfig::tol`] a lane that meets it is frozen, its
+/// parameters and objective kept bit for bit while the others run on, and
+/// the pass ends when every lane has stopped.
+fn run_em<const R: usize>(
     state: &EdgeState,
     config: &EmConfig,
     scaled: &[f64],
-    theta: &[f64],
-    seed: u64,
+    seeds: &[u64],
     warm: Option<ParamArena>,
     scratch: &mut EmScratch,
-) -> ArenaFit {
+) -> LaneRun {
     let k = config.k;
     let t_count = state.t_count;
     let total = state.total_nodes;
     let counts = &state.node_counts;
     let base = &state.node_base;
     let n_edges = state.num_links();
-    let mut rng = StdRng::seed_from_u64(seed);
 
     // Initialize φ and ρ (same RNG draw order as the original nested
-    // implementation: type-major, then subtopic, then node).
+    // implementation: type-major, then subtopic, then node), one RNG per
+    // lane.
     let mut cur = match warm {
         Some(arena) => {
             debug_assert_eq!(arena.k, k);
             debug_assert_eq!(arena.total, total);
+            debug_assert_eq!(arena.lanes, R);
             arena
         }
         None => {
-            let mut arena = ParamArena::new(k, total);
+            debug_assert_eq!(seeds.len(), R);
+            let mut arena = ParamArena::new(k, total, R);
             let (phi, rho) = arena.split_mut();
-            for x in 0..t_count {
-                for z in 0..k {
-                    for i in 0..counts[x] {
-                        phi[(base[x] + i) * k + z] = rng.gen::<f64>() + 0.05;
-                    }
-                    let mut s = 0.0;
-                    for i in 0..counts[x] {
-                        s += phi[(base[x] + i) * k + z];
-                    }
-                    if s > 0.0 {
+            for (r, &seed) in seeds.iter().enumerate() {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let at = |x: usize, i: usize, z: usize| ((base[x] + i) * k + z) * R + r;
+                for x in 0..t_count {
+                    for z in 0..k {
                         for i in 0..counts[x] {
-                            phi[(base[x] + i) * k + z] /= s;
+                            phi[at(x, i, z)] = rng.gen::<f64>() + 0.05;
+                        }
+                        let mut s = 0.0;
+                        for i in 0..counts[x] {
+                            s += phi[at(x, i, z)];
+                        }
+                        if s > 0.0 {
+                            for i in 0..counts[x] {
+                                phi[at(x, i, z)] /= s;
+                            }
                         }
                     }
                 }
-            }
-            if config.background {
-                rho[0] = BACKGROUND_INIT;
-                for z in 1..=k {
-                    rho[z] = (1.0 - BACKGROUND_INIT) / k as f64;
-                }
-            } else {
-                for z in 1..=k {
-                    rho[z] = 1.0 / k as f64;
+                if config.background {
+                    rho[r] = BACKGROUND_INIT;
+                    for z in 1..=k {
+                        rho[z * R + r] = (1.0 - BACKGROUND_INIT) / k as f64;
+                    }
+                } else {
+                    for z in 1..=k {
+                        rho[z * R + r] = 1.0 / k as f64;
+                    }
                 }
             }
             arena
@@ -1237,14 +1393,17 @@ fn run_em(
     };
 
     // Ping-pong write arena.
-    let mut next = ParamArena::new(k, total);
+    let mut next = ParamArena::new(k, total, R);
 
-    // Flat accumulator layout: [obj | ρ (k+1) | φ (total·k)].
-    let phi_off = k + 2;
+    // Flat accumulator layout, `R` lanes per value:
+    // [obj | ρ (k+1) | φ (total·k)].
+    let phi_off = (k + 2) * R;
     scratch.acc.clear();
-    scratch.acc.resize(phi_off + total * k, 0.0);
+    scratch.acc.resize(phi_off + total * k * R, 0.0);
 
-    let mut objective = f64::NEG_INFINITY;
+    let mut objectives = [f64::NEG_INFINITY; R];
+    let mut live = [true; R];
+    let mut rho_lane = vec![0.0f64; k + 1];
     let grain = lesm_par::grain_for_pieces(n_edges, EM_PIECES);
     let background = config.background;
     let early_exit = config.tol > 0.0;
@@ -1256,8 +1415,9 @@ fn run_em(
         // into the flat accumulator. Chunk layout and fold order are
         // fixed, so any thread count gives the same bits as threads = 1.
         let (phi_c, rho_c) = cur.split();
-        // ~8k + 16 flops per edge (E-step posterior + numerator adds).
-        let hint = lesm_par::WorkHint::items(n_edges, 8 * k + 16);
+        // ~8k + 16 flops per edge and lane (E-step posterior + numerator
+        // adds).
+        let hint = lesm_par::WorkHint::items(n_edges, (8 * k + 16) * R);
         let ctx = EStepCtx {
             k,
             background,
@@ -1274,63 +1434,84 @@ fn run_em(
             config.threads,
             hint,
             &mut scratch.acc,
-            |range, buf| estep_fill(&ctx, range, buf),
+            |range, buf| estep_fill::<R>(&ctx, range, buf),
         );
         let acc = &scratch.acc;
-        let obj = acc[0];
         // M-step: unpack into the write arena with the 1e-12 smoothing the
         // normalizers expect, then swap the arenas.
         {
             let (phi_n, rho_n) = next.split_mut();
-            for z in 0..=k {
-                rho_n[z] = 1e-12 + acc[1 + z];
+            for r in 0..R {
+                for (z, v) in rho_lane.iter_mut().enumerate() {
+                    *v = 1e-12 + acc[(1 + z) * R + r];
+                }
+                normalize(&mut rho_lane);
+                if background && rho_lane[0] > BACKGROUND_CAP {
+                    let excess = rho_lane[0] - BACKGROUND_CAP;
+                    let sub_total: f64 = rho_lane[1..].iter().sum();
+                    rho_lane[0] = BACKGROUND_CAP;
+                    if sub_total > 0.0 {
+                        for z in 1..=k {
+                            rho_lane[z] += excess * rho_lane[z] / sub_total;
+                        }
+                    }
+                }
+                for (z, &v) in rho_lane.iter().enumerate() {
+                    rho_n[z * R + r] = v;
+                }
             }
             for (p, &a) in phi_n.iter_mut().zip(&acc[phi_off..]) {
                 *p = 1e-12 + a;
             }
-            normalize(rho_n);
-            if background && rho_n[0] > BACKGROUND_CAP {
-                let excess = rho_n[0] - BACKGROUND_CAP;
-                let sub_total: f64 = rho_n[1..].iter().sum();
-                rho_n[0] = BACKGROUND_CAP;
-                if sub_total > 0.0 {
-                    for z in 1..=k {
-                        rho_n[z] += excess * rho_n[z] / sub_total;
-                    }
-                }
-            }
             // Per-(type, subtopic) normalization, summing nodes in index
-            // order exactly as the nested rows did.
+            // order exactly as the nested rows did, every lane at once.
             for x in 0..t_count {
                 for z in 0..k {
-                    let mut s = 0.0;
-                    for i in 0..counts[x] {
-                        s += phi_n[(base[x] + i) * k + z];
+                    let cells = || (0..counts[x]).map(|i| ((base[x] + i) * k + z) * R);
+                    let mut s = [0.0f64; R];
+                    for at in cells() {
+                        for r in 0..R {
+                            s[r] += phi_n[at + r];
+                        }
                     }
-                    if s > 0.0 {
-                        for i in 0..counts[x] {
-                            phi_n[(base[x] + i) * k + z] /= s;
+                    for at in cells() {
+                        for r in 0..R {
+                            if s[r] > 0.0 {
+                                phi_n[at + r] /= s[r];
+                            }
                         }
                     }
                 }
             }
         }
+        // A stopped lane keeps its parameters: the write arena takes them
+        // back from the read arena before the swap.
+        for r in (0..R).filter(|&r| !live[r]) {
+            next.copy_lane(&cur, r);
+        }
         std::mem::swap(&mut cur, &mut next);
         if !with_objective {
             continue;
         }
-        let prev = objective;
-        objective = obj;
-        // Convergence early-exit on relative objective improvement.
-        if early_exit && prev.is_finite() && (obj - prev).abs() <= config.tol * prev.abs() {
+        for r in 0..R {
+            if !live[r] {
+                continue;
+            }
+            let (prev, obj) = (objectives[r], acc[r]);
+            objectives[r] = obj;
+            // Convergence early-exit on relative objective improvement.
+            if early_exit && prev.is_finite() && (obj - prev).abs() <= config.tol * prev.abs() {
+                live[r] = false;
+            }
+        }
+        if !live.contains(&true) {
             break;
         }
     }
 
-    ArenaFit {
+    LaneRun {
         arena: cur,
-        theta: theta.to_vec(),
-        objective,
+        objectives: objectives.to_vec(),
     }
 }
 
