@@ -1001,6 +1001,7 @@ fn rescale_alpha(alpha: &mut [f64], pair_links: &[usize]) {
 /// Read-only inputs of one E-step chunk fill, bundled so the hot loop can
 /// live in a free function (closures cannot carry `#[target_feature]`).
 /// `phi_c` and `rho_c` are lane-interleaved (see `ParamArena`).
+#[derive(Clone, Copy)]
 struct EStepCtx<'a> {
     k: usize,
     background: bool,
@@ -1039,6 +1040,7 @@ fn estep_fill_k<const R: usize, const OBJ: bool>(
         // SAFETY: AVX2 support was just verified at runtime.
         unsafe {
             match ctx.k {
+                2 => estep_fill_avx2::<2, R, OBJ>(ctx, range, buf),
                 4 => estep_fill_avx2::<4, R, OBJ>(ctx, range, buf),
                 5 => estep_fill_avx2::<5, R, OBJ>(ctx, range, buf),
                 8 => estep_fill_avx2::<8, R, OBJ>(ctx, range, buf),
@@ -1048,6 +1050,7 @@ fn estep_fill_k<const R: usize, const OBJ: bool>(
         return;
     }
     match ctx.k {
+        2 => estep_fill_portable::<2, R, OBJ>(ctx, range, buf),
         4 => estep_fill_portable::<4, R, OBJ>(ctx, range, buf),
         5 => estep_fill_portable::<5, R, OBJ>(ctx, range, buf),
         8 => estep_fill_portable::<8, R, OBJ>(ctx, range, buf),
@@ -1069,7 +1072,8 @@ fn estep_fill_avx2<const K: usize, const R: usize, const OBJ: bool>(
 }
 
 /// `K` is the compile-time subtopic count for the common sizes (the
-/// dispatcher monomorphizes 4, 5, and 8, so their `z`-loops fully unroll);
+/// dispatcher monomorphizes 2, 4, 5, and 8, so their `z`-loops fully
+/// unroll);
 /// `K = 0` is the fallback that reads the runtime `ctx.k`. Both produce
 /// the same bits — unrolling reorders nothing. `R` is the lane count: each
 /// edge is read once and its arithmetic runs once per lane, every lane the
@@ -2432,6 +2436,83 @@ mod tests {
             0xc0bc_24af_5d03_2a40,
         ],
     ];
+
+    /// One chunk fill of the E-step over all of `ctx`'s links, as bits,
+    /// with and without the objective.
+    fn fill_bits<const K: usize, const R: usize>(ctx: &EStepCtx<'_>) -> [Vec<u64>; 2] {
+        let len = (ctx.k + 2) * R + ctx.state.total_nodes * ctx.k * R;
+        let links = 0..ctx.state.num_links();
+        let mut with = vec![0.0; len];
+        estep_fill_portable::<K, R, true>(
+            &EStepCtx {
+                objective: true,
+                ..*ctx
+            },
+            links.clone(),
+            &mut with,
+        );
+        let mut without = vec![0.0; len];
+        estep_fill_portable::<K, R, false>(
+            &EStepCtx {
+                objective: false,
+                ..*ctx
+            },
+            links,
+            &mut without,
+        );
+        [with, without].map(|buf| buf.iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// An E-step context over `arena`'s parameters, with the background.
+    fn ctx_over<'a>(
+        k: usize,
+        state: &'a EdgeState,
+        scaled: &'a [f64],
+        arena: &'a ParamArena,
+    ) -> EStepCtx<'a> {
+        let (phi_c, rho_c) = arena.split();
+        EStepCtx {
+            k,
+            background: true,
+            objective: true,
+            state,
+            scaled,
+            phi_c,
+            rho_c,
+        }
+    }
+
+    /// The loops compiled for k = 2, 4, 5 and 8 give the runtime-k loop's
+    /// bits, at one lane and at four.
+    #[test]
+    fn compiled_k_loops_match_the_runtime_loop() {
+        let state = EdgeState::new(&pinned_network(12, 30, 5, 0));
+        let scaled: Vec<f64> = state.w.iter().map(|w| 0.7 * w).collect();
+        for k in [2, 4, 5, 8] {
+            let c = EmConfig {
+                k,
+                iters: 0,
+                ..EmConfig::default()
+            };
+            let mut scratch = EmScratch {
+                reduce: lesm_par::ReduceScratch::new(),
+                acc: Vec::new(),
+            };
+            // Zero iterations leave the random starts of four restarts.
+            let lanes = run_em::<4>(&state, &c, &scaled, &[1, 2, 3, 4], None, &mut scratch).arena;
+            let one = lanes.lane(2);
+            let ctx = |arena| ctx_over(k, &state, &scaled, arena);
+            let (four, single) = (ctx(&lanes), ctx(&one));
+            let compiled = match k {
+                2 => [fill_bits::<2, 4>(&four), fill_bits::<2, 1>(&single)],
+                4 => [fill_bits::<4, 4>(&four), fill_bits::<4, 1>(&single)],
+                5 => [fill_bits::<5, 4>(&four), fill_bits::<5, 1>(&single)],
+                _ => [fill_bits::<8, 4>(&four), fill_bits::<8, 1>(&single)],
+            };
+            let runtime = [fill_bits::<0, 4>(&four), fill_bits::<0, 1>(&single)];
+            assert_eq!(compiled, runtime, "k = {k}");
+        }
+    }
 
     #[test]
     fn fit_warm_validates_previous_fit_shape() {
