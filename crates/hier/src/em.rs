@@ -1167,14 +1167,9 @@ fn estep_fill_portable<const K: usize, const R: usize, const OBJ: bool>(
         let w = scaled[e];
         let a = &phi_c[na..na + kr];
         let b = &phi_c[nb..nb + kr];
-        let terms = rho_z
-            .chunks_exact(R)
-            .zip(a.chunks_exact(R))
-            .zip(b.chunks_exact(R));
-        for (qz, ((rz, az), bz)) in q.iter_mut().zip(terms) {
-            for (((qv, &rv), &av), &bv) in qz.iter_mut().zip(rz).zip(az).zip(bz) {
-                *qv = rv * av * bv;
-            }
+        let terms = rho_z.iter().zip(a).zip(b);
+        for (qv, ((&rz, &az), &bz)) in q.as_flattened_mut().iter_mut().zip(terms) {
+            *qv = rz * az * bz;
         }
         // Four stride-4 partial sums folded in a fixed order — the shape
         // a 4-lane vector add produces, so the compiler keeps the whole
@@ -1223,9 +1218,9 @@ fn estep_fill_portable<const K: usize, const R: usize, const OBJ: bool>(
         }
         if row_at != Some(na) {
             if let Some(at) = row_at {
-                store_row(&mut phi_b[at..at + kr], row);
+                phi_b[at..at + kr].copy_from_slice(row.as_flattened());
             }
-            load_row(row, &phi_b[na..na + kr]);
+            row.as_flattened_mut().copy_from_slice(&phi_b[na..na + kr]);
             row_at = Some(na);
         }
         if na == nb {
@@ -1264,9 +1259,11 @@ fn estep_fill_portable<const K: usize, const R: usize, const OBJ: bool>(
     // the chunk and the w·ln(s) fold in the same edge order the fused loop
     // used.
     if let Some(at) = row_at {
-        store_row(&mut phi_b[at..at + kr], row);
+        phi_b[at..at + kr].copy_from_slice(row.as_flattened());
     }
-    store_add(head_z, hz);
+    for (slot, &local) in head_z.iter_mut().zip(hz.as_flattened()) {
+        *slot += local;
+    }
     for r in 0..R {
         head_obj[R + r] += bg_acc[r];
     }
@@ -1297,32 +1294,6 @@ fn estep_fill_portable<const K: usize, const R: usize, const OBJ: bool>(
     }
     for r in 0..R {
         head_obj[r] += (obj4[0][r] + obj4[1][r]) + (obj4[2][r] + obj4[3][r]);
-    }
-}
-
-/// Loads a lane-interleaved row of `k · R` values into per-`z` lane arrays.
-#[inline(always)]
-fn load_row<const R: usize>(row: &mut [[f64; R]], from: &[f64]) {
-    for (rv, src) in row.iter_mut().zip(from.chunks_exact(R)) {
-        rv.copy_from_slice(src);
-    }
-}
-
-/// Stores per-`z` lane arrays back into a lane-interleaved row.
-#[inline(always)]
-fn store_row<const R: usize>(to: &mut [f64], row: &[[f64; R]]) {
-    for (dst, rv) in to.chunks_exact_mut(R).zip(row) {
-        dst.copy_from_slice(rv);
-    }
-}
-
-/// Adds per-`z` lane arrays into a lane-interleaved row.
-#[inline(always)]
-fn store_add<const R: usize>(to: &mut [f64], row: &[[f64; R]]) {
-    for (dst, rv) in to.chunks_exact_mut(R).zip(row) {
-        for (d, &v) in dst.iter_mut().zip(rv) {
-            *d += v;
-        }
     }
 }
 
