@@ -95,7 +95,11 @@ impl TypedNetwork {
     /// Creates an empty network with the given types.
     pub fn new(type_names: Vec<String>, node_counts: Vec<usize>) -> Self {
         assert_eq!(type_names.len(), node_counts.len());
-        Self { type_names, node_counts, blocks: Vec::new() }
+        Self {
+            type_names,
+            node_counts,
+            blocks: Vec::new(),
+        }
     }
 
     /// Number of node types.
@@ -130,10 +134,16 @@ impl TypedNetwork {
             }
             for &(i, j, _) in &blk.edges {
                 if i as usize >= self.node_counts[blk.tx] {
-                    return Err(NetError::NodeOutOfRange { etype: blk.tx, id: i });
+                    return Err(NetError::NodeOutOfRange {
+                        etype: blk.tx,
+                        id: i,
+                    });
                 }
                 if j as usize >= self.node_counts[blk.ty] {
-                    return Err(NetError::NodeOutOfRange { etype: blk.ty, id: j });
+                    return Err(NetError::NodeOutOfRange {
+                        etype: blk.ty,
+                        id: j,
+                    });
                 }
             }
         }
@@ -189,7 +199,11 @@ impl NetworkBuilder {
     /// Starts a builder with the given node types.
     pub fn new(type_names: Vec<String>, node_counts: Vec<usize>) -> Self {
         assert_eq!(type_names.len(), node_counts.len());
-        Self { type_names, node_counts, maps: HashMap::new() }
+        Self {
+            type_names,
+            node_counts,
+            maps: HashMap::new(),
+        }
     }
 
     /// Adds `w` to the (undirected) link between `(tx, i)` and `(ty, j)`.
@@ -199,7 +213,12 @@ impl NetworkBuilder {
         } else {
             (ty, j, tx, i)
         };
-        *self.maps.entry((tx, ty)).or_default().entry((i, j)).or_insert(0.0) += w;
+        *self
+            .maps
+            .entry((tx, ty))
+            .or_default()
+            .entry((i, j))
+            .or_insert(0.0) += w;
     }
 
     /// Freezes into a [`TypedNetwork`] with deterministic edge order.
@@ -215,7 +234,11 @@ impl NetworkBuilder {
             })
             .collect();
         blocks.sort_unstable_by_key(|a| (a.tx, a.ty));
-        TypedNetwork { type_names: self.type_names, node_counts: self.node_counts, blocks }
+        TypedNetwork {
+            type_names: self.type_names,
+            node_counts: self.node_counts,
+            blocks,
+        }
     }
 }
 
@@ -349,7 +372,10 @@ mod tests {
         let blk = g.block(0, 0).unwrap();
         let find = |i: u32, j: u32| {
             let (i, j) = if i <= j { (i, j) } else { (j, i) };
-            blk.edges.iter().find(|&&(a, b, _)| a == i && b == j).map(|&(_, _, w)| w)
+            blk.edges
+                .iter()
+                .find(|&&(a, b, _)| a == i && b == j)
+                .map(|&(_, _, w)| w)
         };
         assert_eq!(find(q, p), Some(1.0));
         assert_eq!(find(q, o), Some(1.0));
@@ -402,8 +428,14 @@ mod tests {
         let p = c.vocab.get("processing").unwrap();
         let plan = c.vocab.get("planning").unwrap();
         let tt = delta.block(2, 2).unwrap();
-        assert!(tt.edges.iter().any(|&(i, j, _)| (i, j) == (q.min(plan), q.max(plan))));
-        assert!(!tt.edges.iter().any(|&(i, j, _)| (i, j) == (q.min(p), q.max(p))));
+        assert!(tt
+            .edges
+            .iter()
+            .any(|&(i, j, _)| (i, j) == (q.min(plan), q.max(plan))));
+        assert!(!tt
+            .edges
+            .iter()
+            .any(|&(i, j, _)| (i, j) == (q.min(p), q.max(p))));
         // from_doc = 0 is exactly the full collapse.
         let full = collapsed_network(&c);
         let again = collapsed_network_from(&c, 0);
@@ -442,7 +474,11 @@ mod tests {
         let g = TypedNetwork {
             type_names: vec!["t".into()],
             node_counts: vec![1],
-            blocks: vec![LinkBlock { tx: 0, ty: 0, edges: vec![(0, 5, 1.0)] }],
+            blocks: vec![LinkBlock {
+                tx: 0,
+                ty: 0,
+                edges: vec![(0, 5, 1.0)],
+            }],
         };
         assert!(matches!(g.validate(), Err(NetError::NodeOutOfRange { .. })));
     }

@@ -1,7 +1,7 @@
 //! Property-based tests for network construction.
 
-use lesm_net::{co_occurrence_network, collapsed_network, NetworkBuilder};
 use lesm_corpus::Corpus;
+use lesm_net::{co_occurrence_network, collapsed_network, NetworkBuilder};
 use proptest::prelude::*;
 
 fn random_corpus() -> impl Strategy<Value = Corpus> {
