@@ -14,8 +14,8 @@ echo "== clippy (all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # The crates rustfmt already leaves unchanged stay that way.
-echo "== rustfmt (lesm-hier, lesm-par)"
-cargo fmt --check -p lesm-hier -p lesm-par
+echo "== rustfmt (lesm-hier, lesm-net, lesm-par)"
+cargo fmt --check -p lesm-hier -p lesm-net -p lesm-par
 
 echo "== lesm-lint (--workspace, all passes)"
 cargo run --release -q -p lesm-lint -- --root "$PWD" --workspace --timing
