@@ -29,6 +29,8 @@
 //! * **[`EdgeState`]** flattens the network once — global node ids,
 //!   type-pair keys, per-pair totals, and the parent-topic importance —
 //!   and is shared across every fit of the same network (`fit_prepared`).
+//!   A child topic's state is expanded from its parent's flat links
+//!   ([`EdgeState::children`]), never from a network.
 //! * **`ParamArena`** stores all parameters in one contiguous buffer with
 //!   `φ` laid out node-major interleaved (`φ[x][z][i]` at `node·k + z`
 //!   where `node = node_base[x] + i`), so the `z`-loop over one endpoint
@@ -208,7 +210,7 @@ impl EmFit {
 
     /// Writes the posterior of one link into `q` (length `k + 1`, index 0
     /// the background). The one posterior routine behind
-    /// [`EmFit::link_posterior`] and [`EmFit::subnetworks`]: the subtopic
+    /// [`EmFit::link_posterior`] and [`EdgeState::children`]: the subtopic
     /// terms are summed in `z` order, then the background term, and the
     /// division by the total happens only when the total is positive.
     fn posterior_into(&self, tx: usize, i: usize, ty: usize, j: usize, q: &mut [f64]) {
@@ -245,7 +247,6 @@ impl EmFit {
         let k = self.k;
         let n_edges = state.num_links();
         let arena = ParamArena::from_fit(self, state);
-        let (phi, rho) = arena.split();
         let scaled = |e: usize| self.alpha[state.tp[e]] * state.w[e];
         let m_total: f64 = (0..n_edges).map(scaled).sum();
         // Link weights are overwhelmingly small integers, and `ln_gamma` is
@@ -274,18 +275,7 @@ impl EmFit {
                 for e in range {
                     let (ni, nj) = (state.ni[e] as usize, state.nj[e] as usize);
                     let w = scaled(e);
-                    let a = &phi[ni * k..ni * k + k];
-                    let b = &phi[nj * k..nj * k + k];
-                    let mut s = 0.0;
-                    for z in 0..k {
-                        s += rho[z + 1] * a[z] * b[z];
-                    }
-                    if self.background {
-                        s += 0.5
-                            * rho[0]
-                            * (parent_flat[ni] * parent_flat[nj]
-                                + parent_flat[nj] * parent_flat[ni]);
-                    }
+                    let s = arena.link_total(parent_flat, self.background, ni, nj);
                     let lambda = m_total * self.theta[state.tp[e]] * s;
                     if lambda > 0.0 {
                         buf[0] += w * lambda.ln() - ln_gamma_memo(w);
@@ -294,42 +284,6 @@ impl EmFit {
             },
         );
         -m_total + ll[0]
-    }
-
-    /// Extracts the expected-weight subnetwork of every subtopic in one
-    /// pass over `net`'s links (element `z` is subtopic `z`, 0-based): each
-    /// link's posterior is computed once, child `z` keeps the fraction
-    /// `e q_z`, and links whose expected weight falls below `threshold` are
-    /// dropped (§3.2.1 uses 1.0). Children keep the parent's block order
-    /// and, within a block, its edge order.
-    pub fn subnetworks(&self, net: &TypedNetwork, threshold: f64) -> Vec<TypedNetwork> {
-        let mut out: Vec<TypedNetwork> = (0..self.k)
-            .map(|_| TypedNetwork::new(net.type_names.clone(), net.node_counts.clone()))
-            .collect();
-        let mut q = vec![0.0; self.k + 1];
-        let mut edges: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); self.k];
-        for blk in &net.blocks {
-            for &(i, j, w) in &blk.edges {
-                self.posterior_into(blk.tx, i as usize, blk.ty, j as usize, &mut q);
-                for (child, &qz) in edges.iter_mut().zip(&q[1..]) {
-                    let ew = w * qz;
-                    if ew >= threshold {
-                        child.push((i, j, ew));
-                    }
-                }
-            }
-            for (sub, child) in out.iter_mut().zip(&mut edges) {
-                if !child.is_empty() {
-                    let edges = std::mem::take(child);
-                    sub.blocks.push(lesm_net::LinkBlock {
-                        tx: blk.tx,
-                        ty: blk.ty,
-                        edges,
-                    });
-                }
-            }
-        }
-        out
     }
 }
 
@@ -347,7 +301,8 @@ thread_local! {
 /// per-pair weight/link totals, and the normalized parent-topic importance
 /// — is pure per-network work; recomputing it per candidate `k` (as the
 /// pre-arena implementation did) wastes both time and allocator traffic.
-/// Build one with [`EdgeState::new`] and hand it to
+/// Build one with [`EdgeState::new`] (or, for a child topic, with
+/// [`EdgeState::children`] of its parent's) and hand it to
 /// [`CathyHinEm::fit_prepared`] as many times as needed.
 #[derive(Debug, Clone)]
 pub struct EdgeState {
@@ -389,49 +344,101 @@ impl EdgeState {
     /// Flattens `net` into the edge-major arrays the EM loop consumes.
     pub fn new(net: &TypedNetwork) -> Self {
         FLATTEN_CALLS.with(|c| c.set(c.get() + 1));
-        let t_count = net.num_types();
-        let mut node_base = Vec::with_capacity(t_count);
-        let mut total_nodes = 0usize;
-        for &n in &net.node_counts {
-            node_base.push(total_nodes);
-            total_nodes += n;
-        }
-        let n = net.num_links();
-        let mut ni = Vec::with_capacity(n);
-        let mut nj = Vec::with_capacity(n);
-        let mut tp = Vec::with_capacity(n);
-        let mut w = Vec::with_capacity(n);
-        for blk in &net.blocks {
-            for &(i, j, wt) in &blk.edges {
-                ni.push((node_base[blk.tx] + i as usize) as u32);
-                nj.push((node_base[blk.ty] + j as usize) as u32);
-                tp.push(blk.tx * t_count + blk.ty);
-                w.push(wt);
+        let mut state = Self::empty(net.node_counts.clone(), net.num_links());
+        state.push_network(net);
+        state.finish()
+    }
+
+    /// The flattened expected-weight subnetwork (§3.2.1) of every subtopic
+    /// of `fit`, a fit on this state (element `z` is subtopic `z`, 0-based),
+    /// in one pass over the links: each link's posterior is computed once,
+    /// and child `z` keeps the link with weight `w·q_z` when that reaches
+    /// `threshold` (§3.2.1 uses 1.0). Children keep this state's node space
+    /// and edge order, so each equals the [`EdgeState::new`] of its
+    /// subnetwork field for field.
+    pub fn children(&self, fit: &EmFit, threshold: f64) -> Vec<EdgeState> {
+        let mut children = vec![Self::empty(self.node_counts.clone(), 0); fit.k];
+        let mut q = vec![0.0; fit.k + 1];
+        for e in 0..self.num_links() {
+            let (tx, ty) = (self.tp[e] / self.t_count, self.tp[e] % self.t_count);
+            let i = self.ni[e] as usize - self.node_base[tx];
+            let j = self.nj[e] as usize - self.node_base[ty];
+            fit.posterior_into(tx, i, ty, j, &mut q);
+            for (child, &qz) in children.iter_mut().zip(&q[1..]) {
+                let ew = self.w[e] * qz;
+                if ew >= threshold {
+                    child.push(self.ni[e], self.nj[e], self.tp[e], ew);
+                }
             }
         }
-        let mut pair_weight = vec![0.0f64; t_count * t_count];
-        let mut pair_links = vec![0usize; t_count * t_count];
-        for e in 0..n {
-            pair_weight[tp[e]] += w[e];
-            pair_links[tp[e]] += 1;
-        }
-        let degrees = net.weighted_degrees();
-        let parent_phi = parent_importance(degrees.clone());
+        children.into_iter().map(Self::finish).collect()
+    }
+
+    /// A state over `node_counts` with room for `links` links and none yet;
+    /// [`EdgeState::push`] adds them, [`EdgeState::finish`] completes it.
+    fn empty(node_counts: Vec<usize>, links: usize) -> Self {
+        let (node_base, total_nodes) = node_bases(&node_counts);
+        let pairs = node_counts.len() * node_counts.len();
         Self {
-            t_count,
-            node_counts: net.node_counts.clone(),
+            t_count: node_counts.len(),
+            node_counts,
             node_base,
             total_nodes,
-            ni,
-            nj,
-            tp,
-            w,
-            pair_weight,
-            pair_links,
-            parent_flat: parent_phi.concat(),
-            parent_phi: Arc::new(parent_phi),
-            degrees,
+            ni: Vec::with_capacity(links),
+            nj: Vec::with_capacity(links),
+            tp: Vec::with_capacity(links),
+            w: Vec::with_capacity(links),
+            pair_weight: vec![0.0; pairs],
+            pair_links: vec![0; pairs],
+            parent_phi: Arc::default(),
+            parent_flat: Vec::new(),
+            degrees: Vec::new(),
         }
+    }
+
+    /// Appends `net`'s links in block order, over this state's node space.
+    fn push_network(&mut self, net: &TypedNetwork) {
+        for blk in &net.blocks {
+            let key = blk.tx * self.t_count + blk.ty;
+            let (bx, by) = (self.node_base[blk.tx], self.node_base[blk.ty]);
+            for &(i, j, w) in &blk.edges {
+                self.push((bx + i as usize) as u32, (by + j as usize) as u32, key, w);
+            }
+        }
+    }
+
+    /// Appends one link (global endpoint ids, type-pair key, weight) and
+    /// adds it to its pair's totals.
+    fn push(&mut self, ni: u32, nj: u32, tp: usize, w: f64) {
+        self.ni.push(ni);
+        self.nj.push(nj);
+        self.tp.push(tp);
+        self.w.push(w);
+        self.pair_weight[tp] += w;
+        self.pair_links[tp] += 1;
+    }
+
+    /// Derives the weighted degrees and the parent importance from the
+    /// links, summed in edge order. A self-loop adds its weight to its node
+    /// once, the rule of [`TypedNetwork::weighted_degrees`], so the state
+    /// built from a network's flattened links equals the one built from the
+    /// network.
+    fn finish(mut self) -> Self {
+        let mut degrees = vec![0.0f64; self.total_nodes];
+        for e in 0..self.w.len() {
+            let (ni, nj, w) = (self.ni[e] as usize, self.nj[e] as usize, self.w[e]);
+            degrees[ni] += w;
+            if ni != nj {
+                degrees[nj] += w;
+            }
+        }
+        self.degrees = (self.node_base.iter().zip(&self.node_counts))
+            .map(|(&b, &n)| degrees[b..b + n].to_vec())
+            .collect();
+        let parent_phi = parent_importance(self.degrees.clone());
+        self.parent_flat = parent_phi.concat();
+        self.parent_phi = Arc::new(parent_phi);
+        self
     }
 
     /// Appends the edges of a delta network to the flatten **without
@@ -461,12 +468,7 @@ impl EdgeState {
             }
         }
         let t_count = self.t_count;
-        let mut new_base = Vec::with_capacity(t_count);
-        let mut new_total = 0usize;
-        for &n in &delta.node_counts {
-            new_base.push(new_total);
-            new_total += n;
-        }
+        let (new_base, new_total) = node_bases(&delta.node_counts);
         // Remap existing endpoints: the type of each endpoint is recovered
         // from the edge's type-pair key, the local index from the old base.
         for e in 0..self.w.len() {
@@ -476,18 +478,8 @@ impl EdgeState {
             self.ni[e] = (new_base[tx] + i) as u32;
             self.nj[e] = (new_base[ty] + j) as u32;
         }
-        // Append the delta edges and fold their pair totals.
-        for blk in &delta.blocks {
-            let key = blk.tx * t_count + blk.ty;
-            for &(i, j, wt) in &blk.edges {
-                self.ni.push((new_base[blk.tx] + i as usize) as u32);
-                self.nj.push((new_base[blk.ty] + j as usize) as u32);
-                self.tp.push(key);
-                self.w.push(wt);
-                self.pair_weight[key] += wt;
-                self.pair_links[key] += 1;
-            }
-        }
+        self.node_base = new_base;
+        self.push_network(delta);
         // Fold delta degrees into the raw totals, then re-derive the
         // normalized parent importance for the enlarged node space.
         let delta_deg = delta.weighted_degrees();
@@ -499,7 +491,6 @@ impl EdgeState {
         }
         let parent_phi = parent_importance(self.degrees.clone());
         self.node_counts = delta.node_counts.clone();
-        self.node_base = new_base;
         self.total_nodes = new_total;
         self.parent_flat = parent_phi.concat();
         self.parent_phi = Arc::new(parent_phi);
@@ -509,6 +500,11 @@ impl EdgeState {
     /// Number of flattened links.
     pub fn num_links(&self) -> usize {
         self.w.len()
+    }
+
+    /// Total link weight.
+    pub fn total_weight(&self) -> f64 {
+        self.w.iter().sum()
     }
 
     /// Total node count across all types.
@@ -522,12 +518,25 @@ impl EdgeState {
     }
 
     /// How many times [`EdgeState::new`] has run **on this thread** (a
-    /// thread-local counter, so concurrent tests don't interfere). Used to
-    /// assert that `select_k` and the hierarchy recursion flatten each
-    /// network exactly once.
+    /// thread-local counter, so concurrent tests don't interfere); states
+    /// built by [`EdgeState::children`] are not flattens. Used to assert
+    /// that `select_k` flattens its network once and that one hierarchy
+    /// construct or update flattens only the root's.
     pub fn flattens_on_this_thread() -> u64 {
         FLATTEN_CALLS.with(|c| c.get())
     }
+}
+
+/// The prefix sums of `node_counts` (global node id = `base[x] + i`) and
+/// the total node count.
+fn node_bases(node_counts: &[usize]) -> (Vec<usize>, usize) {
+    let mut base = Vec::with_capacity(node_counts.len());
+    let mut total = 0;
+    for &n in node_counts {
+        base.push(total);
+        total += n;
+    }
+    (base, total)
 }
 
 /// Number of edge chunks the E/M accumulation is split into. Fixed (never
@@ -614,6 +623,25 @@ impl ParamArena {
         }
     }
 
+    /// The Poisson rate share `s` of the link between global nodes `ni`
+    /// and `nj` under this one-lane fit: `ρ_z·φ_z(ni)·φ_z(nj)` summed in
+    /// `z` order, then, with the background, `0.5·ρ0·(p_i·p_j + p_j·p_i)`
+    /// over the parent importance `parent`. The one per-link total behind
+    /// [`EmFit::loglik`] and `learn_alpha`.
+    #[inline]
+    fn link_total(&self, parent: &[f64], background: bool, ni: usize, nj: usize) -> f64 {
+        let (k, (phi, rho)) = (self.k, self.split());
+        let (a, b) = (&phi[ni * k..ni * k + k], &phi[nj * k..nj * k + k]);
+        let mut s = 0.0;
+        for z in 0..k {
+            s += rho[z + 1] * a[z] * b[z];
+        }
+        if background {
+            s += 0.5 * rho[0] * (parent[ni] * parent[nj] + parent[nj] * parent[ni]);
+        }
+        s
+    }
+
     /// `(phi, rho)` views.
     #[inline]
     fn split(&self) -> (&[f64], &[f64]) {
@@ -677,6 +705,7 @@ struct LaneRun {
 /// lane-interleaved `[obj | ρ | φ]` accumulator. One of these lives for a
 /// whole `fit_prepared` call, so an iteration that skips the objective
 /// allocates nothing at k = 4, 5 or 8.
+#[derive(Default)]
 struct EmScratch {
     reduce: lesm_par::ReduceScratch,
     acc: Vec<f64>,
@@ -740,10 +769,7 @@ impl CathyHinEm {
             t_count,
         );
 
-        let mut scratch = EmScratch {
-            reduce: lesm_par::ReduceScratch::new(),
-            acc: Vec::new(),
-        };
+        let mut scratch = EmScratch::default();
 
         // Phase 1: multi-restart EM under the initial weights; the best
         // objective wins (restart objectives are comparable because the
@@ -862,10 +888,7 @@ impl CathyHinEm {
         }
         let mut alpha = prev.alpha.clone();
         rescale_alpha(&mut alpha, &state.pair_links);
-        let mut scratch = EmScratch {
-            reduce: lesm_par::ReduceScratch::new(),
-            acc: Vec::new(),
-        };
+        let mut scratch = EmScratch::default();
         let warm = ArenaFit {
             arena,
             theta: Vec::new(),
@@ -1029,8 +1052,24 @@ fn estep_fill<const R: usize>(ctx: &EStepCtx<'_>, range: std::ops::Range<usize>,
     }
 }
 
-/// Picks the loop compiled for `ctx.k` and the CPU.
+/// Picks the loop compiled for `ctx.k`.
 fn estep_fill_k<const R: usize, const OBJ: bool>(
+    ctx: &EStepCtx<'_>,
+    range: std::ops::Range<usize>,
+    buf: &mut [f64],
+) {
+    match ctx.k {
+        2 => estep_fill_cpu::<2, R, OBJ>(ctx, range, buf),
+        4 => estep_fill_cpu::<4, R, OBJ>(ctx, range, buf),
+        5 => estep_fill_cpu::<5, R, OBJ>(ctx, range, buf),
+        8 => estep_fill_cpu::<8, R, OBJ>(ctx, range, buf),
+        _ => estep_fill_cpu::<0, R, OBJ>(ctx, range, buf),
+    }
+}
+
+/// Runs the `K` loop compiled for the CPU: the AVX2 build when the CPU has
+/// it, the portable one otherwise.
+fn estep_fill_cpu<const K: usize, const R: usize, const OBJ: bool>(
     ctx: &EStepCtx<'_>,
     range: std::ops::Range<usize>,
     buf: &mut [f64],
@@ -1038,24 +1077,10 @@ fn estep_fill_k<const R: usize, const OBJ: bool>(
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified at runtime.
-        unsafe {
-            match ctx.k {
-                2 => estep_fill_avx2::<2, R, OBJ>(ctx, range, buf),
-                4 => estep_fill_avx2::<4, R, OBJ>(ctx, range, buf),
-                5 => estep_fill_avx2::<5, R, OBJ>(ctx, range, buf),
-                8 => estep_fill_avx2::<8, R, OBJ>(ctx, range, buf),
-                _ => estep_fill_avx2::<0, R, OBJ>(ctx, range, buf),
-            }
-        }
+        unsafe { estep_fill_avx2::<K, R, OBJ>(ctx, range, buf) };
         return;
     }
-    match ctx.k {
-        2 => estep_fill_portable::<2, R, OBJ>(ctx, range, buf),
-        4 => estep_fill_portable::<4, R, OBJ>(ctx, range, buf),
-        5 => estep_fill_portable::<5, R, OBJ>(ctx, range, buf),
-        8 => estep_fill_portable::<8, R, OBJ>(ctx, range, buf),
-        _ => estep_fill_portable::<0, R, OBJ>(ctx, range, buf),
-    }
+    estep_fill_portable::<K, R, OBJ>(ctx, range, buf);
 }
 
 /// The portable loop recompiled with AVX2 enabled — `estep_fill_portable`
@@ -1499,7 +1524,6 @@ fn learn_alpha(
     scratch: &mut EmScratch,
 ) -> Vec<f64> {
     let k = fit.arena.k;
-    let (phi, rho) = fit.arena.split();
     let t_count = state.t_count;
     let n_edges = state.num_links();
     let parent_flat = &state.parent_flat;
@@ -1516,17 +1540,7 @@ fn learn_alpha(
             for e in range {
                 let (ni, nj) = (state.ni[e] as usize, state.nj[e] as usize);
                 let w = state.w[e];
-                let a = &phi[ni * k..ni * k + k];
-                let b = &phi[nj * k..nj * k + k];
-                let mut s = 0.0;
-                for z in 0..k {
-                    s += rho[z + 1] * a[z] * b[z];
-                }
-                if config.background {
-                    s += 0.5
-                        * rho[0]
-                        * (parent_flat[ni] * parent_flat[nj] + parent_flat[nj] * parent_flat[ni]);
-                }
+                let s = fit.arena.link_total(parent_flat, config.background, ni, nj);
                 let m_xy = state.pair_weight[state.tp[e]];
                 let pred = (m_xy * s).max(1e-300);
                 buf[state.tp[e]] += w * (w / pred).ln();
@@ -1771,7 +1785,7 @@ mod tests {
         let q = fit.link_posterior(1, 0, 1, 1);
         let s: f64 = q.iter().sum();
         assert!((s - 1.0).abs() < 1e-9);
-        let sub = &fit.subnetworks(&net, 1.0)[0];
+        let sub = &EdgeState::new(&net).children(&fit, 1.0)[0];
         assert!(sub.num_links() > 0);
         assert!(sub.total_weight() < net.total_weight());
     }
@@ -2465,10 +2479,7 @@ mod tests {
                 iters: 0,
                 ..EmConfig::default()
             };
-            let mut scratch = EmScratch {
-                reduce: lesm_par::ReduceScratch::new(),
-                acc: Vec::new(),
-            };
+            let mut scratch = EmScratch::default();
             // Zero iterations leave the random starts of four restarts.
             let lanes = run_em::<4>(&state, &c, &scaled, &[1, 2, 3, 4], None, &mut scratch).arena;
             let one = lanes.lane(2);

@@ -31,22 +31,10 @@ pub struct CathyConfig {
     pub max_depth: usize,
     /// EM settings applied at every node.
     pub em: EmConfig,
-    /// Stop expanding when a topic's network has fewer links than this.
+    /// A topic with fewer links than this, or with none, is a leaf.
     pub min_links: usize,
     /// Expected-weight threshold for subnetwork extraction (§3.2.1 uses 1).
     pub subnet_threshold: f64,
-}
-
-impl CathyConfig {
-    /// The subnetworks ([`EmFit::subnetworks`]) of the children `fit` gives
-    /// a topic at `level` of `net`; none at the last level, never expanded.
-    fn child_networks(&self, fit: &EmFit, net: &TypedNetwork, level: usize) -> Vec<TypedNetwork> {
-        if level + 1 < self.max_depth {
-            fit.subnetworks(net, self.subnet_threshold)
-        } else {
-            Vec::new()
-        }
-    }
 }
 
 impl Default for CathyConfig {
@@ -80,8 +68,9 @@ pub struct HierTopic {
 }
 
 /// A constructed multi-typed topical hierarchy. It owns one network, the
-/// root's: a child's expected-weight subnetwork (§3.2.1) is only the input
-/// for expanding it, held by the recursion and dropped once expanded.
+/// root's: a child's expected-weight subnetwork (§3.2.1) exists only as
+/// the flattened links ([`EdgeState`]) the recursion expands it from,
+/// dropped once it is expanded.
 #[derive(Debug, Clone)]
 pub struct TopicHierarchy {
     /// The root's input network; its `type_names` are the hierarchy's.
@@ -116,7 +105,8 @@ impl Default for UpdateBudget {
 }
 
 /// Concatenates `base`'s blocks with `delta`'s over `delta`'s (enlarged)
-/// node space. Duplicate `(i, j)` pairs across the two networks are kept
+/// node space; [`EdgeState::append_delta`] refuses a delta that shrinks
+/// it. Duplicate `(i, j)` pairs across the two networks are kept
 /// as separate links — the Poisson objective treats `w1·ln s + w2·ln s`
 /// and `(w1+w2)·ln s` identically, and keeping them separate preserves
 /// the append-only edge order the determinism contract relies on.
@@ -126,13 +116,6 @@ fn merge_networks(base: &TypedNetwork, delta: &TypedNetwork) -> Result<TypedNetw
             "delta network types {:?} do not match base types {:?}",
             delta.type_names, base.type_names
         )));
-    }
-    for (x, (&new_n, &old_n)) in delta.node_counts.iter().zip(&base.node_counts).enumerate() {
-        if new_n < old_n {
-            return Err(HierError::InvalidConfig(format!(
-                "delta network shrinks type {x}: {new_n} nodes < base {old_n}"
-            )));
-        }
     }
     let mut merged = TypedNetwork::new(delta.type_names.clone(), delta.node_counts.clone());
     merged.blocks.extend(base.blocks.iter().cloned());
@@ -146,45 +129,25 @@ impl TopicHierarchy {
         if config.max_depth == 0 {
             return Err(HierError::InvalidConfig("max_depth must be >= 1".into()));
         }
-        let mut hierarchy = TopicHierarchy::rooted(root_net);
-        // Topics to expand at this level, each with its subnetwork; the
-        // root (`None`) expands the hierarchy's own network.
-        let mut frontier: Vec<(usize, Option<TypedNetwork>)> = vec![(0, None)];
-        for level in 0..config.max_depth {
-            let mut next = Vec::new();
-            for (node, subnet) in frontier {
-                let net = subnet.as_ref().unwrap_or(&hierarchy.network);
-                if net.num_links() < config.min_links {
-                    continue;
+        let root = EdgeState::new(&root_net);
+        TopicHierarchy::rooted(root_net).grow(root, config, |h, node, state| {
+            let k = match &config.children {
+                ChildCount::Fixed(k) => *k,
+                ChildCount::PerLevel(v) => *v.get(h.topics[node].level).or(v.last()).unwrap_or(&2),
+                // The BIC sweep and the final fit share the topic's state.
+                ChildCount::Auto { min, max } => {
+                    select_k_prepared(state, *min..=*max, &config.em)?.0
                 }
-                // Flatten this topic's network once; the BIC sweep and the
-                // final fit share the state.
-                let state = EdgeState::new(net);
-                let k = match &config.children {
-                    ChildCount::Fixed(k) => *k,
-                    ChildCount::PerLevel(v) => *v.get(level).or(v.last()).unwrap_or(&2),
-                    ChildCount::Auto { min, max } => {
-                        select_k_prepared(&state, *min..=*max, &config.em)?.0
-                    }
-                };
-                if k < 1 {
-                    continue;
-                }
-                let em_cfg = EmConfig {
-                    k,
-                    ..config.em.clone()
-                };
-                let fit = CathyHinEm::fit_prepared(&state, &em_cfg)?;
-                let subnets = config.child_networks(&fit, net, level);
-                let children = hierarchy.attach_children(node, fit);
-                next.extend(children.zip(subnets).map(|(c, net)| (c, Some(net))));
+            };
+            if k < 1 {
+                return Ok(None);
             }
-            frontier = next;
-            if frontier.is_empty() {
-                break;
-            }
-        }
-        Ok(hierarchy)
+            let em_cfg = EmConfig {
+                k,
+                ..config.em.clone()
+            };
+            CathyHinEm::fit_prepared(state, &em_cfg).map(Some)
+        })
     }
 
     /// Incrementally refits a hierarchy after documents were appended:
@@ -195,9 +158,9 @@ impl TopicHierarchy {
     ///
     /// The tree *shape* follows the base: each topic keeps its base `k`
     /// (no BIC re-selection — [`ChildCount::Auto`] is resolved by the base
-    /// fit), and a base-expanded topic whose refreshed subnetwork falls
-    /// under `min_links` becomes a leaf. Child networks are re-extracted
-    /// from the updated parent network by expected weight, exactly as
+    /// fit), and a base-expanded topic whose refreshed links fall under
+    /// `min_links` becomes a leaf. Children are re-extracted from the
+    /// updated parent's links by expected weight, exactly as
     /// [`TopicHierarchy::construct`] does. Of `base` this reads the
     /// network, the fits and the tree shape, all of which a `.lesm`
     /// artifact stores, so a decoded base updates to the same bits as
@@ -218,59 +181,72 @@ impl TopicHierarchy {
         if base.topics.is_empty() {
             return Err(HierError::InvalidConfig("base hierarchy is empty".into()));
         }
-        let mut out = TopicHierarchy::rooted(merge_networks(&base.network, root_delta)?);
-        // (updated topic, corresponding base topic, subnetwork) triples,
-        // as in `construct`.
-        let mut frontier: Vec<(usize, usize, Option<TypedNetwork>)> = vec![(0, 0, None)];
-        for level in 0..config.max_depth {
+        let merged = merge_networks(&base.network, root_delta)?;
+        // The root extends the base flatten with the delta edges instead
+        // of re-flattening the merged network.
+        let mut root = EdgeState::new(&base.network);
+        root.append_delta(root_delta)?;
+        TopicHierarchy::rooted(merged).grow(root, config, |h, node, state| {
+            // Only topics the base expanded are re-expanded; their k is
+            // pinned by the base fit.
+            let prev = h.same_place(node, base);
+            let Some(prev) = prev.and_then(|b| base.fits.get(b)?.as_ref()) else {
+                return Ok(None);
+            };
+            let em_cfg = EmConfig {
+                k: prev.k,
+                iters: budget.iters,
+                tol: budget.tol,
+                ..config.em.clone()
+            };
+            CathyHinEm::fit_warm(state, &em_cfg, prev).map(Some)
+        })
+    }
+
+    /// Expands the hierarchy level by level from the root, whose links are
+    /// `root`: `fit_topic(self, topic, links)` fits one topic, or returns
+    /// `None` to leave it a leaf. A topic with fewer than
+    /// `max(min_links, 1)` links is a leaf, and so is every topic at
+    /// `max_depth`. Each child's links are its expected-weight share of
+    /// its parent's ([`EdgeState::children`]), held only until the child
+    /// is expanded.
+    fn grow(
+        mut self,
+        root: EdgeState,
+        config: &CathyConfig,
+        mut fit_topic: impl FnMut(&Self, usize, &EdgeState) -> Result<Option<EmFit>, HierError>,
+    ) -> Result<Self, HierError> {
+        let mut frontier = vec![(0, root)];
+        while !frontier.is_empty() {
             let mut next = Vec::new();
-            for (node, base_idx, subnet) in frontier {
-                // Only topics the base expanded are re-expanded; their k is
-                // pinned by the base fit.
-                let Some(prev_fit) = base.fits.get(base_idx).and_then(Option::as_ref) else {
-                    continue;
-                };
-                let net = subnet.as_ref().unwrap_or(&out.network);
-                if net.num_links() < config.min_links {
+            for (node, state) in frontier {
+                if state.num_links() < config.min_links.max(1) {
                     continue;
                 }
-                let state = match &subnet {
-                    Some(net) => EdgeState::new(net),
-                    None => {
-                        // Root: extend the base flatten with the delta edges
-                        // instead of re-flattening the merged network.
-                        let mut s = EdgeState::new(&base.network);
-                        s.append_delta(root_delta)?;
-                        s
-                    }
-                };
-                if state.num_links() == 0 {
+                let Some(fit) = fit_topic(&self, node, &state)? else {
                     continue;
-                }
-                let k = prev_fit.k;
-                let em_cfg = EmConfig {
-                    k,
-                    iters: budget.iters,
-                    tol: budget.tol,
-                    ..config.em.clone()
                 };
-                let fit = CathyHinEm::fit_warm(&state, &em_cfg, prev_fit)?;
-                let subnets = config.child_networks(&fit, net, level);
-                let children = out
-                    .attach_children(node, fit)
-                    .zip(&base.topics[base_idx].children);
-                next.extend(
-                    children
-                        .zip(subnets)
-                        .map(|((c, &b), net)| (c, b, Some(net))),
-                );
+                let children = if self.topics[node].level + 1 < config.max_depth {
+                    state.children(&fit, config.subnet_threshold)
+                } else {
+                    Vec::new()
+                };
+                next.extend(self.attach_children(node, fit).zip(children));
             }
             frontier = next;
-            if frontier.is_empty() {
-                break;
-            }
         }
-        Ok(out)
+        Ok(self)
+    }
+
+    /// The topic of `other` at the place topic `t` has in this hierarchy:
+    /// the same child position at every level below the root.
+    fn same_place(&self, t: usize, other: &TopicHierarchy) -> Option<usize> {
+        let Some(parent) = self.topics[t].parent else {
+            return Some(0);
+        };
+        let z = self.topics[parent].children.iter().position(|&c| c == t)?;
+        let at = self.same_place(parent, other)?;
+        other.topics[at].children.get(z).copied()
     }
 
     /// A one-topic hierarchy over `root_net`, with the network's
@@ -548,6 +524,100 @@ mod tests {
         assert!(TopicHierarchy::update(&base, &wrong_type, &config(), &budget).is_err());
         let shrunk = NetworkBuilder::new(vec!["term".into()], vec![4]).build();
         assert!(TopicHierarchy::update(&base, &shrunk, &config(), &budget).is_err());
+    }
+
+    /// Two 3-cliques joined by a bridge: split nine ways, some children
+    /// receive no link above the threshold.
+    fn bridged_cliques() -> TypedNetwork {
+        let mut b = NetworkBuilder::new(vec!["term".into()], vec![6]);
+        for group in [0u32, 3] {
+            for i in group..group + 3 {
+                for j in (i + 1)..group + 3 {
+                    b.add(0, i, 0, j, 8.0);
+                }
+            }
+        }
+        b.add(0, 2, 0, 3, 1.0);
+        b.build()
+    }
+
+    #[test]
+    fn a_topic_without_links_is_a_leaf_in_construct_and_update() {
+        let cfg = CathyConfig {
+            children: ChildCount::Fixed(9),
+            min_links: 0,
+            subnet_threshold: 0.5,
+            ..config()
+        };
+        let net = bridged_cliques();
+        let h = TopicHierarchy::construct(net.clone(), &cfg).unwrap();
+        let Some(root_fit) = &h.fits[0] else {
+            panic!("the root was not expanded");
+        };
+        let children = EdgeState::new(&net).children(root_fit, cfg.subnet_threshold);
+        assert!(children.iter().any(|c| c.num_links() == 0));
+        assert!(children.iter().any(|c| c.num_links() > 0));
+        for (&c, state) in h.topics[0].children.iter().zip(&children) {
+            let path = &h.topics[c].path;
+            assert_eq!(h.fits[c].is_some(), state.num_links() > 0, "{path}");
+        }
+        let no_delta = NetworkBuilder::new(vec!["term".into()], vec![6]).build();
+        let up = TopicHierarchy::update(&h, &no_delta, &cfg, &UpdateBudget::default()).unwrap();
+        assert_eq!(up.len(), h.len());
+        for (a, b) in up.fits.iter().zip(&h.fits) {
+            assert_eq!(a.is_some(), b.is_some());
+        }
+    }
+
+    /// The update root is the base flatten with the delta appended, not a
+    /// flatten of the merged network, yet its children are the merged
+    /// network's, field for field (`{:?}` prints each `f64` in its
+    /// shortest round-trip form, so equal text means equal bits).
+    #[test]
+    fn children_of_an_appended_root_equal_the_merged_networks() {
+        let mut root = EdgeState::new(&nested_network());
+        root.append_delta(&nested_delta()).unwrap();
+        let merged = merge_networks(&nested_network(), &nested_delta()).unwrap();
+        let merged = EdgeState::new(&merged);
+        for background in [false, true] {
+            let em = EmConfig {
+                k: 3,
+                background,
+                ..config().em
+            };
+            let fit = CathyHinEm::fit_prepared(&root, &em).unwrap();
+            for threshold in [0.0, 0.5, 1.0] {
+                let got = root.children(&fit, threshold);
+                let want = merged.children(&fit, threshold);
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{threshold}");
+            }
+        }
+    }
+
+    /// One construct (k 4, depth 3) and one update each flatten exactly
+    /// one network, the root's; every other topic's links are expanded
+    /// from its parent's.
+    #[test]
+    fn construct_and_update_flatten_only_the_root() {
+        let cfg = CathyConfig {
+            children: ChildCount::Fixed(4),
+            max_depth: 3,
+            min_links: 1,
+            subnet_threshold: 0.1,
+            ..config()
+        };
+        let before = EdgeState::flattens_on_this_thread();
+        let h = TopicHierarchy::construct(nested_network(), &cfg).unwrap();
+        assert_eq!(EdgeState::flattens_on_this_thread() - before, 1);
+        assert!(h.topics.iter().any(|t| t.level == 3), "depth 3 not reached");
+        let before = EdgeState::flattens_on_this_thread();
+        let budget = UpdateBudget::default();
+        let up = TopicHierarchy::update(&h, &nested_delta(), &cfg, &budget).unwrap();
+        assert_eq!(EdgeState::flattens_on_this_thread() - before, 1);
+        assert!(
+            up.topics.iter().any(|t| t.level == 3),
+            "depth 3 not reached"
+        );
     }
 
     #[test]

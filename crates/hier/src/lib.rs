@@ -5,7 +5,12 @@
 //! (typed) network; a Poisson link-generation model is fitted by EM to
 //! softly partition the link weights into `k` subtopics (plus an optional
 //! background topic), each subtopic's expected-weight subnetwork is
-//! extracted, and the procedure recurses.
+//! extracted, and the procedure recurses. Only the root's network is a
+//! [`lesm_net::TypedNetwork`]: it is flattened once into an
+//! [`EdgeState`], and each subtopic's subnetwork is expanded from its
+//! parent's flat links ([`EdgeState::children`]) in the one frontier loop
+//! that [`TopicHierarchy::construct`] and [`TopicHierarchy::update`]
+//! share.
 //!
 //! * [`em`] — the unified generative model and its EM inference
 //!   (eqs. 3.5–3.7 for text-only CATHY; eqs. 3.24–3.28 with a background

@@ -104,9 +104,9 @@ fn random_fit(k: usize, background: bool, seed: u64) -> EmFit {
     }
 }
 
-/// The per-subtopic extraction `EmFit::subnetworks` replaced, kept as its
-/// oracle: the posterior of every link is recomputed (into a fresh `Vec`)
-/// for each subtopic `z`.
+/// The per-subtopic subnetwork extraction the one-pass child expansion
+/// replaced, kept as its oracle: the posterior of every link is recomputed
+/// (into a fresh `Vec`) for each subtopic `z`.
 fn subnetwork_per_z(fit: &EmFit, net: &TypedNetwork, z: usize, threshold: f64) -> TypedNetwork {
     let mut out = TypedNetwork::new(net.type_names.clone(), net.node_counts.clone());
     for blk in &net.blocks {
@@ -209,40 +209,22 @@ fn loglik_inline_pass(net: &TypedNetwork, fit: &EmFit, background: bool) -> f64 
     -m_total + ll[0]
 }
 
-/// Every block of `net` with its edge weights as bits, for exact equality.
-type EdgeBits = Vec<(usize, usize, Vec<(u32, u32, u64)>)>;
-
-fn edge_bits(net: &TypedNetwork) -> EdgeBits {
-    net.blocks
-        .iter()
-        .map(|b| {
-            (
-                b.tx,
-                b.ty,
-                b.edges
-                    .iter()
-                    .map(|&(i, j, w)| (i, j, w.to_bits()))
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
-/// Checks `fit.subnetworks` against the per-`z` oracle at thresholds 0,
-/// 0.5 and 1, edge for edge and bit for bit.
-fn check_subnetworks(fit: &EmFit, net: &TypedNetwork) -> Result<(), String> {
+/// Checks the child states [`EdgeState::children`] expands from `net`'s
+/// flatten against the flatten of each per-`z` oracle network, at
+/// thresholds 0, 0.5 and 1, field for field: `{:?}` prints every field of
+/// a state, each `f64` in its shortest round-trip form, so equal text
+/// means equal bits.
+fn check_children(fit: &EmFit, net: &TypedNetwork) -> Result<(), String> {
+    let parent = EdgeState::new(net);
     for threshold in [0.0, 0.5, 1.0] {
-        let subs = fit.subnetworks(net, threshold);
-        if subs.len() != fit.k {
-            return Err(format!("{} subnetworks for k = {}", subs.len(), fit.k));
+        let children = parent.children(fit, threshold);
+        if children.len() != fit.k {
+            return Err(format!("{} children for k = {}", children.len(), fit.k));
         }
-        for (z, sub) in subs.iter().enumerate() {
-            if sub.type_names != net.type_names || sub.node_counts != net.node_counts {
-                return Err(format!("subnetwork {z} lost the parent's node space"));
-            }
-            let oracle = subnetwork_per_z(fit, net, z, threshold);
-            if edge_bits(sub) != edge_bits(&oracle) {
-                return Err(format!("subnetwork {z} at threshold {threshold} differs"));
+        for (z, child) in children.iter().enumerate() {
+            let oracle = EdgeState::new(&subnetwork_per_z(fit, net, z, threshold));
+            if format!("{child:?}") != format!("{oracle:?}") {
+                return Err(format!("child {z} at threshold {threshold} differs"));
             }
         }
     }
@@ -306,7 +288,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let fit = random_fit(k, bg, seed);
-        let checked = check_subnetworks(&fit, &net);
+        let checked = check_children(&fit, &net);
         prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 
@@ -323,7 +305,7 @@ proptest! {
             ..EmConfig::default()
         };
         let fit = CathyHinEm::fit(&net, &cfg).unwrap();
-        let checked = check_subnetworks(&fit, &net);
+        let checked = check_children(&fit, &net);
         prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 
@@ -382,7 +364,7 @@ proptest! {
         let fit = CathyHinEm::fit(&net, &cfg).unwrap();
         let parent_w = net.total_weight();
         let mut child_total = 0.0;
-        for sub in fit.subnetworks(&net, 0.0) {
+        for sub in EdgeState::new(&net).children(&fit, 0.0) {
             let w = sub.total_weight();
             prop_assert!(w <= parent_w + 1e-6);
             child_total += w;

@@ -79,8 +79,9 @@ impl LinkBlock {
 
 /// An edge-weighted network with typed nodes.
 ///
-/// This is `G^t` in the dissertation's notation: the object that CATHYHIN
-/// recursively soft-partitions into subtopic subnetworks.
+/// This is `G^t` of the root topic in the dissertation's notation: CATHYHIN
+/// flattens it once and recursively soft-partitions the flattened links
+/// into subtopic subnetworks, which are never built as networks.
 #[derive(Debug, Clone)]
 pub struct TypedNetwork {
     /// Human-readable type names, e.g. `["author", "venue", "term"]`.
